@@ -49,15 +49,16 @@ benchdiff: build
 	$(GO) run ./tools/benchdiff /tmp/bench_current.json
 
 # gobench runs the Go micro-benchmarks (the old `make bench`): the
-# evaluation-table benchmarks in the root package plus the hot-path
-# micro-benchmarks (sealing, TLB-hit translation, cycle charging). The
+# simulator hot-path micro-benchmarks (facade touch and fault paths,
+# sealing, TLB-hit translation, cycle charging). The
 # hot paths must report 0 allocs/op; the matching *ZeroAlloc tests gate
 # that in `make test`, so a regression fails CI rather than a bench diff.
 gobench:
 	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/libos ./internal/pagestore ./internal/sgx ./internal/sim
 
-# metriclint rejects unattributed Clock.Advance call sites inside the
-# instrumented simulation packages (see DESIGN.md, Observability).
+# metriclint rejects wall-clock and process-PRNG imports in the
+# deterministic packages (fault, orderly, fleet, chaos), whose decisions
+# must be pure functions of (seed, clock, operation).
 metriclint:
 	$(GO) run ./tools/metriclint
 
@@ -150,7 +151,7 @@ cover:
 		fi; \
 	done < testdata/coverage_floors.txt; exit $$fail
 
-# check is the CI gate: formatting, static analysis, attribution lint,
+# check is the CI gate: formatting, static analysis, determinism lint,
 # API-surface freshness, build, the full test suite under the race
 # detector, the chaos, orderliness, serving and migration determinism
 # goldens, the coverage floors, and a short fuzz pass.

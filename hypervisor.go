@@ -6,34 +6,22 @@ import (
 	"autarky/internal/mmu"
 )
 
-// Hypervisor models the two virtualization modes of §5.4.
+// Hypervisor models the static virtualization mode of §5.4, the one the
+// paper identifies as requiring no changes: each guest VM receives a
+// disjoint slice of the physical EPC and runs its own (untrusted) kernel;
+// Autarky enclaves inside a guest work exactly as on bare metal, and no
+// guest can name another guest's frames ("cloud platforms that statically
+// partition EPC will require no modification"). Tenants that should instead
+// share one machine's EPC and scheduler are Machine.Spawn calls with
+// Config.QuotaPages as each tenant's frame budget.
 //
-// The static mode (NewHypervisor + CreateGuest) is the one the paper
-// identifies as requiring no changes: each guest VM receives a disjoint
-// slice of the physical EPC and runs its own (untrusted) kernel; Autarky
-// enclaves inside a guest work exactly as on bare metal, and no guest can
-// name another guest's frames ("cloud platforms that statically partition
-// EPC will require no modification").
-//
-// The shared mode (NewSharedHypervisor + SpawnGuest) instead places all
-// guests on one machine: they share its physical EPC and its deterministic
-// scheduler, and each guest's frame budget becomes an enclave quota enforced
-// by the kernel. This is the consolidation setting of the multi-tenant
-// experiments — EPC pressure and CPU time both flow between tenants, and the
-// isolation question becomes testable.
-//
-// Transparent hypervisor demand paging of EPC is intentionally absent in
-// both modes: Autarky forbids it (§5.4) because the VM cannot observe
-// masked faults.
+// Transparent hypervisor demand paging of EPC is intentionally absent:
+// Autarky forbids it (§5.4) because the VM cannot observe masked faults.
 type Hypervisor struct {
 	totalFrames int
 	nextFrame   mmu.PFN
 	remaining   int
 	guests      []*Machine
-
-	// Shared-scheduler mode.
-	shared  *Machine
-	tenants []*Proc
 }
 
 // NewHypervisor owns totalFrames of physical EPC to hand out as static,
@@ -49,43 +37,14 @@ func NewHypervisor(totalFrames int) *Hypervisor {
 	}
 }
 
-// NewSharedHypervisor builds a hypervisor whose guests share one machine —
-// its EPC, kernel and scheduler — instead of static partitions. Guest frame
-// budgets are handed out from totalFrames by SpawnGuest and enforced as
-// per-enclave quotas. opts configure the shared machine (scheduling policy,
-// quantum, costs, ...); its EPC capacity is fixed to totalFrames.
-func NewSharedHypervisor(totalFrames int, opts ...Option) *Hypervisor {
-	if totalFrames <= 0 {
-		panic("autarky: hypervisor needs a positive EPC size")
-	}
-	opts = append(append([]Option(nil), opts...), WithEPCFrames(totalFrames))
-	return &Hypervisor{
-		totalFrames: totalFrames,
-		remaining:   totalFrames,
-		shared:      NewMachine(opts...),
-	}
-}
-
 // Remaining reports unassigned EPC frames.
 func (h *Hypervisor) Remaining() int { return h.remaining }
 
-// Guests returns the guest machines created so far (static mode). The slice
-// is a copy: mutating it cannot corrupt the hypervisor's own bookkeeping.
+// Guests returns the guest machines created so far. The slice is a copy:
+// mutating it cannot corrupt the hypervisor's own bookkeeping.
 func (h *Hypervisor) Guests() []*Machine {
 	out := make([]*Machine, len(h.guests))
 	copy(out, h.guests)
-	return out
-}
-
-// Shared returns the machine all guests share, or nil for a
-// statically-partitioned hypervisor.
-func (h *Hypervisor) Shared() *Machine { return h.shared }
-
-// Tenants returns the guest processes spawned on the shared machine, in
-// spawn order. The slice is a copy.
-func (h *Hypervisor) Tenants() []*Proc {
-	out := make([]*Proc, len(h.tenants))
-	copy(out, h.tenants)
 	return out
 }
 
@@ -95,12 +54,13 @@ func (h *Hypervisor) Tenants() []*Proc {
 // error taxonomy: a non-positive request is a *ConfigError (ErrBadConfig);
 // over-assignment wraps ErrEPCExhausted.
 func (h *Hypervisor) CreateGuest(frames int, opts ...Option) (*Machine, error) {
-	if h.shared != nil {
+	if frames <= 0 {
 		return nil, &ConfigError{Field: "GuestFrames",
-			Reason: "static CreateGuest on a shared-scheduler hypervisor; use SpawnGuest"}
+			Reason: fmt.Sprintf("must be positive, got %d", frames)}
 	}
-	if err := h.reserve(frames); err != nil {
-		return nil, err
+	if frames > h.remaining {
+		return nil, fmt.Errorf("%w: %d frames requested, %d remain of %d",
+			ErrEPCExhausted, frames, h.remaining, h.totalFrames)
 	}
 	base := h.nextFrame
 	h.nextFrame += mmu.PFN(frames)
@@ -110,42 +70,6 @@ func (h *Hypervisor) CreateGuest(frames int, opts ...Option) (*Machine, error) {
 	g := NewMachine(opts...)
 	h.guests = append(h.guests, g)
 	return g, nil
-}
-
-// SpawnGuest admits a tenant to the shared machine with a budget of frames
-// EPC pages: the budget is deducted from the hypervisor's pool and installed
-// as the enclave's kernel-enforced quota (any QuotaPages in cfg is
-// overridden). The returned Proc runs under the shared scheduler alongside
-// every other tenant. Violations use the same taxonomy as CreateGuest.
-func (h *Hypervisor) SpawnGuest(frames int, img AppImage, cfg Config) (*Proc, error) {
-	if h.shared == nil {
-		return nil, &ConfigError{Field: "GuestFrames",
-			Reason: "SpawnGuest on a statically-partitioned hypervisor; use CreateGuest"}
-	}
-	if err := h.reserve(frames); err != nil {
-		return nil, err
-	}
-	cfg.QuotaPages = frames
-	p, err := h.shared.Spawn(img, cfg)
-	if err != nil {
-		return nil, err
-	}
-	h.remaining -= frames
-	h.tenants = append(h.tenants, p)
-	return p, nil
-}
-
-// reserve validates a frame request against the taxonomy without deducting.
-func (h *Hypervisor) reserve(frames int) error {
-	if frames <= 0 {
-		return &ConfigError{Field: "GuestFrames",
-			Reason: fmt.Sprintf("must be positive, got %d", frames)}
-	}
-	if frames > h.remaining {
-		return fmt.Errorf("%w: %d frames requested, %d remain of %d",
-			ErrEPCExhausted, frames, h.remaining, h.totalFrames)
-	}
-	return nil
 }
 
 // GuestEPCRange reports a guest's frame range [base, base+frames), for

@@ -198,11 +198,11 @@ type Backend struct {
 	clock *sim.Clock
 	meter *metrics.Metrics
 
-	// history archives every blob evicted through this layer, in arrival
-	// order — the attacker's copy of the traffic, used to serve replays.
-	// Only maintained when the plan can actually replay (PReplay > 0): an
-	// archive no decision ever reads is pure overhead.
-	history map[faultKey][]pagestore.Blob
+	// history is the attacker's copy of the blobs evicted through this
+	// layer, used to serve replays. Only maintained when the plan can
+	// actually replay (PReplay > 0): an archive no decision ever reads is
+	// pure overhead.
+	history pagestore.Archive
 
 	// outageUntil is the cycle at which the current sustained outage ends
 	// (see Plan.OutageCycles). It evolves deterministically from the call
@@ -213,11 +213,6 @@ type Backend struct {
 	kinds []Kind
 }
 
-type faultKey struct {
-	enclaveID uint64
-	vpn       uint64
-}
-
 var _ pagestore.PagingBackend = (*Backend)(nil)
 
 // NewBackend wraps inner with the plan's faults. The plan must validate.
@@ -226,11 +221,10 @@ func NewBackend(inner pagestore.PagingBackend, plan Plan, clock *sim.Clock) *Bac
 		panic(err)
 	}
 	return &Backend{
-		inner:   inner,
-		plan:    plan,
-		clock:   clock,
-		meter:   metrics.Of(clock),
-		history: make(map[faultKey][]pagestore.Blob),
+		inner: inner,
+		plan:  plan,
+		clock: clock,
+		meter: metrics.Of(clock),
 	}
 }
 
@@ -352,30 +346,23 @@ func (f *Backend) mangle(kind Kind, enclaveID uint64, va mmu.VAddr, b pagestore.
 		cut := 1 + mix(f.plan.Seed, 0x7c, f.clock.Cycles(), enclaveID, va.VPN())%uint64(len(b.Ciphertext))
 		return pagestore.Blob{Ciphertext: b.Ciphertext[:uint64(len(b.Ciphertext))-cut], Version: b.Version, EnclaveID: b.EnclaveID}
 	case KindReplay:
-		hist := f.history[faultKey{enclaveID, va.VPN()}]
-		if len(hist) < 2 {
+		old, ok := f.history.Oldest(enclaveID, va)
+		if !ok {
 			return b // nothing older to replay; fault fizzles
 		}
 		f.count(KindReplay)
-		return hist[0]
+		return old
 	}
 	return b
 }
 
-// archive snapshots an evicted blob into the attacker's copy of the
-// traffic. The snapshot copies the ciphertext — evict-side buffers belong
-// to the caller only for the duration of the call — and is skipped entirely
-// when the plan never replays: KindReplay is the only reader of the
-// history, so an unreplayed archive is unobservable.
+// archive records an evicted blob in the attacker's copy of the traffic.
+// It is skipped entirely when the plan never replays: KindReplay is the
+// only reader of the history, so an unreplayed archive is unobservable.
 func (f *Backend) archive(enclaveID uint64, va mmu.VAddr, b pagestore.Blob) {
-	if f.plan.PReplay == 0 {
-		return
+	if f.plan.PReplay != 0 {
+		f.history.Record(enclaveID, va, b)
 	}
-	ct := make([]byte, len(b.Ciphertext))
-	copy(ct, b.Ciphertext)
-	b.Ciphertext = ct
-	k := faultKey{enclaveID, va.VPN()}
-	f.history[k] = append(f.history[k], b)
 }
 
 // count bumps the per-kind and total injection counters.

@@ -173,4 +173,33 @@ func TestMangleCorruptTruncateReplay(t *testing.T) {
 	if !bytes.Equal(cur.Ciphertext, seal(t, enclaveID, va, 2, 0x02).Ciphertext) {
 		t.Error("mangle mutated the caller's blob")
 	}
+
+	// Retention is bounded by distinct pages, not evictions: after ~10k
+	// evictions of the same page the archive still holds one blob for it,
+	// and replay still serves the v1 blob, which the trusted side rejects.
+	const evictions = 10_000
+	s, err := pagestore.NewSealer([]byte("fault-test-root"), enclaveID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := make([]byte, mmu.PageSize)
+	for v := uint64(3); v <= evictions; v++ {
+		b, err := s.Seal(va, v, plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Evict(enclaveID, va, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := f.history.Len(); n != 1 {
+		t.Fatalf("archive holds %d blobs after %d evictions of one page, want 1", n, evictions)
+	}
+	got := f.mangle(KindReplay, enclaveID, va, cur)
+	if !bytes.Equal(got.Ciphertext, old.Ciphertext) || got.Version != 1 {
+		t.Fatalf("replay served version %d, want the v1 blob", got.Version)
+	}
+	if _, err := s.Open(va, evictions, got); !errors.Is(err, pagestore.ErrStaleVersion) {
+		t.Fatalf("replayed v1 at version %d = %v, want ErrStaleVersion", evictions, err)
+	}
 }

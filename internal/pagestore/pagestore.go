@@ -233,10 +233,10 @@ func (s *Sealer) Open(va mmu.VAddr, expectVersion uint64, b Blob) ([]byte, error
 // Replay) that attack tests use to verify the trusted side rejects bad blobs.
 type Store struct {
 	blobs map[storeKey]Blob
-	// history snapshots every blob the store has ever seen — the store is
-	// attacker-controlled memory, and an attacker copies blobs as they
-	// arrive — so replay attacks can be expressed even across deletes.
-	history map[storeKey][]Blob
+	// history is the attacker's copy of the traffic — the store is
+	// attacker-controlled memory — so replay attacks can be expressed even
+	// across deletes.
+	history Archive
 }
 
 type storeKey struct {
@@ -246,26 +246,23 @@ type storeKey struct {
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{
-		blobs:   make(map[storeKey]Blob),
-		history: make(map[storeKey][]Blob),
-	}
+	return &Store{blobs: make(map[storeKey]Blob)}
 }
 
 func key(enclaveID uint64, va mmu.VAddr) storeKey {
 	return storeKey{enclaveID: enclaveID, vpn: va.VPN()}
 }
 
-// Put stores the sealed blob for a page, snapshotting it into the
-// attacker's archive. The ciphertext is copied once (shared by the current
-// slot and the archive): per the PagingBackend ownership contract, the
-// caller's buffer is only valid for the duration of the call.
+// Put stores the sealed blob for a page, recording it in the attacker's
+// archive. The ciphertext is copied once (shared by the current slot and
+// the archive): per the PagingBackend ownership contract, the caller's
+// buffer is only valid for the duration of the call.
 func (st *Store) Put(enclaveID uint64, va mmu.VAddr, b Blob) {
 	k := key(enclaveID, va)
 	ct := make([]byte, len(b.Ciphertext))
 	copy(ct, b.Ciphertext)
 	b.Ciphertext = ct
-	st.history[k] = append(st.history[k], b)
+	st.history.record(k, b, false)
 	st.blobs[k] = b
 }
 
@@ -304,11 +301,61 @@ func (st *Store) Corrupt(enclaveID uint64, va mmu.VAddr) bool {
 // Replay replaces the current blob with the oldest archived one — the
 // classic rollback attack. Reports whether an older archived blob existed.
 func (st *Store) Replay(enclaveID uint64, va mmu.VAddr) bool {
-	k := key(enclaveID, va)
-	hist := st.history[k]
-	if len(hist) < 2 {
-		return false
+	b, ok := st.history.Oldest(enclaveID, va)
+	if ok {
+		st.blobs[key(enclaveID, va)] = b
 	}
-	st.blobs[k] = hist[0]
-	return true
+	return ok
 }
+
+// Archive is an attacker's copy of evicted traffic, bounded to what a
+// rollback needs. Freshness rests on one trusted version counter per page,
+// so a single stale blob per page is all a replay can ever use: the archive
+// keeps the first blob it sees for each (enclave, page) and whether a newer
+// one has arrived since. Retained bytes grow with distinct pages, not with
+// evictions. The zero value is an empty archive.
+type Archive struct {
+	pages map[storeKey]archived
+}
+
+type archived struct {
+	first      Blob
+	superseded bool
+}
+
+// Record notes that b was evicted for a page. The first blob per page is
+// kept with its ciphertext copied (the caller's buffer is only valid for
+// the call); later ones only mark it superseded.
+func (a *Archive) Record(enclaveID uint64, va mmu.VAddr, b Blob) {
+	a.record(key(enclaveID, va), b, true)
+}
+
+// record is Record for callers that already own b's ciphertext (copyCT
+// false), so the archive can share it instead of copying again.
+func (a *Archive) record(k storeKey, b Blob, copyCT bool) {
+	if e, ok := a.pages[k]; ok {
+		if !e.superseded {
+			a.pages[k] = archived{first: e.first, superseded: true}
+		}
+		return
+	}
+	if a.pages == nil {
+		a.pages = make(map[storeKey]archived)
+	}
+	if copyCT {
+		ct := make([]byte, len(b.Ciphertext))
+		copy(ct, b.Ciphertext)
+		b.Ciphertext = ct
+	}
+	a.pages[k] = archived{first: b}
+}
+
+// Oldest returns the first blob recorded for a page, once a newer one has
+// been recorded — the stale blob a rollback swaps in.
+func (a *Archive) Oldest(enclaveID uint64, va mmu.VAddr) (Blob, bool) {
+	e := a.pages[key(enclaveID, va)]
+	return e.first, e.superseded
+}
+
+// Len reports how many pages the archive holds a blob for.
+func (a *Archive) Len() int { return len(a.pages) }

@@ -135,6 +135,28 @@ func TestStoreReplayAttackDetected(t *testing.T) {
 	if _, err := s.Open(0x1000, 2, blob); !errors.Is(err, ErrIntegrity) {
 		t.Fatalf("replayed blob accepted: %v", err)
 	}
+
+	// Retention is bounded by distinct pages, not evictions: after ~10k
+	// evictions of the same page the archive still holds one blob for it,
+	// and that blob is still the v1 a rollback needs.
+	const evictions = 10_000
+	for v := uint64(3); v <= evictions; v++ {
+		b, _ := s.Seal(0x1000, v, page(byte(v)))
+		st.Put(1, 0x1000, b)
+	}
+	if n := st.history.Len(); n != 1 {
+		t.Fatalf("archive holds %d blobs after %d evictions of one page, want 1", n, evictions)
+	}
+	if !st.Replay(1, 0x1000) {
+		t.Fatal("replay found no history after repeated evictions")
+	}
+	blob, _ = st.Get(1, 0x1000)
+	if !bytes.Equal(blob.Ciphertext, v1.Ciphertext) || blob.Version != 1 {
+		t.Fatalf("replay swapped in version %d, want the v1 blob", blob.Version)
+	}
+	if _, err := s.Open(0x1000, evictions, blob); !errors.Is(err, ErrStaleVersion) {
+		t.Fatalf("replayed v1 at version %d = %v, want ErrStaleVersion", evictions, err)
+	}
 }
 
 func TestStoreReplayWithoutHistory(t *testing.T) {

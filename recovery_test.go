@@ -274,7 +274,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	ma := NewMachine(WithEPCFrames(512))
 	pa, err := ma.Spawn(img, cfg)
 	if err != nil {
-		t.Fatalf("LoadApp (reference): %v", err)
+		t.Fatalf("Spawn (reference): %v", err)
 	}
 	heapA := pa.Heap.PageVAs()
 	if err := pa.Run(step(heapA, totalRounds)); err != nil {
@@ -291,7 +291,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	mb := NewMachine(WithEPCFrames(512))
 	pb, err := mb.Spawn(img, cfg)
 	if err != nil {
-		t.Fatalf("LoadApp (crash): %v", err)
+		t.Fatalf("Spawn (crash): %v", err)
 	}
 	heapB := pb.Heap.PageVAs()
 	if err := pb.Run(step(heapB, totalRounds/2)); err != nil {

@@ -60,8 +60,7 @@ func WithQuantum(cycles uint64) Option {
 
 // Proc is a scheduled enclave process on a Machine: the libOS process plus
 // its seat in the machine's dispatch loop. Create one with Machine.Spawn;
-// its embedded *libos.Process exposes the regions and allocator exactly as
-// LoadApp's return value does.
+// its embedded *libos.Process exposes the enclave's regions and allocator.
 type Proc struct {
 	*libos.Process
 	m    *Machine
@@ -93,7 +92,7 @@ func spawnSlot(img AppImage) mmu.VAddr {
 }
 
 // ensureSched builds the machine's scheduler on first use, so machines that
-// only ever use the deprecated LoadApp path keep running without one.
+// never spawn a process run without one.
 func (m *Machine) ensureSched() error {
 	if m.sched != nil {
 		return nil

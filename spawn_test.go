@@ -124,51 +124,15 @@ func TestSpawnSchedulerConfigErrors(t *testing.T) {
 	}
 }
 
-func TestSharedHypervisorSchedulesTenants(t *testing.T) {
-	hv := NewSharedHypervisor(1024, WithQuantum(15_000))
-	g1, err := hv.SpawnGuest(64, namedImage("g1", 8), Config{SelfPaging: true, Policy: PolicyPinAll})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := hv.SpawnGuest(64, namedImage("g2", 8), Config{SelfPaging: true, Policy: PolicyPinAll})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hv.Remaining() != 1024-128 {
-		t.Fatalf("Remaining = %d", hv.Remaining())
-	}
-	if len(hv.Tenants()) != 2 || hv.Shared() == nil {
-		t.Fatal("tenant bookkeeping wrong")
-	}
-	if g1.Proc.Quota != 64 || g2.Proc.Quota != 64 {
-		t.Fatalf("frame budget not installed as quota: %d %d", g1.Proc.Quota, g2.Proc.Quota)
-	}
-	g1.Start(sweepApp(g1, 1200))
-	g2.Start(sweepApp(g2, 1200))
-	if err := hv.Shared().WaitAll(); err != nil {
-		t.Fatal(err)
-	}
-	if g1.Metrics().Preemptions == 0 || g2.Metrics().Preemptions == 0 {
-		t.Fatal("tenants did not share the scheduler")
-	}
-
-	// Taxonomy: non-positive budgets are config errors, over-assignment is
-	// EPC exhaustion, and the two modes reject each other's calls.
-	if _, err := hv.SpawnGuest(0, testImage(4), Config{}); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("zero budget = %v, want ErrBadConfig", err)
-	}
-	if _, err := hv.SpawnGuest(100_000, testImage(4), Config{}); !errors.Is(err, ErrEPCExhausted) {
-		t.Fatalf("over-assignment = %v, want ErrEPCExhausted", err)
-	}
-	if _, err := hv.CreateGuest(16); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("CreateGuest on shared hypervisor = %v, want ErrBadConfig", err)
-	}
-	static := NewHypervisor(64)
-	if _, err := static.SpawnGuest(16, testImage(4), Config{}); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("SpawnGuest on static hypervisor = %v, want ErrBadConfig", err)
-	}
-	if _, err := static.CreateGuest(-1); !errors.Is(err, ErrBadConfig) {
+// TestStaticHypervisorFrameTaxonomy pins the guest frame-budget errors:
+// non-positive budgets are config errors, over-assignment is EPC exhaustion.
+func TestStaticHypervisorFrameTaxonomy(t *testing.T) {
+	hv := NewHypervisor(64)
+	if _, err := hv.CreateGuest(-1); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("negative frames = %v, want ErrBadConfig", err)
+	}
+	if _, err := hv.CreateGuest(100_000); !errors.Is(err, ErrEPCExhausted) {
+		t.Fatalf("over-assignment = %v, want ErrEPCExhausted", err)
 	}
 }
 

@@ -22,7 +22,7 @@
 //
 //	autarky-bench -format json > /tmp/bench.json
 //	benchdiff /tmp/bench.json              # against newest BENCH_*.json
-//	benchdiff -base BENCH_2026-08-08.json /tmp/bench.json
+//	benchdiff -base BENCH_YYYY-MM-DD.json /tmp/bench.json
 //	benchdiff -threshold 5 /tmp/bench.json
 //
 // Run via `make benchdiff`.
