@@ -54,7 +54,7 @@ benchdiff: build
 # hot paths must report 0 allocs/op; the matching *ZeroAlloc tests gate
 # that in `make test`, so a regression fails CI rather than a bench diff.
 gobench:
-	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/libos ./internal/pagestore ./internal/sgx ./internal/sim
+	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/libos ./internal/pagestore ./internal/sched ./internal/sgx ./internal/sim
 
 # metriclint rejects wall-clock and process-PRNG imports in the
 # deterministic packages (fault, orderly, fleet, chaos), whose decisions

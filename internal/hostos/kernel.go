@@ -115,6 +115,21 @@ type Preemptor interface {
 	OnPreempt(k *Kernel, p *Proc)
 }
 
+// IdleProbe is published on a Proc by the server loop it runs, so the
+// scheduler can tell whether resuming the loop from its idle yield would
+// only poll, find nothing due and yield again — and if so, account that poll
+// in place instead of resuming the loop (see Kernel.PollInPlace).
+type IdleProbe interface {
+	// QuietAt reports whether the loop is parked in its idle yield and a
+	// poll at cycle now would find nothing to do; cycles is what that poll
+	// charges.
+	QuietAt(now uint64) (cycles uint64, quiet bool)
+	// Poll performs that poll's effects and charges without resuming the
+	// loop. It is called only right after QuietAt reported quiet, at the
+	// cycle it was asked about.
+	Poll()
+}
+
 // KernelStats counts kernel-level paging events.
 type KernelStats struct {
 	EnclaveFaults uint64
@@ -155,6 +170,10 @@ type Proc struct {
 	// suspended marks an enclave the kernel has swapped out wholesale
 	// (the only state in which enclave-managed pages may be evicted).
 	suspended bool
+
+	// Idle is the probe of the server loop running in this enclave, nil
+	// when none runs.
+	Idle IdleProbe
 }
 
 // ResidentPages reports the number of EPC-resident pages.
@@ -536,9 +555,7 @@ func (k *Kernel) HandlePageFault(c *sgx.CPU, e *sgx.Enclave, tcs *sgx.TCS, f *mm
 
 // HandleTimer implements sgx.OSHandler for preemption-timer AEXs.
 func (k *Kernel) HandleTimer(c *sgx.CPU, e *sgx.Enclave, tcs *sgx.TCS) error {
-	k.Stats.TimerTicks++
-	k.m.Inc(metrics.CntTimerTicks)
-	k.Clock.ChargeAmbient(k.Costs.OSFaultWork)
+	k.chargeTimer()
 	p, perr := k.procFor(e)
 	if perr != nil {
 		return perr
@@ -548,6 +565,47 @@ func (k *Kernel) HandleTimer(c *sgx.CPU, e *sgx.Enclave, tcs *sgx.TCS) error {
 		k.Preemptor.OnPreempt(k, p)
 	}
 	return c.ERESUME(e, tcs)
+}
+
+// chargeTimer is the timer handler's own cost and count, in the ambient
+// category.
+func (k *Kernel) chargeTimer() {
+	k.Stats.TimerTicks++
+	k.m.Inc(metrics.CntTimerTicks)
+	k.Clock.ChargeAmbient(k.Costs.OSFaultWork)
+}
+
+// PollInPlace accounts one idle poll of the server loop parked in p's idle
+// yield, without resuming it. saved is the execution context the loop was
+// parked with. The real round trip is: ERESUME from the timer handler, the
+// loop's empty poll, the loop's voluntary AEX, and this handler again up to
+// the scheduler upcall. PollInPlace charges and counts every event of it in
+// that order and category, and returns the context the loop would be parked
+// with afterwards; the CPU is left with a fresh context, as after any park.
+//
+// It returns false and charges nothing whenever the round trip could do
+// anything else: no loop is parked idle in p, the poll would find work, the
+// enclave cannot be resumed, a charge would cross the clock's limit, or an
+// adversary watches timer interrupts — OnTimer must see every one of them.
+func (k *Kernel) PollInPlace(p *Proc, saved sgx.ExecContext) (sgx.ExecContext, bool) {
+	if p == nil || p.Idle == nil || k.procs[p.E.ID] != p {
+		return saved, false
+	}
+	if _, benign := k.Adversary.(NopAdversary); !benign {
+		return saved, false
+	}
+	c := k.CPU
+	resume := c.ResumeCycles()
+	poll, quiet := p.Idle.QuietAt(k.Clock.Cycles() + resume)
+	if !quiet || !c.CanResume(p.E, p.TCS) || !k.Clock.Fits(resume+poll+c.AEXCycles()+k.Costs.OSFaultWork) {
+		return saved, false
+	}
+	c.SwapContext(saved)
+	c.AccountResume()
+	p.Idle.Poll()
+	c.AccountInterruptAEX()
+	k.chargeTimer()
+	return c.SwapContext(sgx.ExecContext{}), true
 }
 
 // serviceLegacyFault implements vanilla demand paging for a legacy enclave:

@@ -145,6 +145,9 @@ func (t *TLB) FlushAll() {
 	t.clock.ChargeAmbient(t.costs.TLBFlushLocal)
 }
 
+// FlushCycles is what one FlushAll charges.
+func (t *TLB) FlushCycles() uint64 { return t.costs.TLBFlushLocal }
+
 // Invalidate drops any entry for va (INVLPG / shootdown target side).
 func (t *TLB) Invalidate(va VAddr) {
 	vpn := va.VPN()

@@ -12,7 +12,9 @@
 // task) and at yield (task → scheduler), so the simulation stays
 // single-threaded in effect, race-detector clean, and byte-deterministic: the
 // interleaving is a pure function of the policy, the quantum, and the cycle
-// costs — never of goroutine timing.
+// costs — never of goroutine timing. One dispatch transfers nothing: a
+// server loop parked in its idle yield whose next pass would only poll and
+// yield again has that pass accounted in place (see step).
 //
 // # Preemption
 //
@@ -102,6 +104,9 @@ type Task struct {
 
 	// saved is the task's execution context while parked mid-run.
 	saved sgx.ExecContext
+	// idle marks a task parked by a voluntary AEX of its own enclave: the
+	// kernel may then poll its server loop in place (see step).
+	idle bool
 
 	done bool
 	err  error
@@ -280,7 +285,7 @@ func (s *Scheduler) Wait(t *Task) error {
 		}
 	}()
 	for !t.done {
-		s.step()
+		s.mustStep()
 	}
 	s.cpu.PreemptAt = 0
 	return t.err
@@ -313,11 +318,23 @@ func (s *Scheduler) Accounting() Accounting {
 	return a
 }
 
+// forceRealPolls disables in-place idle polls, so every dispatch hands off
+// to the task. It is a test seam: the equivalence tests run each scenario
+// both ways and compare the results byte for byte.
+var forceRealPolls bool
+
 // step runs one dispatch: pick, charge, arm the quantum, hand off, collect
-// the yield, attribute the slice. While a drain is in progress only the
-// draining task is eligible — new dispatch of co-tenants is rejected until
-// the quiesce completes.
-func (s *Scheduler) step() {
+// the yield, attribute the slice. It reports false, doing nothing, when no
+// task is runnable. While a drain is in progress only the draining task is
+// eligible — new dispatch of co-tenants is rejected until the quiesce
+// completes.
+//
+// A task parked in its server loop's idle yield is not resumed when the
+// kernel can account the loop's next poll in place (hostos.Kernel.
+// PollInPlace): that poll would find nothing due and yield again, so the
+// slice charges and counts exactly what the handoff would, and the task
+// stays parked.
+func (s *Scheduler) step() bool {
 	runnable := s.runnable[:0]
 	for _, t := range s.tasks {
 		if !t.done && (s.draining == nil || t == s.draining) {
@@ -326,7 +343,7 @@ func (s *Scheduler) step() {
 	}
 	s.runnable = runnable
 	if len(runnable) == 0 {
-		panic("sched: step with nothing runnable")
+		return false
 	}
 	t := s.policy.Pick(runnable, s.last)
 	if t == nil || t.done {
@@ -350,8 +367,15 @@ func (s *Scheduler) step() {
 	}
 
 	t.slices++
-	s.current = t
 	mark := s.clock.Cycles()
+	if t.idle && !forceRealPolls {
+		if saved, ok := s.kernel.PollInPlace(t.proc, t.saved); ok {
+			t.saved = saved
+			t.cycles += s.clock.Cycles() - mark
+			return true
+		}
+	}
+	s.current = t
 	t.resume <- resumeMsg{}
 	msg := <-s.yield
 	s.current = nil
@@ -371,6 +395,14 @@ func (s *Scheduler) step() {
 		// the parked siblings first, then propagates the original value (the
 		// sim.LimitError contract with the experiment runner).
 		panic(msg.val)
+	}
+	return true
+}
+
+// mustStep runs one dispatch for a caller that knows a task is runnable.
+func (s *Scheduler) mustStep() {
+	if !s.step() {
+		panic("sched: step with nothing runnable")
 	}
 }
 
@@ -399,6 +431,7 @@ func (s *Scheduler) Yield() {
 		return
 	}
 	// A host-side task (no enclave entered): park the stream directly.
+	t.idle = false
 	t.saved = s.cpu.SwapContext(sgx.ExecContext{})
 	s.yield <- yieldMsg{task: t, kind: yieldVoluntary}
 	if msg := <-t.resume; msg.abort {
@@ -426,18 +459,10 @@ func (s *Scheduler) Drive(stop func() bool) error {
 		}
 	}()
 	for !stop() {
-		runnable := false
-		for _, t := range s.tasks {
-			if !t.done {
-				runnable = true
-				break
-			}
-		}
-		if !runnable {
+		if !s.step() {
 			s.cpu.PreemptAt = 0
 			return ErrStalled
 		}
-		s.step()
 	}
 	s.cpu.PreemptAt = 0
 	return nil
@@ -470,7 +495,7 @@ func (s *Scheduler) Drain(t *Task) error {
 	}()
 	s.draining = t
 	for !t.done {
-		s.step()
+		s.mustStep()
 	}
 	s.cpu.PreemptAt = 0
 	return t.err
@@ -489,17 +514,6 @@ func (s *Scheduler) Step() bool {
 	if s.waiting {
 		panic("sched: Step re-entered (called from inside a scheduled task?)")
 	}
-	runnable := false
-	for _, t := range s.tasks {
-		if !t.done && (s.draining == nil || t == s.draining) {
-			runnable = true
-			break
-		}
-	}
-	if !runnable {
-		s.cpu.PreemptAt = 0
-		return false
-	}
 	s.waiting = true
 	defer func() { s.waiting = false }()
 	defer func() {
@@ -508,7 +522,10 @@ func (s *Scheduler) Step() bool {
 			panic(r)
 		}
 	}()
-	s.step()
+	if !s.step() {
+		s.cpu.PreemptAt = 0
+		return false
+	}
 	return true
 }
 
@@ -532,6 +549,7 @@ func (s *Scheduler) OnPreempt(k *hostos.Kernel, p *hostos.Proc) {
 	if voluntary {
 		kind = yieldVoluntary
 	}
+	t.idle = voluntary && p != nil && p == t.proc
 	t.saved = s.cpu.SwapContext(sgx.ExecContext{})
 	s.yield <- yieldMsg{task: t, kind: kind}
 	if msg := <-t.resume; msg.abort {

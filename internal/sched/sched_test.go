@@ -31,7 +31,7 @@ func newKernel() (*hostos.Kernel, *sim.Clock, *sim.Costs) {
 // nextBase hands out disjoint ELRANGEs for co-resident enclaves.
 var testBases = []mmu.VAddr{0x10_0000_0000, 0x20_0000_0000, 0x30_0000_0000, 0x40_0000_0000}
 
-func loadProcAt(t *testing.T, k *hostos.Kernel, clock *sim.Clock, costs *sim.Costs, name string, heap, slot int) *libos.Process {
+func loadProcAt(t testing.TB, k *hostos.Kernel, clock *sim.Clock, costs *sim.Costs, name string, heap, slot int) *libos.Process {
 	t.Helper()
 	img := libos.AppImage{
 		Name:      name,

@@ -132,8 +132,12 @@ type Server struct {
 
 	// Idle, when set, is invoked whenever the loop finds nothing due — the
 	// facade wires it to the machine scheduler's Yield so an idle server
-	// donates its slice instead of busy-polling.
+	// donates its slice instead of busy-polling. It must do nothing but
+	// yield: the scheduler may account the polls of a loop parked in it in
+	// place, without returning from Idle (see hostos.IdleProbe).
 	Idle func()
+	// parked is set while the loop is inside Idle.
+	parked bool
 
 	conns []*Conn
 
@@ -497,19 +501,83 @@ func (s *Server) pump() {
 		s.pos++
 		_ = s.admit(f) // backpressure on an open-loop arrival = counted drop
 	}
-	if s.opts.KeepAliveEvery == 0 || s.closed || len(s.conns) == 0 {
+	if !s.sweepsKeepAlives() {
 		return
 	}
-	for i := 0; i < 4 && i < len(s.conns); i++ {
+	for i := 0; i < kaSweep && i < len(s.conns); i++ {
 		c := s.conns[s.kaCursor%len(s.conns)]
 		s.kaCursor++
-		if c.n == 0 && now-c.lastAct >= s.opts.KeepAliveEvery {
+		if s.keepAliveDue(c, now) {
 			c.lastAct = now // re-arm the idle timer at the probe
 			corr := c.nextCorr
 			c.nextCorr++
 			_ = s.admit(Frame{Kind: FrameKeepAlive, Conn: c.id, Corr: corr, Arrive: now})
 		}
 	}
+}
+
+// kaSweep is how many connections one pump checks for keep-alives.
+const kaSweep = 4
+
+// sweepsKeepAlives reports whether pump checks connections for keep-alives.
+func (s *Server) sweepsKeepAlives() bool {
+	return s.opts.KeepAliveEvery != 0 && !s.closed && len(s.conns) > 0
+}
+
+// keepAliveDue reports whether c is owed a keep-alive probe at cycle now.
+func (s *Server) keepAliveDue(c *Conn, now uint64) bool {
+	return c.n == 0 && now-c.lastAct >= s.opts.KeepAliveEvery
+}
+
+// quietAt reports whether one pass of the loop at cycle now would admit
+// nothing, serve nothing and not return — that is, only poll and yield. It
+// reads the state pump, pop and drained read, and changes nothing.
+func (s *Server) quietAt(now uint64) bool {
+	if s.draining || s.closed || s.fifoLen > 0 {
+		return false
+	}
+	if s.pos < len(s.schedule) {
+		if s.schedule[s.pos].Arrive <= now {
+			return false // an arrival is due
+		}
+	} else if s.openLoop {
+		return false // schedule spent: the loop returns
+	}
+	if s.sweepsKeepAlives() {
+		for i := 0; i < kaSweep && i < len(s.conns); i++ {
+			if s.keepAliveDue(s.conns[(s.kaCursor+i)%len(s.conns)], now) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// idlePoll is the loop's idle branch: count the poll and charge it.
+func (s *Server) idlePoll() {
+	s.stats.IdlePolls++
+	s.meter.Inc(metrics.CntServIdlePolls)
+	s.charge(s.costs.ServPoll)
+}
+
+// idleProbe is the hostos.IdleProbe a running loop publishes on its kernel
+// process.
+type idleProbe Server
+
+// QuietAt implements hostos.IdleProbe.
+func (p *idleProbe) QuietAt(now uint64) (uint64, bool) {
+	s := (*Server)(p)
+	return s.costs.ServPoll, s.parked && s.quietAt(now)
+}
+
+// Poll implements hostos.IdleProbe: one quiet pass of the loop, up to its
+// idle yield. When quietAt holds, pump only advances the keep-alive cursor,
+// pop finds the ring empty and drained is false, so pump and the idle branch
+// are all the pass does.
+func (p *idleProbe) Poll() {
+	s := (*Server)(p)
+	s.pump()
+	s.idlePoll()
 }
 
 // drained reports whether the loop has nothing left to do and never will:
@@ -528,10 +596,17 @@ func (s *Server) drained() bool {
 // Loop is the dispatch loop, run as the enclave application body. It
 // returns when the server is drained (see drained); until then it serves
 // admitted frames in order and yields (or polls) when nothing is due.
+//
+// While it runs, the loop's probe is published on its kernel process, so
+// the scheduler can account the polls of a loop parked in Idle in place.
 func (s *Server) Loop(ctx *core.Context) {
 	if err := s.freezeOps(); err != nil {
 		panic(err)
 	}
+	proc := s.proc.Proc
+	proc.Idle = (*idleProbe)(s)
+	defer func() { proc.Idle = nil }()
+	s.parked = false
 	for {
 		s.pump()
 		f, ok := s.pop()
@@ -542,11 +617,11 @@ func (s *Server) Loop(ctx *core.Context) {
 				}
 				return
 			}
-			s.stats.IdlePolls++
-			s.meter.Inc(metrics.CntServIdlePolls)
-			s.charge(s.costs.ServPoll)
+			s.idlePoll()
 			if s.Idle != nil {
+				s.parked = true
 				s.Idle()
+				s.parked = false
 			}
 			continue
 		}
@@ -769,12 +844,4 @@ func (c *Conn) enqueue(op string, arg uint64) (uint64, uint32, error) {
 		return corr, c.gen, err
 	}
 	return corr, c.gen, nil
-}
-
-// max is a tiny helper (the module predates the builtin).
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -269,13 +269,52 @@ func (c *CPU) ERESUME(e *Enclave, tcs *TCS) error {
 	if tcs.cssa == 0 {
 		return fmt.Errorf("%w: ERESUME with empty SSA stack", ErrEPCMConflict)
 	}
+	c.AccountResume()
+	tcs.popSSA()
+	c.setMode(e, tcs)
+	return nil
+}
+
+// AccountResume charges and counts everything a successful ERESUME costs, in
+// the ambient category, without entering enclave mode. ERESUME calls it; so
+// does a scheduler that runs a parked stream's next slice in place because
+// it knows the slice ends in another interrupt AEX (see
+// AccountInterruptAEX). The interrupt frame the ERESUME would pop stays on
+// the SSA stack: the AEX would push an identical one. Outside ERESUME, call
+// it only when CanResume holds.
+func (c *CPU) AccountResume() {
 	c.Clock.ChargeAmbient(c.Costs.ERESUME)
 	c.TLB.FlushAll()
 	c.Stats.Resumes++
 	c.m.Inc(metrics.CntResumes)
-	tcs.popSSA()
-	c.setMode(e, tcs)
-	return nil
+}
+
+// chargeAEX is everything an AEX costs and counts, in the ambient category.
+func (c *CPU) chargeAEX() {
+	c.Clock.ChargeAmbient(c.Costs.AEX)
+	c.TLB.FlushAll()
+	c.Stats.AEXs++
+	c.m.Inc(metrics.CntAEXs)
+}
+
+// CanResume reports whether ERESUME of e on tcs would succeed now.
+func (c *CPU) CanResume(e *Enclave, tcs *TCS) bool {
+	return c.cur == nil && !e.dead && !tcs.pendingException && tcs.cssa > 0
+}
+
+// ResumeCycles is what a successful ERESUME charges.
+func (c *CPU) ResumeCycles() uint64 { return c.Costs.ERESUME + c.TLB.FlushCycles() }
+
+// AEXCycles is what an AEX charges.
+func (c *CPU) AEXCycles() uint64 { return c.Costs.AEX + c.TLB.FlushCycles() }
+
+// AccountInterruptAEX charges and counts the interrupt AEX that parks the
+// stream again after AccountResume. It opens the fault-path category that
+// interruptAEX opens and leaves it ambient, as it is for a stream parked
+// inside that AEX.
+func (c *CPU) AccountInterruptAEX() {
+	c.Clock.SetCategory(sim.CatFault)
+	c.chargeAEX()
 }
 
 // ResumeInEnclave is the runtime-visible half of the in-enclave-resume
@@ -479,10 +518,7 @@ func (c *CPU) aexAndHandle(e *Enclave, tcs *TCS, full, masked mmu.Fault, enclave
 		// Autarky §5.1.3: AEX on an enclave page fault sets the pending flag.
 		tcs.pendingException = true
 	}
-	c.Clock.ChargeAmbient(c.Costs.AEX)
-	c.TLB.FlushAll()
-	c.Stats.AEXs++
-	c.m.Inc(metrics.CntAEXs)
+	c.chargeAEX()
 	c.clearMode()
 
 	c.Clock.ChargeAmbient(c.Costs.OSFaultEntry)
@@ -561,10 +597,7 @@ func (c *CPU) interruptAEX() error {
 		c.clearMode()
 		return &TerminationError{Reason: TerminatePolicy, Detail: "SSA stack exhausted on timer"}
 	}
-	c.Clock.ChargeAmbient(c.Costs.AEX)
-	c.TLB.FlushAll()
-	c.Stats.AEXs++
-	c.m.Inc(metrics.CntAEXs)
+	c.chargeAEX()
 	c.clearMode()
 	if err := c.OS.HandleTimer(c, e, tcs); err != nil {
 		return err

@@ -96,6 +96,11 @@ func (e *LimitError) Error() string {
 // zero disarms the budget.
 func (c *Clock) SetLimit(limit uint64) { c.limit = limit }
 
+// Fits reports whether n more cycles can be charged without crossing the
+// limit, so a caller that replays a fixed sequence of charges can tell in
+// advance that none of them will raise a LimitError.
+func (c *Clock) Fits(n uint64) bool { return c.limit == 0 || c.cycles+n <= c.limit }
+
 // ChargeAmbient adds n cycles to the clock, attributed to the ambient
 // category. This is the single ambient charge entry point: the name marks
 // category inheritance as deliberate (e.g. an EENTER is fault-handling on
