@@ -255,7 +255,6 @@ func runE12Rep(p E12Params, rate float64, mode e12Mode, seed uint64) e12RepResul
 		lastCursor, lastSum = cursor, sum
 	}
 
-	meter := metrics.Of(m.clock)
 	var cp *libos.Checkpoint
 	var terminations uint64
 	restores := 0
@@ -285,11 +284,8 @@ func runE12Rep(p E12Params, rate float64, mode e12Mode, seed uint64) e12RepResul
 		recovered := false
 		for restores < p.MaxRestores {
 			restores++
-			start := m.clock.Cycles()
 			np, rerr := libos.Restore(m.kernel, m.clock, m.costs, cp)
 			if rerr == nil {
-				meter.Inc(metrics.CntRestores)
-				meter.Add(metrics.CntRestoreCycles, m.clock.Cycles()-start)
 				proc = np
 				recovered = true
 				break

@@ -110,12 +110,18 @@ func TestFleetCrashRecover(t *testing.T) {
 	inj := &crashAt{f: f, at: 3_000_000, node: 0, do: func(n *Node) { f.InjectCrash(n) }}
 	recovered := false
 	f.OnRound = func(round int) error {
+		if round == 1 && f.Recover(st.Tenant, n1) == nil {
+			t.Fatal("recovered a tenant that is not down")
+		}
 		if err := inj.hook(round); err != nil {
 			return err
 		}
 		if inj.fired && !recovered && st.Tenant.Down() {
 			if _, ok := st.Tenant.LastCheckpoint(); !ok {
 				t.Fatal("crash before any periodic checkpoint")
+			}
+			if f.Recover(st.Tenant, f.Nodes()[0]) == nil {
+				t.Fatal("recovered onto the crashed machine")
 			}
 			recovered = true
 			return f.Recover(st.Tenant, n1)
@@ -162,9 +168,10 @@ func TestFleetCrashRecover(t *testing.T) {
 		t.Fatalf("books do not balance: %+v", s)
 	}
 	m := metrics.Of(f.Clock())
-	if m.Count(metrics.CntChaosRestarts) != 1 || m.Count(metrics.CntRestores) != 1 {
-		t.Fatalf("restart counters: chaos %d libos %d",
-			m.Count(metrics.CntChaosRestarts), m.Count(metrics.CntRestores))
+	if m.Count(metrics.CntChaosRestarts) != 1 || m.Count(metrics.CntRestores) != 1 ||
+		m.Count(metrics.CntRestoreCycles) == 0 {
+		t.Fatalf("restart counters: chaos %d libos %d (%d cycles)", m.Count(metrics.CntChaosRestarts),
+			m.Count(metrics.CntRestores), m.Count(metrics.CntRestoreCycles))
 	}
 	if m.Count(metrics.CntChaosRPAge) != stats.RecoveryPointAge {
 		t.Fatal("rp-age counter disagrees with fleet stats")

@@ -649,7 +649,6 @@ func (f *Fleet) Recover(t *Tenant, to *Node) error {
 	if to.state != NodeHealthy {
 		return fmt.Errorf("fleet: recover %s: destination %s is %s", t.Name, to.Name, to.state)
 	}
-	start := f.clock.Cycles()
 	p, err := libos.Restore(to.Kernel, f.clock, to.Costs, t.cp)
 	if err != nil {
 		return fmt.Errorf("fleet: recover %s on %s: %w", t.Name, to.Name, err)
@@ -666,8 +665,6 @@ func (f *Fleet) Recover(t *Tenant, to *Node) error {
 	t.lastMove = f.round
 	f.stats.Restarts++
 	f.m.Inc(metrics.CntChaosRestarts)
-	f.m.Inc(metrics.CntRestores)
-	f.m.Add(metrics.CntRestoreCycles, now-start)
 	down := now - t.downSince
 	f.stats.FailureDowntime += down
 	f.m.Add(metrics.CntChaosDowntime, down)

@@ -1,50 +1,26 @@
 package libos
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
 
-	"autarky/internal/core"
 	"autarky/internal/hostos"
 	"autarky/internal/metrics"
-	"autarky/internal/mmu"
 	"autarky/internal/sgx"
 	"autarky/internal/sim"
 )
 
-// This file implements enclave checkpoint/restore on top of the ordinary
-// paging machinery. A checkpoint captures the writable image (data, heap,
-// stack), the application progress counter and the per-page anti-replay
-// versions at a quiescent point (CSSA 0, nothing executing), seals the lot
-// under the platform checkpoint key, and hands the OS an opaque blob.
-// Restore destroys the dead incarnation, rebuilds the enclave from the same
-// image and configuration — yielding a fresh enclave identity and sealing
-// key, so a restart stays detectable exactly as the paper's threat model
-// requires — and replays the captured pages through the normal write path,
-// re-encrypting them under the new incarnation's key. Old blobs are never
-// reused.
+// This file implements enclave checkpoint/restore on the shared sealed-state
+// path (state.go). A checkpoint is a recovery point: the source stays live,
+// the envelope carries its current migration epoch, and the OS may restore
+// it any number of times, each time into a fresh enclave identity.
 
 // Checkpoint is a sealed, opaque snapshot of an enclave process. The OS can
 // store or transport it but cannot read or undetectably modify it.
 type Checkpoint struct {
-	// Sealed is the authenticated checkpoint blob (see sgx.SealCheckpoint).
+	// Sealed is the authenticated envelope (see sgx.CPU.SealEnvelope,
+	// sgx.UseCheckpoint).
 	Sealed []byte
-}
-
-// checkpointPage is one captured writable page.
-type checkpointPage struct {
-	VA   uint64
-	Data []byte
-}
-
-// checkpointPayload is the plaintext the checkpoint seals.
-type checkpointPayload struct {
-	Image       AppImage
-	Config      Config
-	Measurement [32]byte
-	Progress    uint64
-	Versions    map[uint64]uint64
-	Pages       []checkpointPage
 }
 
 // Checkpoint captures the process's state into a sealed blob. The enclave
@@ -53,178 +29,35 @@ type checkpointPayload struct {
 // a checkpoint attempt fail — the caller keeps its previous checkpoint in
 // that case.
 func (p *Process) Checkpoint() (*Checkpoint, error) {
-	k := p.Kernel
-	if _, in := k.CPU.InEnclave(); in {
-		return nil, fmt.Errorf("libos: checkpoint while the enclave is executing")
-	}
-	if dead, reason, _ := p.Proc.E.Dead(); dead {
-		return nil, fmt.Errorf("libos: checkpoint of dead enclave (%s): %w", reason, sgx.ErrEnclaveTerminated)
-	}
-	var pages []checkpointPage
-	err := p.Run(func(ctx *core.Context) {
-		for _, r := range p.writableRegions() {
-			for _, va := range r.PageVAs() {
-				buf := make([]byte, mmu.PageSize)
-				ctx.Read(va, buf)
-				pages = append(pages, checkpointPage{VA: uint64(va), Data: buf})
-			}
-		}
-	})
-	if err != nil {
-		return nil, fmt.Errorf("libos: checkpoint capture: %w", err)
-	}
-	payload := checkpointPayload{
-		Image:       p.Image,
-		Config:      p.cfg,
-		Measurement: p.Proc.E.Measurement(),
-		Progress:    p.Runtime.Progress(),
-		Versions:    p.Proc.E.Versions(),
-		Pages:       pages,
-	}
-	raw, err := json.Marshal(payload)
-	if err != nil {
-		return nil, fmt.Errorf("libos: encoding checkpoint: %w", err)
-	}
-	sealed, err := k.CPU.SealCheckpoint(raw)
+	sealed, npages, err := p.sealState(sgx.UseCheckpoint, p.Proc.E.MigrationEpoch())
 	if err != nil {
 		return nil, err
 	}
-	m := metrics.Of(k.Clock)
+	m := metrics.Of(p.Kernel.Clock)
 	m.Inc(metrics.CntCheckpoints)
-	m.Add(metrics.CntCheckpointPages, uint64(len(pages)))
-	return &Checkpoint{Sealed: sealed}, nil
-}
-
-// validatePayload sanity-checks a decoded checkpoint before any of it is
-// used to size allocations or drive the replay path. Only payloads sealed
-// under the platform key reach this point, but "sealed" does not imply
-// "shaped like a checkpoint" — a hostile sealing oracle, or a bug in an
-// older writer, must surface ErrBadCheckpoint, never a panic.
-func validatePayload(p *checkpointPayload) error {
-	bad := func(format string, args ...any) error {
-		return fmt.Errorf("libos: checkpoint payload: "+format+": %w",
-			append(args, sgx.ErrBadCheckpoint)...)
-	}
-	img := &p.Image
-	total := img.DataPages + img.HeapPages + img.StackPages + img.ReservePages
-	if img.DataPages < 0 || img.HeapPages < 0 || img.StackPages < 0 || img.ReservePages < 0 {
-		return bad("negative region size")
-	}
-	for i := range img.Libraries {
-		l := &img.Libraries[i]
-		if l.Pages < 0 {
-			return bad("library %q has negative page count", l.Name)
-		}
-		for _, f := range l.Funcs {
-			if f.Pages < 0 {
-				return bad("function %q has negative page count", f.Name)
-			}
-		}
-		total += l.TotalPages()
-	}
-	const maxImagePages = 1 << 20 // 4 GiB of ELRANGE; far beyond any test image
-	if total <= 0 || total > maxImagePages {
-		return bad("implausible image size %d pages", total)
-	}
-	for i := range p.Pages {
-		pg := &p.Pages[i]
-		if pg.VA%mmu.PageSize != 0 {
-			return bad("unaligned page address %#x", pg.VA)
-		}
-		if len(pg.Data) > mmu.PageSize {
-			return bad("page %#x carries %d bytes", pg.VA, len(pg.Data))
-		}
-	}
-	return nil
-}
-
-// writableRegions returns the regions a checkpoint must carry, in ascending
-// address order. Code pages are omitted: the loader regenerates them
-// deterministically and the measurement check proves they match.
-func (p *Process) writableRegions() []Region {
-	var out []Region
-	for _, r := range []Region{p.Data, p.Heap, p.Stack} {
-		if r.Pages > 0 {
-			out = append(out, r)
-		}
-	}
-	return out
+	m.Add(metrics.CntCheckpointPages, uint64(npages))
+	return &Checkpoint{Sealed: bytes.Clone(sealed)}, nil
 }
 
 // Restore rebuilds a process from a sealed checkpoint on the given kernel.
 // The previous incarnation, if still occupying the checkpoint's address
 // range, must be dead; it is torn down first. The restored enclave is a
-// fresh identity loaded from the same image and configuration — Restore
-// verifies the measurement matches the checkpoint before replaying the
-// captured pages and progress counter into it.
+// fresh identity loaded from the same image and configuration, resuming at
+// the checkpoint's migration epoch — Restore verifies the measurement
+// matches the checkpoint before replaying the captured pages and progress
+// counter into it. A successful restore and its end-to-end cycles are
+// counted in CntRestores and CntRestoreCycles.
 func Restore(k *hostos.Kernel, clock *sim.Clock, costs *sim.Costs, cp *Checkpoint) (*Process, error) {
 	if cp == nil || len(cp.Sealed) == 0 {
 		return nil, fmt.Errorf("libos: restore from empty checkpoint: %w", sgx.ErrBadCheckpoint)
 	}
-	raw, err := k.CPU.OpenCheckpoint(cp.Sealed)
+	start := k.Clock.Cycles()
+	p, err := openState(k, clock, costs, cp.Sealed, sgx.UseCheckpoint, nil)
 	if err != nil {
 		return nil, err
 	}
-	var payload checkpointPayload
-	if err := json.Unmarshal(raw, &payload); err != nil {
-		return nil, fmt.Errorf("libos: decoding checkpoint: %v: %w", err, sgx.ErrBadCheckpoint)
-	}
-	if err := validatePayload(&payload); err != nil {
-		return nil, err
-	}
-	return restorePayload(k, clock, costs, &payload, 0)
-}
-
-// restorePayload is the shared rebuild-and-replay tail of Restore and Adopt:
-// tear down the dead incarnation occupying the address range, rebuild the
-// enclave from the payload's image and configuration, verify the measurement
-// matches the source, and replay the captured pages through the normal write
-// path — re-encrypting every page under the new incarnation's identity.
-// seedEpoch, when non-zero, records the migration freshness counter the new
-// incarnation resumes from (Adopt); Restore passes zero.
-func restorePayload(k *hostos.Kernel, clock *sim.Clock, costs *sim.Costs, payload *checkpointPayload, seedEpoch uint64) (*Process, error) {
-	base := payload.Config.Base
-	if base == 0 {
-		base = DefaultBase
-	}
-	if old := k.ProcAt(base); old != nil {
-		if err := k.DestroyEnclave(old); err != nil {
-			return nil, err
-		}
-	}
-	cfg := payload.Config
-	cfg.seedVersions = payload.Versions
-	cfg.seedEpoch = seedEpoch
-	p, err := Load(k, clock, costs, payload.Image, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if p.Proc.E.Measurement() != payload.Measurement {
-		return nil, fmt.Errorf("libos: restored enclave measurement differs from checkpoint: %w", sgx.ErrBadCheckpoint)
-	}
-	// Replay only pages the rebuilt image actually has as writable state; a
-	// sealed payload naming any other address is inconsistent with the image
-	// it carries and must fail cleanly, not fault the replay.
-	writable := make(map[mmu.VAddr]bool)
-	for _, r := range p.writableRegions() {
-		for _, va := range r.PageVAs() {
-			writable[va] = true
-		}
-	}
-	for i := range payload.Pages {
-		if !writable[mmu.VAddr(payload.Pages[i].VA)] {
-			return nil, fmt.Errorf("libos: checkpoint page %#x outside the image's writable regions: %w",
-				payload.Pages[i].VA, sgx.ErrBadCheckpoint)
-		}
-	}
-	err = p.Run(func(ctx *core.Context) {
-		for i := range payload.Pages {
-			ctx.Write(mmu.VAddr(payload.Pages[i].VA), payload.Pages[i].Data)
-		}
-	})
-	if err != nil {
-		return nil, fmt.Errorf("libos: checkpoint replay: %w", err)
-	}
-	p.Runtime.SeedProgress(payload.Progress)
+	m := metrics.Of(k.Clock)
+	m.Inc(metrics.CntRestores)
+	m.Add(metrics.CntRestoreCycles, k.Clock.Cycles()-start)
 	return p, nil
 }

@@ -2,7 +2,6 @@ package libos
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"testing"
 
@@ -21,11 +20,11 @@ func fuzzImage() (AppImage, Config) {
 	return img, Config{}
 }
 
-// fuzzCheckpoint builds one genuine sealed checkpoint (and the CPU that
-// sealed it, for sealing hostile-but-authentic payload variants). Every
-// machine in this file shares newKernel's root secret, so blobs sealed
-// here authenticate on the fresh machine each fuzz iteration builds.
-func fuzzCheckpoint(f *testing.F) (*hostos.Kernel, *Checkpoint) {
+// fuzzCheckpoint builds one genuine sealed checkpoint, plus the process it
+// was taken from (for sealing hostile-but-authentic payload variants).
+// Every machine in this file shares newKernel's root secret, so blobs
+// sealed here authenticate on the fresh machine each fuzz iteration builds.
+func fuzzCheckpoint(f *testing.F) (*Process, *Checkpoint) {
 	f.Helper()
 	k, clock, costs := newKernel()
 	img, cfg := fuzzImage()
@@ -45,7 +44,7 @@ func fuzzCheckpoint(f *testing.F) (*hostos.Kernel, *Checkpoint) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	return k, cp
+	return p, cp
 }
 
 // FuzzRestore drives libos.Restore with attacker-shaped checkpoint blobs.
@@ -55,9 +54,10 @@ func fuzzCheckpoint(f *testing.F) (*hostos.Kernel, *Checkpoint) {
 // bad blob, and only succeeds on the genuine sealed bytes — in which case
 // the restored process must carry the captured progress counter.
 func FuzzRestore(f *testing.F) {
-	sealer, good := fuzzCheckpoint(f)
-	sealHostile := func(payload []byte) []byte {
-		sealed, err := sealer.CPU.SealCheckpoint(payload)
+	src, good := fuzzCheckpoint(f)
+	meas := src.Proc.E.Measurement()
+	sealHostile := func(meas [32]byte, payload []byte) []byte {
+		sealed, err := src.Kernel.CPU.SealEnvelope(nil, sgx.UseCheckpoint, 0, meas, payload)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -73,17 +73,25 @@ func FuzzRestore(f *testing.F) {
 	corrupt := append([]byte(nil), good.Sealed...)
 	corrupt[len(corrupt)/2] ^= 0xFF
 	f.Add(corrupt) // flipped ciphertext byte
+	header := append([]byte(nil), good.Sealed...)
+	header[12] ^= 0xFF
+	f.Add(header) // tampered epoch in the authenticated header
 	// Authentic seal, garbage payload: authentication passes, decode fails.
-	f.Add(sealHostile([]byte("{ not json")))
-	// Authentic seal, well-formed JSON, hostile shape: negative region.
-	bad, _ := json.Marshal(checkpointPayload{Image: AppImage{HeapPages: -4}})
-	f.Add(sealHostile(bad))
-	// Authentic seal, valid image, wrong measurement: the restored enclave
-	// can never match.
-	img, cfg := fuzzImage()
-	wrongM, _ := json.Marshal(checkpointPayload{Image: img, Config: cfg,
-		Measurement: [32]byte{0xBA, 0xD0}})
-	f.Add(sealHostile(wrongM))
+	f.Add(sealHostile(meas, []byte("{ not a payload")))
+	// Authentic seal, hostile counts: an image-name length far past the
+	// payload must be refused before it sizes anything.
+	f.Add(sealHostile(meas, appendU64(appendU64(nil, stateFormatVersion), 1<<40)))
+	// Authentic seal, well-formed payload, hostile shape: negative region.
+	heap := src.Image.HeapPages
+	src.Image.HeapPages = -4
+	f.Add(sealHostile(meas, src.encodeState(nil)))
+	src.Image.HeapPages = heap
+	// Authentic seal, valid payload, wrong measurement in the header: the
+	// restored enclave can never match.
+	f.Add(sealHostile([32]byte{0xBA, 0xD0}, src.encodeState(nil)))
+	// Cross-use: a genuine migration envelope is not a checkpoint.
+	_, mig, _ := fuzzMigration(f)
+	f.Add(mig.Sealed)
 
 	f.Fuzz(func(t *testing.T, sealed []byte) {
 		k, clock, costs := newKernel()

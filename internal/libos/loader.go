@@ -82,12 +82,11 @@ type Config struct {
 
 	NSSA int
 
-	// seedVersions carries checkpointed anti-replay counters into the new
-	// incarnation; only Restore and Adopt set it.
+	// seedVersions and seedEpoch carry the sealed anti-replay counters and
+	// migration epoch into the new incarnation; only Restore and Adopt set
+	// them.
 	seedVersions map[uint64]uint64
-	// seedEpoch carries the migration freshness counter an adopted
-	// incarnation resumes from; only Adopt sets it.
-	seedEpoch uint64
+	seedEpoch    uint64
 }
 
 // Process is a loaded enclave application.
@@ -111,15 +110,16 @@ type Process struct {
 	grown    int
 	handlers []namedHandler
 
-	// Migration scratch (see migrate.go): the quiesce hot path captures,
-	// encodes and seals into these reused buffers so repeated migrations of
-	// a long-lived process allocate nothing once warm.
-	migPages   []byte
-	migPageVAs []uint64
-	migVPNs    []uint64
-	migPlain   []byte
-	migSealed  []byte
-	migCapture func(*core.Context)
+	// Sealed-state scratch (see state.go): checkpoints and migrations
+	// capture, encode and seal into these reused buffers, so repeated seals
+	// of a long-lived process allocate nothing once warm. capture caches
+	// the captureWritable method value.
+	statePages  []byte
+	stateVAs    []uint64
+	stateVPNs   []uint64
+	statePlain  []byte
+	stateSealed []byte
+	capture     func(*core.Context)
 }
 
 // Enclave returns the underlying enclave.
@@ -239,6 +239,7 @@ func Load(k *hostos.Kernel, clock *sim.Clock, costs *sim.Costs, img AppImage, cf
 		cfg:     cfg,
 	}
 	p.Alloc = newAllocator(p, heap, cfg.DataClusterPages)
+	p.capture = p.captureWritable
 
 	if cfg.SelfPaging {
 		if err := p.wirePolicy(); err != nil {

@@ -1,54 +1,30 @@
 package libos
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
-	"math"
-	"slices"
 
-	"autarky/internal/core"
 	"autarky/internal/hostos"
 	"autarky/internal/metrics"
-	"autarky/internal/mmu"
 	"autarky/internal/sgx"
 	"autarky/internal/sim"
 )
 
-// This file implements the libos half of live migration: quiesce the
-// process, capture its writable state, encode it with a deterministic
-// binary codec, seal it into a freshness-stamped migration envelope, and
-// retire the source incarnation — then, on the destination, the mirror
-// image: authenticate, verify freshness against the counter service, decode
-// defensively, rebuild the enclave under the destination machine's EPC
-// geometry and cost model, and replay the pages through the normal write
-// path so every page is re-sealed under the destination identity.
-//
-// Unlike checkpoints (JSON, cold path) the migration codec is hand-written
-// binary: quiesce sits on the serving tail — every byte of downtime is
-// attributed — so encode+seal must not allocate once the process's scratch
-// buffers are warm.
-
-// migFormatVersion stamps the codec layout; a decoder seeing any other
-// value rejects the payload outright.
-const migFormatVersion = 1
-
-// Decode guards: a sealed payload is authenticated, but "authenticated" is
-// not "well-formed" (an older writer, a hostile sealing oracle). Counts are
-// capped before any allocation they would size.
-const (
-	maxMigStringLen = 1 << 16
-	maxMigLibraries = 1 << 12
-	maxMigFuncs     = 1 << 12
-	maxMigPages     = 1 << 20
-)
+// This file implements the libos half of live migration on the shared
+// sealed-state path (state.go): quiesce the process, seal its state into a
+// freshness-stamped envelope and retire the source incarnation — then, on
+// the destination, authenticate, verify freshness against the counter
+// service, and rebuild the enclave under the destination machine's EPC
+// geometry and cost model, re-sealing every page under the destination
+// identity.
 
 // Migration is a sealed, self-contained unit of enclave state in transit
 // between machines. The host (and the fleet layer) can store and transport
 // it but cannot read or undetectably modify it; its freshness epoch and
 // source measurement ride in the envelope's authenticated header.
 type Migration struct {
-	// Sealed is the authenticated migration envelope
-	// (see sgx.CPU.SealMigrationAppend).
+	// Sealed is the authenticated envelope (see sgx.CPU.SealEnvelope,
+	// sgx.UseMigration).
 	Sealed []byte
 }
 
@@ -64,14 +40,13 @@ type Migration struct {
 // serving (service.Server.Drain) first; Migrate itself only guards the
 // enclave-level preconditions.
 func (p *Process) Migrate() (*Migration, error) {
-	sealed, npages, err := p.sealMigration()
+	sealed, npages, err := p.sealState(sgx.UseMigration, p.Proc.E.MigrationEpoch()+1)
 	if err != nil {
 		return nil, err
 	}
 	// The envelope leaves this machine; it must own its bytes, not alias
 	// the process's scratch (which the retire below makes dead anyway).
-	blob := make([]byte, len(sealed))
-	copy(blob, sealed)
+	blob := bytes.Clone(sealed)
 	if err := p.Kernel.RetireEnclave(p.Proc); err != nil {
 		return nil, fmt.Errorf("libos: retiring migrated enclave: %w", err)
 	}
@@ -79,308 +54,6 @@ func (p *Process) Migrate() (*Migration, error) {
 	m.Inc(metrics.CntMigrations)
 	m.Add(metrics.CntMigrationPages, uint64(npages))
 	return &Migration{Sealed: blob}, nil
-}
-
-// sealMigration is the capture→encode→seal pipeline, returning a view into
-// the process's reused seal scratch (valid until the next call) and the
-// captured page count. Split from Migrate so the zero-alloc benchmark can
-// exercise exactly the hot path without the blob copy and teardown.
-func (p *Process) sealMigration() ([]byte, int, error) {
-	k := p.Kernel
-	if _, in := k.CPU.InEnclave(); in {
-		return nil, 0, fmt.Errorf("libos: migrate while the enclave is executing")
-	}
-	if dead, reason, _ := p.Proc.E.Dead(); dead {
-		if reason == sgx.TerminateMigrated {
-			// Quiesce-twice: this incarnation already handed its state off.
-			return nil, 0, fmt.Errorf("libos: migrate of already-migrated enclave: %w", hostos.ErrMigrated)
-		}
-		return nil, 0, fmt.Errorf("libos: migrate of dead enclave (%s): %w", reason, sgx.ErrEnclaveTerminated)
-	}
-	if p.migCapture == nil {
-		p.migCapture = p.captureWritable
-	}
-	// Capture drives the real access path (faulting evicted pages back in),
-	// so a hostile backing store can fail the quiesce — the source is then
-	// still live and keeps serving.
-	if err := p.Run(p.migCapture); err != nil {
-		return nil, 0, fmt.Errorf("libos: migration capture: %w", err)
-	}
-	p.migPlain = p.encodeMigration(p.migPlain[:0])
-	epoch := p.Proc.E.MigrationEpoch() + 1
-	sealed, err := k.CPU.SealMigrationAppend(p.migSealed[:0], epoch, p.Proc.E.Measurement(), p.migPlain)
-	if err != nil {
-		return nil, 0, err
-	}
-	p.migSealed = sealed
-	return sealed, len(p.migPageVAs), nil
-}
-
-// zeroPage pads the capture buffer one page at a time without a per-page
-// temporary.
-var zeroPage [mmu.PageSize]byte
-
-// captureWritable snapshots every writable page into the process's reused
-// capture buffers, running inside the enclave so evicted pages are faulted
-// back through the ordinary (policy-visible) path.
-func (p *Process) captureWritable(ctx *core.Context) {
-	p.migPages = p.migPages[:0]
-	p.migPageVAs = p.migPageVAs[:0]
-	for _, r := range p.writableRegions() {
-		for i := 0; i < r.Pages; i++ {
-			va := r.Page(i)
-			start := len(p.migPages)
-			p.migPages = append(p.migPages, zeroPage[:]...)
-			ctx.Read(va, p.migPages[start:])
-			p.migPageVAs = append(p.migPageVAs, uint64(va))
-		}
-	}
-}
-
-func appendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
-
-func appendInt(b []byte, v int) []byte { return appendU64(b, uint64(int64(v))) }
-
-func appendStr(b []byte, s string) []byte {
-	b = appendU64(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return appendU64(b, 1)
-	}
-	return appendU64(b, 0)
-}
-
-// encodeMigration appends the process's captured state to dst in the
-// deterministic binary layout decodeMigration reverses. Field order is the
-// struct order of checkpointPayload (image, config, progress, versions,
-// pages); the measurement travels in the envelope header, not here. The
-// version table is emitted in ascending VPN order so identical state always
-// encodes to identical bytes.
-func (p *Process) encodeMigration(dst []byte) []byte {
-	dst = appendU64(dst, migFormatVersion)
-
-	img := &p.Image
-	dst = appendStr(dst, img.Name)
-	dst = appendU64(dst, uint64(len(img.Libraries)))
-	for i := range img.Libraries {
-		l := &img.Libraries[i]
-		dst = appendStr(dst, l.Name)
-		dst = appendInt(dst, l.Pages)
-		dst = appendU64(dst, uint64(len(l.Funcs)))
-		for _, f := range l.Funcs {
-			dst = appendStr(dst, f.Name)
-			dst = appendInt(dst, f.Pages)
-		}
-		dst = appendU64(dst, uint64(len(l.Uses)))
-		for _, u := range l.Uses {
-			dst = appendStr(dst, u)
-		}
-	}
-	dst = appendInt(dst, img.DataPages)
-	dst = appendInt(dst, img.HeapPages)
-	dst = appendInt(dst, img.StackPages)
-	dst = appendInt(dst, img.ReservePages)
-
-	cfg := &p.cfg
-	dst = appendU64(dst, uint64(cfg.Base))
-	dst = appendInt(dst, cfg.Priority)
-	dst = appendBool(dst, cfg.SelfPaging)
-	dst = appendBool(dst, cfg.InEnclaveResume)
-	dst = appendBool(dst, cfg.ElideAEX)
-	dst = appendU64(dst, uint64(cfg.Mech))
-	dst = appendInt(dst, cfg.QuotaPages)
-	dst = appendU64(dst, uint64(cfg.Policy))
-	dst = appendU64(dst, math.Float64bits(cfg.RateLimitPerProgress))
-	dst = appendU64(dst, cfg.RateLimitBurst)
-	dst = appendInt(dst, cfg.DataClusterPages)
-	dst = appendBool(dst, cfg.CodeClusters)
-	dst = appendBool(dst, cfg.PinData)
-	dst = appendInt(dst, cfg.NSSA)
-
-	dst = appendU64(dst, p.Runtime.Progress())
-
-	e := p.Proc.E
-	p.migVPNs = e.VersionVPNs(p.migVPNs[:0])
-	slices.Sort(p.migVPNs)
-	dst = appendU64(dst, uint64(len(p.migVPNs)))
-	for _, vpn := range p.migVPNs {
-		dst = appendU64(dst, vpn)
-		dst = appendU64(dst, e.Version(mmu.VAddr(vpn*mmu.PageSize)))
-	}
-
-	dst = appendU64(dst, uint64(len(p.migPageVAs)))
-	for i, va := range p.migPageVAs {
-		dst = appendU64(dst, va)
-		pg := p.migPages[i*mmu.PageSize : (i+1)*mmu.PageSize]
-		dst = appendU64(dst, uint64(len(pg)))
-		dst = append(dst, pg...)
-	}
-	return dst
-}
-
-// migReader is a bounds-checked cursor over a migration payload. The first
-// structural defect latches err; every later read returns zero values, so
-// decode logic reads straight through and checks once.
-type migReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *migReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("libos: migration payload: "+format+": %w",
-			append(args, sgx.ErrBadCheckpoint)...)
-	}
-}
-
-func (r *migReader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+8 > len(r.b) {
-		r.fail("truncated at byte %d", r.off)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-// count reads a collection length and refuses anything past max or past
-// what the remaining bytes could possibly hold (minSize bytes per element),
-// so a hostile length can never size an allocation.
-func (r *migReader) count(max int, minSize int) int {
-	v := r.u64()
-	if r.err != nil {
-		return 0
-	}
-	if v > uint64(max) || v > uint64(len(r.b)-r.off)/uint64(minSize) {
-		r.fail("implausible element count %d at byte %d", v, r.off-8)
-		return 0
-	}
-	return int(v)
-}
-
-func (r *migReader) num() int {
-	v := int64(r.u64())
-	if r.err == nil && (v < math.MinInt32 || v > math.MaxInt32) {
-		r.fail("integer %d out of range at byte %d", v, r.off-8)
-		return 0
-	}
-	return int(v)
-}
-
-func (r *migReader) boolean() bool { return r.u64() != 0 }
-
-func (r *migReader) str() string {
-	n := r.count(maxMigStringLen, 1)
-	if r.err != nil {
-		return ""
-	}
-	s := string(r.b[r.off : r.off+n])
-	r.off += n
-	return s
-}
-
-func (r *migReader) bytes(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.off+n > len(r.b) {
-		r.fail("truncated at byte %d", r.off)
-		return nil
-	}
-	out := r.b[r.off : r.off+n]
-	r.off += n
-	return out
-}
-
-// decodeMigration parses an authenticated migration payload into the shared
-// checkpoint shape, defensively: every structural defect — truncation,
-// implausible counts, trailing garbage — yields an ErrBadCheckpoint-wrapped
-// field error, never a panic or a partially-populated payload.
-func decodeMigration(plain []byte) (*checkpointPayload, error) {
-	r := &migReader{b: plain}
-	if v := r.u64(); r.err == nil && v != migFormatVersion {
-		return nil, fmt.Errorf("libos: migration payload: unknown format version %d: %w", v, sgx.ErrBadCheckpoint)
-	}
-
-	var payload checkpointPayload
-	img := &payload.Image
-	img.Name = r.str()
-	img.Libraries = make([]Library, r.count(maxMigLibraries, 8))
-	for i := range img.Libraries {
-		l := &img.Libraries[i]
-		l.Name = r.str()
-		l.Pages = r.num()
-		if n := r.count(maxMigFuncs, 8); n > 0 {
-			l.Funcs = make([]Function, n)
-			for j := range l.Funcs {
-				l.Funcs[j].Name = r.str()
-				l.Funcs[j].Pages = r.num()
-			}
-		}
-		if n := r.count(maxMigFuncs, 8); n > 0 {
-			l.Uses = make([]string, n)
-			for j := range l.Uses {
-				l.Uses[j] = r.str()
-			}
-		}
-	}
-	img.DataPages = r.num()
-	img.HeapPages = r.num()
-	img.StackPages = r.num()
-	img.ReservePages = r.num()
-
-	cfg := &payload.Config
-	cfg.Base = mmu.VAddr(r.u64())
-	cfg.Priority = r.num()
-	cfg.SelfPaging = r.boolean()
-	cfg.InEnclaveResume = r.boolean()
-	cfg.ElideAEX = r.boolean()
-	cfg.Mech = core.Mech(r.num())
-	cfg.QuotaPages = r.num()
-	cfg.Policy = PolicyKind(r.num())
-	cfg.RateLimitPerProgress = math.Float64frombits(r.u64())
-	cfg.RateLimitBurst = r.u64()
-	cfg.DataClusterPages = r.num()
-	cfg.CodeClusters = r.boolean()
-	cfg.PinData = r.boolean()
-	cfg.NSSA = r.num()
-
-	payload.Progress = r.u64()
-
-	if n := r.count(maxMigPages, 16); r.err == nil {
-		payload.Versions = make(map[uint64]uint64, n)
-		for i := 0; i < n; i++ {
-			vpn := r.u64()
-			payload.Versions[vpn] = r.u64()
-		}
-	}
-
-	if n := r.count(maxMigPages, 16); r.err == nil && n > 0 {
-		payload.Pages = make([]checkpointPage, n)
-		for i := range payload.Pages {
-			payload.Pages[i].VA = r.u64()
-			sz := r.num()
-			if r.err == nil && (sz < 0 || sz > mmu.PageSize) {
-				r.fail("page %#x carries %d bytes", payload.Pages[i].VA, sz)
-			}
-			payload.Pages[i].Data = r.bytes(sz)
-		}
-	}
-
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(r.b) {
-		return nil, fmt.Errorf("libos: migration payload: %d trailing bytes: %w", len(r.b)-r.off, sgx.ErrBadCheckpoint)
-	}
-	return &payload, nil
 }
 
 // Adopt completes a migration on the destination machine: authenticate the
@@ -399,36 +72,14 @@ func decodeMigration(plain []byte) (*checkpointPayload, error) {
 // Only a fully successful adopt advances the counter.
 func Adopt(k *hostos.Kernel, clock *sim.Clock, costs *sim.Costs, mig *Migration, counters *sgx.CounterService) (*Process, error) {
 	m := metrics.Of(k.Clock)
-	reject := func(err error) (*Process, error) {
+	if mig == nil || len(mig.Sealed) == 0 {
+		m.Inc(metrics.CntAdoptsRejected)
+		return nil, fmt.Errorf("libos: adopt of empty migration envelope: %w", sgx.ErrBadCheckpoint)
+	}
+	p, err := openState(k, clock, costs, mig.Sealed, sgx.UseMigration, counters)
+	if err != nil {
 		m.Inc(metrics.CntAdoptsRejected)
 		return nil, err
-	}
-	if mig == nil || len(mig.Sealed) == 0 {
-		return reject(fmt.Errorf("libos: adopt of empty migration envelope: %w", sgx.ErrBadCheckpoint))
-	}
-	epoch, meas, plain, err := k.CPU.OpenMigration(mig.Sealed)
-	if err != nil {
-		return reject(err)
-	}
-	if counters != nil {
-		if err := counters.Verify(meas, epoch); err != nil {
-			return reject(err)
-		}
-	}
-	payload, err := decodeMigration(plain)
-	if err != nil {
-		return reject(err)
-	}
-	payload.Measurement = meas
-	if err := validatePayload(payload); err != nil {
-		return reject(err)
-	}
-	p, err := restorePayload(k, clock, costs, payload, epoch)
-	if err != nil {
-		return reject(err)
-	}
-	if counters != nil {
-		counters.Commit(meas, epoch)
 	}
 	m.Inc(metrics.CntAdopts)
 	return p, nil

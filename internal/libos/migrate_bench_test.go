@@ -1,27 +1,27 @@
 package libos
 
-import "testing"
+import (
+	"testing"
 
-// BenchmarkMigrationSeal measures the steady-state quiesce hot path —
-// encode the captured pages and seal the envelope into warm scratch
-// buffers. ReportAllocs pins the zero-alloc discipline that
+	"autarky/internal/sgx"
+)
+
+// BenchmarkMigrationSeal measures the steady-state seal hot path — encode
+// the captured pages and seal the envelope into warm scratch buffers.
+// ReportAllocs pins the zero-alloc discipline that
 // TestMigrationSealZeroAlloc gates: allocs/op must read 0.
 func BenchmarkMigrationSeal(b *testing.B) {
 	k, clock, costs := newMigKernel(2048)
 	p := runMigrant(b, k, clock, costs)
-	if err := p.Run(p.captureWritable); err != nil {
+	if err := p.Run(p.capture); err != nil {
 		b.Fatal(err)
 	}
 	epoch := p.Proc.E.MigrationEpoch() + 1
-	meas := p.Proc.E.Measurement()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.migPlain = p.encodeMigration(p.migPlain[:0])
-		sealed, err := k.CPU.SealMigrationAppend(p.migSealed[:0], epoch, meas, p.migPlain)
-		if err != nil {
+		if _, err := p.seal(sgx.UseMigration, epoch); err != nil {
 			b.Fatal(err)
 		}
-		p.migSealed = sealed
 	}
 }

@@ -50,7 +50,7 @@ func fuzzMigration(f *testing.F) (*sgx.CPU, *Migration, uint64) {
 func FuzzMigrate(f *testing.F) {
 	sealer, good, wantProgress := fuzzMigration(f)
 	sealHostile := func(epoch uint64, meas [32]byte, payload []byte) []byte {
-		sealed, err := sealer.SealMigrationAppend(nil, epoch, meas, payload)
+		sealed, err := sealer.SealEnvelope(nil, sgx.UseMigration, epoch, meas, payload)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -80,6 +80,9 @@ func FuzzMigrate(f *testing.F) {
 	f.Add(sealHostile(1, [32]byte{}, huge))
 	// Authentic seal, wrong measurement: the rebuilt enclave can never match.
 	f.Add(sealHostile(1, [32]byte{0xBA, 0xD0}, []byte{}))
+	// Cross-use: a genuine checkpoint envelope is not a migration.
+	_, cp := fuzzCheckpoint(f)
+	f.Add(cp.Sealed)
 
 	f.Fuzz(func(t *testing.T, sealed []byte) {
 		k, clock, costs := newMigKernel(2048)

@@ -289,60 +289,56 @@ func TestAdoptFailureLeaksNoEPC(t *testing.T) {
 	}
 }
 
-// TestMigrationEncodeDeterministic: identical state must encode to
+// TestMigrationEncodeDeterministic: identical sealed state must encode to
 // identical bytes (the version table is explicitly sorted), or fleet runs
 // could diverge across -jobs orderings.
 func TestMigrationEncodeDeterministic(t *testing.T) {
 	k, clock, costs := newMigKernel(2048)
 	p := runMigrant(t, k, clock, costs)
-	if p.migCapture == nil {
-		p.migCapture = p.captureWritable
-	}
-	if err := p.Run(p.migCapture); err != nil {
+	if err := p.Run(p.capture); err != nil {
 		t.Fatal(err)
 	}
-	a := p.encodeMigration(nil)
-	b := p.encodeMigration(nil)
+	a := p.encodeState(nil)
+	b := p.encodeState(nil)
 	if !bytes.Equal(a, b) {
 		t.Fatal("same state encoded to different bytes")
 	}
 	// And the codec round-trips.
-	payload, err := decodeMigration(a)
+	payload, err := decodeState(a)
 	if err != nil {
 		t.Fatalf("decode of genuine payload: %v", err)
 	}
 	if payload.Progress != p.Runtime.Progress() {
 		t.Fatalf("round-trip progress %d, want %d", payload.Progress, p.Runtime.Progress())
 	}
-	if len(payload.Pages) != len(p.migPageVAs) {
-		t.Fatalf("round-trip pages %d, want %d", len(payload.Pages), len(p.migPageVAs))
+	if len(payload.Pages) != len(p.stateVAs) {
+		t.Fatalf("round-trip pages %d, want %d", len(payload.Pages), len(p.stateVAs))
 	}
 	if err := validatePayload(payload); err != nil {
 		t.Fatalf("genuine payload failed validation: %v", err)
 	}
 }
 
-// TestMigrationSealZeroAlloc gates the quiesce hot path per the repo's
-// allocation discipline: once the scratch buffers are warm, encode+seal
-// allocates nothing. (Capture crosses the enclave boundary and is excluded
-// — it is charged, not allocation-gated.)
+// TestMigrationSealZeroAlloc gates the seal hot path of both uses per the
+// repo's allocation discipline: once the scratch buffers are warm, encode+
+// seal allocates nothing, for a migration envelope and for a checkpoint.
+// (Capture crosses the enclave boundary and is excluded — it is charged,
+// not allocation-gated.)
 func TestMigrationSealZeroAlloc(t *testing.T) {
 	k, clock, costs := newMigKernel(2048)
 	p := runMigrant(t, k, clock, costs)
-	if err := p.Run(p.captureWritable); err != nil {
+	if err := p.Run(p.capture); err != nil {
 		t.Fatal(err)
 	}
-	encodeAndSeal := func() {
-		p.migPlain = p.encodeMigration(p.migPlain[:0])
-		sealed, err := k.CPU.SealMigrationAppend(p.migSealed[:0],
-			p.Proc.E.MigrationEpoch()+1, p.Proc.E.Measurement(), p.migPlain)
-		if err != nil {
-			t.Fatal(err)
+	for _, use := range []sgx.SealUse{sgx.UseMigration, sgx.UseCheckpoint} {
+		encodeAndSeal := func() {
+			if _, err := p.seal(use, p.Proc.E.MigrationEpoch()+1); err != nil {
+				t.Fatal(err)
+			}
 		}
-		p.migSealed = sealed
-	}
-	encodeAndSeal() // warm the scratch buffers and the cached AEAD
-	if allocs := testing.AllocsPerRun(100, encodeAndSeal); allocs != 0 {
-		t.Fatalf("migration encode+seal allocates %.1f/op, want 0", allocs)
+		encodeAndSeal() // warm the scratch buffers and the cached AEAD
+		if allocs := testing.AllocsPerRun(100, encodeAndSeal); allocs != 0 {
+			t.Fatalf("%s encode+seal allocates %.1f/op, want 0", use, allocs)
+		}
 	}
 }

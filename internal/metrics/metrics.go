@@ -127,7 +127,7 @@ const (
 	CntCheckpoints     // checkpoint blobs sealed
 	CntCheckpointPages // pages captured across all checkpoints
 	CntRestores        // enclaves re-spawned from a checkpoint
-	CntRestoreCycles   // cycles spent inside Machine.Restore
+	CntRestoreCycles   // cycles spent inside libos.Restore
 
 	// Request-serving frontend (internal/service).
 	CntServRequests     // request frames admitted into a connection queue

@@ -72,15 +72,14 @@ type CPU struct {
 	// instances are distinguishable across machines/reboots (§3 restart
 	// detection).
 	instanceSalt uint64
-	// checkpointSeq numbers sealed checkpoints for nonce uniqueness.
-	checkpointSeq uint64
 
-	// Migration sealing state (see migrate.go): the cached AEAD keeps the
-	// quiesce hot path allocation-free, migrationSeq numbers envelopes for
-	// nonce uniqueness, and migAAD is the reused additional-data scratch.
-	migAEAD      cipher.AEAD
-	migrationSeq uint64
-	migAAD       []byte
+	// Sealed-state envelope state (see envelope.go): one cached AEAD per
+	// use keeps sealing allocation-free, sealSeq numbers envelopes of both
+	// uses for nonce uniqueness, and sealAAD is the reused additional-data
+	// scratch.
+	sealAEAD [numSealUses]cipher.AEAD
+	sealSeq  uint64
+	sealAAD  []byte
 
 	cur    *Enclave
 	curTCS *TCS

@@ -105,17 +105,6 @@ func (e *Enclave) TCS(id uint64) *TCS { return e.tcss[id] }
 // Version returns the current anti-replay version for a page.
 func (e *Enclave) Version(va mmu.VAddr) uint64 { return e.versions[va.VPN()] }
 
-// Versions returns a copy of every per-page anti-replay counter
-// (vpn -> version), the state a checkpoint must carry so the restored
-// incarnation's chain stays monotonic.
-func (e *Enclave) Versions() map[uint64]uint64 {
-	out := make(map[uint64]uint64, len(e.versions))
-	for vpn, v := range e.versions {
-		out[vpn] = v
-	}
-	return out
-}
-
 // SeedVersions pre-loads the per-page anti-replay counters from a trusted
 // checkpoint, so a restored enclave continues the version chain of its
 // previous incarnation instead of restarting at zero. Only permitted before

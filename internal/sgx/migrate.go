@@ -1,130 +1,23 @@
 package sgx
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
-	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
-
-	"autarky/internal/sim"
 )
 
-// This file models the platform half of live enclave migration: a sealed,
-// freshness-protected state envelope that one machine produces at quiesce
-// and another consumes at adopt, plus the monotonic-counter service that
-// prevents an old envelope from ever being adopted twice. The design
-// follows "Migrating SGX Enclaves with Persistent State" (Alder et al.):
-// sealed state handoff keyed off the platform secret, a per-identity
-// freshness counter held by a service both machines trust, and the source
-// enclave retired so the handoff is a move, never a fork.
-//
-// Envelope framing (everything after the nonce is authenticated):
-//
-//	nonce(12) || epoch(8) || measurement(32) || ciphertext
-//
-// The epoch and source measurement ride in the clear — the counter service
-// and the destination must read them before decrypting — but they are bound
-// into the AEAD's additional data, so tampering with either voids the seal.
+// This file models the platform half of live enclave migration beyond the
+// sealed envelope itself (envelope.go, UseMigration): retiring the source
+// incarnation, and the monotonic-counter service that prevents an envelope
+// from ever being adopted twice. The design follows "Migrating SGX Enclaves
+// with Persistent State" (Alder et al.): a per-identity freshness counter
+// held by a service both machines trust, and the source enclave retired so
+// the handoff is a move, never a fork.
 
 // ErrStaleMigration is returned when a migration envelope's freshness epoch
 // is not strictly newer than the last epoch the counter service committed
 // for that enclave identity: the envelope was already adopted (a replayed
 // handoff would fork the enclave) or superseded by a later quiesce.
 var ErrStaleMigration = errors.New("sgx: migration envelope is stale (freshness epoch already consumed)")
-
-// migrationLabel separates the migration sealing key from the checkpoint
-// and page sealing keys derived from the same root secret.
-const migrationLabel = "autarky-migration-v1"
-
-// migHeaderLen is the envelope prefix: nonce, epoch, source measurement.
-const migHeaderLen = 12 + 8 + 32
-
-// migrationAEAD derives (once) and caches the platform's migration sealing
-// key. Unlike the checkpoint key this one is cached on the CPU: sealing sits
-// on the quiesce hot path and must not allocate per call.
-func (c *CPU) migrationAEAD() (cipher.AEAD, error) {
-	if c.migAEAD != nil {
-		return c.migAEAD, nil
-	}
-	h := sha256.New()
-	h.Write(c.rootSecret)
-	h.Write([]byte(migrationLabel))
-	block, err := aes.NewCipher(h.Sum(nil)[:16])
-	if err != nil {
-		return nil, fmt.Errorf("sgx: deriving migration key: %w", err)
-	}
-	aead, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, err
-	}
-	c.migAEAD = aead
-	return aead, nil
-}
-
-// migrationAAD assembles the additional data binding an envelope's clear
-// header to its ciphertext, into the CPU's reused scratch.
-func (c *CPU) migrationAAD(epoch uint64, meas [32]byte) []byte {
-	aad := c.migAAD[:0]
-	aad = append(aad, migrationLabel...)
-	aad = binary.LittleEndian.AppendUint64(aad, epoch)
-	aad = append(aad, meas[:]...)
-	c.migAAD = aad
-	return aad
-}
-
-// SealMigrationAppend seals a quiesced enclave's captured state into a
-// migration envelope appended to dst, charging the software encryption cost
-// per covered page. epoch is the envelope's freshness counter (the source
-// enclave's migration epoch plus one) and meas the source measurement; both
-// are carried in the clear but authenticated. The append-style contract and
-// the cached AEAD keep the quiesce hot path allocation-free when dst has
-// capacity.
-func (c *CPU) SealMigrationAppend(dst []byte, epoch uint64, meas [32]byte, payload []byte) ([]byte, error) {
-	aead, err := c.migrationAEAD()
-	if err != nil {
-		return nil, err
-	}
-	c.migrationSeq++
-	// The migration key is shared by every machine derived from the same
-	// root secret, so the nonce mixes this platform's boot salt with its
-	// local sequence: two machines sealing concurrently never collide.
-	start := len(dst)
-	dst = append(dst, make([]byte, 12)...)
-	nonce := dst[start : start+12]
-	binary.LittleEndian.PutUint64(nonce[:8], c.migrationSeq)
-	binary.LittleEndian.PutUint32(nonce[8:12], uint32(c.instanceSalt))
-	dst = binary.LittleEndian.AppendUint64(dst, epoch)
-	dst = append(dst, meas[:]...)
-	c.Clock.ChargeAs(sim.CatCrypto, pagesOf(len(payload))*c.Costs.SWEncryptPage)
-	return aead.Seal(dst, nonce, payload, c.migrationAAD(epoch, meas)), nil
-}
-
-// OpenMigration authenticates and decrypts a migration envelope, returning
-// its freshness epoch, the source measurement and the plaintext state. Any
-// structural defect — truncation, tampering with the clear header or the
-// ciphertext — fails with ErrBadCheckpoint; freshness is the counter
-// service's job, not this routine's.
-func (c *CPU) OpenMigration(sealed []byte) (epoch uint64, meas [32]byte, plain []byte, err error) {
-	aead, aerr := c.migrationAEAD()
-	if aerr != nil {
-		return 0, meas, nil, aerr
-	}
-	if len(sealed) < migHeaderLen+aead.Overhead() {
-		return 0, meas, nil, fmt.Errorf("%w: %d bytes is shorter than any migration envelope",
-			ErrBadCheckpoint, len(sealed))
-	}
-	nonce := sealed[:12]
-	epoch = binary.LittleEndian.Uint64(sealed[12:20])
-	copy(meas[:], sealed[20:migHeaderLen])
-	c.Clock.ChargeAs(sim.CatCrypto, pagesOf(len(sealed)-migHeaderLen)*c.Costs.SWDecryptPage)
-	plain, err = aead.Open(nil, nonce, sealed[migHeaderLen:], c.migrationAAD(epoch, meas))
-	if err != nil {
-		return 0, meas, nil, fmt.Errorf("%w: envelope failed authentication", ErrBadCheckpoint)
-	}
-	return epoch, meas, plain, nil
-}
 
 // RetireEnclave marks a quiesced enclave dead with the migration reason: its
 // sealed state has been handed off, so this incarnation must never run again

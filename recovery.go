@@ -137,13 +137,9 @@ func (m *Machine) Restore(cp *Checkpoint) (*Proc, error) {
 	if err := m.ensureSched(); err != nil {
 		return nil, err
 	}
-	start := m.Clock.Cycles()
 	p, err := libos.Restore(m.Kernel, m.Clock, m.Costs, cp)
 	if err != nil {
 		return nil, err
 	}
-	meter := metrics.Of(m.Clock)
-	meter.Inc(metrics.CntRestores)
-	meter.Add(metrics.CntRestoreCycles, m.Clock.Cycles()-start)
 	return &Proc{Process: p, m: m}, nil
 }
