@@ -170,11 +170,8 @@ type Machine struct {
 	EPC    *sgx.EPC
 	Store  *pagestore.Store
 
-	// Scheduler state (built lazily by the first Spawn).
-	sched       *sched.Scheduler
-	schedPolicy sched.PolicyKind
-	quantum     uint64
-	nextBase    mmu.VAddr
+	sched    *sched.Scheduler
+	nextBase mmu.VAddr
 
 	// optErr records the first WithXxx option rejection; machine
 	// construction cannot fail, so the first Spawn/Serve/Restore
@@ -327,19 +324,20 @@ func NewMachine(opts ...Option) *Machine {
 		// cannot be refused; a non-nil error here is a wiring bug.
 		optErr = kernel.SetBackend(backend)
 	}
+	// validate accepted the policy kind, or cfg fell back to the defaults.
+	policy, _ := sched.NewPolicy(cfg.schedPolicy)
 	return &Machine{
-		Clock:       clock,
-		Costs:       &costs,
-		CPU:         cpu,
-		Kernel:      kernel,
-		PT:          pt,
-		TLB:         tlb,
-		EPC:         epc,
-		Store:       store,
-		schedPolicy: cfg.schedPolicy,
-		quantum:     cfg.quantum,
-		nextBase:    libos.DefaultBase,
-		optErr:      optErr,
+		Clock:    clock,
+		Costs:    &costs,
+		CPU:      cpu,
+		Kernel:   kernel,
+		PT:       pt,
+		TLB:      tlb,
+		EPC:      epc,
+		Store:    store,
+		sched:    sched.New(kernel, policy, cfg.quantum),
+		nextBase: libos.DefaultBase,
+		optErr:   optErr,
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"autarky/internal/core"
+	"autarky/internal/metrics"
 	"autarky/internal/mmu"
 	"autarky/internal/sgx"
 )
@@ -62,7 +63,9 @@ func TestSelfPagingEnclaveRunsWithoutFaults(t *testing.T) {
 	if got := p.Runtime.Stats.HandlerInvocations; got != 0 {
 		t.Fatalf("expected zero handler invocations without paging, got %d", got)
 	}
-	if got := m.CPU.Stats.EnclaveFaults; got != 0 {
+	snap := m.Metrics()
+	if got := snap.Counter(metrics.CntFaultNotPresent) + snap.Counter(metrics.CntFaultProtection) +
+		snap.Counter(metrics.CntFaultSGX); got != 0 {
 		t.Fatalf("expected zero enclave faults, got %d", got)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"autarky/internal/core"
+	"autarky/internal/metrics"
 	"autarky/internal/mmu"
 	"autarky/internal/sgx"
 )
@@ -266,15 +267,16 @@ func TestElidedAEXNeverExitsEnclaveOnFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.CPU.Stats.ElidedFaults == 0 {
+	snap := m.Metrics()
+	if snap.Counter(metrics.CntElidedFaults) == 0 {
 		t.Fatal("no elided faults recorded")
 	}
-	if m.CPU.Stats.AEXs != 0 {
-		t.Fatalf("%d AEXs despite elision", m.CPU.Stats.AEXs)
+	if got := snap.Counter(metrics.CntAEXs); got != 0 {
+		t.Fatalf("%d AEXs despite elision", got)
 	}
 	// The OS never even saw the faults.
-	if m.Kernel.Stats.EnclaveFaults != 0 {
-		t.Fatalf("OS observed %d faults despite elision", m.Kernel.Stats.EnclaveFaults)
+	if got := snap.Counter(metrics.CntOSFaults); got != 0 {
+		t.Fatalf("OS observed %d faults despite elision", got)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"autarky/internal/hostos"
+	"autarky/internal/metrics"
 	"autarky/internal/mmu"
 	"autarky/internal/pagestore"
 	"autarky/internal/sgx"
@@ -30,6 +31,9 @@ func newMachine() *machine {
 	m.kernel = hostos.NewKernel(m.cpu, m.pt, pagestore.NewStore(), m.clock, &m.costs)
 	return m
 }
+
+// osFaults reports the enclave faults the OS has observed so far.
+func (m *machine) osFaults() uint64 { return metrics.Of(m.clock).Count(metrics.CntOSFaults) }
 
 type appRuntime struct{ app func() }
 
@@ -210,8 +214,8 @@ func TestADMonitorSeesAccessesWithoutFaults(t *testing.T) {
 	if err := m.kernel.Run(p); err != nil {
 		t.Fatal(err)
 	}
-	if m.kernel.Stats.EnclaveFaults != 0 {
-		t.Fatalf("silent attack induced %d faults", m.kernel.Stats.EnclaveFaults)
+	if got := m.osFaults(); got != 0 {
+		t.Fatalf("silent attack induced %d faults", got)
 	}
 	seen := map[uint64]bool{}
 	sawDirty := false
@@ -343,7 +347,7 @@ func TestWrongMapperCapturesAccesses(t *testing.T) {
 		}
 	}
 	// Disarm restored correct frames: data still readable without faults.
-	faults := m.kernel.Stats.EnclaveFaults
+	faults := m.osFaults()
 	rt2 := &appRuntime{app: func() {
 		_ = m.cpu.Touch(base, mmu.AccessRead)
 	}}
@@ -351,7 +355,7 @@ func TestWrongMapperCapturesAccesses(t *testing.T) {
 	if err := m.kernel.Run(p); err != nil {
 		t.Fatal(err)
 	}
-	if m.kernel.Stats.EnclaveFaults != faults {
+	if m.osFaults() != faults {
 		t.Fatal("mappings not restored after disarm")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"autarky/internal/attack"
 	"autarky/internal/core"
 	"autarky/internal/libos"
+	"autarky/internal/metrics"
 	"autarky/internal/mmu"
 	"autarky/internal/sgx"
 	"autarky/internal/sim"
@@ -431,7 +432,7 @@ func runE7ADBits(mrec *cellRecorder) E7Scenario {
 			monitor.Disarm()
 		})
 		mrec.recordClock(e7Sub(selfPaging), p.Kernel.Clock)
-		faultsSeen = p.Kernel.Stats.EnclaveFaults
+		faultsSeen = metrics.Of(p.Kernel.Clock).Count(metrics.CntOSFaults)
 		var te *sgx.TerminationError
 		if errors.As(runErr, &te) {
 			return recovered, faultsSeen, true, te.Reason

@@ -156,21 +156,25 @@ func RunApp(img libos.AppImage, rc RunConfig, app func(p *libos.Process, ctx *co
 		app(p, ctx)
 		end = clock.Cycles()
 	})
+	snap := metrics.Of(clock).Snapshot()
 	res := RunResult{
-		Label:     rc.label(),
-		Err:       runErr,
-		Faults:    p.Kernel.CPU.Stats.EnclaveFaults,
+		Label: rc.label(),
+		Err:   runErr,
+		// The three enclave-mode causes partition the faults hardware
+		// delivered while the enclave ran.
+		Faults: snap.Counter(metrics.CntFaultNotPresent) + snap.Counter(metrics.CntFaultProtection) +
+			snap.Counter(metrics.CntFaultSGX),
 		SelfPage:  p.Runtime.Stats.SelfFaults,
 		Forwarded: p.Runtime.Stats.ForwardedFaults,
 		Fetched:   p.Runtime.Stats.FetchedPages,
 		Evicted:   p.Runtime.Stats.EvictedPages,
-		OSPageIns: p.Kernel.Stats.PageIns,
-		AEXs:      p.Kernel.CPU.Stats.AEXs,
-		Enters:    p.Kernel.CPU.Stats.Enters,
-		Resumes:   p.Kernel.CPU.Stats.Resumes,
-		ADChecks:  p.Kernel.CPU.Stats.ADChecks,
+		OSPageIns: snap.Counter(metrics.CntOSPageIns),
+		AEXs:      snap.Counter(metrics.CntAEXs),
+		Enters:    snap.Counter(metrics.CntEnters),
+		Resumes:   snap.Counter(metrics.CntResumes),
+		ADChecks:  snap.Counter(metrics.CntADChecks),
 		Detected:  p.Runtime.Stats.AttacksDetected,
-		Metrics:   metrics.Of(clock).Snapshot(),
+		Metrics:   snap,
 	}
 	if runErr == nil && end >= start {
 		res.Cycles = end - start

@@ -326,7 +326,6 @@ type Fleet struct {
 	tenants []*Tenant
 	round   int
 	placed  int
-	stats   Stats
 }
 
 // New builds an empty fleet on the given clock. policy nil means FirstFit;
@@ -356,8 +355,25 @@ func (f *Fleet) PolicyName() string { return f.policy.Name() }
 // Round reports the current scheduling round (one Step per node each).
 func (f *Fleet) Round() int { return f.round }
 
-// Stats returns the elasticity account so far.
-func (f *Fleet) Stats() Stats { return f.stats }
+// Stats returns the elasticity account so far, read from the fleet clock's
+// metrics registry. The fleet adopts only inside Migrate, so the clock's
+// adopts are its completed moves.
+func (f *Fleet) Stats() Stats {
+	c := f.m.Count
+	return Stats{
+		Migrations:       int(c(metrics.CntAdopts)),
+		Rebalances:       int(c(metrics.CntFleetRebalances)),
+		DowntimeCycles:   c(metrics.CntMigrationDowntime),
+		Failures:         int(c(metrics.CntChaosFailures)),
+		HeartbeatsMissed: int(c(metrics.CntChaosHeartbeatMiss)),
+		Failovers:        int(c(metrics.CntChaosFailovers)),
+		Restarts:         int(c(metrics.CntChaosRestarts)),
+		Shed:             int(c(metrics.CntChaosShed)),
+		FailureDowntime:  c(metrics.CntChaosDowntime),
+		LostRequests:     c(metrics.CntChaosLostRequests),
+		RecoveryPointAge: c(metrics.CntChaosRPAge),
+	}
+}
 
 // Nodes returns the fleet's machines in creation order.
 func (f *Fleet) Nodes() []*Node {
@@ -411,12 +427,30 @@ func (f *Fleet) validate() error {
 	return nil
 }
 
-// spawn starts the tenant's current incarnation under its node's scheduler.
-func (f *Fleet) spawn(t *Tenant) {
-	p := t.proc
-	t.task = t.node.Sched.Spawn(t.Name, t.Config.Priority, p.Proc, func() error {
+// start binds an incarnation to its node, runs the tenant's Prepare hook
+// (first on admission) and spawns the incarnation under the node's
+// scheduler.
+func (f *Fleet) start(t *Tenant, node *Node, p *libos.Process, first bool) error {
+	t.node, t.proc = node, p
+	if t.Prepare != nil {
+		if err := t.Prepare(t, p, first); err != nil {
+			return fmt.Errorf("fleet: prepare %s on %s: %w", t.Name, node.Name, err)
+		}
+	}
+	t.task = node.Sched.Spawn(t.Name, t.Config.Priority, p.Proc, func() error {
 		return t.Body(t, p)
 	})
+	return nil
+}
+
+// stop kills a tenant's running incarnation where it stands, folds its
+// cycle account and settles its frontend through the Crash hook.
+func (f *Fleet) stop(t *Tenant) {
+	t.node.Sched.Kill(t.task, ErrCrashed)
+	f.collect(t)
+	if t.Crash != nil {
+		f.m.Add(metrics.CntChaosLostRequests, t.Crash(t))
+	}
 }
 
 // collect folds a finished (or drained) task's cycle account into the
@@ -452,13 +486,9 @@ func (f *Fleet) admit(t *Tenant) error {
 		return fmt.Errorf("fleet: load tenant %s on %s: %w", t.Name, node.Name, err)
 	}
 	t.Config = cfg
-	t.node, t.proc = node, p
-	if t.Prepare != nil {
-		if err := t.Prepare(t, p, true); err != nil {
-			return fmt.Errorf("fleet: prepare tenant %s on %s: %w", t.Name, node.Name, err)
-		}
+	if err := f.start(t, node, p, true); err != nil {
+		return err
 	}
-	f.spawn(t)
 	t.admitted = true
 	return nil
 }
@@ -499,19 +529,12 @@ func (f *Fleet) Migrate(t *Tenant, to *Node) error {
 	if err != nil {
 		return fmt.Errorf("fleet: adopt %s on %s: %w", t.Name, to.Name, err)
 	}
-	t.node, t.proc = to, p2
-	if t.Prepare != nil {
-		if err := t.Prepare(t, p2, false); err != nil {
-			return fmt.Errorf("fleet: prepare %s on %s: %w", t.Name, to.Name, err)
-		}
+	if err := f.start(t, to, p2, false); err != nil {
+		return err
 	}
-	f.spawn(t)
 	t.migrations++
 	t.lastMove = f.round
-	f.stats.Migrations++
-	down := f.clock.Cycles() - start
-	f.stats.DowntimeCycles += down
-	f.m.Add(metrics.CntMigrationDowntime, down)
+	f.m.Add(metrics.CntMigrationDowntime, f.clock.Cycles()-start)
 	if f.OnMigrate != nil {
 		f.OnMigrate(t, from, to)
 	}
@@ -536,7 +559,6 @@ func (f *Fleet) Rebalance() (int, error) {
 		moved++
 	}
 	if moved > 0 {
-		f.stats.Rebalances++
 		f.m.Inc(metrics.CntFleetRebalances)
 	}
 	return moved, nil
@@ -555,22 +577,15 @@ func (f *Fleet) InjectCrash(n *Node) {
 	now := f.clock.Cycles()
 	n.state = NodeCrashed
 	n.cordoned = true
-	f.stats.Failures++
 	f.m.Inc(metrics.CntChaosFailures)
 	for _, t := range f.tenants {
 		if t.node != n || t.task == nil || t.task.Done() {
 			continue
 		}
-		n.Sched.Kill(t.task, ErrCrashed)
-		f.collect(t)
+		f.stop(t)
 		t.proc = nil // the enclave died with the machine
 		t.down = true
 		t.downSince = now
-		if t.Crash != nil {
-			lost := t.Crash(t)
-			f.stats.LostRequests += lost
-			f.m.Add(metrics.CntChaosLostRequests, lost)
-		}
 	}
 }
 
@@ -587,7 +602,6 @@ func (f *Fleet) InjectFreeze(n *Node, cycles uint64) {
 	n.state = NodeFrozen
 	n.frozeAt = now
 	n.frozenUntil = now + cycles
-	f.stats.Failures++
 	f.m.Inc(metrics.CntChaosFailures)
 }
 
@@ -600,7 +614,6 @@ func (f *Fleet) InjectPartition(n *Node, until uint64) {
 	if n.state == NodeCrashed || n.state == NodeFenced {
 		return
 	}
-	f.stats.Failures++
 	f.m.Inc(metrics.CntChaosFailures)
 	for _, t := range f.tenants {
 		if t.node == n && t.Partition != nil {
@@ -629,7 +642,6 @@ func (f *Fleet) Heartbeat() {
 // missed (the supervisor's detection events, kept on the fleet account so
 // the experiment tables read from one place).
 func (f *Fleet) NoteHeartbeatMiss(n *Node) {
-	f.stats.HeartbeatsMissed++
 	f.m.Inc(metrics.CntChaosHeartbeatMiss)
 }
 
@@ -653,24 +665,14 @@ func (f *Fleet) Recover(t *Tenant, to *Node) error {
 	if err != nil {
 		return fmt.Errorf("fleet: recover %s on %s: %w", t.Name, to.Name, err)
 	}
-	t.node, t.proc = to, p
-	if t.Prepare != nil {
-		if err := t.Prepare(t, p, false); err != nil {
-			return fmt.Errorf("fleet: prepare %s on %s: %w", t.Name, to.Name, err)
-		}
+	if err := f.start(t, to, p, false); err != nil {
+		return err
 	}
-	f.spawn(t)
-	now := f.clock.Cycles()
 	t.down = false
 	t.lastMove = f.round
-	f.stats.Restarts++
 	f.m.Inc(metrics.CntChaosRestarts)
-	down := now - t.downSince
-	f.stats.FailureDowntime += down
-	f.m.Add(metrics.CntChaosDowntime, down)
-	age := t.downSince - t.cpAt
-	f.stats.RecoveryPointAge += age
-	f.m.Add(metrics.CntChaosRPAge, age)
+	f.m.Add(metrics.CntChaosDowntime, f.clock.Cycles()-t.downSince)
+	f.m.Add(metrics.CntChaosRPAge, t.downSince-t.cpAt)
 	return nil
 }
 
@@ -681,13 +683,7 @@ func (f *Fleet) Recover(t *Tenant, to *Node) error {
 func (f *Fleet) shed(t *Tenant) {
 	now := f.clock.Cycles()
 	if t.task != nil && !t.task.Done() {
-		t.node.Sched.Kill(t.task, ErrCrashed)
-		f.collect(t)
-		if t.Crash != nil {
-			lost := t.Crash(t)
-			f.stats.LostRequests += lost
-			f.m.Add(metrics.CntChaosLostRequests, lost)
-		}
+		f.stop(t)
 	}
 	if !t.down {
 		t.down = true
@@ -696,7 +692,6 @@ func (f *Fleet) shed(t *Tenant) {
 	if t.err == nil {
 		t.err = ErrShed
 	}
-	f.stats.Shed++
 	f.m.Inc(metrics.CntChaosShed)
 }
 
@@ -734,7 +729,6 @@ func (f *Fleet) FailOver(n *Node) error {
 		if err := f.Recover(t, dst); err != nil {
 			return err
 		}
-		f.stats.Failovers++
 		f.m.Inc(metrics.CntChaosFailovers)
 	}
 	return nil
@@ -763,7 +757,6 @@ func (f *Fleet) Evacuate(n *Node) (int, error) {
 			return moved, err
 		}
 		moved++
-		f.stats.Failovers++
 		f.m.Inc(metrics.CntChaosFailovers)
 	}
 	n.state = NodeFenced
@@ -787,9 +780,7 @@ func (f *Fleet) thawDue() {
 			if t.node != n || t.task == nil || t.task.Done() {
 				continue
 			}
-			down := now - n.frozeAt
-			f.stats.FailureDowntime += down
-			f.m.Add(metrics.CntChaosDowntime, down)
+			f.m.Add(metrics.CntChaosDowntime, now-n.frozeAt)
 		}
 	}
 }
@@ -888,9 +879,7 @@ func (f *Fleet) Run() error {
 		if t.down {
 			// Never recovered: unavailable from the failure to the end of
 			// the run, and lost for good.
-			down := now - t.downSince
-			f.stats.FailureDowntime += down
-			f.m.Add(metrics.CntChaosDowntime, down)
+			f.m.Add(metrics.CntChaosDowntime, now-t.downSince)
 			t.down = false
 			if t.err == nil {
 				t.err = ErrCrashed

@@ -123,7 +123,6 @@ func (k *Kernel) FetchPages(e *sgx.Enclave, pages []mmu.VAddr) error {
 			if err := k.pageIn(p, ps); err != nil {
 				return err
 			}
-			k.Stats.DriverFetches++
 			k.m.Inc(metrics.CntDriverFetches)
 		}
 		return nil
@@ -174,7 +173,6 @@ func (k *Kernel) EvictPages(e *sgx.Enclave, pages []mmu.VAddr) error {
 			ps.everEvicted = true
 			ps.pfn = mmu.NoPFN
 			p.resident--
-			k.Stats.DriverEvicts++
 			k.m.Inc(metrics.CntDriverEvicts)
 		}
 		return nil
@@ -219,7 +217,6 @@ func (k *Kernel) AugPages(e *sgx.Enclave, pages []mmu.VAddr, perms []mmu.Perms) 
 			p.order = append(p.order, va.VPN())
 			k.PT.MapAD(va, pfn, pr, true, true, true)
 			pfns = append(pfns, pfn)
-			k.Stats.DriverFetches++
 			k.m.Inc(metrics.CntDriverFetches)
 		}
 		return nil
@@ -394,7 +391,6 @@ func (k *Kernel) RemovePage(e *sgx.Enclave, va mmu.VAddr) error {
 		ps.everEvicted = true
 		ps.pfn = mmu.NoPFN
 		p.resident--
-		k.Stats.DriverEvicts++
 		k.m.Inc(metrics.CntDriverEvicts)
 		return nil
 	})

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"autarky/internal/metrics"
 	"autarky/internal/mmu"
 	"autarky/internal/pagestore"
 	"autarky/internal/sgx"
@@ -29,6 +30,9 @@ func newMachine() *testMachine {
 	m.kernel = NewKernel(m.cpu, m.pt, pagestore.NewStore(), m.clock, &m.costs)
 	return m
 }
+
+// count reads one of the machine's registry counters.
+func (m *testMachine) count(c metrics.Counter) uint64 { return metrics.Of(m.clock).Count(c) }
 
 // appRuntime runs a closure on entry, ignoring exception entries.
 type appRuntime struct {
@@ -134,8 +138,8 @@ func TestLegacyDemandPagingRoundTrip(t *testing.T) {
 	if accessErr != nil {
 		t.Fatal(accessErr)
 	}
-	if m.kernel.Stats.PageIns == 0 || m.kernel.Stats.PageOuts == 0 {
-		t.Fatalf("paging not exercised: ins=%d outs=%d", m.kernel.Stats.PageIns, m.kernel.Stats.PageOuts)
+	if ins, outs := m.count(metrics.CntOSPageIns), m.count(metrics.CntOSPageOuts); ins == 0 || outs == 0 {
+		t.Fatalf("paging not exercised: ins=%d outs=%d", ins, outs)
 	}
 	if p.ResidentPages() > 10 {
 		t.Fatalf("quota violated: %d", p.ResidentPages())
@@ -239,8 +243,8 @@ func TestDriverFetchEvictRoundTrip(t *testing.T) {
 			t.Fatalf("%s not remapped with A/D: %+v", va, pte)
 		}
 	}
-	if m.kernel.Stats.DriverEvicts != 4 || m.kernel.Stats.DriverFetches != 4 {
-		t.Fatalf("driver stats: %+v", m.kernel.Stats)
+	if evicts, fetches := m.count(metrics.CntDriverEvicts), m.count(metrics.CntDriverFetches); evicts != 4 || fetches != 4 {
+		t.Fatalf("driver stats: evicts=%d fetches=%d", evicts, fetches)
 	}
 }
 
@@ -322,8 +326,8 @@ func TestHostDemandAllocation(t *testing.T) {
 	if err := m.cpu.Touch(va, mmu.AccessWrite); err != nil {
 		t.Fatal(err)
 	}
-	if m.kernel.Stats.HostFaults != 1 {
-		t.Fatalf("HostFaults = %d", m.kernel.Stats.HostFaults)
+	if got := m.count(metrics.CntFaultHost); got != 1 {
+		t.Fatalf("host faults = %d", got)
 	}
 	pte, ok := m.pt.Get(va)
 	if !ok || !pte.Present || pte.EPC {
@@ -436,6 +440,11 @@ func TestSuspendResumeRoundTrip(t *testing.T) {
 	if err := m.kernel.ResumeEnclave(p); err != nil {
 		t.Fatal(err)
 	}
+	// The suspend swapped out all 12 pages; the resume paged the 8
+	// enclave-managed ones back in.
+	if ins, outs := m.count(metrics.CntOSPageIns), m.count(metrics.CntOSPageOuts); ins != 8 || outs != 12 {
+		t.Fatalf("OS page-ins %d, page-outs %d; want 8 and 12", ins, outs)
+	}
 	// Every enclave-managed page is resident again; OS-managed ones are
 	// demand paged later.
 	for i, va := range p.PageVAs() {
@@ -468,10 +477,10 @@ func TestHandleTimerBenign(t *testing.T) {
 	if err := m.kernel.Run(p); err != nil {
 		t.Fatal(err)
 	}
-	if m.kernel.Stats.TimerTicks == 0 {
+	if m.count(metrics.CntTimerTicks) == 0 {
 		t.Fatal("no timer ticks")
 	}
-	if m.kernel.Stats.EnclaveFaults != 0 {
+	if m.count(metrics.CntOSFaults) != 0 {
 		t.Fatal("benign timer caused faults")
 	}
 }
@@ -555,8 +564,8 @@ func TestPhysicalEPCPressureBalancesEnclaves(t *testing.T) {
 	}
 	run(p1, rt1, 0x100000)
 	run(p2, rt2, 0x900000)
-	if m.kernel.Stats.PageOuts == 0 || m.kernel.Stats.PageIns == 0 {
-		t.Fatalf("cross-enclave balancing not exercised: %+v", m.kernel.Stats)
+	if ins, outs := m.count(metrics.CntOSPageIns), m.count(metrics.CntOSPageOuts); outs == 0 || ins == 0 {
+		t.Fatalf("cross-enclave balancing not exercised: ins=%d outs=%d", ins, outs)
 	}
 }
 

@@ -130,17 +130,6 @@ type IdleProbe interface {
 	Poll()
 }
 
-// KernelStats counts kernel-level paging events.
-type KernelStats struct {
-	EnclaveFaults uint64
-	HostFaults    uint64
-	TimerTicks    uint64
-	PageIns       uint64 // OS-serviced ELDUs
-	PageOuts      uint64 // OS-initiated EWBs
-	DriverFetches uint64 // pages fetched through ay_fetch_pages
-	DriverEvicts  uint64 // pages evicted through ay_evict_pages
-}
-
 // pageState is the kernel's bookkeeping for one enclave page.
 type pageState struct {
 	va             mmu.VAddr
@@ -272,8 +261,6 @@ type Kernel struct {
 	// demand-paging side channel, which Autarky bounds by policy rather
 	// than eliminates.
 	FetchLog trace.Log
-
-	Stats KernelStats
 
 	procs map[uint64]*Proc
 	// procList holds the same processes in enclave-creation order, so the
@@ -501,7 +488,6 @@ func (k *Kernel) HandlePageFault(c *sgx.CPU, e *sgx.Enclave, tcs *sgx.TCS, f *mm
 	// Host-memory fault (host mode, or enclave touching untrusted buffers):
 	// demand-allocate anonymous zero-fill memory.
 	if e == nil || !e.Contains(f.Addr) {
-		k.Stats.HostFaults++
 		pfn := c.Reg.Alloc()
 		k.PT.Map(f.Addr.PageBase(), pfn, mmu.PermRWX, false)
 		if e != nil {
@@ -511,7 +497,7 @@ func (k *Kernel) HandlePageFault(c *sgx.CPU, e *sgx.Enclave, tcs *sgx.TCS, f *mm
 	}
 
 	// Enclave-region fault.
-	k.Stats.EnclaveFaults++
+	k.m.Inc(metrics.CntOSFaults)
 	p, perr := k.procFor(e)
 	if perr != nil {
 		// A fault attributed to a destroyed enclave: nothing to service, and
@@ -570,7 +556,6 @@ func (k *Kernel) HandleTimer(c *sgx.CPU, e *sgx.Enclave, tcs *sgx.TCS) error {
 // chargeTimer is the timer handler's own cost and count, in the ambient
 // category.
 func (k *Kernel) chargeTimer() {
-	k.Stats.TimerTicks++
 	k.m.Inc(metrics.CntTimerTicks)
 	k.Clock.ChargeAmbient(k.Costs.OSFaultWork)
 }
@@ -619,7 +604,6 @@ func (k *Kernel) serviceLegacyFault(p *Proc, f *mmu.Fault) error {
 		if err := k.pageIn(p, ps); err != nil {
 			return err
 		}
-		k.Stats.PageIns++
 		k.m.Inc(metrics.CntOSPageIns)
 		return nil
 	}
@@ -665,7 +649,6 @@ func (k *Kernel) ensureQuota(p *Proc, need int) error {
 			if err := k.evictOne(p, victim); err != nil {
 				return err
 			}
-			k.Stats.PageOuts++
 		}
 	}
 	return k.ensurePhysicalFrames(p, need)
@@ -685,7 +668,6 @@ func (k *Kernel) ensurePhysicalFrames(p *Proc, need int) error {
 				if err := k.evictOne(other, victim); err != nil {
 					return err
 				}
-				k.Stats.PageOuts++
 				reclaimed = true
 				break
 			}
@@ -700,7 +682,6 @@ func (k *Kernel) ensurePhysicalFrames(p *Proc, need int) error {
 		if err := k.evictOne(p, victim); err != nil {
 			return err
 		}
-		k.Stats.PageOuts++
 	}
 	return nil
 }
@@ -786,7 +767,6 @@ func (k *Kernel) ReclaimFromEnclave(p *Proc, max int) int {
 			break
 		}
 		n++
-		k.Stats.PageOuts++
 	}
 	return n
 }

@@ -3,6 +3,7 @@ package hostos
 import (
 	"testing"
 
+	"autarky/internal/metrics"
 	"autarky/internal/mmu"
 	"autarky/internal/sgx"
 	"autarky/internal/sim"
@@ -64,7 +65,8 @@ func TestPollInPlaceChargesTheRoundTrip(t *testing.T) {
 		refuse("budget")
 		m.clock.SetLimit(0)
 
-		before, cpu, ks := m.clock.Cycles(), m.cpu.Stats, k.Stats
+		reg := metrics.Of(m.clock)
+		before, snap := m.clock.Cycles(), reg.Snapshot()
 		want := m.cpu.ResumeCycles() + probe.cost + m.cpu.AEXCycles() + m.costs.OSFaultWork
 		next, ok := k.PollInPlace(proc, saved)
 		if !ok {
@@ -73,8 +75,10 @@ func TestPollInPlaceChargesTheRoundTrip(t *testing.T) {
 		if got := m.clock.Cycles() - before; got != want || probe.polls != 1 {
 			t.Errorf("in-place poll charged %d cycles over %d polls, want %d over 1", got, probe.polls, want)
 		}
-		if m.cpu.Stats.Resumes != cpu.Resumes+1 || m.cpu.Stats.AEXs != cpu.AEXs+1 || k.Stats.TimerTicks != ks.TimerTicks+1 {
-			t.Errorf("counters: %+v -> %+v, timer %d -> %d", cpu, m.cpu.Stats, ks.TimerTicks, k.Stats.TimerTicks)
+		for _, c := range []metrics.Counter{metrics.CntResumes, metrics.CntAEXs, metrics.CntTimerTicks} {
+			if d := reg.Count(c) - snap.Counter(c); d != 1 {
+				t.Errorf("%s rose by %d, want 1", c.Name(), d)
+			}
 		}
 		m.cpu.SwapContext(next)
 		if cat := m.clock.Category(); cat != sim.CatFault {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"autarky/internal/metrics"
 	"autarky/internal/mmu"
 	"autarky/internal/sgx"
 )
@@ -42,7 +43,6 @@ func (k *Kernel) SuspendEnclave(p *Proc) (int, error) {
 			return n, err
 		}
 		n++
-		k.Stats.PageOuts++
 	}
 	return n, nil
 }
@@ -72,7 +72,7 @@ func (k *Kernel) ResumeEnclave(p *Proc) error {
 		if err := k.pageIn(p, ps); err != nil {
 			return fmt.Errorf("hostos: restoring %s on resume: %w", va, err)
 		}
-		k.Stats.PageIns++
+		k.m.Inc(metrics.CntOSPageIns)
 	}
 	p.suspended = false
 	return nil

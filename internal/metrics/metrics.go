@@ -94,6 +94,7 @@ const (
 	CntDriverEvicts
 	CntDriverCalls
 	CntTimerTicks
+	CntOSFaults // enclave-region faults the OS observed: the controlled channel
 
 	// Multi-enclave scheduler (internal/sched).
 	CntSchedDispatches  // time slices granted (one per dispatch)
@@ -224,6 +225,7 @@ var counterNames = [NumCounters]string{
 	CntDriverEvicts:  "driver.evicts",
 	CntDriverCalls:   "driver.calls",
 	CntTimerTicks:    "os.timer_ticks",
+	CntOSFaults:      "os.enclave_faults",
 
 	CntSchedDispatches:  "sched.dispatches",
 	CntSchedSwitches:    "sched.switches",

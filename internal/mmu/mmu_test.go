@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"autarky/internal/metrics"
 	"autarky/internal/sim"
 )
 
@@ -212,7 +213,7 @@ func newTLB() (*TLB, *sim.Clock) {
 }
 
 func TestTLBMissThenHit(t *testing.T) {
-	tlb, _ := newTLB()
+	tlb, clock := newTLB()
 	va := VAddr(0x1000)
 	if _, ok := tlb.Lookup(va, AccessRead); ok {
 		t.Fatal("empty TLB hit")
@@ -222,8 +223,9 @@ func TestTLBMissThenHit(t *testing.T) {
 	if !ok || e.PFN() != 8 {
 		t.Fatalf("hit failed: %v %v", e, ok)
 	}
-	if tlb.Hits != 1 || tlb.Misses != 1 {
-		t.Fatalf("stats hits=%d misses=%d", tlb.Hits, tlb.Misses)
+	m := metrics.Of(clock)
+	if hits, misses := m.Count(metrics.CntTLBHits), m.Count(metrics.CntTLBMisses); hits != 1 || misses != 1 {
+		t.Fatalf("stats hits=%d misses=%d", hits, misses)
 	}
 }
 

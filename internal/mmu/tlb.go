@@ -37,12 +37,6 @@ type TLB struct {
 	// touching every way. SGX flushes on every enclave crossing, which made
 	// the eager loop one of the hottest paths in the whole simulator.
 	epoch uint64
-
-	// Statistics.
-	Hits    uint64
-	Misses  uint64
-	Fills   uint64
-	Flushes uint64
 }
 
 // NewTLB returns a TLB with nsets sets of ways entries each. nsets must be a
@@ -94,12 +88,10 @@ func (t *TLB) Lookup(va VAddr, at AccessType) (*TLBEntry, bool) {
 			}
 			t.useTick++
 			e.lastUse = t.useTick
-			t.Hits++
 			t.m.Inc(metrics.CntTLBHits)
 			return e, true
 		}
 	}
-	t.Misses++
 	t.m.Inc(metrics.CntTLBMisses)
 	return nil, false
 }
@@ -130,7 +122,6 @@ func (t *TLB) Fill(va VAddr, pte PTE, enclaveID uint64, writable bool) {
 		lastUse:   t.useTick,
 		epoch:     t.epoch,
 	}
-	t.Fills++
 	t.m.Inc(metrics.CntTLBFills)
 }
 
@@ -138,7 +129,6 @@ func (t *TLB) Fill(va VAddr, pte PTE, enclaveID uint64, writable bool) {
 // flush epoch advances and every existing entry becomes stale.
 func (t *TLB) FlushAll() {
 	t.epoch++
-	t.Flushes++
 	t.m.Inc(metrics.CntTLBFlushes)
 	// Flushes ride on enclave transitions; the ambient category is the
 	// transition's (compute at top level, fault-handling on the fault path).

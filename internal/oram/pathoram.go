@@ -25,10 +25,8 @@ import (
 
 // Stats counts ORAM-level events.
 type Stats struct {
-	Accesses   uint64
-	BlockMoves uint64
-	ScanWords  uint64
-	StashPeak  int
+	ScanWords uint64
+	StashPeak int
 }
 
 // PathORAM is a non-recursive PathORAM with bucket size Z over blocks of
@@ -149,7 +147,6 @@ func (o *PathORAM) chargeScan(words int) {
 func (o *PathORAM) chargeMove(n int) {
 	// Path reads/writes re-encrypt every bucket touched.
 	o.clock.ChargeAs(sim.CatCrypto, uint64(n)*o.costs.ORAMBlockMove)
-	o.Stats.BlockMoves += uint64(n)
 }
 
 // Access performs one ORAM access. If write is true, data replaces the
@@ -162,7 +159,6 @@ func (o *PathORAM) Access(id uint32, write bool, data []byte) ([]byte, error) {
 	if write && len(data) > o.blockSize {
 		return nil, fmt.Errorf("oram: write of %d bytes exceeds block size %d", len(data), o.blockSize)
 	}
-	o.Stats.Accesses++
 
 	// Position map lookup + remap. Uncached mode pays a full oblivious scan
 	// (CMOV over every entry); cached mode reads it directly because the

@@ -16,7 +16,6 @@ import (
 	"autarky/internal/mmu"
 	"autarky/internal/sched"
 	"autarky/internal/service"
-	"autarky/internal/sgx"
 	"autarky/internal/sim"
 )
 
@@ -62,9 +61,6 @@ type machineOutcome struct {
 	Acct    autarky.SchedAccounting
 	Stats   []autarky.ServiceStats
 	Hists   []autarky.Histogram
-	CPU     sgx.CPUStats
-	Flushes uint64
-	Kernel  hostos.KernelStats
 	Calls   []string
 }
 
@@ -141,9 +137,6 @@ func serveMachine(policy autarky.SchedPolicy) func(*uint64) machineOutcome {
 			out.Stats = append(out.Stats, srv.Stats())
 			out.Hists = append(out.Hists, *srv.Hist())
 		}
-		out.CPU = m.CPU.Stats
-		out.Flushes = m.TLB.Flushes
-		out.Kernel = m.Kernel.Stats
 		return out
 	}
 }
@@ -170,9 +163,6 @@ type fleetOutcome struct {
 	Metrics metrics.Snapshot
 	Fleet   fleet.Stats
 	Acct    []sched.Accounting
-	CPU     []sgx.CPUStats
-	Flushes []uint64
-	Kernel  []hostos.KernelStats
 	States  []fleet.NodeState
 	Stats   []service.Stats
 	Hists   []metrics.Histogram
@@ -258,9 +248,6 @@ func superviseFleet(ev chaos.Event) func(*uint64) fleetOutcome {
 		out := fleetOutcome{Metrics: metrics.Of(clock).Snapshot(), Fleet: f.Stats()}
 		for _, n := range f.Nodes() {
 			out.Acct = append(out.Acct, n.Sched.Accounting())
-			out.CPU = append(out.CPU, n.Kernel.CPU.Stats)
-			out.Flushes = append(out.Flushes, n.Kernel.CPU.TLB.Flushes)
-			out.Kernel = append(out.Kernel, n.Kernel.Stats)
 			out.States = append(out.States, n.State())
 		}
 		for i, srv := range []*service.Server{*alphaSrv, *betaSrv} {

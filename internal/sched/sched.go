@@ -273,22 +273,35 @@ func (s *Scheduler) Wait(t *Task) error {
 	if t.s != s {
 		panic("sched: Wait for a task of a different scheduler")
 	}
-	if s.waiting {
-		panic("sched: Wait re-entered (called from inside a scheduled task?)")
-	}
-	s.waiting = true
-	defer func() { s.waiting = false }()
-	defer func() {
-		if r := recover(); r != nil {
-			s.abortAll()
-			panic(r)
-		}
-	}()
+	s.enter("Wait")
+	defer s.leave()
 	for !t.done {
 		s.mustStep()
 	}
 	s.cpu.PreemptAt = 0
 	return t.err
+}
+
+// enter opens a dispatch-loop entry point. The loop must not be re-entered
+// from inside a task, whose goroutine would then wait on its own handoff, so
+// a nested entry panics. Every enter is paired with a deferred leave.
+func (s *Scheduler) enter(entry string) {
+	if s.waiting {
+		panic("sched: " + entry + " re-entered (called from inside a scheduled task?)")
+	}
+	s.waiting = true
+}
+
+// leave closes an entry point. A panic escaping the dispatch loop (a budget
+// abort or a bug) first unwinds every unfinished task, so no task goroutine
+// outlives the loop, and then propagates.
+func (s *Scheduler) leave() {
+	if r := recover(); r != nil {
+		s.abortAll()
+		s.waiting = false
+		panic(r)
+	}
+	s.waiting = false
 }
 
 // WaitAll drives the dispatch loop until every spawned task is done and
@@ -447,17 +460,8 @@ func (s *Scheduler) Yield() {
 // goroutine. Drive returns ErrStalled if every task finishes while stop is
 // still false; like Wait, it must not be called from inside a task.
 func (s *Scheduler) Drive(stop func() bool) error {
-	if s.waiting {
-		panic("sched: Drive re-entered (called from inside a scheduled task?)")
-	}
-	s.waiting = true
-	defer func() { s.waiting = false }()
-	defer func() {
-		if r := recover(); r != nil {
-			s.abortAll()
-			panic(r)
-		}
-	}()
+	s.enter("Drive")
+	defer s.leave()
 	for !stop() {
 		if !s.step() {
 			s.cpu.PreemptAt = 0
@@ -481,18 +485,9 @@ func (s *Scheduler) Drain(t *Task) error {
 	if t.s != s {
 		panic("sched: Drain for a task of a different scheduler")
 	}
-	if s.waiting {
-		panic("sched: Drain re-entered (called from inside a scheduled task?)")
-	}
-	s.waiting = true
-	defer func() { s.waiting = false }()
+	s.enter("Drain")
+	defer s.leave()
 	defer func() { s.draining = nil }()
-	defer func() {
-		if r := recover(); r != nil {
-			s.abortAll()
-			panic(r)
-		}
-	}()
 	s.draining = t
 	for !t.done {
 		s.mustStep()
@@ -511,17 +506,8 @@ func (s *Scheduler) Draining() bool { return s.draining != nil }
 // without any machine monopolizing the timeline. Like Wait, it must not be
 // called from inside a scheduled task.
 func (s *Scheduler) Step() bool {
-	if s.waiting {
-		panic("sched: Step re-entered (called from inside a scheduled task?)")
-	}
-	s.waiting = true
-	defer func() { s.waiting = false }()
-	defer func() {
-		if r := recover(); r != nil {
-			s.abortAll()
-			panic(r)
-		}
-	}()
+	s.enter("Step")
+	defer s.leave()
 	if !s.step() {
 		s.cpu.PreemptAt = 0
 		return false

@@ -32,19 +32,6 @@ type OSHandler interface {
 	HandleTimer(c *CPU, e *Enclave, tcs *TCS) error
 }
 
-// CPUStats are per-CPU event counters used by the experiments.
-type CPUStats struct {
-	Accesses      uint64
-	EnclaveFaults uint64 // page faults raised in enclave mode
-	ElidedFaults  uint64 // faults handled without AEX (AttrElideAEX)
-	AEXs          uint64
-	Enters        uint64
-	Exits         uint64
-	Resumes       uint64
-	ResumeDenied  uint64 // ERESUME attempts blocked by the pending flag
-	ADChecks      uint64 // Autarky A/D-bit checks performed on TLB fills
-}
-
 // CPU is the single logical hart of the simulated machine. It owns the TLB,
 // consults the OS-controlled page table on misses, applies the SGX and
 // Autarky checks, and orchestrates enclave transitions.
@@ -56,8 +43,6 @@ type CPU struct {
 	EPC   *EPC
 	Reg   *RegularMemory
 	OS    OSHandler
-
-	Stats CPUStats
 
 	// AccessObserver, when set, sees every architecturally completed
 	// enclave access (ground truth for validating attack recovery).
@@ -211,7 +196,6 @@ func (c *CPU) EEnter(e *Enclave, tcs *TCS) (err error) {
 	// the OS re-enters the trusted handler, compute at top-level entry.
 	c.Clock.ChargeAmbient(c.Costs.EENTER)
 	c.TLB.FlushAll()
-	c.Stats.Enters++
 	c.m.Inc(metrics.CntEnters)
 	// Autarky §5.1.3: EENTER clears the pending-exception flag.
 	tcs.pendingException = false
@@ -244,7 +228,6 @@ func (c *CPU) EEnter(e *Enclave, tcs *TCS) (err error) {
 	}
 	c.Clock.ChargeAmbient(c.Costs.EEXIT)
 	c.TLB.FlushAll()
-	c.Stats.Exits++
 	c.m.Inc(metrics.CntExits)
 	c.clearMode()
 	return nil
@@ -261,7 +244,6 @@ func (c *CPU) ERESUME(e *Enclave, tcs *TCS) error {
 		return e.terminationError()
 	}
 	if tcs.pendingException {
-		c.Stats.ResumeDenied++
 		c.m.Inc(metrics.CntResumeDenied)
 		return ErrPendingException
 	}
@@ -284,7 +266,6 @@ func (c *CPU) ERESUME(e *Enclave, tcs *TCS) error {
 func (c *CPU) AccountResume() {
 	c.Clock.ChargeAmbient(c.Costs.ERESUME)
 	c.TLB.FlushAll()
-	c.Stats.Resumes++
 	c.m.Inc(metrics.CntResumes)
 }
 
@@ -292,7 +273,6 @@ func (c *CPU) AccountResume() {
 func (c *CPU) chargeAEX() {
 	c.Clock.ChargeAmbient(c.Costs.AEX)
 	c.TLB.FlushAll()
-	c.Stats.AEXs++
 	c.m.Inc(metrics.CntAEXs)
 }
 
@@ -414,7 +394,6 @@ func (c *CPU) translate(va mmu.VAddr, t mmu.AccessType) (mmu.PFN, *mmu.Fault) {
 			// writeback ever happens for these entries, which kills the
 			// TOCTOU variant.
 			c.Clock.ChargeAmbient(c.Costs.ADCheck)
-			c.Stats.ADChecks++
 			c.m.Inc(metrics.CntADChecks)
 			if !pte.Accessed || !pte.Dirty {
 				return mmu.NoPFN, &mmu.Fault{Addr: va, Type: t, SGX: true, NotPresent: true}
@@ -461,8 +440,6 @@ func (c *CPU) deliverFault(f *mmu.Fault) error {
 	}
 
 	e, tcs := c.cur, c.curTCS
-	c.Stats.EnclaveFaults++
-
 	if !e.Contains(f.Addr) {
 		// Fault on untrusted memory while in enclave mode: ordinary AEX,
 		// address visible (it is not enclave state), no pending flag.
@@ -484,7 +461,6 @@ func (c *CPU) deliverFault(f *mmu.Fault) error {
 	if e.SelfPaging() && e.Attrs.Has(AttrElideAEX) {
 		// §5.1.3 "Eliding AEX": stay in enclave mode; simulate a nested
 		// re-entry at the handler.
-		c.Stats.ElidedFaults++
 		c.m.Inc(metrics.CntElidedFaults)
 		if err := tcs.pushSSA(*f); err != nil {
 			c.Terminate(TerminatePolicy, "SSA exhausted on elided fault")
@@ -611,7 +587,6 @@ func (c *CPU) interruptAEX() error {
 // running the full fault flow as needed. It is the primitive every workload
 // access compiles to.
 func (c *CPU) Touch(va mmu.VAddr, t mmu.AccessType) error {
-	c.Stats.Accesses++
 	if err := c.maybeTimer(); err != nil {
 		return err
 	}
@@ -636,7 +611,6 @@ func (c *CPU) Touch(va mmu.VAddr, t mmu.AccessType) error {
 // access translates va (faulting as needed) and returns the backing bytes
 // for the in-page range starting at va.
 func (c *CPU) access(va mmu.VAddr, t mmu.AccessType) ([]byte, error) {
-	c.Stats.Accesses++
 	if err := c.maybeTimer(); err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"autarky/internal/metrics"
 	"autarky/internal/mmu"
 	"autarky/internal/pagestore"
 	"autarky/internal/sim"
@@ -376,8 +377,8 @@ func TestPendingExceptionBlocksERESUME(t *testing.T) {
 	if !errors.Is(resumeErr, ErrPendingException) {
 		t.Fatalf("silent ERESUME returned %v, want ErrPendingException", resumeErr)
 	}
-	if r.cpu.Stats.ResumeDenied != 1 {
-		t.Fatalf("ResumeDenied = %d", r.cpu.Stats.ResumeDenied)
+	if got := metrics.Of(r.clock).Count(metrics.CntResumeDenied); got != 1 {
+		t.Fatalf("ResumeDenied = %d", got)
 	}
 }
 
@@ -925,7 +926,7 @@ func TestTimerAEXDoesNotSetPendingFlag(t *testing.T) {
 				return
 			}
 		}
-		ticks = int(r.cpu.Stats.AEXs)
+		ticks = int(metrics.Of(r.clock).Count(metrics.CntAEXs))
 	}
 	if err := r.cpu.EEnter(e, tcs); err != nil {
 		t.Fatal(err)
@@ -1080,11 +1081,12 @@ func TestInEnclaveResumeSkipsExitAndResume(t *testing.T) {
 			t.Errorf("access: %v", err)
 		}
 	}
-	resumesBefore := r.cpu.Stats.Resumes
+	m := metrics.Of(r.clock)
+	resumesBefore := m.Count(metrics.CntResumes)
 	if err := r.cpu.EEnter(e, tcs); err != nil {
 		t.Fatal(err)
 	}
-	if r.cpu.Stats.Resumes != resumesBefore {
+	if m.Count(metrics.CntResumes) != resumesBefore {
 		t.Fatal("ERESUME was used despite in-enclave resume")
 	}
 	if tcs.CSSA() != 0 {

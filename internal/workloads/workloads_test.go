@@ -6,6 +6,7 @@ import (
 	"autarky/internal/core"
 	"autarky/internal/hostos"
 	"autarky/internal/libos"
+	"autarky/internal/metrics"
 	"autarky/internal/mmu"
 	"autarky/internal/oram"
 	"autarky/internal/pagestore"
@@ -313,8 +314,8 @@ func TestMemcachedOverORAM(t *testing.T) {
 			t.Fatal("ORAM cache never exercised")
 		}
 		// No enclave faults: everything either pinned or behind the ORAM.
-		if p.Kernel.Stats.EnclaveFaults != 0 {
-			t.Fatalf("ORAM-backed memcached faulted %d times", p.Kernel.Stats.EnclaveFaults)
+		if got := metrics.Of(clock).Count(metrics.CntOSFaults); got != 0 {
+			t.Fatalf("ORAM-backed memcached faulted %d times", got)
 		}
 	})
 }
@@ -364,8 +365,8 @@ func TestAllKernelsRunWithoutFaultsWhenResident(t *testing.T) {
 						t.Fatal("kernel consumed no cycles")
 					}
 				})
-				if p.Kernel.Stats.EnclaveFaults != 0 {
-					t.Fatalf("kernel faulted %d times with everything resident", p.Kernel.Stats.EnclaveFaults)
+				if got := metrics.Of(clock).Count(metrics.CntOSFaults); got != 0 {
+					t.Fatalf("kernel faulted %d times with everything resident", got)
 				}
 			})
 		}

@@ -92,9 +92,6 @@ func (m *Machine) Adopt(mig *Migration, counters *CounterService) (*Proc, error)
 	if m.optErr != nil {
 		return nil, m.optErr
 	}
-	if err := m.ensureSched(); err != nil {
-		return nil, err
-	}
 	p, err := libos.Adopt(m.Kernel, m.Clock, m.Costs, mig, counters)
 	if err != nil {
 		return nil, err

@@ -134,9 +134,6 @@ func (m *Machine) Restore(cp *Checkpoint) (*Proc, error) {
 	if m.optErr != nil {
 		return nil, m.optErr
 	}
-	if err := m.ensureSched(); err != nil {
-		return nil, err
-	}
 	p, err := libos.Restore(m.Kernel, m.Clock, m.Costs, cp)
 	if err != nil {
 		return nil, err

@@ -1,8 +1,6 @@
 package autarky
 
 import (
-	"fmt"
-
 	"autarky/internal/libos"
 	"autarky/internal/metrics"
 	"autarky/internal/mmu"
@@ -91,20 +89,6 @@ func spawnSlot(img AppImage) mmu.VAddr {
 	return mmu.VAddr(slots * spawnSlotBytes)
 }
 
-// ensureSched builds the machine's scheduler on first use, so machines that
-// never spawn a process run without one.
-func (m *Machine) ensureSched() error {
-	if m.sched != nil {
-		return nil
-	}
-	policy, err := sched.NewPolicy(m.schedPolicy)
-	if err != nil {
-		return &ConfigError{Field: "Scheduler", Reason: fmt.Sprintf("unknown policy kind %d", int(m.schedPolicy))}
-	}
-	m.sched = sched.New(m.Kernel, policy, m.quantum)
-	return nil
-}
-
 // Spawn loads an application image as an enclave and registers it with the
 // machine's scheduler. When cfg.Base is zero, each spawn receives its own
 // disjoint ELRANGE slot, so any number of enclaves coexist on the machine.
@@ -117,9 +101,6 @@ func (m *Machine) ensureSched() error {
 func (m *Machine) Spawn(img AppImage, cfg Config) (*Proc, error) {
 	if m.optErr != nil {
 		return nil, m.optErr
-	}
-	if err := m.ensureSched(); err != nil {
-		return nil, err
 	}
 	if cfg.Base == 0 {
 		cfg.Base = m.nextBase
@@ -178,23 +159,11 @@ func (p *Proc) Metrics() TaskMetrics {
 }
 
 // WaitAll drives the dispatch loop until every started process on the
-// machine is done and returns the first error in spawn order. A machine
-// whose scheduler was never engaged returns nil.
-func (m *Machine) WaitAll() error {
-	if m.sched == nil {
-		return nil
-	}
-	return m.sched.WaitAll()
-}
+// machine is done and returns the first error in spawn order.
+func (m *Machine) WaitAll() error { return m.sched.WaitAll() }
 
 // Accounting returns the machine-wide cycle balance sheet. Its components —
 // per-process cycles, scheduler overhead, and cycles outside the scheduler
 // (construction, loading, direct runs) — always sum to Machine.Cycles();
 // SchedAccounting.Check verifies the invariant.
-func (m *Machine) Accounting() SchedAccounting {
-	if m.sched == nil {
-		c := m.Clock.Cycles()
-		return SchedAccounting{OutsideCycles: c, TotalCycles: c}
-	}
-	return m.sched.Accounting()
-}
+func (m *Machine) Accounting() SchedAccounting { return m.sched.Accounting() }
