@@ -229,21 +229,15 @@ func runE14Cell(rec *cellRecorder, p E14Params, pol e14Policy, quantum uint64, m
 	snap := metrics.Of(m.clock).Snapshot()
 	rec.record(fmt.Sprintf("%s/q%d/%s", pol.name, quantum, mech), snap)
 
-	hist := metrics.NewHistogram(0)
+	hist := metrics.NewHistogram(1 << 28) // the servers' range
 	row := E14Row{Policy: pol.name, Quantum: quantum, Mech: mech.String()}
-	first := true
 	for _, srv := range servers {
 		st := srv.Stats()
 		row.Offered += st.Offered
 		row.Served += st.Served
 		row.Shed += st.Backpressure + st.Timeouts
 		row.KeepAlives += st.KeepAlives
-		if first {
-			hist = srv.Hist()
-			first = false
-		} else {
-			hist.Merge(srv.Hist())
-		}
+		hist.Merge(srv.Hist())
 	}
 	row.Preempts = snap.Counter(metrics.CntSchedPreemptions)
 	row.OpsPerSec = PerSecond(row.Served, span)

@@ -25,7 +25,7 @@
 // The server's Loop runs as the enclave application body: it pumps due
 // open-loop arrivals into the connection queues, serves frames in admission
 // order, and records each successful reply's sojourn (reply cycle minus
-// arrival cycle) into an exact fixed-bucket histogram. When nothing is due
+// arrival cycle) into an exact one-cycle-bucket histogram. When nothing is due
 // it charges a poll and — when the Idle hook is wired to the machine
 // scheduler — yields its slice, so co-resident tenants run instead of
 // watching one enclave busy-wait. Every cycle on the hot path is charged

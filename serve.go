@@ -35,8 +35,9 @@ type (
 	// Rand is the simulation's deterministic random stream (the type
 	// OpenLoop.NextReq receives).
 	Rand = sim.Rand
-	// Histogram is the exact fixed-bucket latency histogram behind
-	// Server.Latency (see Server.Hist).
+	// Histogram is the exact one-cycle-bucket latency histogram behind
+	// Server.Latency (see Server.Hist); its memory grows with the samples
+	// recorded, not with the range.
 	Histogram = metrics.Histogram
 )
 
