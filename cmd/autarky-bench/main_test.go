@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -16,10 +18,22 @@ func bench(args ...string) (int, string, string) {
 	return code, out.String(), errw.String()
 }
 
+// goldens names the committed table of each experiment that has one, as
+// generated at -scale 1; the Makefile's chaos, orderly, serving and migrate
+// targets diff the same files at -jobs 1 and -jobs 8.
+var goldens = map[string]string{
+	"chaos":       "e12_chaos",
+	"orderliness": "e13_orderliness",
+	"serving":     "e14_serving",
+	"migration":   "e15_migration",
+	"chaosfleet":  "e16_chaosfleet",
+}
+
 // TestEveryExperimentSmoke runs every experiment at -scale 1: each must
-// exit 0 and print at least one table. Aliases resolve to the same
-// registry entry (TestAliasesSelectSameExperiment), so each experiment
-// only needs to execute once.
+// exit 0 and print at least one table, and an experiment with a golden
+// must print it byte for byte. Aliases resolve to the same registry entry
+// (TestAliasesSelectSameExperiment), so each experiment only needs to
+// execute once.
 func TestEveryExperimentSmoke(t *testing.T) {
 	for _, e := range registry {
 		name := e.names[0]
@@ -34,8 +48,34 @@ func TestEveryExperimentSmoke(t *testing.T) {
 			if strings.Contains(out, "FAILED") {
 				t.Fatalf("-exp %s reported a failed experiment:\n%s", name, out)
 			}
+			if g, ok := goldens[name]; ok {
+				checkGolden(t, name, g, out)
+			}
 		})
 	}
+}
+
+// checkGolden compares an experiment's output with its committed golden
+// table and reports the first lines that differ.
+func checkGolden(t *testing.T, name, golden, out string) {
+	t.Helper()
+	path := filepath.Join("..", "..", "testdata", golden+".golden")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out == string(want) {
+		return
+	}
+	got, exp := strings.Split(out, "\n"), strings.Split(string(want), "\n")
+	i := 0
+	for i < len(got) && i < len(exp) && got[i] == exp[i] {
+		i++
+	}
+	from := func(lines []string) string { return strings.Join(lines[min(i, len(lines)):min(i+3, len(lines))], "\n") }
+	t.Fatalf("-exp %s differs from %s at line %d:\n--- got ---\n%s\n--- want ---\n%s\n"+
+		"regenerate after an intentional change with:\n  go run ./cmd/autarky-bench -exp %s -jobs 1 > testdata/%s.golden",
+		name, path, i+1, from(got), from(exp), name, golden)
 }
 
 // TestAliasesSelectSameExperiment checks -exp resolution for every name

@@ -137,19 +137,10 @@ func TestAttachRejects(t *testing.T) {
 
 // --- End-to-end supervision ---
 
-// supTenant is a minimal open-loop serving tenant with the chaos hooks
-// wired, in the mould of the fleet package's test helper.
-type supTenant struct {
-	*fleet.Tenant
-	srv      *service.Server
-	requests int
-	meanGap  float64
-	seed     uint64
-}
-
-func newSupTenant(name string, requests int, meanGap float64, seed uint64) *supTenant {
-	st := &supTenant{requests: requests, meanGap: meanGap, seed: seed}
-	st.Tenant = &fleet.Tenant{
+// newSupTenant builds a minimal open-loop serving tenant, in the mould of
+// the fleet package's test helper: 400 Poisson arrivals, 50k cycles apart.
+func newSupTenant(name string, seed uint64) *fleet.Tenant {
+	t := &fleet.Tenant{
 		Name: name,
 		Image: libos.AppImage{
 			Name:      name,
@@ -162,45 +153,20 @@ func newSupTenant(name string, requests int, meanGap float64, seed uint64) *supT
 			QuotaPages:     40,
 			RateLimitBurst: 1 << 40,
 		},
-		Prepare: func(tn *fleet.Tenant, p *libos.Process, first bool) error {
+	}
+	return t.Serve(fleet.Serving{
+		Handlers: func(p *libos.Process) {
 			heap := p.Heap.PageVAs()
 			p.Handle("get", func(ctx *core.Context, arg uint64) (uint64, error) {
 				va := heap[arg%uint64(len(heap))]
 				ctx.Store(va)
 				return uint64(va), nil
 			})
-			if first {
-				srv, err := service.New(p, service.Options{QueueCap: 64})
-				if err != nil {
-					return err
-				}
-				st.srv = srv
-				for i := 0; i < 4; i++ {
-					if _, err := srv.Dial(); err != nil {
-						return err
-					}
-				}
-				if err := srv.Preload(service.OpenLoop{
-					Arrivals: service.Poisson{MeanGap: st.meanGap},
-					Requests: st.requests,
-					Seed:     st.seed,
-				}); err != nil {
-					return err
-				}
-			} else if err := st.srv.Rebind(p); err != nil {
-				return err
-			}
-			st.srv.Idle = tn.Node().Sched.Yield
-			return nil
 		},
-		Body: func(tn *fleet.Tenant, p *libos.Process) error {
-			return p.Run(st.srv.Loop)
-		},
-	}
-	st.Pause = func(*fleet.Tenant) { st.srv.Drain() }
-	st.Crash = func(*fleet.Tenant) uint64 { return st.srv.Crash() }
-	st.Partition = func(_ *fleet.Tenant, until uint64) { st.srv.Partition(until) }
-	return st
+		Options: service.Options{QueueCap: 64},
+		Conns:   4,
+		Load:    service.OpenLoop{Arrivals: service.Poisson{MeanGap: 50_000}, Requests: 400, Seed: seed},
+	})
 }
 
 // runSupFleet builds a three-machine fleet with two serving tenants,
@@ -209,7 +175,7 @@ func newSupTenant(name string, requests int, meanGap float64, seed uint64) *supT
 // tenants. m0 is sized so that only alpha fits there: beta spills to m1 and
 // keeps the fleet's clock advancing through m0's failures, which is what
 // lets the blind watchdog observe the silence.
-func runSupFleet(t *testing.T, sched *Schedule, supervised bool) (*fleet.Fleet, []*supTenant) {
+func runSupFleet(t *testing.T, sched *Schedule, supervised bool) (*fleet.Fleet, []*fleet.Tenant) {
 	t.Helper()
 	clock := sim.NewClock()
 	clock.SetLimit(4_000_000_000)
@@ -217,12 +183,9 @@ func runSupFleet(t *testing.T, sched *Schedule, supervised bool) (*fleet.Fleet, 
 	f.AddNode("m0", 64, sim.DefaultCosts())
 	f.AddNode("m1", 256, sim.DefaultCosts())
 	f.AddNode("m2", 256, sim.DefaultCosts())
-	tenants := []*supTenant{
-		newSupTenant("alpha", 400, 50_000, 31),
-		newSupTenant("beta", 400, 50_000, 32),
-	}
-	for _, st := range tenants {
-		f.Add(st.Tenant)
+	tenants := []*fleet.Tenant{newSupTenant("alpha", 31), newSupTenant("beta", 32)}
+	for _, tn := range tenants {
+		f.Add(tn)
 	}
 	var sup *Supervisor
 	if supervised {
@@ -274,8 +237,8 @@ func TestSupervisorFailsOverCrash(t *testing.T) {
 		if tn.Node() == fSup.Nodes()[0] {
 			t.Fatalf("supervised %s still homed on the crashed machine", tn.Name)
 		}
-		if tn.srv.PendingSchedule() != 0 {
-			t.Fatalf("supervised %s left %d arrivals unfired", tn.Name, tn.srv.PendingSchedule())
+		if tn.Server().PendingSchedule() != 0 {
+			t.Fatalf("supervised %s left %d arrivals unfired", tn.Name, tn.Server().PendingSchedule())
 		}
 	}
 
@@ -285,7 +248,7 @@ func TestSupervisorFailsOverCrash(t *testing.T) {
 	if !errors.Is(alpha.Err(), fleet.ErrCrashed) {
 		t.Fatalf("unsupervised alpha err = %v, want ErrCrashed", alpha.Err())
 	}
-	if alpha.srv.PendingSchedule() == 0 {
+	if alpha.Server().PendingSchedule() == 0 {
 		t.Fatal("unsupervised alpha fired its whole schedule despite the crash")
 	}
 	if beta.Err() != nil {
@@ -338,14 +301,14 @@ func TestSupervisorEvacuatesFrozen(t *testing.T) {
 		if tn.Node() == n0 {
 			t.Fatalf("%s still homed on the fenced machine", tn.Name)
 		}
-		if tn.srv.PendingSchedule() != 0 {
-			t.Fatalf("%s left %d arrivals unfired", tn.Name, tn.srv.PendingSchedule())
+		if tn.Server().PendingSchedule() != 0 {
+			t.Fatalf("%s left %d arrivals unfired", tn.Name, tn.Server().PendingSchedule())
 		}
 	}
 }
 
 // TestPartitionEventSeversChannel: a partition event reaches the tenants'
-// Partition hooks; the machine keeps beating, so the supervisor must NOT
+// servers; the machine keeps beating, so the supervisor must NOT
 // react — traffic is lost, nothing is evacuated.
 func TestPartitionEventSeversChannel(t *testing.T) {
 	sched := &Schedule{Events: []Event{{At: 1_000_000, Kind: KindPartition, Node: 0, Dur: 1_000_000}}}
@@ -366,7 +329,7 @@ func TestPartitionEventSeversChannel(t *testing.T) {
 		if tn.Err() != nil {
 			t.Fatalf("%s err = %v", tn.Name, tn.Err())
 		}
-		dropped += tn.srv.Stats().Dropped
+		dropped += tn.Server().Stats().Dropped
 	}
 	if dropped == 0 {
 		t.Fatal("partition lost no traffic")

@@ -85,16 +85,10 @@ func e14Policies() []e14Policy {
 		{"clusters", func(p E14Params, c *libos.Config) {
 			c.Policy = libos.PolicyClusters
 			c.QuotaPages = p.QuotaPages
-			c.DataClusterPages = e14ObjPages
+			c.DataClusterPages = objPages
 		}},
 	}
 }
-
-// e14ObjPages is the object size: every request touches one 4-page object,
-// and the clusters policy sizes data clusters to match, so an object miss is
-// one cluster fault (fixed fault overhead amortized over the object) where
-// rate-limit pays four page-granular faults.
-const e14ObjPages = 4
 
 // e14Quanta lists the scheduler quanta swept.
 func e14Quanta() []uint64 { return []uint64{60_000, 240_000} }
@@ -141,15 +135,6 @@ func RunE14(p E14Params) E14Result {
 	return E14Result{Rows: cells, Metrics: cm}
 }
 
-// e14Arrivals builds tenant t's arrival process: even tenants are Poisson,
-// odd tenants bursty, all with the same long-run mean.
-func e14Arrivals(p E14Params, t int) service.ArrivalProcess {
-	if t%2 == 1 {
-		return &service.Bursty{MeanGap: p.MeanGap, Burst: p.Burst}
-	}
-	return service.Poisson{MeanGap: p.MeanGap}
-}
-
 func runE14Cell(rec *cellRecorder, p E14Params, pol e14Policy, quantum uint64, mech core.Mech) E14Row {
 	m := newBareMachine(sim.DefaultCosts())
 	sc := sched.New(m.kernel, sched.NewRoundRobin(), quantum)
@@ -178,17 +163,11 @@ func runE14Cell(rec *cellRecorder, p E14Params, pol e14Policy, quantum uint64, m
 		if err != nil {
 			panic(fmt.Sprintf("E14 alloc (%s): %v", pol.name, err))
 		}
-		proc.Handle("get", func(ctx *core.Context, arg uint64) (uint64, error) {
-			obj := int(arg % uint64(len(heap)/e14ObjPages))
-			for i := 0; i < e14ObjPages; i++ {
-				ctx.Load(heap[obj*e14ObjPages+i])
-			}
-			return uint64(heap[obj*e14ObjPages]), nil
-		})
+		proc.Handle("get", getHandler(heap))
 		srv, err := service.New(proc, service.Options{
 			QueueCap:       p.QueueCap,
 			KeepAliveEvery: p.KeepAlive,
-			HistMax:        1 << 28, // resolve overload tails without clamping
+			HistMax:        serveHistMax,
 		})
 		if err != nil {
 			panic(fmt.Sprintf("E14 service (%s): %v", pol.name, err))
@@ -205,7 +184,7 @@ func runE14Cell(rec *cellRecorder, p E14Params, pol e14Policy, quantum uint64, m
 	// start together; then spawn the dispatch loops in tenant order.
 	for t, srv := range servers {
 		err := srv.Preload(service.OpenLoop{
-			Arrivals: e14Arrivals(p, t),
+			Arrivals: mixedArrivals(t, p.MeanGap, p.Burst),
 			Requests: p.Requests,
 			Seed:     p.Seed + uint64(t)*7919,
 		})
@@ -229,15 +208,16 @@ func runE14Cell(rec *cellRecorder, p E14Params, pol e14Policy, quantum uint64, m
 	snap := metrics.Of(m.clock).Snapshot()
 	rec.record(fmt.Sprintf("%s/q%d/%s", pol.name, quantum, mech), snap)
 
-	hist := metrics.NewHistogram(1 << 28) // the servers' range
-	row := E14Row{Policy: pol.name, Quantum: quantum, Mech: mech.String()}
-	for _, srv := range servers {
-		st := srv.Stats()
-		row.Offered += st.Offered
-		row.Served += st.Served
-		row.Shed += st.Backpressure + st.Timeouts
-		row.KeepAlives += st.KeepAlives
-		hist.Merge(srv.Hist())
+	tot := sumServers(servers...)
+	hist := tot.hist
+	row := E14Row{
+		Policy:     pol.name,
+		Quantum:    quantum,
+		Mech:       mech.String(),
+		Offered:    tot.offered,
+		Served:     tot.served,
+		Shed:       tot.shed,
+		KeepAlives: tot.keepAlives,
 	}
 	row.Preempts = snap.Counter(metrics.CntSchedPreemptions)
 	row.OpsPerSec = PerSecond(row.Served, span)

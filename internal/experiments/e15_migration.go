@@ -3,10 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"autarky/internal/core"
 	"autarky/internal/fleet"
-	"autarky/internal/libos"
-	"autarky/internal/metrics"
 	"autarky/internal/service"
 	"autarky/internal/sim"
 )
@@ -67,20 +64,9 @@ func DefaultE15Params() E15Params {
 	}
 }
 
-// e15Nodes describes the heterogeneous fleet: four machines with different
-// EPC geometries; the two larger ones pay double for software page crypto
-// (cheaper fabs, slower AES paths), so adopting a tenant there re-seals its
-// pages at the destination's price, not the source's.
-func e15Nodes(f *fleet.Fleet) {
-	fast := sim.DefaultCosts()
-	slow := sim.DefaultCosts()
-	slow.SWEncryptPage *= 2
-	slow.SWDecryptPage *= 2
-	f.AddNode("m0", 100, fast)
-	f.AddNode("m1", 120, fast)
-	f.AddNode("m2", 160, slow)
-	f.AddNode("m3", 200, slow)
-}
+// e15Nodes is the heterogeneous fleet: four machines with different EPC
+// geometries, the two larger ones slow.
+var e15Nodes = []fleetNode{{100, false}, {120, false}, {160, true}, {200, true}}
 
 // e15Policies lists the placement-policy columns of the sweep.
 func e15Policies() []fleet.Policy {
@@ -89,10 +75,6 @@ func e15Policies() []fleet.Policy {
 		fleet.Watermark{High: 0.70, Low: 0.50, Cooldown: 50},
 	}
 }
-
-// e15ObjPages is the object size every request touches (one rate-limit
-// object = four page-granular touches).
-const e15ObjPages = 4
 
 // E15Row is one placement-policy cell.
 type E15Row struct {
@@ -126,139 +108,43 @@ func RunE15(p E15Params) E15Result {
 	return E15Result{Rows: cells, Metrics: cm}
 }
 
-// e15Tenant is one serving tenant: the fleet.Tenant hooks plus the
-// host-side frontend that survives the tenant's moves between machines.
-type e15Tenant struct {
-	ten *fleet.Tenant
-	srv *service.Server
-}
-
-// prepare wires an incarnation: handlers on every incarnation, the
-// frontend once (then rebound onto each adopted incarnation).
-func (et *e15Tenant) prepare(p E15Params, idx int, t *fleet.Tenant, proc *libos.Process, first bool) error {
-	heap := proc.Heap.PageVAs()
-	proc.Handle("get", func(ctx *core.Context, arg uint64) (uint64, error) {
-		obj := int(arg % uint64(len(heap)/e15ObjPages))
-		for i := 0; i < e15ObjPages; i++ {
-			ctx.Load(heap[obj*e15ObjPages+i])
-		}
-		return uint64(heap[obj*e15ObjPages]), nil
-	})
-	if first {
-		srv, err := service.New(proc, service.Options{
-			QueueCap: p.QueueCap,
-			HistMax:  1 << 28,
-		})
-		if err != nil {
-			return err
-		}
-		et.srv = srv
-		for i := 0; i < p.Conns; i++ {
-			if _, err := srv.Dial(); err != nil {
-				return err
-			}
-		}
-		var arr service.ArrivalProcess = service.Poisson{MeanGap: p.MeanGap}
-		if idx%2 == 1 {
-			arr = &service.Bursty{MeanGap: p.MeanGap, Burst: p.Burst}
-		}
-		if err := srv.Preload(service.OpenLoop{
-			Arrivals: arr,
-			Requests: p.Requests,
-			Seed:     p.Seed + uint64(idx)*7919,
-		}); err != nil {
-			return err
-		}
-	} else if err := et.srv.Rebind(proc); err != nil {
-		return err
-	}
-	// The idle hook must always point at the *current* node's scheduler, or
-	// an idle dispatch loop would busy-poll its whole quantum.
-	et.srv.Idle = t.Node().Sched.Yield
-	return nil
-}
-
 func runE15Cell(rec *cellRecorder, p E15Params, pol fleet.Policy) E15Row {
-	clock := sim.NewClock()
-	clock.SetLimit(CellBudget())
-	f := fleet.New(clock, pol, p.Quantum)
+	f := newFleetCell(pol, p.Quantum, e15Nodes)
 	f.RebalanceEvery = p.RebalanceEvery
-	e15Nodes(f)
-
-	tenants := make([]*e15Tenant, p.Tenants)
 	for i := 0; i < p.Tenants; i++ {
-		i := i
-		et := &e15Tenant{}
-		et.ten = &fleet.Tenant{
-			Name: fmt.Sprintf("tenant%d", i),
-			Image: libos.AppImage{
-				Name:      fmt.Sprintf("tenant%d", i),
-				Libraries: []libos.Library{{Name: "libserve.so", Pages: 2}},
-				HeapPages: p.HeapPages,
+		t := servingTenant(i, p.HeapPages, p.QuotaPages, fleet.Serving{
+			Handlers: serveGets,
+			Options:  service.Options{QueueCap: p.QueueCap, HistMax: serveHistMax},
+			Conns:    p.Conns,
+			Load: service.OpenLoop{
+				Arrivals: mixedArrivals(i, p.MeanGap, p.Burst),
+				Requests: p.Requests,
+				Seed:     p.Seed + uint64(i)*7919,
 			},
-			Config: libos.Config{
-				SelfPaging:     true,
-				Policy:         libos.PolicyRateLimit,
-				QuotaPages:     p.QuotaPages,
-				RateLimitBurst: 1 << 40,
-			},
-			AdmitAfter: uint64(i) * p.AdmitGap,
-			Prepare: func(t *fleet.Tenant, proc *libos.Process, first bool) error {
-				return et.prepare(p, i, t, proc, first)
-			},
-			Body: func(t *fleet.Tenant, proc *libos.Process) error {
-				return proc.Run(et.srv.Loop)
-			},
-			Pause: func(t *fleet.Tenant) { et.srv.Drain() },
-		}
-		tenants[i] = et
-		f.Add(et.ten)
+		})
+		t.AdmitAfter = uint64(i) * p.AdmitGap
+		f.Add(t)
 	}
 
 	row := E15Row{Policy: pol.Name()}
-	merged := func() *metrics.Histogram {
-		h := metrics.NewHistogram(1 << 28)
-		for _, et := range tenants {
-			if et.srv != nil {
-				h.Merge(et.srv.Hist())
-			}
-		}
-		return h
-	}
 	f.OnMigrate = func(t *fleet.Tenant, from, to *fleet.Node) {
 		if row.P999Move == 0 {
 			// The tail the clients had seen up to the first move: the
 			// baseline the post-migration tail is judged against.
-			row.P999Move = merged().Percentile(0.999)
+			row.P999Move = sumServers(fleetServers(f)...).hist.Percentile(0.999)
 		}
 	}
-
-	if err := f.Run(); err != nil {
-		panic(fmt.Sprintf("E15 (%s): %v", pol.Name(), err))
-	}
-	// The fleet-wide attribution invariant is part of the experiment's
-	// contract, not just a test: a migrated tenant's source and destination
-	// cycle shares must sum to its machine-clock account.
-	if err := f.CheckAccounting(); err != nil {
-		panic(fmt.Sprintf("E15 (%s): %v", pol.Name(), err))
-	}
-	snap := metrics.Of(clock).Snapshot()
-	rec.record(pol.Name(), snap)
+	snap := runFleetCell(rec, pol.Name(), f)
 
 	st := f.Stats()
 	row.Migrations = st.Migrations
 	row.Rebalances = st.Rebalances
 	row.Downtime = st.DowntimeCycles
-	for _, et := range tenants {
-		s := et.srv.Stats()
-		row.Offered += s.Offered
-		row.Served += s.Served
-		row.Shed += s.Backpressure + s.Timeouts
-	}
-	hist := merged()
-	row.P50 = hist.Percentile(0.50)
-	row.P99 = hist.Percentile(0.99)
-	row.P999 = hist.Percentile(0.999)
+	tot := sumServers(fleetServers(f)...)
+	row.Offered, row.Served, row.Shed = tot.offered, tot.served, tot.shed
+	row.P50 = tot.hist.Percentile(0.50)
+	row.P99 = tot.hist.Percentile(0.99)
+	row.P999 = tot.hist.Percentile(0.999)
 	row.HotFree = f.Nodes()[0].FreeFrames()
 	row.PolicyShar = snap.Share(sim.CatPolicy)
 	return row

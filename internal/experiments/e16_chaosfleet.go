@@ -4,10 +4,7 @@ import (
 	"fmt"
 
 	"autarky/internal/chaos"
-	"autarky/internal/core"
 	"autarky/internal/fleet"
-	"autarky/internal/libos"
-	"autarky/internal/metrics"
 	"autarky/internal/service"
 	"autarky/internal/sim"
 )
@@ -62,8 +59,12 @@ type E16Params struct {
 
 // DefaultE16Params returns the benchmark-scale configuration: six tenants
 // over five machines, three crashes, one freeze and one partition from one
-// seed. The freeze outlasts the watchdog deadline so the supervisor walks the
-// suspect-then-alive path (evacuate and fence), not just the dead one.
+// seed. The 4M-cycle freeze outlasts two 1.5M-cycle watchdog deadlines, so
+// the supervisor declares the frozen machine dead rather than evacuating and
+// fencing it. Failover restores only tenants a crash took down, so the
+// frozen machine's tenants are not restored: they sit parked and resume on
+// the dead, cordoned machine when it thaws, an open defect (ROADMAP.md,
+// fleet failure handling: a freeze longer than two deadlines).
 func DefaultE16Params() E16Params {
 	return E16Params{
 		Tenants:         6,
@@ -88,19 +89,9 @@ func DefaultE16Params() E16Params {
 	}
 }
 
-// e16Nodes describes the heterogeneous fleet: five machines with different
-// EPC geometries, two of them paying double for software page crypto.
-func e16Nodes(f *fleet.Fleet) {
-	fast := sim.DefaultCosts()
-	slow := sim.DefaultCosts()
-	slow.SWEncryptPage *= 2
-	slow.SWDecryptPage *= 2
-	f.AddNode("m0", 100, fast)
-	f.AddNode("m1", 120, fast)
-	f.AddNode("m2", 160, slow)
-	f.AddNode("m3", 200, fast)
-	f.AddNode("m4", 240, slow)
-}
+// e16Nodes is the heterogeneous fleet: five machines with different EPC
+// geometries, two of them slow.
+var e16Nodes = []fleetNode{{100, false}, {120, false}, {160, true}, {200, false}, {240, true}}
 
 // e16Cell is one column of the sweep: a placement policy, with or without
 // the chaos supervisor.
@@ -118,9 +109,6 @@ func e16Cells() []e16Cell {
 		{name: "supervised", policy: fleet.Watermark{High: 0.70, Low: 0.50, Cooldown: 50}, supervised: true},
 	}
 }
-
-// e16ObjPages is the object size every request touches.
-const e16ObjPages = 4
 
 // E16Row is one cell of the sweep.
 type E16Row struct {
@@ -155,93 +143,25 @@ func RunE16(p E16Params) E16Result {
 	return E16Result{Rows: cells, Metrics: cm}
 }
 
-// e16Tenant is one serving tenant: the fleet.Tenant hooks plus the
-// host-side frontend that survives crashes and restores.
-type e16Tenant struct {
-	ten *fleet.Tenant
-	srv *service.Server
-}
-
-// prepare wires an incarnation: handlers on every incarnation, the frontend
-// once (then rebound onto each adopted or restored incarnation).
-func (et *e16Tenant) prepare(p E16Params, idx int, t *fleet.Tenant, proc *libos.Process, first bool) error {
-	heap := proc.Heap.PageVAs()
-	proc.Handle("get", func(ctx *core.Context, arg uint64) (uint64, error) {
-		obj := int(arg % uint64(len(heap)/e16ObjPages))
-		for i := 0; i < e16ObjPages; i++ {
-			ctx.Load(heap[obj*e16ObjPages+i])
-		}
-		return uint64(heap[obj*e16ObjPages]), nil
-	})
-	if first {
-		srv, err := service.New(proc, service.Options{
-			QueueCap: p.QueueCap,
-			HistMax:  1 << 28,
-		})
-		if err != nil {
-			return err
-		}
-		et.srv = srv
-		for i := 0; i < p.Conns; i++ {
-			if _, err := srv.Dial(); err != nil {
-				return err
-			}
-		}
-		if err := srv.Preload(service.OpenLoop{
-			Arrivals: service.Poisson{MeanGap: p.MeanGap},
-			Requests: p.Requests,
-			Seed:     p.Seed + uint64(idx)*7919,
-		}); err != nil {
-			return err
-		}
-	} else if err := et.srv.Rebind(proc); err != nil {
-		return err
-	}
-	// The idle hook must always point at the *current* node's scheduler.
-	et.srv.Idle = t.Node().Sched.Yield
-	return nil
-}
-
 func runE16Cell(rec *cellRecorder, p E16Params, cell e16Cell) E16Row {
-	clock := sim.NewClock()
-	clock.SetLimit(CellBudget())
-	f := fleet.New(clock, cell.policy, p.Quantum)
+	f := newFleetCell(cell.policy, p.Quantum, e16Nodes)
 	f.RebalanceEvery = p.RebalanceEvery
-	e16Nodes(f)
-
-	tenants := make([]*e16Tenant, p.Tenants)
 	for i := 0; i < p.Tenants; i++ {
-		i := i
-		et := &e16Tenant{}
-		et.ten = &fleet.Tenant{
-			Name: fmt.Sprintf("tenant%d", i),
-			Image: libos.AppImage{
-				Name:      fmt.Sprintf("tenant%d", i),
-				Libraries: []libos.Library{{Name: "libserve.so", Pages: 2}},
-				HeapPages: p.HeapPages,
+		t := servingTenant(i, p.HeapPages, p.QuotaPages, fleet.Serving{
+			Handlers: serveGets,
+			Options:  service.Options{QueueCap: p.QueueCap, HistMax: serveHistMax},
+			Conns:    p.Conns,
+			Load: service.OpenLoop{
+				Arrivals: service.Poisson{MeanGap: p.MeanGap},
+				Requests: p.Requests,
+				Seed:     p.Seed + uint64(i)*7919,
 			},
-			Config: libos.Config{
-				SelfPaging:     true,
-				Policy:         libos.PolicyRateLimit,
-				QuotaPages:     p.QuotaPages,
-				RateLimitBurst: 1 << 40,
-				// Staggered priorities: failover restores the most important
-				// tenants first when surviving capacity is tight.
-				Priority: i % 3,
-			},
-			AdmitAfter: uint64(i) * p.AdmitGap,
-			Prepare: func(t *fleet.Tenant, proc *libos.Process, first bool) error {
-				return et.prepare(p, i, t, proc, first)
-			},
-			Body: func(t *fleet.Tenant, proc *libos.Process) error {
-				return proc.Run(et.srv.Loop)
-			},
-			Pause:     func(t *fleet.Tenant) { et.srv.Drain() },
-			Crash:     func(t *fleet.Tenant) uint64 { return et.srv.Crash() },
-			Partition: func(t *fleet.Tenant, until uint64) { et.srv.Partition(until) },
-		}
-		tenants[i] = et
-		f.Add(et.ten)
+		})
+		t.AdmitAfter = uint64(i) * p.AdmitGap
+		// Staggered priorities: failover restores the most important tenants
+		// first when surviving capacity is tight.
+		t.Config.Priority = i % 3
+		f.Add(t)
 	}
 
 	// Every cell builds its schedule from the same plan and seed: identical
@@ -258,7 +178,7 @@ func runE16Cell(rec *cellRecorder, p E16Params, cell e16Cell) E16Row {
 	}
 	sched, err := plan.Build(len(f.Nodes()))
 	if err != nil {
-		panic(fmt.Sprintf("E16 (%s): %v", cell.name, err))
+		panic(fmt.Sprintf("%s (%s): %v", rec.name, cell.name, err))
 	}
 	var sup *chaos.Supervisor
 	if cell.supervised {
@@ -266,21 +186,13 @@ func runE16Cell(rec *cellRecorder, p E16Params, cell e16Cell) E16Row {
 		f.CheckpointEvery = p.CheckpointEvery
 	}
 	if err := chaos.Attach(f, sched, sup); err != nil {
-		panic(fmt.Sprintf("E16 (%s): %v", cell.name, err))
+		panic(fmt.Sprintf("%s (%s): %v", rec.name, cell.name, err))
 	}
 
-	if err := f.Run(); err != nil {
-		panic(fmt.Sprintf("E16 (%s): %v", cell.name, err))
-	}
-	// The fleet-wide attribution invariant holds through crashes, restores
-	// and sheds: every cycle on the shared clock is accounted.
-	if err := f.CheckAccounting(); err != nil {
-		panic(fmt.Sprintf("E16 (%s): %v", cell.name, err))
-	}
-	snap := metrics.Of(clock).Snapshot()
-	rec.record(cell.name, snap)
+	snap := runFleetCell(rec, cell.name, f)
 
 	st := f.Stats()
+	tot := sumServers(fleetServers(f)...)
 	row := E16Row{
 		Cell:      cell.name,
 		Failures:  st.Failures,
@@ -290,23 +202,14 @@ func runE16Cell(rec *cellRecorder, p E16Params, cell e16Cell) E16Row {
 		Shed:      st.Shed,
 		Downtime:  st.FailureDowntime,
 		RPAge:     st.RecoveryPointAge,
-		Lost:      st.LostRequests,
+		Offered:   tot.offered,
+		Served:    tot.served,
+		// Crash-lost requests, plus the arrivals that never fired: the
+		// traffic a tenant that stayed down (or was shed) would have served.
+		Lost: st.LostRequests + tot.pending,
+		P999: tot.hist.Percentile(0.999),
 	}
-	hist := metrics.NewHistogram(1 << 28)
-	for _, et := range tenants {
-		if et.srv == nil {
-			continue // never admitted (should not happen at this scale)
-		}
-		s := et.srv.Stats()
-		row.Offered += s.Offered
-		row.Served += s.Served
-		// Arrivals that never fired: the traffic a tenant that stayed down
-		// (or was shed) would have served.
-		row.Lost += uint64(et.srv.PendingSchedule())
-		hist.Merge(et.srv.Hist())
-	}
-	row.P999 = hist.Percentile(0.999)
-	total := clock.Cycles() * uint64(p.Tenants)
+	total := f.Clock().Cycles() * uint64(p.Tenants)
 	if total > 0 {
 		row.Avail = 1 - float64(row.Downtime)/float64(total)
 	}

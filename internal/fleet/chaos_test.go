@@ -37,18 +37,16 @@ func TestFleetCrashUnsupervised(t *testing.T) {
 	f := newTestFleet(FirstFit{})
 	n0 := f.AddNode("m0", 256, sim.DefaultCosts())
 	f.AddNode("m1", 256, sim.DefaultCosts())
-	victim := newServingTenant("victim", 24, 40, 3000, 0, 21)
 	// Overload the victim: arrivals modestly outpace service, so the queues
 	// are saturated — but the schedule is not yet spent — when the crash
 	// hits, and it catches admitted-but-unserved requests in flight.
-	victim.meanGap = 400
-	victim.Crash = func(*Tenant) uint64 { return victim.srv.Crash() }
-	survivor := newServingTenant("survivor", 24, 40, 100, 0, 22)
+	victim := newServingTenant("victim", 24, 40, 3000, 400, 21)
+	survivor := newServingTenant("survivor", 24, 40, 100, meanGap, 22)
 	// Both land on m0 first-fit; pin the survivor elsewhere by admitting it
 	// after the crash tests placement against the cordoned wreck.
 	survivor.AdmitAfter = 1_500_000
-	f.Add(victim.Tenant)
-	f.Add(survivor.Tenant)
+	f.Add(victim)
+	f.Add(survivor)
 
 	inj := &crashAt{f: f, at: 1_000_000, node: 0, do: func(n *Node) { f.InjectCrash(n) }}
 	f.OnRound = inj.hook
@@ -62,13 +60,13 @@ func TestFleetCrashUnsupervised(t *testing.T) {
 	if n0.State() != NodeCrashed || n0.Accepting() {
 		t.Fatalf("crashed node: state %v accepting %v", n0.State(), n0.Accepting())
 	}
-	if !errors.Is(victim.Tenant.Err(), ErrCrashed) {
-		t.Fatalf("victim err = %v, want ErrCrashed", victim.Tenant.Err())
+	if !errors.Is(victim.Err(), ErrCrashed) {
+		t.Fatalf("victim err = %v, want ErrCrashed", victim.Err())
 	}
-	if survivor.Tenant.Err() != nil {
-		t.Fatalf("survivor err = %v", survivor.Tenant.Err())
+	if survivor.Err() != nil {
+		t.Fatalf("survivor err = %v", survivor.Err())
 	}
-	if survivor.Tenant.Node() == n0 {
+	if survivor.Node() == n0 {
 		t.Fatal("survivor placed onto the crashed machine")
 	}
 	st := f.Stats()
@@ -103,28 +101,29 @@ func TestFleetCrashRecover(t *testing.T) {
 	n1 := f.AddNode("m1", 256, sim.DefaultCosts())
 	f.CheckpointEvery = 8
 
-	st := newServingTenant("phoenix", 24, 40, 400, 0, 23)
-	st.Crash = func(*Tenant) uint64 { return st.srv.Crash() }
-	f.Add(st.Tenant)
+	st := newServingTenant("phoenix", 24, 40, 400, meanGap, 23)
+	f.Add(st)
 
 	inj := &crashAt{f: f, at: 3_000_000, node: 0, do: func(n *Node) { f.InjectCrash(n) }}
 	recovered := false
+	var polls0 uint64
 	f.OnRound = func(round int) error {
-		if round == 1 && f.Recover(st.Tenant, n1) == nil {
+		if round == 1 && f.Recover(st, n1) == nil {
 			t.Fatal("recovered a tenant that is not down")
 		}
 		if err := inj.hook(round); err != nil {
 			return err
 		}
-		if inj.fired && !recovered && st.Tenant.Down() {
-			if _, ok := st.Tenant.LastCheckpoint(); !ok {
+		if inj.fired && !recovered && st.Down() {
+			if _, ok := st.LastCheckpoint(); !ok {
 				t.Fatal("crash before any periodic checkpoint")
 			}
-			if f.Recover(st.Tenant, f.Nodes()[0]) == nil {
+			if f.Recover(st, f.Nodes()[0]) == nil {
 				t.Fatal("recovered onto the crashed machine")
 			}
 			recovered = true
-			return f.Recover(st.Tenant, n1)
+			polls0 = st.Server().Stats().IdlePolls
+			return f.Recover(st, n1)
 		}
 		return nil
 	}
@@ -145,11 +144,11 @@ func TestFleetCrashRecover(t *testing.T) {
 	if !recovered {
 		t.Fatal("recovery never ran")
 	}
-	if st.Tenant.Err() != nil {
-		t.Fatalf("recovered tenant err = %v", st.Tenant.Err())
+	if st.Err() != nil {
+		t.Fatalf("recovered tenant err = %v", st.Err())
 	}
-	if st.Tenant.Node() != n1 {
-		t.Fatalf("recovered onto %s, want m1", st.Tenant.Node().Name)
+	if st.Node() != n1 {
+		t.Fatalf("recovered onto %s, want m1", st.Node().Name)
 	}
 	stats := f.Stats()
 	if stats.Restarts != 1 || stats.RecoveryPointAge == 0 {
@@ -157,16 +156,17 @@ func TestFleetCrashRecover(t *testing.T) {
 	}
 	// The restored incarnation kept serving: everything offered, and the
 	// crash-lost requests are exactly the books' difference.
-	s := st.srv.Stats()
+	s := st.Server().Stats()
 	if s.Offered != 400 {
 		t.Fatalf("offered %d of 400 across the crash", s.Offered)
 	}
-	if st.srv.PendingSchedule() != 0 {
-		t.Fatalf("%d arrivals never fired after recovery", st.srv.PendingSchedule())
+	if st.Server().PendingSchedule() != 0 {
+		t.Fatalf("%d arrivals never fired after recovery", st.Server().PendingSchedule())
 	}
 	if s.Served+s.Errors+s.Timeouts+s.Dropped+s.Backpressure != s.Offered {
 		t.Fatalf("books do not balance: %+v", s)
 	}
+	checkIdleFollows(t, st, n1, polls0)
 	m := metrics.Of(f.Clock())
 	if m.Count(metrics.CntChaosRestarts) != 1 || m.Count(metrics.CntRestores) != 1 ||
 		m.Count(metrics.CntRestoreCycles) == 0 {
@@ -188,8 +188,8 @@ func TestFleetCrashRecover(t *testing.T) {
 func TestFleetFreezeThaws(t *testing.T) {
 	f := newTestFleet(FirstFit{})
 	n0 := f.AddNode("m0", 256, sim.DefaultCosts())
-	st := newServingTenant("sleeper", 24, 40, 200, 0, 24)
-	f.Add(st.Tenant)
+	st := newServingTenant("sleeper", 24, 40, 200, meanGap, 24)
+	f.Add(st)
 
 	const freeze = 1_500_000
 	inj := &crashAt{f: f, at: 1_000_000, node: 0, do: func(n *Node) { f.InjectFreeze(n, freeze) }}
@@ -204,17 +204,17 @@ func TestFleetFreezeThaws(t *testing.T) {
 	if n0.State() != NodeHealthy {
 		t.Fatalf("node never thawed: %v", n0.State())
 	}
-	if st.Tenant.Err() != nil {
-		t.Fatalf("tenant err = %v", st.Tenant.Err())
+	if st.Err() != nil {
+		t.Fatalf("tenant err = %v", st.Err())
 	}
 	stats := f.Stats()
 	if stats.Failures != 1 || stats.FailureDowntime < freeze {
 		t.Fatalf("stats: failures %d downtime %d, want downtime >= %d",
 			stats.Failures, stats.FailureDowntime, freeze)
 	}
-	if st.srv.Stats().Served == 0 || st.srv.PendingSchedule() != 0 {
+	if st.Server().Stats().Served == 0 || st.Server().PendingSchedule() != 0 {
 		t.Fatalf("frozen tenant never finished: served %d pending %d",
-			st.srv.Stats().Served, st.srv.PendingSchedule())
+			st.Server().Stats().Served, st.Server().PendingSchedule())
 	}
 	if err := f.CheckAccounting(); err != nil {
 		t.Fatal(err)
@@ -227,9 +227,8 @@ func TestFleetFreezeThaws(t *testing.T) {
 func TestFleetPartitionLosesTraffic(t *testing.T) {
 	f := newTestFleet(FirstFit{})
 	n0 := f.AddNode("m0", 256, sim.DefaultCosts())
-	st := newServingTenant("islander", 24, 40, 300, 0, 25)
-	st.Partition = func(_ *Tenant, until uint64) { st.srv.Partition(until) }
-	f.Add(st.Tenant)
+	st := newServingTenant("islander", 24, 40, 300, meanGap, 25)
+	f.Add(st)
 
 	inj := &crashAt{f: f, at: 1_000_000, node: 0, do: func(n *Node) {
 		f.InjectPartition(n, f.Clock().Cycles()+2_000_000)
@@ -242,10 +241,10 @@ func TestFleetPartitionLosesTraffic(t *testing.T) {
 	if n0.State() != NodeHealthy {
 		t.Fatalf("partitioned node state %v, want healthy", n0.State())
 	}
-	if st.Tenant.Err() != nil {
-		t.Fatalf("tenant err = %v", st.Tenant.Err())
+	if st.Err() != nil {
+		t.Fatalf("tenant err = %v", st.Err())
 	}
-	s := st.srv.Stats()
+	s := st.Server().Stats()
 	if s.Dropped == 0 {
 		t.Fatalf("partition lost nothing: dropped %d", s.Dropped)
 	}
@@ -266,9 +265,8 @@ func TestFleetFailOverSheds(t *testing.T) {
 	f.AddNode("tiny", 16, sim.DefaultCosts())
 	f.CheckpointEvery = 8
 
-	st := newServingTenant("heavy", 24, 40, 400, 0, 26)
-	st.Crash = func(*Tenant) uint64 { return st.srv.Crash() }
-	f.Add(st.Tenant)
+	st := newServingTenant("heavy", 24, 40, 400, meanGap, 26)
+	f.Add(st)
 
 	inj := &crashAt{f: f, at: 3_000_000, node: 0, do: func(n *Node) { f.InjectCrash(n) }}
 	failedOver := false
@@ -289,10 +287,10 @@ func TestFleetFailOverSheds(t *testing.T) {
 	if !failedOver {
 		t.Fatal("failover never ran")
 	}
-	if !errors.Is(st.Tenant.Err(), ErrShed) {
-		t.Fatalf("tenant err = %v, want ErrShed", st.Tenant.Err())
+	if !errors.Is(st.Err(), ErrShed) {
+		t.Fatalf("tenant err = %v, want ErrShed", st.Err())
 	}
-	if !errors.Is(st.Tenant.Err(), libos.ErrQuotaExceeded) {
+	if !errors.Is(st.Err(), libos.ErrQuotaExceeded) {
 		t.Fatal("ErrShed is not ErrQuotaExceeded-family")
 	}
 	if f.Stats().Shed != 1 {
@@ -314,8 +312,8 @@ func TestFleetEvacuateFences(t *testing.T) {
 	n0 := f.AddNode("m0", 256, sim.DefaultCosts())
 	n1 := f.AddNode("m1", 256, sim.DefaultCosts())
 
-	st := newServingTenant("refugee", 24, 40, 300, 0, 27)
-	f.Add(st.Tenant)
+	st := newServingTenant("refugee", 24, 40, 300, meanGap, 27)
+	f.Add(st)
 
 	evacuated := false
 	f.OnRound = func(round int) error {
@@ -341,14 +339,14 @@ func TestFleetEvacuateFences(t *testing.T) {
 	if n0.State() != NodeFenced || n0.Accepting() {
 		t.Fatalf("evacuated node: state %v accepting %v", n0.State(), n0.Accepting())
 	}
-	if st.Tenant.Node() != n1 || st.Tenant.Err() != nil {
-		t.Fatalf("tenant on %s err %v, want m1/nil", st.Tenant.Node().Name, st.Tenant.Err())
+	if st.Node() != n1 || st.Err() != nil {
+		t.Fatalf("tenant on %s err %v, want m1/nil", st.Node().Name, st.Err())
 	}
 	if f.Stats().Failovers != 1 || f.Stats().Migrations != 1 {
 		t.Fatalf("stats: failovers %d migrations %d", f.Stats().Failovers, f.Stats().Migrations)
 	}
-	if st.srv.PendingSchedule() != 0 {
-		t.Fatalf("%d arrivals never fired after evacuation", st.srv.PendingSchedule())
+	if st.Server().PendingSchedule() != 0 {
+		t.Fatalf("%d arrivals never fired after evacuation", st.Server().PendingSchedule())
 	}
 	if err := f.CheckAccounting(); err != nil {
 		t.Fatal(err)

@@ -18,8 +18,9 @@
 // A Tenant is one enclave application plus the hooks the fleet needs to
 // restart it on another machine: Prepare wires handlers and frontends onto a
 // fresh incarnation, Body runs it under the node scheduler, Pause stops new
-// work so the body returns once its backlog drains. Migration is the
-// quiesce→seal→transfer→verify→resume handshake: Pause, then
+// work so the body returns once its backlog drains; Tenant.Serve installs
+// all three for a request server that outlives its incarnations. Migration
+// is the quiesce→seal→transfer→verify→resume handshake: Pause, then
 // sched.Scheduler.Drain (only the leaving task is dispatched until it
 // returns), then libos.Process.Migrate seals the enclave under the source
 // identity and retires it, libos.Adopt rebuilds it on the destination —
@@ -46,6 +47,7 @@ import (
 	"autarky/internal/mmu"
 	"autarky/internal/pagestore"
 	"autarky/internal/sched"
+	"autarky/internal/service"
 	"autarky/internal/sgx"
 	"autarky/internal/sim"
 )
@@ -175,28 +177,19 @@ type Tenant struct {
 	AdmitAfter uint64
 
 	// Prepare wires application state onto an incarnation: register
-	// handlers, and on first=false rebind frontends (service.Server.Rebind)
-	// and re-point idle hooks at the new node's scheduler.
+	// handlers, and on first=false rebind whatever outlives the enclave.
+	// Serve installs the serving tenant's version of all three hooks.
 	Prepare func(t *Tenant, p *libos.Process, first bool) error
-	// Body runs the incarnation under the node scheduler (e.g. wraps
-	// service.Server.Loop in Process.Run). A tenant whose body returns
-	// outside a migration drain is finished and is not respawned.
+	// Body runs the incarnation under the node scheduler. A tenant whose
+	// body returns outside a migration drain is finished and is not
+	// respawned.
 	Body func(t *Tenant, p *libos.Process) error
 	// Pause stops new work admission so Body returns once the in-flight
-	// backlog drains (e.g. service.Server.Drain). Tenants without a Pause
-	// hook cannot be migrated while running.
+	// backlog drains. Tenants without a Pause hook cannot be migrated while
+	// running.
 	Pause func(t *Tenant)
-	// Crash, when set, tears down the tenant's host-side frontend state
-	// after its machine crash-stops (e.g. service.Server.Crash): account
-	// every admitted-but-unserved request as lost, reset connections, and
-	// leave the frontend rebindable. It returns the number of requests the
-	// crash lost. Without the hook a crash loses requests silently, which
-	// the availability account cannot tolerate for serving tenants.
-	Crash func(t *Tenant) uint64
-	// Partition, when set, severs the tenant's service channel until the
-	// given absolute cycle (e.g. service.Server.Partition).
-	Partition func(t *Tenant, until uint64)
 
+	srv        *service.Server // set by a Serve tenant's first Prepare
 	node       *Node
 	proc       *libos.Process
 	task       *sched.Task
@@ -443,13 +436,14 @@ func (f *Fleet) start(t *Tenant, node *Node, p *libos.Process, first bool) error
 	return nil
 }
 
-// stop kills a tenant's running incarnation where it stands, folds its
-// cycle account and settles its frontend through the Crash hook.
+// stop kills a tenant's running incarnation where it stands and folds its
+// cycle account. A serving tenant's server books every admitted-but-unserved
+// request as lost, resets its connections and stays rebindable.
 func (f *Fleet) stop(t *Tenant) {
 	t.node.Sched.Kill(t.task, ErrCrashed)
 	f.collect(t)
-	if t.Crash != nil {
-		f.m.Add(metrics.CntChaosLostRequests, t.Crash(t))
+	if t.srv != nil {
+		f.m.Add(metrics.CntChaosLostRequests, t.srv.Crash())
 	}
 }
 
@@ -567,7 +561,7 @@ func (f *Fleet) Rebalance() (int, error) {
 // InjectCrash crash-stops a machine: its tasks are killed where they stand
 // (mid-quantum work abandoned, exactly as a power loss would), its EPC
 // contents are lost for good, and it never steps or heartbeats again. Each
-// hosted tenant's Crash hook accounts the requests the crash lost; the
+// hosted serving tenant's server accounts the requests the crash lost; the
 // tenant is marked down until (and unless) a supervisor recovers it from a
 // checkpoint. Injecting a crash into an already-crashed machine is a no-op.
 func (f *Fleet) InjectCrash(n *Node) {
@@ -609,15 +603,15 @@ func (f *Fleet) InjectFreeze(n *Node, cycles uint64) {
 // until the given absolute cycle: their in-flight requests and replies are
 // lost in transit (clients see ErrConnReset) while the machine itself keeps
 // running and heartbeating — the classic partition the watchdog must NOT
-// confuse with a crash. Tenants without a Partition hook are unaffected.
+// confuse with a crash. Tenants without a server are unaffected.
 func (f *Fleet) InjectPartition(n *Node, until uint64) {
 	if n.state == NodeCrashed || n.state == NodeFenced {
 		return
 	}
 	f.m.Inc(metrics.CntChaosFailures)
 	for _, t := range f.tenants {
-		if t.node == n && t.Partition != nil {
-			t.Partition(t, until)
+		if t.node == n && t.srv != nil {
+			t.srv.Partition(until)
 		}
 	}
 }
@@ -677,7 +671,7 @@ func (f *Fleet) Recover(t *Tenant, to *Node) error {
 }
 
 // shed drops a tenant the surviving fleet cannot hold. A still-running
-// tenant (shed during an evacuation) is killed and its frontend crash
+// tenant (shed during an evacuation) is killed and its server's crash
 // account settled; a downed tenant just stays down. Either way the tenant
 // ends with ErrShed and its downtime keeps accruing until the run ends.
 func (f *Fleet) shed(t *Tenant) {

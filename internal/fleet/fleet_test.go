@@ -12,27 +12,14 @@ import (
 	"autarky/internal/sim"
 )
 
-// servingTenant builds one open-loop serving tenant in the E14 mould: a
-// self-paging enclave server whose handler touches heap objects, fed by a
-// preloaded Poisson schedule. The service frontend survives migrations via
-// Drain/Rebind inside the fleet's Pause/Prepare hooks.
-type servingTenant struct {
-	*Tenant
-	srv      *service.Server
-	requests int
-	conns    int
-	meanGap  float64
-	seed     uint64
-}
+// meanGap is the test tenants' mean cycles between arrivals.
+const meanGap = 50_000
 
-func newServingTenant(name string, heapPages, quota, requests int, admitAfter uint64, seed uint64) *servingTenant {
-	st := &servingTenant{
-		requests: requests,
-		conns:    4,
-		meanGap:  50_000,
-		seed:     seed,
-	}
-	st.Tenant = &Tenant{
+// newServingTenant builds one open-loop serving tenant in the E14 mould: a
+// self-paging enclave server whose handler touches heap pages, fed by a
+// preloaded Poisson schedule.
+func newServingTenant(name string, heapPages, quota, requests int, gap float64, seed uint64) *Tenant {
+	t := &Tenant{
 		Name: name,
 		Image: libos.AppImage{
 			Name:      name,
@@ -45,51 +32,41 @@ func newServingTenant(name string, heapPages, quota, requests int, admitAfter ui
 			QuotaPages:     quota,
 			RateLimitBurst: 1 << 40,
 		},
-		AdmitAfter: admitAfter,
-		Prepare:    st.prepare,
-		Body:       st.body,
-		Pause:      st.pause,
 	}
-	return st
-}
-
-func (st *servingTenant) prepare(t *Tenant, p *libos.Process, first bool) error {
-	heap := p.Heap.PageVAs()
-	p.Handle("get", func(ctx *core.Context, arg uint64) (uint64, error) {
-		va := heap[arg%uint64(len(heap))]
-		ctx.Store(va)
-		return uint64(va), nil
+	return t.Serve(Serving{
+		Handlers: func(p *libos.Process) {
+			heap := p.Heap.PageVAs()
+			p.Handle("get", func(ctx *core.Context, arg uint64) (uint64, error) {
+				va := heap[arg%uint64(len(heap))]
+				ctx.Store(va)
+				return uint64(va), nil
+			})
+		},
+		Options: service.Options{QueueCap: 64},
+		Conns:   4,
+		Load:    service.OpenLoop{Arrivals: service.Poisson{MeanGap: gap}, Requests: requests, Seed: seed},
 	})
-	if first {
-		srv, err := service.New(p, service.Options{QueueCap: 64})
-		if err != nil {
-			return err
+}
+
+// checkIdleFollows guards the Idle re-pointing on a tenant's later
+// incarnations: since the tenant landed on node, when its server had made
+// polls0 idle polls, the loop may poll at most once per slice its task got
+// there. An idle hook left on the old node's scheduler busy-polls its whole
+// quantum per slice instead.
+func checkIdleFollows(tb testing.TB, t *Tenant, node *Node, polls0 uint64) {
+	tb.Helper()
+	var slices uint64
+	for _, tm := range node.Sched.Accounting().Tasks {
+		if tm.Name == t.Name {
+			slices += tm.Slices
 		}
-		st.srv = srv
-		for i := 0; i < st.conns; i++ {
-			if _, err := srv.Dial(); err != nil {
-				return err
-			}
-		}
-		if err := srv.Preload(service.OpenLoop{
-			Arrivals: service.Poisson{MeanGap: st.meanGap},
-			Requests: st.requests,
-			Seed:     st.seed,
-		}); err != nil {
-			return err
-		}
-	} else if err := st.srv.Rebind(p); err != nil {
-		return err
 	}
-	st.srv.Idle = t.Node().Sched.Yield
-	return nil
+	polls := t.Server().Stats().IdlePolls - polls0
+	if polls == 0 || polls > slices {
+		tb.Fatalf("%s on %s: %d idle polls over %d slices, want between 1 and one per slice",
+			t.Name, node.Name, polls, slices)
+	}
 }
-
-func (st *servingTenant) body(t *Tenant, p *libos.Process) error {
-	return p.Run(st.srv.Loop)
-}
-
-func (st *servingTenant) pause(t *Tenant) { st.srv.Drain() }
 
 // newTestFleet builds a fleet with a cycle budget so runaway bugs abort
 // instead of hanging the suite.
@@ -105,12 +82,13 @@ func TestFleetFirstFitServes(t *testing.T) {
 	f := newTestFleet(FirstFit{})
 	f.AddNode("m0", 256, sim.DefaultCosts())
 	f.AddNode("m1", 256, sim.DefaultCosts())
-	tenants := []*servingTenant{
-		newServingTenant("alpha", 24, 40, 200, 0, 1),
-		newServingTenant("beta", 24, 40, 200, 400_000, 2),
+	tenants := []*Tenant{
+		newServingTenant("alpha", 24, 40, 200, meanGap, 1),
+		newServingTenant("beta", 24, 40, 200, meanGap, 2),
 	}
+	tenants[1].AdmitAfter = 400_000
 	for _, st := range tenants {
-		f.Add(st.Tenant)
+		f.Add(st)
 	}
 	if err := f.Run(); err != nil {
 		t.Fatalf("fleet run: %v", err)
@@ -119,9 +97,9 @@ func TestFleetFirstFitServes(t *testing.T) {
 		t.Fatalf("first-fit migrated %d tenants", got)
 	}
 	for _, st := range tenants {
-		stats := st.srv.Stats()
-		if stats.Offered != uint64(st.requests) || stats.Served == 0 {
-			t.Fatalf("%s: offered %d served %d, want %d offered", st.Name, stats.Offered, stats.Served, st.requests)
+		stats := st.Server().Stats()
+		if stats.Offered != 200 || stats.Served == 0 {
+			t.Fatalf("%s: offered %d served %d, want 200 offered", st.Name, stats.Offered, stats.Served)
 		}
 	}
 	if err := f.CheckAccounting(); err != nil {
@@ -163,10 +141,14 @@ func TestFleetMigrationMidServing(t *testing.T) {
 	n1 := f.AddNode("m1", 256, sim.DefaultCosts())
 	f.RebalanceEvery = 8
 	var fromSeen, toSeen *Node
-	f.OnMigrate = func(tn *Tenant, from, to *Node) { fromSeen, toSeen = from, to }
+	var polls0 uint64
+	f.OnMigrate = func(tn *Tenant, from, to *Node) {
+		fromSeen, toSeen = from, to
+		polls0 = tn.Server().Stats().IdlePolls
+	}
 
-	st := newServingTenant("alpha", 24, 40, 400, 0, 3)
-	f.Add(st.Tenant)
+	st := newServingTenant("alpha", 24, 40, 400, meanGap, 3)
+	f.Add(st)
 	if err := f.Run(); err != nil {
 		t.Fatalf("fleet run: %v", err)
 	}
@@ -177,8 +159,8 @@ func TestFleetMigrationMidServing(t *testing.T) {
 	if fromSeen != n0 || toSeen != n1 {
 		t.Fatalf("migrated %v -> %v, want m0 -> m1", fromSeen, toSeen)
 	}
-	if st.Tenant.Node() != n1 || st.Tenant.Migrations() != 1 {
-		t.Fatalf("tenant on %v after %d migrations", st.Tenant.Node().Name, st.Tenant.Migrations())
+	if st.Node() != n1 || st.Migrations() != 1 {
+		t.Fatalf("tenant on %v after %d migrations", st.Node().Name, st.Migrations())
 	}
 	if f.Stats().DowntimeCycles == 0 {
 		t.Fatal("migration charged no downtime")
@@ -187,13 +169,14 @@ func TestFleetMigrationMidServing(t *testing.T) {
 	if m.Count(metrics.CntMigrationDowntime) != f.Stats().DowntimeCycles {
 		t.Fatal("downtime counter disagrees with fleet stats")
 	}
-	stats := st.srv.Stats()
+	stats := st.Server().Stats()
 	if stats.Offered != 400 {
 		t.Fatalf("offered %d of 400 after migration", stats.Offered)
 	}
 	if stats.Served < 350 {
 		t.Fatalf("served only %d of 400 across the migration", stats.Served)
 	}
+	checkIdleFollows(t, st, n1, polls0)
 
 	// The acceptance invariant: the tenant's accumulated account equals the
 	// sum the two machines' schedulers attributed to it, and both machines
@@ -215,7 +198,7 @@ func TestFleetMigrationMidServing(t *testing.T) {
 	if onSource == 0 || onDest == 0 {
 		t.Fatalf("cycle shares: source %d, destination %d — want both nonzero", onSource, onDest)
 	}
-	if got := st.Tenant.Cycles(); got != onSource+onDest {
+	if got := st.Cycles(); got != onSource+onDest {
 		t.Fatalf("tenant accounts %d cycles, source+destination schedulers say %d", got, onSource+onDest)
 	}
 }
@@ -230,13 +213,13 @@ func TestFleetWatermarkRebalances(t *testing.T) {
 	n2 := f.AddNode("big2", 160, sim.DefaultCosts())
 	f.RebalanceEvery = 4
 
-	tenants := []*servingTenant{
-		newServingTenant("t0", 30, 44, 250, 0, 10),
-		newServingTenant("t1", 30, 44, 250, 0, 11),
-		newServingTenant("t2", 30, 44, 250, 0, 12),
+	tenants := []*Tenant{
+		newServingTenant("t0", 30, 44, 250, meanGap, 10),
+		newServingTenant("t1", 30, 44, 250, meanGap, 11),
+		newServingTenant("t2", 30, 44, 250, meanGap, 12),
 	}
 	for _, st := range tenants {
-		f.Add(st.Tenant)
+		f.Add(st)
 	}
 	if err := f.Run(); err != nil {
 		t.Fatalf("fleet run: %v", err)
@@ -250,15 +233,15 @@ func TestFleetWatermarkRebalances(t *testing.T) {
 	}
 	// t1 was the newest packing decision on the overloaded node; it lands on
 	// the emptiest node.
-	if tenants[1].Tenant.Migrations() != 1 || tenants[1].Tenant.Node() != n2 {
+	if tenants[1].Migrations() != 1 || tenants[1].Node() != n2 {
 		t.Fatalf("t1 on %s after %d moves, want big2 after 1",
-			tenants[1].Tenant.Node().Name, tenants[1].Tenant.Migrations())
+			tenants[1].Node().Name, tenants[1].Migrations())
 	}
-	if tenants[0].Tenant.Node() != n0 {
+	if tenants[0].Node() != n0 {
 		t.Fatal("t0 should have stayed on the small node")
 	}
 	for _, st := range tenants {
-		if served := st.srv.Stats().Served; served < 200 {
+		if served := st.Server().Stats().Served; served < 200 {
 			t.Fatalf("%s served only %d of 250", st.Name, served)
 		}
 	}
@@ -277,15 +260,16 @@ func TestFleetWatermarkRebalances(t *testing.T) {
 func TestFleetIdlesToAdmission(t *testing.T) {
 	f := newTestFleet(FirstFit{})
 	f.AddNode("m0", 256, sim.DefaultCosts())
-	st := newServingTenant("late", 24, 40, 50, 3_000_000, 7)
-	f.Add(st.Tenant)
+	st := newServingTenant("late", 24, 40, 50, meanGap, 7)
+	st.AdmitAfter = 3_000_000
+	f.Add(st)
 	if err := f.Run(); err != nil {
 		t.Fatalf("fleet run: %v", err)
 	}
 	if got := f.Clock().Cycles(); got < 3_000_000 {
 		t.Fatalf("clock %d never reached the admission cycle", got)
 	}
-	if st.srv.Stats().Served == 0 {
+	if st.Server().Stats().Served == 0 {
 		t.Fatal("late tenant never served")
 	}
 }
@@ -301,12 +285,12 @@ func TestFleetMigrateMisuse(t *testing.T) {
 		t.Fatal("migrating an unadmitted tenant succeeded")
 	}
 
-	st := newServingTenant("solo", 24, 40, 30, 0, 9)
-	f.Add(st.Tenant)
+	st := newServingTenant("solo", 24, 40, 30, meanGap, 9)
+	f.Add(st)
 	if err := f.Run(); err != nil {
 		t.Fatalf("fleet run: %v", err)
 	}
-	if err := f.Migrate(st.Tenant, st.Tenant.Node()); err == nil {
+	if err := f.Migrate(st, st.Node()); err == nil {
 		t.Fatal("migrating onto the same node succeeded")
 	}
 
@@ -331,13 +315,13 @@ func TestFleetMigrateMisuse(t *testing.T) {
 func TestFleetNoNodeFits(t *testing.T) {
 	f := newTestFleet(FirstFit{})
 	f.AddNode("tiny", 16, sim.DefaultCosts())
-	st := newServingTenant("huge", 64, 128, 10, 0, 4)
-	f.Add(st.Tenant)
+	st := newServingTenant("huge", 64, 128, 10, meanGap, 4)
+	f.Add(st)
 	err := f.Run()
 	if err == nil {
 		t.Fatal("oversized tenant admitted onto a tiny node")
 	}
-	if !errors.Is(err, st.Tenant.Err()) && st.Tenant.Err() == nil {
+	if !errors.Is(err, st.Err()) && st.Err() == nil {
 		t.Fatalf("tenant error not recorded: run err %v", err)
 	}
 }
@@ -351,8 +335,7 @@ func TestFleetDeterminism(t *testing.T) {
 		f.AddNode("m0", 256, sim.DefaultCosts())
 		f.AddNode("m1", 256, sim.DefaultCosts())
 		f.RebalanceEvery = 8
-		st := newServingTenant("alpha", 24, 40, 300, 0, 5)
-		f.Add(st.Tenant)
+		f.Add(newServingTenant("alpha", 24, 40, 300, meanGap, 5))
 		if err := f.Run(); err != nil {
 			t.Fatalf("fleet run: %v", err)
 		}

@@ -403,7 +403,6 @@ func (k *Kernel) LoadEnclave(spec EnclaveSpec) (*Proc, error) {
 	k.procs[e.ID] = p
 	k.procList = append(k.procList, p)
 
-	selfPaging := spec.Attrs.Has(sgx.AttrSelfPaging)
 	for _, seg := range spec.Segments {
 		if seg.VA.Offset() != 0 {
 			return nil, fmt.Errorf("hostos: segment at unaligned %s", seg.VA)
@@ -435,7 +434,6 @@ func (k *Kernel) LoadEnclave(spec EnclaveSpec) (*Proc, error) {
 			p.resident++
 			p.order = append(p.order, va.VPN())
 			k.mapPage(p, ps)
-			_ = selfPaging
 		}
 	}
 

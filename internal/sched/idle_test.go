@@ -171,8 +171,7 @@ type fleetOutcome struct {
 
 // servingTenant is an open-loop fleet tenant whose server survives
 // migration, crash and restore.
-func servingTenant(name string, seed uint64) (*fleet.Tenant, **service.Server) {
-	var srv *service.Server
+func servingTenant(name string, seed uint64) *fleet.Tenant {
 	tn := &fleet.Tenant{
 		Name: name,
 		Image: libos.AppImage{
@@ -181,41 +180,20 @@ func servingTenant(name string, seed uint64) (*fleet.Tenant, **service.Server) {
 			HeapPages: 24,
 		},
 		Config: libos.Config{SelfPaging: true, Policy: libos.PolicyRateLimit, QuotaPages: 40, RateLimitBurst: 1 << 40},
-		Prepare: func(tn *fleet.Tenant, p *libos.Process, first bool) error {
+	}
+	return tn.Serve(fleet.Serving{
+		Handlers: func(p *libos.Process) {
 			heap := p.Heap.PageVAs()
 			p.Handle("get", func(ctx *core.Context, arg uint64) (uint64, error) {
 				va := heap[arg%uint64(len(heap))]
 				ctx.Store(va)
 				return uint64(va), nil
 			})
-			if first {
-				s, err := service.New(p, service.Options{QueueCap: 64, KeepAliveEvery: 250_000})
-				if err != nil {
-					return err
-				}
-				srv = s
-				for i := 0; i < 4; i++ {
-					if _, err := srv.Dial(); err != nil {
-						return err
-					}
-				}
-				if err := srv.Preload(service.OpenLoop{
-					Arrivals: service.Poisson{MeanGap: 50_000}, Requests: 400, Seed: seed,
-				}); err != nil {
-					return err
-				}
-			} else if err := srv.Rebind(p); err != nil {
-				return err
-			}
-			srv.Idle = tn.Node().Sched.Yield
-			return nil
 		},
-		Body: func(tn *fleet.Tenant, p *libos.Process) error { return p.Run(srv.Loop) },
-	}
-	tn.Pause = func(*fleet.Tenant) { srv.Drain() }
-	tn.Crash = func(*fleet.Tenant) uint64 { return srv.Crash() }
-	tn.Partition = func(_ *fleet.Tenant, until uint64) { srv.Partition(until) }
-	return tn, &srv
+		Options: service.Options{QueueCap: 64, KeepAliveEvery: 250_000},
+		Conns:   4,
+		Load:    service.OpenLoop{Arrivals: service.Poisson{MeanGap: 50_000}, Requests: 400, Seed: seed},
+	})
 }
 
 // superviseFleet runs three machines and two tenants under a heartbeat
@@ -230,10 +208,10 @@ func superviseFleet(ev chaos.Event) func(*uint64) fleetOutcome {
 			n := f.AddNode(fmt.Sprintf("m%d", i), frames, sim.DefaultCosts())
 			n.Kernel.Preemptor = upcallCounter{inner: n.Kernel.Preemptor, n: upcalls}
 		}
-		alpha, alphaSrv := servingTenant("alpha", 31)
-		beta, betaSrv := servingTenant("beta", 32)
-		f.Add(alpha)
-		f.Add(beta)
+		tenants := []*fleet.Tenant{servingTenant("alpha", 31), servingTenant("beta", 32)}
+		for _, tn := range tenants {
+			f.Add(tn)
+		}
 		f.CheckpointEvery = 8
 		sup := &chaos.Supervisor{Deadline: 300_000, HeartbeatEvery: 30_000}
 		if err := chaos.Attach(f, &chaos.Schedule{Events: []chaos.Event{ev}}, sup); err != nil {
@@ -250,10 +228,10 @@ func superviseFleet(ev chaos.Event) func(*uint64) fleetOutcome {
 			out.Acct = append(out.Acct, n.Sched.Accounting())
 			out.States = append(out.States, n.State())
 		}
-		for i, srv := range []*service.Server{*alphaSrv, *betaSrv} {
-			out.Stats = append(out.Stats, srv.Stats())
-			out.Hists = append(out.Hists, *srv.Hist())
-			out.Errs = append(out.Errs, fmt.Sprint([]*fleet.Tenant{alpha, beta}[i].Err()))
+		for _, tn := range tenants {
+			out.Stats = append(out.Stats, tn.Server().Stats())
+			out.Hists = append(out.Hists, *tn.Server().Hist())
+			out.Errs = append(out.Errs, fmt.Sprint(tn.Err()))
 		}
 		return out
 	}
