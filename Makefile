@@ -57,7 +57,7 @@ gobench:
 	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/libos ./internal/metrics ./internal/pagestore ./internal/sched ./internal/sgx ./internal/sim
 
 # metriclint rejects wall-clock and process-PRNG imports in the
-# deterministic packages (fault, orderly, fleet, chaos), whose decisions
+# deterministic packages (fault, orderly, fleet), whose decisions
 # must be pure functions of (seed, clock, operation).
 metriclint:
 	$(GO) run ./tools/metriclint

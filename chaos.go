@@ -1,31 +1,30 @@
 package autarky
 
 import (
-	"autarky/internal/chaos"
 	"autarky/internal/fleet"
 	"autarky/internal/metrics"
 )
 
 // Chaos types re-exported into the public API: the seeded failure injector
 // and the heartbeat-driven supervisor that heals a fleet through it. See
-// internal/chaos for the failure and detection model.
+// internal/fleet for the failure and detection model.
 type (
 	// ChaosPlan is a seeded chaos recipe: so many crashes, freezes and
 	// partitions spread over a cycle horizon. Build expands it into a
 	// concrete, deterministic ChaosSchedule.
-	ChaosPlan = chaos.Plan
+	ChaosPlan = fleet.Plan
 	// ChaosSchedule is an ordered list of planned machine failures; attach
 	// it to a fleet with AttachChaos.
-	ChaosSchedule = chaos.Schedule
+	ChaosSchedule = fleet.Schedule
 	// ChaosEvent is one planned failure (cycle, kind, victim, duration).
-	ChaosEvent = chaos.Event
+	ChaosEvent = fleet.Event
 	// ChaosEventKind selects a failure mode: crash, freeze or partition.
-	ChaosEventKind = chaos.EventKind
+	ChaosEventKind = fleet.EventKind
 	// ChaosSupervisor detects machine failures through heartbeat deadlines
 	// alone and heals the fleet: checkpoint restarts for dead machines,
 	// Quiesce/Adopt evacuation for suspect ones, shedding when surviving
 	// capacity cannot hold everyone.
-	ChaosSupervisor = chaos.Supervisor
+	ChaosSupervisor = fleet.Supervisor
 	// FleetNodeState is a fleet machine's health (healthy, frozen, crashed,
 	// fenced), as reported by FleetNode.State.
 	FleetNodeState = fleet.NodeState
@@ -33,9 +32,9 @@ type (
 
 // The failure modes a ChaosEvent can carry.
 const (
-	ChaosCrash     = chaos.KindCrash
-	ChaosFreeze    = chaos.KindFreeze
-	ChaosPartition = chaos.KindPartition
+	ChaosCrash     = fleet.KindCrash
+	ChaosFreeze    = fleet.KindFreeze
+	ChaosPartition = fleet.KindPartition
 )
 
 // The fleet machine health states.
@@ -82,5 +81,5 @@ const (
 // (injection only — the no-supervisor baseline). Call after the fleet's
 // nodes are added and before Fleet.Run.
 func AttachChaos(f *Fleet, sched *ChaosSchedule, sup *ChaosSupervisor) error {
-	return chaos.Attach(f, sched, sup)
+	return f.AttachChaos(sched, sup)
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"autarky/internal/chaos"
 	"autarky/internal/fleet"
 	"autarky/internal/service"
 	"autarky/internal/sim"
@@ -166,7 +165,7 @@ func runE16Cell(rec *cellRecorder, p E16Params, cell e16Cell) E16Row {
 
 	// Every cell builds its schedule from the same plan and seed: identical
 	// failures at identical cycles, so the columns differ only in recovery.
-	plan := chaos.Plan{
+	plan := fleet.Plan{
 		Seed:            p.Seed,
 		Horizon:         p.Horizon,
 		Crashes:         p.Crashes,
@@ -180,12 +179,12 @@ func runE16Cell(rec *cellRecorder, p E16Params, cell e16Cell) E16Row {
 	if err != nil {
 		panic(fmt.Sprintf("%s (%s): %v", rec.name, cell.name, err))
 	}
-	var sup *chaos.Supervisor
+	var sup *fleet.Supervisor
 	if cell.supervised {
-		sup = &chaos.Supervisor{Deadline: p.Deadline}
+		sup = &fleet.Supervisor{Deadline: p.Deadline}
 		f.CheckpointEvery = p.CheckpointEvery
 	}
-	if err := chaos.Attach(f, sched, sup); err != nil {
+	if err := f.AttachChaos(sched, sup); err != nil {
 		panic(fmt.Sprintf("%s (%s): %v", rec.name, cell.name, err))
 	}
 

@@ -1,40 +1,10 @@
-// Package chaos is the fleet's deterministic failure injector and
-// supervision layer: a seeded Schedule of whole-machine failures, and a
-// Supervisor that detects them through heartbeats alone and heals the fleet.
-//
-// # Injection
-//
-// A Plan is a seeded recipe — so many crashes, freezes and partitions spread
-// over a cycle horizon — that Build expands into a concrete Schedule using
-// sim.Rand. Every draw comes from the seed, so the event list (and therefore
-// the whole chaos run) is byte-identical at any worker count. Events fire
-// from the fleet's OnRound hook: a crash kills a machine's tasks and loses
-// its EPC for good (fleet.InjectCrash), a freeze stops its world for a fixed
-// number of cycles (fleet.InjectFreeze), a partition severs its tenants'
-// service channels while the machine keeps running (fleet.InjectPartition).
-//
-// # Supervision
-//
-// The Supervisor is deliberately blind to ground truth: it publishes
-// heartbeats on a fixed cadence (fleet.Heartbeat) and reads nothing but each
-// node's last-beat cycle. A node silent past the watchdog deadline becomes
-// suspect and is cordoned — no new placements onto a machine that may be
-// dead. A suspect that beats again was merely frozen or partitioned from the
-// supervisor: its tenants are evacuated through the ordinary Quiesce/Adopt
-// migration path and the machine is fenced (a host that went silent once is
-// not trusted again). A suspect silent for a second full deadline is
-// declared dead: its tenants are restored from their latest periodic
-// checkpoints onto surviving machines, highest priority first, and whatever
-// the survivors cannot hold is shed. Every supervision step — beats,
-// watchdog sweeps — is charged to the policy category, so self-healing has a
-// visible price in the attribution vector.
-package chaos
+package fleet
 
 import (
 	"fmt"
 	"sort"
 
-	"autarky/internal/fleet"
+	"autarky/internal/metrics"
 	"autarky/internal/sim"
 )
 
@@ -68,13 +38,13 @@ func (k EventKind) String() string {
 type Event struct {
 	At   uint64    // fleet-clock cycle at which the event fires
 	Kind EventKind // what happens
-	Node int       // victim, as an index into fleet.Nodes()
+	Node int       // victim, as an index into Fleet.Nodes()
 	Dur  uint64    // freeze / partition length in cycles (unused for crashes)
 }
 
 // Schedule is an ordered list of planned failures plus the firing cursor.
 // Build one from a Plan (seeded) or assemble Events by hand for targeted
-// tests; either way, attach it to a fleet with Attach.
+// tests; either way, attach it to a fleet with Fleet.AttachChaos.
 type Schedule struct {
 	Events []Event
 	next   int
@@ -107,17 +77,17 @@ type Plan struct {
 // are ordered by (At, Kind, Node) so firing order is unambiguous.
 func (p Plan) Build(nodes int) (*Schedule, error) {
 	if nodes < 1 {
-		return nil, fmt.Errorf("chaos: plan for %d nodes", nodes)
+		return nil, fmt.Errorf("fleet: chaos plan for %d nodes", nodes)
 	}
 	if p.Horizon == 0 {
-		return nil, fmt.Errorf("chaos: plan without a horizon")
+		return nil, fmt.Errorf("fleet: chaos plan without a horizon")
 	}
 	minAlive := p.MinAlive
 	if minAlive < 1 {
 		minAlive = 1
 	}
 	if p.Crashes > nodes-minAlive {
-		return nil, fmt.Errorf("chaos: %d crashes would leave fewer than %d of %d machines alive",
+		return nil, fmt.Errorf("fleet: %d crashes would leave fewer than %d of %d machines alive",
 			p.Crashes, minAlive, nodes)
 	}
 	r := sim.NewRand(p.Seed)
@@ -147,8 +117,26 @@ func (p Plan) Build(nodes int) (*Schedule, error) {
 	return &Schedule{Events: events}, nil
 }
 
+// fireDue injects every event whose cycle has come. A partition lasts
+// until now+Dur.
+func (s *Schedule) fireDue(f *Fleet, now uint64) {
+	for s.next < len(s.Events) && s.Events[s.next].At <= now {
+		ev := s.Events[s.next]
+		s.next++
+		n := f.nodes[ev.Node]
+		switch ev.Kind {
+		case KindCrash:
+			f.injectCrash(n)
+		case KindFreeze:
+			f.injectFreeze(n, ev.Dur)
+		case KindPartition:
+			f.injectPartition(n, now+ev.Dur)
+		}
+	}
+}
+
 // mark is the supervisor's belief about one machine — derived exclusively
-// from heartbeats, never from fleet.Node.State.
+// from heartbeats, never from Node.state.
 type mark int
 
 const (
@@ -158,8 +146,11 @@ const (
 	markFenced       // spoke again after suspicion; evacuated and fenced
 )
 
-// Supervisor is the fleet's failure detector and healer. Zero values take
-// defaults at Attach: HeartbeatEvery 1/4 of Deadline, Deadline required.
+// Supervisor is the fleet's failure detector and healer. It is blind to
+// ground truth: it reads each node's last heartbeat, its own marks, and
+// whether a down tenant has a checkpoint to restore from — never
+// Node.state. Zero values take defaults at AttachChaos: HeartbeatEvery 1/4
+// of Deadline, Deadline required.
 type Supervisor struct {
 	// HeartbeatEvery is the beat-and-sweep cadence in cycles.
 	HeartbeatEvery uint64
@@ -168,8 +159,6 @@ type Supervisor struct {
 	// declared dead.
 	Deadline uint64
 
-	f           *fleet.Fleet
-	costs       *sim.Costs
 	nextAct     uint64
 	marks       []mark
 	suspectedAt []uint64
@@ -177,38 +166,38 @@ type Supervisor struct {
 
 // tick runs one supervision step when due: publish heartbeats, charge the
 // watchdog sweep, and act on what the beats say.
-func (s *Supervisor) tick(now uint64) error {
+func (s *Supervisor) tick(f *Fleet, now uint64) error {
 	if now < s.nextAct {
 		return nil
 	}
 	for s.nextAct <= now {
 		s.nextAct += s.HeartbeatEvery
 	}
-	s.f.Heartbeat()
-	s.f.Clock().ChargeAs(sim.CatPolicy, s.costs.FleetWatchdog)
-	for i, n := range s.f.Nodes() {
+	f.heartbeat()
+	f.clock.ChargeAs(sim.CatPolicy, f.nodes[0].Costs.FleetWatchdog)
+	for i, n := range f.nodes {
 		switch s.marks[i] {
 		case markOK:
-			if now-n.LastBeat() > s.Deadline {
+			if now-n.lastBeat > s.Deadline {
 				s.marks[i] = markSuspect
 				s.suspectedAt[i] = now
-				n.SetCordoned(true)
-				s.f.NoteHeartbeatMiss(n)
+				n.cordoned = true
+				f.m.Inc(metrics.CntChaosHeartbeatMiss)
 			}
 		case markSuspect:
-			if n.LastBeat() >= s.suspectedAt[i] {
+			if n.lastBeat >= s.suspectedAt[i] {
 				// The machine spoke again: it was frozen, not dead. Its
 				// state survived, so evacuate through live migration and
 				// fence it.
-				if _, err := s.f.Evacuate(n); err != nil {
+				if _, err := f.evacuate(n); err != nil {
 					return err
 				}
 				s.marks[i] = markFenced
 			} else if now-s.suspectedAt[i] > s.Deadline {
 				// Silent for a second full deadline: declared dead. Restore
 				// its tenants from their checkpoints onto the survivors.
-				s.f.NoteHeartbeatMiss(n)
-				if err := s.f.FailOver(n); err != nil {
+				f.m.Inc(metrics.CntChaosHeartbeatMiss)
+				if err := f.failOver(n); err != nil {
 					return err
 				}
 				s.marks[i] = markDead
@@ -223,22 +212,18 @@ func (s *Supervisor) tick(now uint64) error {
 // downed-but-recoverable tenant whose machine has not been declared dead
 // yet. Routine heartbeating alone never keeps an otherwise-finished fleet
 // alive.
-func (s *Supervisor) pendingWake() (uint64, bool) {
+func (s *Supervisor) pendingWake(f *Fleet) (uint64, bool) {
 	for _, m := range s.marks {
 		if m == markSuspect {
 			return s.nextAct, true
 		}
 	}
-	nodes := s.f.Nodes()
-	for _, t := range s.f.Tenants() {
-		if !t.Down() {
+	for _, t := range f.tenants {
+		if !t.down || t.cp == nil {
 			continue
 		}
-		if _, ok := t.LastCheckpoint(); !ok {
-			continue
-		}
-		for i, n := range nodes {
-			if n != t.Node() {
+		for i, n := range f.nodes {
+			if n != t.node {
 				continue
 			}
 			if s.marks[i] == markOK {
@@ -253,26 +238,27 @@ func (s *Supervisor) pendingWake() (uint64, bool) {
 	return 0, false
 }
 
-// Attach wires a chaos schedule and (optionally) a supervisor into a
-// fleet's Run loop via the OnRound and NextWake hooks. sched may be nil
-// (supervision without injection); sup may be nil (injection without
-// supervision — the no-supervisor baseline). Attach must run before
-// Fleet.Run and requires at least one node.
-func Attach(f *fleet.Fleet, sched *Schedule, sup *Supervisor) error {
-	nodes := f.Nodes()
-	if len(nodes) == 0 {
-		return fmt.Errorf("chaos: attach to a fleet with no nodes")
+// AttachChaos arms the fleet's Run loop with a failure schedule and
+// (optionally) a supervisor: each round, after thawing, Run fires the
+// events that came due and then ticks the supervisor, and an idle fleet
+// wakes for the next event or the supervisor's pending deadline. sched may
+// be nil (supervision without injection); sup may be nil (injection
+// without supervision — the no-supervisor baseline). AttachChaos must run
+// before Run and requires at least one node.
+func (f *Fleet) AttachChaos(sched *Schedule, sup *Supervisor) error {
+	if len(f.nodes) == 0 {
+		return fmt.Errorf("fleet: attach chaos to a fleet with no nodes")
 	}
 	if sched != nil {
 		for _, ev := range sched.Events {
-			if ev.Node < 0 || ev.Node >= len(nodes) {
-				return fmt.Errorf("chaos: event targets node %d of %d", ev.Node, len(nodes))
+			if ev.Node < 0 || ev.Node >= len(f.nodes) {
+				return fmt.Errorf("fleet: chaos event targets node %d of %d", ev.Node, len(f.nodes))
 			}
 		}
 	}
 	if sup != nil {
 		if sup.Deadline == 0 {
-			return fmt.Errorf("chaos: supervisor without a watchdog deadline")
+			return fmt.Errorf("fleet: supervisor without a watchdog deadline")
 		}
 		if sup.HeartbeatEvery == 0 {
 			sup.HeartbeatEvery = sup.Deadline / 4
@@ -280,45 +266,9 @@ func Attach(f *fleet.Fleet, sched *Schedule, sup *Supervisor) error {
 				sup.HeartbeatEvery = 1
 			}
 		}
-		sup.f = f
-		sup.costs = nodes[0].Costs
-		sup.marks = make([]mark, len(nodes))
-		sup.suspectedAt = make([]uint64, len(nodes))
+		sup.marks = make([]mark, len(f.nodes))
+		sup.suspectedAt = make([]uint64, len(f.nodes))
 	}
-	f.OnRound = func(round int) error {
-		now := f.Clock().Cycles()
-		if sched != nil {
-			for sched.next < len(sched.Events) && sched.Events[sched.next].At <= now {
-				ev := sched.Events[sched.next]
-				sched.next++
-				n := nodes[ev.Node]
-				switch ev.Kind {
-				case KindCrash:
-					f.InjectCrash(n)
-				case KindFreeze:
-					f.InjectFreeze(n, ev.Dur)
-				case KindPartition:
-					f.InjectPartition(n, now+ev.Dur)
-				}
-			}
-		}
-		if sup != nil {
-			return sup.tick(now)
-		}
-		return nil
-	}
-	f.NextWake = func() (uint64, bool) {
-		var wake uint64
-		ok := false
-		if sched != nil && sched.next < len(sched.Events) {
-			wake, ok = sched.Events[sched.next].At, true
-		}
-		if sup != nil {
-			if w, wok := sup.pendingWake(); wok && (!ok || w < wake) {
-				wake, ok = w, true
-			}
-		}
-		return wake, ok
-	}
+	f.chaos, f.sup = sched, sup
 	return nil
 }

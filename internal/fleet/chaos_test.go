@@ -9,23 +9,38 @@ import (
 	"autarky/internal/sim"
 )
 
-// crashAt injects one crash (or freeze, or partition) of node idx at the
-// given cycle through the OnRound hook — the deterministic trigger chaos
-// tests use without pulling in the chaos package's scheduler.
-type crashAt struct {
-	f     *Fleet
-	at    uint64
-	fired bool
-	do    func(n *Node)
-	node  int
+// attachOne attaches a one-event schedule without a supervisor: the event
+// fires at its cycle, and nobody heals what it breaks.
+func attachOne(t *testing.T, f *Fleet, ev Event) *Schedule {
+	t.Helper()
+	s := &Schedule{Events: []Event{ev}}
+	if err := f.AttachChaos(s, nil); err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
-func (c *crashAt) hook(round int) error {
-	if !c.fired && c.f.Clock().Cycles() >= c.at {
-		c.fired = true
-		c.do(c.f.Nodes()[c.node])
+// runActing drives the fleet's rounds itself, calling act before each one:
+// the way a test recovers, fails over or evacuates mid-run. An idle fleet
+// stops only after act has had its chance at the idle state, that is once
+// a round that followed an idle one is idle too.
+func runActing(f *Fleet, act func() error) error {
+	if err := f.validate(); err != nil {
+		return err
 	}
-	return nil
+	for idle := false; ; {
+		if err := act(); err != nil {
+			return err
+		}
+		more, err := f.step()
+		if err != nil {
+			return err
+		}
+		if !more && idle {
+			return f.finish()
+		}
+		idle = !more
+	}
 }
 
 // TestFleetCrashUnsupervised: a machine crash with nobody watching. The
@@ -48,13 +63,12 @@ func TestFleetCrashUnsupervised(t *testing.T) {
 	f.Add(victim)
 	f.Add(survivor)
 
-	inj := &crashAt{f: f, at: 1_000_000, node: 0, do: func(n *Node) { f.InjectCrash(n) }}
-	f.OnRound = inj.hook
+	sched := attachOne(t, f, Event{At: 1_000_000, Kind: KindCrash, Node: 0})
 
 	if err := f.Run(); err != nil {
 		t.Fatalf("fleet run: %v", err)
 	}
-	if !inj.fired {
+	if sched.Fired() != 1 {
 		t.Fatal("crash never injected")
 	}
 	if n0.State() != NodeCrashed || n0.Accepting() {
@@ -91,7 +105,7 @@ func TestFleetCrashUnsupervised(t *testing.T) {
 	}
 }
 
-// TestFleetCrashRecover: periodic checkpoints plus a manual Recover. The
+// TestFleetCrashRecover: periodic checkpoints plus a manual restore. The
 // restored incarnation picks up the open-loop schedule on the destination
 // machine, the recovery-point age and restore counters are charged, and the
 // cross-machine account still balances.
@@ -104,41 +118,28 @@ func TestFleetCrashRecover(t *testing.T) {
 	st := newServingTenant("phoenix", 24, 40, 400, meanGap, 23)
 	f.Add(st)
 
-	inj := &crashAt{f: f, at: 3_000_000, node: 0, do: func(n *Node) { f.InjectCrash(n) }}
+	sched := attachOne(t, f, Event{At: 3_000_000, Kind: KindCrash, Node: 0})
 	recovered := false
 	var polls0 uint64
-	f.OnRound = func(round int) error {
-		if round == 1 && f.Recover(st, n1) == nil {
+	act := func() error {
+		if f.Round() == 1 && f.restore(st, n1) == nil {
 			t.Fatal("recovered a tenant that is not down")
 		}
-		if err := inj.hook(round); err != nil {
-			return err
+		if sched.Fired() == 0 || recovered || !st.down {
+			return nil
 		}
-		if inj.fired && !recovered && st.Down() {
-			if _, ok := st.LastCheckpoint(); !ok {
-				t.Fatal("crash before any periodic checkpoint")
-			}
-			if f.Recover(st, f.Nodes()[0]) == nil {
-				t.Fatal("recovered onto the crashed machine")
-			}
-			recovered = true
-			polls0 = st.Server().Stats().IdlePolls
-			return f.Recover(st, n1)
+		if st.cp == nil {
+			t.Fatal("crash before any periodic checkpoint")
 		}
-		return nil
-	}
-	// Keep the idle fleet alive until the recovery had its chance.
-	f.NextWake = func() (uint64, bool) {
-		if inj.fired && !recovered {
-			return f.Clock().Cycles() + 1, true
+		if f.restore(st, f.Nodes()[0]) == nil {
+			t.Fatal("recovered onto the crashed machine")
 		}
-		if !inj.fired {
-			return inj.at, true
-		}
-		return 0, false
+		recovered = true
+		polls0 = st.Server().Stats().IdlePolls
+		return f.restore(st, n1)
 	}
 
-	if err := f.Run(); err != nil {
+	if err := runActing(f, act); err != nil {
 		t.Fatalf("fleet run: %v", err)
 	}
 	if !recovered {
@@ -192,13 +193,12 @@ func TestFleetFreezeThaws(t *testing.T) {
 	f.Add(st)
 
 	const freeze = 1_500_000
-	inj := &crashAt{f: f, at: 1_000_000, node: 0, do: func(n *Node) { f.InjectFreeze(n, freeze) }}
-	f.OnRound = inj.hook
+	sched := attachOne(t, f, Event{At: 1_000_000, Kind: KindFreeze, Node: 0, Dur: freeze})
 
 	if err := f.Run(); err != nil {
 		t.Fatalf("fleet run: %v", err)
 	}
-	if !inj.fired {
+	if sched.Fired() != 1 {
 		t.Fatal("freeze never injected")
 	}
 	if n0.State() != NodeHealthy {
@@ -230,10 +230,7 @@ func TestFleetPartitionLosesTraffic(t *testing.T) {
 	st := newServingTenant("islander", 24, 40, 300, meanGap, 25)
 	f.Add(st)
 
-	inj := &crashAt{f: f, at: 1_000_000, node: 0, do: func(n *Node) {
-		f.InjectPartition(n, f.Clock().Cycles()+2_000_000)
-	}}
-	f.OnRound = inj.hook
+	attachOne(t, f, Event{At: 1_000_000, Kind: KindPartition, Node: 0, Dur: 2_000_000})
 
 	if err := f.Run(); err != nil {
 		t.Fatalf("fleet run: %v", err)
@@ -268,20 +265,17 @@ func TestFleetFailOverSheds(t *testing.T) {
 	st := newServingTenant("heavy", 24, 40, 400, meanGap, 26)
 	f.Add(st)
 
-	inj := &crashAt{f: f, at: 3_000_000, node: 0, do: func(n *Node) { f.InjectCrash(n) }}
+	sched := attachOne(t, f, Event{At: 3_000_000, Kind: KindCrash, Node: 0})
 	failedOver := false
-	f.OnRound = func(round int) error {
-		if err := inj.hook(round); err != nil {
-			return err
+	act := func() error {
+		if sched.Fired() == 0 || failedOver {
+			return nil
 		}
-		if inj.fired && !failedOver {
-			failedOver = true
-			return f.FailOver(f.Nodes()[0])
-		}
-		return nil
+		failedOver = true
+		return f.failOver(f.Nodes()[0])
 	}
 
-	if err := f.Run(); err != nil {
+	if err := runActing(f, act); err != nil {
 		t.Fatalf("fleet run: %v", err)
 	}
 	if !failedOver {
@@ -316,21 +310,22 @@ func TestFleetEvacuateFences(t *testing.T) {
 	f.Add(st)
 
 	evacuated := false
-	f.OnRound = func(round int) error {
-		if !evacuated && f.Clock().Cycles() >= 2_000_000 {
-			evacuated = true
-			moved, err := f.Evacuate(n0)
-			if err != nil {
-				return err
-			}
-			if moved != 1 {
-				t.Fatalf("evacuated %d tenants, want 1", moved)
-			}
+	act := func() error {
+		if evacuated || f.Clock().Cycles() < 2_000_000 {
+			return nil
+		}
+		evacuated = true
+		moved, err := f.evacuate(n0)
+		if err != nil {
+			return err
+		}
+		if moved != 1 {
+			t.Fatalf("evacuated %d tenants, want 1", moved)
 		}
 		return nil
 	}
 
-	if err := f.Run(); err != nil {
+	if err := runActing(f, act); err != nil {
 		t.Fatalf("fleet run: %v", err)
 	}
 	if !evacuated {
@@ -361,15 +356,70 @@ func TestFleetHeartbeat(t *testing.T) {
 	n0 := f.AddNode("m0", 64, sim.DefaultCosts())
 	n1 := f.AddNode("m1", 64, sim.DefaultCosts())
 	clock.ChargeAs(sim.CatCompute, 1000)
-	f.InjectCrash(n1)
-	f.Heartbeat()
-	if n0.LastBeat() == 0 {
+	f.injectCrash(n1)
+	f.heartbeat()
+	if n0.lastBeat == 0 {
 		t.Fatal("healthy node never beat")
 	}
-	if n1.LastBeat() != 0 {
+	if n1.lastBeat != 0 {
 		t.Fatal("crashed node beat")
 	}
 	if clock.Buckets()[sim.CatPolicy] == 0 {
 		t.Fatal("heartbeat charged nothing to the policy bucket")
+	}
+}
+
+// TestFleetIdleWakesForEvent: a fleet whose only tenant finished long
+// before its scheduled failure still reaches it — the idle clock jumps to
+// the next event instead of ending the run.
+func TestFleetIdleWakesForEvent(t *testing.T) {
+	f := newTestFleet(FirstFit{})
+	f.AddNode("m0", 256, sim.DefaultCosts())
+	st := newServingTenant("brief", 24, 40, 20, meanGap, 28)
+	f.Add(st)
+	const at = 50_000_000
+	sched := attachOne(t, f, Event{At: at, Kind: KindFreeze, Node: 0, Dur: 1_000_000})
+
+	if err := f.Run(); err != nil {
+		t.Fatalf("fleet run: %v", err)
+	}
+	if sched.Fired() != 1 || f.Clock().Cycles() < at {
+		t.Fatalf("fired %d by cycle %d, want the freeze at %d", sched.Fired(), f.Clock().Cycles(), at)
+	}
+	if st.Err() != nil {
+		t.Fatalf("tenant err = %v", st.Err())
+	}
+}
+
+// TestFleetIdleWakesForSupervisor: when the only tenant's machine crashes,
+// nothing is runnable, yet the fleet stays up until the supervisor's
+// watchdog declares the machine dead and restores the tenant elsewhere.
+func TestFleetIdleWakesForSupervisor(t *testing.T) {
+	f := newTestFleet(FirstFit{})
+	f.AddNode("m0", 256, sim.DefaultCosts())
+	n1 := f.AddNode("m1", 256, sim.DefaultCosts())
+	f.CheckpointEvery = 8
+	st := newServingTenant("lone", 24, 40, 400, meanGap, 29)
+	f.Add(st)
+	sched := &Schedule{Events: []Event{{At: 3_000_000, Kind: KindCrash, Node: 0}}}
+	if err := f.AttachChaos(sched, &Supervisor{Deadline: 300_000}); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := f.Run(); err != nil {
+		t.Fatalf("fleet run: %v", err)
+	}
+	if st.Err() != nil {
+		t.Fatalf("tenant err = %v", st.Err())
+	}
+	if got := f.Stats().Restarts; got != 1 {
+		t.Fatalf("restarts = %d, want 1", got)
+	}
+	if st.Node() != n1 || st.Server().PendingSchedule() != 0 {
+		t.Fatalf("tenant on %s with %d arrivals unfired, want m1 and 0",
+			st.Node().Name, st.Server().PendingSchedule())
+	}
+	if err := f.CheckAccounting(); err != nil {
+		t.Fatal(err)
 	}
 }

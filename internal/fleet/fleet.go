@@ -35,6 +35,34 @@
 // from EPC-occupancy snapshots; see FirstFit and Watermark. Policy scans are
 // charged to the policy category (sim.Costs.FleetScan per node scanned), so
 // elasticity has a visible price in the attribution vector.
+//
+// # Failure injection
+//
+// A Plan is a seeded recipe — so many crashes, freezes and partitions spread
+// over a cycle horizon — that Build expands into a concrete Schedule using
+// sim.Rand. Every draw comes from the seed, so the event list (and therefore
+// the whole chaos run) is byte-identical at any worker count. Run fires each
+// event as its cycle comes: a crash kills a machine's tasks and loses its
+// EPC for good, a freeze stops its world for a fixed number of cycles, a
+// partition severs its tenants' service channels while the machine keeps
+// running.
+//
+// # Supervision
+//
+// The Supervisor is deliberately blind to ground truth: it publishes
+// heartbeats on a fixed cadence and judges a machine by nothing but its
+// last-beat cycle. A node silent past the watchdog deadline becomes suspect
+// and is cordoned — no new placements onto a machine that may be dead. A
+// suspect that beats again was merely frozen or partitioned from the
+// supervisor: its tenants are evacuated through the ordinary Quiesce/Adopt
+// migration path and the machine is fenced (a host that went silent once is
+// not trusted again). A suspect silent for a second full deadline is declared
+// dead: its tenants are restored from their latest periodic checkpoints onto
+// surviving machines, highest priority first, and whatever the survivors
+// cannot hold is shed. Run ticks the supervisor right after firing the due
+// events; every supervision step — beats, watchdog sweeps — is charged to the
+// policy category, so self-healing has a visible price in the attribution
+// vector.
 package fleet
 
 import (
@@ -78,7 +106,7 @@ var (
 )
 
 // NodeState is a machine's health, as the hardware actually is — failure
-// detection (the chaos supervisor's watchdog) works only from heartbeats and
+// detection (the Supervisor's watchdog) works only from heartbeats and
 // never reads this directly.
 type NodeState int
 
@@ -125,23 +153,11 @@ type Node struct {
 	frozenUntil uint64 // thaw cycle while state == NodeFrozen
 	frozeAt     uint64 // freeze start, for downtime accounting
 	cordoned    bool   // supervisor: no new placements (suspect or fenced)
-	lastBeat    uint64 // cycle of the last published heartbeat
+	lastBeat    uint64 // cycle of the last heartbeat: all the watchdog reads
 }
 
 // State reports the node's health.
 func (n *Node) State() NodeState { return n.state }
-
-// LastBeat reports the cycle of the node's last published heartbeat — the
-// only failure signal the supervisor's watchdog is allowed to read.
-func (n *Node) LastBeat() uint64 { return n.lastBeat }
-
-// Cordoned reports whether the node is excluded from new placements.
-func (n *Node) Cordoned() bool { return n.cordoned }
-
-// SetCordoned marks the node in- or out- of the placement set. The
-// supervisor cordons a node the moment its heartbeat goes silent, so no
-// tenant is placed onto a machine that may already be dead.
-func (n *Node) SetCordoned(v bool) { n.cordoned = v }
 
 // Accepting reports whether placement may choose this node: it must be
 // healthy and not cordoned.
@@ -219,14 +235,6 @@ func (t *Tenant) Migrations() int { return t.migrations }
 // outcome sentinel (ErrCrashed, ErrShed) for tenants the fleet lost.
 func (t *Tenant) Err() error { return t.err }
 
-// Down reports whether the tenant is currently taken out by a machine
-// failure and not yet recovered.
-func (t *Tenant) Down() bool { return t.down }
-
-// LastCheckpoint reports the cycle of the tenant's latest periodic
-// checkpoint, and whether one exists.
-func (t *Tenant) LastCheckpoint() (uint64, bool) { return t.cpAt, t.cp != nil }
-
 // Cycles is the tenant's total machine-clock share: scheduler-attributed
 // cycles accumulated across every incarnation on every node.
 func (t *Tenant) Cycles() uint64 {
@@ -243,16 +251,7 @@ func (t *Tenant) footprint() int {
 	if q := t.Config.QuotaPages; q > 0 {
 		return q
 	}
-	n := t.Image.DataPages + t.Image.HeapPages
-	if t.Image.StackPages > 0 {
-		n += t.Image.StackPages
-	} else {
-		n += 8
-	}
-	for _, lib := range t.Image.Libraries {
-		n += lib.TotalPages()
-	}
-	return n
+	return t.Image.LoadedPages()
 }
 
 // movable reports whether the rebalancer may pick the tenant: it must be
@@ -300,17 +299,8 @@ type Fleet struct {
 	// is respawned on its destination).
 	OnMigrate func(t *Tenant, from, to *Node)
 
-	// OnRound, when set, runs between scheduling rounds — the chaos layer's
-	// entry point: the failure schedule injects here and the supervisor's
-	// heartbeat/watchdog machinery runs here. A non-nil error aborts Run.
-	OnRound func(round int) error
-
-	// NextWake, when set, reports the next cycle at which OnRound has work
-	// pending even though no task is runnable (a watchdog deadline about to
-	// expire, an unfired failure event). Without it, an idle fleet with a
-	// downed tenant would stop before the supervisor could heal it.
-	NextWake func() (uint64, bool)
-
+	chaos   *Schedule   // failures Run fires as they come due (AttachChaos)
+	sup     *Supervisor // heartbeat watchdog Run ticks each round (AttachChaos)
 	clock   *sim.Clock
 	m       *metrics.Metrics
 	policy  Policy
@@ -341,9 +331,6 @@ func New(clock *sim.Clock, policy Policy, quantum uint64) *Fleet {
 
 // Clock returns the fleet's shared clock.
 func (f *Fleet) Clock() *sim.Clock { return f.clock }
-
-// PolicyName reports the active placement policy.
-func (f *Fleet) PolicyName() string { return f.policy.Name() }
 
 // Round reports the current scheduling round (one Step per node each).
 func (f *Fleet) Round() int { return f.round }
@@ -558,13 +545,13 @@ func (f *Fleet) Rebalance() (int, error) {
 	return moved, nil
 }
 
-// InjectCrash crash-stops a machine: its tasks are killed where they stand
+// injectCrash crash-stops a machine: its tasks are killed where they stand
 // (mid-quantum work abandoned, exactly as a power loss would), its EPC
 // contents are lost for good, and it never steps or heartbeats again. Each
 // hosted serving tenant's server accounts the requests the crash lost; the
 // tenant is marked down until (and unless) a supervisor recovers it from a
 // checkpoint. Injecting a crash into an already-crashed machine is a no-op.
-func (f *Fleet) InjectCrash(n *Node) {
+func (f *Fleet) injectCrash(n *Node) {
 	if n.state == NodeCrashed {
 		return
 	}
@@ -583,12 +570,12 @@ func (f *Fleet) InjectCrash(n *Node) {
 	}
 }
 
-// InjectFreeze stops a machine's world for the given number of cycles: no
+// injectFreeze stops a machine's world for the given number of cycles: no
 // dispatch, no heartbeat, tasks parked exactly where they were. The machine
 // thaws by itself when the fleet clock reaches the deadline; the freeze is
 // charged to each hosted tenant's failure downtime at thaw. Freezing a
 // crashed or already-frozen machine is a no-op.
-func (f *Fleet) InjectFreeze(n *Node, cycles uint64) {
+func (f *Fleet) injectFreeze(n *Node, cycles uint64) {
 	if n.state != NodeHealthy {
 		return
 	}
@@ -599,12 +586,12 @@ func (f *Fleet) InjectFreeze(n *Node, cycles uint64) {
 	f.m.Inc(metrics.CntChaosFailures)
 }
 
-// InjectPartition severs the service channels of every tenant on a machine
+// injectPartition severs the service channels of every tenant on a machine
 // until the given absolute cycle: their in-flight requests and replies are
 // lost in transit (clients see ErrConnReset) while the machine itself keeps
 // running and heartbeating — the classic partition the watchdog must NOT
 // confuse with a crash. Tenants without a server are unaffected.
-func (f *Fleet) InjectPartition(n *Node, until uint64) {
+func (f *Fleet) injectPartition(n *Node, until uint64) {
 	if n.state == NodeCrashed || n.state == NodeFenced {
 		return
 	}
@@ -616,12 +603,12 @@ func (f *Fleet) InjectPartition(n *Node, until uint64) {
 	}
 }
 
-// Heartbeat publishes a heartbeat from every machine able to speak — the
+// heartbeat publishes a heartbeat from every machine able to speak — the
 // healthy ones, including cordoned suspects that turned out to be alive.
 // Each beat is one shared-memory write, charged to the policy category on
 // the beating node's cost model. The supervisor calls this on its cadence;
-// the watchdog then reads LastBeat and nothing else.
-func (f *Fleet) Heartbeat() {
+// the watchdog then reads lastBeat and nothing else.
+func (f *Fleet) heartbeat() {
 	now := f.clock.Cycles()
 	for _, n := range f.nodes {
 		if n.state != NodeHealthy {
@@ -632,32 +619,25 @@ func (f *Fleet) Heartbeat() {
 	}
 }
 
-// NoteHeartbeatMiss records one watchdog deadline a node's heartbeat
-// missed (the supervisor's detection events, kept on the fleet account so
-// the experiment tables read from one place).
-func (f *Fleet) NoteHeartbeatMiss(n *Node) {
-	f.m.Inc(metrics.CntChaosHeartbeatMiss)
-}
-
-// Recover restarts a downed tenant from its latest periodic checkpoint on
+// restore restarts a downed tenant from its latest periodic checkpoint on
 // another machine: the sealed checkpoint (fleet machines share the
 // provisioned sealing root) is rebuilt under the destination's EPC geometry
 // and cost model, the tenant's Prepare hook rebinds its frontend, and the
 // incarnation respawns. Progress since the checkpoint is gone — that loss
 // is the recovery-point age, recorded per restart.
-func (f *Fleet) Recover(t *Tenant, to *Node) error {
+func (f *Fleet) restore(t *Tenant, to *Node) error {
 	if !t.down {
-		return fmt.Errorf("fleet: recover %s: not down", t.Name)
+		return fmt.Errorf("fleet: restore %s: not down", t.Name)
 	}
 	if t.cp == nil {
-		return fmt.Errorf("fleet: recover %s: no checkpoint", t.Name)
+		return fmt.Errorf("fleet: restore %s: no checkpoint", t.Name)
 	}
 	if to.state != NodeHealthy {
-		return fmt.Errorf("fleet: recover %s: destination %s is %s", t.Name, to.Name, to.state)
+		return fmt.Errorf("fleet: restore %s: destination %s is %s", t.Name, to.Name, to.state)
 	}
 	p, err := libos.Restore(to.Kernel, f.clock, to.Costs, t.cp)
 	if err != nil {
-		return fmt.Errorf("fleet: recover %s on %s: %w", t.Name, to.Name, err)
+		return fmt.Errorf("fleet: restore %s on %s: %w", t.Name, to.Name, err)
 	}
 	if err := f.start(t, to, p, false); err != nil {
 		return err
@@ -689,12 +669,12 @@ func (f *Fleet) shed(t *Tenant) {
 	f.m.Inc(metrics.CntChaosShed)
 }
 
-// FailOver recovers the tenants of a machine the supervisor has declared
+// failOver recovers the tenants of a machine the supervisor has declared
 // dead: highest-priority first (registration order breaking ties), each is
 // restored from its checkpoint onto a policy-chosen surviving machine.
 // Tenants without a checkpoint are lost (ErrCrashed); tenants nothing can
 // hold are shed (ErrShed).
-func (f *Fleet) FailOver(n *Node) error {
+func (f *Fleet) failOver(n *Node) error {
 	var down []*Tenant
 	for _, t := range f.tenants {
 		if t.node == n && t.down {
@@ -720,7 +700,7 @@ func (f *Fleet) FailOver(n *Node) error {
 			f.shed(t)
 			continue
 		}
-		if err := f.Recover(t, dst); err != nil {
+		if err := f.restore(t, dst); err != nil {
 			return err
 		}
 		f.m.Inc(metrics.CntChaosFailovers)
@@ -728,12 +708,12 @@ func (f *Fleet) FailOver(n *Node) error {
 	return nil
 }
 
-// Evacuate moves every movable tenant off a suspect-but-alive machine onto
+// evacuate moves every movable tenant off a suspect-but-alive machine onto
 // policy-chosen healthy ones through the ordinary Quiesce/Adopt migration
 // path, then fences the machine for good: a host that went silent once is
 // not trusted with tenants again (the cordon-and-drain discipline that
 // avoids split-brain). Tenants nothing can hold are shed.
-func (f *Fleet) Evacuate(n *Node) (int, error) {
+func (f *Fleet) evacuate(n *Node) (int, error) {
 	// Cordon first so the placement policy can never pick the machine being
 	// drained as its own destination.
 	n.cordoned = true
@@ -807,66 +787,90 @@ func (f *Fleet) checkpointAll() error {
 }
 
 // Run drives the fleet to completion: thaw machines whose freeze expired,
-// run the chaos hook (injection and supervision), admit tenants as they come
-// due, step every healthy node's dispatch loop round-robin, rebalance and
-// checkpoint on cadence, and idle the clock forward to the next admission,
-// thaw, or chaos deadline when nothing is runnable. It returns the first
-// tenant body error (in registration order) once every tenant has finished;
-// chaos outcomes (ErrCrashed, ErrShed) are not fleet failures — they stay on
-// Tenant.Err for the caller to account.
+// fire the chaos events that came due and tick the supervisor, admit
+// tenants as they come due, step every healthy node's dispatch loop
+// round-robin, rebalance and checkpoint on cadence, and idle the clock
+// forward to the next admission, thaw, chaos event or supervisor deadline
+// when nothing is runnable. It returns the first tenant body error (in
+// registration order) once every tenant has finished; chaos outcomes
+// (ErrCrashed, ErrShed) are not fleet failures — they stay on Tenant.Err
+// for the caller to account.
 func (f *Fleet) Run() error {
 	if err := f.validate(); err != nil {
 		return err
 	}
 	for {
-		f.thawDue()
-		if f.OnRound != nil {
-			if err := f.OnRound(f.round); err != nil {
-				return err
-			}
+		more, err := f.step()
+		if err != nil {
+			return err
 		}
-		pendingAt, pending := f.admitDue()
-		for _, t := range f.tenants {
-			if t.task != nil && t.task.Done() {
-				f.collect(t)
-			}
-		}
-		any := false
-		for _, n := range f.nodes {
-			if n.state != NodeHealthy {
-				continue
-			}
-			if n.Sched.Step() {
-				any = true
-			}
-		}
-		if f.RebalanceEvery > 0 && f.round > 0 && f.round%f.RebalanceEvery == 0 {
-			if _, err := f.Rebalance(); err != nil {
-				return err
-			}
-		}
-		if f.CheckpointEvery > 0 && f.round > 0 && f.round%f.CheckpointEvery == 0 {
-			if err := f.checkpointAll(); err != nil {
-				return err
-			}
-		}
-		f.round++
-		if !any {
-			wake, ok := f.nextWake(pendingAt, pending)
-			if !ok {
-				break
-			}
-			// The whole fleet is idle but something is still due (an
-			// admission, a thaw, a chaos deadline): advance the clock there
-			// instead of spinning. A hook deadline already in the past still
-			// advances one cycle, so a misbehaving hook cannot stall time.
-			now := f.clock.Cycles()
-			if wake <= now {
-				wake = now + 1
-			}
-			f.clock.ChargeAs(sim.CatCompute, wake-now)
+		if !more {
+			return f.finish()
 		}
 	}
+}
+
+// step runs one scheduling round. It reports false when the fleet is idle
+// and nothing is due to wake it.
+func (f *Fleet) step() (bool, error) {
+	f.thawDue()
+	now := f.clock.Cycles()
+	if f.chaos != nil {
+		f.chaos.fireDue(f, now)
+	}
+	if f.sup != nil {
+		if err := f.sup.tick(f, now); err != nil {
+			return false, err
+		}
+	}
+	pendingAt, pending := f.admitDue()
+	for _, t := range f.tenants {
+		if t.task != nil && t.task.Done() {
+			f.collect(t)
+		}
+	}
+	any := false
+	for _, n := range f.nodes {
+		if n.state != NodeHealthy {
+			continue
+		}
+		if n.Sched.Step() {
+			any = true
+		}
+	}
+	if f.RebalanceEvery > 0 && f.round > 0 && f.round%f.RebalanceEvery == 0 {
+		if _, err := f.Rebalance(); err != nil {
+			return false, err
+		}
+	}
+	if f.CheckpointEvery > 0 && f.round > 0 && f.round%f.CheckpointEvery == 0 {
+		if err := f.checkpointAll(); err != nil {
+			return false, err
+		}
+	}
+	f.round++
+	if any {
+		return true, nil
+	}
+	wake, ok := f.nextWake(pendingAt, pending)
+	if !ok {
+		return false, nil
+	}
+	// The whole fleet is idle but something is still due (an admission, a
+	// thaw, a chaos event or supervisor deadline): advance the clock there
+	// instead of spinning. A deadline already in the past still advances
+	// one cycle, so time cannot stall.
+	now = f.clock.Cycles()
+	if wake <= now {
+		wake = now + 1
+	}
+	f.clock.ChargeAs(sim.CatCompute, wake-now)
+	return true, nil
+}
+
+// finish settles the run: tenants still down are lost, and the first body
+// error (in registration order) fails it.
+func (f *Fleet) finish() error {
 	now := f.clock.Cycles()
 	for _, t := range f.tenants {
 		f.collect(t)
@@ -888,8 +892,9 @@ func (f *Fleet) Run() error {
 	return nil
 }
 
-// nextWake folds the three reasons an idle fleet must keep going: a future
-// admission, a frozen machine's thaw, and the chaos hook's next deadline.
+// nextWake folds the four reasons an idle fleet must keep going: a future
+// admission, a frozen machine's thaw, the next chaos event, and the
+// supervisor's pending deadline.
 func (f *Fleet) nextWake(pendingAt uint64, pending bool) (uint64, bool) {
 	wake, ok := pendingAt, pending
 	for _, n := range f.nodes {
@@ -897,8 +902,11 @@ func (f *Fleet) nextWake(pendingAt uint64, pending bool) (uint64, bool) {
 			wake, ok = n.frozenUntil, true
 		}
 	}
-	if f.NextWake != nil {
-		if w, wok := f.NextWake(); wok && (!ok || w < wake) {
+	if s := f.chaos; s != nil && s.next < len(s.Events) && (!ok || s.Events[s.next].At < wake) {
+		wake, ok = s.Events[s.next].At, true
+	}
+	if f.sup != nil {
+		if w, wok := f.sup.pendingWake(f); wok && (!ok || w < wake) {
 			wake, ok = w, true
 		}
 	}

@@ -326,6 +326,27 @@ func TestFleetNoNodeFits(t *testing.T) {
 	}
 }
 
+// TestFleetFailedLoadFreesFrames: a tenant placed on a node whose load then
+// fails (a pin-all image over its 16-page quota) surfaces as a tenant error
+// and leaves the node's free EPC frames as they were.
+func TestFleetFailedLoadFreesFrames(t *testing.T) {
+	f := newTestFleet(FirstFit{})
+	n0 := f.AddNode("m0", 256, sim.DefaultCosts())
+	free := n0.FreeFrames()
+	f.Add(&Tenant{
+		Name:   "greedy",
+		Image:  libos.AppImage{Name: "greedy", Libraries: []libos.Library{{Name: "libg.so", Pages: 2}}, HeapPages: 64},
+		Config: libos.Config{SelfPaging: true, Policy: libos.PolicyPinAll, QuotaPages: 16},
+		Body:   func(*Tenant, *libos.Process) error { return nil },
+	})
+	if err := f.Run(); !errors.Is(err, core.ErrEPCExhausted) {
+		t.Fatalf("fleet run = %v, want ErrEPCExhausted", err)
+	}
+	if got := n0.FreeFrames(); got != free {
+		t.Fatalf("failed admission left %d free frames of %d", got, free)
+	}
+}
+
 // TestFleetDeterminism: two identical fleets produce byte-identical
 // outcomes — same clock, same stats, same per-tenant accounts.
 func TestFleetDeterminism(t *testing.T) {

@@ -1,14 +1,10 @@
-package chaos
+package fleet
 
 import (
 	"errors"
 	"strings"
 	"testing"
 
-	"autarky/internal/core"
-	"autarky/internal/fleet"
-	"autarky/internal/libos"
-	"autarky/internal/service"
 	"autarky/internal/sim"
 )
 
@@ -100,34 +96,34 @@ func TestEventKindString(t *testing.T) {
 	}
 }
 
-// --- Attach validation ---
+// --- AttachChaos validation ---
 
 func TestAttachRejects(t *testing.T) {
-	empty := fleet.New(sim.NewClock(), nil, 0)
-	if err := Attach(empty, &Schedule{}, nil); err == nil {
+	empty := New(sim.NewClock(), nil, 0)
+	if err := empty.AttachChaos(&Schedule{}, nil); err == nil {
 		t.Fatal("attach to an empty fleet accepted")
 	}
 
-	f := fleet.New(sim.NewClock(), nil, 0)
+	f := New(sim.NewClock(), nil, 0)
 	f.AddNode("m0", 64, sim.DefaultCosts())
 	bad := &Schedule{Events: []Event{{At: 1, Kind: KindCrash, Node: 3}}}
-	if err := Attach(f, bad, nil); err == nil || !strings.Contains(err.Error(), "targets node") {
+	if err := f.AttachChaos(bad, nil); err == nil || !strings.Contains(err.Error(), "targets node") {
 		t.Fatalf("out-of-range event target accepted: %v", err)
 	}
-	if err := Attach(f, nil, &Supervisor{}); err == nil {
+	if err := f.AttachChaos(nil, &Supervisor{}); err == nil {
 		t.Fatal("supervisor without a deadline accepted")
 	}
 	sup := &Supervisor{Deadline: 1000}
-	if err := Attach(f, nil, sup); err != nil {
+	if err := f.AttachChaos(nil, sup); err != nil {
 		t.Fatal(err)
 	}
 	if sup.HeartbeatEvery != 250 {
 		t.Fatalf("default HeartbeatEvery = %d, want Deadline/4 = 250", sup.HeartbeatEvery)
 	}
 	tiny := &Supervisor{Deadline: 2}
-	g := fleet.New(sim.NewClock(), nil, 0)
+	g := New(sim.NewClock(), nil, 0)
 	g.AddNode("m0", 64, sim.DefaultCosts())
-	if err := Attach(g, nil, tiny); err != nil {
+	if err := g.AttachChaos(nil, tiny); err != nil {
 		t.Fatal(err)
 	}
 	if tiny.HeartbeatEvery != 1 {
@@ -137,53 +133,21 @@ func TestAttachRejects(t *testing.T) {
 
 // --- End-to-end supervision ---
 
-// newSupTenant builds a minimal open-loop serving tenant, in the mould of
-// the fleet package's test helper: 400 Poisson arrivals, 50k cycles apart.
-func newSupTenant(name string, seed uint64) *fleet.Tenant {
-	t := &fleet.Tenant{
-		Name: name,
-		Image: libos.AppImage{
-			Name:      name,
-			Libraries: []libos.Library{{Name: "libserve.so", Pages: 2}},
-			HeapPages: 24,
-		},
-		Config: libos.Config{
-			SelfPaging:     true,
-			Policy:         libos.PolicyRateLimit,
-			QuotaPages:     40,
-			RateLimitBurst: 1 << 40,
-		},
-	}
-	return t.Serve(fleet.Serving{
-		Handlers: func(p *libos.Process) {
-			heap := p.Heap.PageVAs()
-			p.Handle("get", func(ctx *core.Context, arg uint64) (uint64, error) {
-				va := heap[arg%uint64(len(heap))]
-				ctx.Store(va)
-				return uint64(va), nil
-			})
-		},
-		Options: service.Options{QueueCap: 64},
-		Conns:   4,
-		Load:    service.OpenLoop{Arrivals: service.Poisson{MeanGap: 50_000}, Requests: 400, Seed: seed},
-	})
-}
-
 // runSupFleet builds a three-machine fleet with two serving tenants,
 // attaches the given schedule (and, when supervised, a watchdog supervisor
 // over periodic checkpoints), runs it, and returns the fleet with its
 // tenants. m0 is sized so that only alpha fits there: beta spills to m1 and
 // keeps the fleet's clock advancing through m0's failures, which is what
 // lets the blind watchdog observe the silence.
-func runSupFleet(t *testing.T, sched *Schedule, supervised bool) (*fleet.Fleet, []*fleet.Tenant) {
+func runSupFleet(t *testing.T, sched *Schedule, supervised bool) (*Fleet, []*Tenant) {
 	t.Helper()
 	clock := sim.NewClock()
 	clock.SetLimit(4_000_000_000)
-	f := fleet.New(clock, fleet.FirstFit{}, 60_000)
+	f := New(clock, FirstFit{}, 60_000)
 	f.AddNode("m0", 64, sim.DefaultCosts())
 	f.AddNode("m1", 256, sim.DefaultCosts())
 	f.AddNode("m2", 256, sim.DefaultCosts())
-	tenants := []*fleet.Tenant{newSupTenant("alpha", 31), newSupTenant("beta", 32)}
+	tenants := []*Tenant{newServingTenant("alpha", 24, 40, 400, meanGap, 31), newServingTenant("beta", 24, 40, 400, meanGap, 32)}
 	for _, tn := range tenants {
 		f.Add(tn)
 	}
@@ -192,7 +156,7 @@ func runSupFleet(t *testing.T, sched *Schedule, supervised bool) (*fleet.Fleet, 
 		sup = &Supervisor{Deadline: 300_000, HeartbeatEvery: 30_000}
 		f.CheckpointEvery = 8
 	}
-	if err := Attach(f, sched, sup); err != nil {
+	if err := f.AttachChaos(sched, sup); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Run(); err != nil {
@@ -227,7 +191,7 @@ func TestSupervisorFailsOverCrash(t *testing.T) {
 	if st.RecoveryPointAge == 0 {
 		t.Fatal("recovery charged no recovery-point age")
 	}
-	if n0 := fSup.Nodes()[0]; n0.State() != fleet.NodeCrashed {
+	if n0 := fSup.Nodes()[0]; n0.State() != NodeCrashed {
 		t.Fatalf("crashed node state %v", n0.State())
 	}
 	for _, tn := range supTenants {
@@ -245,7 +209,7 @@ func TestSupervisorFailsOverCrash(t *testing.T) {
 	// The unsupervised fleet lost the crashed machine's tenant for good;
 	// the survivor was untouched.
 	alpha, beta := bareTenants[0], bareTenants[1]
-	if !errors.Is(alpha.Err(), fleet.ErrCrashed) {
+	if !errors.Is(alpha.Err(), ErrCrashed) {
 		t.Fatalf("unsupervised alpha err = %v, want ErrCrashed", alpha.Err())
 	}
 	if alpha.Server().PendingSchedule() == 0 {
@@ -284,7 +248,7 @@ func TestSupervisorEvacuatesFrozen(t *testing.T) {
 		t.Fatalf("stats: failures %d hb-missed %d, want 1/1", st.Failures, st.HeartbeatsMissed)
 	}
 	n0 := f.Nodes()[0]
-	if n0.State() != fleet.NodeFenced || n0.Accepting() {
+	if n0.State() != NodeFenced || n0.Accepting() {
 		t.Fatalf("thawed suspect: state %v accepting %v, want fenced", n0.State(), n0.Accepting())
 	}
 	if st.Failovers != 1 || st.Restarts != 0 {
@@ -321,7 +285,7 @@ func TestPartitionEventSeversChannel(t *testing.T) {
 	if st.Failovers != 0 || st.Restarts != 0 || st.HeartbeatsMissed != 0 {
 		t.Fatalf("supervisor reacted to a partition: %+v", st)
 	}
-	if n0 := f.Nodes()[0]; n0.State() != fleet.NodeHealthy {
+	if n0 := f.Nodes()[0]; n0.State() != NodeHealthy {
 		t.Fatalf("partitioned node state %v, want healthy", n0.State())
 	}
 	dropped := uint64(0)

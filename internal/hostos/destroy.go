@@ -40,6 +40,13 @@ func (k *Kernel) DestroyEnclave(p *Proc) error {
 	if !dead {
 		return fmt.Errorf("%w: enclave %d", ErrEnclaveLive, p.E.ID)
 	}
+	return k.teardown(p)
+}
+
+// teardown EREMOVEs and unmaps every resident frame, drops the outstanding
+// sealed blobs and removes the process from the kernel's tables. The
+// enclave must be dead, or not yet initialized.
+func (k *Kernel) teardown(p *Proc) error {
 	for _, va := range p.PageVAs() {
 		ps := p.pages[va.VPN()]
 		if ps.resident {

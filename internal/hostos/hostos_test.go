@@ -114,6 +114,33 @@ func TestLoadEnclaveSpillsOverQuota(t *testing.T) {
 	}
 }
 
+// TestLoadEnclaveFailureUnloads: a load that fails at its last step, EINIT,
+// after EADDing every page and spilling the tail past its quota, leaves no
+// registration, no EPC frame and no sealed blob behind.
+func TestLoadEnclaveFailureUnloads(t *testing.T) {
+	m := newMachine()
+	sp := spec(16, 10, false, nil)
+	sp.Runtime = nil // EINIT refuses an enclave without an entry point
+	if _, err := m.kernel.LoadEnclave(sp); err == nil {
+		t.Fatal("EINIT without a runtime succeeded")
+	}
+	if p := m.kernel.ProcAt(base); p != nil {
+		t.Fatalf("failed load left enclave %d registered", p.E.ID)
+	}
+	if free, total := m.cpu.EPC.FreeFrames(), m.cpu.EPC.NumFrames(); free != total {
+		t.Fatalf("failed load left %d of %d EPC frames allocated", total-free, total)
+	}
+	if n := m.kernel.Store.Len(); n != 0 {
+		t.Fatalf("failed load left %d sealed blobs in the store", n)
+	}
+	if err := m.kernel.SetBackend(m.kernel.Backend()); err != nil {
+		t.Fatalf("SetBackend after a failed load: %v", err)
+	}
+	if _, err := m.kernel.LoadEnclave(spec(16, 10, false, nil)); err != nil {
+		t.Fatalf("reload at the same base: %v", err)
+	}
+}
+
 func TestLegacyDemandPagingRoundTrip(t *testing.T) {
 	m := newMachine()
 	rt := &appRuntime{}

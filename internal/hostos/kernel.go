@@ -381,8 +381,10 @@ type EnclaveSpec struct {
 // LoadEnclave builds, measures and initializes an enclave per spec:
 // ECREATE, EADD of every segment page, TCS provisioning, EINIT, and PTE
 // setup. If the initial image exceeds the quota, the tail is evicted during
-// load (as Graphene-style ahead-of-time EADD loading must).
-func (k *Kernel) LoadEnclave(spec EnclaveSpec) (*Proc, error) {
+// load (as Graphene-style ahead-of-time EADD loading must). A load that
+// fails tears the uninitialized enclave down before it returns the error,
+// so neither its registration nor its EPC frames outlive the failure.
+func (k *Kernel) LoadEnclave(spec EnclaveSpec) (_ *Proc, err error) {
 	e, err := k.CPU.ECREATE(spec.Base, spec.Size, spec.Attrs)
 	if err != nil {
 		return nil, err
@@ -402,6 +404,13 @@ func (k *Kernel) LoadEnclave(spec EnclaveSpec) (*Proc, error) {
 	}
 	k.procs[e.ID] = p
 	k.procList = append(k.procList, p)
+	defer func() {
+		if err != nil {
+			if terr := k.teardown(p); terr != nil {
+				err = fmt.Errorf("%w (teardown: %v)", err, terr)
+			}
+		}
+	}()
 
 	for _, seg := range spec.Segments {
 		if seg.VA.Offset() != 0 {

@@ -63,6 +63,24 @@ type AppImage struct {
 	ReservePages int
 }
 
+// LoadedPages counts the pages the loader adds to the enclave: every
+// library's code, data, heap and stack. ReservePages are not loaded.
+func (img AppImage) LoadedPages() int {
+	n := img.DataPages + img.HeapPages + img.stackPages()
+	for i := range img.Libraries {
+		n += img.Libraries[i].TotalPages()
+	}
+	return n
+}
+
+// stackPages is StackPages, 8 when unset.
+func (img AppImage) stackPages() int {
+	if img.StackPages == 0 {
+		return 8
+	}
+	return img.StackPages
+}
+
 // synthesizeCode fills one page of deterministic "code" bytes for a library
 // page, so enclave measurements are stable across runs.
 func synthesizeCode(lib string, page int) []byte {

@@ -61,6 +61,25 @@ func TestLayoutIsContiguousAndDisjoint(t *testing.T) {
 	}
 }
 
+// TestLoadedPagesCountsTheLoad: LoadedPages is the number of pages the
+// loader adds, with the 8-page default stack and without the reserve.
+func TestLoadedPagesCountsTheLoad(t *testing.T) {
+	img := AppImage{
+		Name:         "count",
+		Libraries:    []Library{{Name: "a.so", Pages: 3}, {Name: "b.so", Funcs: []Function{{Name: "f", Pages: 2}}}},
+		DataPages:    4,
+		HeapPages:    8,
+		ReservePages: 16,
+	}
+	if got, want := img.LoadedPages(), 3+2+4+8+8; got != want {
+		t.Fatalf("LoadedPages = %d, want %d", got, want)
+	}
+	p := load(t, img, Config{Mech: core.MechSGX2})
+	if got := len(p.Proc.PageVAs()); got != img.LoadedPages() {
+		t.Fatalf("loader added %d pages, LoadedPages says %d", got, img.LoadedPages())
+	}
+}
+
 func TestCodePermissionsAreRX(t *testing.T) {
 	p := load(t, AppImage{
 		Name:      "perm",

@@ -171,11 +171,7 @@ func Load(k *hostos.Kernel, clock *sim.Clock, costs *sim.Costs, img AppImage, cf
 	cursor = data.End()
 	heap := Region{Name: "heap", Base: cursor, Pages: img.HeapPages, Perms: mmu.PermRW}
 	cursor = heap.End()
-	stackPages := img.StackPages
-	if stackPages == 0 {
-		stackPages = 8
-	}
-	stack := Region{Name: "stack", Base: cursor, Pages: stackPages, Perms: mmu.PermRW}
+	stack := Region{Name: "stack", Base: cursor, Pages: img.stackPages(), Perms: mmu.PermRW}
 	cursor = stack.End()
 	reserve := Region{Name: "reserve", Base: cursor, Pages: img.ReservePages, Perms: mmu.PermRW}
 	cursor = reserve.End()
@@ -243,6 +239,13 @@ func Load(k *hostos.Kernel, clock *sim.Clock, costs *sim.Costs, img AppImage, cf
 
 	if cfg.SelfPaging {
 		if err := p.wirePolicy(); err != nil {
+			// The enclave ran EINIT: retire it so that its pages may be
+			// removed, then destroy it, so that neither its registration
+			// nor its frames outlive the failed load.
+			k.CPU.RetireEnclave(proc.E)
+			if derr := k.DestroyEnclave(proc); derr != nil {
+				return nil, fmt.Errorf("%w (destroy: %v)", err, derr)
+			}
 			return nil, err
 		}
 	}

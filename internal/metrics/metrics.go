@@ -149,8 +149,8 @@ const (
 	CntMigrationDowntime // cycles between quiesce start and destination resume
 	CntFleetRebalances   // fleet rebalance scans that produced at least one move
 
-	// Chaos engineering + supervised self-healing (internal/chaos,
-	// internal/fleet supervisor).
+	// Chaos engineering + supervised self-healing (internal/fleet failure
+	// schedule and supervisor).
 	CntChaosFailures      // whole-machine failures injected (crashes, freezes, partitions)
 	CntChaosHeartbeatMiss // watchdog deadlines a machine's heartbeat missed
 	CntChaosFailovers     // tenants evacuated off a failed machine via Quiesce/Adopt

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"autarky"
-	"autarky/internal/chaos"
 	"autarky/internal/core"
 	"autarky/internal/fleet"
 	"autarky/internal/hostos"
@@ -199,7 +198,7 @@ func servingTenant(name string, seed uint64) *fleet.Tenant {
 // superviseFleet runs three machines and two tenants under a heartbeat
 // supervisor through one chaos event: m0 only fits alpha, so beta keeps the
 // clock moving on m1 while m0 fails.
-func superviseFleet(ev chaos.Event) func(*uint64) fleetOutcome {
+func superviseFleet(ev fleet.Event) func(*uint64) fleetOutcome {
 	return func(upcalls *uint64) fleetOutcome {
 		clock := sim.NewClock()
 		clock.SetLimit(4_000_000_000)
@@ -213,8 +212,8 @@ func superviseFleet(ev chaos.Event) func(*uint64) fleetOutcome {
 			f.Add(tn)
 		}
 		f.CheckpointEvery = 8
-		sup := &chaos.Supervisor{Deadline: 300_000, HeartbeatEvery: 30_000}
-		if err := chaos.Attach(f, &chaos.Schedule{Events: []chaos.Event{ev}}, sup); err != nil {
+		sup := &fleet.Supervisor{Deadline: 300_000, HeartbeatEvery: 30_000}
+		if err := f.AttachChaos(&fleet.Schedule{Events: []fleet.Event{ev}}, sup); err != nil {
 			panic(err)
 		}
 		if err := f.Run(); err != nil {
@@ -240,13 +239,13 @@ func superviseFleet(ev chaos.Event) func(*uint64) fleetOutcome {
 func TestInPlacePollsMatchRealPollsOnFleet(t *testing.T) {
 	cases := []struct {
 		name  string
-		ev    chaos.Event
+		ev    fleet.Event
 		state fleet.NodeState
 	}{
 		// Suspected, then evacuated by live migration (Drain) and fenced.
-		{"freeze", chaos.Event{At: 1_000_000, Kind: chaos.KindFreeze, Node: 0, Dur: 450_000}, fleet.NodeFenced},
+		{"freeze", fleet.Event{At: 1_000_000, Kind: fleet.KindFreeze, Node: 0, Dur: 450_000}, fleet.NodeFenced},
 		// Declared dead (Kill) and failed over from a checkpoint.
-		{"crash", chaos.Event{At: 2_000_000, Kind: chaos.KindCrash, Node: 0}, fleet.NodeCrashed},
+		{"crash", fleet.Event{At: 2_000_000, Kind: fleet.KindCrash, Node: 0}, fleet.NodeCrashed},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

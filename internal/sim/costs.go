@@ -78,7 +78,7 @@ type Costs struct {
 	// single-machine experiments are unaffected.
 	FleetScan uint64
 
-	// Supervision (internal/chaos): one heartbeat publication by a healthy
+	// Supervision (internal/fleet): one heartbeat publication by a healthy
 	// node, and one watchdog sweep of the fleet's heartbeat deadlines by the
 	// supervisor. Only supervised fleets charge these.
 	FleetHeartbeat uint64

@@ -73,15 +73,7 @@ const spawnSlotBytes = 1 << 30
 // spawnSlot returns the address-space stride reserved for img: its footprint
 // rounded up to whole 1 GiB slots.
 func spawnSlot(img AppImage) mmu.VAddr {
-	pages := img.DataPages + img.HeapPages + img.ReservePages
-	stack := img.StackPages
-	if stack == 0 {
-		stack = 8 // the loader's default
-	}
-	pages += stack
-	for i := range img.Libraries {
-		pages += img.Libraries[i].TotalPages()
-	}
+	pages := img.LoadedPages() + img.ReservePages
 	slots := (uint64(pages)*PageSize + spawnSlotBytes - 1) / spawnSlotBytes
 	if slots == 0 {
 		slots = 1

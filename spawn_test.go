@@ -180,3 +180,25 @@ func TestSpawnDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestSpawnFailureUnwindsLoad: a load that fails after the kernel registered
+// the enclave leaves nothing behind. A pin-all image cannot fit a 16-page
+// quota, so Spawn fails; the kernel must then have forgotten the enclave,
+// freed every EPC frame and accept a backend swap again.
+func TestSpawnFailureUnwindsLoad(t *testing.T) {
+	m := NewMachine(WithEPCFrames(256))
+	img := AppImage{Name: "greedy", Libraries: []Library{{Name: "libg.so", Pages: 2}}, HeapPages: 64}
+	_, err := m.Spawn(img, Config{SelfPaging: true, Policy: PolicyPinAll, QuotaPages: 16})
+	if !errors.Is(err, ErrEPCExhausted) {
+		t.Fatalf("Spawn = %v, want ErrEPCExhausted", err)
+	}
+	if p := m.Kernel.ProcAt(DefaultBase); p != nil {
+		t.Fatalf("failed load left enclave %d registered", p.E.ID)
+	}
+	if free, total := m.Kernel.CPU.EPC.FreeFrames(), m.Kernel.CPU.EPC.NumFrames(); free != total {
+		t.Fatalf("failed load left %d of %d EPC frames allocated", total-free, total)
+	}
+	if err := m.Kernel.SetBackend(m.Kernel.Backend()); err != nil {
+		t.Fatalf("SetBackend after a failed load: %v", err)
+	}
+}

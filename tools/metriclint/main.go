@@ -31,11 +31,10 @@ var deterministic = []string{
 	// pure function of (scenario, spec, depth).
 	"internal/orderly",
 	// Fleet placement, rebalancing and migration ordering must be a pure
-	// function of the shared clock — E15's golden diff depends on it.
+	// function of the shared clock, and failure schedules expand from
+	// sim.Rand and fire on clock rounds — the E15 and E16 golden diffs
+	// depend on it.
 	"internal/fleet",
-	// Failure schedules expand from sim.Rand and fire on clock rounds —
-	// E16's golden diff depends on it.
-	"internal/chaos",
 }
 
 // forbiddenImports are the nondeterminism sources banned in deterministic
