@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt metriclint apicheck chaos orderly serving migrate fuzz cover check bench gobench benchdiff
+.PHONY: all build test race vet fmt metriclint apicheck benchcheck chaos orderly serving migrate fuzz cover check bench gobench benchdiff
 
 all: build
 
@@ -67,6 +67,11 @@ metriclint:
 #   go test -run TestPublicAPISurfaceGolden -update .
 apicheck:
 	$(GO) test -run TestPublicAPISurfaceGolden .
+
+# benchcheck vets and tests the benchmark module (benchmark/, its own
+# go.mod, so the root ./... never compiles it) against the current tree.
+benchcheck:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # chaos runs the E12 fault-injection sweep and the E16 fleet-chaos sweep at
 # two worker counts each and diffs all four against the committed golden
@@ -152,8 +157,8 @@ cover:
 	done < testdata/coverage_floors.txt; exit $$fail
 
 # check is the CI gate: formatting, static analysis, determinism lint,
-# API-surface freshness, build, the full test suite under the race
-# detector, the chaos, orderliness, serving and migration determinism
-# goldens, the coverage floors, and a short fuzz pass.
-check: fmt vet metriclint apicheck build race chaos orderly serving migrate cover fuzz
+# API-surface freshness, build, the benchmark module, the full test suite
+# under the race detector, the chaos, orderliness, serving and migration
+# determinism goldens, the coverage floors, and a short fuzz pass.
+check: fmt vet metriclint apicheck build benchcheck race chaos orderly serving migrate cover fuzz
 	@echo "all checks passed"

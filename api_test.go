@@ -160,8 +160,8 @@ func TestMachineMetrics(t *testing.T) {
 // TestOptionNames locks the construction options: WithTLBGeometry must
 // configure the machine's TLB.
 func TestOptionNames(t *testing.T) {
-	a := NewMachine(WithTLBGeometry(8, 2), WithEPCFrames(256))
-	if a.TLB.Sets() != 8 || a.TLB.Ways() != 2 {
-		t.Fatalf("TLB geometry not applied: %dx%d", a.TLB.Sets(), a.TLB.Ways())
+	tlb := NewMachine(WithTLBGeometry(8, 2), WithEPCFrames(256)).Kernel.CPU.TLB
+	if tlb.Sets() != 8 || tlb.Ways() != 2 {
+		t.Fatalf("TLB geometry not applied: %dx%d", tlb.Sets(), tlb.Ways())
 	}
 }

@@ -163,12 +163,7 @@ const DefaultBase = libos.DefaultBase
 type Machine struct {
 	Clock  *sim.Clock
 	Costs  *sim.Costs
-	CPU    *sgx.CPU
 	Kernel *hostos.Kernel
-	PT     *mmu.PageTable
-	TLB    *mmu.TLB
-	EPC    *sgx.EPC
-	Store  *pagestore.Store
 
 	sched    *sched.Scheduler
 	nextBase mmu.VAddr
@@ -183,10 +178,7 @@ type Machine struct {
 type Option func(*machineConfig)
 
 type machineConfig struct {
-	epcFrames   int
-	epcBase     mmu.PFN
-	tlbSets     int
-	tlbWays     int
+	geometry    hostos.Geometry
 	costs       sim.Costs
 	rootSecret  []byte
 	schedPolicy sched.PolicyKind
@@ -200,16 +192,16 @@ type machineConfig struct {
 
 // withEPCBase places the machine's EPC at a specific physical frame range
 // (used by the Hypervisor to carve disjoint static partitions).
-func withEPCBase(base mmu.PFN) Option { return func(c *machineConfig) { c.epcBase = base } }
+func withEPCBase(base mmu.PFN) Option { return func(c *machineConfig) { c.geometry.EPCBase = base } }
 
 // WithEPCFrames sets the physical EPC capacity in 4 KiB frames.
 // The default (65536 frames = 256 MiB) matches the paper's platform; tests
 // and scaled-down experiments use fewer.
-func WithEPCFrames(n int) Option { return func(c *machineConfig) { c.epcFrames = n } }
+func WithEPCFrames(n int) Option { return func(c *machineConfig) { c.geometry.EPCFrames = n } }
 
 // WithTLBGeometry sets the TLB geometry (sets × ways). Default 64×4.
 func WithTLBGeometry(sets, ways int) Option {
-	return func(c *machineConfig) { c.tlbSets, c.tlbWays = sets, ways }
+	return func(c *machineConfig) { c.geometry.TLBSets, c.geometry.TLBWays = sets, ways }
 }
 
 // WithCosts overrides the calibrated cycle cost model.
@@ -224,10 +216,7 @@ func WithRootSecret(secret []byte) Option {
 // defaultMachineConfig is the option baseline NewMachine starts from.
 func defaultMachineConfig() machineConfig {
 	return machineConfig{
-		epcFrames:   65536,
-		epcBase:     mmu.PFN(0x100000),
-		tlbSets:     64,
-		tlbWays:     4,
+		geometry:    hostos.DefaultGeometry(65536),
 		costs:       sim.DefaultCosts(),
 		rootSecret:  []byte("autarky-model-root-secret"),
 		schedPolicy: sched.RoundRobin,
@@ -240,11 +229,12 @@ func defaultMachineConfig() machineConfig {
 // are checked where their stacks are built, on the same optErr). The first
 // problem is reported as a *ConfigError naming the offending option.
 func (c *machineConfig) validate() error {
-	if c.epcFrames < 1 {
-		return &ConfigError{Field: "EPCFrames", Reason: fmt.Sprintf("%d frames, want >= 1", c.epcFrames)}
+	g := c.geometry
+	if g.EPCFrames < 1 {
+		return &ConfigError{Field: "EPCFrames", Reason: fmt.Sprintf("%d frames, want >= 1", g.EPCFrames)}
 	}
-	if c.tlbSets < 1 || c.tlbWays < 1 {
-		return &ConfigError{Field: "TLBGeometry", Reason: fmt.Sprintf("%d sets x %d ways, want >= 1x1", c.tlbSets, c.tlbWays)}
+	if g.TLBSets < 1 || g.TLBWays < 1 {
+		return &ConfigError{Field: "TLBGeometry", Reason: fmt.Sprintf("%d sets x %d ways, want >= 1x1", g.TLBSets, g.TLBWays)}
 	}
 	if len(c.rootSecret) == 0 {
 		return &ConfigError{Field: "RootSecret", Reason: "empty sealing root"}
@@ -269,18 +259,12 @@ func NewMachine(opts ...Option) *Machine {
 	}
 	clock := sim.NewClock()
 	costs := cfg.costs
-	pt := mmu.NewPageTable(clock, &costs)
-	tlb := mmu.NewTLB(cfg.tlbSets, cfg.tlbWays, clock, &costs)
-	epc := sgx.NewEPC(cfg.epcBase, cfg.epcFrames)
-	reg := sgx.NewRegularMemory(mmu.PFN(1 << 40))
-	cpu := sgx.NewCPU(clock, &costs, tlb, pt, epc, reg, cfg.rootSecret)
-	store := pagestore.NewStore()
-	kernel := hostos.NewKernel(cpu, pt, store, clock, &costs)
+	kernel := hostos.NewHost(clock, costs, cfg.geometry, cfg.rootSecret)
 	// Backend composition, innermost first: the configured storage stack,
 	// then the fault injector (so every kernel-visible operation is exposed
 	// to it), then the retry layer (which re-rolls transient outages), then
 	// the degraded-mode mirror (which absorbs what retry could not).
-	backend, err := buildBacking(cfg.backing, store, clock, costs, 0)
+	backend, err := buildBacking(cfg.backing, kernel.Store, clock, costs, 0)
 	if optErr == nil && err != nil {
 		optErr = err
 	}
@@ -328,13 +312,8 @@ func NewMachine(opts ...Option) *Machine {
 	policy, _ := sched.NewPolicy(cfg.schedPolicy)
 	return &Machine{
 		Clock:    clock,
-		Costs:    &costs,
-		CPU:      cpu,
+		Costs:    kernel.Costs,
 		Kernel:   kernel,
-		PT:       pt,
-		TLB:      tlb,
-		EPC:      epc,
-		Store:    store,
 		sched:    sched.New(kernel, policy, cfg.quantum),
 		nextBase: libos.DefaultBase,
 		optErr:   optErr,

@@ -142,7 +142,7 @@ func victimSetup(name string, n int) (autarky.AppImage, func(*libos.Process, *co
 			HeapPages: jcfg.OutPagesPerBlockRow*jcfg.BlocksH + jcfg.TmpPages + 8,
 		}
 		return img, func(p *libos.Process, ctx *core.Context) ([]mmu.VAddr, func(*core.Context)) {
-			j, err := workloads.BuildJPEG(p, p.Kernel.Clock, jcfg)
+			j, err := workloads.BuildJPEG(p, jcfg)
 			if err != nil {
 				panic(err)
 			}

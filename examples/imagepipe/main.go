@@ -45,7 +45,7 @@ func main() {
 	}
 
 	err = p.Run(func(ctx *core.Context) {
-		j, err := workloads.BuildJPEG(p.Process, m.Clock, jcfg)
+		j, err := workloads.BuildJPEG(p.Process, jcfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -16,8 +16,8 @@ func TestMachineOptions(t *testing.T) {
 		WithCosts(costs),
 		WithRootSecret([]byte("custom")),
 	)
-	if m.EPC.NumFrames() != 128 {
-		t.Fatalf("EPC frames = %d", m.EPC.NumFrames())
+	if n := m.Kernel.CPU.EPC.NumFrames(); n != 128 {
+		t.Fatalf("EPC frames = %d", n)
 	}
 	if m.Costs.EENTER != 1 {
 		t.Fatalf("costs not applied: EENTER = %d", m.Costs.EENTER)

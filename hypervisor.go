@@ -3,6 +3,7 @@ package autarky
 import (
 	"fmt"
 
+	"autarky/internal/hostos"
 	"autarky/internal/mmu"
 )
 
@@ -32,7 +33,7 @@ func NewHypervisor(totalFrames int) *Hypervisor {
 	}
 	return &Hypervisor{
 		totalFrames: totalFrames,
-		nextFrame:   mmu.PFN(0x100000),
+		nextFrame:   hostos.DefaultGeometry(totalFrames).EPCBase,
 		remaining:   totalFrames,
 	}
 }
@@ -75,5 +76,6 @@ func (h *Hypervisor) CreateGuest(frames int, opts ...Option) (*Machine, error) {
 // GuestEPCRange reports a guest's frame range [base, base+frames), for
 // verifying partition disjointness.
 func GuestEPCRange(m *Machine) (base mmu.PFN, frames int) {
-	return m.EPC.Base, m.EPC.NumFrames()
+	epc := m.Kernel.CPU.EPC
+	return epc.Base, epc.NumFrames()
 }

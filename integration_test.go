@@ -180,16 +180,16 @@ func TestCrossEnclaveBlobConfusionRejected(t *testing.T) {
 		}
 	}
 	// The OS swaps the sealed blobs between the two enclaves' slots.
-	blobA, err := m.Store.Get(a.Enclave().ID, target)
+	blobA, err := m.Kernel.Store.Get(a.Enclave().ID, target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blobB, err := m.Store.Get(b.Enclave().ID, target)
+	blobB, err := m.Kernel.Store.Get(b.Enclave().ID, target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Store.Put(a.Enclave().ID, target, blobB)
-	m.Store.Put(b.Enclave().ID, target, blobA)
+	m.Kernel.Store.Put(a.Enclave().ID, target, blobB)
+	m.Kernel.Store.Put(b.Enclave().ID, target, blobA)
 	// Restoring must fail for both: ELDU's sealing check rejects the
 	// foreign blob.
 	for _, p := range []*Proc{a, b} {

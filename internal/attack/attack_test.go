@@ -7,7 +7,6 @@ import (
 	"autarky/internal/hostos"
 	"autarky/internal/metrics"
 	"autarky/internal/mmu"
-	"autarky/internal/pagestore"
 	"autarky/internal/sgx"
 	"autarky/internal/sim"
 	"autarky/internal/trace"
@@ -15,21 +14,14 @@ import (
 
 type machine struct {
 	clock  *sim.Clock
-	costs  sim.Costs
 	pt     *mmu.PageTable
 	cpu    *sgx.CPU
 	kernel *hostos.Kernel
 }
 
 func newMachine() *machine {
-	m := &machine{clock: sim.NewClock(), costs: sim.DefaultCosts()}
-	m.pt = mmu.NewPageTable(m.clock, &m.costs)
-	tlb := mmu.NewTLB(16, 4, m.clock, &m.costs)
-	epc := sgx.NewEPC(0x1000, 256)
-	reg := sgx.NewRegularMemory(1 << 30)
-	m.cpu = sgx.NewCPU(m.clock, &m.costs, tlb, m.pt, epc, reg, []byte("atk"))
-	m.kernel = hostos.NewKernel(m.cpu, m.pt, pagestore.NewStore(), m.clock, &m.costs)
-	return m
+	k := hostos.NewHost(sim.NewClock(), sim.DefaultCosts(), hostos.DefaultGeometry(256), []byte("atk"))
+	return &machine{clock: k.Clock, pt: k.PT, cpu: k.CPU, kernel: k}
 }
 
 // osFaults reports the enclave faults the OS has observed so far.

@@ -45,7 +45,7 @@ func runCoTenants(t *testing.T, selfPaging bool, secret []int) (aLog, bLog *trac
 			cfg.Policy = libos.PolicyRateLimit
 			cfg.RateLimitBurst = 1 << 40
 		}
-		p, err := libos.Load(m.kernel, m.clock, &m.costs, img, cfg)
+		p, err := libos.Load(m.kernel, img, cfg)
 		if err != nil {
 			t.Fatalf("load %s: %v", name, err)
 		}

@@ -20,15 +20,8 @@ import (
 
 func newStack(t *testing.T, img libos.AppImage, cfg libos.Config) (*libos.Process, *hostos.Kernel) {
 	t.Helper()
-	clock := sim.NewClock()
-	costs := sim.DefaultCosts()
-	pt := mmu.NewPageTable(clock, &costs)
-	tlb := mmu.NewTLB(64, 4, clock, &costs)
-	epc := sgx.NewEPC(0x1000, 4096)
-	reg := sgx.NewRegularMemory(1 << 30)
-	cpu := sgx.NewCPU(clock, &costs, tlb, pt, epc, reg, []byte("core-int"))
-	k := hostos.NewKernel(cpu, pt, pagestore.NewStore(), clock, &costs)
-	p, err := libos.Load(k, clock, &costs, img, cfg)
+	k := hostos.NewHost(sim.NewClock(), sim.DefaultCosts(), hostos.DefaultGeometry(4096), []byte("core-int"))
+	p, err := libos.Load(k, img, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,8 +79,8 @@ func RunE10(p E10Params) E10Result {
 }
 
 func runE10Cell(rec *cellRecorder, p E10Params, tenants int) E10Row {
-	m := newBareMachine(sim.DefaultCosts())
-	sc := sched.New(m.kernel, sched.NewRoundRobin(), p.Quantum)
+	k := newHost(sim.DefaultCosts())
+	sc := sched.New(k, sched.NewRoundRobin(), p.Quantum)
 	quota := p.QuotaBudget / tenants
 
 	for i := 0; i < tenants; i++ {
@@ -97,7 +97,7 @@ func runE10Cell(rec *cellRecorder, p E10Params, tenants int) E10Row {
 			RateLimitBurst: 1 << 40,
 			QuotaPages:     quota,
 		}
-		proc, err := libos.Load(m.kernel, m.clock, m.costs, img, cfg)
+		proc, err := libos.Load(k, img, cfg)
 		if err != nil {
 			panic(fmt.Sprintf("E10 load %s (n=%d, quota=%d): %v", name, tenants, quota, err))
 		}
@@ -115,20 +115,20 @@ func runE10Cell(rec *cellRecorder, p E10Params, tenants int) E10Row {
 
 	// Loading is done; measure the scheduled phase in isolation so the
 	// paging-share column reflects contention, not enclave-build crypto.
-	before := metrics.Of(m.clock).Snapshot()
-	start := m.clock.Cycles()
+	before := metrics.Of(k.Clock).Snapshot()
+	start := k.Clock.Cycles()
 	if err := sc.WaitAll(); err != nil {
 		panic(fmt.Sprintf("E10 n=%d: %v", tenants, err))
 	}
-	span := m.clock.Cycles() - start
+	span := k.Clock.Cycles() - start
 
 	acct := sc.Accounting()
 	if err := acct.Check(); err != nil {
 		panic(fmt.Sprintf("E10 n=%d accounting: %v", tenants, err))
 	}
-	if acct.TotalCycles != m.clock.Cycles() {
+	if acct.TotalCycles != k.Clock.Cycles() {
 		panic(fmt.Sprintf("E10 n=%d: accounting total %d != machine cycles %d",
-			tenants, acct.TotalCycles, m.clock.Cycles()))
+			tenants, acct.TotalCycles, k.Clock.Cycles()))
 	}
 	var preempts, minCyc, maxCyc uint64
 	for _, tm := range acct.Tasks {
@@ -140,7 +140,7 @@ func runE10Cell(rec *cellRecorder, p E10Params, tenants int) E10Row {
 			maxCyc = tm.Cycles
 		}
 	}
-	snap := metrics.Of(m.clock).Snapshot()
+	snap := metrics.Of(k.Clock).Snapshot()
 	rec.record("", snap)
 	var pagingShare float64
 	if span > 0 {

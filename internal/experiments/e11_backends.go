@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"autarky/internal/core"
+	"autarky/internal/hostos"
 	"autarky/internal/libos"
 	"autarky/internal/metrics"
 	"autarky/internal/oram"
@@ -52,22 +53,22 @@ func DefaultE11Params() E11Params {
 // kernel's default plain store in place.
 type e11Stack struct {
 	name  string
-	build func(p E11Params, m *bareMachine) pagestore.PagingBackend
+	build func(p E11Params, k *hostos.Kernel) pagestore.PagingBackend
 }
 
 // e11Stacks enumerates the stacks compared, innermost layer last in the name.
 func e11Stacks() []e11Stack {
 	return []e11Stack{
 		{"plain", nil},
-		{"cached", func(p E11Params, m *bareMachine) pagestore.PagingBackend {
-			return pagestore.NewCachedBackend(m.kernel.Store, p.CacheBlobs, m.clock, *m.costs)
+		{"cached", func(p E11Params, k *hostos.Kernel) pagestore.PagingBackend {
+			return pagestore.NewCachedBackend(k.Store, p.CacheBlobs, k.Clock, *k.Costs)
 		}},
-		{"oram", func(p E11Params, m *bareMachine) pagestore.PagingBackend {
-			return oram.NewBackend(m.kernel.Store, p.ORAMSlots, m.clock, *m.costs, p.Seed)
+		{"oram", func(p E11Params, k *hostos.Kernel) pagestore.PagingBackend {
+			return oram.NewBackend(k.Store, p.ORAMSlots, k.Clock, *k.Costs, p.Seed)
 		}},
-		{"cached+oram", func(p E11Params, m *bareMachine) pagestore.PagingBackend {
-			inner := oram.NewBackend(m.kernel.Store, p.ORAMSlots, m.clock, *m.costs, p.Seed)
-			return pagestore.NewCachedBackend(inner, p.CacheBlobs, m.clock, *m.costs)
+		{"cached+oram", func(p E11Params, k *hostos.Kernel) pagestore.PagingBackend {
+			inner := oram.NewBackend(k.Store, p.ORAMSlots, k.Clock, *k.Costs, p.Seed)
+			return pagestore.NewCachedBackend(inner, p.CacheBlobs, k.Clock, *k.Costs)
 		}},
 	}
 }
@@ -105,9 +106,9 @@ func RunE11(p E11Params) E11Result {
 }
 
 func runE11Cell(rec *cellRecorder, p E11Params, stack e11Stack, mech core.Mech) E11Row {
-	m := newBareMachine(sim.DefaultCosts())
+	k := newHost(sim.DefaultCosts())
 	if stack.build != nil {
-		m.kernel.SetBackend(stack.build(p, m))
+		k.SetBackend(stack.build(p, k))
 	}
 	img := libos.AppImage{
 		Name:      "backends",
@@ -121,28 +122,28 @@ func runE11Cell(rec *cellRecorder, p E11Params, stack e11Stack, mech core.Mech) 
 		RateLimitBurst: 1 << 40,
 		QuotaPages:     p.QuotaPages,
 	}
-	proc, err := libos.Load(m.kernel, m.clock, m.costs, img, cfg)
+	proc, err := libos.Load(k, img, cfg)
 	if err != nil {
 		panic(fmt.Sprintf("E11 load (%s/%s): %v", stack.name, mech, err))
 	}
 
-	before := metrics.Of(m.clock).Snapshot()
+	before := metrics.Of(k.Clock).Snapshot()
 	var start, end uint64
 	rng := sim.NewRand(p.Seed)
 	runErr := proc.Run(func(ctx *core.Context) {
-		start = m.clock.Cycles()
+		start = k.Clock.Cycles()
 		heap := proc.Heap.PageVAs()
 		for r := 0; r < p.Rounds; r++ {
 			ctx.Load(heap[rng.Intn(len(heap))])
 		}
-		end = m.clock.Cycles()
+		end = k.Clock.Cycles()
 	})
 	if runErr != nil {
 		panic(fmt.Sprintf("E11 run (%s/%s): %v", stack.name, mech, runErr))
 	}
 	span := end - start
 
-	snap := metrics.Of(m.clock).Snapshot()
+	snap := metrics.Of(k.Clock).Snapshot()
 	rec.record(fmt.Sprintf("%s/%s", stack.name, mech), snap)
 	var pagingShare float64
 	if span > 0 {
@@ -153,7 +154,7 @@ func runE11Cell(rec *cellRecorder, p E11Params, stack e11Stack, mech core.Mech) 
 
 	row := E11Row{
 		Stack:       stack.name,
-		Backend:     m.kernel.Backend().Name(),
+		Backend:     k.Backend().Name(),
 		Mech:        mech.String(),
 		OpsPerSec:   PerSecond(uint64(p.Rounds), span),
 		PagingShare: pagingShare,

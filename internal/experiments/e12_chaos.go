@@ -193,15 +193,15 @@ type e12RepResult struct {
 
 // runE12Rep runs one machine to completion (or death) under one plan.
 func runE12Rep(p E12Params, rate float64, mode e12Mode, seed uint64) e12RepResult {
-	m := newBareMachine(sim.DefaultCosts())
-	var backend pagestore.PagingBackend = fault.NewBackend(m.kernel.Store, e12Plan(p, rate, seed), m.clock)
+	k := newHost(sim.DefaultCosts())
+	var backend pagestore.PagingBackend = fault.NewBackend(k.Store, e12Plan(p, rate, seed), k.Clock)
 	if mode.retry {
-		backend = hostos.NewRetryBackend(backend, hostos.DefaultRetryPolicy(), m.clock)
+		backend = hostos.NewRetryBackend(backend, hostos.DefaultRetryPolicy(), k.Clock)
 	}
 	if mode.fallback {
-		backend = pagestore.NewFallbackBackend(backend, pagestore.NewStore(), m.clock, *m.costs)
+		backend = pagestore.NewFallbackBackend(backend, pagestore.NewStore(), k.Clock, *k.Costs)
 	}
-	m.kernel.SetBackend(backend)
+	k.SetBackend(backend)
 
 	img := libos.AppImage{
 		Name:      "chaos",
@@ -220,11 +220,11 @@ func runE12Rep(p E12Params, rate float64, mode e12Mode, seed uint64) e12RepResul
 			survived:     survived,
 			checksum:     checksum,
 			terminations: terms,
-			snap:         metrics.Of(m.clock).Snapshot(),
+			snap:         metrics.Of(k.Clock).Snapshot(),
 		}
 	}
 
-	proc, err := libos.Load(m.kernel, m.clock, m.costs, img, cfg)
+	proc, err := libos.Load(k, img, cfg)
 	if err != nil {
 		// Load-time paging already crossed the faulty backend; a machine
 		// without recovery can die before its first instruction.
@@ -284,7 +284,7 @@ func runE12Rep(p E12Params, rate float64, mode e12Mode, seed uint64) e12RepResul
 		recovered := false
 		for restores < p.MaxRestores {
 			restores++
-			np, rerr := libos.Restore(m.kernel, m.clock, m.costs, cp)
+			np, rerr := libos.Restore(k, cp)
 			if rerr == nil {
 				proc = np
 				recovered = true

@@ -136,8 +136,8 @@ func RunE14(p E14Params) E14Result {
 }
 
 func runE14Cell(rec *cellRecorder, p E14Params, pol e14Policy, quantum uint64, mech core.Mech) E14Row {
-	m := newBareMachine(sim.DefaultCosts())
-	sc := sched.New(m.kernel, sched.NewRoundRobin(), quantum)
+	k := newHost(sim.DefaultCosts())
+	sc := sched.New(k, sched.NewRoundRobin(), quantum)
 
 	servers := make([]*service.Server, p.Tenants)
 	for t := 0; t < p.Tenants; t++ {
@@ -152,7 +152,7 @@ func runE14Cell(rec *cellRecorder, p E14Params, pol e14Policy, quantum uint64, m
 			Base:       libos.DefaultBase + mmu.VAddr(t)<<30,
 		}
 		pol.cfg(p, &cfg)
-		proc, err := libos.Load(m.kernel, m.clock, m.costs, img, cfg)
+		proc, err := libos.Load(k, img, cfg)
 		if err != nil {
 			panic(fmt.Sprintf("E14 load (%s/q%d/%s): %v", pol.name, quantum, mech, err))
 		}
@@ -199,13 +199,13 @@ func runE14Cell(rec *cellRecorder, p E14Params, pol e14Policy, quantum uint64, m
 		})
 	}
 
-	before := metrics.Of(m.clock).Snapshot()
-	start := m.clock.Cycles()
+	before := metrics.Of(k.Clock).Snapshot()
+	start := k.Clock.Cycles()
 	if err := sc.WaitAll(); err != nil {
 		panic(fmt.Sprintf("E14 serve (%s/q%d/%s): %v", pol.name, quantum, mech, err))
 	}
-	span := m.clock.Cycles() - start
-	snap := metrics.Of(m.clock).Snapshot()
+	span := k.Clock.Cycles() - start
+	snap := metrics.Of(k.Clock).Snapshot()
 	rec.record(fmt.Sprintf("%s/q%d/%s", pol.name, quantum, mech), snap)
 
 	tot := sumServers(servers...)

@@ -145,7 +145,7 @@ func runE5JPEGVariant(p E5Params, vi int) e5Cell {
 	var cycles uint64
 	managed := 0
 	res := RunApp(img, rc, func(proc *libos.Process, ctx *core.Context) {
-		j, err := workloads.BuildJPEG(proc, proc.Kernel.Clock, jcfg)
+		j, err := workloads.BuildJPEG(proc, jcfg)
 		if err != nil {
 			panic(err)
 		}

@@ -82,7 +82,7 @@ func runE7cPolicy(rec *cellRecorder, name string, rc RunConfig, hcfg workloads.H
 		Libraries: []libos.Library{{Name: "libhunspell.so", Pages: 4}},
 		HeapPages: rc.HeapPages,
 	}
-	p, _, err := BuildProcess(img, rc)
+	p, err := BuildProcess(img, rc)
 	if err != nil {
 		panic(fmt.Sprintf("E7c %s: %v", name, err))
 	}

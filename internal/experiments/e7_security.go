@@ -100,7 +100,7 @@ func runE7WrongMap(mrec *cellRecorder) E7Scenario {
 			HeapPages: env.cfg.PagesPerDict + 16,
 		}
 		rc := RunConfig{SelfPaging: selfPaging, Policy: libos.PolicyPinAll, HeapPages: img.HeapPages}
-		p, _, err := BuildProcess(img, rc)
+		p, err := BuildProcess(img, rc)
 		if err != nil {
 			panic(err)
 		}
@@ -191,7 +191,7 @@ func runE7Hunspell(mrec *cellRecorder) E7Scenario {
 			HeapPages: env.cfg.PagesPerDict + 16,
 		}
 		rc := RunConfig{SelfPaging: selfPaging, Policy: libos.PolicyPinAll, HeapPages: img.HeapPages}
-		p, _, err := BuildProcess(img, rc)
+		p, err := BuildProcess(img, rc)
 		if err != nil {
 			panic(err)
 		}
@@ -264,7 +264,7 @@ func runE7FreeType(mrec *cellRecorder) E7Scenario {
 			HeapPages: 16,
 		}
 		rc := RunConfig{SelfPaging: selfPaging, Policy: libos.PolicyPinAll, HeapPages: img.HeapPages}
-		p, _, err := BuildProcess(img, rc)
+		p, err := BuildProcess(img, rc)
 		if err != nil {
 			panic(err)
 		}
@@ -332,12 +332,12 @@ func runE7JPEG(mrec *cellRecorder) E7Scenario {
 			HeapPages: heap,
 		}
 		rc := RunConfig{SelfPaging: selfPaging, Policy: libos.PolicyPinAll, HeapPages: heap}
-		p, _, err := BuildProcess(img, rc)
+		p, err := BuildProcess(img, rc)
 		if err != nil {
 			panic(err)
 		}
 		runErr := p.Run(func(ctx *core.Context) {
-			j, err := workloads.BuildJPEG(p, p.Kernel.Clock, jcfg)
+			j, err := workloads.BuildJPEG(p, jcfg)
 			if err != nil {
 				panic(err)
 			}
@@ -398,7 +398,7 @@ func runE7ADBits(mrec *cellRecorder) E7Scenario {
 			HeapPages: env.cfg.PagesPerDict + 16,
 		}
 		rc := RunConfig{SelfPaging: selfPaging, Policy: libos.PolicyPinAll, HeapPages: img.HeapPages}
-		p, _, err := BuildProcess(img, rc)
+		p, err := BuildProcess(img, rc)
 		if err != nil {
 			panic(err)
 		}

@@ -47,8 +47,7 @@ func RunE7Termination() E7bResult {
 	// this measurement across the whole campaign. Experiment machines share
 	// a platform root (same vendor signing chain), so quotes from any
 	// victim instance verify against the monitor's key.
-	monitorRig := newBareMachine(sim.DefaultCosts())
-	monitor := sgx.NewRestartMonitor(monitorRig.kernel.CPU, res.MonitorBudget)
+	monitor := sgx.NewRestartMonitor(newHost(sim.DefaultCosts()).CPU, res.MonitorBudget)
 
 	// runProbe starts a fresh victim instance, unmaps the candidate page
 	// set before the query, and reports whether the enclave terminated.
@@ -59,7 +58,7 @@ func RunE7Termination() E7bResult {
 			HeapPages: env.cfg.PagesPerDict + 16,
 		}
 		rc := RunConfig{SelfPaging: true, Policy: libos.PolicyPinAll, HeapPages: img.HeapPages}
-		p, _, err := BuildProcess(img, rc)
+		p, err := BuildProcess(img, rc)
 		if err != nil {
 			panic(err)
 		}

@@ -67,14 +67,14 @@ func e9JPEGOverhead(rec *cellRecorder, costs sim.Costs) float64 {
 			Libraries: []libos.Library{{Name: "libe9.so", Pages: 4}},
 			HeapPages: heap,
 		}
-		m := newBareMachine(costs)
+		k := newHost(costs)
 		cfg := libos.Config{
 			SelfPaging:     selfPaging,
 			Policy:         libos.PolicyRateLimit,
 			RateLimitBurst: 1 << 40,
 			QuotaPages:     12 + 60,
 		}
-		p, err := libos.Load(m.kernel, m.clock, m.costs, img, cfg)
+		p, err := libos.Load(k, img, cfg)
 		if err != nil {
 			panic(fmt.Sprintf("E9 load: %v", err))
 		}
@@ -86,16 +86,16 @@ func e9JPEGOverhead(rec *cellRecorder, costs sim.Costs) float64 {
 					panic(err)
 				}
 			}
-			t0 := m.clock.Cycles()
+			t0 := k.Clock.Cycles()
 			for pass := 0; pass < 3; pass++ {
 				for _, va := range p.Heap.PageVAs()[:128] {
 					ctx.Store(va)
-					m.clock.ChargeAmbient(3500) // per-page pipeline work
+					k.Clock.ChargeAmbient(3500) // per-page pipeline work
 				}
 			}
-			cycles = m.clock.Cycles() - t0
+			cycles = k.Clock.Cycles() - t0
 		})
-		rec.recordClock(e7Sub(selfPaging), m.clock)
+		rec.recordClock(e7Sub(selfPaging), k.Clock)
 		if err != nil {
 			panic(fmt.Sprintf("E9 run: %v", err))
 		}

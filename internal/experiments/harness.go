@@ -8,38 +8,21 @@ import (
 	"autarky/internal/libos"
 	"autarky/internal/metrics"
 	"autarky/internal/mmu"
-	"autarky/internal/pagestore"
-	"autarky/internal/sgx"
 	"autarky/internal/sim"
 	"autarky/internal/workloads"
 )
-
-// bareMachine wires one simulated host (the same wiring as the public
-// facade, kept local so internal packages never import the module root).
-type bareMachine struct {
-	clock  *sim.Clock
-	costs  *sim.Costs
-	kernel *hostos.Kernel
-}
 
 // EPCFrames is the physical EPC used by experiment machines; quotas (not
 // physical capacity) are the paging pressure knob.
 const EPCFrames = 1 << 16
 
-func newBareMachine(costs sim.Costs) *bareMachine {
+// newHost builds one experiment machine on a fresh clock.
+func newHost(costs sim.Costs) *hostos.Kernel {
 	clock := sim.NewClock()
 	// The ambient per-cell cycle budget (see SetCellBudget): a runaway
 	// cell aborts its own machine instead of hanging the suite.
 	clock.SetLimit(CellBudget())
-	c := costs
-	pt := mmu.NewPageTable(clock, &c)
-	tlb := mmu.NewTLB(64, 4, clock, &c)
-	epc := sgx.NewEPC(mmu.PFN(0x100000), EPCFrames)
-	reg := sgx.NewRegularMemory(mmu.PFN(1 << 40))
-	cpu := sgx.NewCPU(clock, &c, tlb, pt, epc, reg, []byte("autarky-experiments-root"))
-	store := pagestore.NewStore()
-	kernel := hostos.NewKernel(cpu, pt, store, clock, &c)
-	return &bareMachine{clock: clock, costs: &c, kernel: kernel}
+	return hostos.NewHost(clock, costs, hostos.DefaultGeometry(EPCFrames), []byte("autarky-experiments-root"))
 }
 
 // RunConfig describes one enclave configuration under test.
@@ -105,12 +88,12 @@ type RunResult struct {
 
 // BuildProcess creates a fresh machine and loads an image under rc.
 // The returned cleanup-free process is ready to Run.
-func BuildProcess(img libos.AppImage, rc RunConfig) (*libos.Process, *sim.Clock, error) {
+func BuildProcess(img libos.AppImage, rc RunConfig) (*libos.Process, error) {
 	costs := sim.DefaultCosts()
 	if rc.ADCheckCycles != nil {
 		costs.ADCheck = *rc.ADCheckCycles
 	}
-	m := newBareMachine(costs)
+	k := newHost(costs)
 	if rc.HeapPages > 0 {
 		img.HeapPages = rc.HeapPages
 	}
@@ -130,26 +113,27 @@ func BuildProcess(img libos.AppImage, rc RunConfig) (*libos.Process, *sim.Clock,
 		CodeClusters:         rc.CodeClusters,
 		PinData:              rc.PinData,
 	}
-	m.kernel.ClassicOCalls = rc.ClassicOCalls
-	p, err := libos.Load(m.kernel, m.clock, m.costs, img, cfg)
+	k.ClassicOCalls = rc.ClassicOCalls
+	p, err := libos.Load(k, img, cfg)
 	if err != nil {
-		return nil, nil, fmt.Errorf("experiments: load %s (%s): %w", img.Name, rc.label(), err)
+		return nil, fmt.Errorf("experiments: load %s (%s): %w", img.Name, rc.label(), err)
 	}
 	if rc.EvictBatch > 1 {
 		if rl, ok := p.Runtime.Policy.(*core.RateLimitPolicy); ok {
 			rl.EvictBatch = rc.EvictBatch
 		}
 	}
-	return p, m.clock, nil
+	return p, nil
 }
 
 // RunApp loads img under rc and executes app, measuring application-phase
 // cycles only.
 func RunApp(img libos.AppImage, rc RunConfig, app func(p *libos.Process, ctx *core.Context)) RunResult {
-	p, clock, err := BuildProcess(img, rc)
+	p, err := BuildProcess(img, rc)
 	if err != nil {
 		return RunResult{Label: rc.label(), Err: err}
 	}
+	clock := p.Kernel.Clock
 	var start, end uint64
 	runErr := p.Run(func(ctx *core.Context) {
 		start = clock.Cycles()

@@ -9,7 +9,7 @@ import (
 	"autarky/internal/runner"
 )
 
-// Every experiment is a grid of independent cells — one bareMachine (own
+// Every experiment is a grid of independent cells — one machine (own
 // sim.Clock, EPC, kernel) per cell, no shared mutable state — so the suite
 // is embarrassingly parallel. The Run* drivers fan their cells across the
 // ambient worker pool configured here; results are collected in cell order,

@@ -174,7 +174,7 @@ func (s *Supervisor) tick(f *Fleet, now uint64) error {
 		s.nextAct += s.HeartbeatEvery
 	}
 	f.heartbeat()
-	f.clock.ChargeAs(sim.CatPolicy, f.nodes[0].Costs.FleetWatchdog)
+	f.clock.ChargeAs(sim.CatPolicy, f.nodes[0].Kernel.Costs.FleetWatchdog)
 	for i, n := range f.nodes {
 		switch s.marks[i] {
 		case markOK:

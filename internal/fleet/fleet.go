@@ -73,7 +73,6 @@ import (
 	"autarky/internal/libos"
 	"autarky/internal/metrics"
 	"autarky/internal/mmu"
-	"autarky/internal/pagestore"
 	"autarky/internal/sched"
 	"autarky/internal/service"
 	"autarky/internal/sgx"
@@ -141,13 +140,12 @@ func (s NodeState) String() string {
 
 // Node is one simulated machine of the fleet: a complete host (CPU, EPC,
 // page tables, kernel, paging backends) plus its dispatch loop. All nodes
-// share the fleet's clock; each has its own cost model, so a fleet can be
-// heterogeneous in both EPC geometry and cycle costs.
+// share the fleet's clock; each has its own cost model (Kernel.Costs), so a
+// fleet can be heterogeneous in both EPC geometry and cycle costs.
 type Node struct {
 	Name   string
 	Kernel *hostos.Kernel
 	Sched  *sched.Scheduler
-	Costs  *sim.Costs
 
 	state       NodeState
 	frozenUntil uint64 // thaw cycle while state == NodeFrozen
@@ -373,15 +371,8 @@ func (f *Fleet) Tenants() []*Tenant {
 // Each node takes its own copy of costs, so heterogeneous cost models are
 // per-node; epcFrames sets the node's physical EPC geometry.
 func (f *Fleet) AddNode(name string, epcFrames int, costs sim.Costs) *Node {
-	c := costs
-	pt := mmu.NewPageTable(f.clock, &c)
-	tlb := mmu.NewTLB(64, 4, f.clock, &c)
-	epc := sgx.NewEPC(mmu.PFN(0x100000), epcFrames)
-	reg := sgx.NewRegularMemory(mmu.PFN(1 << 40))
-	cpu := sgx.NewCPU(f.clock, &c, tlb, pt, epc, reg, fleetRootSecret)
-	store := pagestore.NewStore()
-	k := hostos.NewKernel(cpu, pt, store, f.clock, &c)
-	n := &Node{Name: name, Kernel: k, Sched: sched.New(k, nil, f.quantum), Costs: &c}
+	k := hostos.NewHost(f.clock, costs, hostos.DefaultGeometry(epcFrames), fleetRootSecret)
+	n := &Node{Name: name, Kernel: k, Sched: sched.New(k, nil, f.quantum)}
 	f.nodes = append(f.nodes, n)
 	return n
 }
@@ -462,7 +453,7 @@ func (f *Fleet) admit(t *Tenant) error {
 		cfg.Base = libos.DefaultBase + mmu.VAddr(uint64(f.placed)<<32)
 	}
 	f.placed++
-	p, err := libos.Load(node.Kernel, f.clock, node.Costs, t.Image, cfg)
+	p, err := libos.Load(node.Kernel, t.Image, cfg)
 	if err != nil {
 		return fmt.Errorf("fleet: load tenant %s on %s: %w", t.Name, node.Name, err)
 	}
@@ -506,7 +497,7 @@ func (f *Fleet) Migrate(t *Tenant, to *Node) error {
 	if err != nil {
 		return fmt.Errorf("fleet: migrate %s off %s: %w", t.Name, from.Name, err)
 	}
-	p2, err := libos.Adopt(to.Kernel, f.clock, to.Costs, mig, f.Counters)
+	p2, err := libos.Adopt(to.Kernel, mig, f.Counters)
 	if err != nil {
 		return fmt.Errorf("fleet: adopt %s on %s: %w", t.Name, to.Name, err)
 	}
@@ -526,7 +517,7 @@ func (f *Fleet) Migrate(t *Tenant, to *Node) error {
 // the scan to the policy category. It reports how many tenants moved.
 func (f *Fleet) Rebalance() (int, error) {
 	for _, n := range f.nodes {
-		f.clock.ChargeAs(sim.CatPolicy, n.Costs.FleetScan)
+		f.clock.ChargeAs(sim.CatPolicy, n.Kernel.Costs.FleetScan)
 	}
 	moves := f.policy.Rebalance(f)
 	moved := 0
@@ -614,7 +605,7 @@ func (f *Fleet) heartbeat() {
 		if n.state != NodeHealthy {
 			continue
 		}
-		f.clock.ChargeAs(sim.CatPolicy, n.Costs.FleetHeartbeat)
+		f.clock.ChargeAs(sim.CatPolicy, n.Kernel.Costs.FleetHeartbeat)
 		n.lastBeat = now
 	}
 }
@@ -635,7 +626,7 @@ func (f *Fleet) restore(t *Tenant, to *Node) error {
 	if to.state != NodeHealthy {
 		return fmt.Errorf("fleet: restore %s: destination %s is %s", t.Name, to.Name, to.state)
 	}
-	p, err := libos.Restore(to.Kernel, f.clock, to.Costs, t.cp)
+	p, err := libos.Restore(to.Kernel, t.cp)
 	if err != nil {
 		return fmt.Errorf("fleet: restore %s on %s: %w", t.Name, to.Name, err)
 	}

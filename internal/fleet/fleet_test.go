@@ -3,6 +3,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"autarky/internal/core"
@@ -274,11 +275,12 @@ func TestFleetIdlesToAdmission(t *testing.T) {
 	}
 }
 
-// TestFleetMigrateMisuse: the facade-level misuse sentinels.
+// TestFleetMigrateMisuse: the facade-level misuse sentinels, and the
+// node-health refusals that keep a tenant where it is.
 func TestFleetMigrateMisuse(t *testing.T) {
 	f := newTestFleet(FirstFit{})
 	n0 := f.AddNode("m0", 256, sim.DefaultCosts())
-	f.AddNode("m1", 256, sim.DefaultCosts())
+	n1 := f.AddNode("m1", 256, sim.DefaultCosts())
 
 	ghost := &Tenant{Name: "ghost"}
 	if err := f.Migrate(ghost, n0); err == nil {
@@ -292,6 +294,14 @@ func TestFleetMigrateMisuse(t *testing.T) {
 	}
 	if err := f.Migrate(st, st.Node()); err == nil {
 		t.Fatal("migrating onto the same node succeeded")
+	}
+	f.injectFreeze(n1, 1_000_000)
+	if err := f.Migrate(st, n1); err == nil || !strings.Contains(err.Error(), "destination m1 is frozen") || st.Node() != n0 {
+		t.Fatalf("migrating onto a frozen node: %v (tenant on %s)", err, st.Node().Name)
+	}
+	f.injectCrash(n0)
+	if err := f.Migrate(st, n1); err == nil || !strings.Contains(err.Error(), "source m0 is crashed") || st.Node() != n0 {
+		t.Fatalf("migrating off a crashed node: %v (tenant on %s)", err, st.Node().Name)
 	}
 
 	// Validation: duplicate names and missing bodies are rejected.

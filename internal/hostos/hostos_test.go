@@ -13,22 +13,17 @@ import (
 
 type testMachine struct {
 	clock  *sim.Clock
-	costs  sim.Costs
 	pt     *mmu.PageTable
-	tlb    *mmu.TLB
 	cpu    *sgx.CPU
 	kernel *Kernel
 }
 
-func newMachine() *testMachine {
-	m := &testMachine{clock: sim.NewClock(), costs: sim.DefaultCosts()}
-	m.pt = mmu.NewPageTable(m.clock, &m.costs)
-	m.tlb = mmu.NewTLB(16, 4, m.clock, &m.costs)
-	epc := sgx.NewEPC(0x1000, 512)
-	reg := sgx.NewRegularMemory(1 << 30)
-	m.cpu = sgx.NewCPU(m.clock, &m.costs, m.tlb, m.pt, epc, reg, []byte("t"))
-	m.kernel = NewKernel(m.cpu, m.pt, pagestore.NewStore(), m.clock, &m.costs)
-	return m
+func newMachine() *testMachine { return newMachineFrames(512) }
+
+// newMachineFrames builds a host with epcFrames of physical EPC.
+func newMachineFrames(epcFrames int) *testMachine {
+	k := NewHost(sim.NewClock(), sim.DefaultCosts(), DefaultGeometry(epcFrames), []byte("t"))
+	return &testMachine{clock: k.Clock, pt: k.PT, cpu: k.CPU, kernel: k}
 }
 
 // count reads one of the machine's registry counters.
@@ -544,13 +539,7 @@ func TestPhysicalEPCPressureBalancesEnclaves(t *testing.T) {
 	// A physically tiny EPC shared by two legacy enclaves with no
 	// individual quotas: loading and running the second must reclaim
 	// OS-managed frames from the first, and both keep working.
-	m := &testMachine{clock: sim.NewClock(), costs: sim.DefaultCosts()}
-	m.pt = mmu.NewPageTable(m.clock, &m.costs)
-	m.tlb = mmu.NewTLB(16, 4, m.clock, &m.costs)
-	epc := sgx.NewEPC(0x1000, 40) // 40 frames total
-	reg := sgx.NewRegularMemory(1 << 30)
-	m.cpu = sgx.NewCPU(m.clock, &m.costs, m.tlb, m.pt, epc, reg, []byte("t"))
-	m.kernel = NewKernel(m.cpu, m.pt, pagestore.NewStore(), m.clock, &m.costs)
+	m := newMachineFrames(40) // 40 frames total
 
 	mkSpec := func(base mmu.VAddr, rt sgx.Runtime) EnclaveSpec {
 		return EnclaveSpec{
@@ -573,7 +562,7 @@ func TestPhysicalEPCPressureBalancesEnclaves(t *testing.T) {
 	if p1.ResidentPages() == 24 {
 		t.Fatal("no frames reclaimed from the first enclave")
 	}
-	if epc.FreeFrames() < 0 {
+	if m.cpu.EPC.FreeFrames() < 0 {
 		t.Fatal("impossible")
 	}
 	run := func(p *Proc, rt *appRuntime, base mmu.VAddr) {

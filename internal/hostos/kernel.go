@@ -234,7 +234,8 @@ func (p *Proc) PageVAs() []mmu.VAddr {
 	return out
 }
 
-// Kernel is the untrusted OS.
+// Kernel is the untrusted OS. NewHost builds it together with the machine
+// it runs; its CPU, PT, Store, Clock and Costs are that machine's.
 type Kernel struct {
 	CPU   *sgx.CPU
 	PT    *mmu.PageTable
@@ -280,15 +281,42 @@ type Kernel struct {
 	backend pagestore.PagingBackend
 }
 
-// NewKernel wires the kernel to the machine and installs itself as the
-// CPU's OS handler.
-func NewKernel(cpu *sgx.CPU, pt *mmu.PageTable, store *pagestore.Store, clock *sim.Clock, costs *sim.Costs) *Kernel {
+// Geometry is a host's physical shape: the first frame and size of its EPC,
+// and its TLB's sets and ways.
+type Geometry struct {
+	EPCBase   mmu.PFN
+	EPCFrames int
+	TLBSets   int
+	TLBWays   int
+}
+
+// DefaultGeometry is the platform shape with epcFrames of EPC: the EPC
+// starts at frame 0x100000 and the TLB has 64 sets of 4 ways.
+func DefaultGeometry(epcFrames int) Geometry {
+	return Geometry{EPCBase: 0x100000, EPCFrames: epcFrames, TLBSets: 64, TLBWays: 4}
+}
+
+// regularMemoryBase is the first frame of regular memory, far above any EPC.
+const regularMemoryBase = mmu.PFN(1 << 40)
+
+// NewHost assembles one machine on clock: page table, TLB, EPC, regular
+// memory, a CPU sealing under rootSecret, a backing store, and the kernel,
+// installed as the CPU's OS handler. Every part charges through the host's
+// own copy of costs, k.Costs: editing it reaches them all, and never the
+// caller's value.
+func NewHost(clock *sim.Clock, costs sim.Costs, g Geometry, rootSecret []byte) *Kernel {
+	c := &costs
+	pt := mmu.NewPageTable(clock, c)
+	tlb := mmu.NewTLB(g.TLBSets, g.TLBWays, clock, c)
+	epc := sgx.NewEPC(g.EPCBase, g.EPCFrames)
+	cpu := sgx.NewCPU(clock, c, tlb, pt, epc, sgx.NewRegularMemory(regularMemoryBase), rootSecret)
+	store := pagestore.NewStore()
 	k := &Kernel{
 		CPU:       cpu,
 		PT:        pt,
 		Store:     store,
 		Clock:     clock,
-		Costs:     costs,
+		Costs:     c,
 		Adversary: NopAdversary{},
 		procs:     make(map[uint64]*Proc),
 		migrated:  make(map[uint64]bool),

@@ -67,7 +67,7 @@ func TestPollInPlaceChargesTheRoundTrip(t *testing.T) {
 
 		reg := metrics.Of(m.clock)
 		before, snap := m.clock.Cycles(), reg.Snapshot()
-		want := m.cpu.ResumeCycles() + probe.cost + m.cpu.AEXCycles() + m.costs.OSFaultWork
+		want := m.cpu.ResumeCycles() + probe.cost + m.cpu.AEXCycles() + m.kernel.Costs.OSFaultWork
 		next, ok := k.PollInPlace(proc, saved)
 		if !ok {
 			t.Fatal("quiet parked loop not polled in place")

@@ -7,7 +7,6 @@ import (
 	"autarky/internal/hostos"
 	"autarky/internal/metrics"
 	"autarky/internal/sgx"
-	"autarky/internal/sim"
 )
 
 // This file implements enclave checkpoint/restore on the shared sealed-state
@@ -47,12 +46,12 @@ func (p *Process) Checkpoint() (*Checkpoint, error) {
 // matches the checkpoint before replaying the captured pages and progress
 // counter into it. A successful restore and its end-to-end cycles are
 // counted in CntRestores and CntRestoreCycles.
-func Restore(k *hostos.Kernel, clock *sim.Clock, costs *sim.Costs, cp *Checkpoint) (*Process, error) {
+func Restore(k *hostos.Kernel, cp *Checkpoint) (*Process, error) {
 	if cp == nil || len(cp.Sealed) == 0 {
 		return nil, fmt.Errorf("libos: restore from empty checkpoint: %w", sgx.ErrBadCheckpoint)
 	}
 	start := k.Clock.Cycles()
-	p, err := openState(k, clock, costs, cp.Sealed, sgx.UseCheckpoint, nil)
+	p, err := openState(k, cp.Sealed, sgx.UseCheckpoint, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -82,10 +82,10 @@ func errTestImage() AppImage {
 }
 
 func TestLoadRejectsBadConfig(t *testing.T) {
-	k, clock, costs := newKernel()
+	k := newKernel(2048)
 	cfg := validBase()
 	cfg.QuotaPages = -1
-	_, err := Load(k, clock, costs, errTestImage(), cfg)
+	_, err := Load(k, errTestImage(), cfg)
 	if !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("Load error = %v, want ErrBadConfig", err)
 	}

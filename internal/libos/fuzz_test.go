@@ -22,15 +22,14 @@ func fuzzImage() (AppImage, Config) {
 
 // fuzzCheckpoint builds one genuine sealed checkpoint, plus the process it
 // was taken from (for sealing hostile-but-authentic payload variants).
-// Every machine in this file shares newKernel's root secret, so blobs
+// Every machine newKernel builds shares one root secret, so blobs
 // sealed here authenticate on the fresh machine each fuzz iteration builds.
-func fuzzCheckpoint(f *testing.F) (*Process, *Checkpoint) {
-	f.Helper()
-	k, clock, costs := newKernel()
+func fuzzCheckpoint(tb testing.TB) (*Process, *Checkpoint) {
+	tb.Helper()
 	img, cfg := fuzzImage()
-	p, err := Load(k, clock, costs, img, cfg)
+	p, err := Load(newKernel(2048), img, cfg)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	err = p.Run(func(ctx *core.Context) {
 		var buf [8]byte
@@ -38,11 +37,11 @@ func fuzzCheckpoint(f *testing.F) (*Process, *Checkpoint) {
 		ctx.Progress(3)
 	})
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	cp, err := p.Checkpoint()
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	return p, cp
 }
@@ -51,8 +50,9 @@ func fuzzCheckpoint(f *testing.F) (*Process, *Checkpoint) {
 // The OS holds checkpoints at rest, so the decode path faces fully hostile
 // input. The property under fuzz mirrors FuzzUnseal one layer up: Restore
 // never panics, never returns anything but the documented sentinel on a
-// bad blob, and only succeeds on the genuine sealed bytes — in which case
-// the restored process must carry the captured progress counter.
+// bad blob, leaves no enclave and no EPC frame behind when it refuses, and
+// only succeeds on the genuine sealed bytes — in which case the restored
+// process must carry the captured progress counter.
 func FuzzRestore(f *testing.F) {
 	src, good := fuzzCheckpoint(f)
 	meas := src.Proc.E.Measurement()
@@ -94,11 +94,15 @@ func FuzzRestore(f *testing.F) {
 	f.Add(mig.Sealed)
 
 	f.Fuzz(func(t *testing.T, sealed []byte) {
-		k, clock, costs := newKernel()
-		p, err := Restore(k, clock, costs, &Checkpoint{Sealed: sealed})
+		k := newKernel(2048)
+		before := k.CPU.EPC.FreeFrames()
+		p, err := Restore(k, &Checkpoint{Sealed: sealed})
 		if err != nil {
 			if !errors.Is(err, sgx.ErrBadCheckpoint) {
 				t.Fatalf("Restore returned a non-checkpoint error: %v", err)
+			}
+			if got := k.CPU.EPC.FreeFrames(); got != before || k.ProcAt(DefaultBase) != nil {
+				t.Fatalf("refused restore left an enclave registered (free frames %d -> %d)", before, got)
 			}
 			return
 		}
@@ -113,13 +117,39 @@ func FuzzRestore(f *testing.F) {
 	})
 }
 
+// TestRefusedRestoreUnwindsRebuild: a restore refused after its rebuild
+// loaded the enclave — a genuine payload sealed under a wrong measurement —
+// leaves nothing registered and every EPC frame free, so the genuine
+// checkpoint still restores at the same base afterwards.
+func TestRefusedRestoreUnwindsRebuild(t *testing.T) {
+	src, good := fuzzCheckpoint(t)
+	bad, err := src.Kernel.CPU.SealEnvelope(nil, sgx.UseCheckpoint, 0, [32]byte{0xBA, 0xD0}, src.encodeState(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := newKernel(2048)
+	if _, err := Restore(k, &Checkpoint{Sealed: bad}); !errors.Is(err, sgx.ErrBadCheckpoint) {
+		t.Fatalf("restore under a wrong measurement: %v, want ErrBadCheckpoint", err)
+	}
+	if left, free := k.ProcAt(DefaultBase) != nil, k.CPU.EPC.FreeFrames(); left || free != 2048 {
+		t.Fatalf("refused restore left an enclave registered: %v, %d of 2048 frames free", left, free)
+	}
+	p, err := Restore(k, good)
+	if err != nil {
+		t.Fatalf("genuine restore after a refused one: %v", err)
+	}
+	if p.Runtime.Progress() != 3 {
+		t.Fatalf("restored progress %d, want 3", p.Runtime.Progress())
+	}
+}
+
 // TestRestoreOntoLiveProcess: a checkpoint must not let the OS replace a
 // live incarnation — Restore refuses with the kernel's liveness sentinel
 // and the running process is untouched.
 func TestRestoreOntoLiveProcess(t *testing.T) {
-	k, clock, costs := newKernel()
+	k := newKernel(2048)
 	img, cfg := fuzzImage()
-	p, err := Load(k, clock, costs, img, cfg)
+	p, err := Load(k, img, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +157,7 @@ func TestRestoreOntoLiveProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Restore(k, clock, costs, cp); !errors.Is(err, hostos.ErrEnclaveLive) {
+	if _, err := Restore(k, cp); !errors.Is(err, hostos.ErrEnclaveLive) {
 		t.Fatalf("Restore onto a live process: %v, want ErrEnclaveLive", err)
 	}
 	// The live incarnation still runs.

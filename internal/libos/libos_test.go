@@ -6,27 +6,19 @@ import (
 	"autarky/internal/core"
 	"autarky/internal/hostos"
 	"autarky/internal/mmu"
-	"autarky/internal/pagestore"
-	"autarky/internal/sgx"
 	"autarky/internal/sim"
 )
 
-func newKernel() (*hostos.Kernel, *sim.Clock, *sim.Costs) {
-	clock := sim.NewClock()
-	costs := sim.DefaultCosts()
-	pt := mmu.NewPageTable(clock, &costs)
-	tlb := mmu.NewTLB(16, 4, clock, &costs)
-	epc := sgx.NewEPC(0x1000, 2048)
-	reg := sgx.NewRegularMemory(1 << 30)
-	cpu := sgx.NewCPU(clock, &costs, tlb, pt, epc, reg, []byte("libos-test"))
-	k := hostos.NewKernel(cpu, pt, pagestore.NewStore(), clock, &costs)
-	return k, clock, &costs
+// newKernel builds a machine with epcFrames of EPC. Every machine shares
+// one root secret, so envelopes sealed on one authenticate on another —
+// the cross-machine handoff checkpoints and migrations exist for.
+func newKernel(epcFrames int) *hostos.Kernel {
+	return hostos.NewHost(sim.NewClock(), sim.DefaultCosts(), hostos.DefaultGeometry(epcFrames), []byte("libos-test"))
 }
 
 func load(t *testing.T, img AppImage, cfg Config) *Process {
 	t.Helper()
-	k, clock, costs := newKernel()
-	p, err := Load(k, clock, costs, img, cfg)
+	p, err := Load(newKernel(2048), img, cfg)
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -171,8 +163,7 @@ func TestFunctionGranularityClusters(t *testing.T) {
 }
 
 func TestUnknownUsesRejected(t *testing.T) {
-	k, clock, costs := newKernel()
-	_, err := Load(k, clock, costs, AppImage{
+	_, err := Load(newKernel(2048), AppImage{
 		Name:      "bad",
 		Libraries: []Library{{Name: "a.so", Pages: 1, Uses: []string{"nope.so"}}},
 		HeapPages: 1,

@@ -8,7 +8,6 @@ import (
 	"autarky/internal/hostos"
 	"autarky/internal/mmu"
 	"autarky/internal/sgx"
-	"autarky/internal/sim"
 )
 
 // PolicyKind selects the secure self-paging policy the loader wires up.
@@ -141,7 +140,7 @@ const DefaultBase = mmu.VAddr(0x10_0000_0000)
 // Load builds the enclave for an image under the given configuration:
 // layout, measurement, page-management transfer, automatic clustering and
 // policy wiring.
-func Load(k *hostos.Kernel, clock *sim.Clock, costs *sim.Costs, img AppImage, cfg Config) (*Process, error) {
+func Load(k *hostos.Kernel, img AppImage, cfg Config) (*Process, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -200,7 +199,7 @@ func Load(k *hostos.Kernel, clock *sim.Clock, costs *sim.Costs, img AppImage, cf
 	}
 
 	// --- runtime + enclave ---
-	rt := core.NewRuntime(k.CPU, k, clock, costs)
+	rt := core.NewRuntime(k.CPU, k, k.Clock, k.Costs)
 	rt.Mech = cfg.Mech
 	spec := hostos.EnclaveSpec{
 		Base:     base,
@@ -239,17 +238,24 @@ func Load(k *hostos.Kernel, clock *sim.Clock, costs *sim.Costs, img AppImage, cf
 
 	if cfg.SelfPaging {
 		if err := p.wirePolicy(); err != nil {
-			// The enclave ran EINIT: retire it so that its pages may be
-			// removed, then destroy it, so that neither its registration
-			// nor its frames outlive the failed load.
-			k.CPU.RetireEnclave(proc.E)
-			if derr := k.DestroyEnclave(proc); derr != nil {
-				return nil, fmt.Errorf("%w (destroy: %v)", err, derr)
-			}
-			return nil, err
+			return nil, p.unwind(err)
 		}
 	}
 	return p, nil
+}
+
+// unwind tears down a process whose construction failed after EINIT and
+// returns err: the enclave is retired unless it is dead already, so that its
+// pages may be removed, then destroyed, so that neither its registration
+// nor its frames outlive the failure.
+func (p *Process) unwind(err error) error {
+	if dead, _, _ := p.Proc.E.Dead(); !dead {
+		p.Kernel.CPU.RetireEnclave(p.Proc.E)
+	}
+	if derr := p.Kernel.DestroyEnclave(p.Proc); derr != nil {
+		return fmt.Errorf("%w (destroy: %v)", err, derr)
+	}
+	return err
 }
 
 // wirePolicy sets page management and the paging policy per configuration.

@@ -7,7 +7,6 @@ import (
 	"autarky/internal/hostos"
 	"autarky/internal/metrics"
 	"autarky/internal/sgx"
-	"autarky/internal/sim"
 )
 
 // This file implements the libos half of live migration on the shared
@@ -70,13 +69,13 @@ func (p *Process) Migrate() (*Migration, error) {
 // by a live enclave fails with hostos.ErrEnclaveLive (adopt-while-running);
 // a measurement mismatch after rebuild fails with sgx.ErrBadCheckpoint.
 // Only a fully successful adopt advances the counter.
-func Adopt(k *hostos.Kernel, clock *sim.Clock, costs *sim.Costs, mig *Migration, counters *sgx.CounterService) (*Process, error) {
+func Adopt(k *hostos.Kernel, mig *Migration, counters *sgx.CounterService) (*Process, error) {
 	m := metrics.Of(k.Clock)
 	if mig == nil || len(mig.Sealed) == 0 {
 		m.Inc(metrics.CntAdoptsRejected)
 		return nil, fmt.Errorf("libos: adopt of empty migration envelope: %w", sgx.ErrBadCheckpoint)
 	}
-	p, err := openState(k, clock, costs, mig.Sealed, sgx.UseMigration, counters)
+	p, err := openState(k, mig.Sealed, sgx.UseMigration, counters)
 	if err != nil {
 		m.Inc(metrics.CntAdoptsRejected)
 		return nil, err

@@ -11,8 +11,7 @@ import (
 // ReportAllocs pins the zero-alloc discipline that
 // TestMigrationSealZeroAlloc gates: allocs/op must read 0.
 func BenchmarkMigrationSeal(b *testing.B) {
-	k, clock, costs := newMigKernel(2048)
-	p := runMigrant(b, k, clock, costs)
+	p := runMigrant(b, newKernel(2048))
 	if err := p.Run(p.capture); err != nil {
 		b.Fatal(err)
 	}

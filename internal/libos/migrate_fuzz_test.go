@@ -14,9 +14,9 @@ import (
 // reports the progress counter the adopted process must carry.
 func fuzzMigration(f *testing.F) (*sgx.CPU, *Migration, uint64) {
 	f.Helper()
-	k, clock, costs := newMigKernel(2048)
+	k := newKernel(2048)
 	img, cfg := migImage()
-	p, err := Load(k, clock, costs, img, cfg)
+	p, err := Load(k, img, cfg)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -45,10 +45,12 @@ func fuzzMigration(f *testing.F) (*sgx.CPU, *Migration, uint64) {
 // The envelope crosses the untrusted network between machines, so the
 // decode path faces fully hostile input. Properties: Adopt never panics,
 // refuses everything but the genuine bytes with the documented checkpoint
-// sentinel, never leaks an EPC frame on a refused adoption — and on the
-// genuine bytes yields a process carrying the captured progress counter.
+// sentinel, never leaks an EPC frame or a registration on a refused
+// adoption — and on the genuine bytes yields a process carrying the
+// captured progress counter.
 func FuzzMigrate(f *testing.F) {
 	sealer, good, wantProgress := fuzzMigration(f)
+	src, cp := fuzzCheckpoint(f)
 	sealHostile := func(epoch uint64, meas [32]byte, payload []byte) []byte {
 		sealed, err := sealer.SealEnvelope(nil, sgx.UseMigration, epoch, meas, payload)
 		if err != nil {
@@ -78,21 +80,21 @@ func FuzzMigrate(f *testing.F) {
 		huge[i] = 0xFF
 	}
 	f.Add(sealHostile(1, [32]byte{}, huge))
-	// Authentic seal, wrong measurement: the rebuilt enclave can never match.
-	f.Add(sealHostile(1, [32]byte{0xBA, 0xD0}, []byte{}))
+	// Authentic seal, valid payload, wrong measurement: the rebuilt enclave
+	// can never match.
+	f.Add(sealHostile(1, [32]byte{0xBA, 0xD0}, src.encodeState(nil)))
 	// Cross-use: a genuine checkpoint envelope is not a migration.
-	_, cp := fuzzCheckpoint(f)
 	f.Add(cp.Sealed)
 
 	f.Fuzz(func(t *testing.T, sealed []byte) {
-		k, clock, costs := newMigKernel(2048)
+		k := newKernel(2048)
 		before := k.CPU.EPC.FreeFrames()
-		p, err := Adopt(k, clock, costs, &Migration{Sealed: sealed}, nil)
+		p, err := Adopt(k, &Migration{Sealed: sealed}, nil)
 		if err != nil {
 			if !errors.Is(err, sgx.ErrBadCheckpoint) {
 				t.Fatalf("Adopt returned a non-checkpoint error: %v", err)
 			}
-			if got := k.CPU.EPC.FreeFrames(); got != before {
+			if got := k.CPU.EPC.FreeFrames(); got != before || k.ProcAt(DefaultBase) != nil {
 				t.Fatalf("refused adoption leaked EPC frames: %d -> %d", before, got)
 			}
 			return

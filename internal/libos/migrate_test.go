@@ -8,26 +8,8 @@ import (
 	"autarky/internal/core"
 	"autarky/internal/hostos"
 	"autarky/internal/metrics"
-	"autarky/internal/mmu"
-	"autarky/internal/pagestore"
 	"autarky/internal/sgx"
-	"autarky/internal/sim"
 )
-
-// newMigKernel builds a machine with a chosen EPC size, sharing newKernel's
-// root secret so envelopes sealed on one machine authenticate on another —
-// the cross-machine handoff the migration protocol exists for.
-func newMigKernel(epcFrames int) (*hostos.Kernel, *sim.Clock, *sim.Costs) {
-	clock := sim.NewClock()
-	costs := sim.DefaultCosts()
-	pt := mmu.NewPageTable(clock, &costs)
-	tlb := mmu.NewTLB(16, 4, clock, &costs)
-	epc := sgx.NewEPC(0x1000, epcFrames)
-	reg := sgx.NewRegularMemory(1 << 30)
-	cpu := sgx.NewCPU(clock, &costs, tlb, pt, epc, reg, []byte("libos-test"))
-	k := hostos.NewKernel(cpu, pt, pagestore.NewStore(), clock, &costs)
-	return k, clock, &costs
-}
 
 // migImage is a self-paging workload whose heap exceeds its quota, so the
 // captured state includes live anti-replay versions (evicted pages), the
@@ -51,10 +33,10 @@ func migImage() (AppImage, Config) {
 
 // runMigrant loads the image and dirties every heap page with a
 // recognizable pattern, advancing the progress counter as it goes.
-func runMigrant(t testing.TB, k *hostos.Kernel, clock *sim.Clock, costs *sim.Costs) *Process {
+func runMigrant(t testing.TB, k *hostos.Kernel) *Process {
 	t.Helper()
 	img, cfg := migImage()
-	p, err := Load(k, clock, costs, img, cfg)
+	p, err := Load(k, img, cfg)
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -79,8 +61,8 @@ func runMigrant(t testing.TB, k *hostos.Kernel, clock *sim.Clock, costs *sim.Cos
 // and cost model carrying its exact writable state, progress counter and
 // freshness epoch, while the source incarnation is permanently retired.
 func TestMigrateAdoptRoundTrip(t *testing.T) {
-	k1, clock1, costs1 := newMigKernel(2048)
-	p1 := runMigrant(t, k1, clock1, costs1)
+	k1 := newKernel(2048)
+	p1 := runMigrant(t, k1)
 	wantProgress := p1.Runtime.Progress()
 
 	counters := sgx.NewCounterService()
@@ -106,10 +88,10 @@ func TestMigrateAdoptRoundTrip(t *testing.T) {
 
 	// Destination: smaller EPC, pricier software crypto — a genuinely
 	// different machine.
-	k2, clock2, costs2 := newMigKernel(512)
-	costs2.SWEncryptPage *= 2
-	costs2.SWDecryptPage *= 2
-	p2, err := Adopt(k2, clock2, costs2, mig, counters)
+	k2 := newKernel(512)
+	k2.Costs.SWEncryptPage *= 2
+	k2.Costs.SWDecryptPage *= 2
+	p2, err := Adopt(k2, mig, counters)
 	if err != nil {
 		t.Fatalf("Adopt: %v", err)
 	}
@@ -141,7 +123,7 @@ func TestMigrateAdoptRoundTrip(t *testing.T) {
 		t.Fatalf("verify: %v", err)
 	}
 
-	m1, m2 := metrics.Of(clock1), metrics.Of(clock2)
+	m1, m2 := metrics.Of(k1.Clock), metrics.Of(k2.Clock)
 	if m1.Count(metrics.CntMigrations) != 1 || m1.Count(metrics.CntMigrationPages) == 0 {
 		t.Fatal("source migration counters not recorded")
 	}
@@ -154,15 +136,15 @@ func TestMigrateAdoptRoundTrip(t *testing.T) {
 // hops: machine A -> B -> C, each adopt strictly newer than the last.
 func TestMigrateChain(t *testing.T) {
 	counters := sgx.NewCounterService()
-	k, clock, costs := newMigKernel(2048)
-	p := runMigrant(t, k, clock, costs)
+	k := newKernel(2048)
+	p := runMigrant(t, k)
 	for hop := 1; hop <= 3; hop++ {
 		mig, err := p.Migrate()
 		if err != nil {
 			t.Fatalf("hop %d Migrate: %v", hop, err)
 		}
-		k, clock, costs = newMigKernel(2048 - 256*hop)
-		p, err = Adopt(k, clock, costs, mig, counters)
+		k = newKernel(2048 - 256*hop)
+		p, err = Adopt(k, mig, counters)
 		if err != nil {
 			t.Fatalf("hop %d Adopt: %v", hop, err)
 		}
@@ -177,8 +159,7 @@ func TestMigrateChain(t *testing.T) {
 // documented sentinel, and the adopt-side failures consume no EPC frames.
 func TestMigrationMisuse(t *testing.T) {
 	// One genuine envelope to mutate, plus its (consumed) counter service.
-	srcK, srcClock, srcCosts := newMigKernel(2048)
-	src := runMigrant(t, srcK, srcClock, srcCosts)
+	src := runMigrant(t, newKernel(2048))
 	mig, err := src.Migrate()
 	if err != nil {
 		t.Fatal(err)
@@ -190,8 +171,7 @@ func TestMigrationMisuse(t *testing.T) {
 		run  func(t *testing.T) error
 	}{
 		{"quiesce-twice", hostos.ErrMigrated, func(t *testing.T) error {
-			k, clock, costs := newMigKernel(2048)
-			p := runMigrant(t, k, clock, costs)
+			p := runMigrant(t, newKernel(2048))
 			if _, err := p.Migrate(); err != nil {
 				t.Fatal(err)
 			}
@@ -200,55 +180,50 @@ func TestMigrationMisuse(t *testing.T) {
 		}},
 		{"adopt-stale-counter", sgx.ErrStaleMigration, func(t *testing.T) error {
 			counters := sgx.NewCounterService()
-			k, clock, costs := newMigKernel(2048)
-			if _, err := Adopt(k, clock, costs, mig, counters); err != nil {
+			if _, err := Adopt(newKernel(2048), mig, counters); err != nil {
 				t.Fatal(err)
 			}
 			// Same envelope, second machine, same counter service: replay.
-			k2, clock2, costs2 := newMigKernel(2048)
-			_, err := Adopt(k2, clock2, costs2, mig, counters)
+			_, err := Adopt(newKernel(2048), mig, counters)
 			return err
 		}},
 		{"adopt-while-running", hostos.ErrEnclaveLive, func(t *testing.T) error {
-			k, clock, costs := newMigKernel(2048)
-			runMigrant(t, k, clock, costs) // live enclave at the same base
-			_, err := Adopt(k, clock, costs, mig, sgx.NewCounterService())
+			k := newKernel(2048)
+			runMigrant(t, k) // live enclave at the same base
+			_, err := Adopt(k, mig, sgx.NewCounterService())
 			return err
 		}},
 		{"adopt-nil", sgx.ErrBadCheckpoint, func(t *testing.T) error {
-			k, clock, costs := newMigKernel(2048)
-			_, err := Adopt(k, clock, costs, nil, sgx.NewCounterService())
+			_, err := Adopt(newKernel(2048), nil, sgx.NewCounterService())
 			return err
 		}},
 		{"adopt-empty", sgx.ErrBadCheckpoint, func(t *testing.T) error {
-			k, clock, costs := newMigKernel(2048)
-			_, err := Adopt(k, clock, costs, &Migration{}, sgx.NewCounterService())
+			_, err := Adopt(newKernel(2048), &Migration{}, sgx.NewCounterService())
 			return err
 		}},
 		{"adopt-truncated", sgx.ErrBadCheckpoint, func(t *testing.T) error {
-			k, clock, costs := newMigKernel(2048)
-			_, err := Adopt(k, clock, costs, &Migration{Sealed: mig.Sealed[:30]}, sgx.NewCounterService())
+			_, err := Adopt(newKernel(2048), &Migration{Sealed: mig.Sealed[:30]}, sgx.NewCounterService())
 			return err
 		}},
 		{"adopt-tampered-epoch", sgx.ErrBadCheckpoint, func(t *testing.T) error {
-			k, clock, costs := newMigKernel(2048)
+			k := newKernel(2048)
 			forged := append([]byte(nil), mig.Sealed...)
 			forged[12]++ // epoch is authenticated via AAD; bumping it voids the seal
-			_, err := Adopt(k, clock, costs, &Migration{Sealed: forged}, sgx.NewCounterService())
+			_, err := Adopt(k, &Migration{Sealed: forged}, sgx.NewCounterService())
 			return err
 		}},
 		{"adopt-tampered-measurement", sgx.ErrBadCheckpoint, func(t *testing.T) error {
-			k, clock, costs := newMigKernel(2048)
+			k := newKernel(2048)
 			forged := append([]byte(nil), mig.Sealed...)
 			forged[20] ^= 0xFF
-			_, err := Adopt(k, clock, costs, &Migration{Sealed: forged}, sgx.NewCounterService())
+			_, err := Adopt(k, &Migration{Sealed: forged}, sgx.NewCounterService())
 			return err
 		}},
 		{"adopt-tampered-ciphertext", sgx.ErrBadCheckpoint, func(t *testing.T) error {
-			k, clock, costs := newMigKernel(2048)
+			k := newKernel(2048)
 			forged := append([]byte(nil), mig.Sealed...)
 			forged[len(forged)-1] ^= 0x01
-			_, err := Adopt(k, clock, costs, &Migration{Sealed: forged}, sgx.NewCounterService())
+			_, err := Adopt(k, &Migration{Sealed: forged}, sgx.NewCounterService())
 			return err
 		}},
 	}
@@ -269,18 +244,17 @@ func TestMigrationMisuse(t *testing.T) {
 // EPC exactly as it found it — a leak here would let an attacker exhaust a
 // machine with garbage envelopes.
 func TestAdoptFailureLeaksNoEPC(t *testing.T) {
-	srcK, srcClock, srcCosts := newMigKernel(2048)
-	src := runMigrant(t, srcK, srcClock, srcCosts)
+	src := runMigrant(t, newKernel(2048))
 	mig, err := src.Migrate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, clock, costs := newMigKernel(512)
+	k := newKernel(512)
 	free := k.CPU.EPC.FreeFrames()
 	forged := append([]byte(nil), mig.Sealed...)
 	forged[len(forged)-1] ^= 0x01
 	for _, bad := range []*Migration{nil, {}, {Sealed: mig.Sealed[:16]}, {Sealed: forged}} {
-		if _, err := Adopt(k, clock, costs, bad, sgx.NewCounterService()); err == nil {
+		if _, err := Adopt(k, bad, sgx.NewCounterService()); err == nil {
 			t.Fatal("hostile envelope adopted")
 		}
 	}
@@ -293,8 +267,7 @@ func TestAdoptFailureLeaksNoEPC(t *testing.T) {
 // identical bytes (the version table is explicitly sorted), or fleet runs
 // could diverge across -jobs orderings.
 func TestMigrationEncodeDeterministic(t *testing.T) {
-	k, clock, costs := newMigKernel(2048)
-	p := runMigrant(t, k, clock, costs)
+	p := runMigrant(t, newKernel(2048))
 	if err := p.Run(p.capture); err != nil {
 		t.Fatal(err)
 	}
@@ -325,8 +298,7 @@ func TestMigrationEncodeDeterministic(t *testing.T) {
 // (Capture crosses the enclave boundary and is excluded — it is charged,
 // not allocation-gated.)
 func TestMigrationSealZeroAlloc(t *testing.T) {
-	k, clock, costs := newMigKernel(2048)
-	p := runMigrant(t, k, clock, costs)
+	p := runMigrant(t, newKernel(2048))
 	if err := p.Run(p.capture); err != nil {
 		t.Fatal(err)
 	}

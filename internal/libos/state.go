@@ -10,7 +10,6 @@ import (
 	"autarky/internal/hostos"
 	"autarky/internal/mmu"
 	"autarky/internal/sgx"
-	"autarky/internal/sim"
 )
 
 // This file is the one sealed-state path behind both checkpoint/restore and
@@ -434,7 +433,7 @@ func validatePayload(p *statePayload) error {
 // against counters (when non-nil) before decoding anything, rebuilds the
 // enclave at the envelope's epoch, and only then commits the epoch — so a
 // failed rebuild never burns an envelope.
-func openState(k *hostos.Kernel, clock *sim.Clock, costs *sim.Costs, sealed []byte, use sgx.SealUse, counters *sgx.CounterService) (*Process, error) {
+func openState(k *hostos.Kernel, sealed []byte, use sgx.SealUse, counters *sgx.CounterService) (*Process, error) {
 	epoch, meas, plain, err := k.CPU.OpenEnvelope(sealed, use)
 	if err != nil {
 		return nil, err
@@ -452,7 +451,7 @@ func openState(k *hostos.Kernel, clock *sim.Clock, costs *sim.Costs, sealed []by
 	if err := validatePayload(payload); err != nil {
 		return nil, err
 	}
-	p, err := rebuild(k, clock, costs, payload)
+	p, err := rebuild(k, payload)
 	if err != nil {
 		return nil, err
 	}
@@ -466,8 +465,10 @@ func openState(k *hostos.Kernel, clock *sim.Clock, costs *sim.Costs, sealed []by
 // occupying the address range, rebuild the enclave from the payload's image
 // and configuration resuming at its epoch, verify the measurement matches
 // the source, and replay the captured pages through the normal write path —
-// re-encrypting every page under the new incarnation's identity.
-func rebuild(k *hostos.Kernel, clock *sim.Clock, costs *sim.Costs, payload *statePayload) (*Process, error) {
+// re-encrypting every page under the new incarnation's identity. A failure
+// after the load unwinds the new enclave, so a refused restore or adopt
+// leaves nothing registered.
+func rebuild(k *hostos.Kernel, payload *statePayload) (*Process, error) {
 	base := payload.Config.Base
 	if base == 0 {
 		base = DefaultBase
@@ -480,12 +481,12 @@ func rebuild(k *hostos.Kernel, clock *sim.Clock, costs *sim.Costs, payload *stat
 	cfg := payload.Config
 	cfg.seedVersions = payload.Versions
 	cfg.seedEpoch = payload.Epoch
-	p, err := Load(k, clock, costs, payload.Image, cfg)
+	p, err := Load(k, payload.Image, cfg)
 	if err != nil {
 		return nil, err
 	}
 	if p.Proc.E.Measurement() != payload.Measurement {
-		return nil, fmt.Errorf("libos: rebuilt enclave measurement differs from the sealed state: %w", sgx.ErrBadCheckpoint)
+		return nil, p.unwind(fmt.Errorf("libos: rebuilt enclave measurement differs from the sealed state: %w", sgx.ErrBadCheckpoint))
 	}
 	// Replay only pages the rebuilt image actually has as writable state; a
 	// sealed payload naming any other address is inconsistent with the image
@@ -498,8 +499,8 @@ func rebuild(k *hostos.Kernel, clock *sim.Clock, costs *sim.Costs, payload *stat
 	}
 	for i := range payload.Pages {
 		if !writable[mmu.VAddr(payload.Pages[i].VA)] {
-			return nil, fmt.Errorf("libos: sealed page %#x outside the image's writable regions: %w",
-				payload.Pages[i].VA, sgx.ErrBadCheckpoint)
+			return nil, p.unwind(fmt.Errorf("libos: sealed page %#x outside the image's writable regions: %w",
+				payload.Pages[i].VA, sgx.ErrBadCheckpoint))
 		}
 	}
 	err = p.Run(func(ctx *core.Context) {
@@ -508,7 +509,7 @@ func rebuild(k *hostos.Kernel, clock *sim.Clock, costs *sim.Costs, payload *stat
 		}
 	})
 	if err != nil {
-		return nil, fmt.Errorf("libos: sealed state replay: %w", err)
+		return nil, p.unwind(fmt.Errorf("libos: sealed state replay: %w", err))
 	}
 	p.Runtime.SeedProgress(payload.Progress)
 	return p, nil

@@ -17,15 +17,13 @@ import (
 // second time and the second adopt would be refused as stale.
 func TestRestoreCarriesMigrationEpoch(t *testing.T) {
 	counters := sgx.NewCounterService()
-	kA, clockA, costsA := newMigKernel(2048)
-	a := runMigrant(t, kA, clockA, costsA)
+	a := runMigrant(t, newKernel(2048))
 	wantProgress := a.Runtime.Progress()
 	mig, err := a.Migrate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	kB, clockB, costsB := newMigKernel(2048)
-	b, err := Adopt(kB, clockB, costsB, mig, counters)
+	b, err := Adopt(newKernel(2048), mig, counters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,8 +32,7 @@ func TestRestoreCarriesMigrationEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	kC, clockC, costsC := newMigKernel(2048)
-	c, err := Restore(kC, clockC, costsC, cp)
+	c, err := Restore(newKernel(2048), cp)
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
@@ -46,8 +43,7 @@ func TestRestoreCarriesMigrationEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kD, clockD, costsD := newMigKernel(2048)
-	d, err := Adopt(kD, clockD, costsD, mig2, counters)
+	d, err := Adopt(newKernel(2048), mig2, counters)
 	if err != nil {
 		t.Fatalf("second adopt: %v", err)
 	}
@@ -66,9 +62,9 @@ func TestRestoreCarriesMigrationEpoch(t *testing.T) {
 func TestCheckpointNoncesDifferAcrossMachines(t *testing.T) {
 	var nonces [2][]byte
 	for i := range nonces {
-		k, clock, costs := newKernel()
+		k := newKernel(2048)
 		img, cfg := fuzzImage()
-		p, err := Load(k, clock, costs, img, cfg)
+		p, err := Load(k, img, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,13 +106,13 @@ func sealedPages(t *testing.T, k *hostos.Kernel, cp *Checkpoint) int {
 // what was captured — nothing — not the pages the first capture left in
 // the buffers, and CntCheckpointPages must rise by the same count.
 func TestParkedCheckpointSealsNoStalePages(t *testing.T) {
-	k, clock, costs := newMigKernel(2048)
+	k := newKernel(2048)
 	img, cfg := migImage()
-	p, err := Load(k, clock, costs, img, cfg)
+	p, err := Load(k, img, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := metrics.Of(clock)
+	m := metrics.Of(k.Clock)
 
 	first, err := p.Checkpoint()
 	if err != nil {
@@ -138,7 +134,7 @@ func TestParkedCheckpointSealsNoStalePages(t *testing.T) {
 		}
 		parked, err = p.Checkpoint()
 	})
-	k.CPU.PreemptAt = clock.Cycles() + 1
+	k.CPU.PreemptAt = k.Clock.Cycles() + 1
 	runErr := p.Run(func(ctx *core.Context) {
 		var buf [8]byte
 		ctx.Read(p.Heap.Page(0), buf[:])

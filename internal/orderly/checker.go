@@ -151,7 +151,7 @@ func Run(cfg Config) Result {
 			}
 			d := w.digest()
 			res.Digest = fnvFold(res.Digest, fmt.Sprintf("@%x", d))
-			res.LastSnapshot = metrics.Of(w.clock).Snapshot()
+			res.LastSnapshot = metrics.Of(w.kernel.Clock).Snapshot()
 			res.HasSnapshot = true
 			if seen[d] {
 				res.Pruned++

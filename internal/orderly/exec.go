@@ -22,7 +22,7 @@ type StepOutcome struct {
 // straight into the suite.
 func ExecuteTrace(sc Scenario, trace []Op) ([]StepOutcome, *Counterexample, metrics.Snapshot) {
 	steps, _, w := runTrace(DefaultSpec(), sc, trace)
-	snap := metrics.Of(w.clock).Snapshot()
+	snap := metrics.Of(w.kernel.Clock).Snapshot()
 	out := make([]StepOutcome, len(steps))
 	for i, s := range steps {
 		o := StepOutcome{Op: trace[i], Phase: s.phase, Class: s.class()}

@@ -36,7 +36,6 @@ import (
 	"autarky/internal/hostos"
 	"autarky/internal/libos"
 	"autarky/internal/mmu"
-	"autarky/internal/pagestore"
 	"autarky/internal/sgx"
 	"autarky/internal/sim"
 )
@@ -257,8 +256,6 @@ var errSkip = fmt.Errorf("orderly: operation not applicable")
 // conditions on. Every trace replay builds a fresh world.
 type world struct {
 	sc     Scenario
-	clock  *sim.Clock
-	costs  sim.Costs
 	kernel *hostos.Kernel
 
 	// proc is the last process handle handed out. It deliberately goes
@@ -296,15 +293,8 @@ type world struct {
 }
 
 func newWorld(sc Scenario) *world {
-	w := &world{sc: sc, clock: sim.NewClock(), costs: sim.DefaultCosts(),
-		counters: sgx.NewCounterService()}
-	pt := mmu.NewPageTable(w.clock, &w.costs)
-	tlb := mmu.NewTLB(16, 4, w.clock, &w.costs)
-	epc := sgx.NewEPC(0x1000, 512)
-	reg := sgx.NewRegularMemory(1 << 30)
-	cpu := sgx.NewCPU(w.clock, &w.costs, tlb, pt, epc, reg, []byte("orderly-root"))
-	w.kernel = hostos.NewKernel(cpu, pt, pagestore.NewStore(), w.clock, &w.costs)
-	return w
+	k := hostos.NewHost(sim.NewClock(), sim.DefaultCosts(), hostos.DefaultGeometry(512), []byte("orderly-root"))
+	return &world{sc: sc, kernel: k, counters: sgx.NewCounterService()}
 }
 
 // image is the tiny enclave image every scenario loads: one code page,
@@ -414,7 +404,7 @@ func (w *world) apply(op Op) error {
 	k := w.kernel
 	switch op {
 	case OpLoad:
-		p, err := libos.Load(k, w.clock, &w.costs, w.image(), w.config(false))
+		p, err := libos.Load(k, w.image(), w.config(false))
 		if err == nil {
 			w.proc, w.destroyed = p, false
 			w.tamperedHeap, w.tamperedPinned = false, false
@@ -423,7 +413,7 @@ func (w *world) apply(op Op) error {
 		return err
 
 	case OpLoadBad:
-		_, err := libos.Load(k, w.clock, &w.costs, w.image(), w.config(true))
+		_, err := libos.Load(k, w.image(), w.config(true))
 		return err
 
 	case OpRun:
@@ -465,7 +455,7 @@ func (w *world) apply(op Op) error {
 		if w.cp == nil {
 			return errSkip
 		}
-		p, err := libos.Restore(k, w.clock, &w.costs, w.cp)
+		p, err := libos.Restore(k, w.cp)
 		if err == nil {
 			w.proc, w.destroyed = p, false
 			w.tamperedHeap, w.tamperedPinned = false, false
@@ -479,7 +469,7 @@ func (w *world) apply(op Op) error {
 		}
 		bad := &libos.Checkpoint{Sealed: append([]byte(nil), w.cp.Sealed...)}
 		bad.Sealed[len(bad.Sealed)/2] ^= 0x01
-		_, err := libos.Restore(k, w.clock, &w.costs, bad)
+		_, err := libos.Restore(k, bad)
 		return err
 
 	case OpDestroy:
@@ -581,7 +571,7 @@ func (w *world) apply(op Op) error {
 		if w.mig == nil {
 			return errSkip
 		}
-		p, err := libos.Adopt(k, w.clock, &w.costs, w.mig, w.counters)
+		p, err := libos.Adopt(k, w.mig, w.counters)
 		if err == nil {
 			w.proc, w.destroyed = p, false
 			w.tamperedHeap, w.tamperedPinned = false, false
@@ -628,7 +618,7 @@ func (w *world) apply(op Op) error {
 		}
 		// Without the certificate this is the split-brain probe: a blind
 		// restore onto a range whose incarnation was never declared dead.
-		p, err := libos.Restore(k, w.clock, &w.costs, w.cp)
+		p, err := libos.Restore(k, w.cp)
 		if err == nil {
 			w.proc, w.destroyed = p, false
 			w.tamperedHeap, w.tamperedPinned = false, false

@@ -305,8 +305,8 @@ func TestAdversarySeesEveryIdleTimer(t *testing.T) {
 // idle yield, so every further dispatch is an in-place idle poll.
 func idleServer(tb testing.TB) (*sched.Scheduler, *service.Server, *sim.Clock, *uint64) {
 	tb.Helper()
-	k, clock, costs := newKernel()
-	p := loadProcAt(tb, k, clock, costs, "idle", 4, 0)
+	k := newKernel()
+	p := loadProcAt(tb, k, "idle", 4, 0)
 	p.Handle("get", func(*core.Context, uint64) (uint64, error) { return 0, nil })
 	srv, err := service.New(p, service.Options{})
 	if err != nil {
@@ -322,7 +322,7 @@ func idleServer(tb testing.TB) (*sched.Scheduler, *service.Server, *sim.Clock, *
 	s.Step() // start the loop; it finds nothing and parks
 	var upcalls uint64
 	k.Preemptor = upcallCounter{inner: k.Preemptor, n: &upcalls}
-	return s, srv, clock, &upcalls
+	return s, srv, k.Clock, &upcalls
 }
 
 func TestIdleDispatchZeroAlloc(t *testing.T) {

@@ -10,28 +10,18 @@ import (
 	"autarky/internal/libos"
 	"autarky/internal/metrics"
 	"autarky/internal/mmu"
-	"autarky/internal/pagestore"
 	"autarky/internal/sched"
-	"autarky/internal/sgx"
 	"autarky/internal/sim"
 )
 
-func newKernel() (*hostos.Kernel, *sim.Clock, *sim.Costs) {
-	clock := sim.NewClock()
-	costs := sim.DefaultCosts()
-	pt := mmu.NewPageTable(clock, &costs)
-	tlb := mmu.NewTLB(16, 4, clock, &costs)
-	epc := sgx.NewEPC(0x1000, 2048)
-	reg := sgx.NewRegularMemory(1 << 30)
-	cpu := sgx.NewCPU(clock, &costs, tlb, pt, epc, reg, []byte("sched-test"))
-	k := hostos.NewKernel(cpu, pt, pagestore.NewStore(), clock, &costs)
-	return k, clock, &costs
+func newKernel() *hostos.Kernel {
+	return hostos.NewHost(sim.NewClock(), sim.DefaultCosts(), hostos.DefaultGeometry(2048), []byte("sched-test"))
 }
 
 // nextBase hands out disjoint ELRANGEs for co-resident enclaves.
 var testBases = []mmu.VAddr{0x10_0000_0000, 0x20_0000_0000, 0x30_0000_0000, 0x40_0000_0000}
 
-func loadProcAt(t testing.TB, k *hostos.Kernel, clock *sim.Clock, costs *sim.Costs, name string, heap, slot int) *libos.Process {
+func loadProcAt(t testing.TB, k *hostos.Kernel, name string, heap, slot int) *libos.Process {
 	t.Helper()
 	img := libos.AppImage{
 		Name:      name,
@@ -39,7 +29,7 @@ func loadProcAt(t testing.TB, k *hostos.Kernel, clock *sim.Clock, costs *sim.Cos
 		HeapPages: heap,
 	}
 	cfg := libos.Config{Base: testBases[slot], SelfPaging: true, Policy: libos.PolicyPinAll}
-	p, err := libos.Load(k, clock, costs, img, cfg)
+	p, err := libos.Load(k, img, cfg)
 	if err != nil {
 		t.Fatalf("Load %s: %v", name, err)
 	}
@@ -65,9 +55,9 @@ func spawnRun(s *sched.Scheduler, p *libos.Process, name string, pri, rounds int
 }
 
 func TestRoundRobinPreemptsAndFinishesAll(t *testing.T) {
-	k, clock, costs := newKernel()
-	a := loadProcAt(t, k, clock, costs, "a", 4, 0)
-	b := loadProcAt(t, k, clock, costs, "b", 4, 1)
+	k := newKernel()
+	a := loadProcAt(t, k, "a", 4, 0)
+	b := loadProcAt(t, k, "b", 4, 1)
 	s := sched.New(k, sched.NewRoundRobin(), 20_000)
 	ta := spawnRun(s, a, "a", 0, 3000)
 	tb := spawnRun(s, b, "b", 0, 3000)
@@ -86,7 +76,7 @@ func TestRoundRobinPreemptsAndFinishesAll(t *testing.T) {
 			t.Errorf("task %s got %d slices, want interleaving", task.Name(), m.Slices)
 		}
 	}
-	snap := metrics.Of(clock).Snapshot()
+	snap := metrics.Of(k.Clock).Snapshot()
 	if snap.Counter(metrics.CntSchedPreemptions) == 0 ||
 		snap.Counter(metrics.CntSchedSwitches) == 0 ||
 		snap.Counter(metrics.CntSchedDispatches) == 0 {
@@ -98,9 +88,9 @@ func TestRoundRobinPreemptsAndFinishesAll(t *testing.T) {
 }
 
 func TestAccountingSumsToMachineCycles(t *testing.T) {
-	k, clock, costs := newKernel()
-	a := loadProcAt(t, k, clock, costs, "a", 4, 0)
-	b := loadProcAt(t, k, clock, costs, "b", 4, 1)
+	k := newKernel()
+	a := loadProcAt(t, k, "a", 4, 0)
+	b := loadProcAt(t, k, "b", 4, 1)
 	s := sched.New(k, nil, 15_000)
 	spawnRun(s, a, "a", 0, 2000)
 	spawnRun(s, b, "b", 0, 2000)
@@ -111,8 +101,8 @@ func TestAccountingSumsToMachineCycles(t *testing.T) {
 	if err := acct.Check(); err != nil {
 		t.Fatal(err)
 	}
-	if acct.TotalCycles != clock.Cycles() {
-		t.Fatalf("TotalCycles %d, clock %d", acct.TotalCycles, clock.Cycles())
+	if acct.TotalCycles != k.Clock.Cycles() {
+		t.Fatalf("TotalCycles %d, clock %d", acct.TotalCycles, k.Clock.Cycles())
 	}
 	if acct.TaskCycles == 0 || acct.SchedulerCycles == 0 || acct.OutsideCycles == 0 {
 		t.Fatalf("degenerate accounting: %+v", acct)
@@ -121,10 +111,10 @@ func TestAccountingSumsToMachineCycles(t *testing.T) {
 
 func TestSchedulingIsDeterministic(t *testing.T) {
 	run := func() (sched.Accounting, uint64) {
-		k, clock, costs := newKernel()
-		a := loadProcAt(t, k, clock, costs, "a", 4, 0)
-		b := loadProcAt(t, k, clock, costs, "b", 6, 1)
-		c := loadProcAt(t, k, clock, costs, "c", 2, 2)
+		k := newKernel()
+		a := loadProcAt(t, k, "a", 4, 0)
+		b := loadProcAt(t, k, "b", 6, 1)
+		c := loadProcAt(t, k, "c", 2, 2)
 		s := sched.New(k, sched.NewRoundRobin(), 12_000)
 		spawnRun(s, a, "a", 0, 900)
 		spawnRun(s, b, "b", 0, 600)
@@ -132,7 +122,7 @@ func TestSchedulingIsDeterministic(t *testing.T) {
 		if err := s.WaitAll(); err != nil {
 			t.Fatalf("WaitAll: %v", err)
 		}
-		return s.Accounting(), clock.Cycles()
+		return s.Accounting(), k.Clock.Cycles()
 	}
 	acct1, cyc1 := run()
 	acct2, cyc2 := run()
@@ -145,9 +135,9 @@ func TestSchedulingIsDeterministic(t *testing.T) {
 }
 
 func TestPriorityRunsHighClassFirst(t *testing.T) {
-	k, clock, costs := newKernel()
-	lo := loadProcAt(t, k, clock, costs, "lo", 4, 0)
-	hi := loadProcAt(t, k, clock, costs, "hi", 4, 1)
+	k := newKernel()
+	lo := loadProcAt(t, k, "lo", 4, 0)
+	hi := loadProcAt(t, k, "hi", 4, 1)
 	s := sched.New(k, sched.NewPriority(), 10_000)
 	var order []string
 	spawn := func(p *libos.Process, name string, pri int) {
@@ -169,9 +159,9 @@ func TestPriorityRunsHighClassFirst(t *testing.T) {
 }
 
 func TestZeroQuantumRunsToCompletion(t *testing.T) {
-	k, clock, costs := newKernel()
-	a := loadProcAt(t, k, clock, costs, "a", 4, 0)
-	b := loadProcAt(t, k, clock, costs, "b", 4, 1)
+	k := newKernel()
+	a := loadProcAt(t, k, "a", 4, 0)
+	b := loadProcAt(t, k, "b", 4, 1)
 	s := sched.New(k, nil, 0)
 	ta := spawnRun(s, a, "a", 0, 50)
 	tb := spawnRun(s, b, "b", 0, 50)
@@ -188,12 +178,12 @@ func TestZeroQuantumRunsToCompletion(t *testing.T) {
 }
 
 func TestNonEnclaveTaskSchedules(t *testing.T) {
-	k, clock, costs := newKernel()
-	a := loadProcAt(t, k, clock, costs, "a", 4, 0)
+	k := newKernel()
+	a := loadProcAt(t, k, "a", 4, 0)
 	s := sched.New(k, nil, 10_000)
 	ran := false
 	tc := s.Spawn("compute", 0, nil, func() error {
-		clock.ChargeAmbient(5_000)
+		k.Clock.ChargeAmbient(5_000)
 		ran = true
 		return nil
 	})
@@ -210,13 +200,13 @@ func TestNonEnclaveTaskSchedules(t *testing.T) {
 }
 
 func TestBudgetAbortUnwindsParkedTasks(t *testing.T) {
-	k, clock, costs := newKernel()
-	a := loadProcAt(t, k, clock, costs, "a", 4, 0)
-	b := loadProcAt(t, k, clock, costs, "b", 4, 1)
+	k := newKernel()
+	a := loadProcAt(t, k, "a", 4, 0)
+	b := loadProcAt(t, k, "b", 4, 1)
 	s := sched.New(k, nil, 10_000)
 	ta := spawnRun(s, a, "a", 0, 1<<20)
 	tb := spawnRun(s, b, "b", 0, 1<<20)
-	clock.SetLimit(clock.Cycles() + 400_000)
+	k.Clock.SetLimit(k.Clock.Cycles() + 400_000)
 	var recovered any
 	func() {
 		defer func() { recovered = recover() }()
@@ -269,9 +259,9 @@ func TestPolicyKindStringsAndConstruction(t *testing.T) {
 // same task again is a no-op, and Kill refuses foreign tasks and re-entry
 // from inside a scheduled task.
 func TestKillCrashStopsParkedTask(t *testing.T) {
-	k, clock, costs := newKernel()
-	a := loadProcAt(t, k, clock, costs, "a", 4, 0)
-	b := loadProcAt(t, k, clock, costs, "b", 4, 1)
+	k := newKernel()
+	a := loadProcAt(t, k, "a", 4, 0)
+	b := loadProcAt(t, k, "b", 4, 1)
 	s := sched.New(k, nil, 15_000)
 	victim := spawnRun(s, a, "victim", 0, 20000)
 	survivor := spawnRun(s, b, "survivor", 0, 20000)
@@ -307,8 +297,8 @@ func TestKillCrashStopsParkedTask(t *testing.T) {
 	if err := acct.Check(); err != nil {
 		t.Fatal(err)
 	}
-	if acct.TotalCycles != clock.Cycles() {
-		t.Fatalf("TotalCycles %d, clock %d", acct.TotalCycles, clock.Cycles())
+	if acct.TotalCycles != k.Clock.Cycles() {
+		t.Fatalf("TotalCycles %d, clock %d", acct.TotalCycles, k.Clock.Cycles())
 	}
 
 	// Kill for a task of a different scheduler panics.

@@ -8,9 +8,6 @@ import (
 	"autarky/internal/fault"
 	"autarky/internal/hostos"
 	"autarky/internal/libos"
-	"autarky/internal/mmu"
-	"autarky/internal/pagestore"
-	"autarky/internal/sgx"
 	"autarky/internal/sim"
 )
 
@@ -18,27 +15,19 @@ import (
 // channel-level tests (paging pressure is the experiments' business).
 func newTestProc(t *testing.T) (*libos.Process, *sim.Clock) {
 	t.Helper()
-	clock := sim.NewClock()
-	costs := sim.DefaultCosts()
-	pt := mmu.NewPageTable(clock, &costs)
-	tlb := mmu.NewTLB(64, 4, clock, &costs)
-	epc := sgx.NewEPC(mmu.PFN(0x100000), 1<<12)
-	reg := sgx.NewRegularMemory(mmu.PFN(1 << 40))
-	cpu := sgx.NewCPU(clock, &costs, tlb, pt, epc, reg, []byte("service-test-root"))
-	store := pagestore.NewStore()
-	kernel := hostos.NewKernel(cpu, pt, store, clock, &costs)
+	kernel := hostos.NewHost(sim.NewClock(), sim.DefaultCosts(), hostos.DefaultGeometry(1<<12), []byte("service-test-root"))
 	img := libos.AppImage{
 		Name:      "svc",
 		Libraries: []libos.Library{{Name: "libsvc.so", Pages: 2}},
 		HeapPages: 16,
 	}
-	p, err := libos.Load(kernel, clock, &costs, img, libos.Config{
+	p, err := libos.Load(kernel, img, libos.Config{
 		SelfPaging: true, Policy: libos.PolicyPinAll,
 	})
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	return p, clock
+	return p, kernel.Clock
 }
 
 // register installs an echo-style handler: touches one heap page, returns

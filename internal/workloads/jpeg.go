@@ -48,8 +48,9 @@ type JPEGConfig struct {
 }
 
 // BuildJPEG allocates buffers from the heap and synthesizes the secret
-// image deterministically from the seed.
-func BuildJPEG(p *libos.Process, clock *sim.Clock, cfg JPEGConfig) (*JPEG, error) {
+// image deterministically from the seed. Decoding charges the process's
+// kernel clock.
+func BuildJPEG(p *libos.Process, cfg JPEGConfig) (*JPEG, error) {
 	if cfg.TmpPages < 2 {
 		return nil, fmt.Errorf("workloads: JPEG needs >=2 tmp pages")
 	}
@@ -83,7 +84,7 @@ func BuildJPEG(p *libos.Process, clock *sim.Clock, cfg JPEGConfig) (*JPEG, error
 		tmp:     tmp,
 		out:     out,
 		comp:    220, // IDCT arithmetic per block
-		clock:   clock,
+		clock:   p.Kernel.Clock,
 	}, nil
 }
 

@@ -9,25 +9,16 @@ import (
 	"autarky/internal/metrics"
 	"autarky/internal/mmu"
 	"autarky/internal/oram"
-	"autarky/internal/pagestore"
-	"autarky/internal/sgx"
 	"autarky/internal/sim"
 )
 
 func newProcess(t *testing.T, heapPages int, libs []libos.Library) (*libos.Process, *sim.Clock) {
 	t.Helper()
-	clock := sim.NewClock()
-	costs := sim.DefaultCosts()
-	pt := mmu.NewPageTable(clock, &costs)
-	tlb := mmu.NewTLB(64, 4, clock, &costs)
-	epc := sgx.NewEPC(0x1000, 8192)
-	reg := sgx.NewRegularMemory(1 << 30)
-	cpu := sgx.NewCPU(clock, &costs, tlb, pt, epc, reg, []byte("wl"))
-	k := hostos.NewKernel(cpu, pt, pagestore.NewStore(), clock, &costs)
+	k := hostos.NewHost(sim.NewClock(), sim.DefaultCosts(), hostos.DefaultGeometry(8192), []byte("wl"))
 	if libs == nil {
 		libs = []libos.Library{{Name: "libwl.so", Pages: 2}}
 	}
-	p, err := libos.Load(k, clock, &costs, libos.AppImage{
+	p, err := libos.Load(k, libos.AppImage{
 		Name:      "wl",
 		Libraries: libs,
 		HeapPages: heapPages,
@@ -35,7 +26,7 @@ func newProcess(t *testing.T, heapPages int, libs []libos.Library) (*libos.Proce
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p, clock
+	return p, k.Clock
 }
 
 func run(t *testing.T, p *libos.Process, app func(ctx *core.Context)) {
@@ -169,10 +160,10 @@ func TestFreeTypeLibraryShape(t *testing.T) {
 // --- JPEG ------------------------------------------------------------------
 
 func TestJPEGDecodeTouchesTmpPerBusyBlock(t *testing.T) {
-	p, clock := newProcess(t, 64, nil)
+	p, _ := newProcess(t, 64, nil)
 	cfg := JPEGConfig{BlocksW: 8, BlocksH: 4, BusyFraction: 0.5, TmpPages: 4, OutPagesPerBlockRow: 1, Seed: 3}
 	run(t, p, func(ctx *core.Context) {
-		j, err := BuildJPEG(p, clock, cfg)
+		j, err := BuildJPEG(p, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,11 +189,11 @@ func TestJPEGDecodeTouchesTmpPerBusyBlock(t *testing.T) {
 }
 
 func TestJPEGDeterministicSecret(t *testing.T) {
-	p, clock := newProcess(t, 64, nil)
+	p, _ := newProcess(t, 64, nil)
 	cfg := JPEGConfig{BlocksW: 8, BlocksH: 4, BusyFraction: 0.5, TmpPages: 4, OutPagesPerBlockRow: 1, Seed: 3}
 	run(t, p, func(ctx *core.Context) {
-		j1, _ := BuildJPEG(p, clock, cfg)
-		j2, _ := BuildJPEG(p, clock, cfg)
+		j1, _ := BuildJPEG(p, cfg)
+		j2, _ := BuildJPEG(p, cfg)
 		for i := range j1.Busy {
 			if j1.Busy[i] != j2.Busy[i] {
 				t.Fatal("secret image not deterministic for a seed")

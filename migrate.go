@@ -92,7 +92,7 @@ func (m *Machine) Adopt(mig *Migration, counters *CounterService) (*Proc, error)
 	if m.optErr != nil {
 		return nil, m.optErr
 	}
-	p, err := libos.Adopt(m.Kernel, m.Clock, m.Costs, mig, counters)
+	p, err := libos.Adopt(m.Kernel, mig, counters)
 	if err != nil {
 		return nil, err
 	}

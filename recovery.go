@@ -134,7 +134,7 @@ func (m *Machine) Restore(cp *Checkpoint) (*Proc, error) {
 	if m.optErr != nil {
 		return nil, m.optErr
 	}
-	p, err := libos.Restore(m.Kernel, m.Clock, m.Costs, cp)
+	p, err := libos.Restore(m.Kernel, cp)
 	if err != nil {
 		return nil, err
 	}

@@ -98,7 +98,7 @@ func (m *Machine) Spawn(img AppImage, cfg Config) (*Proc, error) {
 		cfg.Base = m.nextBase
 		m.nextBase += spawnSlot(img)
 	}
-	p, err := libos.Load(m.Kernel, m.Clock, m.Costs, img, cfg)
+	p, err := libos.Load(m.Kernel, img, cfg)
 	if err != nil {
 		return nil, err
 	}
