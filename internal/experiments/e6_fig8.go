@@ -73,7 +73,7 @@ func RunE6(p E6Params) E6Result {
 	cells, cm := runCells("E6", len(gens)*nc, func(i int, rec *cellRecorder) e6CellOut {
 		gi, ci := i/nc, i%nc
 		gen := gens[gi](p.Seed + uint64(gi))
-		rate := runE6Cell(rec, p, mcfg, arena, quota, e6Configs[ci], gen)
+		rate := runE6Cell(rec, p, mcfg, arena, quota, e6Configs[ci], ycsb.NewWorkloadC(gen))
 		return e6CellOut{dist: gen.Name(), rate: rate}
 	})
 	res := E6Result{Metrics: cm}
@@ -92,11 +92,13 @@ func RunE6(p E6Params) E6Result {
 	return res
 }
 
-func runE6Cell(rec *cellRecorder, p E6Params, mcfg workloads.MemcachedConfig, arena, quota int, cfg string, gen ycsb.Generator) float64 {
+// runE6Cell serves p.Requests operations of wl from one Memcached
+// configuration and returns the throughput. E6 passes workload C (every
+// operation a GET); E6m passes a read/update mix.
+func runE6Cell(rec *cellRecorder, p E6Params, mcfg workloads.MemcachedConfig, arena, quota int, cfg string, wl *ycsb.Workload) float64 {
 	rc := RunConfig{QuotaPages: quota, HeapPages: arena + 16}
 	switch cfg {
 	case "baseline":
-		rc.SelfPaging = false
 	case "rate-limit":
 		rc.SelfPaging = true
 		rc.Policy = libos.PolicyRateLimit
@@ -118,7 +120,6 @@ func runE6Cell(rec *cellRecorder, p E6Params, mcfg workloads.MemcachedConfig, ar
 		HeapPages: rc.HeapPages,
 	}
 	var cycles uint64
-	served := 0
 	res := RunApp(img, rc, func(proc *libos.Process, ctx *core.Context) {
 		clk := proc.Kernel.Clock
 		costs := proc.Kernel.Costs
@@ -140,20 +141,22 @@ func runE6Cell(rec *cellRecorder, p E6Params, mcfg workloads.MemcachedConfig, ar
 		if err != nil {
 			panic(err)
 		}
-		wl := ycsb.NewWorkloadC(gen)
 		t0 := clk.Cycles()
 		for i := 0; i < p.Requests; i++ {
 			op := wl.Next()
-			m.Get(ctx, op.Key)
+			if op.Read {
+				m.Get(ctx, op.Key)
+			} else {
+				m.Set(ctx, op.Key)
+			}
 		}
 		cycles = clk.Cycles() - t0
-		served = p.Requests
 	})
 	rec.record("", res.Metrics)
 	if res.Err != nil {
-		panic(fmt.Sprintf("E6 %s/%s: %v", cfg, gen.Name(), res.Err))
+		panic(fmt.Sprintf("memcached %s/%s: %v", cfg, wl.Gen.Name(), res.Err))
 	}
-	return PerSecond(uint64(served), cycles)
+	return PerSecond(uint64(p.Requests), cycles)
 }
 
 // Table renders the result.

@@ -1,11 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
-	"autarky/internal/core"
-	"autarky/internal/libos"
-	"autarky/internal/oram"
 	"autarky/internal/workloads"
 	"autarky/internal/ycsb"
 )
@@ -47,72 +42,10 @@ func RunE6Mixed(p E6Params) E6mResult {
 	rows, cm := runCells("E6m", len(workloadMixes)*nc, func(i int, rec *cellRecorder) E6mRow {
 		wl, cfg := workloadMixes[i/nc], e6Configs[i%nc]
 		gen := ycsb.NewZipfian(p.Items, 0.99, p.Seed)
-		rate := runE6MixedCell(rec, p, mcfg, arena, quota, cfg, wl.readRatio, gen)
+		rate := runE6Cell(rec, p, mcfg, arena, quota, cfg, ycsb.NewWorkload(gen, wl.readRatio, p.Seed+99))
 		return E6mRow{Workload: wl.name, Config: cfg, ReqPerSec: rate}
 	})
 	return E6mResult{Rows: rows, Metrics: cm}
-}
-
-func runE6MixedCell(rec *cellRecorder, p E6Params, mcfg workloads.MemcachedConfig, arena, quota int, cfg string, readRatio float64, gen ycsb.Generator) float64 {
-	rc := RunConfig{QuotaPages: quota, HeapPages: arena + 16}
-	switch cfg {
-	case "baseline":
-	case "rate-limit":
-		rc.SelfPaging = true
-		rc.Policy = libos.PolicyRateLimit
-		rc.RateBurst = 1 << 40
-		rc.EvictBatch = 16
-	case "cluster-10":
-		rc.SelfPaging = true
-		rc.Policy = libos.PolicyClusters
-		rc.DataCluster = 10
-	case "oram":
-		rc.SelfPaging = true
-		rc.Policy = libos.PolicyORAM
-		rc.HeapPages = 16
-	}
-	img := libos.AppImage{
-		Name:      "memcached",
-		Libraries: []libos.Library{{Name: "libmemcached.so", Pages: 6}},
-		HeapPages: rc.HeapPages,
-	}
-	var cycles uint64
-	res := RunApp(img, rc, func(proc *libos.Process, ctx *core.Context) {
-		clk := proc.Kernel.Clock
-		costs := proc.Kernel.Costs
-		var backend workloads.Backend
-		var err error
-		if cfg == "oram" {
-			po := oram.New(1<<18, 4096, 4, clk, costs, p.Seed)
-			cache := oram.NewCache(po, arena*128/400, clk, costs)
-			backend, err = workloads.NewORAMBackend(cache, arena, "oram-cached")
-		} else {
-			backend, err = workloads.NewDirectBackend(proc.Alloc, arena)
-		}
-		if err != nil {
-			panic(err)
-		}
-		m, err := workloads.BuildMemcached(ctx, backend, clk, mcfg)
-		if err != nil {
-			panic(err)
-		}
-		wl := ycsb.NewWorkload(gen, readRatio, p.Seed+99)
-		t0 := clk.Cycles()
-		for i := 0; i < p.Requests; i++ {
-			op := wl.Next()
-			if op.Read {
-				m.Get(ctx, op.Key)
-			} else {
-				m.Set(ctx, op.Key)
-			}
-		}
-		cycles = clk.Cycles() - t0
-	})
-	rec.record("", res.Metrics)
-	if res.Err != nil {
-		panic(fmt.Sprintf("E6m %s: %v", cfg, res.Err))
-	}
-	return PerSecond(uint64(p.Requests), cycles)
 }
 
 // Table renders the extension results.

@@ -231,30 +231,14 @@ func NewBackend(inner pagestore.PagingBackend, plan Plan, clock *sim.Clock) *Bac
 // Name implements PagingBackend.
 func (f *Backend) Name() string { return "fault+" + f.inner.Name() }
 
-// Evict implements PagingBackend. Evictions face unavailability and delay;
-// the stored blob itself is never altered on the way in (alterations are
-// modelled on the fetch side, where the enclave observes them).
+// Evict implements PagingBackend.
 func (f *Backend) Evict(enclaveID uint64, va mmu.VAddr, b pagestore.Blob) error {
-	switch f.decide(opEvict, enclaveID, va) {
-	case KindUnavail:
-		return &pagestore.BlobError{EnclaveID: enclaveID, VA: va, Op: "evict", Err: pagestore.ErrUnavailable}
-	}
-	f.archive(enclaveID, va, b)
-	return f.inner.Evict(enclaveID, va, b)
+	return pagestore.EvictOne(f, enclaveID, va, b)
 }
 
-// Fetch implements PagingBackend: the fault surface where the hostile host
-// hands back something other than what it was given.
+// Fetch implements PagingBackend.
 func (f *Backend) Fetch(enclaveID uint64, va mmu.VAddr) (pagestore.Blob, error) {
-	kind := f.decide(opFetch, enclaveID, va)
-	if kind == KindUnavail {
-		return pagestore.Blob{}, &pagestore.BlobError{EnclaveID: enclaveID, VA: va, Op: "fetch", Err: pagestore.ErrUnavailable}
-	}
-	b, err := f.inner.Fetch(enclaveID, va)
-	if err != nil {
-		return pagestore.Blob{}, err
-	}
-	return f.mangle(kind, enclaveID, va, b), nil
+	return pagestore.FetchOne(f, enclaveID, va)
 }
 
 // Drop implements PagingBackend. Drops pass through unfaulted: a discard
@@ -264,8 +248,11 @@ func (f *Backend) Drop(enclaveID uint64, va mmu.VAddr) error {
 	return f.inner.Drop(enclaveID, va)
 }
 
-// EvictBatch implements PagingBackend, rolling per blob; the first
-// unavailable blob fails the batch with its key attached.
+// EvictBatch implements PagingBackend, rolling per blob. Evictions face
+// unavailability and delay; the stored blob itself is never altered on the
+// way in (alterations are modelled on the fetch side, where the enclave
+// observes them). The first unavailable blob fails the batch with its key
+// attached.
 func (f *Backend) EvictBatch(enclaveID uint64, pages []pagestore.PageBlob) error {
 	for _, pb := range pages {
 		switch f.decide(opEvict, enclaveID, pb.VA) {
@@ -277,7 +264,9 @@ func (f *Backend) EvictBatch(enclaveID uint64, pages []pagestore.PageBlob) error
 	return f.inner.EvictBatch(enclaveID, pages)
 }
 
-// FetchBatch implements PagingBackend, rolling per blob.
+// FetchBatch implements PagingBackend, rolling per blob: the fault surface
+// where the hostile host hands back something other than what it was given.
+// The first unavailable blob fails the batch with its key attached.
 func (f *Backend) FetchBatch(enclaveID uint64, pages []mmu.VAddr, out []pagestore.Blob) error {
 	kinds := f.kinds[:0]
 	for _, va := range pages {

@@ -245,17 +245,14 @@ var _ pagestore.PagingBackend = driverBackend{}
 // Name implements pagestore.PagingBackend.
 func (d driverBackend) Name() string { return "driver+" + d.k.backend.Name() }
 
-// Evict implements pagestore.PagingBackend (the SGXv2 eviction path).
+// Evict implements pagestore.PagingBackend.
 func (d driverBackend) Evict(enclaveID uint64, va mmu.VAddr, b pagestore.Blob) error {
-	d.k.chargeCall()
-	return d.k.backend.Evict(enclaveID, va.PageBase(), b)
+	return pagestore.EvictOne(d, enclaveID, va, b)
 }
 
-// Fetch implements pagestore.PagingBackend (the SGXv2 fetch path: the
-// runtime decrypts and EACCEPTCOPYs the result).
+// Fetch implements pagestore.PagingBackend.
 func (d driverBackend) Fetch(enclaveID uint64, va mmu.VAddr) (pagestore.Blob, error) {
-	d.k.chargeCall()
-	return d.k.backend.Fetch(enclaveID, va.PageBase())
+	return pagestore.FetchOne(d, enclaveID, va)
 }
 
 // Drop implements pagestore.PagingBackend.
@@ -264,45 +261,21 @@ func (d driverBackend) Drop(enclaveID uint64, va mmu.VAddr) error {
 	return d.k.backend.Drop(enclaveID, va.PageBase())
 }
 
-// EvictBatch implements pagestore.PagingBackend. Addresses arriving from
-// the paging paths are already page-aligned, so the common case passes the
-// batch through without building a normalized copy.
+// EvictBatch implements pagestore.PagingBackend (the SGXv2 eviction path).
 func (d driverBackend) EvictBatch(enclaveID uint64, pages []pagestore.PageBlob) error {
-	aligned := true
-	for i := range pages {
+	for range pages {
 		d.k.chargeCall()
-		if pages[i].VA.Offset() != 0 {
-			aligned = false
-		}
 	}
-	if aligned {
-		return d.k.backend.EvictBatch(enclaveID, pages)
-	}
-	norm := make([]pagestore.PageBlob, len(pages))
-	for i, pb := range pages {
-		norm[i] = pagestore.PageBlob{VA: pb.VA.PageBase(), Blob: pb.Blob}
-	}
-	return d.k.backend.EvictBatch(enclaveID, norm)
+	return d.k.backend.EvictBatch(enclaveID, pages)
 }
 
-// FetchBatch implements pagestore.PagingBackend, with the same
-// pass-through-when-aligned fast path as EvictBatch.
+// FetchBatch implements pagestore.PagingBackend (the SGXv2 fetch path: the
+// runtime decrypts and EACCEPTCOPYs the result).
 func (d driverBackend) FetchBatch(enclaveID uint64, pages []mmu.VAddr, out []pagestore.Blob) error {
-	aligned := true
-	for _, va := range pages {
+	for range pages {
 		d.k.chargeCall()
-		if va.Offset() != 0 {
-			aligned = false
-		}
 	}
-	if aligned {
-		return d.k.backend.FetchBatch(enclaveID, pages, out)
-	}
-	norm := make([]mmu.VAddr, len(pages))
-	for i, va := range pages {
-		norm[i] = va.PageBase()
-	}
-	return d.k.backend.FetchBatch(enclaveID, norm, out)
+	return d.k.backend.FetchBatch(enclaveID, pages, out)
 }
 
 // RestrictPerms EMODPRs the page to the given permissions (with the TLB

@@ -129,21 +129,12 @@ func (r *RetryBackend) do(op func() error) error {
 
 // Evict implements pagestore.PagingBackend.
 func (r *RetryBackend) Evict(enclaveID uint64, va mmu.VAddr, b pagestore.Blob) error {
-	return r.do(func() error { return r.inner.Evict(enclaveID, va, b) })
+	return pagestore.EvictOne(r, enclaveID, va, b)
 }
 
 // Fetch implements pagestore.PagingBackend.
 func (r *RetryBackend) Fetch(enclaveID uint64, va mmu.VAddr) (pagestore.Blob, error) {
-	var out pagestore.Blob
-	err := r.do(func() error {
-		var e error
-		out, e = r.inner.Fetch(enclaveID, va)
-		return e
-	})
-	if err != nil {
-		return pagestore.Blob{}, err
-	}
-	return out, nil
+	return pagestore.FetchOne(r, enclaveID, va)
 }
 
 // Drop implements pagestore.PagingBackend.

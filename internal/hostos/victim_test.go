@@ -15,11 +15,6 @@ type recordingBackend struct {
 	evictions []mmu.VAddr
 }
 
-func (r *recordingBackend) Evict(id uint64, va mmu.VAddr, b pagestore.Blob) error {
-	r.evictions = append(r.evictions, va)
-	return r.PagingBackend.Evict(id, va, b)
-}
-
 func (r *recordingBackend) EvictBatch(id uint64, pages []pagestore.PageBlob) error {
 	for _, pb := range pages {
 		r.evictions = append(r.evictions, pb.VA)

@@ -35,9 +35,6 @@ func newAllocator(p *Process, heap Region, clusterSize int) *Allocator {
 	}
 }
 
-// ClusterSize reports the automatic data cluster size (0 when disabled).
-func (a *Allocator) ClusterSize() int { return a.clusterSize }
-
 // AllocPages allocates n heap pages and returns their base addresses. With
 // automatic clustering enabled, each page joins the eagerly filled current
 // cluster.

@@ -104,8 +104,8 @@ const (
 	// Paging backends (pagestore.PagingBackend wrappers: the sealed-blob
 	// cache and the ORAM backend). The plain in-RAM store stays silent;
 	// wrapping backends count the traffic and bytes that cross them.
-	CntBackendStores // sealed blobs written into a backend (Evict + batch)
-	CntBackendLoads  // sealed blobs read out of a backend (Fetch + batch)
+	CntBackendStores // sealed blobs written into a backend, per blob
+	CntBackendLoads  // sealed blobs read out of a backend, per blob
 	CntBackendHits   // blob served from a cache level without touching inner
 	CntBackendMisses // blob that had to come from the inner backend
 	CntBackendBytes  // ciphertext bytes moved through a backend, both ways

@@ -65,40 +65,14 @@ func (b *Backend) Name() string {
 	return fmt.Sprintf("oram(%d)+%s", b.o.NumBlocks(), b.inner.Name())
 }
 
-// Evict implements pagestore.PagingBackend: one ORAM write access for the
-// placement, payload to the inner backend.
+// Evict implements pagestore.PagingBackend.
 func (b *Backend) Evict(enclaveID uint64, va mmu.VAddr, blob pagestore.Blob) error {
-	id, err := b.assign(enclaveID, va)
-	if err != nil {
-		return err
-	}
-	if _, err := b.o.Access(id, true, nil); err != nil {
-		return err
-	}
-	b.meter.Inc(metrics.CntBackendStores)
-	b.meter.Add(metrics.CntBackendBytes, uint64(len(blob.Ciphertext)))
-	return b.inner.Evict(enclaveID, va, blob)
+	return pagestore.EvictOne(b, enclaveID, va, blob)
 }
 
-// Fetch implements pagestore.PagingBackend: one ORAM read access for the
-// placement, payload from the inner backend.
+// Fetch implements pagestore.PagingBackend.
 func (b *Backend) Fetch(enclaveID uint64, va mmu.VAddr) (pagestore.Blob, error) {
-	id, ok := b.ids[pageKey{enclaveID, va.VPN()}]
-	if !ok {
-		// Never evicted through this backend; the inner backend reports the
-		// canonical not-found error.
-		return b.inner.Fetch(enclaveID, va)
-	}
-	if _, err := b.o.Access(id, false, nil); err != nil {
-		return pagestore.Blob{}, err
-	}
-	blob, err := b.inner.Fetch(enclaveID, va)
-	if err != nil {
-		return pagestore.Blob{}, err
-	}
-	b.meter.Inc(metrics.CntBackendLoads)
-	b.meter.Add(metrics.CntBackendBytes, uint64(len(blob.Ciphertext)))
-	return blob, nil
+	return pagestore.FetchOne(b, enclaveID, va)
 }
 
 // Drop implements pagestore.PagingBackend, releasing the page's ORAM slot
@@ -113,9 +87,9 @@ func (b *Backend) Drop(enclaveID uint64, va mmu.VAddr) error {
 	return b.inner.Drop(enclaveID, va)
 }
 
-// EvictBatch implements pagestore.PagingBackend. The ORAM accesses stay
-// strictly per page — obliviousness does not batch — but the payload blobs
-// travel to the inner backend as one batch.
+// EvictBatch implements pagestore.PagingBackend: one ORAM write access per
+// page for the placement — obliviousness does not batch — while the payload
+// blobs travel to the inner backend as one batch.
 func (b *Backend) EvictBatch(enclaveID uint64, pages []pagestore.PageBlob) error {
 	for _, pb := range pages {
 		id, err := b.assign(enclaveID, pb.VA)
@@ -131,7 +105,8 @@ func (b *Backend) EvictBatch(enclaveID uint64, pages []pagestore.PageBlob) error
 	return b.inner.EvictBatch(enclaveID, pages)
 }
 
-// FetchBatch implements pagestore.PagingBackend, mirroring EvictBatch.
+// FetchBatch implements pagestore.PagingBackend, mirroring EvictBatch: one
+// ORAM read access per page, payloads from the inner backend as one batch.
 func (b *Backend) FetchBatch(enclaveID uint64, pages []mmu.VAddr, out []pagestore.Blob) error {
 	for _, va := range pages {
 		id, ok := b.ids[pageKey{enclaveID, va.VPN()}]

@@ -112,9 +112,6 @@ func (o *PathORAM) BlockSize() int { return o.blockSize }
 // Levels reports the tree depth (root inclusive).
 func (o *PathORAM) Levels() int { return o.levels }
 
-// StashSize reports the current stash occupancy.
-func (o *PathORAM) StashSize() int { return len(o.stash) }
-
 // bucketIndex returns the tree-array index of the bucket at the given level
 // (0 = root) on the path to leaf.
 func (o *PathORAM) bucketIndex(leaf uint32, level int) int {

@@ -79,40 +79,14 @@ func (c *CachedBackend) Name() string {
 	return fmt.Sprintf("cache(%d)+%s", c.capacity, c.inner.Name())
 }
 
-// Evict implements PagingBackend: the blob lands in the cache; LRU overflow
-// is written back to the inner backend.
+// Evict implements PagingBackend.
 func (c *CachedBackend) Evict(enclaveID uint64, va mmu.VAddr, b Blob) error {
-	c.clock.ChargeAs(sim.CatPaging, c.costs.BlobCacheLookup)
-	c.meter.Inc(metrics.CntBackendStores)
-	c.meter.Add(metrics.CntBackendBytes, uint64(len(b.Ciphertext)))
-	c.insert(key(enclaveID, va), b)
-	return c.writeBackOverflow()
+	return EvictOne(c, enclaveID, va, b)
 }
 
-// Fetch implements PagingBackend. A hit is served from the cache (the entry
-// stays resident — it still holds the current sealed contents); a miss goes
-// to the inner backend and pays the blob copy between levels. Misses do not
-// populate the cache: only eviction traffic does, which is what makes the
-// hit rate measure re-fetch absorption rather than read locality.
+// Fetch implements PagingBackend.
 func (c *CachedBackend) Fetch(enclaveID uint64, va mmu.VAddr) (Blob, error) {
-	c.clock.ChargeAs(sim.CatPaging, c.costs.BlobCacheLookup)
-	c.meter.Inc(metrics.CntBackendLoads)
-	k := key(enclaveID, va)
-	if el, ok := c.entries[k]; ok {
-		c.lru.MoveToFront(el)
-		b := el.Value.(*cacheEntry).blob
-		c.meter.Inc(metrics.CntBackendHits)
-		c.meter.Add(metrics.CntBackendBytes, uint64(len(b.Ciphertext)))
-		return b, nil
-	}
-	b, err := c.inner.Fetch(enclaveID, va)
-	if err != nil {
-		return Blob{}, err
-	}
-	c.clock.ChargeAs(sim.CatPaging, c.costs.BlobCopy)
-	c.meter.Inc(metrics.CntBackendMisses)
-	c.meter.Add(metrics.CntBackendBytes, uint64(len(b.Ciphertext)))
-	return b, nil
+	return FetchOne(c, enclaveID, va)
 }
 
 // Drop implements PagingBackend. The blob may live in the cache, in the
@@ -173,8 +147,12 @@ func (c *CachedBackend) EvictBatch(enclaveID uint64, pages []PageBlob) error {
 	return nil
 }
 
-// FetchBatch implements PagingBackend: hits come straight from the cache
-// and only the misses travel to the inner backend, as one batch.
+// FetchBatch implements PagingBackend. A hit is served from the cache (the
+// entry stays resident — it still holds the current sealed contents); the
+// misses travel to the inner backend as one batch and pay the blob copy
+// between levels. Misses do not populate the cache: only eviction traffic
+// does, which is what makes the hit rate measure re-fetch absorption rather
+// than read locality.
 func (c *CachedBackend) FetchBatch(enclaveID uint64, pages []mmu.VAddr, out []Blob) error {
 	missVAs := c.missVAs[:0]
 	missIdx := c.missIdx[:0]
@@ -243,18 +221,4 @@ func (c *CachedBackend) popVictim() cacheEntry {
 	c.lru.Remove(el)
 	delete(c.entries, ent.key)
 	return *ent
-}
-
-// writeBackOverflow flushes LRU overflow one blob at a time (the single-
-// eviction path; batch eviction flushes overflow in one inner batch).
-func (c *CachedBackend) writeBackOverflow() error {
-	for c.lru.Len() > c.capacity {
-		ent := c.popVictim()
-		c.clock.ChargeAs(sim.CatPaging, c.costs.BlobCopy)
-		if err := c.inner.Evict(ent.key.enclaveID, mmu.PageOf(ent.key.vpn), ent.blob); err != nil {
-			return err
-		}
-		c.freeBufs = append(c.freeBufs, ent.blob.Ciphertext[:0])
-	}
-	return nil
 }

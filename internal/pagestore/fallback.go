@@ -52,38 +52,14 @@ func fallsBack(err error) bool {
 	return errors.Is(err, ErrUnavailable) || errors.Is(err, ErrNotFound)
 }
 
-// Evict implements PagingBackend: mirror first (so the secondary always
-// holds the freshest blob), then the primary; a primary outage degrades to
-// mirror-only instead of failing the eviction.
+// Evict implements PagingBackend.
 func (fb *FallbackBackend) Evict(enclaveID uint64, va mmu.VAddr, b Blob) error {
-	fb.clock.ChargeAs(sim.CatPaging, fb.costs.BlobCopy)
-	fb.meter.Inc(metrics.CntBackendMirrors)
-	if err := fb.secondary.Evict(enclaveID, va, b); err != nil {
-		return err
-	}
-	if err := fb.primary.Evict(enclaveID, va, b); err != nil {
-		if errors.Is(err, ErrUnavailable) {
-			fb.meter.Inc(metrics.CntBackendFallbacks)
-			return nil
-		}
-		return err
-	}
-	return nil
+	return EvictOne(fb, enclaveID, va, b)
 }
 
-// Fetch implements PagingBackend: primary first, mirror on outage or on a
-// blob the primary never received.
+// Fetch implements PagingBackend.
 func (fb *FallbackBackend) Fetch(enclaveID uint64, va mmu.VAddr) (Blob, error) {
-	b, err := fb.primary.Fetch(enclaveID, va)
-	if err == nil {
-		return b, nil
-	}
-	if !fallsBack(err) {
-		return Blob{}, err
-	}
-	fb.meter.Inc(metrics.CntBackendFallbacks)
-	fb.clock.ChargeAs(sim.CatPaging, fb.costs.BlobCopy)
-	return fb.secondary.Fetch(enclaveID, va)
+	return FetchOne(fb, enclaveID, va)
 }
 
 // Drop implements PagingBackend: both levels forget the blob; an outage or
@@ -98,8 +74,10 @@ func (fb *FallbackBackend) Drop(enclaveID uint64, va mmu.VAddr) error {
 	return nil
 }
 
-// EvictBatch implements PagingBackend, mirroring the whole victim set
-// before offering it to the primary.
+// EvictBatch implements PagingBackend: the whole victim set is mirrored
+// first (so the secondary always holds the freshest blobs), then offered to
+// the primary; a primary outage degrades to mirror-only instead of failing
+// the eviction.
 func (fb *FallbackBackend) EvictBatch(enclaveID uint64, pages []PageBlob) error {
 	fb.clock.ChargeAs(sim.CatPaging, uint64(len(pages))*fb.costs.BlobCopy)
 	fb.meter.Add(metrics.CntBackendMirrors, uint64(len(pages)))
@@ -117,25 +95,15 @@ func (fb *FallbackBackend) EvictBatch(enclaveID uint64, pages []PageBlob) error 
 }
 
 // FetchBatch implements PagingBackend: the primary serves the batch when it
-// can; on an outage (or a missing blob) the pages are re-fetched one by one
-// through the per-page fallback path, so a single unavailable blob does not
-// fail the whole batch. Filling out across successive Fetch calls is safe:
-// fetches never recycle or overwrite backend-held buffers (only evictions
-// and drops do), so earlier entries stay intact while later pages resolve.
+// can; on an outage, or on a blob the primary never received, the mirror
+// serves the whole batch. It can, because each eviction reaches the mirror
+// before the primary, so the mirror holds every blob.
 func (fb *FallbackBackend) FetchBatch(enclaveID uint64, pages []mmu.VAddr, out []Blob) error {
 	err := fb.primary.FetchBatch(enclaveID, pages, out)
-	if err == nil {
-		return nil
-	}
-	if !fallsBack(err) {
+	if err == nil || !fallsBack(err) {
 		return err
 	}
-	for i, va := range pages {
-		b, ferr := fb.Fetch(enclaveID, va)
-		if ferr != nil {
-			return wrapBlobErr(ferr, "fetch", enclaveID, va)
-		}
-		out[i] = b
-	}
-	return nil
+	fb.meter.Add(metrics.CntBackendFallbacks, uint64(len(pages)))
+	fb.clock.ChargeAs(sim.CatPaging, uint64(len(pages))*fb.costs.BlobCopy)
+	return fb.secondary.FetchBatch(enclaveID, pages, out)
 }

@@ -229,9 +229,6 @@ func New(k *hostos.Kernel, policy Policy, quantum uint64) *Scheduler {
 	return s
 }
 
-// PolicyName reports the active policy's name.
-func (s *Scheduler) PolicyName() string { return s.policy.Name() }
-
 // Quantum reports the configured slice length in cycles.
 func (s *Scheduler) Quantum() uint64 { return s.quantum }
 

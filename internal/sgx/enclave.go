@@ -56,6 +56,13 @@ type Enclave struct {
 	sealBuf []byte
 	openBuf []byte
 
+	// ewbBatch, elduVA and elduBlob are the batch of one that EWB and ELDU
+	// hand the paging backend. Held here rather than built per call, the
+	// hand-off through the backend interface allocates nothing.
+	ewbBatch [1]pagestore.PageBlob
+	elduVA   [1]mmu.VAddr
+	elduBlob [1]pagestore.Blob
+
 	// versions holds the per-page eviction version counters, modelling the
 	// trusted VA-page chain that gives EWB/ELDU replay protection.
 	versions map[uint64]uint64 // vpn -> version
@@ -84,10 +91,6 @@ func (e *Enclave) Initialized() bool { return e.initialized }
 func (e *Enclave) Dead() (bool, TerminationReason, string) {
 	return e.dead, e.deadReason, e.deadDetail
 }
-
-// DeadCause returns the concrete error behind the termination, when the
-// runtime recorded one (nil otherwise, and for live enclaves).
-func (e *Enclave) DeadCause() error { return e.deadCause }
 
 // terminationError builds the error a dead enclave returns on every entry
 // attempt, preserving the recorded cause chain.

@@ -102,19 +102,22 @@ func (c *CPU) EWB(e *Enclave, va mmu.VAddr, pfn mmu.PFN, store pagestore.PagingB
 	version := e.versions[vpn] + 1
 	// Seal into the enclave's reusable buffer: the backend copies whatever
 	// it retains (ownership contract), so the buffer is free again as soon
-	// as Evict returns.
+	// as EvictBatch returns.
 	ct, err := e.sealer.SealAppend(e.sealBuf[:0], va.PageBase(), version, c.EPC.Data(pfn))
 	if err != nil {
 		return err
 	}
 	e.sealBuf = ct[:0]
-	blob := pagestore.Blob{Ciphertext: ct, Version: version, EnclaveID: e.ID}
 	e.versions[vpn] = version
 	if e.swappedPerms == nil {
 		e.swappedPerms = make(map[uint64]mmu.Perms)
 	}
 	e.swappedPerms[vpn] = ent.Perms
-	if err := store.Evict(e.ID, va.PageBase(), blob); err != nil {
+	e.ewbBatch[0] = pagestore.PageBlob{
+		VA:   va.PageBase(),
+		Blob: pagestore.Blob{Ciphertext: ct, Version: version, EnclaveID: e.ID},
+	}
+	if err := store.EvictBatch(e.ID, e.ewbBatch[:]); err != nil {
 		return err
 	}
 	c.EPC.Free(pfn)
@@ -139,13 +142,16 @@ func (c *CPU) ELDU(e *Enclave, va mmu.VAddr, store pagestore.PagingBackend) (mmu
 	if !swapped {
 		return mmu.NoPFN, fmt.Errorf("%w: ELDU of page %s that was never evicted", ErrEPCMConflict, va)
 	}
-	blob, err := store.Fetch(e.ID, va)
-	if err != nil {
+	e.elduVA[0] = va
+	if err := store.FetchBatch(e.ID, e.elduVA[:], e.elduBlob[:]); err != nil {
 		return mmu.NoPFN, err
 	}
 	// Decrypt into the enclave's reusable buffer; the plaintext is copied
 	// into the fresh frame below, before anything else touches the buffer.
-	plain, err := e.sealer.OpenAppend(e.openBuf[:0], va, e.versions[vpn], blob)
+	// The fetched blob is the backend's, so let go of it at once: a buffer
+	// the store drops must not stay reachable from the enclave.
+	plain, err := e.sealer.OpenAppend(e.openBuf[:0], va, e.versions[vpn], e.elduBlob[0])
+	e.elduBlob[0] = pagestore.Blob{}
 	if err != nil {
 		return mmu.NoPFN, err
 	}

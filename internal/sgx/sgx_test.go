@@ -22,6 +22,9 @@ type testRig struct {
 	reg   *RegularMemory
 	cpu   *CPU
 	store *pagestore.Store
+	// paging is the backend evictOne hands EWB: store, unless a test
+	// swaps in its own.
+	paging pagestore.PagingBackend
 
 	onFault func(c *CPU, e *Enclave, tcs *TCS, f *mmu.Fault) error
 	onEntry func(tcs *TCS)
@@ -56,6 +59,7 @@ func newRig(t *testing.T) *testRig {
 	r.cpu = NewCPU(r.clock, &r.costs, r.tlb, r.pt, r.epc, r.reg, []byte("rig"))
 	r.cpu.OS = r
 	r.store = pagestore.NewStore()
+	r.paging = r.store
 	return r
 }
 
@@ -576,7 +580,7 @@ func evictOne(t *testing.T, r *testRig, e *Enclave, va mmu.VAddr) {
 	}
 	r.tlb.Shootdown(va)
 	r.cpu.CompleteShootdown(e)
-	if err := r.cpu.EWB(e, va, pte.PFN, r.store); err != nil {
+	if err := r.cpu.EWB(e, va, pte.PFN, r.paging); err != nil {
 		t.Fatal(err)
 	}
 }

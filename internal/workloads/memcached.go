@@ -104,9 +104,3 @@ func (m *Memcached) Set(ctx *core.Context, keyIdx int) {
 	m.backend.Touch(ctx, m.itemSlot(keyIdx%m.Items), true)
 	ctx.Progress(1)
 }
-
-// ItemPagesStartSlot reports where item pages begin in the arena (for
-// cluster construction over the slab region: "we modify Memcached's slab
-// allocation such that all accesses to the items ... are managed by
-// clusters holding 10 pages", §7.3).
-func (m *Memcached) ItemPagesStartSlot() int { return m.indexSlots }
