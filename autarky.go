@@ -83,7 +83,6 @@ type (
 
 	// Observability types (see Machine.Metrics).
 	MetricsSnapshot = metrics.Snapshot
-	MetricCounter   = metrics.Counter
 	CycleCategory   = sim.Category
 	CycleBuckets    = sim.Buckets
 
@@ -325,8 +324,10 @@ func (m *Machine) Cycles() uint64 { return m.Clock.Cycles() }
 
 // Metrics returns an immutable snapshot of the machine's metrics: total
 // cycles, their attribution across the cycle categories, and every event
-// counter the simulation maintains. Snapshots taken at the same logical
-// time are identical; Snapshot.Check verifies the attribution invariant
+// counter the simulation maintains. Read a counter by its stable wire name
+// (its JSON key) with Snapshot.Named, for example
+// snap.Named("backend.retries"). Snapshots taken at the same logical time
+// are identical; Snapshot.Check verifies the attribution invariant
 // sum(buckets) == cycles.
 func (m *Machine) Metrics() MetricsSnapshot {
 	return metrics.Of(m.Clock).Snapshot()

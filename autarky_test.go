@@ -8,6 +8,7 @@ import (
 	"autarky/internal/metrics"
 	"autarky/internal/mmu"
 	"autarky/internal/sgx"
+	"autarky/internal/trace"
 )
 
 func testImage(heapPages int) AppImage {
@@ -16,6 +17,16 @@ func testImage(heapPages int) AppImage {
 		Libraries: []Library{{Name: "libt.so", Pages: 4}},
 		HeapPages: heapPages,
 	}
+}
+
+// counter reads one counter from a snapshot by its stable wire name.
+func counter(t *testing.T, s MetricsSnapshot, name string) uint64 {
+	t.Helper()
+	v, ok := s.Named(name)
+	if !ok {
+		t.Fatalf("no counter named %q", name)
+	}
+	return v
 }
 
 func TestLegacyEnclaveRunsToCompletion(t *testing.T) {
@@ -152,7 +163,8 @@ func TestVanillaSilentResumeWorks(t *testing.T) {
 		t.Fatalf("Spawn: %v", err)
 	}
 	target := p.Heap.Page(3)
-	faults0 := len(m.Kernel.FaultLog.Events)
+	seen := &trace.Log{}
+	m.Kernel.Observed = seen
 	err = p.Run(func(ctx *Context) {
 		ctx.Store(target)
 		m.Kernel.UnmapPage(target) // adversary acts "concurrently"
@@ -161,9 +173,8 @@ func TestVanillaSilentResumeWorks(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	events := m.Kernel.FaultLog.Events[faults0:]
 	found := false
-	for _, ev := range events {
+	for _, ev := range seen.Only(trace.KindFault).Events {
 		if ev.Addr == target {
 			found = true
 		}
@@ -209,7 +220,8 @@ func TestAutarkyMasksFaultAddress(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Spawn: %v", err)
 	}
-	m.Kernel.FaultLog.Reset()
+	seen := &trace.Log{}
+	m.Kernel.Observed = seen
 	err = p.Run(func(ctx *Context) {
 		for pass := 0; pass < 2; pass++ {
 			for _, va := range p.Heap.PageVAs() {
@@ -220,11 +232,12 @@ func TestAutarkyMasksFaultAddress(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if m.Kernel.FaultLog.Len() == 0 {
+	faults := seen.Only(trace.KindFault)
+	if faults.Len() == 0 {
 		t.Fatal("expected faults under quota pressure")
 	}
 	base := p.Enclave().Base
-	for _, ev := range m.Kernel.FaultLog.Events {
+	for _, ev := range faults.Events {
 		if ev.Addr != base {
 			t.Fatalf("OS observed fault at %s; Autarky must mask to enclave base %s", ev.Addr, base)
 		}

@@ -3,7 +3,6 @@ package autarky
 import (
 	"fmt"
 
-	"autarky/internal/metrics"
 	"autarky/internal/oram"
 	"autarky/internal/pagestore"
 	"autarky/internal/sim"
@@ -14,27 +13,9 @@ import (
 // hardware EWB/ELDU path and the SGXv2 software self-paging path. Backends
 // compose — see WithBackingStore for stacking a blob cache or an oblivious
 // ORAM layer over the plain store. Machine.Kernel.Backend() exposes the
-// installed stack.
+// installed stack. The plain store is silent; wrapping layers count the
+// blobs and bytes that cross them in the backend.* counters.
 type PagingBackend = pagestore.PagingBackend
-
-// Paging-backend event counters, usable with MetricsSnapshot.Counter. The
-// plain store is silent; wrapping layers (cache, ORAM) count the blobs and
-// bytes that cross them.
-const (
-	// CntBackendStores counts sealed blobs written into a backend layer.
-	CntBackendStores = metrics.CntBackendStores
-	// CntBackendLoads counts sealed blobs read out of a backend layer.
-	CntBackendLoads = metrics.CntBackendLoads
-	// CntBackendHits counts blobs served from a cache layer without
-	// touching the layer beneath it.
-	CntBackendHits = metrics.CntBackendHits
-	// CntBackendMisses counts blobs that had to come from the layer
-	// beneath a cache.
-	CntBackendMisses = metrics.CntBackendMisses
-	// CntBackendBytes counts ciphertext bytes moved through backend
-	// layers, both directions.
-	CntBackendBytes = metrics.CntBackendBytes
-)
 
 // BackingKind names one layer of a backing-store stack.
 type BackingKind int

@@ -45,23 +45,23 @@ func TestBackingStoreStackInstallsAndCounts(t *testing.T) {
 	if err := snap.Check(); err != nil {
 		t.Fatalf("attribution invariant: %v", err)
 	}
-	if snap.Counter(CntBackendStores) == 0 {
+	if counter(t, snap, "backend.stores") == 0 {
 		t.Fatal("no backend stores counted under quota pressure")
 	}
-	if snap.Counter(CntBackendLoads) == 0 {
+	if counter(t, snap, "backend.loads") == 0 {
 		t.Fatal("no backend loads counted under quota pressure")
 	}
-	if snap.Counter(CntBackendBytes) == 0 {
+	if counter(t, snap, "backend.bytes") == 0 {
 		t.Fatal("no backend bytes counted under quota pressure")
 	}
 	// Counters aggregate across layers: a cache miss travels to the ORAM
 	// layer and is counted as a load there too, so for this two-layer stack
 	// loads = (hits + misses at the cache) + (misses passed to the ORAM).
-	hits, misses := snap.Counter(CntBackendHits), snap.Counter(CntBackendMisses)
+	hits, misses := counter(t, snap, "backend.hits"), counter(t, snap, "backend.misses")
 	if hits == 0 {
 		t.Fatal("cache absorbed no re-fetches under quota pressure")
 	}
-	if got := snap.Counter(CntBackendLoads); got != hits+2*misses {
+	if got := counter(t, snap, "backend.loads"); got != hits+2*misses {
 		t.Fatalf("loads %d != cache hits %d + 2x misses %d", got, hits, misses)
 	}
 }

@@ -2,7 +2,6 @@ package autarky
 
 import (
 	"autarky/internal/fleet"
-	"autarky/internal/metrics"
 )
 
 // Chaos types re-exported into the public API: the seeded failure injector
@@ -54,26 +53,6 @@ var (
 	// ErrTenantShed marks a tenant dropped because surviving EPC capacity
 	// could not hold it; it is ErrQuotaExceeded-family.
 	ErrTenantShed = fleet.ErrShed
-)
-
-// Chaos counters re-exported for Snapshot.Counter.
-const (
-	// CntChaosFailures counts injected machine failures of every kind.
-	CntChaosFailures = metrics.CntChaosFailures
-	// CntChaosHeartbeatMiss counts watchdog deadlines a machine missed.
-	CntChaosHeartbeatMiss = metrics.CntChaosHeartbeatMiss
-	// CntChaosFailovers counts tenants moved off a failed machine.
-	CntChaosFailovers = metrics.CntChaosFailovers
-	// CntChaosRestarts counts tenants restarted from a periodic checkpoint.
-	CntChaosRestarts = metrics.CntChaosRestarts
-	// CntChaosShed counts tenants shed for lack of surviving capacity.
-	CntChaosShed = metrics.CntChaosShed
-	// CntChaosDowntime sums the cycles tenants spent down from failures.
-	CntChaosDowntime = metrics.CntChaosDowntime
-	// CntChaosLostRequests counts admitted requests lost to crashes.
-	CntChaosLostRequests = metrics.CntChaosLostRequests
-	// CntChaosRPAge sums the checkpoint age at each recovered failure.
-	CntChaosRPAge = metrics.CntChaosRPAge
 )
 
 // AttachChaos wires a failure schedule and (optionally) a supervisor into

@@ -41,6 +41,8 @@ func main() {
 		os.Exit(1)
 	}
 
+	seen := &trace.Log{}
+	m.Kernel.Observed = seen
 	var log *trace.Log
 	runErr := p.Run(func(ctx *core.Context) {
 		targets, workload := setup(p.Process, ctx)
@@ -66,8 +68,9 @@ func main() {
 		fmt.Println("outcome: ran to completion")
 	}
 
-	fmt.Printf("\nOS fault log (%d events, every enclave fault the kernel saw):\n", m.Kernel.FaultLog.Len())
-	printLog(&m.Kernel.FaultLog, p.Enclave().Base, *maxEvents)
+	faults := seen.Only(trace.KindFault)
+	fmt.Printf("\nOS fault log (%d events, every enclave fault the kernel saw):\n", faults.Len())
+	printLog(faults, p.Enclave().Base, *maxEvents)
 	if log != nil && log.Len() > 0 {
 		fmt.Printf("\nadversary's captured trace (%d events):\n", log.Len())
 		printLog(log, p.Enclave().Base, *maxEvents)

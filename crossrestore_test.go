@@ -112,10 +112,10 @@ func TestRestoreOntoDifferentMachineGeometry(t *testing.T) {
 		t.Fatal("cross-machine restore diverged from the uninterrupted run")
 	}
 	snap := mc.Metrics()
-	if snap.Counter(CntRestores) != 1 {
-		t.Fatalf("destination restores = %d, want 1", snap.Counter(CntRestores))
+	if counter(t, snap, "restore.restores") != 1 {
+		t.Fatalf("destination restores = %d, want 1", counter(t, snap, "restore.restores"))
 	}
-	if snap.Counter(CntRestoreCycles) == 0 {
+	if counter(t, snap, "restore.cycles") == 0 {
 		t.Fatal("restore cost zero cycles on the destination")
 	}
 }

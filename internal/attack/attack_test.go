@@ -284,19 +284,6 @@ func TestSignatureMatcherPageSetDistinguishesPrefixes(t *testing.T) {
 	}
 }
 
-func TestSignatureMatcherPagesIntersection(t *testing.T) {
-	msk := NewSignatureMatcher()
-	msk.Learn("a", []mmu.VAddr{0x1000, 0x2000})
-	msk.Learn("b", []mmu.VAddr{0x1000, 0x3000})
-	obs := &trace.Log{}
-	obs.Add(trace.Event{Addr: 0x1000})
-	obs.Add(trace.Event{Addr: 0x3000})
-	got := msk.MatchPages(obs)
-	if len(got) != 1 || got[0] != "b" {
-		t.Fatalf("MatchPages = %v", got)
-	}
-}
-
 func TestRecoveryRate(t *testing.T) {
 	if r := RecoveryRate([]string{"a", "b"}, []string{"a", "b", "c", "d"}); r != 0.5 {
 		t.Fatalf("rate = %v", r)

@@ -25,10 +25,13 @@ const (
 )
 
 // runCoTenants time-slices victim A (fixed heap sweep) against tenant B
-// (secret-dependent walk) and splits the kernel fault log by ELRANGE.
+// (secret-dependent walk) and splits the faults the kernel observed by
+// ELRANGE.
 func runCoTenants(t *testing.T, selfPaging bool, secret []int) (aLog, bLog *trace.Log) {
 	t.Helper()
 	m := newMachine()
+	seen := &trace.Log{}
+	m.kernel.Observed = seen
 	sc := sched.New(m.kernel, sched.NewRoundRobin(), 4000)
 
 	load := func(name string, elrange mmu.VAddr) *libos.Process {
@@ -80,7 +83,7 @@ func runCoTenants(t *testing.T, selfPaging bool, secret []int) (aLog, bLog *trac
 	}
 
 	aLog, bLog = &trace.Log{}, &trace.Log{}
-	for _, ev := range m.kernel.FaultLog.Events {
+	for _, ev := range seen.Only(trace.KindFault).Events {
 		switch {
 		case ev.Addr >= tenantABase && ev.Addr < tenantBBase:
 			aLog.Add(ev)

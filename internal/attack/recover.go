@@ -18,9 +18,6 @@ import (
 type SignatureMatcher struct {
 	// bySignature maps a page-sequence signature to candidate secrets.
 	bySignature map[string][]string
-	// byPage maps a single page to the secrets whose signature contains it
-	// (for single-page observations, e.g. one hash bucket access).
-	byPage map[uint64][]string
 	// bySet maps the canonical distinct-page-set key to candidate secrets
 	// (for unordered observations like A/D-bit scans).
 	bySet map[string][]string
@@ -30,7 +27,6 @@ type SignatureMatcher struct {
 func NewSignatureMatcher() *SignatureMatcher {
 	return &SignatureMatcher{
 		bySignature: make(map[string][]string),
-		byPage:      make(map[uint64][]string),
 		bySet:       make(map[string][]string),
 	}
 }
@@ -38,14 +34,8 @@ func NewSignatureMatcher() *SignatureMatcher {
 // Learn records the page trace candidate secret produces.
 func (m *SignatureMatcher) Learn(secret string, pages []mmu.VAddr) {
 	l := &trace.Log{}
-	seen := make(map[uint64]struct{})
 	for _, va := range pages {
 		l.Add(trace.Event{Addr: va.PageBase()})
-		vpn := va.VPN()
-		if _, dup := seen[vpn]; !dup {
-			seen[vpn] = struct{}{}
-			m.byPage[vpn] = append(m.byPage[vpn], secret)
-		}
 	}
 	sig := l.Signature()
 	m.bySignature[sig] = append(m.bySignature[sig], secret)
@@ -74,30 +64,6 @@ func (m *SignatureMatcher) MatchPageSet(observed *trace.Log) []string {
 // observed trace's.
 func (m *SignatureMatcher) MatchExact(observed *trace.Log) []string {
 	out := append([]string(nil), m.bySignature[observed.Signature()]...)
-	sort.Strings(out)
-	return out
-}
-
-// MatchPages returns the candidate secrets consistent with every observed
-// page (intersection over per-page candidate sets) — the matcher for
-// observations without reliable ordering, like A/D-bit scans.
-func (m *SignatureMatcher) MatchPages(observed *trace.Log) []string {
-	pages := observed.DistinctPages()
-	if len(pages) == 0 {
-		return nil
-	}
-	counts := make(map[string]int)
-	for _, vpn := range pages {
-		for _, s := range m.byPage[vpn] {
-			counts[s]++
-		}
-	}
-	var out []string
-	for s, n := range counts {
-		if n == len(pages) {
-			out = append(out, s)
-		}
-	}
 	sort.Strings(out)
 	return out
 }

@@ -39,13 +39,9 @@ var (
 
 // Cluster is one page cluster. Pages are virtual page numbers.
 type Cluster struct {
-	id    ID
 	cap   int // 0 = unbounded
 	pages map[uint64]struct{}
 }
-
-// ID returns the cluster's identifier.
-func (c *Cluster) ID() ID { return c.id }
 
 // Len reports the number of pages in the cluster.
 func (c *Cluster) Len() int { return len(c.pages) }
@@ -99,7 +95,7 @@ func (r *Registry) InitClusters(n, size int) ([]ID, error) {
 func (r *Registry) NewCluster(size int) ID {
 	r.nextID++
 	id := r.nextID
-	r.clusters[id] = &Cluster{id: id, cap: size, pages: make(map[uint64]struct{})}
+	r.clusters[id] = &Cluster{cap: size, pages: make(map[uint64]struct{})}
 	return id
 }
 

@@ -77,85 +77,76 @@ func RunE7Leakage() E7cResult {
 }
 
 func runE7cPolicy(rec *cellRecorder, name string, rc RunConfig, hcfg workloads.HunspellConfig, corpus, queries int) E7cRow {
-	img := libos.AppImage{
-		Name:      "hunspell",
-		Libraries: []libos.Library{{Name: "libhunspell.so", Pages: 4}},
-		HeapPages: rc.HeapPages,
-	}
-	p, err := BuildProcess(img, rc)
-	if err != nil {
-		panic(fmt.Sprintf("E7c %s: %v", name, err))
-	}
 	row := E7cRow{Policy: name, Queries: queries, Corpus: corpus}
 	var totalCandidates, observedCandidates float64
-	runErr := p.Run(func(ctx *core.Context) {
-		h, err := workloads.BuildHunspell(p, ctx, hcfg)
-		if err != nil {
-			panic(err)
-		}
-		// Manual per-dictionary clusters for the cluster policy.
-		if rc.Policy == libos.PolicyClusters {
-			for _, lang := range hcfg.Langs {
-				id := p.Reg.NewCluster(0)
-				for _, va := range h.Dicts[lang].Pages() {
-					if err := p.Reg.AddPage(id, va.VPN()); err != nil {
-						panic(err)
-					}
-				}
-			}
-		}
-		// The attacker's offline index: page -> words whose lookup touches it.
-		wordsByPage := make(map[uint64]map[string]struct{})
-		for _, lang := range hcfg.Langs {
-			d := h.Dicts[lang]
-			for _, w := range d.Words {
-				for _, va := range d.AccessTrace(w) {
-					set := wordsByPage[va.VPN()]
-					if set == nil {
-						set = make(map[string]struct{})
-						wordsByPage[va.VPN()] = set
-					}
-					set[w] = struct{}{}
-				}
-			}
-		}
-		// Touch every dictionary once so load-time residence stabilizes,
-		// then clear the OS's fetch log before the measured queries.
-		rng := sim.NewRand(0xE7C)
-		p.Kernel.FetchLog.Reset()
-
-		for q := 0; q < queries; q++ {
-			lang := hcfg.Langs[rng.Intn(len(hcfg.Langs))]
-			word := workloads.Word(lang, rng.Intn(hcfg.WordsPerDict))
-			before := p.Kernel.FetchLog.Len()
-			if _, err := h.Check(ctx, lang, word); err != nil {
+	r := runE7Victim(e7HunspellEnv{cfg: hcfg}.image(), rc, func(p *libos.Process, seen *trace.Log) func(*core.Context) {
+		return func(ctx *core.Context) {
+			h, err := workloads.BuildHunspell(p, ctx, hcfg)
+			if err != nil {
 				panic(err)
 			}
-			seg := trace.Log{Events: p.Kernel.FetchLog.Events[before:]}
-			row.FetchesSeen += seg.Len()
-			// The attacker's candidate set: words consistent with the
-			// observed fetches. No observation -> the whole corpus.
-			candidates := corpus
-			if seg.Len() > 0 {
-				union := make(map[string]struct{})
-				for _, vpn := range seg.DistinctPages() {
-					for w := range wordsByPage[vpn] {
-						union[w] = struct{}{}
+			// Manual per-dictionary clusters for the cluster policy.
+			if rc.Policy == libos.PolicyClusters {
+				for _, lang := range hcfg.Langs {
+					id := p.Reg.NewCluster(0)
+					for _, va := range h.Dicts[lang].Pages() {
+						if err := p.Reg.AddPage(id, va.VPN()); err != nil {
+							panic(err)
+						}
 					}
 				}
-				if len(union) > 0 {
-					candidates = len(union)
-				}
-				observedCandidates += float64(candidates)
-				row.ObservedQueries++
 			}
-			totalCandidates += float64(candidates)
-			ctx.Progress(1)
+			// The attacker's offline index: page -> words whose lookup touches it.
+			wordsByPage := make(map[uint64]map[string]struct{})
+			for _, lang := range hcfg.Langs {
+				d := h.Dicts[lang]
+				for _, w := range d.Words {
+					for _, va := range d.AccessTrace(w) {
+						set := wordsByPage[va.VPN()]
+						if set == nil {
+							set = make(map[string]struct{})
+							wordsByPage[va.VPN()] = set
+						}
+						set[w] = struct{}{}
+					}
+				}
+			}
+			// Only the measured queries' page-ins count: each query reads
+			// its own slice of the OS's record.
+			rng := sim.NewRand(0xE7C)
+			for q := 0; q < queries; q++ {
+				lang := hcfg.Langs[rng.Intn(len(hcfg.Langs))]
+				word := workloads.Word(lang, rng.Intn(hcfg.WordsPerDict))
+				before := seen.Len()
+				if _, err := h.Check(ctx, lang, word); err != nil {
+					panic(err)
+				}
+				seg := (&trace.Log{Events: seen.Events[before:]}).Only(trace.KindPageIn)
+				row.FetchesSeen += seg.Len()
+				// The attacker's candidate set: words consistent with the
+				// observed fetches. No observation -> the whole corpus.
+				candidates := corpus
+				if seg.Len() > 0 {
+					union := make(map[string]struct{})
+					for _, vpn := range seg.DistinctPages() {
+						for w := range wordsByPage[vpn] {
+							union[w] = struct{}{}
+						}
+					}
+					if len(union) > 0 {
+						candidates = len(union)
+					}
+					observedCandidates += float64(candidates)
+					row.ObservedQueries++
+				}
+				totalCandidates += float64(candidates)
+				ctx.Progress(1)
+			}
 		}
 	})
-	rec.recordClock("", p.Kernel.Clock)
-	if runErr != nil {
-		panic(fmt.Sprintf("E7c %s: %v", name, runErr))
+	rec.recordClock("", r.clock)
+	if r.terminated {
+		panic(fmt.Sprintf("E7c %s: enclave terminated (%s)", name, r.reason))
 	}
 	row.MeanCandidate = totalCandidates / float64(queries)
 	if row.ObservedQueries > 0 {

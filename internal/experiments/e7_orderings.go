@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"strings"
 
+	"autarky/internal/libos"
 	"autarky/internal/orderly"
+	"autarky/internal/trace"
 )
 
 // The ordering attacks: lifecycle-interleaving attacks expressed in the
@@ -59,25 +61,26 @@ func e7Orderings() []e7Ordering {
 // replay path. A divergence from the orderliness spec is a harness bug and
 // panics the cell.
 func runE7Ordering(mrec *cellRecorder, o e7Ordering) E7Scenario {
-	s := E7Scenario{Name: o.name, MaskedOnly: true}
-	run := func(traceStr, sub string) orderly.StepOutcome {
+	s := E7Scenario{Name: o.name}
+	run := func(traceStr, sub string) (last orderly.StepOutcome, faults *trace.Log) {
 		sc, ops, err := orderly.ParseTrace(traceStr)
 		if err != nil {
 			panic(err)
 		}
-		steps, cx, snap := orderly.ExecuteTrace(sc, ops)
+		steps, cx, snap, seen := orderly.ExecuteTrace(sc, ops)
 		if cx != nil {
 			panic(fmt.Sprintf("E7 %s: ordering diverged from the orderliness spec: %s", o.name, cx))
 		}
 		mrec.record(sub, snap)
-		return steps[len(steps)-1]
+		return steps[len(steps)-1], seen.Only(trace.KindFault)
 	}
 
 	if o.vanilla == "" {
 		s.VanillaRecovery = -1 // rendered n/a
 	} else {
-		last := run(o.vanilla, "vanilla")
+		last, faults := run(o.vanilla, "vanilla")
 		s.VanillaDetected = last.Class != "ok"
+		s.VanillaFaults = faults.Len()
 		if last.Class == "ok" {
 			// The final adversarial step silently succeeded: the tampered
 			// state is live and whatever it influences leaks in full.
@@ -85,7 +88,9 @@ func runE7Ordering(mrec *cellRecorder, o e7Ordering) E7Scenario {
 		}
 	}
 
-	last := run(o.autarky, "autarky")
+	last, faults := run(o.autarky, "autarky")
+	// The orderliness image loads at the default ELRANGE base.
+	s.AutarkyFaults, s.MaskedOnly = faults.Len(), allMasked(faults, libos.DefaultBase)
 	s.AutarkyTerminated = last.Class == "term"
 	switch last.Class {
 	case "ok":

@@ -7,7 +7,6 @@ import (
 	"autarky/internal/attack"
 	"autarky/internal/core"
 	"autarky/internal/libos"
-	"autarky/internal/metrics"
 	"autarky/internal/mmu"
 	"autarky/internal/sgx"
 	"autarky/internal/sim"
@@ -18,9 +17,10 @@ import (
 // E7 — security evaluation: the published controlled-channel attacks run
 // against the vanilla SGX model (where they recover secrets) and against
 // Autarky (where they are detected and the enclave terminates before
-// leaking). Four scenarios:
+// leaking). Five scenarios:
 //
 //   - Hunspell word recovery via page-fault injection (Xu et al.)
+//   - Hunspell word recovery via wrong mappings (the Foreshadow precursor)
 //   - FreeType text recovery via execute-permission traps (control flow)
 //   - libjpeg image (busy-block) recovery via fault counting on the IDCT
 //     working buffer
@@ -38,15 +38,18 @@ type E7Scenario struct {
 	// machine cannot express the attack at all.
 	VanillaRecovery float64 // fraction of the secret recovered
 	VanillaDetected bool    // vanilla never detects
+	VanillaFaults   int     // enclave faults the vanilla OS observed
 	// Autarky results.
 	AutarkyRecovery   float64
 	AutarkyTerminated bool
 	AutarkyReason     sgx.TerminationReason
+	AutarkyFaults     int // enclave faults the Autarky OS observed
 	// AutarkyOutcome, when set, overrides the rendered outcome column
 	// (the ordering attacks report refusal phases, not just termination).
 	AutarkyOutcome string
 	// MaskedOnly reports that every fault the OS observed under Autarky
-	// carried only the enclave base address (the §5.1.2 guarantee).
+	// carried only the enclave base address (the §5.1.2 guarantee). It
+	// holds trivially when AutarkyFaults is 0.
 	MaskedOnly bool
 }
 
@@ -86,77 +89,73 @@ func e7Sub(selfPaging bool) string {
 	return "vanilla"
 }
 
-// runE7WrongMap is the remaining §2.2 induction variant — the OS maps a
-// target VA at the wrong frame; the EPCM check faults (the Foreshadow
-// precursor). Same victim and recovery as the unmap tracer.
-func runE7WrongMap(mrec *cellRecorder) E7Scenario {
-	env := e7HunspellSetup()
-	s := E7Scenario{Name: "hunspell/wrong-mapping"}
+// e7Run is what one victim run showed its OS.
+type e7Run struct {
+	clock      *sim.Clock
+	terminated bool
+	reason     sgx.TerminationReason
+	faults     int  // enclave faults the OS observed
+	masked     bool // every observed fault carried only the enclave base
+}
 
-	run := func(selfPaging bool) (recovered []string, terminated bool, reason sgx.TerminationReason, maskedOnly bool) {
-		img := libos.AppImage{
-			Name:      "hunspell",
-			Libraries: []libos.Library{{Name: "libhunspell.so", Pages: 4}},
-			HeapPages: env.cfg.PagesPerDict + 16,
-		}
-		rc := RunConfig{SelfPaging: selfPaging, Policy: libos.PolicyPinAll, HeapPages: img.HeapPages}
-		p, err := BuildProcess(img, rc)
-		if err != nil {
-			panic(err)
-		}
-		runErr := p.Run(func(ctx *core.Context) {
-			h, err := workloads.BuildHunspell(p, ctx, env.cfg)
-			if err != nil {
-				panic(err)
-			}
-			d := h.Dicts["en_US"]
-			matcher := attack.NewSignatureMatcher()
-			for _, w := range d.Words {
-				matcher.Learn(w, d.AccessTrace(w))
-			}
-			// The decoy frame: the last heap page, never part of a lookup.
-			decoy := p.Heap.Page(p.Heap.Pages - 1)
-			ctx.Store(decoy)
-			w := attack.NewWrongMapper(p.Kernel, d.Pages(), decoy)
-			p.Kernel.Adversary = w
-			w.Arm(p.Kernel)
-			for _, secret := range env.secrets {
-				before := w.Log.Len()
-				if _, err := h.Check(ctx, "en_US", secret); err != nil {
-					panic(err)
-				}
-				seg := &trace.Log{Events: w.Log.Events[before:]}
-				if m := matcher.MatchExact(seg); len(m) == 1 {
-					recovered = append(recovered, m[0])
-				}
-			}
-			w.Disarm(p.Kernel)
-		})
-		mrec.recordClock(e7Sub(selfPaging), p.Kernel.Clock)
-		var term *sgx.TerminationError
-		if errors.As(runErr, &term) {
-			terminated = true
-			reason = term.Reason
-		} else if runErr != nil {
-			panic(runErr)
-		}
-		return recovered, terminated, reason, allMasked(&p.Kernel.FaultLog, p.Enclave())
+// runE7Victim builds img under rc on a fresh machine, attaches a fresh
+// record of what its OS observes, and runs the victim. mount receives the
+// loaded process and that record before the run; it may tune the machine,
+// and returns the in-enclave body: the victim plus the armed adversary. A
+// run error other than the enclave's termination is a harness bug and
+// panics.
+func runE7Victim(img libos.AppImage, rc RunConfig, mount func(p *libos.Process, seen *trace.Log) func(*core.Context)) e7Run {
+	p, err := BuildProcess(img, rc)
+	if err != nil {
+		panic(err)
 	}
+	seen := &trace.Log{}
+	p.Kernel.Observed = seen
+	runErr := p.Run(mount(p, seen))
+	r := e7Run{clock: p.Kernel.Clock}
+	var term *sgx.TerminationError
+	if errors.As(runErr, &term) {
+		r.terminated, r.reason = true, term.Reason
+	} else if runErr != nil {
+		panic(fmt.Sprintf("E7 victim %s (%s): %v", img.Name, rc.label(), runErr))
+	}
+	faults := seen.Only(trace.KindFault)
+	r.faults, r.masked = faults.Len(), allMasked(faults, p.Enclave().Base)
+	return r
+}
 
-	rec, term, _, _ := run(false)
-	s.VanillaRecovery = attack.RecoveryRate(rec, env.secrets)
-	s.VanillaDetected = term
+// e7Attack mounts one attack on a loaded victim, as runE7Victim's mount
+// does, and also returns recovery, which reports after the run the
+// fraction of the secret the body's captures reconstruct.
+type e7Attack func(p *libos.Process) (body func(*core.Context), recovery func() float64)
 
-	rec, term2, reason, masked := run(true)
-	s.AutarkyRecovery = attack.RecoveryRate(rec, env.secrets)
-	s.AutarkyTerminated = term2
-	s.AutarkyReason = reason
-	s.MaskedOnly = masked
+// e7Pair mounts one attack on a pin-all vanilla victim and then on a
+// pin-all Autarky victim, and records both machines under e7Sub.
+func e7Pair(mrec *cellRecorder, name string, img libos.AppImage, mount e7Attack) E7Scenario {
+	s := E7Scenario{Name: name}
+	for _, selfPaging := range []bool{false, true} {
+		var recovery func() float64
+		rc := RunConfig{SelfPaging: selfPaging, Policy: libos.PolicyPinAll, HeapPages: img.HeapPages}
+		r := runE7Victim(img, rc, func(p *libos.Process, _ *trace.Log) func(*core.Context) {
+			body, score := mount(p)
+			recovery = score
+			return body
+		})
+		mrec.recordClock(e7Sub(selfPaging), r.clock)
+		if selfPaging {
+			s.AutarkyRecovery = recovery()
+			s.AutarkyTerminated, s.AutarkyReason = r.terminated, r.reason
+			s.AutarkyFaults, s.MaskedOnly = r.faults, r.masked
+		} else {
+			s.VanillaRecovery = recovery()
+			s.VanillaDetected, s.VanillaFaults = r.terminated, r.faults
+		}
+	}
 	return s
 }
 
-// hunspellVictim builds the spell checker and serves the secret queries,
-// calling hooks so the "concurrent" adversary can act at the right moments.
+// e7HunspellEnv is the spell-checking victim the Hunspell attacks and E7b
+// share: its dictionary layout and the secret words it is asked to check.
 type e7HunspellEnv struct {
 	cfg     workloads.HunspellConfig
 	secrets []string
@@ -180,96 +179,98 @@ func e7HunspellSetup() e7HunspellEnv {
 	return e7HunspellEnv{cfg: cfg, secrets: secrets}
 }
 
-func runE7Hunspell(mrec *cellRecorder) E7Scenario {
-	env := e7HunspellSetup()
-	s := E7Scenario{Name: "hunspell/page-fault-trace"}
+// image is the spell server's enclave image: its library and a heap that
+// holds every dictionary.
+func (env e7HunspellEnv) image() libos.AppImage {
+	return libos.AppImage{
+		Name:      "hunspell",
+		Libraries: []libos.Library{{Name: "libhunspell.so", Pages: 4}},
+		HeapPages: len(env.cfg.Langs)*env.cfg.PagesPerDict + 16,
+	}
+}
 
-	run := func(selfPaging bool) (recovered []string, terminated bool, reason sgx.TerminationReason, maskedOnly bool) {
-		img := libos.AppImage{
-			Name:      "hunspell",
-			Libraries: []libos.Library{{Name: "libhunspell.so", Pages: 4}},
-			HeapPages: env.cfg.PagesPerDict + 16,
-		}
-		rc := RunConfig{SelfPaging: selfPaging, Policy: libos.PolicyPinAll, HeapPages: img.HeapPages}
-		p, err := BuildProcess(img, rc)
-		if err != nil {
+// build builds the spell checker inside the enclave, then runs the
+// attacker's offline phase: per-word signatures precomputed from the
+// public dictionary and binary layout.
+func (env e7HunspellEnv) build(p *libos.Process, ctx *core.Context) (*workloads.Hunspell, *attack.SignatureMatcher) {
+	h, err := workloads.BuildHunspell(p, ctx, env.cfg)
+	if err != nil {
+		panic(err)
+	}
+	d := h.Dicts["en_US"]
+	matcher := attack.NewSignatureMatcher()
+	for _, w := range d.Words {
+		matcher.Learn(w, d.AccessTrace(w))
+	}
+	return h, matcher
+}
+
+// query serves the secret queries. The attacker segments its log per
+// request (it sees request arrival on the socket): after each request it
+// runs scan (nil for none), and when match pins the request's slice of log
+// to one word, appends that word to recovered.
+func (env e7HunspellEnv) query(ctx *core.Context, h *workloads.Hunspell, log *trace.Log, scan func(), match func(*trace.Log) []string, recovered *[]string) {
+	for _, secret := range env.secrets {
+		before := log.Len()
+		if _, err := h.Check(ctx, "en_US", secret); err != nil {
 			panic(err)
 		}
-		var matcher *attack.SignatureMatcher
-		runErr := p.Run(func(ctx *core.Context) {
-			h, err := workloads.BuildHunspell(p, ctx, env.cfg)
-			if err != nil {
-				panic(err)
-			}
-			d := h.Dicts["en_US"]
+		if scan != nil {
+			scan()
+		}
+		if m := match(&trace.Log{Events: log.Events[before:]}); len(m) == 1 {
+			*recovered = append(*recovered, m[0])
+		}
+	}
+}
 
-			// Attacker's offline phase: precompute per-word signatures from
-			// the public dictionary and binary layout.
-			matcher = attack.NewSignatureMatcher()
-			for _, w := range d.Words {
-				matcher.Learn(w, d.AccessTrace(w))
-			}
-
+func runE7Hunspell(mrec *cellRecorder) E7Scenario {
+	env := e7HunspellSetup()
+	return e7Pair(mrec, "hunspell/page-fault-trace", env.image(), func(p *libos.Process) (func(*core.Context), func() float64) {
+		var recovered []string
+		return func(ctx *core.Context) {
+			h, matcher := env.build(p, ctx)
 			// Attacker arms the tracer on the dictionary's data pages.
-			tracer := attack.NewPageFaultTracer(attack.ModeUnmap, d.Pages())
+			tracer := attack.NewPageFaultTracer(attack.ModeUnmap, h.Dicts["en_US"].Pages())
 			p.Kernel.Adversary = tracer
 			tracer.Arm(p.Kernel)
-
-			// Victim serves the secret queries; the attacker segments the
-			// trace per request (it sees request arrival on the socket).
-			for _, w := range env.secrets {
-				before := tracer.Log.Len()
-				if _, err := h.Check(ctx, "en_US", w); err != nil {
-					panic(err)
-				}
-				seg := &trace.Log{Events: tracer.Log.Events[before:]}
-				if m := matcher.MatchExact(seg); len(m) == 1 {
-					recovered = append(recovered, m[0])
-				}
-			}
+			env.query(ctx, h, &tracer.Log, nil, matcher.MatchExact, &recovered)
 			tracer.Disarm(p.Kernel)
-		})
-		mrec.recordClock(e7Sub(selfPaging), p.Kernel.Clock)
-		var term *sgx.TerminationError
-		if errors.As(runErr, &term) {
-			terminated = true
-			reason = term.Reason
-		} else if runErr != nil {
-			panic(runErr)
-		}
-		maskedOnly = allMasked(&p.Kernel.FaultLog, p.Enclave())
-		return recovered, terminated, reason, maskedOnly
-	}
+		}, func() float64 { return attack.RecoveryRate(recovered, env.secrets) }
+	})
+}
 
-	rec, term, _, _ := run(false)
-	s.VanillaRecovery = attack.RecoveryRate(rec, env.secrets)
-	s.VanillaDetected = term
-
-	rec, term, reason, masked := run(true)
-	s.AutarkyRecovery = attack.RecoveryRate(rec, env.secrets)
-	s.AutarkyTerminated = term
-	s.AutarkyReason = reason
-	s.MaskedOnly = masked
-	return s
+// runE7WrongMap is the remaining §2.2 induction variant — the OS maps a
+// target VA at the wrong frame; the EPCM check faults (the Foreshadow
+// precursor). Same victim and recovery as the unmap tracer.
+func runE7WrongMap(mrec *cellRecorder) E7Scenario {
+	env := e7HunspellSetup()
+	return e7Pair(mrec, "hunspell/wrong-mapping", env.image(), func(p *libos.Process) (func(*core.Context), func() float64) {
+		var recovered []string
+		return func(ctx *core.Context) {
+			h, matcher := env.build(p, ctx)
+			// The decoy frame: the last heap page, never part of a lookup.
+			decoy := p.Heap.Page(p.Heap.Pages - 1)
+			ctx.Store(decoy)
+			w := attack.NewWrongMapper(p.Kernel, h.Dicts["en_US"].Pages(), decoy)
+			p.Kernel.Adversary = w
+			w.Arm(p.Kernel)
+			env.query(ctx, h, &w.Log, nil, matcher.MatchExact, &recovered)
+			w.Disarm(p.Kernel)
+		}, func() float64 { return attack.RecoveryRate(recovered, env.secrets) }
+	})
 }
 
 func runE7FreeType(mrec *cellRecorder) E7Scenario {
-	s := E7Scenario{Name: "freetype/exec-trace"}
-	secret := "SGX leaks control flow!"
-
-	run := func(selfPaging bool) (string, bool, sgx.TerminationReason, bool) {
-		img := libos.AppImage{
-			Name:      "freetype",
-			Libraries: []libos.Library{workloads.FreeTypeLibrary(2)},
-			HeapPages: 16,
-		}
-		rc := RunConfig{SelfPaging: selfPaging, Policy: libos.PolicyPinAll, HeapPages: img.HeapPages}
-		p, err := BuildProcess(img, rc)
-		if err != nil {
-			panic(err)
-		}
+	const secret = "SGX leaks control flow!"
+	img := libos.AppImage{
+		Name:      "freetype",
+		Libraries: []libos.Library{workloads.FreeTypeLibrary(2)},
+		HeapPages: 16,
+	}
+	return e7Pair(mrec, "freetype/exec-trace", img, func(p *libos.Process) (func(*core.Context), func() float64) {
 		var recovered []rune
-		runErr := p.Run(func(ctx *core.Context) {
+		return func(ctx *core.Context) {
 			ft, err := workloads.BuildFreeType(p, 4)
 			if err != nil {
 				panic(err)
@@ -293,50 +294,23 @@ func runE7FreeType(mrec *cellRecorder) E7Scenario {
 					recovered = append(recovered, g)
 				}
 			}
-		})
-		mrec.recordClock(e7Sub(selfPaging), p.Kernel.Clock)
-		var term *sgx.TerminationError
-		if errors.As(runErr, &term) {
-			return string(recovered), true, term.Reason, allMasked(&p.Kernel.FaultLog, p.Enclave())
-		}
-		if runErr != nil {
-			panic(runErr)
-		}
-		return string(recovered), false, sgx.TerminateNone, allMasked(&p.Kernel.FaultLog, p.Enclave())
-	}
-
-	text, term, _, _ := run(false)
-	s.VanillaRecovery = stringRecovery(text, secret)
-	s.VanillaDetected = term
-
-	text, term2, reason, masked := run(true)
-	s.AutarkyRecovery = stringRecovery(text, secret)
-	s.AutarkyTerminated = term2
-	s.AutarkyReason = reason
-	s.MaskedOnly = masked
-	return s
+		}, func() float64 { return stringRecovery(string(recovered), secret) }
+	})
 }
 
 func runE7JPEG(mrec *cellRecorder) E7Scenario {
-	s := E7Scenario{Name: "libjpeg/idct-fault-count"}
 	jcfg := workloads.JPEGConfig{
 		BlocksW: 16, BlocksH: 12, BusyFraction: 0.35,
 		TmpPages: 8, OutPagesPerBlockRow: 1, Seed: 0xE73,
 	}
-
-	run := func(selfPaging bool) (recovered []bool, truth []bool, term bool, reason sgx.TerminationReason) {
-		heap := jcfg.OutPagesPerBlockRow*jcfg.BlocksH + jcfg.TmpPages + 8
-		img := libos.AppImage{
-			Name:      "libjpeg",
-			Libraries: []libos.Library{{Name: "libjpeg.so", Pages: 4}},
-			HeapPages: heap,
-		}
-		rc := RunConfig{SelfPaging: selfPaging, Policy: libos.PolicyPinAll, HeapPages: heap}
-		p, err := BuildProcess(img, rc)
-		if err != nil {
-			panic(err)
-		}
-		runErr := p.Run(func(ctx *core.Context) {
+	img := libos.AppImage{
+		Name:      "libjpeg",
+		Libraries: []libos.Library{{Name: "libjpeg.so", Pages: 4}},
+		HeapPages: jcfg.OutPagesPerBlockRow*jcfg.BlocksH + jcfg.TmpPages + 8,
+	}
+	return e7Pair(mrec, "libjpeg/idct-fault-count", img, func(p *libos.Process) (func(*core.Context), func() float64) {
+		var recovered, truth []bool
+		return func(ctx *core.Context) {
 			j, err := workloads.BuildJPEG(p, jcfg)
 			if err != nil {
 				panic(err)
@@ -363,106 +337,40 @@ func runE7JPEG(mrec *cellRecorder) E7Scenario {
 				busy := i+1 < len(events) && events[i+1].Addr.VPN() == t2
 				recovered = append(recovered, busy)
 			}
-		})
-		mrec.recordClock(e7Sub(selfPaging), p.Kernel.Clock)
-		var te *sgx.TerminationError
-		if errors.As(runErr, &te) {
-			return recovered, truth, true, te.Reason
-		}
-		if runErr != nil {
-			panic(runErr)
-		}
-		return recovered, truth, false, sgx.TerminateNone
-	}
-
-	rec, truth, term, _ := run(false)
-	s.VanillaRecovery = busyRecovery(rec, truth)
-	s.VanillaDetected = term
-
-	rec, truth, term2, reason := run(true)
-	s.AutarkyRecovery = busyRecovery(rec, truth)
-	s.AutarkyTerminated = term2
-	s.AutarkyReason = reason
-	s.MaskedOnly = true
-	return s
+		}, func() float64 { return busyRecovery(recovered, truth) }
+	})
 }
 
 func runE7ADBits(mrec *cellRecorder) E7Scenario {
 	env := e7HunspellSetup()
-	s := E7Scenario{Name: "hunspell/a-d-bit-monitor"}
-
-	run := func(selfPaging bool) (recovered []string, faultsSeen uint64, term bool, reason sgx.TerminationReason) {
-		img := libos.AppImage{
-			Name:      "hunspell",
-			Libraries: []libos.Library{{Name: "libhunspell.so", Pages: 4}},
-			HeapPages: env.cfg.PagesPerDict + 16,
-		}
-		rc := RunConfig{SelfPaging: selfPaging, Policy: libos.PolicyPinAll, HeapPages: img.HeapPages}
-		p, err := BuildProcess(img, rc)
-		if err != nil {
-			panic(err)
-		}
+	s := e7Pair(mrec, "hunspell/a-d-bit-monitor", env.image(), func(p *libos.Process) (func(*core.Context), func() float64) {
 		p.Kernel.CPU.TimerInterval = 2 // aggressive scan cadence
-		runErr := p.Run(func(ctx *core.Context) {
-			h, err := workloads.BuildHunspell(p, ctx, env.cfg)
-			if err != nil {
-				panic(err)
-			}
-			d := h.Dicts["en_US"]
-			matcher := attack.NewSignatureMatcher()
-			for _, w := range d.Words {
-				matcher.Learn(w, d.AccessTrace(w))
-			}
-			monitor := attack.NewADBitMonitor(d.Pages(), true)
+		var recovered []string
+		return func(ctx *core.Context) {
+			h, matcher := env.build(p, ctx)
+			monitor := attack.NewADBitMonitor(h.Dicts["en_US"].Pages(), true)
 			p.Kernel.Adversary = monitor
 			monitor.Arm(p.Kernel)
-			for _, w := range env.secrets {
-				before := monitor.Log.Len()
-				if _, err := h.Check(ctx, "en_US", w); err != nil {
-					panic(err)
-				}
-				// Request-boundary scan: the victim is blocked on the next
-				// recv, so the attacker sweeps the remaining A bits.
-				monitor.ScanNow(p.Kernel)
-				seg := &trace.Log{Events: monitor.Log.Events[before:]}
-				if m := matcher.MatchPageSet(seg); len(m) == 1 {
-					recovered = append(recovered, m[0])
-				}
-			}
+			// Request-boundary scan: the victim is blocked on the next
+			// recv, so the attacker sweeps the remaining A bits.
+			scan := func() { monitor.ScanNow(p.Kernel) }
+			env.query(ctx, h, &monitor.Log, scan, matcher.MatchPageSet, &recovered)
 			monitor.Disarm()
-		})
-		mrec.recordClock(e7Sub(selfPaging), p.Kernel.Clock)
-		faultsSeen = metrics.Of(p.Kernel.Clock).Count(metrics.CntOSFaults)
-		var te *sgx.TerminationError
-		if errors.As(runErr, &te) {
-			return recovered, faultsSeen, true, te.Reason
-		}
-		if runErr != nil {
-			panic(runErr)
-		}
-		return recovered, faultsSeen, false, sgx.TerminateNone
-	}
-
-	rec, vanFaults, term, _ := run(false)
-	s.VanillaRecovery = attack.RecoveryRate(rec, env.secrets)
-	s.VanillaDetected = term
-	if vanFaults != 0 {
+		}, func() float64 { return attack.RecoveryRate(recovered, env.secrets) }
+	})
+	if s.VanillaFaults != 0 {
 		// The silent attack must induce no faults on vanilla SGX.
-		panic(fmt.Sprintf("E7 A/D monitor induced %d faults on vanilla SGX", vanFaults))
+		panic(fmt.Sprintf("E7 A/D monitor induced %d faults on vanilla SGX", s.VanillaFaults))
 	}
-
-	rec, _, term2, reason := run(true)
-	s.AutarkyRecovery = attack.RecoveryRate(rec, env.secrets)
-	s.AutarkyTerminated = term2
-	s.AutarkyReason = reason
-	s.MaskedOnly = true
 	return s
 }
 
-// allMasked checks the §5.1.2 guarantee on everything the OS observed.
-func allMasked(log *trace.Log, e *sgx.Enclave) bool {
-	for _, ev := range log.Events {
-		if e.Contains(ev.Addr) && ev.Addr != e.Base {
+// allMasked checks the §5.1.2 guarantee on the faults an OS observed: every
+// one carries only the enclave base. The kernel records only faults inside
+// an enclave's range, so no other address can be legitimate.
+func allMasked(faults *trace.Log, base mmu.VAddr) bool {
+	for _, ev := range faults.Events {
+		if ev.Addr != base {
 			return false
 		}
 	}

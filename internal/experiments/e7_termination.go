@@ -8,6 +8,7 @@ import (
 	"autarky/internal/mmu"
 	"autarky/internal/sgx"
 	"autarky/internal/sim"
+	"autarky/internal/trace"
 	"autarky/internal/workloads"
 )
 
@@ -52,57 +53,40 @@ func RunE7Termination() E7bResult {
 	// runProbe starts a fresh victim instance, unmaps the candidate page
 	// set before the query, and reports whether the enclave terminated.
 	runProbe := func(run int, candidates []mmu.VAddr, probe func(d *workloads.Dictionary) []mmu.VAddr) (terminated, masked bool, pages []mmu.VAddr) {
-		img := libos.AppImage{
-			Name:      "hunspell",
-			Libraries: []libos.Library{{Name: "libhunspell.so", Pages: 4}},
-			HeapPages: env.cfg.PagesPerDict + 16,
-		}
+		img := env.image()
 		rc := RunConfig{SelfPaging: true, Policy: libos.PolicyPinAll, HeapPages: img.HeapPages}
-		p, err := BuildProcess(img, rc)
-		if err != nil {
-			panic(err)
-		}
-		// The restart monitor attests the new instance at startup (§3).
-		q, err := p.Kernel.CPU.EREPORT(p.Enclave(), nil)
-		if err != nil {
-			panic(err)
-		}
-		if err := monitor.Admit(q); err != nil {
-			if errors.Is(err, sgx.ErrQuoteForged) {
-				panic(err)
-			}
-			if !res.MonitorFlagged {
-				res.MonitorFlagged = true
-				res.FlaggedAtRun = run
-			}
-		}
-
-		runErr := p.Run(func(ctx *core.Context) {
-			h, err := workloads.BuildHunspell(p, ctx, env.cfg)
+		r := runE7Victim(img, rc, func(p *libos.Process, _ *trace.Log) func(*core.Context) {
+			// The restart monitor attests the new instance at startup (§3).
+			q, err := p.Kernel.CPU.EREPORT(p.Enclave(), nil)
 			if err != nil {
 				panic(err)
 			}
-			d := h.Dicts["en_US"]
-			if pages == nil {
-				pages = d.Pages()
+			if err := monitor.Admit(q); err != nil {
+				if errors.Is(err, sgx.ErrQuoteForged) {
+					panic(err)
+				}
+				if !res.MonitorFlagged {
+					res.MonitorFlagged = true
+					res.FlaggedAtRun = run
+				}
 			}
-			set := candidates
-			if probe != nil {
-				set = probe(d)
+			return func(ctx *core.Context) {
+				h, _ := env.build(p, ctx)
+				d := h.Dicts["en_US"]
+				if pages == nil {
+					pages = d.Pages()
+				}
+				set := candidates
+				if probe != nil {
+					set = probe(d)
+				}
+				for _, va := range set {
+					p.Kernel.UnmapPage(va)
+				}
+				_, _ = h.Check(ctx, "en_US", secret)
 			}
-			for _, va := range set {
-				p.Kernel.UnmapPage(va)
-			}
-			_, _ = h.Check(ctx, "en_US", secret)
 		})
-		var term *sgx.TerminationError
-		if errors.As(runErr, &term) {
-			return true, allMasked(&p.Kernel.FaultLog, p.Enclave()), pages
-		}
-		if runErr != nil {
-			panic(runErr)
-		}
-		return false, true, pages
+		return r.terminated, r.masked, pages
 	}
 
 	// Discover the page list from a clean run.

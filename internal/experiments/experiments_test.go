@@ -3,6 +3,11 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"autarky/internal/core"
+	"autarky/internal/libos"
+	"autarky/internal/metrics"
+	"autarky/internal/trace"
 )
 
 // These tests assert the paper's qualitative claims — who wins, by roughly
@@ -281,6 +286,50 @@ func TestE7AttacksSucceedOnVanillaAndFailOnAutarky(t *testing.T) {
 		if !s.MaskedOnly {
 			t.Errorf("%s: OS observed unmasked fault addresses", s.Name)
 		}
+		// Every direct attack induces a fault under Autarky, so its masking
+		// verdict is measured on a non-empty record.
+		if !ordering && s.AutarkyFaults == 0 {
+			t.Errorf("%s: the Autarky OS observed no enclave fault", s.Name)
+		}
+	}
+}
+
+// TestObservedRecordDoesNotChangeTheRun pins the kernel record's contract:
+// attaching it changes no simulated result. A rate-limited SGXv1 enclave
+// under quota pressure both faults and pages in.
+func TestObservedRecordDoesNotChangeTheRun(t *testing.T) {
+	img := libos.AppImage{Name: "rec", Libraries: []libos.Library{{Name: "librec.so", Pages: 4}}}
+	rc := RunConfig{
+		SelfPaging: true, Mech: core.MechSGX1, Policy: libos.PolicyRateLimit,
+		RateBurst: 1 << 40, QuotaPages: 24, HeapPages: 48,
+	}
+	run := func(seen *trace.Log) metrics.Snapshot {
+		p, err := BuildProcess(img, rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Kernel.Observed = seen
+		if err := p.Run(func(ctx *core.Context) {
+			for pass := 0; pass < 3; pass++ {
+				for _, va := range p.Heap.PageVAs() {
+					ctx.Store(va)
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return metrics.Of(p.Kernel.Clock).Snapshot()
+	}
+	seen := &trace.Log{}
+	if recorded, bare := run(seen), run(nil); recorded != bare {
+		t.Fatalf("recording changed the run:\nrecorded %+v\nbare     %+v", recorded, bare)
+	}
+	faults, pageIns := seen.Only(trace.KindFault), seen.Only(trace.KindPageIn)
+	if faults.Len() == 0 || pageIns.Len() == 0 {
+		t.Fatalf("record holds %d faults and %d page-ins, want both", faults.Len(), pageIns.Len())
+	}
+	if faults.Len()+pageIns.Len() != seen.Len() {
+		t.Fatalf("record holds %d events of other kinds", seen.Len()-faults.Len()-pageIns.Len())
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"autarky/internal/hostos"
 	"autarky/internal/libos"
 	"autarky/internal/metrics"
-	"autarky/internal/mmu"
 	"autarky/internal/sim"
 	"autarky/internal/workloads"
 )
@@ -196,11 +195,4 @@ func RunKernel(k workloads.Kernel, rc RunConfig, scale int, seed uint64) RunResu
 		}
 		k.Run(env)
 	})
-}
-
-// touchAll writes every page once (warm-up / population helper).
-func touchAll(ctx *core.Context, pages []mmu.VAddr) {
-	for _, va := range pages {
-		ctx.Store(va)
-	}
 }

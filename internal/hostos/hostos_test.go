@@ -9,6 +9,7 @@ import (
 	"autarky/internal/pagestore"
 	"autarky/internal/sgx"
 	"autarky/internal/sim"
+	"autarky/internal/trace"
 )
 
 type testMachine struct {
@@ -431,12 +432,6 @@ func TestSGX2ServiceFlow(t *testing.T) {
 	}
 }
 
-func TestPagingMechString(t *testing.T) {
-	if MechSGX1.String() != "SGX1" || MechSGX2.String() != "SGX2" {
-		t.Fatal("mech names")
-	}
-}
-
 func TestSuspendResumeRoundTrip(t *testing.T) {
 	m := newMachine()
 	p, err := m.kernel.LoadEnclave(spec(12, 0, true, nil))
@@ -507,7 +502,8 @@ func TestHandleTimerBenign(t *testing.T) {
 	}
 }
 
-func TestFetchLogRecordsDriverFetches(t *testing.T) {
+func TestObservedRecordsFaultsAndPageIns(t *testing.T) {
+	// Driver fetches: each page the OS brings in is one page-in event.
 	m := newMachine()
 	p, err := m.kernel.LoadEnclave(spec(8, 0, true, nil))
 	if err != nil {
@@ -520,18 +516,44 @@ func TestFetchLogRecordsDriverFetches(t *testing.T) {
 	if err := m.kernel.EvictPages(p.E, vas); err != nil {
 		t.Fatal(err)
 	}
-	m.kernel.FetchLog.Reset()
+	seen := &trace.Log{}
+	m.kernel.Observed = seen
 	if err := m.kernel.FetchPages(p.E, vas); err != nil {
 		t.Fatal(err)
 	}
-	if m.kernel.FetchLog.Len() != 3 {
-		t.Fatalf("FetchLog has %d events, want 3", m.kernel.FetchLog.Len())
+	if seen.Len() != 3 || seen.Only(trace.KindPageIn).Len() != 3 {
+		t.Fatalf("recorded %+v, want 3 page-ins", seen.Events)
 	}
-	pages := m.kernel.FetchLog.DistinctPages()
+	pages := seen.DistinctPages()
 	for i, va := range vas {
 		if pages[i] != va.VPN() {
-			t.Fatalf("FetchLog pages %v", pages)
+			t.Fatalf("page-in pages %v", pages)
 		}
+	}
+
+	// A legacy enclave's fault reaches the OS with its address.
+	m = newMachine()
+	rt := &appRuntime{}
+	p, err = m.kernel.LoadEnclave(spec(4, 0, false, rt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := base + mmu.PageSize
+	m.kernel.UnmapPage(target)
+	rt.app = func() { _ = m.cpu.Touch(target, mmu.AccessWrite) }
+	seen = &trace.Log{}
+	m.kernel.Observed = seen
+	if err := m.kernel.Run(p); err != nil {
+		t.Fatal(err)
+	}
+	if seen.Len() != 1 {
+		t.Fatalf("recorded %+v, want one fault", seen.Events)
+	}
+	if ev := seen.Events[0]; ev.Kind != trace.KindFault || ev.Addr != target || ev.Type != mmu.AccessWrite {
+		t.Fatalf("fault recorded as %+v", ev)
+	}
+	if m.count(metrics.CntOSFaults) != 1 {
+		t.Fatalf("os.enclave_faults = %d", m.count(metrics.CntOSFaults))
 	}
 }
 

@@ -24,27 +24,6 @@ import (
 	"autarky/internal/trace"
 )
 
-// PagingMech selects which SGX mechanism services enclave self-paging
-// (paper §6 supports both).
-type PagingMech int
-
-// Paging mechanisms.
-const (
-	// MechSGX1 uses the privileged EWB/ELDU instructions in the driver.
-	MechSGX1 PagingMech = iota
-	// MechSGX2 uses the dynamic memory-management instructions, with
-	// encryption performed by the enclave runtime in software.
-	MechSGX2
-)
-
-// String names the mechanism.
-func (m PagingMech) String() string {
-	if m == MechSGX1 {
-		return "SGX1"
-	}
-	return "SGX2"
-}
-
 // ErrEPCPressure aliases the sentinel the driver contract defines: a fetch
 // could not be satisfied within the enclave's EPC quota, so the enclave
 // must evict its own pages first.
@@ -56,11 +35,6 @@ var _ core.Driver = (*Kernel)(nil)
 
 // Errors returned by kernel services.
 var (
-	// ErrPinned is returned when the OS pager is asked to evict an
-	// enclave-managed (pinned) page — the Autarky driver refuses
-	// (paper §5.2.1: "each resident enclave-managed page is effectively
-	// pinned in EPC whenever the enclave is runnable").
-	ErrPinned = errors.New("hostos: page is enclave-managed (pinned)")
 	// ErrUnknownPage is returned for pages never added to the enclave.
 	ErrUnknownPage = errors.New("hostos: page not part of enclave")
 	// ErrNotLoaded is returned when a kernel service is invoked for an
@@ -142,9 +116,8 @@ type pageState struct {
 
 // Proc is the kernel's per-enclave process state.
 type Proc struct {
-	E    *sgx.Enclave
-	TCS  *sgx.TCS
-	Mech PagingMech
+	E   *sgx.Enclave
+	TCS *sgx.TCS
 	// Quota is the maximum number of resident EPC frames the kernel allows
 	// this enclave (0 = unlimited). It is the experiments' "EPC size" knob.
 	Quota int
@@ -253,15 +226,14 @@ type Kernel struct {
 	// instead of an exitless host call (ablation of the §6 design choice).
 	ClassicOCalls bool
 
-	// FaultLog records every enclave fault the OS observes: the attacker's
-	// raw view of the controlled channel.
-	FaultLog trace.Log
-
-	// FetchLog records every page the OS pages in on behalf of an enclave
-	// (ay_fetch_pages arguments and OS-managed page-ins) — the §4
-	// demand-paging side channel, which Autarky bounds by policy rather
-	// than eliminates.
-	FetchLog trace.Log
+	// Observed, when set, records what the OS sees of its enclaves: each
+	// enclave fault it handles (trace.KindFault, carrying the address as
+	// delivered, so a self-paging enclave's is masked to its base) and each
+	// enclave page it pages in (trace.KindPageIn: ay_fetch_pages arguments,
+	// legacy demand paging and resume reloads). nil records nothing.
+	// Recording never changes a simulated result: it charges no cycles and
+	// counts nothing.
+	Observed *trace.Log
 
 	procs map[uint64]*Proc
 	// procList holds the same processes in enclave-creation order, so the
@@ -394,7 +366,6 @@ type EnclaveSpec struct {
 	Runtime  sgx.Runtime
 	Segments []Segment
 	Quota    int
-	Mech     PagingMech
 	// SeedVersions, when non-nil, pre-loads the enclave's anti-replay
 	// version counters (vpn -> version) immediately after ECREATE, so a
 	// restored enclave continues its previous incarnation's chain. Load-time
@@ -426,7 +397,6 @@ func (k *Kernel) LoadEnclave(spec EnclaveSpec) (_ *Proc, err error) {
 	}
 	p := &Proc{
 		E:     e,
-		Mech:  spec.Mech,
 		Quota: spec.Quota,
 		pages: make(map[uint64]*pageState),
 	}
@@ -539,7 +509,9 @@ func (k *Kernel) HandlePageFault(c *sgx.CPU, e *sgx.Enclave, tcs *sgx.TCS, f *mm
 		// no proc state to consult — surface the sentinel, never a nil deref.
 		return perr
 	}
-	k.FaultLog.Add(trace.Event{Cycle: k.Clock.Cycles(), Addr: f.Addr, Type: f.Type, Kind: trace.KindFault})
+	if k.Observed != nil {
+		k.Observed.Add(trace.Event{Cycle: k.Clock.Cycles(), Addr: f.Addr, Type: f.Type, Kind: trace.KindFault})
+	}
 
 	handled := k.Adversary.OnEnclaveFault(k, p, f)
 
@@ -654,7 +626,9 @@ func (k *Kernel) pageIn(p *Proc, ps *pageState) error {
 	if err := k.ensureQuota(p, 1); err != nil {
 		return err
 	}
-	k.FetchLog.Add(trace.Event{Cycle: k.Clock.Cycles(), Addr: ps.va, Type: mmu.AccessRead, Kind: trace.KindFault})
+	if k.Observed != nil {
+		k.Observed.Add(trace.Event{Cycle: k.Clock.Cycles(), Addr: ps.va, Type: mmu.AccessRead, Kind: trace.KindPageIn})
+	}
 	pfn, err := k.CPU.ELDU(p.E, ps.va, k.backend)
 	if err != nil {
 		return err

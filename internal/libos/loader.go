@@ -209,7 +209,6 @@ func Load(k *hostos.Kernel, img AppImage, cfg Config) (*Process, error) {
 		Runtime:  rt,
 		Segments: segs,
 		Quota:    cfg.QuotaPages,
-		Mech:     hostos.PagingMech(cfg.Mech),
 
 		SeedVersions:       cfg.seedVersions,
 		SeedMigrationEpoch: cfg.seedEpoch,

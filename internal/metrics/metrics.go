@@ -368,6 +368,17 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 // Counter reports one counter's value.
 func (s Snapshot) Counter(c Counter) uint64 { return s.Counters[c] }
 
+// Named reports the value of the counter whose stable wire name (its JSON
+// key, see Counter.Name) is name; ok is false when no counter has it.
+func (s Snapshot) Named(name string) (v uint64, ok bool) {
+	for c, n := range counterNames {
+		if n == name {
+			return s.Counters[c], true
+		}
+	}
+	return 0, false
+}
+
 // Share reports the fraction of all cycles attributed to cat (0 when the
 // snapshot is empty).
 func (s Snapshot) Share(cat sim.Category) float64 {

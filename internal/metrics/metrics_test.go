@@ -138,3 +138,23 @@ func TestCounterNamesStableAndComplete(t *testing.T) {
 		seen[name] = c
 	}
 }
+
+func TestSnapshotNamedReadsByWireName(t *testing.T) {
+	var s Snapshot
+	for c := Counter(0); c < NumCounters; c++ {
+		s.Counters[c] = uint64(c) + 1
+	}
+	for c := Counter(0); c < NumCounters; c++ {
+		if v, ok := s.Named(c.Name()); !ok || v != s.Counter(c) {
+			t.Fatalf("Named(%q) = %d, %v; want %d", c.Name(), v, ok, s.Counter(c))
+		}
+	}
+	if v, ok := s.Named("restore.restores"); !ok || v != s.Counter(CntRestores) {
+		t.Fatalf("Named(restore.restores) = %d, %v", v, ok)
+	}
+	for _, name := range []string{"", "restore", "CntRestores", "counter(3)"} {
+		if v, ok := s.Named(name); ok || v != 0 {
+			t.Errorf("Named(%q) = %d, %v; want no counter", name, v, ok)
+		}
+	}
+}

@@ -218,7 +218,7 @@ func TestTLBMissThenHit(t *testing.T) {
 	if _, ok := tlb.Lookup(va, AccessRead); ok {
 		t.Fatal("empty TLB hit")
 	}
-	tlb.Fill(va, PTE{Present: true, Perms: PermRW, PFN: 8}, 0, true)
+	tlb.Fill(va, PTE{Present: true, Perms: PermRW, PFN: 8}, true)
 	e, ok := tlb.Lookup(va, AccessRead)
 	if !ok || e.PFN() != 8 {
 		t.Fatalf("hit failed: %v %v", e, ok)
@@ -233,7 +233,7 @@ func TestTLBWriteRequiresWritableEntry(t *testing.T) {
 	tlb, _ := newTLB()
 	va := VAddr(0x2000)
 	// Filled from a read with D clear: not writable.
-	tlb.Fill(va, PTE{Present: true, Perms: PermRW, PFN: 1}, 0, false)
+	tlb.Fill(va, PTE{Present: true, Perms: PermRW, PFN: 1}, false)
 	if _, ok := tlb.Lookup(va, AccessWrite); ok {
 		t.Fatal("store must miss on a non-writable entry (D-bit discipline)")
 	}
@@ -245,7 +245,7 @@ func TestTLBWriteRequiresWritableEntry(t *testing.T) {
 func TestTLBPermissionCheck(t *testing.T) {
 	tlb, _ := newTLB()
 	va := VAddr(0x3000)
-	tlb.Fill(va, PTE{Present: true, Perms: PermRead | PermUser, PFN: 1}, 0, true)
+	tlb.Fill(va, PTE{Present: true, Perms: PermRead | PermUser, PFN: 1}, true)
 	if _, ok := tlb.Lookup(va, AccessExec); ok {
 		t.Fatal("exec hit on non-exec entry")
 	}
@@ -253,7 +253,7 @@ func TestTLBPermissionCheck(t *testing.T) {
 
 func TestTLBFlushAll(t *testing.T) {
 	tlb, clock := newTLB()
-	tlb.Fill(0x1000, PTE{Present: true, Perms: PermRW, PFN: 1}, 1, true)
+	tlb.Fill(0x1000, PTE{Present: true, Perms: PermRW, PFN: 1}, true)
 	before := clock.Cycles()
 	tlb.FlushAll()
 	if clock.Cycles() == before {
@@ -266,8 +266,8 @@ func TestTLBFlushAll(t *testing.T) {
 
 func TestTLBInvalidateSinglePage(t *testing.T) {
 	tlb, _ := newTLB()
-	tlb.Fill(0x1000, PTE{Present: true, Perms: PermRW, PFN: 1}, 0, true)
-	tlb.Fill(0x2000, PTE{Present: true, Perms: PermRW, PFN: 2}, 0, true)
+	tlb.Fill(0x1000, PTE{Present: true, Perms: PermRW, PFN: 1}, true)
+	tlb.Fill(0x2000, PTE{Present: true, Perms: PermRW, PFN: 2}, true)
 	tlb.Invalidate(0x1000)
 	if _, ok := tlb.Lookup(0x1000, AccessRead); ok {
 		t.Fatal("invalidated entry hit")
@@ -280,7 +280,7 @@ func TestTLBInvalidateSinglePage(t *testing.T) {
 func TestTLBShootdownChargesIPI(t *testing.T) {
 	tlb, clock := newTLB()
 	costs := sim.DefaultCosts()
-	tlb.Fill(0x1000, PTE{Present: true, Perms: PermRW, PFN: 1}, 0, true)
+	tlb.Fill(0x1000, PTE{Present: true, Perms: PermRW, PFN: 1}, true)
 	before := clock.Cycles()
 	tlb.Shootdown(0x1000)
 	if got := clock.Cycles() - before; got < costs.TLBShootdown {
@@ -293,7 +293,7 @@ func TestTLBLRUEviction(t *testing.T) {
 	costs := sim.DefaultCosts()
 	tlb := NewTLB(1, 2, clock, &costs) // one set, two ways
 	fill := func(vpn uint64) {
-		tlb.Fill(PageOf(vpn), PTE{Present: true, Perms: PermRW, PFN: PFN(vpn)}, 0, true)
+		tlb.Fill(PageOf(vpn), PTE{Present: true, Perms: PermRW, PFN: PFN(vpn)}, true)
 	}
 	fill(1)
 	fill(2)

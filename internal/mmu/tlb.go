@@ -5,20 +5,17 @@ import (
 	"autarky/internal/sim"
 )
 
-// TLBEntry caches one translation. EnclaveID tags entries installed while
-// executing in enclave mode so they can be flushed on enclave exit and so
-// A/D writeback can be suppressed for them (paper §5.1.4: "TLB entries would
-// need to be flagged as holding enclave translations").
+// TLBEntry caches one translation. The model needs no enclave tag on it:
+// SGX flushes the whole TLB on every enclave entry and exit, so no entry
+// outlives the mode it was filled in.
 type TLBEntry struct {
-	valid     bool
-	vpn       uint64
-	pfn       PFN
-	perms     Perms
-	epc       bool
-	enclaveID uint64 // 0 for non-enclave translations
-	writable  bool   // D bit was set at fill time; stores may reuse the entry
-	lastUse   uint64 // LRU stamp
-	epoch     uint64 // flush epoch at fill time; stale epoch means flushed
+	valid    bool
+	vpn      uint64
+	pfn      PFN
+	perms    Perms
+	writable bool   // D bit was set at fill time; stores may reuse the entry
+	lastUse  uint64 // LRU stamp
+	epoch    uint64 // flush epoch at fill time; stale epoch means flushed
 }
 
 // TLB is a set-associative translation lookaside buffer. SGX flushes it on
@@ -97,7 +94,7 @@ func (t *TLB) Lookup(va VAddr, at AccessType) (*TLBEntry, bool) {
 }
 
 // Fill installs a translation, evicting the LRU way of the set.
-func (t *TLB) Fill(va VAddr, pte PTE, enclaveID uint64, writable bool) {
+func (t *TLB) Fill(va VAddr, pte PTE, writable bool) {
 	vpn := va.VPN()
 	set := t.set(vpn)
 	victim := 0
@@ -112,15 +109,13 @@ func (t *TLB) Fill(va VAddr, pte PTE, enclaveID uint64, writable bool) {
 	}
 	t.useTick++
 	set[victim] = TLBEntry{
-		valid:     true,
-		vpn:       vpn,
-		pfn:       pte.PFN,
-		perms:     pte.Perms,
-		epc:       pte.EPC,
-		enclaveID: enclaveID,
-		writable:  writable,
-		lastUse:   t.useTick,
-		epoch:     t.epoch,
+		valid:    true,
+		vpn:      vpn,
+		pfn:      pte.PFN,
+		perms:    pte.Perms,
+		writable: writable,
+		lastUse:  t.useTick,
+		epoch:    t.epoch,
 	}
 	t.m.Inc(metrics.CntTLBFills)
 }
@@ -160,9 +155,3 @@ func (t *TLB) Shootdown(va VAddr) {
 
 // PFN returns the cached frame for an entry.
 func (e *TLBEntry) PFN() PFN { return e.pfn }
-
-// EPC reports whether the cached translation targets an EPC frame.
-func (e *TLBEntry) EPC() bool { return e.epc }
-
-// EnclaveID returns the enclave tag of the entry (0 for normal memory).
-func (e *TLBEntry) EnclaveID() uint64 { return e.enclaveID }

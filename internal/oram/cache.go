@@ -77,9 +77,6 @@ func NewCache(o *PathORAM, capacity int, clock *sim.Clock, costs *sim.Costs) *Ca
 // Capacity reports the cache size in blocks.
 func (c *Cache) Capacity() int { return c.capacity }
 
-// Len reports the cached block count.
-func (c *Cache) Len() int { return len(c.entries) }
-
 // ORAM returns the underlying PathORAM.
 func (c *Cache) ORAM() *PathORAM { return c.oram }
 

@@ -71,12 +71,11 @@ func (s stepOutcome) class() string {
 	}
 }
 
-// runTrace replays one full trace on a fresh world. It returns the
-// outcome of every executed step, whether the final op was skipped, and
-// the world (for digesting). A violation at any step stops the replay
-// there — the suffix of a broken prefix proves nothing.
-func runTrace(spec *Spec, sc Scenario, trace []Op) (steps []stepOutcome, skippedAt int, w *world) {
-	w = newWorld(sc)
+// runTrace replays one full trace on w, a fresh world. It returns the
+// outcome of every executed step and the index of the op that was skipped
+// (-1 when none was). A violation at any step stops the replay there — the
+// suffix of a broken prefix proves nothing.
+func runTrace(spec *Spec, w *world, trace []Op) (steps []stepOutcome, skippedAt int) {
 	skippedAt = -1
 	for i, op := range trace {
 		c := w.cond()
@@ -120,7 +119,8 @@ func Run(cfg Config) Result {
 	dfs = func(prefix []Op) {
 		for op := Op(0); op < NumOps; op++ {
 			trace := append(append([]Op(nil), prefix...), op)
-			steps, skippedAt, w := runTrace(spec, cfg.Scenario, trace)
+			w := newWorld(cfg.Scenario)
+			steps, skippedAt := runTrace(spec, w, trace)
 			res.Transitions += len(steps)
 			if skippedAt >= 0 {
 				res.Skipped++

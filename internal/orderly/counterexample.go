@@ -76,7 +76,13 @@ func Replay(spec *Spec, sc Scenario, trace []Op) *Counterexample {
 	if spec == nil {
 		spec = DefaultSpec()
 	}
-	steps, skippedAt, _ := runTrace(spec, sc, trace)
+	steps, skippedAt := runTrace(spec, newWorld(sc), trace)
+	return judge(sc, trace, steps, skippedAt)
+}
+
+// judge turns one replay of trace, its executed steps and its skipped op,
+// into Replay's verdict.
+func judge(sc Scenario, trace []Op, steps []stepOutcome, skippedAt int) *Counterexample {
 	if skippedAt >= 0 {
 		return &Counterexample{
 			Scenario: sc.Name,

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"autarky/internal/hostos"
+	"autarky/internal/libos"
+	"autarky/internal/trace"
 )
 
 // checkDepth keeps the unit tests fast; the e13 experiment explores the
@@ -214,6 +216,54 @@ func TestReplayConformingTrace(t *testing.T) {
 		}
 		if cx := Replay(nil, sc, ops); cx != nil {
 			t.Errorf("conforming trace %q reported: %s", trace, cx)
+		}
+	}
+}
+
+// TestExecuteTraceJudgesItsOwnRun: ExecuteTrace runs a trace once and
+// reaches Replay's verdict from that run — clean for conforming traces, the
+// same counterexample for a spec gap — and records what the OS saw.
+func TestExecuteTraceJudgesItsOwnRun(t *testing.T) {
+	for _, tr := range []string{
+		"legacy:load>run>suspend>resume>run",
+		"sp-sgx1-roomy:load>suspend>tamper-pinned>resume",
+		"sp-sgx1-replay:load>run>tamper>run",
+		"legacy:load>quiesce",
+	} {
+		sc, ops, err := ParseTrace(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps, cx, snap, seen := ExecuteTrace(sc, ops)
+		want := Replay(nil, sc, ops)
+		if (cx == nil) != (want == nil) || (cx != nil && cx.String() != want.String()) {
+			t.Errorf("%s: ExecuteTrace judged %v, Replay %v", tr, cx, want)
+		}
+		if cx == nil && len(steps) != len(ops) {
+			t.Errorf("%s: %d steps for %d ops", tr, len(steps), len(ops))
+		}
+		if err := snap.Check(); err != nil {
+			t.Errorf("%s: %v", tr, err)
+		}
+		if seen == nil {
+			t.Fatalf("%s: no record", tr)
+		}
+	}
+
+	// The rollback ordering: the stale blob terminates the enclave, and
+	// every fault the OS saw on the way carries only the enclave base.
+	sc, ops, _ := ParseTrace("sp-sgx1-replay:load>run>tamper>run")
+	steps, _, _, seen := ExecuteTrace(sc, ops)
+	if last := steps[len(steps)-1]; last.Class != "term" {
+		t.Fatalf("rollback ended %q, want term", last.Class)
+	}
+	faults := seen.Only(trace.KindFault)
+	if faults.Len() == 0 || seen.Only(trace.KindPageIn).Len() == 0 {
+		t.Fatalf("record holds %d faults, %d page-ins", faults.Len(), seen.Only(trace.KindPageIn).Len())
+	}
+	for _, ev := range faults.Events {
+		if ev.Addr != libos.DefaultBase {
+			t.Fatalf("OS saw a fault at %s, want the masked base %s", ev.Addr, libos.DefaultBase)
 		}
 	}
 }

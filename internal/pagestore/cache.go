@@ -189,9 +189,6 @@ func (c *CachedBackend) FetchBatch(enclaveID uint64, pages []mmu.VAddr, out []Bl
 	return nil
 }
 
-// Len reports how many blobs the cache currently holds (tests only).
-func (c *CachedBackend) Len() int { return c.lru.Len() }
-
 // insert places (or refreshes) a blob at the MRU position, copying the
 // ciphertext into cache-owned storage (reusing the entry's existing buffer
 // on overwrite, a recycled one otherwise). The caller is responsible for

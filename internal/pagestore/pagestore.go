@@ -160,10 +160,6 @@ func (s *Sealer) aad(va mmu.VAddr, version uint64) []byte {
 	return a
 }
 
-// EnclaveID returns the enclave identity the sealer was derived for, for
-// callers assembling Blob metadata around SealAppend output.
-func (s *Sealer) EnclaveID() uint64 { return s.enclaveID }
-
 // SealedLen is the exact ciphertext length of one sealed page. Callers
 // sizing arenas for SealAppend can rely on every sealed page occupying
 // exactly this many bytes.

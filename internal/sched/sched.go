@@ -229,9 +229,6 @@ func New(k *hostos.Kernel, policy Policy, quantum uint64) *Scheduler {
 	return s
 }
 
-// Quantum reports the configured slice length in cycles.
-func (s *Scheduler) Quantum() uint64 { return s.quantum }
-
 // Spawn registers run as a schedulable task. proc is the kernel process the
 // task drives (nil for tasks that do not enter an enclave — still scheduled,
 // but never preempted mid-slice, since only enclave accesses hit the quantum
@@ -492,10 +489,6 @@ func (s *Scheduler) Drain(t *Task) error {
 	s.cpu.PreemptAt = 0
 	return t.err
 }
-
-// Draining reports whether a quiesce is in progress (new dispatch of other
-// tasks is being rejected).
-func (s *Scheduler) Draining() bool { return s.draining != nil }
 
 // Step runs one dispatch if any task is runnable and reports whether it did.
 // It is the fleet layer's building block: N machines share one clock, and

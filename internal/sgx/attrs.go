@@ -75,8 +75,6 @@ var (
 	// ErrNotTracked is returned by EWB when the eviction protocol was not
 	// followed (EBLOCK + ETRACK + TLB shootdown).
 	ErrNotTracked = errors.New("sgx: EWB without completed ETRACK epoch")
-	// ErrTCSBusy is returned when entering a TCS that is already executing.
-	ErrTCSBusy = errors.New("sgx: TCS busy")
 	// ErrSSAExhausted is returned when an AEX cannot push a state-save
 	// frame because the SSA stack is full; the enclave is un-executable
 	// until frames are popped (paper §5.1.3 footnote).

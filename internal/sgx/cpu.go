@@ -398,11 +398,11 @@ func (c *CPU) translate(va mmu.VAddr, t mmu.AccessType) (mmu.PFN, *mmu.Fault) {
 			if !pte.Accessed || !pte.Dirty {
 				return mmu.NoPFN, &mmu.Fault{Addr: va, Type: t, SGX: true, NotPresent: true}
 			}
-			c.TLB.Fill(va, pte, c.cur.ID, true)
+			c.TLB.Fill(va, pte, true)
 		} else {
 			c.PT.SetAD(va, t == mmu.AccessWrite)
 			c.Clock.ChargeAmbient(c.Costs.ADWriteback)
-			c.TLB.Fill(va, pte, c.cur.ID, pte.Dirty || t == mmu.AccessWrite)
+			c.TLB.Fill(va, pte, pte.Dirty || t == mmu.AccessWrite)
 		}
 		return pte.PFN, nil
 	}
@@ -416,11 +416,7 @@ func (c *CPU) translate(va mmu.VAddr, t mmu.AccessType) (mmu.PFN, *mmu.Fault) {
 	}
 	c.PT.SetAD(va, t == mmu.AccessWrite)
 	c.Clock.ChargeAmbient(c.Costs.ADWriteback)
-	var encID uint64
-	if c.cur != nil {
-		encID = c.cur.ID
-	}
-	c.TLB.Fill(va, pte, encID, pte.Dirty || t == mmu.AccessWrite)
+	c.TLB.Fill(va, pte, pte.Dirty || t == mmu.AccessWrite)
 	return pte.PFN, nil
 }
 

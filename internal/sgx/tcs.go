@@ -35,9 +35,6 @@ type TCS struct {
 	// fault, cleared by EENTER, checked by ERESUME.
 	pendingException bool
 
-	// busy marks a TCS with a logical processor inside it.
-	busy bool
-
 	// inEnclaveResumed is a model flag: the handler resumed the faulting
 	// context itself (AttrInEnclaveResume / AttrElideAEX paths), so the
 	// normal EEXIT+ERESUME epilogue must be skipped.

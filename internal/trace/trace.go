@@ -1,7 +1,8 @@
 // Package trace records the page-access information visible to different
-// observers: the OS-level adversary's fault log (the controlled channel)
-// and, for validation, the architectural ground truth. Experiments compare
-// the two to quantify exactly what each paging policy leaks.
+// observers: the untrusted OS's record of the enclave faults it handles and
+// the pages it brings in (hostos.Kernel.Observed), and the adversaries' own
+// captures (A/D-bit scans among them). Experiments read these records to
+// quantify exactly what each paging policy leaks.
 package trace
 
 import (
@@ -32,9 +33,11 @@ const (
 	KindAccessedBit
 	// KindDirtyBit is a dirty-bit transition.
 	KindDirtyBit
-	// KindGroundTruth is the architectural access (not visible to the OS;
-	// used only to score attack recovery).
-	KindGroundTruth
+	// KindPageIn is an enclave page the OS paged in: an ay_fetch_pages
+	// argument, a legacy demand-paging fault or a resume's reload — the §4
+	// demand-paging channel, which Autarky bounds by policy rather than
+	// eliminates.
+	KindPageIn
 )
 
 // String names the kind.
@@ -46,8 +49,8 @@ func (k Kind) String() string {
 		return "A-bit"
 	case KindDirtyBit:
 		return "D-bit"
-	case KindGroundTruth:
-		return "truth"
+	case KindPageIn:
+		return "page-in"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
@@ -66,6 +69,17 @@ func (l *Log) Len() int { return len(l.Events) }
 
 // Reset clears the log.
 func (l *Log) Reset() { l.Events = l.Events[:0] }
+
+// Only returns the events of kind k, in order, as a new log.
+func (l *Log) Only(k Kind) *Log {
+	out := &Log{}
+	for _, e := range l.Events {
+		if e.Kind == k {
+			out.Add(e)
+		}
+	}
+	return out
+}
 
 // Pages returns the ordered sequence of page numbers in the log.
 func (l *Log) Pages() []uint64 {
@@ -102,20 +116,4 @@ func (l *Log) Signature() string {
 		fmt.Fprintf(&b, "%x", e.Addr.VPN())
 	}
 	return b.String()
-}
-
-// SubsequenceOf reports whether l's page sequence appears as a (not
-// necessarily contiguous) subsequence of other's. Attackers use it to match
-// noisy observations against full ground-truth signatures.
-func (l *Log) SubsequenceOf(other *Log) bool {
-	i := 0
-	for _, e := range other.Events {
-		if i == len(l.Events) {
-			return true
-		}
-		if l.Events[i].Addr.VPN() == e.Addr.VPN() {
-			i++
-		}
-	}
-	return i == len(l.Events)
 }

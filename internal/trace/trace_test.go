@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"strings"
 	"testing"
 
 	"autarky/internal/mmu"
@@ -55,26 +56,37 @@ func TestSignatureDistinguishesOrder(t *testing.T) {
 	}
 }
 
-func TestSubsequenceOf(t *testing.T) {
-	full := mkLog(1, 2, 3, 4, 5)
-	if !mkLog(2, 4).SubsequenceOf(full) {
-		t.Fatal("valid subsequence rejected")
+func TestOnlyKeepsOneKindInOrder(t *testing.T) {
+	l := &Log{}
+	for i, k := range []Kind{KindFault, KindPageIn, KindFault, KindAccessedBit, KindPageIn} {
+		l.Add(Event{Cycle: uint64(i), Addr: mmu.PageOf(uint64(i)), Kind: k})
 	}
-	if mkLog(4, 2).SubsequenceOf(full) {
-		t.Fatal("out-of-order subsequence accepted")
+	faults := l.Only(KindFault)
+	if faults.Len() != 2 || faults.Events[0].Cycle != 0 || faults.Events[1].Cycle != 2 {
+		t.Fatalf("Only(fault) = %+v", faults.Events)
 	}
-	if !mkLog().SubsequenceOf(full) {
-		t.Fatal("empty subsequence rejected")
+	pageIns := l.Only(KindPageIn)
+	if got := pageIns.Pages(); len(got) != 2 || got[0] != 1 || got[1] != 4 {
+		t.Fatalf("Only(page-in) pages = %v", got)
 	}
-	if mkLog(9).SubsequenceOf(full) {
-		t.Fatal("absent page accepted")
+	if l.Only(KindDirtyBit).Len() != 0 {
+		t.Fatal("Only returned events of an absent kind")
+	}
+	if l.Len() != 5 {
+		t.Fatal("Only modified the source log")
 	}
 }
 
 func TestKindStrings(t *testing.T) {
-	for _, k := range []Kind{KindFault, KindAccessedBit, KindDirtyBit, KindGroundTruth} {
-		if k.String() == "" {
+	for _, k := range []Kind{KindFault, KindAccessedBit, KindDirtyBit, KindPageIn} {
+		if k.String() == "" || strings.HasPrefix(k.String(), "Kind(") {
 			t.Errorf("kind %d unnamed", k)
 		}
+	}
+	if KindPageIn.String() != "page-in" {
+		t.Errorf("KindPageIn = %q", KindPageIn.String())
+	}
+	if got := Kind(99).String(); got != "Kind(99)" {
+		t.Errorf("unknown kind = %q", got)
 	}
 }

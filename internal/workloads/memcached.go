@@ -25,8 +25,7 @@ type Memcached struct {
 	// perOpCycles models request parsing + protocol work per GET.
 	perOpCycles uint64
 
-	Gets   uint64
-	Misses uint64
+	Gets uint64
 }
 
 // MemcachedConfig sizes the server.

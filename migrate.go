@@ -3,7 +3,6 @@ package autarky
 import (
 	"autarky/internal/hostos"
 	"autarky/internal/libos"
-	"autarky/internal/metrics"
 	"autarky/internal/sgx"
 )
 
@@ -33,25 +32,6 @@ var (
 	// sealed and handed away; it refines ErrNotLoaded, so lifecycle code
 	// that already handles stale handles keeps working.
 	ErrMigrated = hostos.ErrMigrated
-)
-
-// Migration event counters, usable with MetricsSnapshot.Counter.
-const (
-	// CntMigrations counts enclaves sealed for migration.
-	CntMigrations = metrics.CntMigrations
-	// CntMigrationPages counts pages captured into migration images.
-	CntMigrationPages = metrics.CntMigrationPages
-	// CntAdopts counts enclaves rebuilt from a migration image.
-	CntAdopts = metrics.CntAdopts
-	// CntAdoptsRejected counts adoption attempts refused (bad envelope,
-	// stale counter, live destination range, measurement mismatch).
-	CntAdoptsRejected = metrics.CntAdoptsRejected
-	// CntMigrationDowntime accumulates the cycles tenants spent paused
-	// between quiesce and resume.
-	CntMigrationDowntime = metrics.CntMigrationDowntime
-	// CntFleetRebalances counts rebalance scans that moved at least one
-	// tenant.
-	CntFleetRebalances = metrics.CntFleetRebalances
 )
 
 // NewCounterService builds an empty freshness authority. Share one service

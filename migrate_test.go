@@ -53,7 +53,7 @@ func TestFacadeMigrateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("quiesce: %v", err)
 	}
-	if src.Metrics().Counter(CntMigrations) != 1 {
+	if counter(t, src.Metrics(), "migrate.seals") != 1 {
 		t.Fatal("seal not counted")
 	}
 
@@ -75,7 +75,7 @@ func TestFacadeMigrateRoundTrip(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("run after adopt: %v", err)
 	}
-	if dst.Metrics().Counter(CntAdopts) != 1 {
+	if counter(t, dst.Metrics(), "migrate.adopts") != 1 {
 		t.Fatal("adopt not counted")
 	}
 	if got := counters.Committed(p2.Enclave().Measurement()); got != 1 {
@@ -213,7 +213,7 @@ func TestFacadeAdoptRejectionCounted(t *testing.T) {
 	if _, err := m.Adopt(&Migration{Sealed: []byte("junk")}, nil); err == nil {
 		t.Fatal("junk adopted")
 	}
-	if got := m.Metrics().Counter(CntAdoptsRejected); got != 1 {
+	if got := counter(t, m.Metrics(), "migrate.rejected"); got != 1 {
 		t.Fatalf("rejects counted = %d, want 1", got)
 	}
 }

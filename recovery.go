@@ -4,7 +4,6 @@ import (
 	"autarky/internal/fault"
 	"autarky/internal/hostos"
 	"autarky/internal/libos"
-	"autarky/internal/metrics"
 	"autarky/internal/pagestore"
 	"autarky/internal/sgx"
 )
@@ -53,42 +52,6 @@ var (
 	ErrBadCheckpoint = sgx.ErrBadCheckpoint
 )
 
-// Recovery and fault-injection event counters, usable with
-// MetricsSnapshot.Counter.
-const (
-	// CntBackendRetries counts backend operations re-issued after a
-	// transient refusal.
-	CntBackendRetries = metrics.CntBackendRetries
-	// CntBackendGiveups counts operations that stayed unavailable through
-	// every allowed attempt.
-	CntBackendGiveups = metrics.CntBackendGiveups
-	// CntBackendFallbacks counts operations the degraded-mode mirror
-	// absorbed.
-	CntBackendFallbacks = metrics.CntBackendFallbacks
-	// CntBackendMirrors counts blobs copied into the fallback mirror.
-	CntBackendMirrors = metrics.CntBackendMirrors
-	// CntFaultsInjected counts every injected fault, of any kind.
-	CntFaultsInjected = metrics.CntFaultsInjected
-	// CntFaultCorrupts counts injected blob corruptions.
-	CntFaultCorrupts = metrics.CntFaultCorrupts
-	// CntFaultTruncates counts injected blob truncations.
-	CntFaultTruncates = metrics.CntFaultTruncates
-	// CntFaultReplays counts injected stale-blob replays.
-	CntFaultReplays = metrics.CntFaultReplays
-	// CntFaultUnavails counts injected transient unavailabilities.
-	CntFaultUnavails = metrics.CntFaultUnavails
-	// CntFaultDelays counts injected latency spikes.
-	CntFaultDelays = metrics.CntFaultDelays
-	// CntCheckpoints counts sealed checkpoints taken.
-	CntCheckpoints = metrics.CntCheckpoints
-	// CntCheckpointPages counts pages captured into checkpoints.
-	CntCheckpointPages = metrics.CntCheckpointPages
-	// CntRestores counts enclaves rebuilt from a checkpoint.
-	CntRestores = metrics.CntRestores
-	// CntRestoreCycles accumulates the cycles each restore cost, end to end.
-	CntRestoreCycles = metrics.CntRestoreCycles
-)
-
 // DefaultRetryPolicy is the stock driver retry policy: four tries with
 // exponential backoff from 2000 cycles, capped at 32000.
 func DefaultRetryPolicy() RetryPolicy { return hostos.DefaultRetryPolicy() }
@@ -107,7 +70,8 @@ func WithFaultPlan(plan FaultPlan) Option {
 // WithRetryPolicy gives the driver deterministic retry: backend operations
 // refused with ErrUnavailable are re-issued under capped exponential
 // backoff, each wait charged to the machine's clock (CatPaging). Retries
-// and exhausted give-ups surface as CntBackendRetries / CntBackendGiveups.
+// and exhausted give-ups surface as the backend.retries and
+// backend.giveups counters.
 // Invalid policies are reported as a *ConfigError from the first Spawn.
 func WithRetryPolicy(policy RetryPolicy) Option {
 	return func(c *machineConfig) { p := policy; c.retry = &p }
@@ -129,7 +93,7 @@ func WithFallbackStore(spec *BackingStore) Option {
 // checkpoint's address range is torn down; the restored enclave is a fresh
 // identity (restart stays detectable) whose measurement must match the
 // checkpoint before the captured pages and progress are replayed into it.
-// The end-to-end cost is attributed in CntRestores / CntRestoreCycles.
+// The end-to-end cost is counted in restore.restores and restore.cycles.
 func (m *Machine) Restore(cp *Checkpoint) (*Proc, error) {
 	if m.optErr != nil {
 		return nil, m.optErr

@@ -84,10 +84,10 @@ func TestRetryAbsorbsTransientUnavailability(t *testing.T) {
 		t.Fatalf("workload died despite retry: %v", err)
 	}
 	snap := m.Metrics()
-	if snap.Counter(CntFaultUnavails) == 0 {
+	if counter(t, snap, "faultinj.unavails") == 0 {
 		t.Error("no unavailability was injected — workload too small to test retry")
 	}
-	if snap.Counter(CntBackendRetries) == 0 {
+	if counter(t, snap, "backend.retries") == 0 {
 		t.Error("retry layer never re-issued an operation")
 	}
 }
@@ -105,13 +105,13 @@ func TestFallbackAbsorbsSustainedOutage(t *testing.T) {
 		t.Fatalf("workload died despite fallback: %v", err)
 	}
 	snap := m.Metrics()
-	if snap.Counter(CntBackendGiveups) == 0 {
+	if counter(t, snap, "backend.giveups") == 0 {
 		t.Error("outage never outlived the retry budget — OutageCycles too short for the test")
 	}
-	if snap.Counter(CntBackendFallbacks) == 0 {
+	if counter(t, snap, "backend.fallbacks") == 0 {
 		t.Error("fallback mirror never absorbed an operation")
 	}
-	if snap.Counter(CntBackendMirrors) == 0 {
+	if counter(t, snap, "backend.mirrors") == 0 {
 		t.Error("no blobs were mirrored into the fallback store")
 	}
 }
@@ -208,7 +208,7 @@ func TestFaultInjectionIsDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("two identical fault-injected machines diverged:\n%+v\nvs\n%+v", a, b)
 	}
-	if a.Counter(CntFaultsInjected) == 0 {
+	if counter(t, a, "faultinj.injected") == 0 {
 		t.Error("no faults injected — determinism check is vacuous")
 	}
 }
@@ -329,13 +329,13 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 		t.Fatal("restored run's final heap differs from the uninterrupted run")
 	}
 	snap := mb.Metrics()
-	if snap.Counter(CntCheckpoints) == 0 || snap.Counter(CntCheckpointPages) == 0 {
+	if counter(t, snap, "restore.checkpoints") == 0 || counter(t, snap, "restore.checkpoint_pages") == 0 {
 		t.Error("checkpoint not accounted in metrics")
 	}
-	if snap.Counter(CntRestores) != 1 {
-		t.Errorf("CntRestores = %d, want 1", snap.Counter(CntRestores))
+	if counter(t, snap, "restore.restores") != 1 {
+		t.Errorf("restore.restores = %d, want 1", counter(t, snap, "restore.restores"))
 	}
-	if snap.Counter(CntRestoreCycles) == 0 {
+	if counter(t, snap, "restore.cycles") == 0 {
 		t.Error("restore cost no cycles")
 	}
 }

@@ -63,28 +63,6 @@ var (
 	ErrRemoteFault = service.ErrAppError
 )
 
-// Service event counters, usable with MetricsSnapshot.Counter.
-const (
-	// CntServRequests counts requests admitted into connection queues.
-	CntServRequests = metrics.CntServRequests
-	// CntServReplies counts successful replies delivered intact.
-	CntServReplies = metrics.CntServReplies
-	// CntServKeepAlives counts keep-alive round trips completed.
-	CntServKeepAlives = metrics.CntServKeepAlives
-	// CntServBackpressure counts admissions refused on a full queue.
-	CntServBackpressure = metrics.CntServBackpressure
-	// CntServResets counts connection resets.
-	CntServResets = metrics.CntServResets
-	// CntServCorrupt counts frames that failed their checksum in transit.
-	CntServCorrupt = metrics.CntServCorrupt
-	// CntServTimeouts counts requests shed past the deadline.
-	CntServTimeouts = metrics.CntServTimeouts
-	// CntServDrops counts frames lost in transit or discarded by resets.
-	CntServDrops = metrics.CntServDrops
-	// CntServIdlePolls counts dispatch-loop polls that found nothing due.
-	CntServIdlePolls = metrics.CntServIdlePolls
-)
-
 // ServeOption customizes one server's channel behaviour.
 type ServeOption func(*serveConfig)
 

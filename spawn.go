@@ -2,7 +2,6 @@ package autarky
 
 import (
 	"autarky/internal/libos"
-	"autarky/internal/metrics"
 	"autarky/internal/mmu"
 	"autarky/internal/sched"
 )
@@ -31,16 +30,6 @@ const (
 // DefaultQuantum is the scheduler time slice, in cycles, used unless
 // WithQuantum overrides it.
 const DefaultQuantum = sched.DefaultQuantum
-
-// Scheduler event counters, usable with MetricsSnapshot.Counter.
-const (
-	// CntSchedDispatches counts time slices granted (one per dispatch).
-	CntSchedDispatches = metrics.CntSchedDispatches
-	// CntSchedSwitches counts dispatches that changed the running process.
-	CntSchedSwitches = metrics.CntSchedSwitches
-	// CntSchedPreemptions counts involuntary quantum expirations.
-	CntSchedPreemptions = metrics.CntSchedPreemptions
-)
 
 // WithScheduler selects the scheduling policy for the machine's dispatch
 // loop. Unknown policy kinds are rejected at the first Spawn with a

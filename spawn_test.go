@@ -54,7 +54,7 @@ func TestSpawnTimeSlicesCoResidentEnclaves(t *testing.T) {
 	if acct.TotalCycles != m.Cycles() {
 		t.Fatalf("accounting total %d != machine cycles %d", acct.TotalCycles, m.Cycles())
 	}
-	if snap := m.Metrics(); snap.Counter(CntSchedPreemptions) == 0 {
+	if snap := m.Metrics(); counter(t, snap, "sched.preemptions") == 0 {
 		t.Error("machine metrics missing scheduler preemptions")
 	}
 }
