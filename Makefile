@@ -50,11 +50,12 @@ benchdiff: build
 
 # gobench runs the Go micro-benchmarks (the old `make bench`): the
 # simulator hot-path micro-benchmarks (facade touch and fault paths,
-# sealing, TLB-hit translation, cycle charging, latency recording). The
-# hot paths must report 0 allocs/op; the matching *ZeroAlloc tests gate
-# that in `make test`, so a regression fails CI rather than a bench diff.
+# sealing, the slot store, ORAM accesses, cluster closures, TLB-hit
+# translation, cycle charging, latency recording). The hot paths must
+# report 0 allocs/op; the matching *ZeroAlloc tests gate that in `make
+# test`, so a regression fails CI rather than a bench diff.
 gobench:
-	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/libos ./internal/metrics ./internal/pagestore ./internal/sched ./internal/sgx ./internal/sim
+	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/cluster ./internal/libos ./internal/metrics ./internal/oram ./internal/pagestore ./internal/sched ./internal/sgx ./internal/sim
 
 # metriclint rejects wall-clock and process-PRNG imports in the
 # deterministic packages (fault, orderly, fleet), whose decisions

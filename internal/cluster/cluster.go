@@ -11,14 +11,14 @@
 // The invariant is trivial for disjoint clusters; pages shared between
 // clusters (typical for code: two libraries using a third) require fetching
 // the transitive closure of clusters that share pages with the faulting
-// cluster (Closure). Evicting a single cluster, even one sharing pages, is
-// always safe.
+// cluster (AppendClosure). Evicting a single cluster, even one sharing
+// pages, is always safe.
 package cluster
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ID names a cluster. IDs are never reused within a Registry.
@@ -39,32 +39,37 @@ var (
 
 // Cluster is one page cluster. Pages are virtual page numbers.
 type Cluster struct {
-	cap   int // 0 = unbounded
-	pages map[uint64]struct{}
+	cap   int      // 0 = unbounded
+	pages []uint64 // ascending
+	// walk stamps the last closure walk that reached the cluster.
+	walk uint64
 }
 
 // Len reports the number of pages in the cluster.
 func (c *Cluster) Len() int { return len(c.pages) }
 
-// Pages returns the cluster's pages in ascending order.
-func (c *Cluster) Pages() []uint64 {
-	out := make([]uint64, 0, len(c.pages))
-	for vpn := range c.pages {
-		out = append(out, vpn)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// AppendPages appends the cluster's pages to dst in ascending order and
+// returns the extended slice.
+func (c *Cluster) AppendPages(dst []uint64) []uint64 { return append(dst, c.pages...) }
 
 // Registry manages the clusters of one enclave. It implements the Table 1
 // API: InitClusters (ay_init_clusters), ReleaseClusters
 // (ay_release_clusters), AddPage (ay_add_page), RemovePage
-// (ay_remove_page), GetClusterIDs (ay_get_cluster_ids).
+// (ay_remove_page), AppendClusterIDs (ay_get_cluster_ids).
+//
+// The fault-path queries (AppendClusterIDs, AppendClosure,
+// Cluster.AppendPages) append to a caller's slice and walk with
+// registry-owned scratch, so a warm caller allocates nothing per fault.
 type Registry struct {
 	clusters map[ID]*Cluster
-	byPage   map[uint64][]ID
+	byPage   map[uint64][]ID // ascending IDs
 	nextID   ID
 	released bool
+
+	// Closure-walk scratch: the walk counter that stamps visited clusters,
+	// and the work list.
+	walks uint64
+	work  []*Cluster
 }
 
 // NewRegistry returns an empty registry.
@@ -95,7 +100,7 @@ func (r *Registry) InitClusters(n, size int) ([]ID, error) {
 func (r *Registry) NewCluster(size int) ID {
 	r.nextID++
 	id := r.nextID
-	r.clusters[id] = &Cluster{cap: size, pages: make(map[uint64]struct{})}
+	r.clusters[id] = &Cluster{cap: size}
 	return id
 }
 
@@ -126,14 +131,17 @@ func (r *Registry) AddPage(id ID, vpn uint64) error {
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoCluster, id)
 	}
-	if _, dup := c.pages[vpn]; dup {
+	at, dup := slices.BinarySearch(c.pages, vpn)
+	if dup {
 		return nil
 	}
 	if c.cap > 0 && len(c.pages) >= c.cap {
 		return fmt.Errorf("%w: cluster %d at %d pages", ErrFull, id, c.cap)
 	}
-	c.pages[vpn] = struct{}{}
-	r.byPage[vpn] = append(r.byPage[vpn], id)
+	c.pages = slices.Insert(c.pages, at, vpn)
+	ids := r.byPage[vpn]
+	i, _ := slices.BinarySearch(ids, id)
+	r.byPage[vpn] = slices.Insert(ids, i, id)
 	return nil
 }
 
@@ -146,97 +154,69 @@ func (r *Registry) RemovePage(id ID, vpn uint64) error {
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoCluster, id)
 	}
-	if _, present := c.pages[vpn]; !present {
+	at, present := slices.BinarySearch(c.pages, vpn)
+	if !present {
 		return nil
 	}
-	delete(c.pages, vpn)
+	c.pages = slices.Delete(c.pages, at, at+1)
 	ids := r.byPage[vpn]
-	for i, cid := range ids {
-		if cid == id {
-			r.byPage[vpn] = append(ids[:i], ids[i+1:]...)
-			break
-		}
+	if i, ok := slices.BinarySearch(ids, id); ok {
+		ids = slices.Delete(ids, i, i+1)
 	}
-	if len(r.byPage[vpn]) == 0 {
+	if len(ids) == 0 {
 		delete(r.byPage, vpn)
+	} else {
+		r.byPage[vpn] = ids
 	}
 	return nil
 }
 
-// GetClusterIDs returns all clusters containing the page, in ascending ID
-// order (ay_get_cluster_ids).
-func (r *Registry) GetClusterIDs(vpn uint64) []ID {
-	ids := append([]ID(nil), r.byPage[vpn]...)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+// AppendClusterIDs appends the IDs of all clusters containing the page to
+// dst, in ascending ID order, and returns the extended slice
+// (ay_get_cluster_ids).
+func (r *Registry) AppendClusterIDs(dst []ID, vpn uint64) []ID {
+	return append(dst, r.byPage[vpn]...)
 }
 
-// Clustered reports whether the page belongs to any cluster.
-func (r *Registry) Clustered(vpn uint64) bool { return len(r.byPage[vpn]) > 0 }
-
-// Closure returns the transitive fetch set for a fault on vpn: the pages of
-// every cluster reachable from vpn through shared pages (paper §5.2.3:
-// "it is crucial to fetch the transitive set of all clusters sharing pages
-// with the faulting cluster and among themselves"). The result is sorted;
-// it includes vpn itself. A page in no cluster yields just {vpn}.
-func (r *Registry) Closure(vpn uint64) []uint64 {
-	if !r.Clustered(vpn) {
-		return []uint64{vpn}
+// AppendClosure appends the transitive fetch set for a fault on vpn to dst
+// and returns the extended slice: the pages of every cluster reachable from
+// vpn through shared pages (paper §5.2.3: "it is crucial to fetch the
+// transitive set of all clusters sharing pages with the faulting cluster
+// and among themselves"). The appended pages are ascending and distinct;
+// they include vpn itself. A page in no cluster yields just {vpn}.
+func (r *Registry) AppendClosure(dst []uint64, vpn uint64) []uint64 {
+	ids := r.byPage[vpn]
+	if len(ids) == 0 {
+		return append(dst, vpn)
 	}
-	seenPages := map[uint64]struct{}{vpn: {}}
-	seenClusters := make(map[ID]struct{})
-	work := []uint64{vpn}
-	for len(work) > 0 {
-		p := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, cid := range r.byPage[p] {
-			if _, done := seenClusters[cid]; done {
-				continue
-			}
-			seenClusters[cid] = struct{}{}
-			for q := range r.clusters[cid].pages {
-				if _, done := seenPages[q]; !done {
-					seenPages[q] = struct{}{}
-					work = append(work, q)
+	r.walks++
+	work := r.work[:0]
+	for _, cid := range ids {
+		c := r.clusters[cid]
+		c.walk = r.walks
+		work = append(work, c)
+	}
+	start := len(dst)
+	for i := 0; i < len(work); i++ {
+		c := work[i]
+		dst = append(dst, c.pages...)
+		for _, q := range c.pages {
+			for _, cid := range r.byPage[q] {
+				if n := r.clusters[cid]; n.walk != r.walks {
+					n.walk = r.walks
+					work = append(work, n)
 				}
 			}
 		}
 	}
-	out := make([]uint64, 0, len(seenPages))
-	for p := range seenPages {
-		out = append(out, p)
+	clear(work)
+	r.work = work[:0]
+	if len(work) > 1 {
+		// Clusters sharing pages: merge into one ascending, distinct set.
+		slices.Sort(dst[start:])
+		dst = dst[:start+len(slices.Compact(dst[start:]))]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// ClosureClusters returns the IDs of the clusters included in Closure(vpn).
-func (r *Registry) ClosureClusters(vpn uint64) []ID {
-	seenClusters := make(map[ID]struct{})
-	seenPages := map[uint64]struct{}{vpn: {}}
-	work := []uint64{vpn}
-	for len(work) > 0 {
-		p := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, cid := range r.byPage[p] {
-			if _, done := seenClusters[cid]; done {
-				continue
-			}
-			seenClusters[cid] = struct{}{}
-			for q := range r.clusters[cid].pages {
-				if _, done := seenPages[q]; !done {
-					seenPages[q] = struct{}{}
-					work = append(work, q)
-				}
-			}
-		}
-	}
-	out := make([]ID, 0, len(seenClusters))
-	for id := range seenClusters {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return dst
 }
 
 // CheckInvariant verifies the cluster security invariant against a
@@ -251,7 +231,7 @@ func (r *Registry) CheckInvariant(resident func(vpn uint64) bool) error {
 		ok := false
 		for _, cid := range ids {
 			allOut := true
-			for q := range r.clusters[cid].pages {
+			for _, q := range r.clusters[cid].pages {
 				if resident(q) {
 					allOut = false
 					break

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -43,13 +44,13 @@ func TestAddRemovePage(t *testing.T) {
 	if err := r.AddPage(id, 12); !errors.Is(err, ErrFull) {
 		t.Fatalf("over-capacity add: %v", err)
 	}
-	if got := r.GetClusterIDs(10); len(got) != 1 || got[0] != id {
-		t.Fatalf("GetClusterIDs = %v", got)
+	if got := r.AppendClusterIDs(nil, 10); len(got) != 1 || got[0] != id {
+		t.Fatalf("AppendClusterIDs = %v", got)
 	}
 	if err := r.RemovePage(id, 10); err != nil {
 		t.Fatal(err)
 	}
-	if r.Clustered(10) {
+	if len(r.AppendClusterIDs(nil, 10)) != 0 {
 		t.Fatal("page still clustered after removal")
 	}
 	if err := r.RemovePage(id, 99); err != nil {
@@ -66,7 +67,7 @@ func TestSharedPageMembership(t *testing.T) {
 	b := r.NewCluster(0)
 	r.AddPage(a, 1)
 	r.AddPage(b, 1)
-	ids := r.GetClusterIDs(1)
+	ids := r.AppendClusterIDs(nil, 1)
 	if len(ids) != 2 || ids[0] != a || ids[1] != b {
 		t.Fatalf("shared membership = %v", ids)
 	}
@@ -77,7 +78,7 @@ func TestReleaseClusters(t *testing.T) {
 	id := r.NewCluster(0)
 	r.AddPage(id, 1)
 	r.ReleaseClusters()
-	if r.Len() != 0 || r.Clustered(1) {
+	if r.Len() != 0 || len(r.AppendClusterIDs(nil, 1)) != 0 {
 		t.Fatal("release did not clear state")
 	}
 	if err := r.AddPage(id, 2); !errors.Is(err, ErrReleased) {
@@ -90,9 +91,9 @@ func TestReleaseClusters(t *testing.T) {
 
 func TestClosureUnclusteredPage(t *testing.T) {
 	r := NewRegistry()
-	got := r.Closure(42)
+	got := r.AppendClosure(nil, 42)
 	if len(got) != 1 || got[0] != 42 {
-		t.Fatalf("Closure = %v", got)
+		t.Fatalf("AppendClosure = %v", got)
 	}
 }
 
@@ -106,14 +107,14 @@ func TestClosureDisjointCluster(t *testing.T) {
 	for _, p := range []uint64{10, 11} {
 		r.AddPage(b, p)
 	}
-	got := r.Closure(2)
+	got := r.AppendClosure(nil, 2)
 	want := []uint64{1, 2, 3}
 	if len(got) != len(want) {
-		t.Fatalf("Closure = %v", got)
+		t.Fatalf("AppendClosure = %v", got)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Closure = %v, want %v", got, want)
+			t.Fatalf("AppendClosure = %v, want %v", got, want)
 		}
 	}
 }
@@ -129,19 +130,15 @@ func TestClosureTransitiveSharing(t *testing.T) {
 	r.AddPage(c, 3)
 	r.AddPage(c, 4)
 	r.AddPage(d, 9)
-	got := r.Closure(1)
+	got := r.AppendClosure(nil, 1)
 	want := []uint64{1, 2, 3, 4}
 	if len(got) != len(want) {
-		t.Fatalf("Closure = %v, want %v", got, want)
+		t.Fatalf("AppendClosure = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Closure = %v, want %v", got, want)
+			t.Fatalf("AppendClosure = %v, want %v", got, want)
 		}
-	}
-	ids := r.ClosureClusters(1)
-	if len(ids) != 3 {
-		t.Fatalf("ClosureClusters = %v", ids)
 	}
 }
 
@@ -220,7 +217,7 @@ func TestClosureFetchMaintainsInvariant(t *testing.T) {
 			switch rng.Intn(5) {
 			case 0, 1:
 				// Fault: fetch the closure.
-				for _, vpn := range r.Closure(uint64(rng.Intn(pages))) {
+				for _, vpn := range r.AppendClosure(nil, uint64(rng.Intn(pages))) {
 					resident[vpn] = true
 				}
 			case 2:
@@ -228,7 +225,7 @@ func TestClosureFetchMaintainsInvariant(t *testing.T) {
 				// (ay_remove_page on a page the runtime holds is always
 				// safe: it cannot orphan a non-resident page).
 				p := uint64(rng.Intn(pages))
-				if cids := r.GetClusterIDs(p); resident[p] && len(cids) > 0 {
+				if cids := r.AppendClusterIDs(nil, p); resident[p] && len(cids) > 0 {
 					if err := r.RemovePage(cids[rng.Intn(len(cids))], p); err != nil {
 						return false
 					}
@@ -242,7 +239,7 @@ func TestClosureFetchMaintainsInvariant(t *testing.T) {
 					continue
 				}
 				allOut := true
-				for _, vpn := range c.Pages() {
+				for _, vpn := range c.AppendPages(nil) {
 					if resident[vpn] {
 						allOut = false
 						break
@@ -261,7 +258,7 @@ func TestClosureFetchMaintainsInvariant(t *testing.T) {
 				if !ok {
 					continue
 				}
-				for _, vpn := range c.Pages() {
+				for _, vpn := range c.AppendPages(nil) {
 					resident[vpn] = false
 				}
 			}
@@ -284,10 +281,82 @@ func TestClusterPagesSorted(t *testing.T) {
 		r.AddPage(id, p)
 	}
 	c, _ := r.Cluster(id)
-	pages := c.Pages()
+	pages := c.AppendPages(nil)
 	for i := 1; i < len(pages); i++ {
 		if pages[i-1] >= pages[i] {
 			t.Fatalf("Pages not sorted: %v", pages)
 		}
+	}
+}
+
+// The append-style queries extend the caller's slice, leave its prefix
+// alone, and — once the caller's slice and the registry's walk scratch are
+// warm — allocate nothing.
+func TestAppendQueriesExtendAndDoNotAllocate(t *testing.T) {
+	r := NewRegistry()
+	a, b, c := r.NewCluster(0), r.NewCluster(0), r.NewCluster(0)
+	for _, p := range []uint64{7, 3, 5} {
+		r.AddPage(a, p)
+	}
+	r.AddPage(b, 5)
+	r.AddPage(b, 8)
+	r.AddPage(c, 20)
+
+	prefix := []uint64{99}
+	got := r.AppendClosure(prefix, 8)
+	if want := []uint64{99, 3, 5, 7, 8}; !slices.Equal(got, want) {
+		t.Fatalf("AppendClosure = %v, want %v", got, want)
+	}
+	if ids := r.AppendClusterIDs([]ID{c}, 5); !slices.Equal(ids, []ID{c, a, b}) {
+		t.Fatalf("AppendClusterIDs = %v", ids)
+	}
+	ca, _ := r.Cluster(a)
+	if pages := ca.AppendPages([]uint64{1}); !slices.Equal(pages, []uint64{1, 3, 5, 7}) {
+		t.Fatalf("AppendPages = %v", pages)
+	}
+
+	vpns := make([]uint64, 0, 16)
+	ids := make([]ID, 0, 4)
+	allocs := testing.AllocsPerRun(100, func() {
+		vpns = r.AppendClosure(vpns[:0], 3)
+		vpns = ca.AppendPages(vpns[:0])
+		ids = r.AppendClusterIDs(ids[:0], 5)
+	})
+	if allocs != 0 {
+		t.Fatalf("warm append queries allocate %.1f objects per call", allocs)
+	}
+}
+
+func BenchmarkAppendClosureShared(b *testing.B) {
+	r := NewRegistry()
+	// A chain of 4-page clusters sharing one page with the next.
+	prev := r.NewCluster(0)
+	for p := uint64(0); p < 64; p++ {
+		r.AddPage(prev, p)
+		if p%4 == 3 {
+			next := r.NewCluster(0)
+			r.AddPage(next, p)
+			prev = next
+		}
+	}
+	var dst []uint64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		dst = r.AppendClosure(dst[:0], uint64(i%64))
+	}
+}
+
+func BenchmarkAppendClosureDisjoint(b *testing.B) {
+	r := NewRegistry()
+	for p := uint64(0); p < 64; p += 4 {
+		id := r.NewCluster(4)
+		for q := p; q < p+4; q++ {
+			r.AddPage(id, q)
+		}
+	}
+	var dst []uint64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		dst = r.AppendClosure(dst[:0], uint64(i%64))
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"autarky/internal/cluster"
 	"autarky/internal/metrics"
@@ -20,6 +21,10 @@ var ErrRateLimited = sgx.ErrRateLimited
 // calls it from the trusted fault handler; everything a policy decides is
 // visible to the OS through legitimate paging activity, so the policy
 // choice determines what leaks (§5.3).
+//
+// The slices PlanFetch and PickVictims return may be policy scratch, valid
+// until the next call on the policy; callers consume them (or copy them)
+// before calling again, as the runtime's fetch and eviction paths do.
 type Policy interface {
 	// Name identifies the policy in experiment output.
 	Name() string
@@ -90,6 +95,7 @@ type RateLimitPolicy struct {
 	EvictBatch int
 
 	faults uint64
+	plan   [1]mmu.VAddr // PlanFetch result
 }
 
 // NewRateLimitPolicy builds a rate limiter allowing burst faults up front
@@ -122,7 +128,8 @@ func (p *RateLimitPolicy) PlanFetch(r *Runtime, va mmu.VAddr) ([]mmu.VAddr, erro
 	if err := p.admit(r, va); err != nil {
 		return nil, err
 	}
-	return []mmu.VAddr{va}, nil
+	p.plan[0] = va
+	return p.plan[:], nil
 }
 
 // PickVictims implements Policy with FIFO over resident non-pinned pages.
@@ -154,8 +161,20 @@ type ClusterPolicy struct {
 	// RateLimitPolicy (clusters and rate limiting compose).
 	Limit *RateLimitPolicy
 
-	// fifo of cluster IDs by last fetch, for victim selection.
-	fifo []cluster.ID
+	// fifo[head:] holds cluster IDs by last fetch, for victim selection;
+	// inFIFO[id] tells whether id is queued there.
+	fifo   []cluster.ID
+	head   int
+	inFIFO []bool
+
+	// Scratch reused across calls. plan and victims are the results of
+	// PlanFetch and PickVictims, valid until the next call; the rest is
+	// valid within one call.
+	plan    []mmu.VAddr
+	victims []mmu.VAddr
+	vpns    []uint64
+	ids     []cluster.ID
+	seen    map[uint64]struct{}
 }
 
 // NewClusterPolicy builds a cluster policy over a registry.
@@ -175,14 +194,15 @@ func (p *ClusterPolicy) PlanFetch(r *Runtime, va mmu.VAddr) ([]mmu.VAddr, error)
 			return nil, err
 		}
 	}
-	vpns := p.Reg.Closure(va.VPN())
-	out := make([]mmu.VAddr, 0, len(vpns))
-	for _, vpn := range vpns {
+	p.vpns = p.Reg.AppendClosure(p.vpns[:0], va.VPN())
+	out := p.plan[:0]
+	for _, vpn := range p.vpns {
 		pva := mmu.PageOf(vpn)
 		if _, managed := r.PageResident(pva); managed {
 			out = append(out, pva)
 		}
 	}
+	p.plan = out
 	return out, nil
 }
 
@@ -193,51 +213,86 @@ func (p *ClusterPolicy) PlanFetch(r *Runtime, va mmu.VAddr) ([]mmu.VAddr, error)
 // leak. Evicting whole clusters (even sharing pages) is always safe
 // (§5.2.3).
 func (p *ClusterPolicy) PickVictims(r *Runtime, need int) []mmu.VAddr {
-	var out []mmu.VAddr
-	seen := make(map[uint64]struct{})
-	addResident := func(vpn uint64) {
-		if _, dup := seen[vpn]; dup {
-			return
-		}
-		seen[vpn] = struct{}{}
-		pva := mmu.PageOf(vpn)
-		if resident, managed := r.PageResident(pva); managed && resident {
-			out = append(out, pva)
+	p.victims = p.victims[:0]
+	if p.seen == nil {
+		p.seen = make(map[uint64]struct{})
+	}
+	clear(p.seen)
+	for len(p.victims) < need && p.head < len(p.fifo) {
+		cid := p.popFIFO()
+		if c, ok := p.Reg.Cluster(cid); ok {
+			p.addPagesOf(r, c)
 		}
 	}
-	addWholeClustersOf := func(vpn uint64) {
-		ids := p.Reg.GetClusterIDs(vpn)
-		if len(ids) == 0 {
-			addResident(vpn) // unclustered: a single page is safe
-			return
-		}
-		for _, id := range ids {
-			if c, ok := p.Reg.Cluster(id); ok {
-				for _, q := range c.Pages() {
-					addResident(q)
-				}
-			}
-		}
-	}
-	for len(out) < need && len(p.fifo) > 0 {
-		cid := p.fifo[0]
-		p.fifo = p.fifo[1:]
-		c, ok := p.Reg.Cluster(cid)
-		if !ok {
-			continue
-		}
-		for _, vpn := range c.Pages() {
-			addResident(vpn)
-		}
-	}
-	for len(out) < need {
+	for len(p.victims) < need {
 		candidates := r.nextFIFOVictims(1)
 		if len(candidates) == 0 {
 			break
 		}
-		addWholeClustersOf(candidates[0].VPN())
+		vpn := candidates[0].VPN()
+		p.ids = p.Reg.AppendClusterIDs(p.ids[:0], vpn)
+		if len(p.ids) == 0 {
+			p.addResident(r, vpn) // unclustered: a single page is safe
+			continue
+		}
+		for _, id := range p.ids {
+			if c, ok := p.Reg.Cluster(id); ok {
+				p.addPagesOf(r, c)
+			}
+		}
 	}
-	return out
+	return p.victims
+}
+
+// addPagesOf adds every resident page of the whole cluster to the victims.
+func (p *ClusterPolicy) addPagesOf(r *Runtime, c *cluster.Cluster) {
+	p.vpns = c.AppendPages(p.vpns[:0])
+	for _, vpn := range p.vpns {
+		p.addResident(r, vpn)
+	}
+}
+
+// addResident adds the page to the victims, once, if it is a resident
+// enclave-managed page.
+func (p *ClusterPolicy) addResident(r *Runtime, vpn uint64) {
+	if _, dup := p.seen[vpn]; dup {
+		return
+	}
+	p.seen[vpn] = struct{}{}
+	pva := mmu.PageOf(vpn)
+	if resident, managed := r.PageResident(pva); managed && resident {
+		p.victims = append(p.victims, pva)
+	}
+}
+
+// popFIFO dequeues the oldest-fetched cluster.
+func (p *ClusterPolicy) popFIFO() cluster.ID {
+	cid := p.fifo[p.head]
+	p.head++
+	p.inFIFO[cid] = false
+	if p.head == len(p.fifo) {
+		p.fifo, p.head = p.fifo[:0], 0
+	}
+	return cid
+}
+
+// pushFIFO enqueues a cluster unless it is already queued, reporting
+// whether it was added. The queue compacts in place rather than grow while
+// dequeued slots at its front can be reused.
+func (p *ClusterPolicy) pushFIFO(id cluster.ID) bool {
+	if int(id) >= len(p.inFIFO) {
+		p.inFIFO = append(p.inFIFO, make([]bool, int(id)+1-len(p.inFIFO))...)
+	}
+	if p.inFIFO[id] {
+		return false
+	}
+	p.inFIFO[id] = true
+	if p.head > 0 && len(p.fifo) == cap(p.fifo) {
+		n := copy(p.fifo, p.fifo[p.head:])
+		p.fifo, p.head = p.fifo[:n], 0
+	}
+	p.fifo = append(p.fifo, id)
+	return true
 }
 
 // OnOSFault implements Policy.
@@ -250,15 +305,10 @@ func (p *ClusterPolicy) OnOSFault(r *Runtime, va mmu.VAddr) error {
 
 // OnFetched implements Policy: record fetched clusters in FIFO order.
 func (p *ClusterPolicy) OnFetched(r *Runtime, pages []mmu.VAddr) {
-	seen := make(map[cluster.ID]struct{})
-	for _, id := range p.fifo {
-		seen[id] = struct{}{}
-	}
 	for _, va := range pages {
-		for _, id := range p.Reg.GetClusterIDs(va.VPN()) {
-			if _, dup := seen[id]; !dup {
-				seen[id] = struct{}{}
-				p.fifo = append(p.fifo, id)
+		p.ids = p.Reg.AppendClusterIDs(p.ids[:0], va.VPN())
+		for _, id := range p.ids {
+			if p.pushFIFO(id) {
 				r.m.Inc(metrics.CntClusterSwapIns)
 			}
 		}
@@ -267,15 +317,13 @@ func (p *ClusterPolicy) OnFetched(r *Runtime, pages []mmu.VAddr) {
 
 // OnEvicted implements Policy: count the distinct clusters leaving EPC.
 func (p *ClusterPolicy) OnEvicted(r *Runtime, pages []mmu.VAddr) {
-	seen := make(map[cluster.ID]struct{})
+	ids := p.ids[:0]
 	for _, va := range pages {
-		for _, id := range p.Reg.GetClusterIDs(va.VPN()) {
-			if _, dup := seen[id]; !dup {
-				seen[id] = struct{}{}
-				r.m.Inc(metrics.CntClusterSwapOuts)
-			}
-		}
+		ids = p.Reg.AppendClusterIDs(ids, va.VPN())
 	}
+	slices.Sort(ids)
+	p.ids = slices.Compact(ids)
+	r.m.Add(metrics.CntClusterSwapOuts, uint64(len(p.ids)))
 }
 
 // --- ORAM front (§5.2.2) -----------------------------------------------------

@@ -140,7 +140,11 @@ func (k *Kernel) EvictPages(e *sgx.Enclave, pages []mmu.VAddr) error {
 	return k.CPU.AsHost(func() error {
 		// Block and unmap all pages, then one ETRACK+shootdown round, then
 		// write them back — the batched dance the Intel driver uses.
-		var victims []*pageState
+		victims := k.evictVictims[:0]
+		defer func() {
+			clear(victims)
+			k.evictVictims = victims[:0]
+		}()
 		for _, va := range pages {
 			ps, err := k.page(p, va)
 			if err != nil {
@@ -183,14 +187,15 @@ func (k *Kernel) EvictPages(e *sgx.Enclave, pages []mmu.VAddr) error {
 
 // AugPages EAUGs fresh pending pages at the given addresses and maps them
 // with the requested PTE permissions (A/D set). The runtime must
-// EACCEPTCOPY each before use. Quota applies.
+// EACCEPTCOPY each before use. Quota applies. The returned frames are
+// kernel scratch, valid until the next AugPages call.
 func (k *Kernel) AugPages(e *sgx.Enclave, pages []mmu.VAddr, perms []mmu.Perms) ([]mmu.PFN, error) {
 	k.chargeCall()
 	p, err := k.procFor(e)
 	if err != nil {
 		return nil, err
 	}
-	pfns := make([]mmu.PFN, 0, len(pages))
+	pfns := k.augPFNs[:0]
 	err = k.CPU.AsHost(func() error {
 		for i, va := range pages {
 			if err := k.ensureQuota(p, 1); err != nil {
@@ -221,6 +226,7 @@ func (k *Kernel) AugPages(e *sgx.Enclave, pages []mmu.VAddr, perms []mmu.Perms) 
 		}
 		return nil
 	})
+	k.augPFNs = pfns
 	if err != nil {
 		return nil, err
 	}

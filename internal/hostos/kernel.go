@@ -251,6 +251,11 @@ type Kernel struct {
 	// SetBackend. The Store field stays the terminal level of whatever
 	// stack is installed.
 	backend pagestore.PagingBackend
+
+	// Driver scratch, reused across calls: augPFNs is AugPages' result
+	// (valid until the next AugPages call), evictVictims EvictPages' batch.
+	augPFNs      []mmu.PFN
+	evictVictims []*pageState
 }
 
 // Geometry is a host's physical shape: the first frame and size of its EPC,

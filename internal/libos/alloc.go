@@ -175,7 +175,8 @@ func (a *Allocator) mergeClusters() error {
 			continue
 		}
 		dstCl, _ := a.p.Reg.Cluster(dst)
-		for _, vpn := range srcCl.Pages() {
+		// Iterate a copy: the loop removes pages from srcCl.
+		for _, vpn := range srcCl.AppendPages(nil) {
 			if dstCl.Len() >= a.clusterSize {
 				break
 			}

@@ -117,7 +117,7 @@ func TestCodeClustersPerLibraryWithUses(t *testing.T) {
 	// a.so's cluster includes libc pages; likewise b.so — so the closure of
 	// an a.so page includes b.so pages (transitively through libc).
 	aPage := p.Code["a.so"].Page(0).VPN()
-	closure := p.Reg.Closure(aPage)
+	closure := p.Reg.AppendClosure(nil, aPage)
 	want := map[uint64]bool{}
 	for _, lib := range []string{"libc.so", "a.so", "b.so"} {
 		for _, va := range p.Code[lib].PageVAs() {
@@ -152,11 +152,11 @@ func TestFunctionGranularityClusters(t *testing.T) {
 		t.Fatalf("region pages = %d", r.Pages)
 	}
 	// f1's pages cluster together, f2 separately.
-	c1 := p.Reg.Closure(r.Page(0).VPN())
+	c1 := p.Reg.AppendClosure(nil, r.Page(0).VPN())
 	if len(c1) != 2 {
 		t.Fatalf("f1 closure = %v", c1)
 	}
-	c2 := p.Reg.Closure(r.Page(2).VPN())
+	c2 := p.Reg.AppendClosure(nil, r.Page(2).VPN())
 	if len(c2) != 1 {
 		t.Fatalf("f2 closure = %v", c2)
 	}

@@ -70,6 +70,8 @@ type PageTable struct {
 
 	// mapped counts present leaf PTEs, for accounting and tests.
 	mapped int
+	// walkFault is the fault the last faulting Walk returned.
+	walkFault Fault
 }
 
 // NewPageTable returns an empty page table charging walk costs to clock.
@@ -230,6 +232,10 @@ type WalkResult struct {
 // insufficient permissions. It does NOT update A/D bits; the CPU layer
 // decides that after SGX checks (paper §5.1.4 requires the checks to see the
 // pre-update state).
+//
+// The fault lives in the page table and is valid until the next Walk;
+// callers that keep it copy it. A faulting walk thus allocates nothing, and
+// the results still travel in registers.
 func (pt *PageTable) Walk(va VAddr, t AccessType) (WalkResult, *Fault) {
 	n := &pt.root
 	vpn := va.VPN()
@@ -238,17 +244,23 @@ func (pt *PageTable) Walk(va VAddr, t AccessType) (WalkResult, *Fault) {
 		pt.clock.ChargeAmbient(pt.costs.PTWalkLevel)
 		next := n.entries[idxAt(vpn, level)]
 		if next == nil {
-			return WalkResult{}, &Fault{Addr: va, Type: t, NotPresent: true}
+			return WalkResult{}, pt.fault(Fault{Addr: va, Type: t, NotPresent: true})
 		}
 		n = next
 	}
 	pt.clock.ChargeAmbient(pt.costs.PTWalkLevel)
 	leaf := n.leaves[idxAt(vpn, ptLevels-1)]
 	if leaf == nil || !leaf.Present {
-		return WalkResult{}, &Fault{Addr: va, Type: t, NotPresent: true}
+		return WalkResult{}, pt.fault(Fault{Addr: va, Type: t, NotPresent: true})
 	}
 	if !leaf.Perms.Allows(t) {
-		return WalkResult{}, &Fault{Addr: va, Type: t, Protection: true}
+		return WalkResult{}, pt.fault(Fault{Addr: va, Type: t, Protection: true})
 	}
 	return WalkResult{PTE: *leaf}, nil
+}
+
+// fault parks f in the page table's fault slot and returns it.
+func (pt *PageTable) fault(f Fault) *Fault {
+	pt.walkFault = f
+	return &pt.walkFault
 }

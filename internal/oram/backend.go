@@ -96,7 +96,7 @@ func (b *Backend) EvictBatch(enclaveID uint64, pages []pagestore.PageBlob) error
 		if err != nil {
 			return err
 		}
-		if _, err := b.o.Access(id, true, nil); err != nil {
+		if err := b.o.Access(id, true, nil, nil); err != nil {
 			return err
 		}
 		b.meter.Inc(metrics.CntBackendStores)
@@ -113,7 +113,7 @@ func (b *Backend) FetchBatch(enclaveID uint64, pages []mmu.VAddr, out []pagestor
 		if !ok {
 			continue // inner backend decides whether the page exists
 		}
-		if _, err := b.o.Access(id, false, nil); err != nil {
+		if err := b.o.Access(id, false, nil, nil); err != nil {
 			return err
 		}
 	}

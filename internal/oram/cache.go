@@ -22,7 +22,10 @@ type CacheStats struct {
 // protocol ("memory accesses are instrumented to perform a cache lookup and
 // invoke the costly ORAM protocol only in the case of a cache miss").
 //
-// Fetching and evicting between cache and tree is an oblivious copy.
+// Fetching and evicting between cache and tree is an oblivious copy. Each
+// cache slot owns one block buffer, allocated on the slot's first fill and
+// reused by every block the slot holds after, so a warm cache allocates
+// nothing per miss.
 type Cache struct {
 	oram     *PathORAM
 	capacity int
@@ -40,7 +43,7 @@ type Cache struct {
 	// path (cache pages are enclave-managed EPC pages).
 	Touch func(slotIdx int, write bool) error
 
-	slots    []uint32 // slot -> block id (for Touch wiring)
+	slots    []centry // one per cache slot
 	freeSlot []int
 
 	Stats CacheStats
@@ -66,9 +69,10 @@ func NewCache(o *PathORAM, capacity int, clock *sim.Clock, costs *sim.Costs) *Ca
 		clock:    clock,
 		costs:    costs,
 		m:        metrics.Of(clock),
-		slots:    make([]uint32, capacity),
+		slots:    make([]centry, capacity),
 	}
 	for i := capacity - 1; i >= 0; i-- {
+		c.slots[i].slot = i
 		c.freeSlot = append(c.freeSlot, i)
 	}
 	return c
@@ -134,7 +138,7 @@ func (c *Cache) lookup(id uint32) (*centry, error) {
 		c.unlink(victim)
 		delete(c.entries, victim.id)
 		if victim.dirty {
-			if _, err := c.oram.Access(victim.id, true, victim.data); err != nil {
+			if err := c.oram.Access(victim.id, true, victim.data, nil); err != nil {
 				return nil, err
 			}
 			c.Stats.Writeback++
@@ -144,14 +148,17 @@ func (c *Cache) lookup(id uint32) (*centry, error) {
 		c.m.Inc(metrics.CntORAMCacheEvictions)
 	}
 
-	data, err := c.oram.Access(id, false, nil)
-	if err != nil {
-		return nil, err
-	}
 	slot := c.freeSlot[len(c.freeSlot)-1]
 	c.freeSlot = c.freeSlot[:len(c.freeSlot)-1]
-	e := &centry{id: id, data: data, slot: slot}
-	c.slots[slot] = id
+	e := &c.slots[slot]
+	if e.data == nil {
+		e.data = make([]byte, c.oram.BlockSize())
+	}
+	if err := c.oram.Access(id, false, nil, e.data); err != nil {
+		c.freeSlot = append(c.freeSlot, slot)
+		return nil, err
+	}
+	e.id, e.dirty = id, false
 	c.entries[id] = e
 	c.pushBack(e)
 	if err := c.touch(e, true); err != nil {
@@ -195,7 +202,7 @@ func (c *Cache) Write(id uint32, data []byte) error {
 func (c *Cache) Flush() error {
 	for e := c.head; e != nil; e = e.next {
 		if e.dirty {
-			if _, err := c.oram.Access(e.id, true, e.data); err != nil {
+			if err := c.oram.Access(e.id, true, e.data, nil); err != nil {
 				return err
 			}
 			e.dirty = false

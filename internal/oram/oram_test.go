@@ -16,25 +16,24 @@ func newORAM(blocks int) (*PathORAM, *sim.Clock) {
 
 func TestAccessFreshBlockIsZero(t *testing.T) {
 	o, _ := newORAM(16)
-	data, err := o.Access(3, false, nil)
-	if err != nil {
+	// A destination longer than the block gets one block's worth.
+	data := bytes.Repeat([]byte{0xff}, 80)
+	if err := o.Access(3, false, nil, data); err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range data {
-		if b != 0 {
-			t.Fatal("fresh block not zeroed")
-		}
+	if !bytes.Equal(data[:64], make([]byte, 64)) || !bytes.Equal(data[64:], bytes.Repeat([]byte{0xff}, 16)) {
+		t.Fatalf("fresh block read as %x", data)
 	}
 }
 
 func TestReadYourWrites(t *testing.T) {
 	o, _ := newORAM(16)
 	want := []byte("oblivious!")
-	if _, err := o.Access(5, true, want); err != nil {
+	if err := o.Access(5, true, want, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := o.Access(5, false, nil)
-	if err != nil {
+	got := make([]byte, 64)
+	if err := o.Access(5, false, nil, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got[:len(want)], want) {
@@ -44,14 +43,14 @@ func TestReadYourWrites(t *testing.T) {
 
 func TestAccessOutOfRange(t *testing.T) {
 	o, _ := newORAM(8)
-	if _, err := o.Access(8, false, nil); err == nil {
+	if err := o.Access(8, false, nil, nil); err == nil {
 		t.Fatal("out-of-range block accepted")
 	}
 }
 
 func TestWriteTooLarge(t *testing.T) {
 	o, _ := newORAM(8)
-	if _, err := o.Access(0, true, make([]byte, 65)); err == nil {
+	if err := o.Access(0, true, make([]byte, 65), nil); err == nil {
 		t.Fatal("oversized write accepted")
 	}
 }
@@ -69,15 +68,18 @@ func TestORAMPropertyModelEquivalence(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				data := make([]byte, 8)
 				rng.Bytes(data)
-				if _, err := o.Access(id, true, data); err != nil {
+				if err := o.Access(id, true, data, nil); err != nil {
 					return false
 				}
-				stored := make([]byte, 64)
+				stored, ok := model[id]
+				if !ok {
+					stored = make([]byte, 64)
+					model[id] = stored
+				}
 				copy(stored, data)
-				model[id] = stored
 			} else {
-				got, err := o.Access(id, false, nil)
-				if err != nil {
+				got := make([]byte, 64)
+				if err := o.Access(id, false, nil, got); err != nil {
 					return false
 				}
 				want, ok := model[id]
@@ -100,7 +102,7 @@ func TestStashStaysBounded(t *testing.T) {
 	o, _ := newORAM(128)
 	rng := sim.NewRand(2)
 	for i := 0; i < 5000; i++ {
-		if _, err := o.Access(uint32(rng.Intn(128)), true, []byte{byte(i)}); err != nil {
+		if err := o.Access(uint32(rng.Intn(128)), true, []byte{byte(i)}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -115,7 +117,7 @@ func TestAccessChargesPathCost(t *testing.T) {
 	o, clock := newORAM(64)
 	costs := sim.DefaultCosts()
 	before := clock.Cycles()
-	o.Access(0, false, nil)
+	o.Access(0, false, nil, nil)
 	minCost := uint64(2*o.Levels()*4) * costs.ORAMBlockMove
 	if got := clock.Cycles() - before; got < minCost {
 		t.Fatalf("access charged %d, want >= %d", got, minCost)
@@ -126,8 +128,8 @@ func TestObliviousModeChargesScans(t *testing.T) {
 	oCached, clkCached := newORAM(256)
 	oBlind, clkBlind := newORAM(256)
 	oBlind.Oblivious = true
-	oCached.Access(0, false, nil)
-	oBlind.Access(0, false, nil)
+	oCached.Access(0, false, nil, nil)
+	oBlind.Access(0, false, nil, nil)
 	if clkBlind.Cycles() <= clkCached.Cycles() {
 		t.Fatal("oblivious mode must cost more (posmap/stash scans)")
 	}

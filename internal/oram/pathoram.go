@@ -32,6 +32,13 @@ type Stats struct {
 // PathORAM is a non-recursive PathORAM with bucket size Z over blocks of
 // BlockSize bytes. The tree lives in untrusted memory; the position map and
 // stash are trusted state (their access-pattern cost depends on the mode).
+//
+// Tree slots and the stash hold block IDs only; each block's payload lives
+// in a per-ID table and never moves, which is what the protocol's
+// re-encryption of every touched bucket amounts to in a model that charges
+// the moves instead of performing them. A payload is materialized on its
+// block's first non-empty write, so a tree whose blocks are only placed,
+// never written (the paging backend's), holds no payload memory at all.
 type PathORAM struct {
 	numBlocks int
 	blockSize int
@@ -39,9 +46,15 @@ type PathORAM struct {
 	levels    int // tree levels; leaves = 1 << (levels-1)
 	leaves    int
 
-	buckets [][]slot // len 2^levels - 1
-	posmap  []uint32
-	stash   map[uint32][]byte
+	// tree holds z slots per bucket, bucket-major in heap order; a slot is
+	// a block ID plus one, zero when empty.
+	tree   []uint32
+	posmap []uint32
+	// stash holds block IDs in arrival order, so the greedy write-back and
+	// the tree layout are a function of the access sequence alone.
+	stash []uint32
+	// data holds each block's payload; nil reads as zeroes.
+	data [][]byte
 
 	// Oblivious selects uncached mode: every posmap/stash access is charged
 	// as a full linear oblivious scan.
@@ -55,12 +68,6 @@ type PathORAM struct {
 	m     *metrics.Metrics
 
 	Stats Stats
-}
-
-type slot struct {
-	valid bool
-	id    uint32
-	data  []byte
 }
 
 const invalidLeaf = ^uint32(0)
@@ -85,17 +92,14 @@ func New(numBlocks, blockSize, z int, clock *sim.Clock, costs *sim.Costs, seed u
 		z:         z,
 		levels:    levels,
 		leaves:    leaves,
-		buckets:   make([][]slot, 2*leaves-1),
+		tree:      make([]uint32, (2*leaves-1)*z),
 		posmap:    make([]uint32, numBlocks),
-		stash:     make(map[uint32][]byte),
+		data:      make([][]byte, numBlocks),
 		StashCap:  256,
 		clock:     clock,
 		costs:     costs,
 		rng:       sim.NewRand(seed),
 		m:         metrics.Of(clock),
-	}
-	for i := range o.buckets {
-		o.buckets[i] = make([]slot, z)
 	}
 	for i := range o.posmap {
 		o.posmap[i] = invalidLeaf // not yet written
@@ -112,16 +116,17 @@ func (o *PathORAM) BlockSize() int { return o.blockSize }
 // Levels reports the tree depth (root inclusive).
 func (o *PathORAM) Levels() int { return o.levels }
 
-// bucketIndex returns the tree-array index of the bucket at the given level
-// (0 = root) on the path to leaf.
-func (o *PathORAM) bucketIndex(leaf uint32, level int) int {
+// bucket returns the z slots of the bucket at the given level (0 = root)
+// on the path to leaf.
+func (o *PathORAM) bucket(leaf uint32, level int) []uint32 {
 	// Node index in a 1-based heap: walk down from root.
 	node := 1
 	for l := 0; l < level; l++ {
 		bit := (leaf >> (o.levels - 2 - l)) & 1
 		node = node*2 + int(bit)
 	}
-	return node - 1
+	i := (node - 1) * o.z
+	return o.tree[i : i+o.z]
 }
 
 // pathContains reports whether the bucket at (level) on pathLeaf's path
@@ -146,15 +151,16 @@ func (o *PathORAM) chargeMove(n int) {
 	o.clock.ChargeAs(sim.CatCrypto, uint64(n)*o.costs.ORAMBlockMove)
 }
 
-// Access performs one ORAM access. If write is true, data replaces the
-// block contents; the previous contents are returned either way (zeroes for
-// a never-written block). id must be < NumBlocks.
-func (o *PathORAM) Access(id uint32, write bool, data []byte) ([]byte, error) {
+// Access performs one ORAM access. When dst is non-nil the block's previous
+// contents (zeroes for a never-written block) are copied into it, up to the
+// block size; when write is true, src then replaces the first len(src)
+// bytes of the block and the rest is kept. id must be < NumBlocks.
+func (o *PathORAM) Access(id uint32, write bool, src, dst []byte) error {
 	if int(id) >= o.numBlocks {
-		return nil, fmt.Errorf("oram: block %d out of range %d", id, o.numBlocks)
+		return fmt.Errorf("oram: block %d out of range %d", id, o.numBlocks)
 	}
-	if write && len(data) > o.blockSize {
-		return nil, fmt.Errorf("oram: write of %d bytes exceeds block size %d", len(data), o.blockSize)
+	if write && len(src) > o.blockSize {
+		return fmt.Errorf("oram: write of %d bytes exceeds block size %d", len(src), o.blockSize)
 	}
 
 	// Position map lookup + remap. Uncached mode pays a full oblivious scan
@@ -169,8 +175,8 @@ func (o *PathORAM) Access(id uint32, write bool, data []byte) ([]byte, error) {
 
 	fresh := leaf == invalidLeaf
 	if fresh {
-		// Never written: nothing on any path; materialize a zero block in
-		// the stash under the new position. The protocol still walks a random
+		// Never written: nothing on any path; the block joins the stash
+		// under its new position below. The protocol still walks a random
 		// path with no payload on it — the dummy-access shape.
 		o.m.Inc(metrics.CntORAMDummy)
 		leaf = newLeaf
@@ -180,66 +186,71 @@ func (o *PathORAM) Access(id uint32, write bool, data []byte) ([]byte, error) {
 
 	// Read the whole path into the stash.
 	for level := 0; level < o.levels; level++ {
-		b := o.buckets[o.bucketIndex(leaf, level)]
-		for i := range b {
-			if b[i].valid {
-				o.stash[b[i].id] = b[i].data
-				b[i].valid = false
+		b := o.bucket(leaf, level)
+		for i, s := range b {
+			if s != 0 {
+				o.stash = append(o.stash, s-1)
+				b[i] = 0
 			}
 		}
 	}
 	o.chargeMove(o.levels * o.z)
 
-	// Stash lookup. Uncached mode scans the whole (modelled) stash.
+	// Stash lookup. Uncached mode scans the whole (modelled) stash. The
+	// block is in the stash now — read off its path, or fresh — and its
+	// payload never moves.
 	if o.Oblivious {
 		o.chargeScan(o.StashCap)
 	}
-	blk, ok := o.stash[id]
-	if !ok {
-		blk = make([]byte, o.blockSize)
+	if fresh {
+		o.stash = append(o.stash, id)
 	}
-	out := make([]byte, o.blockSize)
-	copy(out, blk)
-	if write {
-		nb := make([]byte, o.blockSize)
-		copy(nb, data)
-		blk = nb
+	blk := o.data[id]
+	if dst != nil {
+		n := copy(dst, blk)
+		clear(dst[n:min(len(dst), o.blockSize)])
 	}
-	o.stash[id] = blk
+	if write && len(src) > 0 {
+		if blk == nil {
+			blk = make([]byte, o.blockSize)
+			o.data[id] = blk
+		}
+		copy(blk, src)
+	}
 
-	// Greedy write-back, deepest level first.
+	// Greedy write-back, deepest level first, taking stash blocks in
+	// arrival order.
 	for level := o.levels - 1; level >= 0; level-- {
-		b := o.buckets[o.bucketIndex(leaf, level)]
+		b := o.bucket(leaf, level)
 		free := 0
-		for i := range b {
-			if !b[i].valid {
+		for _, s := range b {
+			if s == 0 {
 				free++
 			}
 		}
 		if free == 0 {
 			continue
 		}
-		for sid, sdata := range o.stash {
-			if free == 0 {
-				break
-			}
-			if !o.pathContains(leaf, o.posmap[sid], level) {
+		keep := o.stash[:0]
+		for _, sid := range o.stash {
+			if free == 0 || !o.pathContains(leaf, o.posmap[sid], level) {
+				keep = append(keep, sid)
 				continue
 			}
 			for i := range b {
-				if !b[i].valid {
-					b[i] = slot{valid: true, id: sid, data: sdata}
+				if b[i] == 0 {
+					b[i] = sid + 1
 					free--
 					break
 				}
 			}
-			delete(o.stash, sid)
 		}
+		o.stash = keep
 	}
 	o.chargeMove(o.levels * o.z)
 
 	if len(o.stash) > o.Stats.StashPeak {
 		o.Stats.StashPeak = len(o.stash)
 	}
-	return out, nil
+	return nil
 }

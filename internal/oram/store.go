@@ -25,16 +25,10 @@ type Direct struct {
 
 // Read implements Store.
 func (d Direct) Read(id uint32, buf []byte) error {
-	data, err := d.O.Access(id, false, nil)
-	if err != nil {
-		return err
-	}
-	copy(buf, data)
-	return nil
+	return d.O.Access(id, false, nil, buf)
 }
 
 // Write implements Store.
 func (d Direct) Write(id uint32, data []byte) error {
-	_, err := d.O.Access(id, true, data)
-	return err
+	return d.O.Access(id, true, data, nil)
 }

@@ -1,7 +1,6 @@
 package pagestore
 
 import (
-	"container/list"
 	"fmt"
 
 	"autarky/internal/metrics"
@@ -18,16 +17,17 @@ import (
 // The cache is write-back: an evicted blob lands in the cache and reaches
 // the inner backend only when LRU pressure pushes it out. Replacement is a
 // strict LRU over (enclave, page) keys, maintained with an intrusive list —
-// no map iteration, so identical call sequences produce identical
-// write-back order and identical cycle charges.
+// entries live in one slice and link to each other by index, with no map
+// iteration, so identical call sequences produce identical write-back order
+// and identical cycle charges.
 //
 // The cache lives in untrusted memory and holds only sealed blobs; it needs
 // no trust because the sealing layer authenticates whatever comes back.
 //
 // Per the PagingBackend ownership contract the cache copies every blob it
-// retains. Ciphertext buffers are recycled through a free list as entries
-// are written back, so a cache in steady state allocates nothing per
-// eviction.
+// retains. Entries and ciphertext buffers are recycled through free lists
+// as entries are dropped or written back, so a cache in steady state
+// allocates nothing per eviction.
 type CachedBackend struct {
 	inner    PagingBackend
 	capacity int
@@ -35,12 +35,16 @@ type CachedBackend struct {
 	costs    sim.Costs
 	meter    *metrics.Metrics
 
-	entries map[storeKey]*list.Element
-	lru     *list.List // front = most recent; back = next write-back victim
+	index map[storeKey]int32 // key -> entry in ents
+	ents  []cacheEntry
+	// head is the most recent entry, tail the next write-back victim; -1
+	// when the list is empty.
+	head, tail int32
+	freeEnts   []int32 // unlinked entries available to inserts
 
-	// freeBufs recycles ciphertext buffers of written-back entries into new
-	// inserts. Scratch below is reused across batch calls; contents are only
-	// valid within one call.
+	// freeBufs recycles ciphertext buffers of dropped and written-back
+	// entries into new inserts. Scratch below is reused across batch calls;
+	// contents are only valid within one call.
 	freeBufs [][]byte
 	overflow []cacheEntry
 	runBuf   []PageBlob
@@ -49,9 +53,11 @@ type CachedBackend struct {
 	missBufs []Blob
 }
 
+// cacheEntry is one cached blob and its LRU links (indexes into ents).
 type cacheEntry struct {
-	key  storeKey
-	blob Blob
+	key        storeKey
+	blob       Blob
+	prev, next int32
 }
 
 var _ PagingBackend = (*CachedBackend)(nil)
@@ -69,8 +75,9 @@ func NewCachedBackend(inner PagingBackend, capacity int, clock *sim.Clock, costs
 		clock:    clock,
 		costs:    costs,
 		meter:    metrics.Of(clock),
-		entries:  make(map[storeKey]*list.Element),
-		lru:      list.New(),
+		index:    make(map[storeKey]int32),
+		head:     -1,
+		tail:     -1,
 	}
 }
 
@@ -95,10 +102,8 @@ func (c *CachedBackend) Fetch(enclaveID uint64, va mmu.VAddr) (Blob, error) {
 func (c *CachedBackend) Drop(enclaveID uint64, va mmu.VAddr) error {
 	c.clock.ChargeAs(sim.CatPaging, c.costs.BlobCacheLookup)
 	k := key(enclaveID, va)
-	if el, ok := c.entries[k]; ok {
-		c.lru.Remove(el)
-		delete(c.entries, k)
-		c.freeBufs = append(c.freeBufs, el.Value.(*cacheEntry).blob.Ciphertext[:0])
+	if i, ok := c.index[k]; ok {
+		c.freeBufs = append(c.freeBufs, c.remove(i).blob.Ciphertext[:0])
 	}
 	return c.inner.Drop(enclaveID, va)
 }
@@ -115,8 +120,8 @@ func (c *CachedBackend) EvictBatch(enclaveID uint64, pages []PageBlob) error {
 		c.meter.Inc(metrics.CntBackendStores)
 		c.meter.Add(metrics.CntBackendBytes, uint64(len(pb.Blob.Ciphertext)))
 		c.insert(key(enclaveID, pb.VA), pb.Blob)
-		for c.lru.Len() > c.capacity {
-			overflow = append(overflow, c.popVictim())
+		for len(c.index) > c.capacity {
+			overflow = append(overflow, c.remove(c.tail))
 		}
 	}
 	c.overflow = overflow
@@ -159,9 +164,9 @@ func (c *CachedBackend) FetchBatch(enclaveID uint64, pages []mmu.VAddr, out []Bl
 	for i, va := range pages {
 		c.clock.ChargeAs(sim.CatPaging, c.costs.BlobCacheLookup)
 		c.meter.Inc(metrics.CntBackendLoads)
-		if el, ok := c.entries[key(enclaveID, va)]; ok {
-			c.lru.MoveToFront(el)
-			out[i] = el.Value.(*cacheEntry).blob
+		if e, ok := c.index[key(enclaveID, va)]; ok {
+			c.moveToFront(e)
+			out[i] = c.ents[e].blob
 			c.meter.Inc(metrics.CntBackendHits)
 			c.meter.Add(metrics.CntBackendBytes, uint64(len(out[i].Ciphertext)))
 			continue
@@ -194,28 +199,73 @@ func (c *CachedBackend) FetchBatch(enclaveID uint64, pages []mmu.VAddr, out []Bl
 // on overwrite, a recycled one otherwise). The caller is responsible for
 // flushing any resulting overflow.
 func (c *CachedBackend) insert(k storeKey, b Blob) {
-	if el, ok := c.entries[k]; ok {
-		ent := el.Value.(*cacheEntry)
+	if i, ok := c.index[k]; ok {
+		ent := &c.ents[i]
 		ent.blob.Ciphertext = append(ent.blob.Ciphertext[:0], b.Ciphertext...)
 		ent.blob.Version = b.Version
 		ent.blob.EnclaveID = b.EnclaveID
-		c.lru.MoveToFront(el)
+		c.moveToFront(i)
 		return
 	}
 	var buf []byte
 	if n := len(c.freeBufs); n > 0 {
 		buf = c.freeBufs[n-1]
+		c.freeBufs[n-1] = nil
 		c.freeBufs = c.freeBufs[:n-1]
 	}
 	b.Ciphertext = append(buf, b.Ciphertext...)
-	c.entries[k] = c.lru.PushFront(&cacheEntry{key: k, blob: b})
+	var i int32
+	if n := len(c.freeEnts); n > 0 {
+		i = c.freeEnts[n-1]
+		c.freeEnts = c.freeEnts[:n-1]
+	} else {
+		i = int32(len(c.ents))
+		c.ents = append(c.ents, cacheEntry{})
+	}
+	c.ents[i] = cacheEntry{key: k, blob: b}
+	c.index[k] = i
+	c.pushFront(i)
 }
 
-// popVictim removes and returns the LRU entry for write-back.
-func (c *CachedBackend) popVictim() cacheEntry {
-	el := c.lru.Back()
-	ent := el.Value.(*cacheEntry)
-	c.lru.Remove(el)
-	delete(c.entries, ent.key)
-	return *ent
+// remove unlinks entry i, releases its slot and returns its contents; the
+// caller takes over the ciphertext buffer.
+func (c *CachedBackend) remove(i int32) cacheEntry {
+	c.unlink(i)
+	ent := c.ents[i]
+	c.ents[i] = cacheEntry{}
+	delete(c.index, ent.key)
+	c.freeEnts = append(c.freeEnts, i)
+	return ent
+}
+
+func (c *CachedBackend) moveToFront(i int32) {
+	if c.head != i {
+		c.unlink(i)
+		c.pushFront(i)
+	}
+}
+
+func (c *CachedBackend) pushFront(i int32) {
+	e := &c.ents[i]
+	e.prev, e.next = -1, c.head
+	if c.head >= 0 {
+		c.ents[c.head].prev = i
+	} else {
+		c.tail = i
+	}
+	c.head = i
+}
+
+func (c *CachedBackend) unlink(i int32) {
+	e := &c.ents[i]
+	if e.prev >= 0 {
+		c.ents[e.prev].next = e.next
+	} else {
+		c.head = e.next
+	}
+	if e.next >= 0 {
+		c.ents[e.next].prev = e.prev
+	} else {
+		c.tail = e.prev
+	}
 }

@@ -227,12 +227,29 @@ func (s *Sealer) Open(va mmu.VAddr, expectVersion uint64, b Blob) ([]byte, error
 // Store is the untrusted in-regular-memory repository of sealed pages, keyed
 // by (enclave, page). Being untrusted, it offers mutation hooks (Corrupt,
 // Replay) that attack tests use to verify the trusted side rejects bad blobs.
+//
+// The store owns the memory of every slot and reuses it: a Put over a slot
+// that owns its buffer overwrites it in place, and Delete returns an owned
+// buffer to a free list that later Puts draw from, so steady-state paging
+// allocates nothing here. The one exception is a page's first blob, which
+// the slot shares with the archive: that buffer belongs to the archive, is
+// never overwritten and never recycled.
 type Store struct {
-	blobs map[storeKey]Blob
+	blobs map[storeKey]storeSlot
 	// history is the attacker's copy of the traffic — the store is
 	// attacker-controlled memory — so replay attacks can be expressed even
 	// across deletes.
 	history Archive
+	// free holds retired slot buffers (length 0) for later Puts.
+	free [][]byte
+}
+
+// storeSlot is one page's current blob. archived marks a ciphertext buffer
+// shared with the archive's first blob for the page, which the slot must
+// neither overwrite nor recycle.
+type storeSlot struct {
+	blob     Blob
+	archived bool
 }
 
 type storeKey struct {
@@ -242,7 +259,7 @@ type storeKey struct {
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{blobs: make(map[storeKey]Blob)}
+	return &Store{blobs: make(map[storeKey]storeSlot)}
 }
 
 func key(enclaveID uint64, va mmu.VAddr) storeKey {
@@ -250,56 +267,95 @@ func key(enclaveID uint64, va mmu.VAddr) storeKey {
 }
 
 // Put stores the sealed blob for a page, recording it in the attacker's
-// archive. The ciphertext is copied once (shared by the current slot and
-// the archive): per the PagingBackend ownership contract, the caller's
-// buffer is only valid for the duration of the call.
+// archive. The ciphertext is copied into store-owned memory (per the
+// PagingBackend ownership contract the caller's buffer is only valid for
+// the duration of the call): over the slot's own buffer when it has one,
+// into a recycled or fresh buffer otherwise. The first blob of a page is
+// shared with the archive instead of copied twice.
 func (st *Store) Put(enclaveID uint64, va mmu.VAddr, b Blob) {
 	k := key(enclaveID, va)
-	ct := make([]byte, len(b.Ciphertext))
-	copy(ct, b.Ciphertext)
-	b.Ciphertext = ct
-	st.history.record(k, b, false)
-	st.blobs[k] = b
+	s, ok := st.blobs[k]
+	buf := s.blob.Ciphertext
+	if !ok || s.archived {
+		buf = st.takeBuf()
+	}
+	b.Ciphertext = append(buf[:0], b.Ciphertext...)
+	st.blobs[k] = storeSlot{blob: b, archived: st.history.record(k, b, false)}
 }
 
-// Get returns the current blob for a page.
+// takeBuf returns a recycled slot buffer, or nil when none is free.
+func (st *Store) takeBuf() []byte {
+	n := len(st.free)
+	if n == 0 {
+		return nil
+	}
+	buf := st.free[n-1]
+	st.free[n-1] = nil
+	st.free = st.free[:n-1]
+	return buf
+}
+
+// release returns a slot's buffer to the free list unless the archive owns
+// it.
+func (st *Store) release(s storeSlot) {
+	if !s.archived && cap(s.blob.Ciphertext) > 0 {
+		st.free = append(st.free, s.blob.Ciphertext[:0])
+	}
+}
+
+// Get returns the current blob for a page. The ciphertext is a view of
+// store memory, valid until the next Put, Delete, Corrupt or Replay.
 func (st *Store) Get(enclaveID uint64, va mmu.VAddr) (Blob, error) {
-	b, ok := st.blobs[key(enclaveID, va)]
+	s, ok := st.blobs[key(enclaveID, va)]
 	if !ok {
 		return Blob{}, ErrNotFound
 	}
-	return b, nil
+	return s.blob, nil
 }
 
-// Delete removes the blob for a page (after a successful page-in).
+// Delete removes the blob for a page (after a successful page-in),
+// recycling its buffer.
 func (st *Store) Delete(enclaveID uint64, va mmu.VAddr) {
-	delete(st.blobs, key(enclaveID, va))
+	k := key(enclaveID, va)
+	if s, ok := st.blobs[k]; ok {
+		delete(st.blobs, k)
+		st.release(s)
+	}
 }
 
 // Len reports how many pages are currently swapped out across all enclaves.
 func (st *Store) Len() int { return len(st.blobs) }
 
 // Corrupt flips a byte of the stored ciphertext — an active attack on the
-// backing store. Reports whether a blob existed.
+// backing store. Reports whether a blob existed. A slot sharing the
+// archive's buffer is first given its own copy, so the archived blob stays
+// intact.
 func (st *Store) Corrupt(enclaveID uint64, va mmu.VAddr) bool {
 	k := key(enclaveID, va)
-	b, ok := st.blobs[k]
-	if !ok || len(b.Ciphertext) == 0 {
+	s, ok := st.blobs[k]
+	if !ok || len(s.blob.Ciphertext) == 0 {
 		return false
 	}
-	ct := make([]byte, len(b.Ciphertext))
-	copy(ct, b.Ciphertext)
-	ct[0] ^= 0xff
-	st.blobs[k] = Blob{Ciphertext: ct, Version: b.Version, EnclaveID: b.EnclaveID}
+	if s.archived {
+		s.blob.Ciphertext = append(st.takeBuf(), s.blob.Ciphertext...)
+		s.archived = false
+	}
+	s.blob.Ciphertext[0] ^= 0xff
+	st.blobs[k] = s
 	return true
 }
 
 // Replay replaces the current blob with the oldest archived one — the
 // classic rollback attack. Reports whether an older archived blob existed.
+// The slot takes the archive's buffer back; its own buffer is recycled.
 func (st *Store) Replay(enclaveID uint64, va mmu.VAddr) bool {
+	k := key(enclaveID, va)
 	b, ok := st.history.Oldest(enclaveID, va)
 	if ok {
-		st.blobs[key(enclaveID, va)] = b
+		if s, had := st.blobs[k]; had {
+			st.release(s)
+		}
+		st.blobs[k] = storeSlot{blob: b, archived: true}
 	}
 	return ok
 }
@@ -327,13 +383,14 @@ func (a *Archive) Record(enclaveID uint64, va mmu.VAddr, b Blob) {
 }
 
 // record is Record for callers that already own b's ciphertext (copyCT
-// false), so the archive can share it instead of copying again.
-func (a *Archive) record(k storeKey, b Blob, copyCT bool) {
+// false), so the archive can share it instead of copying again. It reports
+// whether b became the page's archived first blob.
+func (a *Archive) record(k storeKey, b Blob, copyCT bool) bool {
 	if e, ok := a.pages[k]; ok {
 		if !e.superseded {
 			a.pages[k] = archived{first: e.first, superseded: true}
 		}
-		return
+		return false
 	}
 	if a.pages == nil {
 		a.pages = make(map[storeKey]archived)
@@ -344,6 +401,7 @@ func (a *Archive) record(k storeKey, b Blob, copyCT bool) {
 		b.Ciphertext = ct
 	}
 	a.pages[k] = archived{first: b}
+	return true
 }
 
 // Oldest returns the first blob recorded for a page, once a newer one has

@@ -82,6 +82,13 @@ type CPU struct {
 	PreemptAt uint64
 
 	enterDepth int
+
+	// xlateFault is the fault the last failed SGX check in translate
+	// returned; osFault is the fault the OS fault handler is looking at (see
+	// handOSFault). Keeping them here lets a fault travel without being
+	// allocated.
+	xlateFault mmu.Fault
+	osFault    mmu.Fault
 }
 
 // ExecContext is the per-execution-stream CPU state a scheduler must save
@@ -357,7 +364,8 @@ func (c *CPU) ReadEnclavePageInto(dst []byte, va mmu.VAddr, pfn mmu.PFN) error {
 
 // translate resolves va for access type t, applying TLB, page-table walk,
 // SGX EPCM checks and Autarky's A/D rule. On success the translation is in
-// the TLB and the frame is returned.
+// the TLB and the frame is returned. A fault lives in the CPU or the page
+// table and is valid until the next translate.
 func (c *CPU) translate(va mmu.VAddr, t mmu.AccessType) (mmu.PFN, *mmu.Fault) {
 	if entry, ok := c.TLB.Lookup(va, t); ok {
 		return entry.PFN(), nil
@@ -372,7 +380,7 @@ func (c *CPU) translate(va mmu.VAddr, t mmu.AccessType) (mmu.PFN, *mmu.Fault) {
 		// Enclave-region access: the SGX-specific checks (paper §2.1
 		// "Access control and page faults").
 		if !pte.EPC || !c.EPC.Contains(pte.PFN) {
-			return mmu.NoPFN, &mmu.Fault{Addr: va, Type: t, SGX: true, NotPresent: true}
+			return mmu.NoPFN, c.sgxFault(mmu.Fault{Addr: va, Type: t, SGX: true, NotPresent: true})
 		}
 		ent := c.EPC.Entry(pte.PFN).EPCM
 		switch {
@@ -383,10 +391,10 @@ func (c *CPU) translate(va mmu.VAddr, t mmu.AccessType) (mmu.PFN, *mmu.Fault) {
 			ent.Blocked,
 			ent.Pending,
 			ent.Modified:
-			return mmu.NoPFN, &mmu.Fault{Addr: va, Type: t, SGX: true, NotPresent: true}
+			return mmu.NoPFN, c.sgxFault(mmu.Fault{Addr: va, Type: t, SGX: true, NotPresent: true})
 		}
 		if !ent.Perms.Allows(t) {
-			return mmu.NoPFN, &mmu.Fault{Addr: va, Type: t, SGX: true, Protection: true}
+			return mmu.NoPFN, c.sgxFault(mmu.Fault{Addr: va, Type: t, SGX: true, Protection: true})
 		}
 		if c.cur.SelfPaging() {
 			// Autarky §5.1.4: the fetched PTE's A and D bits must already
@@ -396,7 +404,7 @@ func (c *CPU) translate(va mmu.VAddr, t mmu.AccessType) (mmu.PFN, *mmu.Fault) {
 			c.Clock.ChargeAmbient(c.Costs.ADCheck)
 			c.m.Inc(metrics.CntADChecks)
 			if !pte.Accessed || !pte.Dirty {
-				return mmu.NoPFN, &mmu.Fault{Addr: va, Type: t, SGX: true, NotPresent: true}
+				return mmu.NoPFN, c.sgxFault(mmu.Fault{Addr: va, Type: t, SGX: true, NotPresent: true})
 			}
 			c.TLB.Fill(va, pte, true)
 		} else {
@@ -412,7 +420,7 @@ func (c *CPU) translate(va mmu.VAddr, t mmu.AccessType) (mmu.PFN, *mmu.Fault) {
 	// ELRANGE: real hardware reads abort-page values; the model faults to
 	// keep errors loud.
 	if pte.EPC {
-		return mmu.NoPFN, &mmu.Fault{Addr: va, Type: t, SGX: true, Protection: true}
+		return mmu.NoPFN, c.sgxFault(mmu.Fault{Addr: va, Type: t, SGX: true, Protection: true})
 	}
 	c.PT.SetAD(va, t == mmu.AccessWrite)
 	c.Clock.ChargeAmbient(c.Costs.ADWriteback)
@@ -432,7 +440,7 @@ func (c *CPU) deliverFault(f *mmu.Fault) error {
 		// Host-mode fault: straight to the OS, unmasked (offset included,
 		// as for any normal process fault).
 		c.Clock.ChargeAmbient(c.Costs.OSFaultEntry)
-		return c.OS.HandlePageFault(c, nil, nil, f)
+		return c.handOSFault(nil, nil, *f)
 	}
 
 	e, tcs := c.cur, c.curTCS
@@ -493,13 +501,31 @@ func (c *CPU) aexAndHandle(e *Enclave, tcs *TCS, full, masked mmu.Fault, enclave
 	c.clearMode()
 
 	c.Clock.ChargeAmbient(c.Costs.OSFaultEntry)
-	if err := c.OS.HandlePageFault(c, e, tcs, &masked); err != nil {
+	if err := c.handOSFault(e, tcs, masked); err != nil {
 		return err
 	}
 	if c.cur != e {
 		return fmt.Errorf("sgx: OS fault handler returned without resuming enclave %d", e.ID)
 	}
 	return nil
+}
+
+// handOSFault calls the OS fault handler with f held in c.osFault, so the
+// fault the OS sees does not escape to the heap. Faults nested inside the
+// handler (the trusted handler's own paging, say) borrow the field and put
+// the outer fault back before the outer handler reads it again.
+func (c *CPU) handOSFault(e *Enclave, tcs *TCS, f mmu.Fault) error {
+	outer := c.osFault
+	c.osFault = f
+	err := c.OS.HandlePageFault(c, e, tcs, &c.osFault)
+	c.osFault = outer
+	return err
+}
+
+// sgxFault parks an SGX-check fault in c.xlateFault and returns it.
+func (c *CPU) sgxFault(f mmu.Fault) *mmu.Fault {
+	c.xlateFault = f
+	return &c.xlateFault
 }
 
 // faultCause classifies a delivered fault into exactly one cause counter:

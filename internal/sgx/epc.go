@@ -65,11 +65,26 @@ type Frame struct {
 
 // EPC is the enclave page cache: a fixed pool of protected frames. Frames
 // are addressed by PFN within [Base, Base+NumFrames).
+//
+// The frame table grows on first use, a chunk at a time: a machine that
+// touches a few hundred frames of a large EPC pays for those, not for the
+// whole table. Chunks never move, so a *Frame stays valid for the life of
+// the EPC.
 type EPC struct {
-	Base   mmu.PFN
-	frames []Frame
-	free   []uint32 // free frame indexes (LIFO)
+	Base mmu.PFN
+	n    int
+	// chunks[i] holds frames [i*epcChunk, (i+1)*epcChunk), nil until one of
+	// them is first used.
+	chunks []*[epcChunk]Frame
+	// Frames [next, n) have never been allocated; free holds the indexes of
+	// freed frames below next (LIFO). Together they hand out frames in the
+	// order a LIFO list seeded with every frame, lowest on top, would.
+	next uint32
+	free []uint32
 }
+
+// epcChunk is the number of frames per frame-table chunk.
+const epcChunk = 256
 
 // NewEPC creates an EPC of n frames whose PFNs start at base. base must be
 // non-zero so that mmu.NoPFN is never a valid EPC frame.
@@ -80,40 +95,50 @@ func NewEPC(base mmu.PFN, n int) *EPC {
 	if n <= 0 {
 		panic("sgx: EPC must have at least one frame")
 	}
-	e := &EPC{Base: base, frames: make([]Frame, n), free: make([]uint32, 0, n)}
-	for i := n - 1; i >= 0; i-- {
-		// Frame data is allocated lazily on first Alloc: a large EPC costs
-		// nothing until used.
-		e.free = append(e.free, uint32(i))
-	}
-	return e
+	return &EPC{Base: base, n: n, chunks: make([]*[epcChunk]Frame, (n+epcChunk-1)/epcChunk)}
 }
 
 // NumFrames reports the EPC capacity in frames.
-func (e *EPC) NumFrames() int { return len(e.frames) }
+func (e *EPC) NumFrames() int { return e.n }
 
 // FreeFrames reports how many frames are unallocated.
-func (e *EPC) FreeFrames() int { return len(e.free) }
+func (e *EPC) FreeFrames() int { return len(e.free) + e.n - int(e.next) }
 
 // Contains reports whether pfn lies inside the EPC.
 func (e *EPC) Contains(pfn mmu.PFN) bool {
-	return pfn >= e.Base && pfn < e.Base+mmu.PFN(len(e.frames))
+	return pfn >= e.Base && pfn < e.Base+mmu.PFN(e.n)
+}
+
+// frame returns frame i, materializing its chunk on first use.
+func (e *EPC) frame(i uint32) *Frame {
+	c := e.chunks[i/epcChunk]
+	if c == nil {
+		c = new([epcChunk]Frame)
+		e.chunks[i/epcChunk] = c
+	}
+	return &c[i%epcChunk]
 }
 
 // Alloc takes a free frame, zeroes it, and returns its PFN.
 func (e *EPC) Alloc() (mmu.PFN, error) {
-	if len(e.free) == 0 {
+	var i uint32
+	switch {
+	case len(e.free) > 0:
+		i = e.free[len(e.free)-1]
+		e.free = e.free[:len(e.free)-1]
+	case int(e.next) < e.n:
+		i = e.next
+		e.next++
+	default:
 		return mmu.NoPFN, ErrEPCFull
 	}
-	i := e.free[len(e.free)-1]
-	e.free = e.free[:len(e.free)-1]
-	f := &e.frames[i]
+	f := e.frame(i)
 	if f.Data == nil {
+		// Frame data is allocated lazily on first Alloc: a large EPC costs
+		// nothing until used.
 		f.Data = make([]byte, mmu.PageSize)
 	} else {
-		for j := range f.Data {
-			f.Data[j] = 0
-		}
+		clear(f.Data)
 	}
 	f.EPCM = EPCMEntry{}
 	return e.Base + mmu.PFN(i), nil
@@ -132,7 +157,7 @@ func (e *EPC) Entry(pfn mmu.PFN) *Frame {
 	if !e.Contains(pfn) {
 		panic(fmt.Sprintf("sgx: PFN %d outside EPC", pfn))
 	}
-	return &e.frames[pfn-e.Base]
+	return e.frame(uint32(pfn - e.Base))
 }
 
 // Data returns the frame contents for pfn.
