@@ -71,7 +71,7 @@ func TestSelfPagingEnclaveRunsWithoutFaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if got := p.Runtime.Stats.HandlerInvocations; got != 0 {
+	if got := counter(t, p.Runtime.Metrics(), "runtime.handler_runs"); got != 0 {
 		t.Fatalf("expected zero handler invocations without paging, got %d", got)
 	}
 	snap := m.Metrics()
@@ -105,15 +105,15 @@ func TestSelfPagingDemandPagingUnderQuota(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	st := p.Runtime.Stats
-	if st.SelfFaults == 0 {
+	st := p.Runtime.Metrics()
+	if counter(t, st, "runtime.self_faults") == 0 {
 		t.Fatal("expected self-paging faults under quota pressure")
 	}
-	if st.EvictedPages == 0 {
+	if counter(t, st, "runtime.pages_evicted") == 0 {
 		t.Fatal("expected runtime evictions under quota pressure")
 	}
-	if st.AttacksDetected != 0 {
-		t.Fatalf("benign run flagged %d attacks", st.AttacksDetected)
+	if n := counter(t, st, "runtime.attacks_detected"); n != 0 {
+		t.Fatalf("benign run flagged %d attacks", n)
 	}
 	if got := p.Proc.ResidentPages(); got > 40 {
 		t.Fatalf("resident pages %d exceed quota 40", got)
@@ -148,7 +148,7 @@ func TestPageDataSurvivesEviction(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if p.Runtime.Stats.EvictedPages == 0 {
+	if counter(t, p.Runtime.Metrics(), "runtime.pages_evicted") == 0 {
 		t.Fatal("test did not exercise eviction")
 	}
 }
@@ -204,8 +204,8 @@ func TestAutarkyDetectsInducedFault(t *testing.T) {
 	if term.Reason != sgx.TerminateAttackDetected {
 		t.Fatalf("expected attack detection, got %v", term.Reason)
 	}
-	if p.Runtime.Stats.AttacksDetected != 1 {
-		t.Fatalf("AttacksDetected = %d, want 1", p.Runtime.Stats.AttacksDetected)
+	if n := counter(t, p.Runtime.Metrics(), "runtime.attacks_detected"); n != 1 {
+		t.Fatalf("runtime.attacks_detected = %d, want 1", n)
 	}
 }
 
@@ -302,7 +302,7 @@ func TestSGX2SoftwarePagingRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if p.Runtime.Stats.EvictedPages == 0 {
+	if counter(t, p.Runtime.Metrics(), "runtime.pages_evicted") == 0 {
 		t.Fatal("SGX2 path did not exercise eviction")
 	}
 }
@@ -339,12 +339,13 @@ func TestClusterPolicyFetchesWholeCluster(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	st := p.Runtime.Stats
-	if st.SelfFaults == 0 {
+	st := p.Runtime.Metrics()
+	faults, fetched := counter(t, st, "runtime.self_faults"), counter(t, st, "runtime.pages_fetched")
+	if faults == 0 {
 		t.Fatal("expected cluster faults under quota pressure")
 	}
 	// Whole clusters are fetched: fetched pages must exceed faults.
-	if st.FetchedPages < 2*st.SelfFaults {
-		t.Fatalf("fetched %d pages for %d faults; clusters should amplify", st.FetchedPages, st.SelfFaults)
+	if fetched < 2*faults {
+		t.Fatalf("fetched %d pages for %d faults; clusters should amplify", fetched, faults)
 	}
 }

@@ -32,8 +32,11 @@ func Example() {
 		}
 	})
 	fmt.Println("benign run error:", err)
-	fmt.Println("attacks detected:", p.Runtime.Stats.AttacksDetected)
-	fmt.Println("paged securely:", p.Runtime.Stats.SelfFaults > 0)
+	st := p.Runtime.Metrics()
+	attacks, _ := st.Named("runtime.attacks_detected")
+	faults, _ := st.Named("runtime.self_faults")
+	fmt.Println("attacks detected:", attacks)
+	fmt.Println("paged securely:", faults > 0)
 
 	// The OS turns malicious.
 	target := p.Heap.Page(0)

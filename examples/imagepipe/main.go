@@ -74,9 +74,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("forwarded OS-paging faults (insensitive output buffer): %d\n",
-		p.Runtime.Stats.ForwardedFaults)
-	fmt.Printf("self-paging faults on other enclave-managed pages: %d (the pinned IDCT buffers never fault)\n",
-		p.Runtime.Stats.SelfFaults)
-	fmt.Printf("attacks detected: %d\n", p.Runtime.Stats.AttacksDetected)
+	st := p.Runtime.Metrics()
+	forwarded, _ := st.Named("runtime.forwarded_faults")
+	faults, _ := st.Named("runtime.self_faults")
+	attacks, _ := st.Named("runtime.attacks_detected")
+	fmt.Printf("forwarded OS-paging faults (insensitive output buffer): %d\n", forwarded)
+	fmt.Printf("self-paging faults on other enclave-managed pages: %d (the pinned IDCT buffers never fault)\n", faults)
+	fmt.Printf("attacks detected: %d\n", attacks)
 }

@@ -80,15 +80,21 @@ func main() {
 			}
 			cycles := m.Cycles() - start
 			reqPerSec := float64(requests) / (float64(cycles) / 3e9)
+			st := cache.Metrics()
+			hits, _ := st.Named("oram.cache_hits")
+			misses, _ := st.Named("oram.cache_misses")
 			fmt.Printf("%-8s: %6.0f req/s  (cache: %d hits, %d misses)\n",
-				gen.Name(), reqPerSec, cache.Stats.Hits, cache.Stats.Misses)
+				gen.Name(), reqPerSec, hits, misses)
 		}
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
+	st := p.Runtime.Metrics()
+	faults, _ := st.Named("runtime.self_faults")
+	forwarded, _ := st.Named("runtime.forwarded_faults")
 	fmt.Printf("page faults the OS observed: %d (every ORAM structure page is pinned)\n",
-		p.Runtime.Stats.SelfFaults+p.Runtime.Stats.ForwardedFaults)
+		faults+forwarded)
 	fmt.Println("the access pattern to items is cryptographically hidden by the ORAM")
 }

@@ -53,9 +53,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	st := p.Runtime.Stats
-	fmt.Printf("self-paging faults: %d, pages fetched: %d, evicted: %d\n",
-		st.SelfFaults, st.FetchedPages, st.EvictedPages)
+	st := p.Runtime.Metrics()
+	faults, _ := st.Named("runtime.self_faults")
+	fetched, _ := st.Named("runtime.pages_fetched")
+	evicted, _ := st.Named("runtime.pages_evicted")
+	fmt.Printf("self-paging faults: %d, pages fetched: %d, evicted: %d\n", faults, fetched, evicted)
 	fmt.Printf("cycles: %d — and the OS only ever saw masked faults at %s\n",
 		m.Cycles(), p.Enclave().Base)
 

@@ -79,8 +79,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	st := p.Runtime.Stats
+	st := p.Runtime.Metrics()
+	faults, _ := st.Named("runtime.self_faults")
+	fetched, _ := st.Named("runtime.pages_fetched")
 	fmt.Printf("cluster fetches: %d faults brought in %d pages (whole dictionaries at a time)\n",
-		st.SelfFaults, st.FetchedPages)
+		faults, fetched)
 	fmt.Println("the OS saw only masked faults — it can count dictionary loads, not words")
 }

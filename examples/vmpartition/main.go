@@ -54,8 +54,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		st := p.Runtime.Metrics()
+		faults, _ := st.Named("runtime.self_faults")
+		fetched, _ := st.Named("runtime.pages_fetched")
 		fmt.Printf("guest %d tenant: %d self-paging faults, %d pages fetched, 0 attacks flagged\n",
-			gi, p.Runtime.Stats.SelfFaults, p.Runtime.Stats.FetchedPages)
+			gi, faults, fetched)
 	}
 	fmt.Println("\nboth tenants paged securely inside disjoint EPC partitions")
 }

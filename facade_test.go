@@ -107,7 +107,7 @@ func TestHypervisorStaticPartitioning(t *testing.T) {
 		if err != nil {
 			t.Fatalf("guest %d run: %v", gi, err)
 		}
-		if p.Runtime.Stats.EvictedPages == 0 {
+		if counter(t, p.Runtime.Metrics(), "runtime.pages_evicted") == 0 {
 			t.Errorf("guest %d did not page", gi)
 		}
 	}

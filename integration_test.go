@@ -53,7 +53,7 @@ func TestWholeEnclaveSuspendResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run after resume: %v", err)
 	}
-	if p.Runtime.Stats.AttacksDetected != 0 {
+	if counter(t, p.Runtime.Metrics(), "runtime.attacks_detected") != 0 {
 		t.Fatal("contract-honouring swap was flagged as an attack")
 	}
 }
@@ -141,7 +141,8 @@ func TestTwoEnclavesIsolatedPaging(t *testing.T) {
 	fill(b, 0xbb)
 	verify(a, 0xaa)
 	verify(b, 0xbb)
-	if a.Runtime.Stats.EvictedPages == 0 || b.Runtime.Stats.EvictedPages == 0 {
+	if counter(t, a.Runtime.Metrics(), "runtime.pages_evicted") == 0 ||
+		counter(t, b.Runtime.Metrics(), "runtime.pages_evicted") == 0 {
 		t.Fatal("test did not exercise concurrent paging")
 	}
 }
@@ -238,7 +239,7 @@ func TestSGX2WithClusters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Runtime.Stats.EvictedPages == 0 {
+	if counter(t, p.Runtime.Metrics(), "runtime.pages_evicted") == 0 {
 		t.Fatal("SGX2 cluster run did not page")
 	}
 }
@@ -349,7 +350,7 @@ func TestForwardedFaultsKeepOSManagedPagesWorking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Runtime.Stats.ForwardedFaults == 0 {
+	if counter(t, p.Runtime.Metrics(), "runtime.forwarded_faults") == 0 {
 		t.Fatal("no faults were forwarded to the OS")
 	}
 }

@@ -53,10 +53,6 @@ func (r *Runtime) BalloonRequest(want int) (int, error) {
 	if err := r.evictPages(victims); err != nil {
 		return 0, err
 	}
-	r.Stats.BalloonEvictions += uint64(len(victims))
 	r.m.Add(metrics.CntBalloonEvictions, uint64(len(victims)))
 	return len(victims), nil
 }
-
-// Ballooned reports the pages released through upcalls so far.
-func (r *Runtime) Ballooned() uint64 { return r.Stats.BalloonEvictions }

@@ -412,28 +412,6 @@ func TestClusterPolicyWithRateLimit(t *testing.T) {
 	}
 }
 
-func TestORAMPolicyTreatsFaultsAsAttacks(t *testing.T) {
-	r, _ := newTestRuntime(0)
-	p := NewORAMPolicy()
-	if _, err := p.PlanFetch(r, mmu.PageOf(1)); err == nil {
-		t.Fatal("ORAM policy planned a fetch")
-	}
-}
-
-func TestPolicyNames(t *testing.T) {
-	names := map[string]Policy{
-		"pin-all":       NewPinAllPolicy(),
-		"rate-limit":    NewRateLimitPolicy(0, 0),
-		"page-clusters": NewClusterPolicy(cluster.NewRegistry()),
-		"oram":          NewORAMPolicy(),
-	}
-	for want, p := range names {
-		if p.Name() != want {
-			t.Errorf("%T.Name() = %q, want %q", p, p.Name(), want)
-		}
-	}
-}
-
 func TestMechString(t *testing.T) {
 	if MechSGX1.String() != "SGX1" || MechSGX2.String() != "SGX2" {
 		t.Fatal("mech names wrong")

@@ -12,6 +12,7 @@ import (
 	"autarky/internal/core"
 	"autarky/internal/hostos"
 	"autarky/internal/libos"
+	"autarky/internal/metrics"
 	"autarky/internal/mmu"
 	"autarky/internal/pagestore"
 	"autarky/internal/sgx"
@@ -57,11 +58,12 @@ func TestHandlerForwardsOSManagedFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Runtime.Stats.ForwardedFaults == 0 {
+	st := p.Runtime.Metrics()
+	if st.Counter(metrics.CntForwardedFaults) == 0 {
 		t.Fatal("no forwarded faults")
 	}
-	if p.Runtime.Stats.SelfFaults != 0 {
-		t.Fatalf("%d self faults on OS-managed pages", p.Runtime.Stats.SelfFaults)
+	if n := st.Counter(metrics.CntSelfFaults); n != 0 {
+		t.Fatalf("%d self faults on OS-managed pages", n)
 	}
 	_ = k
 }
@@ -83,12 +85,13 @@ func TestHandlerSelfPagesManagedFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := p.Runtime.Stats
-	if st.SelfFaults == 0 || st.FetchedPages == 0 || st.EvictedPages == 0 {
-		t.Fatalf("self-paging not exercised: %+v", st)
+	st := p.Runtime.Metrics()
+	faults, runs := st.Counter(metrics.CntSelfFaults), st.Counter(metrics.CntHandlerRuns)
+	if faults == 0 || st.Counter(metrics.CntPagesFetched) == 0 || st.Counter(metrics.CntPagesEvicted) == 0 {
+		t.Fatalf("self-paging not exercised: %+v", st.Counters)
 	}
-	if st.HandlerInvocations < st.SelfFaults {
-		t.Fatalf("handler invocations %d < faults %d", st.HandlerInvocations, st.SelfFaults)
+	if runs < faults {
+		t.Fatalf("handler invocations %d < faults %d", runs, faults)
 	}
 }
 
@@ -146,7 +149,7 @@ func TestSGX2EvictFetchPreservesDataEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Runtime.Stats.EvictedPages == 0 {
+	if p.Runtime.Metrics().Counter(metrics.CntPagesEvicted) == 0 {
 		t.Fatal("SGX2 eviction not exercised")
 	}
 }
@@ -246,7 +249,7 @@ func TestSpuriousReEntryIsHarmless(t *testing.T) {
 	if err := k.CPU.EEnter(p.Enclave(), p.Proc.TCS); err != nil {
 		t.Fatalf("spurious EENTER: %v", err)
 	}
-	if p.Runtime.Stats.AttacksDetected != 0 {
+	if p.Runtime.Metrics().Counter(metrics.CntAttacksDetected) != 0 {
 		t.Fatal("spurious entry flagged as attack")
 	}
 }
@@ -260,7 +263,7 @@ func TestManagePagesCountMismatchCaught(t *testing.T) {
 	}
 }
 
-func TestRuntimeStatsAccounting(t *testing.T) {
+func TestRuntimeMetricsAccounting(t *testing.T) {
 	p, _ := newStack(t, img(64), libos.Config{
 		SelfPaging:     true,
 		Policy:         libos.PolicyRateLimit,
@@ -277,11 +280,12 @@ func TestRuntimeStatsAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := p.Runtime.Stats
+	st := p.Runtime.Metrics()
 	// Fetches track self-faults one-to-one for the demand policy, plus the
 	// handful of load-time fetches that re-pinned spilled pages.
-	if st.FetchedPages < st.SelfFaults || st.FetchedPages > st.SelfFaults+16 {
-		t.Fatalf("fetched %d vs self faults %d under demand paging", st.FetchedPages, st.SelfFaults)
+	fetched, faults := st.Counter(metrics.CntPagesFetched), st.Counter(metrics.CntSelfFaults)
+	if fetched < faults || fetched > faults+16 {
+		t.Fatalf("fetched %d vs self faults %d under demand paging", fetched, faults)
 	}
 	if got := p.Runtime.ResidentManagedPages(); got == 0 {
 		t.Fatal("no resident managed pages after run")
@@ -312,8 +316,8 @@ func TestBalloonUpcallReleasesPages(t *testing.T) {
 	if got := p.Proc.ResidentPages(); got != before-released {
 		t.Fatalf("resident %d, want %d", got, before-released)
 	}
-	if p.Runtime.Ballooned() != uint64(released) {
-		t.Fatalf("Ballooned = %d", p.Runtime.Ballooned())
+	if got := p.Runtime.Metrics().Counter(metrics.CntBalloonEvictions); got != uint64(released) {
+		t.Fatalf("balloon.evictions = %d, want %d", got, released)
 	}
 	// The released pages page back in on next use, data intact, no attack.
 	if err := p.Run(func(ctx *core.Context) {
@@ -323,7 +327,7 @@ func TestBalloonUpcallReleasesPages(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if p.Runtime.Stats.AttacksDetected != 0 {
+	if p.Runtime.Metrics().Counter(metrics.CntAttacksDetected) != 0 {
 		t.Fatal("balloon-evicted pages flagged as attack on re-access")
 	}
 	_ = k

@@ -26,8 +26,6 @@ var ErrRateLimited = sgx.ErrRateLimited
 // until the next call on the policy; callers consume them (or copy them)
 // before calling again, as the runtime's fetch and eviction paths do.
 type Policy interface {
-	// Name identifies the policy in experiment output.
-	Name() string
 	// PlanFetch maps a legitimate fault on an enclave-managed page to the
 	// set of pages to fetch (it must include va). Returning an error means
 	// the fault is never legitimate under this policy — treat as attack.
@@ -49,14 +47,14 @@ type Policy interface {
 // PinAllPolicy is the strictest policy (paper §5.2 intro): the entire
 // enclave stays resident and every enclave-managed fault is an attack. It
 // is automatic for workloads that fit in EPC (Table 2: Hunspell with one
-// dictionary, FreeType, libjpeg's streaming working set).
+// dictionary, FreeType, libjpeg's streaming working set). It is also the
+// runtime's stance when data lives behind the cached software ORAM
+// (§5.2.2): every ORAM structure page is pinned, and obliviousness comes
+// from the ORAM layer (internal/oram), not from the fault handler.
 type PinAllPolicy struct{}
 
 // NewPinAllPolicy returns the pin-everything policy.
 func NewPinAllPolicy() *PinAllPolicy { return &PinAllPolicy{} }
-
-// Name implements Policy.
-func (*PinAllPolicy) Name() string { return "pin-all" }
 
 // PlanFetch implements Policy: no fault is ever legitimate.
 func (*PinAllPolicy) PlanFetch(_ *Runtime, va mmu.VAddr) ([]mmu.VAddr, error) {
@@ -103,9 +101,6 @@ type RateLimitPolicy struct {
 func NewRateLimitPolicy(perProgress float64, burst uint64) *RateLimitPolicy {
 	return &RateLimitPolicy{FaultsPerProgress: perProgress, Burst: burst}
 }
-
-// Name implements Policy.
-func (*RateLimitPolicy) Name() string { return "rate-limit" }
 
 // Faults reports the faults counted so far.
 func (p *RateLimitPolicy) Faults() uint64 { return p.faults }
@@ -181,9 +176,6 @@ type ClusterPolicy struct {
 func NewClusterPolicy(reg *cluster.Registry) *ClusterPolicy {
 	return &ClusterPolicy{Reg: reg}
 }
-
-// Name implements Policy.
-func (*ClusterPolicy) Name() string { return "page-clusters" }
 
 // PlanFetch implements Policy: the transitive closure of clusters sharing
 // pages with the faulting page's clusters — the invariant-preserving fetch
@@ -325,36 +317,3 @@ func (p *ClusterPolicy) OnEvicted(r *Runtime, pages []mmu.VAddr) {
 	p.ids = slices.Compact(ids)
 	r.m.Add(metrics.CntClusterSwapOuts, uint64(len(p.ids)))
 }
-
-// --- ORAM front (§5.2.2) -----------------------------------------------------
-
-// ORAMPolicy is the runtime-side stance when data lives behind the cached
-// software ORAM: every ORAM structure page (cache, position map, stash) is
-// enclave-managed and pinned, so no enclave-managed fault is ever
-// legitimate; obliviousness is provided by the ORAM layer itself
-// (internal/oram), not by the fault handler.
-type ORAMPolicy struct{}
-
-// NewORAMPolicy returns the ORAM stance.
-func NewORAMPolicy() *ORAMPolicy { return &ORAMPolicy{} }
-
-// Name implements Policy.
-func (*ORAMPolicy) Name() string { return "oram" }
-
-// PlanFetch implements Policy: with everything pinned, any fault is an
-// attack.
-func (*ORAMPolicy) PlanFetch(_ *Runtime, va mmu.VAddr) ([]mmu.VAddr, error) {
-	return nil, fmt.Errorf("oram: fault on pinned ORAM page %s", va)
-}
-
-// PickVictims implements Policy.
-func (*ORAMPolicy) PickVictims(*Runtime, int) []mmu.VAddr { return nil }
-
-// OnOSFault implements Policy.
-func (*ORAMPolicy) OnOSFault(*Runtime, mmu.VAddr) error { return nil }
-
-// OnFetched implements Policy.
-func (*ORAMPolicy) OnFetched(*Runtime, []mmu.VAddr) {}
-
-// OnEvicted implements Policy.
-func (*ORAMPolicy) OnEvicted(*Runtime, []mmu.VAddr) {}

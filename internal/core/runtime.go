@@ -12,17 +12,6 @@ import (
 	"autarky/internal/sim"
 )
 
-// RuntimeStats counts runtime-level events for the experiments.
-type RuntimeStats struct {
-	HandlerInvocations uint64 // trusted fault-handler runs
-	SelfFaults         uint64 // legitimate faults on enclave-managed pages
-	ForwardedFaults    uint64 // faults on OS-managed pages forwarded to OS
-	FetchedPages       uint64 // pages fetched by self-paging
-	EvictedPages       uint64 // pages evicted by self-paging
-	BalloonEvictions   uint64 // pages released through OS upcalls
-	AttacksDetected    uint64
-}
-
 // pageInfo is the runtime's tracking for one enclave-managed page
 // (paper §5.2.1: "the trusted runtime tracks the residence status of each
 // page and treats any unexpected fault on a purportedly-resident page as an
@@ -58,8 +47,8 @@ type Runtime struct {
 	// overhead" component of Fig. 5.
 	HandlerCycles uint64
 
-	Stats RuntimeStats
-
+	// m is the runtime's scope of the machine registry: every runtime and
+	// policy event of this incarnation is counted there (see Metrics).
 	m *metrics.Metrics
 
 	enclave *sgx.Enclave
@@ -101,10 +90,16 @@ func NewRuntime(cpu *sgx.CPU, driver Driver, clock *sim.Clock, costs *sim.Costs)
 		Costs:         costs,
 		Policy:        NewPinAllPolicy(),
 		HandlerCycles: 1200,
-		m:             metrics.Of(clock),
+		m:             metrics.Of(clock).Scope(),
 		pages:         make(map[uint64]*pageInfo),
 	}
 }
+
+// Metrics returns the counts of this runtime incarnation: its fault
+// handler runs, self-paging and forwarded faults, pages fetched and
+// evicted, attacks, balloon upcalls and its policy's events. The machine's
+// snapshot includes them too.
+func (r *Runtime) Metrics() metrics.Snapshot { return r.m.Snapshot() }
 
 // Attach binds the runtime to its enclave after loading.
 func (r *Runtime) Attach(e *sgx.Enclave) { r.enclave = e }
@@ -275,7 +270,6 @@ func (r *Runtime) OnEntry(tcs *sgx.TCS) {
 // fault), or forwards to the OS (OS-managed page).
 func (r *Runtime) handleFault(f mmu.Fault) {
 	r.Clock.ChargeAs(sim.CatFault, r.HandlerCycles)
-	r.Stats.HandlerInvocations++
 	r.m.Inc(metrics.CntHandlerRuns)
 
 	va := f.Addr.PageBase()
@@ -289,7 +283,6 @@ func (r *Runtime) handleFault(f mmu.Fault) {
 	pi := r.pages[va.VPN()]
 	if pi == nil {
 		// OS-managed page: forward, subject to policy (rate limiting).
-		r.Stats.ForwardedFaults++
 		r.m.Inc(metrics.CntForwardedFaults)
 		if err := r.Policy.OnOSFault(r, va); err != nil {
 			r.CPU.Terminate(sgx.TerminateRateLimit, err.Error())
@@ -309,7 +302,6 @@ func (r *Runtime) handleFault(f mmu.Fault) {
 	}
 
 	// Legitimate self-paging fault.
-	r.Stats.SelfFaults++
 	r.m.Inc(metrics.CntSelfFaults)
 	fetch, err := r.Policy.PlanFetch(r, va)
 	if err != nil {
@@ -343,7 +335,6 @@ func (r *Runtime) terminateFetch(err error, prefix string) {
 }
 
 func (r *Runtime) detectAttack(detail string) {
-	r.Stats.AttacksDetected++
 	r.m.Inc(metrics.CntAttacksDetected)
 	r.CPU.Terminate(sgx.TerminateAttackDetected, detail)
 }
@@ -414,7 +405,6 @@ func (r *Runtime) fetchPages(pages []mmu.VAddr) error {
 		if !pi.pinned {
 			r.fifo = append(r.fifo, va.VPN())
 		}
-		r.Stats.FetchedPages++
 		r.m.Inc(metrics.CntPagesFetched)
 	}
 	r.Policy.OnFetched(r, want)
@@ -449,7 +439,6 @@ func (r *Runtime) evictPages(pages []mmu.VAddr) error {
 	}
 	for _, va := range out {
 		r.pages[va.VPN()].resident = false
-		r.Stats.EvictedPages++
 		r.m.Inc(metrics.CntPagesEvicted)
 	}
 	r.Policy.OnEvicted(r, out)

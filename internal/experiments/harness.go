@@ -139,7 +139,7 @@ func RunApp(img libos.AppImage, rc RunConfig, app func(p *libos.Process, ctx *co
 		app(p, ctx)
 		end = clock.Cycles()
 	})
-	snap := metrics.Of(clock).Snapshot()
+	snap, rt := metrics.Of(clock).Snapshot(), p.Runtime.Metrics()
 	res := RunResult{
 		Label: rc.label(),
 		Err:   runErr,
@@ -147,16 +147,16 @@ func RunApp(img libos.AppImage, rc RunConfig, app func(p *libos.Process, ctx *co
 		// delivered while the enclave ran.
 		Faults: snap.Counter(metrics.CntFaultNotPresent) + snap.Counter(metrics.CntFaultProtection) +
 			snap.Counter(metrics.CntFaultSGX),
-		SelfPage:  p.Runtime.Stats.SelfFaults,
-		Forwarded: p.Runtime.Stats.ForwardedFaults,
-		Fetched:   p.Runtime.Stats.FetchedPages,
-		Evicted:   p.Runtime.Stats.EvictedPages,
+		SelfPage:  rt.Counter(metrics.CntSelfFaults),
+		Forwarded: rt.Counter(metrics.CntForwardedFaults),
+		Fetched:   rt.Counter(metrics.CntPagesFetched),
+		Evicted:   rt.Counter(metrics.CntPagesEvicted),
 		OSPageIns: snap.Counter(metrics.CntOSPageIns),
 		AEXs:      snap.Counter(metrics.CntAEXs),
 		Enters:    snap.Counter(metrics.CntEnters),
 		Resumes:   snap.Counter(metrics.CntResumes),
 		ADChecks:  snap.Counter(metrics.CntADChecks),
-		Detected:  p.Runtime.Stats.AttacksDetected,
+		Detected:  rt.Counter(metrics.CntAttacksDetected),
 		Metrics:   snap,
 	}
 	if runErr == nil && end >= start {

@@ -367,7 +367,6 @@ type EnclaveSpec struct {
 	Base     mmu.VAddr
 	Size     uint64
 	Attrs    sgx.Attributes
-	NSSA     int
 	Runtime  sgx.Runtime
 	Segments []Segment
 	Quota    int
@@ -449,11 +448,9 @@ func (k *Kernel) LoadEnclave(spec EnclaveSpec) (_ *Proc, err error) {
 		}
 	}
 
-	nssa := spec.NSSA
-	if nssa == 0 {
-		nssa = 4
-	}
-	tcs, err := k.CPU.AddTCS(e, nssa)
+	// One TCS with four SSA frames: an AEX stacks a frame, so this bounds
+	// how deeply the trusted fault handler may itself fault.
+	tcs, err := k.CPU.AddTCS(e, 4)
 	if err != nil {
 		return nil, err
 	}

@@ -43,9 +43,6 @@ func (c Config) Validate() error {
 	if c.QuotaPages < 0 {
 		return &ConfigError{"QuotaPages", fmt.Sprintf("must be non-negative, got %d", c.QuotaPages)}
 	}
-	if c.NSSA < 0 {
-		return &ConfigError{"NSSA", fmt.Sprintf("must be non-negative, got %d", c.NSSA)}
-	}
 	if c.Policy < PolicyPinAll || c.Policy > PolicyORAM {
 		return &ConfigError{"Policy", fmt.Sprintf("unknown policy %d", int(c.Policy))}
 	}

@@ -33,7 +33,6 @@ func TestConfigValidate(t *testing.T) {
 		{"sgx2", func(c *Config) { c.Mech = core.MechSGX2 }, ""},
 
 		{"negative quota", func(c *Config) { c.QuotaPages = -1 }, "QuotaPages"},
-		{"negative NSSA", func(c *Config) { c.NSSA = -3 }, "NSSA"},
 		{"policy below range", func(c *Config) { c.Policy = PolicyKind(-1) }, "Policy"},
 		{"policy above range", func(c *Config) { c.Policy = PolicyORAM + 1 }, "Policy"},
 		{"unknown mech", func(c *Config) { c.Mech = core.Mech(7) }, "Mech"},

@@ -79,8 +79,6 @@ type Config struct {
 	// (used by workloads that manage their own sensitive buffers).
 	PinData bool
 
-	NSSA int
-
 	// seedVersions and seedEpoch carry the sealed anti-replay counters and
 	// migration epoch into the new incarnation; only Restore and Adopt set
 	// them.
@@ -205,7 +203,6 @@ func Load(k *hostos.Kernel, img AppImage, cfg Config) (*Process, error) {
 		Base:     base,
 		Size:     uint64(cursor - base),
 		Attrs:    attrs,
-		NSSA:     cfg.NSSA,
 		Runtime:  rt,
 		Segments: segs,
 		Quota:    cfg.QuotaPages,
@@ -295,7 +292,7 @@ func (p *Process) wirePolicy() error {
 	}
 
 	switch cfg.Policy {
-	case PolicyPinAll:
+	case PolicyPinAll, PolicyORAM:
 		rt.Policy = core.NewPinAllPolicy()
 	case PolicyRateLimit:
 		rt.Policy = core.NewRateLimitPolicy(cfg.RateLimitPerProgress, cfg.RateLimitBurst)
@@ -305,8 +302,6 @@ func (p *Process) wirePolicy() error {
 			cp.Limit = core.NewRateLimitPolicy(cfg.RateLimitPerProgress, cfg.RateLimitBurst)
 		}
 		rt.Policy = cp
-	case PolicyORAM:
-		rt.Policy = core.NewORAMPolicy()
 	}
 
 	// Pinned pages must be resident before the enclave runs; pages spilled

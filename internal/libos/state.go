@@ -31,7 +31,7 @@ import (
 
 // stateFormatVersion stamps the codec layout; a decoder seeing any other
 // value rejects the payload outright.
-const stateFormatVersion = 1
+const stateFormatVersion = 2
 
 // Decode guards: a sealed payload is authenticated, but "authenticated" is
 // not "well-formed" (an older writer, a hostile sealing oracle). Counts are
@@ -200,7 +200,6 @@ func (p *Process) encodeState(dst []byte) []byte {
 	dst = appendInt(dst, cfg.DataClusterPages)
 	dst = appendBool(dst, cfg.CodeClusters)
 	dst = appendBool(dst, cfg.PinData)
-	dst = appendInt(dst, cfg.NSSA)
 
 	dst = appendU64(dst, p.Runtime.Progress())
 
@@ -352,7 +351,6 @@ func decodeState(plain []byte) (*statePayload, error) {
 	cfg.DataClusterPages = r.num()
 	cfg.CodeClusters = r.boolean()
 	cfg.PinData = r.boolean()
-	cfg.NSSA = r.num()
 
 	payload.Progress = r.u64()
 

@@ -2,10 +2,14 @@
 // monotonic event counters plus the cycle-attribution buckets kept by
 // sim.Clock. Every simulated machine owns exactly one registry, reached
 // through the machine's clock (Of), so instrumented components need no new
-// constructor parameters and no global state. The registry is free of locks
-// and allocation on the hot path — counters live in a fixed array — and,
-// like the clock, it is confined to the machine's goroutine; cross-machine
-// aggregation happens on immutable Snapshot values.
+// constructor parameters and no global state. A component instance whose
+// own counts matter — a runtime incarnation, a server, an ORAM cache, a
+// scheduler task — counts into a scope of the registry (Scope), and the
+// machine's totals add the scopes in when read, so every event is counted
+// once. The registry is free of locks and allocation on the hot path —
+// counters live in a fixed array — and, like the clock, it is confined to
+// the machine's goroutine; cross-machine aggregation happens on immutable
+// Snapshot values.
 package metrics
 
 import (
@@ -68,6 +72,7 @@ const (
 	CntORAMCacheHits
 	CntORAMCacheMisses
 	CntORAMCacheEvictions
+	CntORAMCacheWritebacks // dirty blocks written back through the tree
 
 	// Self-paging policies (core).
 	CntRateGrants
@@ -140,6 +145,7 @@ const (
 	CntServTimeouts     // requests shed because their sojourn passed the deadline
 	CntServDrops        // frames lost in transit or discarded on a reset
 	CntServIdlePolls    // dispatch-loop polls while no frame was due
+	CntServErrors       // error replies delivered intact to the client
 
 	// Live migration + fleet (internal/libos migrate, internal/fleet).
 	CntMigrations        // migration envelopes sealed (source side)
@@ -198,11 +204,12 @@ var counterNames = [NumCounters]string{
 	CntTLBFlushes:    "tlb.flushes",
 	CntTLBShootdowns: "tlb.shootdowns",
 
-	CntORAMReal:           "oram.real",
-	CntORAMDummy:          "oram.dummy",
-	CntORAMCacheHits:      "oram.cache_hits",
-	CntORAMCacheMisses:    "oram.cache_misses",
-	CntORAMCacheEvictions: "oram.cache_evictions",
+	CntORAMReal:            "oram.real",
+	CntORAMDummy:           "oram.dummy",
+	CntORAMCacheHits:       "oram.cache_hits",
+	CntORAMCacheMisses:     "oram.cache_misses",
+	CntORAMCacheEvictions:  "oram.cache_evictions",
+	CntORAMCacheWritebacks: "oram.cache_writebacks",
 
 	CntRateGrants:      "ratelimit.grants",
 	CntRateStalls:      "ratelimit.stalls",
@@ -263,6 +270,7 @@ var counterNames = [NumCounters]string{
 	CntServTimeouts:     "serv.timeouts",
 	CntServDrops:        "serv.drops",
 	CntServIdlePolls:    "serv.idle_polls",
+	CntServErrors:       "serv.errors",
 
 	CntMigrations:        "migrate.seals",
 	CntMigrationPages:    "migrate.pages",
@@ -289,12 +297,16 @@ func (c Counter) Name() string {
 	return fmt.Sprintf("counter(%d)", int(c))
 }
 
-// Metrics is one machine's registry. It is not safe for concurrent use —
-// like the sim.Clock it hangs off, it belongs to a single machine on a
-// single goroutine.
+// Metrics is one machine's registry, or one scope of it (see Scope). It is
+// not safe for concurrent use — like the sim.Clock it hangs off, it belongs
+// to a single machine on a single goroutine.
 type Metrics struct {
 	clock    *sim.Clock
 	counters [NumCounters]uint64
+	// root is the registry a scope belongs to, nil on the registry itself;
+	// scopes lists every scope opened on the registry.
+	root   *Metrics
+	scopes []*Metrics
 }
 
 // MeterName implements sim.Meter, typing the registry's attachment to the
@@ -321,23 +333,56 @@ func Of(clock *sim.Clock) *Metrics {
 	}
 }
 
+// Scope opens a counter array owned by one component instance on the
+// machine: a runtime incarnation, a server, an ORAM cache, a scheduler task.
+// The owner counts its events into the scope and nowhere else; the
+// registry's Count and Snapshot add in every scope ever opened on it, so a
+// machine total is the same whichever array an event landed in. Scopes are
+// never closed — a retired owner's counts stay in the machine total — and
+// there is one level only: a scope opened from a scope belongs to the
+// registry.
+func (m *Metrics) Scope() *Metrics {
+	root := m
+	if m.root != nil {
+		root = m.root
+	}
+	s := &Metrics{root: root}
+	root.scopes = append(root.scopes, s)
+	return s
+}
+
 // Inc increments a counter by one.
 func (m *Metrics) Inc(c Counter) { m.counters[c]++ }
 
 // Add increments a counter by n.
 func (m *Metrics) Add(c Counter, n uint64) { m.counters[c] += n }
 
-// Count reports a counter's current value.
-func (m *Metrics) Count(c Counter) uint64 { return m.counters[c] }
+// Count reports a counter's current value: the machine total on the
+// registry, the scope's own count on a scope.
+func (m *Metrics) Count(c Counter) uint64 {
+	n := m.counters[c]
+	for _, s := range m.scopes {
+		n += s.counters[c]
+	}
+	return n
+}
 
 // Snapshot captures the registry and the clock's attribution state as an
-// immutable value.
+// immutable value; its counters are the machine totals. A scope's snapshot
+// carries the scope's counters only: its Cycles and Attribution are zero,
+// so it passes Check, and adding scopes' snapshots never counts a cycle.
 func (m *Metrics) Snapshot() Snapshot {
-	return Snapshot{
-		Cycles:      m.clock.Cycles(),
-		Attribution: m.clock.Buckets(),
-		Counters:    m.counters,
+	s := Snapshot{Counters: m.counters}
+	if m.root != nil {
+		return s
 	}
+	s.Cycles, s.Attribution = m.clock.Cycles(), m.clock.Buckets()
+	for _, sc := range m.scopes {
+		for c, n := range sc.counters {
+			s.Counters[c] += n
+		}
+	}
+	return s
 }
 
 // Snapshot is an immutable point-in-time view of one machine's metrics:

@@ -158,3 +158,73 @@ func TestSnapshotNamedReadsByWireName(t *testing.T) {
 		}
 	}
 }
+
+// TestScopesAddIntoTheMachineTotals: the machine registry's Count and
+// Snapshot are its own counts plus every scope's, a scope reads only its
+// own, and a scope opened from a scope belongs to the registry.
+func TestScopesAddIntoTheMachineTotals(t *testing.T) {
+	clock := sim.NewClock()
+	m := Of(clock)
+	a, b := m.Scope(), m.Scope()
+	nested := a.Scope()
+	m.Add(CntEnters, 5)
+	a.Add(CntSelfFaults, 3)
+	a.Inc(CntEnters)
+	b.Add(CntSelfFaults, 4)
+	nested.Add(CntSelfFaults, 10)
+	clock.ChargeAs(sim.CatPaging, 70)
+
+	if got := m.Count(CntSelfFaults); got != 17 {
+		t.Fatalf("machine self faults = %d, want 3+4+10", got)
+	}
+	if got := m.Count(CntEnters); got != 6 {
+		t.Fatalf("machine enters = %d, want 5+1", got)
+	}
+	if a.Count(CntSelfFaults) != 3 || b.Count(CntSelfFaults) != 4 || nested.Count(CntSelfFaults) != 10 {
+		t.Fatalf("scope counts = %d, %d, %d; want each scope's own",
+			a.Count(CntSelfFaults), b.Count(CntSelfFaults), nested.Count(CntSelfFaults))
+	}
+
+	snap := m.Snapshot()
+	if snap.Cycles != 70 || snap.Counter(CntSelfFaults) != 17 || snap.Counter(CntEnters) != 6 {
+		t.Fatalf("machine snapshot = %d cycles, %d self faults, %d enters",
+			snap.Cycles, snap.Counter(CntSelfFaults), snap.Counter(CntEnters))
+	}
+	// Opening a scope from a scope registers it with the root, never with
+	// its parent: a's view excludes nested's counts.
+	if got := a.Snapshot().Counter(CntSelfFaults); got != 3 {
+		t.Fatalf("a's snapshot counts %d self faults, want 3", got)
+	}
+}
+
+// TestScopeSnapshotCarriesCountersOnly: a scope's snapshot has zero cycles
+// and attribution, so it passes Check, and adding scopes' snapshots counts
+// no cycle.
+func TestScopeSnapshotCarriesCountersOnly(t *testing.T) {
+	clock := sim.NewClock()
+	s := Of(clock).Scope()
+	clock.ChargeAs(sim.CatCrypto, 40)
+	s.Add(CntServReplies, 2)
+	snap := s.Snapshot()
+	if snap.Cycles != 0 || snap.Attribution != (sim.Buckets{}) {
+		t.Fatalf("scope snapshot carries %d cycles, attribution %v", snap.Cycles, snap.Attribution)
+	}
+	if err := snap.Check(); err != nil {
+		t.Fatal(err)
+	}
+	sum := snap.Add(Of(clock).Scope().Snapshot())
+	if sum.Cycles != 0 || sum.Counter(CntServReplies) != 2 {
+		t.Fatalf("sum of scopes = %d cycles, %d replies", sum.Cycles, sum.Counter(CntServReplies))
+	}
+}
+
+// TestScopeIncZeroAlloc: counting into a scope is one array increment.
+func TestScopeIncZeroAlloc(t *testing.T) {
+	s := Of(sim.NewClock()).Scope()
+	if allocs := testing.AllocsPerRun(100, func() {
+		s.Inc(CntPagesFetched)
+		s.Add(CntPagesEvicted, 4)
+	}); allocs != 0 {
+		t.Errorf("scope Inc/Add allocates %.1f/op, want 0", allocs)
+	}
+}

@@ -7,14 +7,6 @@ import (
 	"autarky/internal/sim"
 )
 
-// CacheStats counts cache-layer events.
-type CacheStats struct {
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
-	Writeback uint64
-}
-
 // Cache is the Autarky-enabled ORAM page cache (§5.2.2, §6): a large buffer
 // of enclave-managed (pinned) pages holding recently used ORAM blocks.
 // Because the Autarky ISA hides the enclave's page access trace, hits can
@@ -36,7 +28,7 @@ type Cache struct {
 
 	clock *sim.Clock
 	costs *sim.Costs
-	m     *metrics.Metrics
+	m     *metrics.Metrics // the cache's scope of the machine registry
 
 	// Touch, when set, is invoked with the cache slot index on every hit
 	// and fill so the buffer's pages flow through the architectural access
@@ -45,8 +37,6 @@ type Cache struct {
 
 	slots    []centry // one per cache slot
 	freeSlot []int
-
-	Stats CacheStats
 }
 
 type centry struct {
@@ -68,7 +58,7 @@ func NewCache(o *PathORAM, capacity int, clock *sim.Clock, costs *sim.Costs) *Ca
 		entries:  make(map[uint32]*centry, capacity),
 		clock:    clock,
 		costs:    costs,
-		m:        metrics.Of(clock),
+		m:        metrics.Of(clock).Scope(),
 		slots:    make([]centry, capacity),
 	}
 	for i := capacity - 1; i >= 0; i-- {
@@ -83,6 +73,10 @@ func (c *Cache) Capacity() int { return c.capacity }
 
 // ORAM returns the underlying PathORAM.
 func (c *Cache) ORAM() *PathORAM { return c.oram }
+
+// Metrics returns this cache's counts: hits, misses, evictions and
+// write-backs. The machine's snapshot includes them too.
+func (c *Cache) Metrics() metrics.Snapshot { return c.m.Snapshot() }
 
 func (c *Cache) unlink(e *centry) {
 	if e.prev != nil {
@@ -122,13 +116,11 @@ func (c *Cache) lookup(id uint32) (*centry, error) {
 	// scans it replaces.
 	c.clock.ChargeAs(sim.CatPolicy, c.costs.ORAMCacheLookup)
 	if e, ok := c.entries[id]; ok {
-		c.Stats.Hits++
 		c.m.Inc(metrics.CntORAMCacheHits)
 		c.unlink(e)
 		c.pushBack(e)
 		return e, nil
 	}
-	c.Stats.Misses++
 	c.m.Inc(metrics.CntORAMCacheMisses)
 
 	// Make room: evict the LRU entry, writing it back through the ORAM if
@@ -141,10 +133,9 @@ func (c *Cache) lookup(id uint32) (*centry, error) {
 			if err := c.oram.Access(victim.id, true, victim.data, nil); err != nil {
 				return nil, err
 			}
-			c.Stats.Writeback++
+			c.m.Inc(metrics.CntORAMCacheWritebacks)
 		}
 		c.freeSlot = append(c.freeSlot, victim.slot)
-		c.Stats.Evictions++
 		c.m.Inc(metrics.CntORAMCacheEvictions)
 	}
 
@@ -206,7 +197,7 @@ func (c *Cache) Flush() error {
 				return err
 			}
 			e.dirty = false
-			c.Stats.Writeback++
+			c.m.Inc(metrics.CntORAMCacheWritebacks)
 		}
 	}
 	return nil

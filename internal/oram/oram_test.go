@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"autarky/internal/metrics"
 	"autarky/internal/sim"
 )
 
@@ -168,7 +169,7 @@ func TestCacheReadYourWrites(t *testing.T) {
 	if string(buf) != "hi" {
 		t.Fatalf("got %q", buf)
 	}
-	if c.Stats.Hits == 0 {
+	if c.Metrics().Counter(metrics.CntORAMCacheHits) == 0 {
 		t.Fatal("second access should hit")
 	}
 }
@@ -178,8 +179,9 @@ func TestCacheEvictionWritesBackDirty(t *testing.T) {
 	c.Write(1, []byte{0xaa})
 	c.Write(2, []byte{0xbb})
 	c.Read(3, make([]byte, 1)) // evicts LRU (1), dirty -> writeback
-	if c.Stats.Evictions == 0 || c.Stats.Writeback == 0 {
-		t.Fatalf("evictions=%d writeback=%d", c.Stats.Evictions, c.Stats.Writeback)
+	st := c.Metrics()
+	if ev, wb := st.Counter(metrics.CntORAMCacheEvictions), st.Counter(metrics.CntORAMCacheWritebacks); ev == 0 || wb == 0 {
+		t.Fatalf("evictions=%d writeback=%d", ev, wb)
 	}
 	// Block 1 must round-trip through the ORAM.
 	buf := make([]byte, 1)
@@ -195,9 +197,9 @@ func TestCacheCleanEvictionSkipsWriteback(t *testing.T) {
 	c, _ := newCache(64, 2)
 	c.Read(1, make([]byte, 1))
 	c.Read(2, make([]byte, 1))
-	wb := c.Stats.Writeback
+	wb := c.Metrics().Counter(metrics.CntORAMCacheWritebacks)
 	c.Read(3, make([]byte, 1)) // evict clean block 1
-	if c.Stats.Writeback != wb {
+	if c.Metrics().Counter(metrics.CntORAMCacheWritebacks) != wb {
 		t.Fatal("clean eviction wrote back")
 	}
 }
@@ -208,9 +210,9 @@ func TestCacheLRUOrder(t *testing.T) {
 	c.Read(2, make([]byte, 1))
 	c.Read(1, make([]byte, 1)) // 1 becomes MRU
 	c.Read(3, make([]byte, 1)) // evicts 2
-	misses := c.Stats.Misses
+	misses := c.Metrics().Counter(metrics.CntORAMCacheMisses)
 	c.Read(1, make([]byte, 1)) // should hit
-	if c.Stats.Misses != misses {
+	if c.Metrics().Counter(metrics.CntORAMCacheMisses) != misses {
 		t.Fatal("MRU block was evicted")
 	}
 }
@@ -222,12 +224,12 @@ func TestCacheFlush(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Stats.Writeback != 2 {
-		t.Fatalf("flush wrote back %d", c.Stats.Writeback)
+	if wb := c.Metrics().Counter(metrics.CntORAMCacheWritebacks); wb != 2 {
+		t.Fatalf("flush wrote back %d", wb)
 	}
 	// Flushing twice writes nothing new.
 	c.Flush()
-	if c.Stats.Writeback != 2 {
+	if c.Metrics().Counter(metrics.CntORAMCacheWritebacks) != 2 {
 		t.Fatal("double flush rewrote clean blocks")
 	}
 }

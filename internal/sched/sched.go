@@ -111,9 +111,10 @@ type Task struct {
 	done bool
 	err  error
 
-	cycles      uint64
-	slices      uint64
-	preemptions uint64
+	cycles uint64
+	// m is the task's scope of the machine registry: its dispatches and
+	// preemptions are counted there.
+	m *metrics.Metrics
 }
 
 // ID is the task's spawn-order index (stable, unique per scheduler).
@@ -138,8 +139,8 @@ func (t *Task) Metrics() TaskMetrics {
 		Name:        t.name,
 		Priority:    t.priority,
 		Cycles:      t.cycles,
-		Slices:      t.slices,
-		Preemptions: t.preemptions,
+		Slices:      t.m.Count(metrics.CntSchedDispatches),
+		Preemptions: t.m.Count(metrics.CntSchedPreemptions),
 		Done:        t.done,
 	}
 }
@@ -245,6 +246,7 @@ func (s *Scheduler) Spawn(name string, priority int, proc *hostos.Proc, run func
 		run:      run,
 		resume:   make(chan resumeMsg),
 		exited:   make(chan struct{}),
+		m:        s.m.Scope(),
 	}
 	s.tasks = append(s.tasks, t)
 	go t.main()
@@ -359,7 +361,7 @@ func (s *Scheduler) step() bool {
 
 	s.clock.ChargeAs(sim.CatFault, s.costs.SchedDispatch)
 	s.overhead += s.costs.SchedDispatch
-	s.m.Inc(metrics.CntSchedDispatches)
+	t.m.Inc(metrics.CntSchedDispatches)
 	if s.last != nil && s.last != t {
 		s.m.Inc(metrics.CntSchedSwitches)
 	}
@@ -373,7 +375,6 @@ func (s *Scheduler) step() bool {
 		s.cpu.PreemptAt = 0
 	}
 
-	t.slices++
 	mark := s.clock.Cycles()
 	if t.idle && !forceRealPolls {
 		if saved, ok := s.kernel.PollInPlace(t.proc, t.saved); ok {
@@ -390,8 +391,7 @@ func (s *Scheduler) step() bool {
 
 	switch msg.kind {
 	case yieldPreempted:
-		msg.task.preemptions++
-		s.m.Inc(metrics.CntSchedPreemptions)
+		msg.task.m.Inc(metrics.CntSchedPreemptions)
 	case yieldVoluntary:
 		// A cooperative handoff, not a quantum expiration: the slice ends
 		// but no preemption is counted.

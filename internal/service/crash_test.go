@@ -62,9 +62,10 @@ func TestCrashBooksUnsettledExactlyOnce(t *testing.T) {
 		t.Fatalf("second crash moved the drop count to %d", got)
 	}
 
-	// Restore: a fresh incarnation with the same frozen operation table
-	// rebinds and the surviving connections serve new traffic.
-	p2, _ := newTestProc(t)
+	// Restore: a fresh incarnation on the same host, with the same frozen
+	// operation table, rebinds and the surviving connections serve new
+	// traffic.
+	p2 := nextIncarnation(t, p, 1)
 	register(p2)
 	if err := s.Rebind(p2); err != nil {
 		t.Fatalf("rebind: %v", err)

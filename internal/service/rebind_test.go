@@ -2,9 +2,11 @@ package service
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"autarky/internal/core"
+	"autarky/internal/libos"
 )
 
 // TestDrainRebindResumesService exercises the migration-facing server
@@ -44,9 +46,9 @@ func TestDrainRebindResumesService(t *testing.T) {
 		t.Fatalf("backlog not served before drain returned: %+v", s.Stats())
 	}
 
-	// The "destination machine": a fresh incarnation with the same handler
-	// table, as Adopt produces.
-	p2, _ := newTestProc(t)
+	// The "destination": a fresh incarnation with the same handler table,
+	// as Adopt produces, on the same clock.
+	p2 := nextIncarnation(t, p, 1)
 	register(p2)
 	if err := s.Rebind(p2); err != nil {
 		t.Fatalf("rebind: %v", err)
@@ -79,8 +81,10 @@ func TestDrainRebindResumesService(t *testing.T) {
 }
 
 // TestRebindMisuse pins the rebind misuse taxonomy: rebinding without a
-// drain, with a different handler count, or with a renamed handler is
-// refused — the wire op table was frozen into every queued frame.
+// drain, with a different handler count, with a renamed handler (the wire
+// op table was frozen into every queued frame) or onto a machine with
+// another clock (the schedule's arrival cycles and the server's metrics
+// scope belong to this one) is refused, each for its own reason.
 func TestRebindMisuse(t *testing.T) {
 	p, _ := newTestProc(t)
 	register(p)
@@ -89,29 +93,31 @@ func TestRebindMisuse(t *testing.T) {
 	if err := c.Send("echo", 1); err != nil { // freezes the op table
 		t.Fatalf("send: %v", err)
 	}
-
-	p2, _ := newTestProc(t)
-	register(p2)
-	if err := s.Rebind(p2); err == nil {
-		t.Fatal("rebind without drain succeeded")
+	refused := func(q *libos.Process, reason string) {
+		t.Helper()
+		if err := s.Rebind(q); err == nil || !strings.Contains(err.Error(), reason) {
+			t.Fatalf("rebind error = %v, want one saying %q", err, reason)
+		}
 	}
+
+	p2 := nextIncarnation(t, p, 1)
+	register(p2)
+	refused(p2, "without drain")
 
 	s.Drain()
 	if err := p.Run(s.Loop); err != nil {
 		t.Fatalf("drain loop: %v", err)
 	}
 
-	bare, _ := newTestProc(t)
-	if err := s.Rebind(bare); err == nil {
-		t.Fatal("rebind with no handlers succeeded against a frozen table")
-	}
-	renamed, _ := newTestProc(t)
+	refused(nextIncarnation(t, p, 2), "with 0 handlers")
+	renamed := nextIncarnation(t, p, 3)
 	renamed.Handle("notecho", func(ctx *core.Context, arg uint64) (uint64, error) {
 		return arg, nil
 	})
-	if err := s.Rebind(renamed); err == nil {
-		t.Fatal("rebind with a renamed handler succeeded")
-	}
+	refused(renamed, `is "notecho"`)
+	elsewhere, _ := newTestProc(t)
+	register(elsewhere)
+	refused(elsewhere, "another clock")
 	if err := s.Rebind(p2); err != nil {
 		t.Fatalf("matching rebind refused: %v", err)
 	}

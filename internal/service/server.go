@@ -101,11 +101,12 @@ func (o Options) validate() error {
 	return o.ChannelFaults.Validate()
 }
 
-// Stats is a server's traffic account. Offered = Admitted + Backpressure;
-// every admitted request ends exactly one way: served, error reply,
-// timeout shed, or dropped (lost in transit / discarded by a reset).
+// Stats is a server's traffic account, read from its metrics scope.
+// Offered = Admitted + Backpressure; every admitted request ends exactly
+// one way: served, error reply, timeout shed, or dropped (lost in transit /
+// discarded by a reset).
 type Stats struct {
-	Offered      uint64 // request admissions attempted
+	Offered      uint64 // request admissions attempted on an open server
 	Admitted     uint64 // requests accepted into a connection queue
 	Served       uint64 // successful replies delivered intact
 	Errors       uint64 // error replies delivered intact
@@ -126,6 +127,8 @@ type Server struct {
 	proc  *libos.Process
 	clock *sim.Clock
 	costs *sim.Costs
+	// meter is the server's scope of the machine registry; it outlives
+	// incarnations (Rebind keeps it), so Stats spans them all.
 	meter *metrics.Metrics
 	opts  Options
 	plan  fault.Plan
@@ -169,7 +172,6 @@ type Server struct {
 	draining bool
 	scratch  [FrameBytes]byte
 	hist     *metrics.Histogram
-	stats    Stats
 }
 
 // Conn is one client connection: a bounded request queue plus the
@@ -203,7 +205,7 @@ func New(p *libos.Process, opts Options) (*Server, error) {
 		proc:  p,
 		clock: p.Kernel.Clock,
 		costs: p.Kernel.Costs,
-		meter: metrics.Of(p.Kernel.Clock),
+		meter: metrics.Of(p.Kernel.Clock).Scope(),
 		opts:  opts,
 		plan:  opts.ChannelFaults,
 		hist:  metrics.NewHistogram(opts.HistMax),
@@ -217,7 +219,23 @@ func (s *Server) Name() string { return s.proc.Image.Name }
 func (s *Server) Process() *libos.Process { return s.proc }
 
 // Stats returns the server's traffic account so far.
-func (s *Server) Stats() Stats { return s.stats }
+func (s *Server) Stats() Stats {
+	m := s.meter
+	st := Stats{
+		Admitted:     m.Count(metrics.CntServRequests),
+		Served:       m.Count(metrics.CntServReplies),
+		Errors:       m.Count(metrics.CntServErrors),
+		KeepAlives:   m.Count(metrics.CntServKeepAlives),
+		Backpressure: m.Count(metrics.CntServBackpressure),
+		Timeouts:     m.Count(metrics.CntServTimeouts),
+		Resets:       m.Count(metrics.CntServResets),
+		Corrupt:      m.Count(metrics.CntServCorrupt),
+		Dropped:      m.Count(metrics.CntServDrops),
+		IdlePolls:    m.Count(metrics.CntServIdlePolls),
+	}
+	st.Offered = st.Admitted + st.Backpressure
+	return st
+}
 
 // Hist returns the per-request latency histogram (sojourn cycles of every
 // successfully served request).
@@ -268,8 +286,8 @@ func (s *Server) PendingSchedule() int { return len(s.schedule) - s.pos }
 // recovery rather than silently vanishing. Returns the number of admitted
 // requests the crash lost.
 func (s *Server) Crash() uint64 {
-	st := &s.stats
 	unsettled := func() uint64 {
+		st := s.Stats()
 		settled := st.Served + st.Errors + st.Timeouts + st.Dropped
 		if st.Admitted > settled {
 			return st.Admitted - settled
@@ -284,7 +302,6 @@ func (s *Server) Crash() uint64 {
 	// dispatch when the machine died — is dropped too, so no admitted
 	// request ever disappears from the books.
 	if rem := unsettled(); rem > 0 {
-		st.Dropped += rem
 		s.meter.Add(metrics.CntServDrops, rem)
 	}
 	s.fifoHead, s.fifoLen = 0, 0
@@ -296,13 +313,17 @@ func (s *Server) Crash() uint64 {
 // (the adopted enclave on the destination machine) and resumes admission.
 // The operation table was frozen into every queued and scheduled frame as
 // indexes, so the new incarnation must register the same handler names in
-// the same order; anything else is a protocol error. Rebind assumes the
-// destination machine shares the source's clock timeline (in a fleet, all
-// machines run under one sim.Clock) — absolute arrival cycles keep their
-// meaning across the move.
+// the same order; anything else is a protocol error. The destination
+// machine must share the source's clock (in a fleet, all machines run under
+// one sim.Clock): absolute arrival cycles keep their meaning only on that
+// timeline, and the server's metrics scope belongs to that clock's
+// registry.
 func (s *Server) Rebind(p *libos.Process) error {
 	if !s.draining {
 		return fmt.Errorf("service: %s rebind without drain", s.Name())
+	}
+	if p.Kernel.Clock != s.clock {
+		return fmt.Errorf("service: %s rebind onto a machine with another clock", s.Name())
 	}
 	if s.frozen {
 		names := p.HandlerNames()
@@ -323,9 +344,7 @@ func (s *Server) Rebind(p *libos.Process) error {
 		}
 	}
 	s.proc = p
-	s.clock = p.Kernel.Clock
 	s.costs = p.Kernel.Costs
-	s.meter = metrics.Of(p.Kernel.Clock)
 	s.draining = false
 	return nil
 }
@@ -464,9 +483,6 @@ func (s *Server) pop() (Frame, bool) {
 // nothing the full queue does not).
 func (s *Server) admit(f Frame) error {
 	c := s.conns[f.Conn]
-	if f.Kind == FrameRequest {
-		s.stats.Offered++
-	}
 	if s.closed {
 		return &Error{Server: s.Name(), Conn: c.id, Err: ErrClosed}
 	}
@@ -474,7 +490,6 @@ func (s *Server) admit(f Frame) error {
 		if f.Kind == FrameKeepAlive {
 			return nil
 		}
-		s.stats.Backpressure++
 		s.meter.Inc(metrics.CntServBackpressure)
 		return &Error{Server: s.Name(), Conn: c.id, Corr: f.Corr, Op: s.opName(f.Op), Err: ErrBackpressure}
 	}
@@ -482,7 +497,6 @@ func (s *Server) admit(f Frame) error {
 	c.n++
 	s.push(f)
 	if f.Kind == FrameRequest {
-		s.stats.Admitted++
 		s.meter.Inc(metrics.CntServRequests)
 	}
 	return nil
@@ -555,7 +569,6 @@ func (s *Server) quietAt(now uint64) bool {
 
 // idlePoll is the loop's idle branch: count the poll and charge it.
 func (s *Server) idlePoll() {
-	s.stats.IdlePolls++
 	s.meter.Inc(metrics.CntServIdlePolls)
 	s.charge(s.costs.ServPoll)
 }
@@ -647,7 +660,6 @@ func (s *Server) serve(ctx *core.Context, f Frame) {
 	now := s.clock.Cycles()
 	if now < s.partUntil {
 		// Severed channel: the request vanishes in transit.
-		s.stats.Dropped++
 		s.meter.Inc(metrics.CntServDrops)
 		return
 	}
@@ -659,14 +671,12 @@ func (s *Server) serve(ctx *core.Context, f Frame) {
 		var err error
 		wf, err = DecodeFrame(s.scratch[:])
 		if err != nil {
-			s.stats.Corrupt++
 			s.meter.Inc(metrics.CntServCorrupt)
 			s.reset(c)
 			return
 		}
 	case fault.KindUnavail:
 		// Lost in transit: the request simply never arrives.
-		s.stats.Dropped++
 		s.meter.Inc(metrics.CntServDrops)
 		return
 	default:
@@ -679,7 +689,6 @@ func (s *Server) serve(ctx *core.Context, f Frame) {
 	}
 
 	if s.opts.Deadline > 0 && now-f.Arrive > s.opts.Deadline {
-		s.stats.Timeouts++
 		s.meter.Inc(metrics.CntServTimeouts)
 		s.deliver(c, Frame{Kind: FrameReply, ErrCode: wireTimeout, Conn: c.id, Gen: f.Gen, Corr: wf.Corr, Arrive: f.Arrive})
 		return
@@ -706,7 +715,6 @@ func (s *Server) deliver(c *Conn, f Frame) {
 	if now < s.partUntil {
 		// Severed channel: the reply is lost, and the client — unable to
 		// tell a lost reply from a dead server — tears the connection down.
-		s.stats.Dropped++
 		s.meter.Inc(metrics.CntServDrops)
 		s.reset(c)
 		return
@@ -719,13 +727,11 @@ func (s *Server) deliver(c *Conn, f Frame) {
 		var err error
 		wf, err = DecodeFrame(s.scratch[:])
 		if err != nil {
-			s.stats.Corrupt++
 			s.meter.Inc(metrics.CntServCorrupt)
 			s.reset(c)
 			return
 		}
 	case fault.KindUnavail:
-		s.stats.Dropped++
 		s.meter.Inc(metrics.CntServDrops)
 		s.reset(c)
 		return
@@ -738,16 +744,14 @@ func (s *Server) deliver(c *Conn, f Frame) {
 	c.lastAct = now
 	switch wf.Kind {
 	case FrameKeepAlive:
-		s.stats.KeepAlives++
 		s.meter.Inc(metrics.CntServKeepAlives)
 		return
 	case FrameReply:
 		if wf.ErrCode == wireOK {
 			s.hist.Record(now - f.Arrive)
-			s.stats.Served++
 			s.meter.Inc(metrics.CntServReplies)
 		} else {
-			s.stats.Errors++
+			s.meter.Inc(metrics.CntServErrors)
 		}
 		if c.awaiting && c.await == wf.Corr {
 			c.reply = wf
@@ -768,9 +772,7 @@ func (s *Server) reset(c *Conn) {
 	c.awaiting = false
 	c.hasReply = false
 	c.lastAct = s.clock.Cycles()
-	s.stats.Resets++
 	s.meter.Inc(metrics.CntServResets)
-	s.stats.Dropped += dropped
 	s.meter.Add(metrics.CntServDrops, dropped)
 }
 

@@ -8,6 +8,7 @@ import (
 	"autarky/internal/fault"
 	"autarky/internal/hostos"
 	"autarky/internal/libos"
+	"autarky/internal/mmu"
 	"autarky/internal/sim"
 )
 
@@ -16,18 +17,31 @@ import (
 func newTestProc(t *testing.T) (*libos.Process, *sim.Clock) {
 	t.Helper()
 	kernel := hostos.NewHost(sim.NewClock(), sim.DefaultCosts(), hostos.DefaultGeometry(1<<12), []byte("service-test-root"))
+	return loadTestProc(t, kernel, libos.DefaultBase), kernel.Clock
+}
+
+// nextIncarnation loads the test image onto p's host again, n GiB above
+// the first incarnation: a migration or restore destination shares the
+// source's clock, as every fleet node does.
+func nextIncarnation(t *testing.T, p *libos.Process, n int) *libos.Process {
+	t.Helper()
+	return loadTestProc(t, p.Kernel, libos.DefaultBase+mmu.VAddr(n)<<30)
+}
+
+func loadTestProc(t *testing.T, kernel *hostos.Kernel, base mmu.VAddr) *libos.Process {
+	t.Helper()
 	img := libos.AppImage{
 		Name:      "svc",
 		Libraries: []libos.Library{{Name: "libsvc.so", Pages: 2}},
 		HeapPages: 16,
 	}
 	p, err := libos.Load(kernel, img, libos.Config{
-		SelfPaging: true, Policy: libos.PolicyPinAll,
+		Base: base, SelfPaging: true, Policy: libos.PolicyPinAll,
 	})
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	return p, kernel.Clock
+	return p
 }
 
 // register installs an echo-style handler: touches one heap page, returns
@@ -115,6 +129,24 @@ func TestBackpressureBoundsQueue(t *testing.T) {
 	}
 	if s.Stats().Served != 2 {
 		t.Fatalf("served = %d, want 2", s.Stats().Served)
+	}
+}
+
+// TestClosedServerRefusalIsNotOffered: a send refused because the server
+// is closed is not an offered request, just as one naming an unknown op is
+// not, so Offered = Admitted + Backpressure holds.
+func TestClosedServerRefusalIsNotOffered(t *testing.T) {
+	p, _ := newTestProc(t)
+	register(p)
+	s, _ := New(p, Options{})
+	c, _ := s.Dial()
+	s.Close()
+	if err := c.Send("echo", 1); !errors.Is(err, ErrClosed) {
+		t.Fatalf("send on a closed server: %v, want ErrClosed", err)
+	}
+	st := s.Stats()
+	if st.Offered != st.Admitted+st.Backpressure || st.Offered != 0 {
+		t.Fatalf("offered %d, admitted %d, backpressure %d: want all 0", st.Offered, st.Admitted, st.Backpressure)
 	}
 }
 

@@ -301,7 +301,7 @@ func TestMemcachedOverORAM(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			m.Get(ctx, i)
 		}
-		if cache.Stats.Misses == 0 {
+		if cache.Metrics().Counter(metrics.CntORAMCacheMisses) == 0 {
 			t.Fatal("ORAM cache never exercised")
 		}
 		// No enclave faults: everything either pinned or behind the ORAM.

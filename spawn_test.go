@@ -59,6 +59,67 @@ func TestSpawnTimeSlicesCoResidentEnclaves(t *testing.T) {
 	}
 }
 
+// TestScopesCountEachTenantOnce runs a self-paging tenant under a quota and
+// a pin-all tenant on one scheduled machine. Each runtime's and each
+// task's view counts only its own events — the pager's runtime counts what
+// it counts running alone — and the machine's totals of the scoped
+// counters are the tenants' views added up.
+func TestScopesCountEachTenantOnce(t *testing.T) {
+	pagerCfg := Config{SelfPaging: true, Policy: PolicyRateLimit, RateLimitBurst: 1 << 20, QuotaPages: 40}
+	solo := NewMachine(WithEPCFrames(1024), WithQuantum(20_000))
+	alone, err := solo.Spawn(namedImage("pager", 64), pagerCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := alone.Run(sweepApp(alone, 20)); err != nil {
+		t.Fatal(err)
+	}
+
+	m := NewMachine(WithEPCFrames(1024), WithQuantum(20_000))
+	pager, err := m.Spawn(namedImage("pager", 64), pagerCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned, err := m.Spawn(namedImage("pinned", 8), Config{SelfPaging: true, Policy: PolicyPinAll})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pager.Start(sweepApp(pager, 20))
+	pinned.Start(sweepApp(pinned, 1500))
+	if err := m.WaitAll(); err != nil {
+		t.Fatalf("WaitAll: %v", err)
+	}
+
+	machine, rtPager, rtPinned := m.Metrics(), pager.Runtime.Metrics(), pinned.Runtime.Metrics()
+	if rtPager != alone.Runtime.Metrics() {
+		t.Errorf("pager's runtime view changed with a co-tenant:\n got %v\nwant %v",
+			rtPager.Counters, alone.Runtime.Metrics().Counters)
+	}
+	if counter(t, rtPager, "runtime.self_faults") == 0 {
+		t.Fatal("the pager never self-paged")
+	}
+	if got := counter(t, rtPinned, "runtime.self_faults"); got != 0 {
+		t.Errorf("pin-all tenant counts %d self faults, want 0", got)
+	}
+	for _, name := range []string{"runtime.handler_runs", "runtime.self_faults", "runtime.pages_fetched",
+		"runtime.pages_evicted", "ratelimit.grants"} {
+		if got, want := counter(t, machine, name), counter(t, rtPager, name)+counter(t, rtPinned, name); got != want {
+			t.Errorf("machine %s = %d, want the runtimes' %d", name, got, want)
+		}
+	}
+
+	tPager, tPinned := pager.Metrics(), pinned.Metrics()
+	if tPager.Slices == 0 || tPinned.Slices == 0 || tPinned.Preemptions == 0 {
+		t.Fatalf("tenants not time-sliced: %+v, %+v", tPager, tPinned)
+	}
+	if got, want := counter(t, machine, "sched.dispatches"), tPager.Slices+tPinned.Slices; got != want {
+		t.Errorf("machine sched.dispatches = %d, want the tasks' %d", got, want)
+	}
+	if got, want := counter(t, machine, "sched.preemptions"), tPager.Preemptions+tPinned.Preemptions; got != want {
+		t.Errorf("machine sched.preemptions = %d, want the tasks' %d", got, want)
+	}
+}
+
 func TestSpawnRunIsStartPlusWait(t *testing.T) {
 	m := NewMachine(WithEPCFrames(512))
 	p, err := m.Spawn(testImage(8), Config{SelfPaging: true, Policy: PolicyPinAll})
