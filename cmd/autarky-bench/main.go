@@ -4,9 +4,11 @@
 // noted alongside.
 //
 // Experiments are grids of independent cells — one simulated machine per
-// cell — fanned across a worker pool (internal/runner). Results are
-// deterministic at any concurrency: -jobs changes wall-clock time, never a
-// reported cycle count.
+// cell — run on up to -jobs goroutines and collected in cell order. Results
+// are deterministic at any concurrency: -jobs changes wall-clock time, never
+// a reported cycle count. A failing cell (a crash, or a machine clock
+// crossing the -budget cycle limit) fails its experiment, which prints a
+// FAILED table while the rest of the suite still runs.
 //
 // Usage:
 //

@@ -266,21 +266,6 @@ func TestEnsurePinnedResident(t *testing.T) {
 	}
 }
 
-func TestRefreshResidenceSyncs(t *testing.T) {
-	r, d := newTestRuntime(0)
-	r.ManagePages(pagesOf(1), mmu.PermRW, false)
-	d.resident[1] = true
-	if err := r.RefreshResidence(pagesOf(1)); err != nil {
-		t.Fatal(err)
-	}
-	if res, _ := r.PageResident(mmu.PageOf(1)); !res {
-		t.Fatal("refresh did not sync")
-	}
-	if err := r.RefreshResidence(pagesOf(99)); err == nil {
-		t.Fatal("refresh of unmanaged page accepted")
-	}
-}
-
 // --- Policies ----------------------------------------------------------------
 
 func TestRateLimitPolicyMath(t *testing.T) {

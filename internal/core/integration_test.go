@@ -120,9 +120,6 @@ func TestContextAccessorsAndProgress(t *testing.T) {
 	if p.Runtime.Progress() != 10 {
 		t.Fatalf("progress = %d", p.Runtime.Progress())
 	}
-	if p.Runtime.AppError() != nil {
-		t.Fatalf("AppError = %v", p.Runtime.AppError())
-	}
 }
 
 func TestSGX2EvictFetchPreservesDataEndToEnd(t *testing.T) {

@@ -76,8 +76,6 @@ type Runtime struct {
 	}
 
 	progress uint64 // application-reported forward progress (§5.2.4)
-
-	appErr error
 }
 
 // NewRuntime builds a runtime. Attach must be called (by the loader) before
@@ -115,9 +113,6 @@ func (r *Runtime) Progress() uint64 { return r.progress }
 // checkpointed incarnation left off instead of restarting at zero.
 func (r *Runtime) SeedProgress(n uint64) { r.progress = n }
 
-// AppError returns the error the application finished with, if any.
-func (r *Runtime) AppError() error { return r.appErr }
-
 // ManagePages transfers the pages to enclave management
 // (ay_set_enclave_managed) and starts tracking them. Pinned pages are never
 // chosen as eviction victims; the fault handler treats any fault on a
@@ -142,28 +137,6 @@ func (r *Runtime) ManagePages(pages []mmu.VAddr, perms mmu.Perms, pinned bool) e
 		pi.perms = perms
 		if st.Resident && !pinned {
 			r.fifo = append(r.fifo, vpn)
-		}
-	}
-	return nil
-}
-
-// RefreshResidence re-queries the driver for the current residence of the
-// given managed pages and updates tracking (used after load-time fetches,
-// and after the OS swaps a suspended enclave back in).
-func (r *Runtime) RefreshResidence(pages []mmu.VAddr) error {
-	status, err := r.Driver.SetEnclaveManaged(r.enclave, pages)
-	if err != nil {
-		return err
-	}
-	for _, st := range status {
-		pi := r.pages[st.VA.VPN()]
-		if pi == nil {
-			return fmt.Errorf("core: RefreshResidence of unmanaged page %s", st.VA)
-		}
-		wasResident := pi.resident
-		pi.resident = st.Resident
-		if st.Resident && !wasResident && !pi.pinned {
-			r.fifo = append(r.fifo, st.VA.VPN())
 		}
 	}
 	return nil

@@ -100,14 +100,14 @@ func servingTenant(i, heapPages, quotaPages int, s fleet.Serving) *fleet.Tenant 
 // runFleetCell runs a fleet cell and records its snapshot under name. The
 // cross-machine account is part of the experiment's contract, not just a
 // test: a moved or restored tenant's shares must sum to its machine-clock
-// account. A failure panics naming the cell; runCells reports it.
+// account. A failure panics; runCells names the cell.
 func runFleetCell(rec *cellRecorder, name string, f *fleet.Fleet) metrics.Snapshot {
 	err := f.Run()
 	if err == nil {
 		err = f.CheckAccounting()
 	}
 	if err != nil {
-		panic(fmt.Sprintf("%s (%s): %v", rec.name, name, err))
+		panic(fmt.Sprintf("%s: %v", name, err))
 	}
 	snap := metrics.Of(f.Clock()).Snapshot()
 	rec.record(name, snap)

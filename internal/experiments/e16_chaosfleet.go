@@ -177,7 +177,7 @@ func runE16Cell(rec *cellRecorder, p E16Params, cell e16Cell) E16Row {
 	}
 	sched, err := plan.Build(len(f.Nodes()))
 	if err != nil {
-		panic(fmt.Sprintf("%s (%s): %v", rec.name, cell.name, err))
+		panic(fmt.Sprintf("%s: %v", cell.name, err))
 	}
 	var sup *fleet.Supervisor
 	if cell.supervised {
@@ -185,7 +185,7 @@ func runE16Cell(rec *cellRecorder, p E16Params, cell e16Cell) E16Row {
 		f.CheckpointEvery = p.CheckpointEvery
 	}
 	if err := f.AttachChaos(sched, sup); err != nil {
-		panic(fmt.Sprintf("%s (%s): %v", rec.name, cell.name, err))
+		panic(fmt.Sprintf("%s: %v", cell.name, err))
 	}
 
 	snap := runFleetCell(rec, cell.name, f)

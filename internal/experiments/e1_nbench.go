@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"autarky/internal/libos"
+	"autarky/internal/metrics"
 	"autarky/internal/workloads"
 )
 
@@ -57,7 +58,7 @@ func RunE1(scale int) E1Result {
 				Kernel:      k.Name,
 				BaseCycles:  base.Cycles,
 				ADCycles:    withAD.Cycles,
-				TLBFillADs:  withAD.ADChecks,
+				TLBFillADs:  withAD.Metrics.Counter(metrics.CntADChecks),
 				SlowdownPct: (slow - 1) * 100,
 			},
 			ratio: slow,
@@ -76,8 +77,7 @@ func RunE1(scale int) E1Result {
 func runE1Kernel(k workloads.Kernel, scale int, adCycles uint64) RunResult {
 	ad := adCycles
 	rc := RunConfig{
-		SelfPaging:    true,
-		Policy:        libos.PolicyPinAll,
+		Config:        libos.Config{SelfPaging: true, Policy: libos.PolicyPinAll},
 		ADCheckCycles: &ad,
 		// No quota: datasets fit in EPC; zero paging activity.
 	}

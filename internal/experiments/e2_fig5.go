@@ -5,6 +5,7 @@ import (
 
 	"autarky/internal/core"
 	"autarky/internal/libos"
+	"autarky/internal/metrics"
 	"autarky/internal/sim"
 )
 
@@ -46,12 +47,12 @@ func RunE2(rounds int) E2Result {
 		mech := mechs[i]
 		res := runE2Sweep(mech, rounds)
 		rec.record("", res.Metrics)
-		perFault := float64(res.Cycles) / float64(res.SelfPage)
+		faults := res.Metrics.Counter(metrics.CntSelfFaults)
 		fault := analyticFaultStack(&costs, mech)
-		fault.Measured = perFault
-		fault.FaultsRun = res.SelfPage
+		fault.Measured = float64(res.Cycles) / float64(faults)
+		fault.FaultsRun = faults
 		evict := analyticEvictStack(&costs, mech)
-		evict.FaultsRun = res.Evicted
+		evict.FaultsRun = res.Metrics.Counter(metrics.CntPagesEvicted)
 		return [2]E2Stack{fault, evict}
 	})
 	out := E2Result{Metrics: cm}
@@ -69,12 +70,14 @@ func runE2Sweep(mech core.Mech, rounds int) RunResult {
 		HeapPages: heap,
 	}
 	rc := RunConfig{
-		SelfPaging: true,
-		Policy:     libos.PolicyRateLimit,
-		RateBurst:  1 << 40,
-		QuotaPages: 12 + 24, // pinned stack+code plus 24 data slots
+		Config: libos.Config{
+			SelfPaging:     true,
+			Policy:         libos.PolicyRateLimit,
+			RateLimitBurst: 1 << 40,
+			QuotaPages:     12 + 24, // pinned stack+code plus 24 data slots
+			Mech:           mech,
+		},
 		EvictBatch: 16,
-		Mech:       mech,
 	}
 	return RunApp(img, rc, func(p *libos.Process, ctx *core.Context) {
 		for r := 0; r < rounds; r++ {

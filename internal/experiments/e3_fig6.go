@@ -108,12 +108,12 @@ func RunE3(p E3Params) E3Result {
 }
 
 func runE3Clusters(rec *cellRecorder, p E3Params, arena, clusterSize int) (fresh, rehashed E3Row) {
-	rc := RunConfig{
-		SelfPaging:  true,
-		Policy:      libos.PolicyClusters,
-		QuotaPages:  e3Quota(arena),
-		DataCluster: clusterSize,
-	}
+	rc := RunConfig{Config: libos.Config{
+		SelfPaging:       true,
+		Policy:           libos.PolicyClusters,
+		QuotaPages:       e3Quota(arena),
+		DataClusterPages: clusterSize,
+	}}
 	label := fmt.Sprintf("clusters/%d", clusterSize)
 	var cyc1, cyc2 uint64
 	result := RunApp(e3Image(arena), rc, func(proc *libos.Process, ctx *core.Context) {
@@ -155,12 +155,7 @@ func runE3Clusters(rec *cellRecorder, p E3Params, arena, clusterSize int) (fresh
 }
 
 func runE3ORAM(rec *cellRecorder, p E3Params, arena int, uncached bool) E3Row {
-	rc := RunConfig{
-		SelfPaging: true,
-		Policy:     libos.PolicyORAM,
-		QuotaPages: e3Quota(arena),
-		HeapPages:  8, // table lives behind the ORAM, not the heap
-	}
+	rc := RunConfig{Config: libos.Config{SelfPaging: true, Policy: libos.PolicyORAM, QuotaPages: e3Quota(arena)}}
 	ops := p.Lookups
 	label := "oram-cached"
 	if uncached {
@@ -170,7 +165,7 @@ func runE3ORAM(rec *cellRecorder, p E3Params, arena int, uncached bool) E3Row {
 	var cycles uint64
 	var measured int
 	img := e3Image(arena)
-	img.HeapPages = 8
+	img.HeapPages = 8 // table lives behind the ORAM, not the heap
 	result := RunApp(img, rc, func(proc *libos.Process, ctx *core.Context) {
 		clk := proc.Kernel.Clock
 		costs := proc.Kernel.Costs

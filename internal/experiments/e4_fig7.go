@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"autarky/internal/libos"
+	"autarky/internal/metrics"
 	"autarky/internal/workloads"
 )
 
@@ -51,25 +52,19 @@ func RunE4(scale int) E4Result {
 		quota := 12 + int(float64(k.ArenaPages)*E4QuotaFraction)
 		seed := uint64(0xE4000 + i)
 
-		base := RunKernel(k, RunConfig{
-			SelfPaging: false,
-			QuotaPages: quota,
-		}, scale, seed)
-		autk := RunKernel(k, RunConfig{
-			SelfPaging: true,
-			Policy:     libos.PolicyRateLimit,
-			RateBurst:  1 << 40, // tuned offline: no false positives (§7.2)
-			QuotaPages: quota,
+		base := RunKernel(k, RunConfig{Config: libos.Config{QuotaPages: quota}}, scale, seed)
+		rl := RunConfig{
+			Config: libos.Config{
+				SelfPaging:     true,
+				Policy:         libos.PolicyRateLimit,
+				RateLimitBurst: 1 << 40, // tuned offline: no false positives (§7.2)
+				QuotaPages:     quota,
+			},
 			EvictBatch: 16,
-		}, scale, seed)
-		elide := RunKernel(k, RunConfig{
-			SelfPaging: true,
-			Policy:     libos.PolicyRateLimit,
-			RateBurst:  1 << 40,
-			QuotaPages: quota,
-			EvictBatch: 16,
-			ElideAEX:   true,
-		}, scale, seed)
+		}
+		autk := RunKernel(k, rl, scale, seed)
+		rl.ElideAEX = true
+		elide := RunKernel(k, rl, scale, seed)
 		rec.record("base", base.Metrics)
 		rec.record("autk", autk.Metrics)
 		rec.record("elide", elide.Metrics)
@@ -78,6 +73,7 @@ func RunE4(scale int) E4Result {
 				panic(fmt.Sprintf("E4 %s (%s): %v", k.Name, r.Label, r.Err))
 			}
 		}
+		faults := autk.Metrics.Counter(metrics.CntSelfFaults) + autk.Metrics.Counter(metrics.CntForwardedFaults)
 		return E4Row{
 			App:          k.Name,
 			BaseCycles:   base.Cycles,
@@ -85,8 +81,8 @@ func RunE4(scale int) E4Result {
 			ElideCycles:  elide.Cycles,
 			Slowdown:     float64(autk.Cycles) / float64(base.Cycles),
 			SlowdownElid: float64(elide.Cycles) / float64(base.Cycles),
-			FaultsPerSec: PerSecond(autk.SelfPage+autk.Forwarded, autk.Cycles),
-			Faults:       autk.SelfPage + autk.Forwarded,
+			FaultsPerSec: PerSecond(faults, autk.Cycles),
+			Faults:       faults,
 		}
 	})
 	res.Metrics = cm

@@ -62,10 +62,10 @@ func DefaultE5Params() E5Params {
 
 func e5Variants() []RunConfig {
 	return []RunConfig{
-		{SelfPaging: false},
-		{SelfPaging: true},
-		{SelfPaging: true, InEnclaveResume: true},
-		{SelfPaging: true, ElideAEX: true},
+		{Config: libos.Config{SelfPaging: false}},
+		{Config: libos.Config{SelfPaging: true}},
+		{Config: libos.Config{SelfPaging: true, InEnclaveResume: true}},
+		{Config: libos.Config{SelfPaging: true, ElideAEX: true}},
 	}
 }
 
@@ -134,9 +134,8 @@ func runE5JPEGVariant(p E5Params, vi int) e5Cell {
 
 	rc := e5Variants()[vi]
 	rc.Policy = libos.PolicyRateLimit
-	rc.RateBurst = 1 << 40
+	rc.RateLimitBurst = 1 << 40
 	rc.QuotaPages = quota
-	rc.HeapPages = heap
 	img := libos.AppImage{
 		Name:      "libjpeg",
 		Libraries: []libos.Library{{Name: "libjpeg.so", Pages: 4}},
@@ -179,7 +178,7 @@ func runE5JPEGVariant(p E5Params, vi int) e5Cell {
 		variant: E5Variant{
 			Name:       variantName(vi),
 			Throughput: imageBytes / 1e6 / Seconds(cycles),
-			Faults:     res.Faults,
+			Faults:     res.Faults(),
 		},
 		managed: managed,
 		m:       res.Metrics,
@@ -206,7 +205,6 @@ func runE5HunspellVariant(p E5Params, vi int) e5Cell {
 	rc := e5Variants()[vi]
 	rc.Policy = libos.PolicyClusters
 	rc.QuotaPages = quota
-	rc.HeapPages = heap
 	img := libos.AppImage{
 		Name:      "hunspell",
 		Libraries: []libos.Library{{Name: "libhunspell.so", Pages: 6}},
@@ -255,7 +253,7 @@ func runE5HunspellVariant(p E5Params, vi int) e5Cell {
 		variant: E5Variant{
 			Name:       variantName(vi),
 			Throughput: float64(words) / 1e3 / Seconds(cycles),
-			Faults:     res.Faults,
+			Faults:     res.Faults(),
 		},
 		managed: managed,
 		m:       res.Metrics,
@@ -304,7 +302,7 @@ func runE5FreeTypeVariant(p E5Params, vi int) e5Cell {
 		variant: E5Variant{
 			Name:       variantName(vi),
 			Throughput: float64(ops) / 1e3 / Seconds(cycles),
-			Faults:     res.Faults,
+			Faults:     res.Faults(),
 		},
 		managed: managed,
 		m:       res.Metrics,

@@ -96,28 +96,29 @@ func RunE6(p E6Params) E6Result {
 // configuration and returns the throughput. E6 passes workload C (every
 // operation a GET); E6m passes a read/update mix.
 func runE6Cell(rec *cellRecorder, p E6Params, mcfg workloads.MemcachedConfig, arena, quota int, cfg string, wl *ycsb.Workload) float64 {
-	rc := RunConfig{QuotaPages: quota, HeapPages: arena + 16}
+	rc := RunConfig{Config: libos.Config{QuotaPages: quota}}
+	heap := arena + 16
 	switch cfg {
 	case "baseline":
 	case "rate-limit":
 		rc.SelfPaging = true
 		rc.Policy = libos.PolicyRateLimit
-		rc.RateBurst = 1 << 40
+		rc.RateLimitBurst = 1 << 40
 		rc.EvictBatch = 16
 	case "cluster-10":
 		rc.SelfPaging = true
 		rc.Policy = libos.PolicyClusters
-		rc.DataCluster = 10
+		rc.DataClusterPages = 10
 	case "oram":
 		rc.SelfPaging = true
 		rc.Policy = libos.PolicyORAM
-		rc.HeapPages = 16
+		heap = 16
 	}
 
 	img := libos.AppImage{
 		Name:      "memcached",
 		Libraries: []libos.Library{{Name: "libmemcached.so", Pages: 6}},
-		HeapPages: rc.HeapPages,
+		HeapPages: heap,
 	}
 	var cycles uint64
 	res := RunApp(img, rc, func(proc *libos.Process, ctx *core.Context) {

@@ -59,19 +59,18 @@ func RunE7Leakage() E7cResult {
 	}
 	corpus := dicts * hcfg.WordsPerDict
 	totalPages := dicts * hcfg.PagesPerDict
-	heap := totalPages + 16
 	const queries = 48
 
 	policies := []struct {
 		name string
-		rc   RunConfig
+		cfg  libos.Config
 	}{
-		{"pin-all", RunConfig{SelfPaging: true, Policy: libos.PolicyPinAll, HeapPages: heap}},
-		{"clusters(dict)", RunConfig{SelfPaging: true, Policy: libos.PolicyClusters, HeapPages: heap, QuotaPages: 12 + totalPages/3}},
-		{"rate-limit", RunConfig{SelfPaging: true, Policy: libos.PolicyRateLimit, RateBurst: 1 << 40, HeapPages: heap, QuotaPages: 12 + totalPages/3}},
+		{"pin-all", libos.Config{SelfPaging: true, Policy: libos.PolicyPinAll}},
+		{"clusters(dict)", libos.Config{SelfPaging: true, Policy: libos.PolicyClusters, QuotaPages: 12 + totalPages/3}},
+		{"rate-limit", libos.Config{SelfPaging: true, Policy: libos.PolicyRateLimit, RateLimitBurst: 1 << 40, QuotaPages: 12 + totalPages/3}},
 	}
 	rows, cm := runCells("E7c", len(policies), func(i int, rec *cellRecorder) E7cRow {
-		return runE7cPolicy(rec, policies[i].name, policies[i].rc, hcfg, corpus, queries)
+		return runE7cPolicy(rec, policies[i].name, RunConfig{Config: policies[i].cfg}, hcfg, corpus, queries)
 	})
 	return E7cResult{Rows: rows, Metrics: cm}
 }

@@ -135,7 +135,7 @@ func e7Pair(mrec *cellRecorder, name string, img libos.AppImage, mount e7Attack)
 	s := E7Scenario{Name: name}
 	for _, selfPaging := range []bool{false, true} {
 		var recovery func() float64
-		rc := RunConfig{SelfPaging: selfPaging, Policy: libos.PolicyPinAll, HeapPages: img.HeapPages}
+		rc := RunConfig{Config: libos.Config{SelfPaging: selfPaging, Policy: libos.PolicyPinAll}}
 		r := runE7Victim(img, rc, func(p *libos.Process, _ *trace.Log) func(*core.Context) {
 			body, score := mount(p)
 			recovery = score

@@ -54,7 +54,7 @@ func RunE7Termination() E7bResult {
 	// set before the query, and reports whether the enclave terminated.
 	runProbe := func(run int, candidates []mmu.VAddr, probe func(d *workloads.Dictionary) []mmu.VAddr) (terminated, masked bool, pages []mmu.VAddr) {
 		img := env.image()
-		rc := RunConfig{SelfPaging: true, Policy: libos.PolicyPinAll, HeapPages: img.HeapPages}
+		rc := RunConfig{Config: libos.Config{SelfPaging: true, Policy: libos.PolicyPinAll}}
 		r := runE7Victim(img, rc, func(p *libos.Process, _ *trace.Log) func(*core.Context) {
 			// The restart monitor attests the new instance at startup (§3).
 			q, err := p.Kernel.CPU.EREPORT(p.Enclave(), nil)

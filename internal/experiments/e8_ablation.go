@@ -5,6 +5,7 @@ import (
 
 	"autarky/internal/core"
 	"autarky/internal/libos"
+	"autarky/internal/metrics"
 	"autarky/internal/workloads"
 )
 
@@ -51,10 +52,12 @@ func RunE8(rounds int) E8Result {
 		rc   RunConfig
 	}
 	base := RunConfig{
-		SelfPaging: true,
-		Policy:     libos.PolicyRateLimit,
-		RateBurst:  1 << 40,
-		QuotaPages: 12 + 24,
+		Config: libos.Config{
+			SelfPaging:     true,
+			Policy:         libos.PolicyRateLimit,
+			RateLimitBurst: 1 << 40,
+			QuotaPages:     12 + 24,
+		},
 		EvictBatch: 16,
 	}
 	variants := []variant{
@@ -77,7 +80,7 @@ func RunE8(rounds int) E8Result {
 		rc.Mech = mech
 		r := runE8Sweep(rc, rounds)
 		rec.record("", r.Metrics)
-		return e8fp{variant: v.name, mech: mech.String(), per: float64(r.Cycles) / float64(r.SelfPage)}
+		return e8fp{variant: v.name, mech: mech.String(), per: float64(r.Cycles) / float64(r.Metrics.Counter(metrics.CntSelfFaults))}
 	})
 	for mi := range mechs {
 		first := fp[mi*nv].per
@@ -98,19 +101,19 @@ func RunE8(rounds int) E8Result {
 	evictions, evMetrics := runCells("E8-eviction", len(kernels), func(i int, rec *cellRecorder) [2]E8Eviction {
 		k := kernels[i]
 		quota := 12 + int(float64(k.ArenaPages)*E4QuotaFraction)
-		legacy := RunKernel(k, RunConfig{SelfPaging: false, QuotaPages: quota}, 1, 0xE8)
-		autk := RunKernel(k, RunConfig{
+		legacy := RunKernel(k, RunConfig{Config: libos.Config{QuotaPages: quota}}, 1, 0xE8)
+		autk := RunKernel(k, RunConfig{Config: libos.Config{
 			SelfPaging: true, Policy: libos.PolicyRateLimit,
-			RateBurst: 1 << 40, QuotaPages: quota,
-		}, 1, 0xE8)
+			RateLimitBurst: 1 << 40, QuotaPages: quota,
+		}}, 1, 0xE8)
 		rec.record("legacy", legacy.Metrics)
 		rec.record("autk", autk.Metrics)
 		if legacy.Err != nil || autk.Err != nil {
 			panic(fmt.Sprintf("E8 eviction %s: %v %v", k.Name, legacy.Err, autk.Err))
 		}
 		return [2]E8Eviction{
-			{App: k.Name, Policy: "CLOCK (legacy)", Faults: legacy.Faults, PageIns: legacy.OSPageIns},
-			{App: k.Name, Policy: "FIFO (autarky)", Faults: autk.Faults, PageIns: autk.Fetched},
+			{App: k.Name, Policy: "CLOCK (legacy)", Faults: legacy.Faults(), PageIns: legacy.Metrics.Counter(metrics.CntOSPageIns)},
+			{App: k.Name, Policy: "FIFO (autarky)", Faults: autk.Faults(), PageIns: autk.Metrics.Counter(metrics.CntPagesFetched)},
 		}
 	})
 	for _, pair := range evictions {
@@ -126,7 +129,6 @@ func runE8Sweep(rc RunConfig, rounds int) RunResult {
 		Libraries: []libos.Library{{Name: "libe8.so", Pages: 4}},
 		HeapPages: 64,
 	}
-	rc.HeapPages = 64
 	return RunApp(img, rc, func(p *libos.Process, ctx *core.Context) {
 		for r := 0; r < rounds; r++ {
 			for _, va := range p.Heap.PageVAs() {

@@ -5,6 +5,7 @@ import (
 
 	"autarky/internal/core"
 	"autarky/internal/libos"
+	"autarky/internal/metrics"
 	"autarky/internal/sim"
 	"autarky/internal/workloads"
 )
@@ -61,13 +62,11 @@ func runE8bOne(rec *cellRecorder, granularity string, chars int) E8bRow {
 		Libraries: []libos.Library{libA, libB},
 		HeapPages: 16,
 	}
-	rc := RunConfig{
-		SelfPaging: true,
-		Policy:     libos.PolicyClusters,
-		RateBurst:  1 << 40,
-		HeapPages:  img.HeapPages,
-		Libraries:  img.Libraries,
-	}
+	rc := RunConfig{Config: libos.Config{
+		SelfPaging:     true,
+		Policy:         libos.PolicyClusters,
+		RateLimitBurst: 1 << 40,
+	}}
 	if granularity != "pinned" {
 		rc.CodeClusters = true
 		// Quota holds the pinned stack, the heap, and ~1.3 font libraries:
@@ -112,10 +111,10 @@ func runE8bOne(rec *cellRecorder, granularity string, chars int) E8bRow {
 	row := E8bRow{
 		Granularity: granularity,
 		KopsPerSec:  float64(ops) / 1e3 / Seconds(cycles),
-		Faults:      result.SelfPage,
+		Faults:      result.Metrics.Counter(metrics.CntSelfFaults),
 	}
-	if result.SelfPage > 0 {
-		row.PagesPerFault = float64(result.Fetched) / float64(result.SelfPage)
+	if row.Faults > 0 {
+		row.PagesPerFault = float64(result.Metrics.Counter(metrics.CntPagesFetched)) / float64(row.Faults)
 	}
 	return row
 }

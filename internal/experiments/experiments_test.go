@@ -298,11 +298,11 @@ func TestE7AttacksSucceedOnVanillaAndFailOnAutarky(t *testing.T) {
 // attaching it changes no simulated result. A rate-limited SGXv1 enclave
 // under quota pressure both faults and pages in.
 func TestObservedRecordDoesNotChangeTheRun(t *testing.T) {
-	img := libos.AppImage{Name: "rec", Libraries: []libos.Library{{Name: "librec.so", Pages: 4}}}
-	rc := RunConfig{
+	img := libos.AppImage{Name: "rec", Libraries: []libos.Library{{Name: "librec.so", Pages: 4}}, HeapPages: 48}
+	rc := RunConfig{Config: libos.Config{
 		SelfPaging: true, Mech: core.MechSGX1, Policy: libos.PolicyRateLimit,
-		RateBurst: 1 << 40, QuotaPages: 24, HeapPages: 48,
-	}
+		RateLimitBurst: 1 << 40, QuotaPages: 24,
+	}}
 	run := func(seen *trace.Log) metrics.Snapshot {
 		p, err := BuildProcess(img, rc)
 		if err != nil {

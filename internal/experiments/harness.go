@@ -24,30 +24,18 @@ func newHost(costs sim.Costs) *hostos.Kernel {
 	return hostos.NewHost(clock, costs, hostos.DefaultGeometry(EPCFrames), []byte("autarky-experiments-root"))
 }
 
-// RunConfig describes one enclave configuration under test.
+// RunConfig describes one enclave configuration under test: the libOS
+// configuration it loads under, plus the experiment-only knobs.
 type RunConfig struct {
-	SelfPaging      bool
-	InEnclaveResume bool
-	ElideAEX        bool
-	Mech            core.Mech
-	Policy          libos.PolicyKind
-	QuotaPages      int
-	RateBurst       uint64
-	RatePerProgress float64
-	EvictBatch      int
-	DataCluster     int
-	CodeClusters    bool
-	PinData         bool
+	libos.Config
 
+	// EvictBatch sets a rate-limit policy's eviction batch (E8 ablation).
+	EvictBatch int
 	// ClassicOCalls replaces exitless host calls with classic OCALL round
 	// trips (§6 ablation).
 	ClassicOCalls bool
 	// ADCheckCycles overrides the Autarky A/D-check cost (E1 sensitivity).
 	ADCheckCycles *uint64
-	// HeapPages overrides the image heap size.
-	HeapPages int
-	// Libraries overrides the image's libraries.
-	Libraries []libos.Library
 }
 
 func (rc RunConfig) label() string {
@@ -63,26 +51,22 @@ func (rc RunConfig) label() string {
 	return s
 }
 
-// RunResult carries the measurements of one run.
+// RunResult carries the measurements of one run. Every count is read from
+// Metrics, the machine's full snapshot at the end of the run (including
+// loading); a RunApp machine hosts exactly one runtime, so its runtime
+// counters are that runtime's.
 type RunResult struct {
-	Label     string
-	Cycles    uint64 // application-phase cycles (excludes loading)
-	Err       error
-	Faults    uint64 // enclave page faults seen by hardware
-	SelfPage  uint64 // runtime self-paging faults
-	Forwarded uint64
-	Fetched   uint64
-	Evicted   uint64
-	OSPageIns uint64
-	AEXs      uint64
-	Enters    uint64
-	Resumes   uint64
-	ADChecks  uint64
-	Detected  uint64
-
-	// Metrics is the machine's full metrics snapshot at the end of the run
-	// (including loading), for per-cell reporting and invariant checks.
+	Label   string
+	Cycles  uint64 // application-phase cycles (excludes loading)
+	Err     error
 	Metrics metrics.Snapshot
+}
+
+// Faults is the number of enclave page faults hardware delivered: the three
+// enclave-mode causes partition them.
+func (r RunResult) Faults() uint64 {
+	return r.Metrics.Counter(metrics.CntFaultNotPresent) + r.Metrics.Counter(metrics.CntFaultProtection) +
+		r.Metrics.Counter(metrics.CntFaultSGX)
 }
 
 // BuildProcess creates a fresh machine and loads an image under rc.
@@ -93,27 +77,8 @@ func BuildProcess(img libos.AppImage, rc RunConfig) (*libos.Process, error) {
 		costs.ADCheck = *rc.ADCheckCycles
 	}
 	k := newHost(costs)
-	if rc.HeapPages > 0 {
-		img.HeapPages = rc.HeapPages
-	}
-	if rc.Libraries != nil {
-		img.Libraries = rc.Libraries
-	}
-	cfg := libos.Config{
-		SelfPaging:           rc.SelfPaging,
-		InEnclaveResume:      rc.InEnclaveResume,
-		ElideAEX:             rc.ElideAEX,
-		Mech:                 rc.Mech,
-		QuotaPages:           rc.QuotaPages,
-		Policy:               rc.Policy,
-		RateLimitPerProgress: rc.RatePerProgress,
-		RateLimitBurst:       rc.RateBurst,
-		DataClusterPages:     rc.DataCluster,
-		CodeClusters:         rc.CodeClusters,
-		PinData:              rc.PinData,
-	}
 	k.ClassicOCalls = rc.ClassicOCalls
-	p, err := libos.Load(k, img, cfg)
+	p, err := libos.Load(k, img, rc.Config)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: load %s (%s): %w", img.Name, rc.label(), err)
 	}
@@ -139,26 +104,7 @@ func RunApp(img libos.AppImage, rc RunConfig, app func(p *libos.Process, ctx *co
 		app(p, ctx)
 		end = clock.Cycles()
 	})
-	snap, rt := metrics.Of(clock).Snapshot(), p.Runtime.Metrics()
-	res := RunResult{
-		Label: rc.label(),
-		Err:   runErr,
-		// The three enclave-mode causes partition the faults hardware
-		// delivered while the enclave ran.
-		Faults: snap.Counter(metrics.CntFaultNotPresent) + snap.Counter(metrics.CntFaultProtection) +
-			snap.Counter(metrics.CntFaultSGX),
-		SelfPage:  rt.Counter(metrics.CntSelfFaults),
-		Forwarded: rt.Counter(metrics.CntForwardedFaults),
-		Fetched:   rt.Counter(metrics.CntPagesFetched),
-		Evicted:   rt.Counter(metrics.CntPagesEvicted),
-		OSPageIns: snap.Counter(metrics.CntOSPageIns),
-		AEXs:      snap.Counter(metrics.CntAEXs),
-		Enters:    snap.Counter(metrics.CntEnters),
-		Resumes:   snap.Counter(metrics.CntResumes),
-		ADChecks:  snap.Counter(metrics.CntADChecks),
-		Detected:  rt.Counter(metrics.CntAttacksDetected),
-		Metrics:   snap,
-	}
+	res := RunResult{Label: rc.label(), Err: runErr, Metrics: metrics.Of(clock).Snapshot()}
 	if runErr == nil && end >= start {
 		res.Cycles = end - start
 	}
@@ -168,18 +114,12 @@ func RunApp(img libos.AppImage, rc RunConfig, app func(p *libos.Process, ctx *co
 // RunKernel executes one workload kernel (nbench / Phoenix / PARSEC) in its
 // own enclave under rc and returns the measurement.
 func RunKernel(k workloads.Kernel, rc RunConfig, scale int, seed uint64) RunResult {
-	heap := k.ArenaPages + 8
-	if rc.HeapPages > 0 {
-		heap = rc.HeapPages
-	}
 	img := libos.AppImage{
 		Name:      k.Name,
 		Libraries: []libos.Library{{Name: "lib" + k.Name + ".so", Pages: 4}},
-		HeapPages: heap,
+		HeapPages: k.ArenaPages + 8,
 	}
-	rc2 := rc
-	rc2.HeapPages = heap
-	return RunApp(img, rc2, func(p *libos.Process, ctx *core.Context) {
+	return RunApp(img, rc, func(p *libos.Process, ctx *core.Context) {
 		pages, err := p.Alloc.AllocPages(k.ArenaPages)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: arena for %s: %v", k.Name, err))

@@ -26,12 +26,13 @@ func TestPagingShareGrowsWithWorkingSet(t *testing.T) {
 			HeapPages: heap,
 		}
 		rc := RunConfig{
-			SelfPaging: true,
-			Policy:     libos.PolicyRateLimit,
-			RateBurst:  1 << 40,
-			QuotaPages: quota,
+			Config: libos.Config{
+				SelfPaging:     true,
+				Policy:         libos.PolicyRateLimit,
+				RateLimitBurst: 1 << 40,
+				QuotaPages:     quota,
+			},
 			EvictBatch: 16,
-			HeapPages:  heap,
 		}
 		res := RunApp(img, rc, func(p *libos.Process, ctx *core.Context) {
 			// Enough rounds that steady-state behaviour dominates the

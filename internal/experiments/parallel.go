@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
-
-	"autarky/internal/runner"
 )
 
 // Every experiment is a grid of independent cells — one machine (own
@@ -42,40 +40,71 @@ func Jobs() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// SetCellBudget arms a per-cell cycle budget (0 disarms). Each cell's
-// machine clock enforces it cooperatively; see sim.Clock.SetLimit.
+// SetCellBudget arms a per-cell cycle budget (0 disarms). Every clock that
+// newHost and newFleetCell build enforces it cooperatively; see
+// sim.Clock.SetLimit.
 func SetCellBudget(cycles uint64) { cellBudget.Store(cycles) }
 
 // CellBudget reports the ambient per-cell cycle budget.
 func CellBudget() uint64 { return cellBudget.Load() }
 
-// runCells executes cell(0..n-1) as independent runner jobs on the ambient
-// pool and returns the results in cell order, together with every metrics
-// snapshot the cells recorded (also in cell order, so the combined output
-// stays byte-identical at any concurrency). Cells must not share mutable
-// state: each builds its own machine and records it through rec. A cell
-// that panics, errors, or exceeds the cell budget makes runCells panic with
-// the job's error, preserving the sequential Run* contract for callers.
+// runCells runs cell(0..n-1) and returns the results in cell order,
+// together with every metrics snapshot the cells recorded (also in cell
+// order, so the combined output stays byte-identical at any concurrency).
+// Cells must not share mutable state: each builds its own machine and
+// records it through rec. At Jobs() == 1 the cells run inline on the
+// caller's goroutine, in order; otherwise min(Jobs(), n) goroutines take
+// them in order.
+//
+// A cell that panics — a crash, a failed check, an exceeded cell budget —
+// fails alone: the other cells still run. runCells then panics with the
+// first failure in cell order, as an error naming the cell ("E5[3]: ...")
+// that wraps an error panic value, so errors.As still finds a
+// *sim.LimitError.
 func runCells[R any](label string, n int, cell func(i int, rec *cellRecorder) R) ([]R, []CellMetrics) {
-	jobs := make([]runner.Job, n)
-	recs := make([]*cellRecorder, n)
-	budget := CellBudget()
-	for i := range jobs {
-		i := i
-		rec := &cellRecorder{name: fmt.Sprintf("%s[%d]", label, i)}
-		recs[i] = rec
-		jobs[i] = runner.Job{
-			Name:   rec.name,
-			Budget: budget,
-			Fn:     func(context.Context) (any, error) { return cell(i, rec), nil },
-		}
-	}
 	out := make([]R, n)
-	for _, res := range runner.Run(context.Background(), Jobs(), jobs) {
-		if res.Err != nil {
-			panic(res.Err)
+	errs := make([]error, n)
+	recs := make([]cellRecorder, n)
+	run := func(i int) {
+		rec := &recs[i]
+		rec.name = fmt.Sprintf("%s[%d]", label, i)
+		defer func() {
+			if r := recover(); r != nil {
+				if err, ok := r.(error); ok {
+					errs[i] = fmt.Errorf("%s: %w", rec.name, err)
+				} else {
+					errs[i] = fmt.Errorf("%s: %v", rec.name, r)
+				}
+			}
+		}()
+		out[i] = cell(i, rec)
+	}
+	if workers := min(Jobs(), n); workers <= 1 {
+		for i := range n {
+			run(i)
 		}
-		out[res.Index] = res.Value.(R)
+	} else {
+		feed := make(chan int)
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for range workers {
+			go func() {
+				defer wg.Done()
+				for i := range feed {
+					run(i)
+				}
+			}()
+		}
+		for i := range n {
+			feed <- i
+		}
+		close(feed)
+		wg.Wait()
+	}
+	for _, err := range errs {
+		if err != nil {
+			panic(err)
+		}
 	}
 	var cm []CellMetrics
 	for _, rec := range recs {

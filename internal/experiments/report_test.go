@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"autarky/internal/libos"
 )
 
 func TestGeomean(t *testing.T) {
@@ -175,7 +177,7 @@ func TestRunConfigLabels(t *testing.T) {
 	if (RunConfig{}).label() != "vanilla" {
 		t.Fatal("vanilla label")
 	}
-	rc := RunConfig{SelfPaging: true}
+	rc := RunConfig{Config: libos.Config{SelfPaging: true}}
 	if !strings.HasPrefix(rc.label(), "autarky/") {
 		t.Fatalf("label %q", rc.label())
 	}

@@ -129,8 +129,9 @@ func (k *Kernel) FetchPages(e *sgx.Enclave, pages []mmu.VAddr) error {
 	})
 }
 
-// EvictPages securely writes the given pages out to the backing store using
-// the SGXv1 path (ay_evict_pages). Batched like FetchPages.
+// EvictPages securely writes the given resident pages out to the backing
+// store using the SGXv1 path (ay_evict_pages), in one batched dance. An
+// unknown page fails the call before any page is blocked.
 func (k *Kernel) EvictPages(e *sgx.Enclave, pages []mmu.VAddr) error {
 	k.chargeCall()
 	p, err := k.procFor(e)
@@ -138,8 +139,6 @@ func (k *Kernel) EvictPages(e *sgx.Enclave, pages []mmu.VAddr) error {
 		return err
 	}
 	return k.CPU.AsHost(func() error {
-		// Block and unmap all pages, then one ETRACK+shootdown round, then
-		// write them back — the batched dance the Intel driver uses.
 		victims := k.evictVictims[:0]
 		defer func() {
 			clear(victims)
@@ -150,36 +149,11 @@ func (k *Kernel) EvictPages(e *sgx.Enclave, pages []mmu.VAddr) error {
 			if err != nil {
 				return err
 			}
-			if !ps.resident {
-				continue
+			if ps.resident {
+				victims = append(victims, ps)
 			}
-			if err := k.CPU.EBLOCK(p.E, ps.va, ps.pfn); err != nil {
-				return err
-			}
-			k.PT.Unmap(ps.va)
-			victims = append(victims, ps)
 		}
-		if len(victims) == 0 {
-			return nil
-		}
-		if err := k.CPU.ETRACK(p.E); err != nil {
-			return err
-		}
-		for _, ps := range victims {
-			k.CPU.TLB.Shootdown(ps.va)
-		}
-		k.CPU.CompleteShootdown(p.E)
-		for _, ps := range victims {
-			if err := k.CPU.EWB(p.E, ps.va, ps.pfn, k.backend); err != nil {
-				return err
-			}
-			ps.resident = false
-			ps.everEvicted = true
-			ps.pfn = mmu.NoPFN
-			p.resident--
-			k.m.Inc(metrics.CntDriverEvicts)
-		}
-		return nil
+		return k.evict(p, victims, metrics.CntDriverEvicts)
 	})
 }
 

@@ -340,6 +340,21 @@ func TestUnknownPageRejected(t *testing.T) {
 	if _, err := m.kernel.SetEnclaveManaged(p.E, []mmu.VAddr{bogus}); !errors.Is(err, ErrUnknownPage) {
 		t.Fatalf("bogus manage: %v", err)
 	}
+	// An eviction batch naming an unknown page fails before it blocks any
+	// page: the known page stays resident and mapped.
+	good := p.PageVAs()[0]
+	if _, err := m.kernel.SetEnclaveManaged(p.E, []mmu.VAddr{good}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.kernel.EvictPages(p.E, []mmu.VAddr{good, bogus}); !errors.Is(err, ErrUnknownPage) {
+		t.Fatalf("bogus evict: %v", err)
+	}
+	if resident, _, _ := p.Page(good); !resident {
+		t.Fatalf("%s evicted by a refused batch", good)
+	}
+	if pte, ok := m.pt.Get(good); !ok || !pte.Present {
+		t.Fatalf("%s unmapped by a refused batch", good)
+	}
 }
 
 func TestHostDemandAllocation(t *testing.T) {

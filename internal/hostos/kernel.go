@@ -741,26 +741,44 @@ func (k *Kernel) pickVictim(p *Proc) *pageState {
 	return nil
 }
 
-// evictOne runs the full SGXv1 eviction dance for one page:
-// EBLOCK → unmap → ETRACK → TLB shootdown → EWB.
+// evictOne is the pager's eviction of one page: the SGXv1 dance on a batch
+// of one, counted as a page-out.
 func (k *Kernel) evictOne(p *Proc, ps *pageState) error {
-	if err := k.CPU.EBLOCK(p.E, ps.va, ps.pfn); err != nil {
-		return err
+	one := [1]*pageState{ps}
+	return k.evict(p, one[:], metrics.CntOSPageOuts)
+}
+
+// evict runs the SGXv1 eviction dance on a batch of resident pages, as the
+// Intel driver does: EBLOCK and unmap every page, then one ETRACK and TLB
+// shootdown round, then EWB each page out. cnt counts the pages written
+// back.
+func (k *Kernel) evict(p *Proc, victims []*pageState, cnt metrics.Counter) error {
+	for _, ps := range victims {
+		if err := k.CPU.EBLOCK(p.E, ps.va, ps.pfn); err != nil {
+			return err
+		}
+		k.PT.Unmap(ps.va)
 	}
-	k.PT.Unmap(ps.va)
+	if len(victims) == 0 {
+		return nil
+	}
 	if err := k.CPU.ETRACK(p.E); err != nil {
 		return err
 	}
-	k.CPU.TLB.Shootdown(ps.va)
-	k.CPU.CompleteShootdown(p.E)
-	if err := k.CPU.EWB(p.E, ps.va, ps.pfn, k.backend); err != nil {
-		return err
+	for _, ps := range victims {
+		k.CPU.TLB.Shootdown(ps.va)
 	}
-	ps.resident = false
-	ps.everEvicted = true
-	ps.pfn = mmu.NoPFN
-	p.resident--
-	k.m.Inc(metrics.CntOSPageOuts)
+	k.CPU.CompleteShootdown(p.E)
+	for _, ps := range victims {
+		if err := k.CPU.EWB(p.E, ps.va, ps.pfn, k.backend); err != nil {
+			return err
+		}
+		ps.resident = false
+		ps.everEvicted = true
+		ps.pfn = mmu.NoPFN
+		p.resident--
+		k.m.Inc(cnt)
+	}
 	return nil
 }
 

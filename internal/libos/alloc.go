@@ -66,33 +66,6 @@ func (a *Allocator) AllocPages(n int) ([]mmu.VAddr, error) {
 	return out, nil
 }
 
-// Alloc allocates enough pages for size bytes and returns the base address
-// of a contiguous range when possible; otherwise it errors (workloads in
-// this repository allocate page-granular objects).
-func (a *Allocator) Alloc(size uint64) (mmu.VAddr, error) {
-	n := int(mmu.PagesIn(size))
-	// Contiguity: only the bump path guarantees it; require enough fresh room.
-	if a.next+n > a.heap.Pages {
-		return 0, fmt.Errorf("%w: heap exhausted (%d pages requested, %d free-bump)", ErrQuotaExceeded, n, a.heap.Pages-a.next)
-	}
-	start := a.next
-	for i := 0; i < n; i++ {
-		idx := a.next
-		a.next++
-		va := a.heap.Page(idx)
-		cid := cluster.NoID
-		if a.clusterSize > 0 {
-			cid = a.clusterFor()
-			if err := a.p.Reg.AddPage(cid, va.VPN()); err != nil {
-				return 0, err
-			}
-			a.fill++
-		}
-		a.allocated[idx] = cid
-	}
-	return a.heap.Page(start), nil
-}
-
 func (a *Allocator) takePage() (int, error) {
 	if len(a.free) > 0 {
 		idx := a.free[len(a.free)-1]

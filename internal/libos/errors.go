@@ -66,8 +66,6 @@ func (c Config) Validate() error {
 			return &ConfigError{"ElideAEX", "requires SelfPaging"}
 		case c.CodeClusters:
 			return &ConfigError{"CodeClusters", "requires SelfPaging"}
-		case c.PinData:
-			return &ConfigError{"PinData", "requires SelfPaging"}
 		}
 	}
 	if c.InEnclaveResume && c.ElideAEX {

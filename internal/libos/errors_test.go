@@ -41,7 +41,6 @@ func TestConfigValidate(t *testing.T) {
 		{"resume without self-paging", func(c *Config) { c.SelfPaging = false; c.InEnclaveResume = true }, "InEnclaveResume"},
 		{"elide without self-paging", func(c *Config) { c.SelfPaging = false; c.ElideAEX = true }, "ElideAEX"},
 		{"code clusters without self-paging", func(c *Config) { c.SelfPaging = false; c.CodeClusters = true }, "CodeClusters"},
-		{"pin data without self-paging", func(c *Config) { c.SelfPaging = false; c.PinData = true }, "PinData"},
 		{"resume and elide together", func(c *Config) { c.InEnclaveResume = true; c.ElideAEX = true }, "InEnclaveResume"},
 	}
 	for _, tc := range cases {
@@ -95,7 +94,10 @@ func TestAllocQuotaErrors(t *testing.T) {
 	if _, err := p.Alloc.AllocPages(9); !errors.Is(err, ErrQuotaExceeded) {
 		t.Fatalf("over-allocation error = %v, want ErrQuotaExceeded", err)
 	}
-	if _, err := p.Alloc.Alloc(9 * 4096); !errors.Is(err, ErrQuotaExceeded) {
-		t.Fatalf("over-Alloc error = %v, want ErrQuotaExceeded", err)
+	if _, err := p.Alloc.AllocPages(8); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Alloc.AllocPages(1); !errors.Is(err, ErrQuotaExceeded) {
+		t.Fatalf("exhausted-heap error = %v, want ErrQuotaExceeded", err)
 	}
 }

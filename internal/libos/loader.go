@@ -75,9 +75,6 @@ type Config struct {
 	// CodeClusters builds one cluster per library (plus its Uses closure);
 	// without it code pages are pinned.
 	CodeClusters bool
-	// PinData forces data/heap pages to be pinned even for paging policies
-	// (used by workloads that manage their own sensitive buffers).
-	PinData bool
 
 	// seedVersions and seedEpoch carry the sealed anti-replay counters and
 	// migration epoch into the new incarnation; only Restore and Adopt set
@@ -281,7 +278,7 @@ func (p *Process) wirePolicy() error {
 	}
 
 	// Data + heap pages.
-	pinData := cfg.PinData || cfg.Policy == PolicyPinAll || cfg.Policy == PolicyORAM
+	pinData := cfg.Policy == PolicyPinAll || cfg.Policy == PolicyORAM
 	for _, r := range []Region{p.Data, p.Heap} {
 		if r.Pages == 0 {
 			continue

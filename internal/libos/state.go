@@ -31,7 +31,7 @@ import (
 
 // stateFormatVersion stamps the codec layout; a decoder seeing any other
 // value rejects the payload outright.
-const stateFormatVersion = 2
+const stateFormatVersion = 3
 
 // Decode guards: a sealed payload is authenticated, but "authenticated" is
 // not "well-formed" (an older writer, a hostile sealing oracle). Counts are
@@ -199,7 +199,6 @@ func (p *Process) encodeState(dst []byte) []byte {
 	dst = appendU64(dst, cfg.RateLimitBurst)
 	dst = appendInt(dst, cfg.DataClusterPages)
 	dst = appendBool(dst, cfg.CodeClusters)
-	dst = appendBool(dst, cfg.PinData)
 
 	dst = appendU64(dst, p.Runtime.Progress())
 
@@ -350,7 +349,6 @@ func decodeState(plain []byte) (*statePayload, error) {
 	cfg.RateLimitBurst = r.u64()
 	cfg.DataClusterPages = r.num()
 	cfg.CodeClusters = r.boolean()
-	cfg.PinData = r.boolean()
 
 	payload.Progress = r.u64()
 

@@ -189,8 +189,6 @@ type Conn struct {
 	awaiting bool
 	reply    Frame // mailbox for the awaited reply
 	hasReply bool
-
-	resets uint64
 }
 
 // New builds a server around a loaded process. Handlers must be registered
@@ -768,7 +766,6 @@ func (s *Server) reset(c *Conn) {
 	dropped := uint64(c.n)
 	c.n = 0
 	c.gen++
-	c.resets++
 	c.awaiting = false
 	c.hasReply = false
 	c.lastAct = s.clock.Cycles()
@@ -783,8 +780,9 @@ func (c *Conn) ID() uint32 { return c.id }
 // submit and reply means the connection was reset in between.
 func (c *Conn) Gen() uint32 { return c.gen }
 
-// Resets reports how many times the connection was reset.
-func (c *Conn) Resets() uint64 { return c.resets }
+// Resets reports how many times the connection was reset: every reset, and
+// nothing else, bumps its incarnation counter.
+func (c *Conn) Resets() uint64 { return uint64(c.gen) }
 
 // Abort is the client-initiated reset: a caller that gave up on the
 // connection (e.g. a call timeout) tears it down exactly as a corrupted

@@ -331,26 +331,17 @@ func (c *CPU) AsHost(fn func() error) error {
 	return fn()
 }
 
-// ReadEnclavePage copies out the contents of one of the current enclave's
-// own resident pages. Only trusted in-enclave code may use it (the SGXv2
-// software-eviction path reads the page before sealing it); it bypasses the
-// TLB because the runtime's accesses to its own pinned structures are
-// charged as flat handler overhead.
-func (c *CPU) ReadEnclavePage(va mmu.VAddr, pfn mmu.PFN) ([]byte, error) {
-	out := make([]byte, mmu.PageSize)
-	if err := c.ReadEnclavePageInto(out, va, pfn); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReadEnclavePageInto is ReadEnclavePage into a caller-provided buffer of at
-// least PageSize bytes, for eviction loops that snapshot many pages through
-// one reused buffer.
+// ReadEnclavePageInto copies the contents of one of the current enclave's
+// own resident pages into dst, a caller-provided buffer of at least PageSize
+// bytes, so eviction loops snapshot many pages through one reused buffer.
+// Only trusted in-enclave code may use it (the SGXv2 software-eviction path
+// reads the page before sealing it); it bypasses the TLB because the
+// runtime's accesses to its own pinned structures are charged as flat
+// handler overhead.
 func (c *CPU) ReadEnclavePageInto(dst []byte, va mmu.VAddr, pfn mmu.PFN) error {
 	e, ok := c.InEnclave()
 	if !ok {
-		return fmt.Errorf("%w: ReadEnclavePage outside enclave mode", ErrOutsideEnclave)
+		return fmt.Errorf("%w: ReadEnclavePageInto outside enclave mode", ErrOutsideEnclave)
 	}
 	if _, err := c.epcmFor(e, va.PageBase(), pfn); err != nil {
 		return err

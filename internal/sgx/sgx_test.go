@@ -1114,29 +1114,27 @@ func TestResumeInEnclaveRequiresAttribute(t *testing.T) {
 	}
 }
 
-func TestReadEnclavePage(t *testing.T) {
+func TestReadEnclavePageInto(t *testing.T) {
 	r := newRig(t)
 	e, tcs := r.buildEnclave(t, AttrSelfPaging|AttrSGX2, 1)
 	pte, _ := r.pt.Get(rigBase)
+	data := make([]byte, mmu.PageSize)
 	r.onEntry = func(*TCS) {
-		data, err := r.cpu.ReadEnclavePage(rigBase, pte.PFN)
-		if err != nil {
-			t.Errorf("ReadEnclavePage: %v", err)
+		data[0] = 0xff
+		if err := r.cpu.ReadEnclavePageInto(data, rigBase, pte.PFN); err != nil {
+			t.Errorf("ReadEnclavePageInto: %v", err)
 			return
 		}
 		if data[0] != 0 { // EADDed with content byte(i) where i=0
 			t.Errorf("content %x", data[0])
-		}
-		if len(data) != mmu.PageSize {
-			t.Errorf("length %d", len(data))
 		}
 	}
 	if err := r.cpu.EEnter(e, tcs); err != nil {
 		t.Fatal(err)
 	}
 	// Outside enclave mode: rejected.
-	if _, err := r.cpu.ReadEnclavePage(rigBase, pte.PFN); !errors.Is(err, ErrOutsideEnclave) {
-		t.Fatalf("host ReadEnclavePage: %v", err)
+	if err := r.cpu.ReadEnclavePageInto(data, rigBase, pte.PFN); !errors.Is(err, ErrOutsideEnclave) {
+		t.Fatalf("host ReadEnclavePageInto: %v", err)
 	}
 }
 

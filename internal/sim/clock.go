@@ -80,7 +80,7 @@ type Meter interface {
 func NewClock() *Clock { return &Clock{} }
 
 // LimitError is the panic value raised when a clock crosses its cycle
-// limit. The experiment runner recovers it into an error result, so a
+// limit. The experiments recover it into an error naming the cell, so a
 // runaway cell aborts its own machine without killing the suite.
 type LimitError struct {
 	Limit uint64 // the armed budget

@@ -51,7 +51,8 @@ func WithQuantum(cycles uint64) Option {
 type Proc struct {
 	*libos.Process
 	m    *Machine
-	task *sched.Task
+	task *sched.Task // the latest run's
+	past TaskMetrics // cycles, slices and preemptions of the earlier runs
 }
 
 // spawnSlotBytes is the ELRANGE stride between auto-placed enclaves: 1 GiB
@@ -104,6 +105,9 @@ func (p *Proc) Start(app func(*Context)) *Proc {
 	if p.task != nil && !p.task.Done() {
 		panic("autarky: Proc.Start while a previous run is still active")
 	}
+	if p.task != nil {
+		p.past = p.Metrics()
+	}
 	proc := p.Process
 	p.task = p.m.sched.Spawn(proc.Image.Name, proc.Config().Priority, proc.Proc, func() error {
 		return proc.Run(app)
@@ -130,13 +134,18 @@ func (p *Proc) Run(app func(*Context)) error {
 // Done reports whether the process has finished executing.
 func (p *Proc) Done() bool { return p.task != nil && p.task.Done() }
 
-// Metrics returns the process's scheduling account: cycles attributed to it,
-// slices granted, and preemptions taken.
+// Metrics returns the process's scheduling account over every run: cycles
+// attributed to it, slices granted, and preemptions taken. Done reports the
+// latest run.
 func (p *Proc) Metrics() TaskMetrics {
 	if p.task == nil {
 		return TaskMetrics{Name: p.Image.Name, Priority: p.Config().Priority}
 	}
-	return p.task.Metrics()
+	tm := p.task.Metrics()
+	tm.Cycles += p.past.Cycles
+	tm.Slices += p.past.Slices
+	tm.Preemptions += p.past.Preemptions
+	return tm
 }
 
 // WaitAll drives the dispatch loop until every started process on the

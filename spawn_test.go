@@ -138,6 +138,28 @@ func TestSpawnRunIsStartPlusWait(t *testing.T) {
 	}
 }
 
+// TestProcMetricsSpanEveryRun runs one process twice: its scheduling
+// account covers both runs, so it holds every task cycle on the machine.
+func TestProcMetricsSpanEveryRun(t *testing.T) {
+	m := NewMachine(WithEPCFrames(1024), WithQuantum(20_000))
+	p, err := m.Spawn(namedImage("twice", 16), Config{SelfPaging: true, Policy: PolicyPinAll})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 2; run++ {
+		if err := p.Run(sweepApp(p, 1500)); err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+	}
+	tm, acct := p.Metrics(), m.Accounting()
+	if len(acct.Tasks) != 2 || tm.Cycles != acct.TaskCycles {
+		t.Fatalf("proc account %d cycles over %d tasks holding %d", tm.Cycles, len(acct.Tasks), acct.TaskCycles)
+	}
+	if want := acct.Tasks[0].Slices + acct.Tasks[1].Slices; tm.Slices != want || !tm.Done {
+		t.Fatalf("proc account %+v, want %d slices and done", tm, want)
+	}
+}
+
 func TestSpawnPriorityPolicyOrdersCompletion(t *testing.T) {
 	m := NewMachine(WithEPCFrames(1024), WithScheduler(SchedPriority), WithQuantum(10_000))
 	var order []string
