@@ -30,7 +30,7 @@ func TestNewHostAssemblesOneMachine(t *testing.T) {
 		}
 		costs.TLBFlushLocal = 5
 		before := clock.Cycles()
-		tlb.FlushAll()
+		tlb.FlushAll(1)
 		if _, f := k.PT.Walk(0x5000, mmu.AccessRead); f == nil {
 			t.Fatalf("%+v: walk of an empty page table did not fault", g)
 		}

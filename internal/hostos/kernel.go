@@ -91,17 +91,24 @@ type Preemptor interface {
 
 // IdleProbe is published on a Proc by the server loop it runs, so the
 // scheduler can tell whether resuming the loop from its idle yield would
-// only poll, find nothing due and yield again — and if so, account that poll
-// in place instead of resuming the loop (see Kernel.PollInPlace).
+// only poll, find nothing due and yield again — and if so, account that
+// poll, or a run of them, in place instead of resuming the loop (see
+// Kernel.PollInPlace).
 type IdleProbe interface {
 	// QuietAt reports whether the loop is parked in its idle yield and a
 	// poll at cycle now would find nothing to do; cycles is what that poll
-	// charges.
+	// charges. The answer is exact for the one poll asked about.
 	QuietAt(now uint64) (cycles uint64, quiet bool)
-	// Poll performs that poll's effects and charges without resuming the
-	// loop. It is called only right after QuietAt reported quiet, at the
-	// cycle it was asked about.
-	Poll()
+	// QuietUntil returns the first cycle at which a poll of the parked loop
+	// could stop being quiet: every poll before it finds nothing to do,
+	// however many run. The bound may come early, never late. It is 0 when
+	// no poll is quiet (the loop is not parked, or would find work or return
+	// whatever the cycle) and math.MaxUint64 when every poll is.
+	QuietUntil() uint64
+	// Poll performs the effects and charges of n quiet polls in a row
+	// without resuming the loop. Its caller has found each of them quiet at
+	// its cycle: a single poll through QuietAt, a run through QuietUntil.
+	Poll(n uint64)
 }
 
 // pageState is the kernel's bookkeeping for one enclave page.
@@ -550,7 +557,7 @@ func (k *Kernel) HandlePageFault(c *sgx.CPU, e *sgx.Enclave, tcs *sgx.TCS, f *mm
 
 // HandleTimer implements sgx.OSHandler for preemption-timer AEXs.
 func (k *Kernel) HandleTimer(c *sgx.CPU, e *sgx.Enclave, tcs *sgx.TCS) error {
-	k.chargeTimer()
+	k.chargeTimer(1)
 	p, perr := k.procFor(e)
 	if perr != nil {
 		return perr
@@ -562,43 +569,71 @@ func (k *Kernel) HandleTimer(c *sgx.CPU, e *sgx.Enclave, tcs *sgx.TCS) error {
 	return c.ERESUME(e, tcs)
 }
 
-// chargeTimer is the timer handler's own cost and count, in the ambient
-// category.
-func (k *Kernel) chargeTimer() {
-	k.m.Inc(metrics.CntTimerTicks)
-	k.Clock.ChargeAmbient(k.Costs.OSFaultWork)
+// chargeTimer is the own cost and count of n timer handler runs, in the
+// ambient category.
+func (k *Kernel) chargeTimer(n uint64) {
+	k.m.Add(metrics.CntTimerTicks, n)
+	k.Clock.ChargeAmbient(n * k.Costs.OSFaultWork)
 }
 
-// PollInPlace accounts one idle poll of the server loop parked in p's idle
-// yield, without resuming it. saved is the execution context the loop was
-// parked with. The real round trip is: ERESUME from the timer handler, the
-// loop's empty poll, the loop's voluntary AEX, and this handler again up to
-// the scheduler upcall. PollInPlace charges and counts every event of it in
-// that order and category, and returns the context the loop would be parked
-// with afterwards; the CPU is left with a fresh context, as after any park.
-//
-// It returns false and charges nothing whenever the round trip could do
-// anything else: no loop is parked idle in p, the poll would find work, the
-// enclave cannot be resumed, a charge would cross the clock's limit, or an
-// adversary watches timer interrupts — OnTimer must see every one of them.
-func (k *Kernel) PollInPlace(p *Proc, saved sgx.ExecContext) (sgx.ExecContext, bool) {
+// IdleLoop returns the probe of the server loop parked in p's idle yield,
+// saved being the execution context the loop was parked with, when the
+// kernel may account the loop's polls in place on every ground but the
+// cycle, and nil otherwise. The grounds: a loop has published its probe on
+// p, p is registered, the enclave can be resumed, no adversary watches
+// timer interrupts — OnTimer must see every one of them — and the loop was
+// parked on the fault path, as every interrupt AEX parks it, whether it ran
+// or was accounted in place.
+func (k *Kernel) IdleLoop(p *Proc, saved sgx.ExecContext) IdleProbe {
 	if p == nil || p.Idle == nil || k.procs[p.E.ID] != p {
-		return saved, false
+		return nil
 	}
 	if _, benign := k.Adversary.(NopAdversary); !benign {
+		return nil
+	}
+	if !k.CPU.CanResume(p.E, p.TCS) || saved.Category() != sim.CatFault {
+		return nil
+	}
+	return p.Idle
+}
+
+// InPlaceCycles is what an in-place poll charges around the loop's own
+// poll: resume before it (the ERESUME), exit after it (the AEX and the
+// timer handler up to the scheduler upcall).
+func (k *Kernel) InPlaceCycles() (resume, exit uint64) {
+	return k.CPU.ResumeCycles(), k.CPU.AEXCycles() + k.Costs.OSFaultWork
+}
+
+// PollInPlace accounts n idle polls of the server loop parked in p's idle
+// yield, without resuming it: the polls of n dispatches of p, the last of
+// which hands over at cycle at. saved is the execution context the loop was
+// parked with. One real round trip is: ERESUME from the timer handler, the
+// loop's empty poll, the loop's voluntary AEX, and this handler again up to
+// the scheduler upcall. PollInPlace charges and counts every event of the n
+// round trips in its category, and returns the context the loop would be
+// parked with afterwards; the CPU is left with a fresh context, as after
+// any park.
+//
+// It returns false and charges nothing whenever a round trip could do
+// anything else: IdleLoop refuses the loop, a poll would find work (the
+// last one by QuietAt; for n > 1 also by QuietUntil, whose bound covers the
+// earlier ones), or the charges would cross the clock's limit.
+func (k *Kernel) PollInPlace(p *Proc, saved sgx.ExecContext, n, at uint64) (sgx.ExecContext, bool) {
+	loop := k.IdleLoop(p, saved)
+	if loop == nil || n == 0 {
+		return saved, false
+	}
+	resume, exit := k.InPlaceCycles()
+	poll, quiet := loop.QuietAt(at + resume)
+	if !quiet || n > 1 && at+resume >= loop.QuietUntil() || n*(resume+poll+exit) > k.Clock.Room() {
 		return saved, false
 	}
 	c := k.CPU
-	resume := c.ResumeCycles()
-	poll, quiet := p.Idle.QuietAt(k.Clock.Cycles() + resume)
-	if !quiet || !c.CanResume(p.E, p.TCS) || !k.Clock.Fits(resume+poll+c.AEXCycles()+k.Costs.OSFaultWork) {
-		return saved, false
-	}
 	c.SwapContext(saved)
-	c.AccountResume()
-	p.Idle.Poll()
-	c.AccountInterruptAEX()
-	k.chargeTimer()
+	c.AccountResume(n)
+	loop.Poll(n)
+	c.AccountInterruptAEX(n)
+	k.chargeTimer(n)
 	return c.SwapContext(sgx.ExecContext{}), true
 }
 

@@ -255,7 +255,7 @@ func TestTLBFlushAll(t *testing.T) {
 	tlb, clock := newTLB()
 	tlb.Fill(0x1000, PTE{Present: true, Perms: PermRW, PFN: 1}, true)
 	before := clock.Cycles()
-	tlb.FlushAll()
+	tlb.FlushAll(1)
 	if clock.Cycles() == before {
 		t.Fatal("flush must charge cycles")
 	}

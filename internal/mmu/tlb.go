@@ -120,17 +120,19 @@ func (t *TLB) Fill(va VAddr, pte PTE, writable bool) {
 	t.m.Inc(metrics.CntTLBFills)
 }
 
-// FlushAll invalidates every entry (enclave entry/exit). It is O(1): the
-// flush epoch advances and every existing entry becomes stale.
-func (t *TLB) FlushAll() {
-	t.epoch++
-	t.m.Inc(metrics.CntTLBFlushes)
+// FlushAll invalidates every entry n times in a row (n enclave entries or
+// exits with nothing cached in between), charging and counting each flush.
+// It is O(1): the flush epoch advances and every existing entry becomes
+// stale.
+func (t *TLB) FlushAll(n uint64) {
+	t.epoch += n
+	t.m.Add(metrics.CntTLBFlushes, n)
 	// Flushes ride on enclave transitions; the ambient category is the
 	// transition's (compute at top level, fault-handling on the fault path).
-	t.clock.ChargeAmbient(t.costs.TLBFlushLocal)
+	t.clock.ChargeAmbient(n * t.costs.TLBFlushLocal)
 }
 
-// FlushCycles is what one FlushAll charges.
+// FlushCycles is what one full flush charges.
 func (t *TLB) FlushCycles() uint64 { return t.costs.TLBFlushLocal }
 
 // Invalidate drops any entry for va (INVLPG / shootdown target side).

@@ -28,10 +28,11 @@ func (k PolicyKind) String() string {
 }
 
 // Policy decides which runnable task receives the next quantum. Pick must
-// be deterministic: the same (runnable, prev) sequence must yield the same
-// choices on every run — the scheduler's determinism contract depends on it.
+// be a deterministic function of its arguments: the same (runnable, prev)
+// must yield the same choice on every call. The scheduler's determinism
+// contract depends on it, and so does Wait, which follows a policy's picks
+// ahead of dispatching them to find a round of idle tasks (see step).
 type Policy interface {
-	Name() string
 	// Pick returns the next task to dispatch. runnable is non-empty and in
 	// spawn order; prev is the task that held the previous quantum (nil on
 	// the first dispatch, possibly no longer runnable). The runnable slice
@@ -60,8 +61,6 @@ type roundRobin struct{}
 // NewRoundRobin returns the round-robin policy.
 func NewRoundRobin() Policy { return roundRobin{} }
 
-func (roundRobin) Name() string { return "round-robin" }
-
 func (roundRobin) Pick(runnable []*Task, prev *Task) *Task {
 	return nextAfter(runnable, prev)
 }
@@ -75,22 +74,27 @@ type priority struct{}
 // NewPriority returns the strict-priority policy.
 func NewPriority() Policy { return priority{} }
 
-func (priority) Name() string { return "priority" }
-
+// Pick makes nextAfter's choice within the top class without building it:
+// the first top-priority task whose ID follows prev's, or else the first
+// top-priority task.
 func (priority) Pick(runnable []*Task, prev *Task) *Task {
 	top := runnable[0].Priority()
 	for _, t := range runnable[1:] {
-		if t.Priority() > top {
-			top = t.Priority()
-		}
+		top = max(top, t.Priority())
 	}
-	class := make([]*Task, 0, len(runnable))
+	var first *Task
 	for _, t := range runnable {
-		if t.Priority() == top {
-			class = append(class, t)
+		if t.Priority() != top {
+			continue
+		}
+		if prev == nil || t.ID() > prev.ID() {
+			return t
+		}
+		if first == nil {
+			first = t
 		}
 	}
-	return nextAfter(class, prev)
+	return first
 }
 
 // nextAfter returns the first task in the (spawn-ordered) candidate list

@@ -14,7 +14,9 @@
 // interleaving is a pure function of the policy, the quantum, and the cycle
 // costs — never of goroutine timing. One dispatch transfers nothing: a
 // server loop parked in its idle yield whose next pass would only poll and
-// yield again has that pass accounted in place (see step).
+// yield again has that pass accounted in place, and under Wait a whole run
+// of such passes, round after round of idle tasks, costs one step (see
+// step).
 //
 // # Preemption
 //
@@ -41,6 +43,7 @@ package sched
 
 import (
 	"errors"
+	"math"
 
 	"autarky/internal/hostos"
 	"autarky/internal/metrics"
@@ -206,6 +209,17 @@ type Scheduler struct {
 	// runnable is step's reused dispatch scratch: one dispatch happens per
 	// quantum, so rebuilding the slice dominated the scheduler's allocations.
 	runnable []*Task
+	// round is pollIdle's reused scratch: the tasks of a round of idle polls.
+	round []idler
+}
+
+// idler is one task of a round of in-place idle polls (see idleRound): at is
+// the cycle its dispatch in the first round hands over at, loop the probe of
+// its parked server loop.
+type idler struct {
+	task *Task
+	at   uint64
+	loop hostos.IdleProbe
 }
 
 // New wires a scheduler to the machine behind k and installs it as the
@@ -272,7 +286,9 @@ func (s *Scheduler) Wait(t *Task) error {
 	s.enter("Wait")
 	defer s.leave()
 	for !t.done {
-		s.mustStep()
+		// Only t's end stops the loop, and no quiet poll can bring it about,
+		// so Wait may account whole rounds of idle polls in one step.
+		s.mustStep(true)
 	}
 	s.cpu.PreemptAt = 0
 	return t.err
@@ -328,9 +344,16 @@ func (s *Scheduler) Accounting() Accounting {
 }
 
 // forceRealPolls disables in-place idle polls, so every dispatch hands off
-// to the task. It is a test seam: the equivalence tests run each scenario
-// both ways and compare the results byte for byte.
-var forceRealPolls bool
+// to the task; singlePolls disables whole idle rounds, so every in-place
+// poll is accounted on its own dispatch; onIdleRounds, when set, is told
+// the size of each batch of rounds accounted. All three are test seams: the
+// equivalence tests run each scenario every way, compare the results byte
+// for byte, and check that batches ran where they should and nowhere else.
+var (
+	forceRealPolls bool
+	singlePolls    bool
+	onIdleRounds   func(rounds uint64, tasks int)
+)
 
 // step runs one dispatch: pick, charge, arm the quantum, hand off, collect
 // the yield, attribute the slice. It reports false, doing nothing, when no
@@ -342,8 +365,12 @@ var forceRealPolls bool
 // kernel can account the loop's next poll in place (hostos.Kernel.
 // PollInPlace): that poll would find nothing due and yield again, so the
 // slice charges and counts exactly what the handoff would, and the task
-// stays parked.
-func (s *Scheduler) step() bool {
+// stays parked. With rounds set, which only Wait does, one step may account
+// whole rounds of such polls at once (see idleRound); Step, Drive and Drain
+// account at most one, because the fleet interleaves its machines one
+// dispatch at a time, a Drive predicate reads the clock between dispatches,
+// and a draining loop is never quiet.
+func (s *Scheduler) step(rounds bool) bool {
 	runnable := s.runnable[:0]
 	for _, t := range s.tasks {
 		if !t.done && (s.draining == nil || t == s.draining) {
@@ -366,23 +393,12 @@ func (s *Scheduler) step() bool {
 		s.m.Inc(metrics.CntSchedSwitches)
 	}
 	s.last = t
+	s.arm(s.clock.Cycles())
 
-	// Arm (or disarm) the one-shot quantum deadline. Overwriting also clears
-	// any stale deadline left by a slice that ended without firing it.
-	if s.quantum > 0 {
-		s.cpu.PreemptAt = s.clock.Cycles() + s.quantum
-	} else {
-		s.cpu.PreemptAt = 0
+	if t.idle && !forceRealPolls && s.pollIdle(t, rounds) {
+		return true
 	}
-
 	mark := s.clock.Cycles()
-	if t.idle && !forceRealPolls {
-		if saved, ok := s.kernel.PollInPlace(t.proc, t.saved); ok {
-			t.saved = saved
-			t.cycles += s.clock.Cycles() - mark
-			return true
-		}
-	}
 	s.current = t
 	t.resume <- resumeMsg{}
 	msg := <-s.yield
@@ -406,9 +422,146 @@ func (s *Scheduler) step() bool {
 	return true
 }
 
+// arm sets the one-shot quantum deadline of a dispatch handing over at
+// cycle at, or clears it when there is no quantum. Overwriting also clears
+// any stale deadline left by a slice that ended without firing it.
+func (s *Scheduler) arm(at uint64) {
+	if s.quantum > 0 {
+		s.cpu.PreemptAt = at + s.quantum
+	} else {
+		s.cpu.PreemptAt = 0
+	}
+}
+
+// pollIdle accounts in place the idle polls that the dispatch of t, just
+// charged, starts. t's own poll comes first, as PollInPlace checks it on
+// its own; when the kernel refuses it, pollIdle reports false, having
+// charged nothing more, and the dispatch hands off. With rounds set the
+// polls of the dispatches that would follow come with it: the rest of the
+// k rounds idleRound finds. Each task's polls are one PollInPlace; the
+// k·m-1 dispatches after t's are charged and counted together, every one
+// a switch when the round has m > 1 tasks, and the last of them is the one
+// the quantum is armed for.
+func (s *Scheduler) pollIdle(t *Task, rounds bool) bool {
+	at := s.clock.Cycles()
+	if !s.pollInPlace(t, 1, at) {
+		return false
+	}
+	if !rounds || singlePolls {
+		return true
+	}
+	round, k, d := s.idleRound(t, at)
+	rest := k*uint64(len(round)) - 1
+	if rest == 0 {
+		return true
+	}
+	for j, r := range round {
+		n := k
+		if j == 0 {
+			n-- // t's first poll is charged
+		}
+		if n > 0 && !s.pollInPlace(r.task, n, r.at+(k-1)*d) {
+			panic("sched: kernel refused idle polls it had accepted")
+		}
+		r.task.m.Add(metrics.CntSchedDispatches, n)
+	}
+	s.clock.ChargeAs(sim.CatFault, rest*s.costs.SchedDispatch)
+	s.overhead += rest * s.costs.SchedDispatch
+	if len(round) > 1 {
+		s.m.Add(metrics.CntSchedSwitches, rest)
+	}
+	last := round[len(round)-1]
+	s.last = last.task
+	s.arm(last.at + (k-1)*d)
+	if onIdleRounds != nil {
+		onIdleRounds(k, len(round))
+	}
+	return true
+}
+
+// pollInPlace accounts u's next n idle polls, the last of them dispatched
+// at cycle at, as u's own cycles.
+func (s *Scheduler) pollInPlace(u *Task, n, at uint64) bool {
+	mark := s.clock.Cycles()
+	saved, ok := s.kernel.PollInPlace(u.proc, u.saved, n, at)
+	if ok {
+		u.saved = saved
+		u.cycles += s.clock.Cycles() - mark
+	}
+	return ok
+}
+
+// idleRound finds the polls pollIdle accounts after t's first, which was
+// dispatched at cycle at and has just been charged: k rounds of the
+// returned tasks, t first, one round charging d.
+//
+// It follows the policy's picks from t until they return to t: the round.
+// Every task of it must be parked in its loop's idle yield, with the kernel
+// accepting its poll on every ground but the cycle (hostos.Kernel.
+// IdleLoop), and its poll in the first round must be quiet at its cycle.
+// The walk stops at the first poll that is not; the polls before it are
+// then one partial round, exactly the single polls the next dispatches
+// would account, so no probe query of the walk is wasted. When the round
+// closes, k is the number of whole rounds in which every poll falls before
+// its loop's QuietUntil, or one when every loop would stay quiet forever.
+// Either way k is cut to the most rounds that fit under the clock's limit;
+// when not even the first fits, only t's poll is accounted.
+func (s *Scheduler) idleRound(t *Task, at uint64) (round []idler, k, d uint64) {
+	round = append(s.round[:0], idler{task: t, at: at})
+	resume, exit := s.kernel.InPlaceCycles()
+	first := s.clock.Cycles() - at // t's poll, as charged
+	d = first + s.costs.SchedDispatch
+	u := s.policy.Pick(s.runnable, t)
+	for u != t && len(round) < len(s.runnable) {
+		var loop hostos.IdleProbe
+		if u.idle {
+			loop = s.kernel.IdleLoop(u.proc, u.saved)
+		}
+		if loop == nil {
+			break
+		}
+		poll, quiet := loop.QuietAt(at + d + resume)
+		if !quiet {
+			break
+		}
+		round = append(round, idler{task: u, at: at + d, loop: loop})
+		d += resume + poll + exit + s.costs.SchedDispatch
+		u = s.policy.Pick(s.runnable, u)
+	}
+	s.round = round
+	k = 1
+	if u == t {
+		round[0].loop = s.kernel.IdleLoop(t.proc, t.saved)
+		k = math.MaxUint64
+		for _, r := range round {
+			if until := r.loop.QuietUntil(); until != math.MaxUint64 {
+				n := uint64(1) // the first round, found quiet poll by poll
+				if q := r.at + resume; until > q {
+					n += (until - q - 1) / d
+				}
+				k = min(k, n)
+			}
+		}
+		if k == math.MaxUint64 {
+			k = 1
+		}
+	}
+	// The rounds must fit under the clock's limit: k·d from t's dispatch,
+	// of which t's poll and dispatch are charged. At most one round more
+	// than room/d fits, and no more than the clock can count.
+	k = min(k, s.clock.Room()/d+1, (math.MaxUint64-at)/d)
+	if k*d-first-s.costs.SchedDispatch > s.clock.Room() {
+		k--
+	}
+	if k == 0 {
+		return round[:1], 1, d
+	}
+	return round, k, d
+}
+
 // mustStep runs one dispatch for a caller that knows a task is runnable.
-func (s *Scheduler) mustStep() {
-	if !s.step() {
+func (s *Scheduler) mustStep(rounds bool) {
+	if !s.step(rounds) {
 		panic("sched: step with nothing runnable")
 	}
 }
@@ -457,7 +610,7 @@ func (s *Scheduler) Drive(stop func() bool) error {
 	s.enter("Drive")
 	defer s.leave()
 	for !stop() {
-		if !s.step() {
+		if !s.step(false) {
 			s.cpu.PreemptAt = 0
 			return ErrStalled
 		}
@@ -484,7 +637,7 @@ func (s *Scheduler) Drain(t *Task) error {
 	defer func() { s.draining = nil }()
 	s.draining = t
 	for !t.done {
-		s.mustStep()
+		s.mustStep(false)
 	}
 	s.cpu.PreemptAt = 0
 	return t.err
@@ -498,7 +651,7 @@ func (s *Scheduler) Drain(t *Task) error {
 func (s *Scheduler) Step() bool {
 	s.enter("Step")
 	defer s.leave()
-	if !s.step() {
+	if !s.step(false) {
 		s.cpu.PreemptAt = 0
 		return false
 	}

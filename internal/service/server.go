@@ -36,6 +36,7 @@ package service
 
 import (
 	"fmt"
+	"math"
 
 	"autarky/internal/core"
 	"autarky/internal/fault"
@@ -545,15 +546,8 @@ func (s *Server) keepAliveDue(c *Conn, now uint64) bool {
 // nothing, serve nothing and not return — that is, only poll and yield. It
 // reads the state pump, pop and drained read, and changes nothing.
 func (s *Server) quietAt(now uint64) bool {
-	if s.draining || s.closed || s.fifoLen > 0 {
+	if now >= s.quietBefore() {
 		return false
-	}
-	if s.pos < len(s.schedule) {
-		if s.schedule[s.pos].Arrive <= now {
-			return false // an arrival is due
-		}
-	} else if s.openLoop {
-		return false // schedule spent: the loop returns
 	}
 	if s.sweepsKeepAlives() {
 		for i := 0; i < kaSweep && i < len(s.conns); i++ {
@@ -565,10 +559,28 @@ func (s *Server) quietAt(now uint64) bool {
 	return true
 }
 
-// idlePoll is the loop's idle branch: count the poll and charge it.
-func (s *Server) idlePoll() {
-	s.meter.Inc(metrics.CntServIdlePolls)
-	s.charge(s.costs.ServPoll)
+// quietBefore is the cycle from which a pass of the loop admits the next
+// scheduled arrival, math.MaxUint64 when none is scheduled, and 0 when no
+// pass is quiet whatever the cycle: the server is draining or closed, its
+// ring holds frames, or its open-loop schedule is spent and the loop
+// returns.
+func (s *Server) quietBefore() uint64 {
+	switch {
+	case s.draining || s.closed || s.fifoLen > 0:
+		return 0
+	case s.pos < len(s.schedule):
+		return s.schedule[s.pos].Arrive
+	case s.openLoop:
+		return 0
+	}
+	return math.MaxUint64
+}
+
+// idlePoll is the loop's idle branch, n times: count the polls and charge
+// them.
+func (s *Server) idlePoll(n uint64) {
+	s.meter.Add(metrics.CntServIdlePolls, n)
+	s.charge(n * s.costs.ServPoll)
 }
 
 // idleProbe is the hostos.IdleProbe a running loop publishes on its kernel
@@ -581,14 +593,37 @@ func (p *idleProbe) QuietAt(now uint64) (uint64, bool) {
 	return s.costs.ServPoll, s.parked && s.quietAt(now)
 }
 
-// Poll implements hostos.IdleProbe: one quiet pass of the loop, up to its
-// idle yield. When quietAt holds, pump only advances the keep-alive cursor,
-// pop finds the ring empty and drained is false, so pump and the idle branch
-// are all the pass does.
-func (p *idleProbe) Poll() {
+// QuietUntil implements hostos.IdleProbe: the next scheduled arrival and,
+// with keep-alives, the first cycle at which any connection is owed one.
+// One poll checks only the kaSweep connections at the cursor, so the
+// keep-alive bound may come early: a run of polls ends there, and single
+// polls carry on until the owed connection comes round.
+func (p *idleProbe) QuietUntil() uint64 {
 	s := (*Server)(p)
-	s.pump()
-	s.idlePoll()
+	if !s.parked {
+		return 0
+	}
+	until := s.quietBefore()
+	if until != 0 && s.sweepsKeepAlives() {
+		for _, c := range s.conns {
+			if c.n == 0 {
+				until = min(until, c.lastAct+s.opts.KeepAliveEvery)
+			}
+		}
+	}
+	return until
+}
+
+// Poll implements hostos.IdleProbe: n quiet passes of the loop, each up to
+// its idle yield. When a pass is quiet, pump only advances the keep-alive
+// cursor, pop finds the ring empty and drained is false, so the cursor and
+// the idle branch are all the passes change.
+func (p *idleProbe) Poll(n uint64) {
+	s := (*Server)(p)
+	if s.sweepsKeepAlives() {
+		s.kaCursor += int(n) * min(kaSweep, len(s.conns))
+	}
+	s.idlePoll(n)
 }
 
 // drained reports whether the loop has nothing left to do and never will:
@@ -628,7 +663,7 @@ func (s *Server) Loop(ctx *core.Context) {
 				}
 				return
 			}
-			s.idlePoll()
+			s.idlePoll(1)
 			if s.Idle != nil {
 				s.parked = true
 				s.Idle()

@@ -101,6 +101,9 @@ type ExecContext struct {
 	cat        sim.Category
 }
 
+// Category is the ambient attribution category the stream was parked in.
+func (x ExecContext) Category() sim.Category { return x.cat }
+
 // SwapContext installs ctx as the CPU's execution context and returns the
 // context that was live. Schedulers call it in matched pairs around a
 // context switch; it must only be used outside enclave mode (after the AEX
@@ -202,7 +205,7 @@ func (c *CPU) EEnter(e *Enclave, tcs *TCS) (err error) {
 	// Transition cost inherits the ambient category: fault-handling when
 	// the OS re-enters the trusted handler, compute at top-level entry.
 	c.Clock.ChargeAmbient(c.Costs.EENTER)
-	c.TLB.FlushAll()
+	c.TLB.FlushAll(1)
 	c.m.Inc(metrics.CntEnters)
 	// Autarky §5.1.3: EENTER clears the pending-exception flag.
 	tcs.pendingException = false
@@ -234,7 +237,7 @@ func (c *CPU) EEnter(e *Enclave, tcs *TCS) (err error) {
 		return nil
 	}
 	c.Clock.ChargeAmbient(c.Costs.EEXIT)
-	c.TLB.FlushAll()
+	c.TLB.FlushAll(1)
 	c.m.Inc(metrics.CntExits)
 	c.clearMode()
 	return nil
@@ -257,30 +260,32 @@ func (c *CPU) ERESUME(e *Enclave, tcs *TCS) error {
 	if tcs.cssa == 0 {
 		return fmt.Errorf("%w: ERESUME with empty SSA stack", ErrEPCMConflict)
 	}
-	c.AccountResume()
+	c.AccountResume(1)
 	tcs.popSSA()
 	c.setMode(e, tcs)
 	return nil
 }
 
-// AccountResume charges and counts everything a successful ERESUME costs, in
-// the ambient category, without entering enclave mode. ERESUME calls it; so
-// does a scheduler that runs a parked stream's next slice in place because
-// it knows the slice ends in another interrupt AEX (see
-// AccountInterruptAEX). The interrupt frame the ERESUME would pop stays on
+// AccountResume charges and counts everything n successful ERESUMEs cost, in
+// the ambient category, without entering enclave mode. ERESUME calls it for
+// one; so does a scheduler that runs a parked stream's next slices in place
+// because it knows each ends in another interrupt AEX (see
+// AccountInterruptAEX). The interrupt frame an ERESUME would pop stays on
 // the SSA stack: the AEX would push an identical one. Outside ERESUME, call
-// it only when CanResume holds.
-func (c *CPU) AccountResume() {
-	c.Clock.ChargeAmbient(c.Costs.ERESUME)
-	c.TLB.FlushAll()
-	c.m.Inc(metrics.CntResumes)
+// it only when CanResume holds, and for n > 1 only with the fault path
+// ambient: each AEX in between leaves it so, and every ERESUME after the
+// first is charged there.
+func (c *CPU) AccountResume(n uint64) {
+	c.Clock.ChargeAmbient(n * c.Costs.ERESUME)
+	c.TLB.FlushAll(n)
+	c.m.Add(metrics.CntResumes, n)
 }
 
-// chargeAEX is everything an AEX costs and counts, in the ambient category.
-func (c *CPU) chargeAEX() {
-	c.Clock.ChargeAmbient(c.Costs.AEX)
-	c.TLB.FlushAll()
-	c.m.Inc(metrics.CntAEXs)
+// chargeAEX is everything n AEXs cost and count, in the ambient category.
+func (c *CPU) chargeAEX(n uint64) {
+	c.Clock.ChargeAmbient(n * c.Costs.AEX)
+	c.TLB.FlushAll(n)
+	c.m.Add(metrics.CntAEXs, n)
 }
 
 // CanResume reports whether ERESUME of e on tcs would succeed now.
@@ -294,13 +299,13 @@ func (c *CPU) ResumeCycles() uint64 { return c.Costs.ERESUME + c.TLB.FlushCycles
 // AEXCycles is what an AEX charges.
 func (c *CPU) AEXCycles() uint64 { return c.Costs.AEX + c.TLB.FlushCycles() }
 
-// AccountInterruptAEX charges and counts the interrupt AEX that parks the
-// stream again after AccountResume. It opens the fault-path category that
-// interruptAEX opens and leaves it ambient, as it is for a stream parked
-// inside that AEX.
-func (c *CPU) AccountInterruptAEX() {
+// AccountInterruptAEX charges and counts the n interrupt AEXs that park the
+// stream again after each of AccountResume's ERESUMEs. It opens the
+// fault-path category that interruptAEX opens and leaves it ambient, as it
+// is for a stream parked inside that AEX.
+func (c *CPU) AccountInterruptAEX(n uint64) {
 	c.Clock.SetCategory(sim.CatFault)
-	c.chargeAEX()
+	c.chargeAEX(n)
 }
 
 // ResumeInEnclave is the runtime-visible half of the in-enclave-resume
@@ -488,7 +493,7 @@ func (c *CPU) aexAndHandle(e *Enclave, tcs *TCS, full, masked mmu.Fault, enclave
 		// Autarky §5.1.3: AEX on an enclave page fault sets the pending flag.
 		tcs.pendingException = true
 	}
-	c.chargeAEX()
+	c.chargeAEX(1)
 	c.clearMode()
 
 	c.Clock.ChargeAmbient(c.Costs.OSFaultEntry)
@@ -585,7 +590,7 @@ func (c *CPU) interruptAEX() error {
 		c.clearMode()
 		return &TerminationError{Reason: TerminatePolicy, Detail: "SSA stack exhausted on timer"}
 	}
-	c.chargeAEX()
+	c.chargeAEX(1)
 	c.clearMode()
 	if err := c.OS.HandleTimer(c, e, tcs); err != nil {
 		return err

@@ -127,7 +127,7 @@ func BenchmarkTLBFlushAll(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.TLB.FlushAll()
+		c.TLB.FlushAll(1)
 		if _, fault := c.translate(va, mmu.AccessRead); fault != nil {
 			b.Fatalf("refill translate faulted: %v", fault)
 		}

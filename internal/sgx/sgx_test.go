@@ -256,7 +256,7 @@ func TestEPCMWrongLinearAddressFaults(t *testing.T) {
 	// must fault (the "map the wrong page" attack variant).
 	pte1, _ := r.pt.Get(rigBase + mmu.PageSize)
 	r.pt.Map(rigBase, pte1.PFN, mmu.PermRW, true)
-	r.tlb.FlushAll()
+	r.tlb.FlushAll(1)
 	var accessErr error
 	faulted := false
 	r.onFault = func(c *CPU, e *Enclave, tcs *TCS, f *mmu.Fault) error {
@@ -758,7 +758,7 @@ func TestBlockedPageFaultsOnAccess(t *testing.T) {
 	if err := r.cpu.EBLOCK(e, rigBase, pte.PFN); err != nil {
 		t.Fatal(err)
 	}
-	r.tlb.FlushAll()
+	r.tlb.FlushAll(1)
 	faulted := false
 	r.onFault = func(c *CPU, e2 *Enclave, tcs2 *TCS, f *mmu.Fault) error {
 		faulted = true

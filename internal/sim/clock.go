@@ -7,7 +7,10 @@
 // with the same seed and parameters produce byte-identical results.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Category labels where advanced cycles are attributed. Every charge lands
 // in a bucket — ChargeAmbient in the clock's ambient category (CatCompute
@@ -96,10 +99,19 @@ func (e *LimitError) Error() string {
 // zero disarms the budget.
 func (c *Clock) SetLimit(limit uint64) { c.limit = limit }
 
-// Fits reports whether n more cycles can be charged without crossing the
-// limit, so a caller that replays a fixed sequence of charges can tell in
-// advance that none of them will raise a LimitError.
-func (c *Clock) Fits(n uint64) bool { return c.limit == 0 || c.cycles+n <= c.limit }
+// Room reports how many more cycles can be charged without crossing the
+// limit (math.MaxUint64 when none is armed), so a caller that replays a run
+// of charges can tell in advance, or size the run so, that none of them
+// will raise a LimitError.
+func (c *Clock) Room() uint64 {
+	switch {
+	case c.limit == 0:
+		return math.MaxUint64
+	case c.cycles >= c.limit:
+		return 0
+	}
+	return c.limit - c.cycles
+}
 
 // ChargeAmbient adds n cycles to the clock, attributed to the ambient
 // category. This is the single ambient charge entry point: the name marks

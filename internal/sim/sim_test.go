@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -14,6 +15,28 @@ func TestClockChargeAmbient(t *testing.T) {
 	c.ChargeAmbient(7)
 	if got := c.Cycles(); got != 12 {
 		t.Fatalf("Cycles() = %d, want 12", got)
+	}
+}
+
+// TestClockRoomTracksTheLimit: Room is what can still be charged without a
+// LimitError, and unbounded without a limit.
+func TestClockRoomTracksTheLimit(t *testing.T) {
+	c := NewClock()
+	if c.Room() != math.MaxUint64 {
+		t.Fatalf("Room without a limit = %d", c.Room())
+	}
+	c.SetLimit(100)
+	c.ChargeAs(CatCompute, 60)
+	if c.Room() != 40 {
+		t.Fatalf("Room = %d, want 40", c.Room())
+	}
+	c.ChargeAmbient(c.Room()) // exactly up to the limit: no panic
+	if c.Room() != 0 {
+		t.Fatalf("Room at the limit = %d", c.Room())
+	}
+	c.SetLimit(50) // below the cycles already charged
+	if c.Room() != 0 {
+		t.Fatalf("Room past the limit = %d", c.Room())
 	}
 }
 
