@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt metriclint apicheck benchcheck chaos orderly serving migrate fuzz cover check bench gobench benchdiff
+.PHONY: all build test race vet fmt metriclint apicheck benchcheck chaos orderly serving migrate fuzz cover check bench gobench benchdiff layouts
 
 all: build
 
@@ -56,6 +56,27 @@ benchdiff: build
 # test`, so a regression fails CI rather than a bench diff.
 gobench:
 	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/cluster ./internal/libos ./internal/metrics ./internal/oram ./internal/pagestore ./internal/sched ./internal/sgx ./internal/sim
+
+# layouts builds this tree's benchmark binary once per code layout, with
+# `go build -ldflags=-randlayout=k` for each k in LAYOUT_SEEDS, into
+# LAYOUT_DIR (bench-k), outside the repository. It builds in
+# benchmark/run.sh's offline environment. Code layout alone moves the host
+# metrics by several percent, so a host-performance claim compares K
+# layouts per side: build the parent's checkout and the change's, then hand
+# each side's binaries to tools/benchpairs as repeated -a and -b (see
+# README, "Measuring host performance").
+LAYOUT_SEEDS ?= 1 2 3 4
+LAYOUT_DIR ?= /tmp/autarky-layouts
+layouts:
+	@mkdir -p $(LAYOUT_DIR) .bench_build/tmp
+	@out=$(CURDIR)/.bench_build; \
+	export GOCACHE=$$out/gocache GOMODCACHE=$$out/gomod GOPATH=$$out/gopath GOTMPDIR=$$out/tmp \
+		XDG_CONFIG_HOME=$$out/config XDG_CACHE_HOME=$$out/cache \
+		GOPROXY=off GOTOOLCHAIN=local GOFLAGS=-mod=readonly; \
+	for k in $(LAYOUT_SEEDS); do \
+		(cd benchmark && go build -ldflags=-randlayout=$$k -o $(abspath $(LAYOUT_DIR))/bench-$$k .) || exit 1; \
+		echo "built $(LAYOUT_DIR)/bench-$$k"; \
+	done
 
 # metriclint rejects wall-clock and process-PRNG imports in the
 # deterministic packages (fault, orderly, fleet), whose decisions

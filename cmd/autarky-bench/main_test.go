@@ -169,6 +169,20 @@ func TestBudgetFailureIsIsolated(t *testing.T) {
 	}
 }
 
+// TestBudgetReachesTheModelChecker: the cell budget arms every machine the
+// E13 model checker builds, and an overrun fails the cell as an overrun
+// rather than being booked as a spec violation.
+func TestBudgetReachesTheModelChecker(t *testing.T) {
+	defer experiments.SetCellBudget(0)
+	code, out, errw := bench("-exp", "orderliness", "-budget", "1000", "-jobs", "1")
+	if code != 1 {
+		t.Fatalf("exit %d, want 1\nstdout: %s\nstderr: %s", code, out, errw)
+	}
+	if !strings.Contains(out, "FAILED") || !strings.Contains(out, "cycle limit") {
+		t.Fatalf("no error table for budget overrun:\n%s", out)
+	}
+}
+
 func TestRegistryAliasesAreUnique(t *testing.T) {
 	seen := map[string]bool{}
 	for _, e := range registry {

@@ -180,11 +180,13 @@ func TestCrossEnclaveBlobConfusionRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The OS swaps the sealed blobs between the two enclaves' slots.
+	// The OS swaps the sealed blobs between the two enclaves' slots. It
+	// copies a's first: a Put overwrites the view Get returned.
 	blobA, err := m.Kernel.Store.Get(a.Enclave().ID, target)
 	if err != nil {
 		t.Fatal(err)
 	}
+	blobA.Ciphertext = append([]byte(nil), blobA.Ciphertext...)
 	blobB, err := m.Kernel.Store.Get(b.Enclave().ID, target)
 	if err != nil {
 		t.Fatal(err)

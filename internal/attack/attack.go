@@ -1,16 +1,21 @@
 // Package attack implements the controlled-channel attacks of §2.2 as
 // OS-level adversaries plugged into the untrusted kernel:
 //
-//   - PageFaultTracer: the original Xu et al. attack — unmap target pages,
-//     capture the induced faults, silently restore and resume, yielding a
-//     noise-free page-granular access trace. A variant strips execute
-//     permission instead (Van Bulck et al.).
+//   - PageFaultTracer: the fault-inducing attacks — break target PTEs,
+//     capture the induced faults, silently repair and resume, yielding a
+//     noise-free page-granular access trace. A page is broken by unmapping
+//     it (Xu et al.), by stripping execute permission (Van Bulck et al.) or
+//     by mapping it at the wrong frame (the Foreshadow precursor).
 //   - ADBitMonitor: the "silent" Wang et al. attack — periodically clear
 //     and re-read PTE accessed/dirty bits from a timer, observing accesses
 //     without inducing any fault.
+//   - Rollback: the host's replay of a stale sealed page from its backing
+//     store.
 //
-// Both succeed verbatim against the legacy SGX model and are detected (or
-// blinded) by the Autarky model, which is exactly the paper's claim.
+// An attack's Arm installs it as the kernel's adversary and Disarm puts the
+// benign one back. Every attack succeeds verbatim against the legacy SGX
+// model and is detected (or blinded) by the Autarky model, which is exactly
+// the paper's claim.
 package attack
 
 import (
@@ -19,7 +24,7 @@ import (
 	"autarky/internal/trace"
 )
 
-// Mode selects how the PageFaultTracer induces faults.
+// Mode selects how the PageFaultTracer breaks a target page.
 type Mode int
 
 // Tracing modes.
@@ -29,6 +34,10 @@ const (
 	// ModeNoExec strips execute permission from code pages, trapping
 	// instruction fetches while leaving data access unaffected.
 	ModeNoExec
+	// ModeWrongMap keeps the PTE present but points it at the Decoy page's
+	// frame: the OS "simply map[s] the wrong page", and the EPCM
+	// linear-address check faults on access.
+	ModeWrongMap
 )
 
 // PageFaultTracer traces enclave accesses to a set of target pages by
@@ -39,36 +48,48 @@ const (
 type PageFaultTracer struct {
 	Mode    Mode
 	Targets []mmu.VAddr
+	// Decoy is ModeWrongMap's wrong page: a page of the same enclave
+	// outside the target set. Arm resolves its frame, so it must be mapped
+	// then.
+	Decoy mmu.VAddr
 
 	// Log records the captured trace (page-granular, in access order).
 	Log trace.Log
 
-	armed     bool
 	last      mmu.VAddr
 	lastValid bool
-	origPerms map[uint64]mmu.Perms
+	decoyPFN  mmu.PFN
+	// orig holds each broken page's PTE as first found: the permissions
+	// ModeNoExec restores and the frame ModeWrongMap restores.
+	orig map[uint64]mmu.PTE
 }
 
 // NewPageFaultTracer builds a tracer for the target pages.
 func NewPageFaultTracer(mode Mode, targets []mmu.VAddr) *PageFaultTracer {
-	return &PageFaultTracer{Mode: mode, Targets: targets, origPerms: make(map[uint64]mmu.Perms)}
+	return &PageFaultTracer{Mode: mode, Targets: targets, orig: make(map[uint64]mmu.PTE)}
 }
 
-// Arm breaks all target PTEs. Call before the victim runs.
+// Arm installs the tracer as k's adversary and breaks all target PTEs.
+// Call before the victim runs.
 func (t *PageFaultTracer) Arm(k *hostos.Kernel) {
-	t.armed = true
+	k.Adversary = t
+	if t.Mode == ModeWrongMap {
+		if pte, ok := k.PT.Get(t.Decoy); ok {
+			t.decoyPFN = pte.PFN
+		}
+	}
 	for _, va := range t.Targets {
 		t.breakPage(k, va)
 	}
 }
 
-// Disarm restores every target page and stops tracing.
+// Disarm restores every target page and uninstalls the tracer.
 func (t *PageFaultTracer) Disarm(k *hostos.Kernel) {
-	t.armed = false
 	for _, va := range t.Targets {
 		t.fixPage(k, va)
 	}
 	t.lastValid = false
+	k.Adversary = hostos.NopAdversary{}
 }
 
 func (t *PageFaultTracer) isTarget(va mmu.VAddr) bool {
@@ -80,28 +101,51 @@ func (t *PageFaultTracer) isTarget(va mmu.VAddr) bool {
 	return false
 }
 
+// save remembers pte as va's original entry unless one is already held.
+func (t *PageFaultTracer) save(va mmu.VAddr, pte mmu.PTE) {
+	if _, saved := t.orig[va.VPN()]; !saved {
+		t.orig[va.VPN()] = pte
+	}
+}
+
 func (t *PageFaultTracer) breakPage(k *hostos.Kernel, va mmu.VAddr) {
 	switch t.Mode {
 	case ModeUnmap:
 		k.UnmapPage(va)
 	case ModeNoExec:
 		if pte, ok := k.PT.Get(va); ok {
-			if _, saved := t.origPerms[va.VPN()]; !saved {
-				t.origPerms[va.VPN()] = pte.Perms
-			}
+			t.save(va, pte)
 			k.ReducePerms(va, pte.Perms&^mmu.PermExec)
 		}
+	case ModeWrongMap:
+		pte, ok := k.PT.Get(va)
+		if !ok || !pte.Present || pte.PFN == t.decoyPFN {
+			return
+		}
+		t.save(va, pte)
+		// Preserve A/D so the remap is invisible to Autarky's A/D rule
+		// until the EPCM check fires.
+		k.PT.MapAD(va, t.decoyPFN, pte.Perms, true, pte.Accessed, pte.Dirty)
+		k.CPU.TLB.Shootdown(va)
 	}
 }
 
 func (t *PageFaultTracer) fixPage(k *hostos.Kernel, va mmu.VAddr) {
-	switch t.Mode {
-	case ModeUnmap:
+	if t.Mode == ModeUnmap {
 		k.RestorePage(va)
-	case ModeNoExec:
-		if perms, ok := t.origPerms[va.VPN()]; ok {
-			k.ReducePerms(va, perms)
-		}
+		return
+	}
+	orig, ok := t.orig[va.VPN()]
+	if !ok {
+		return
+	}
+	if t.Mode == ModeNoExec {
+		k.ReducePerms(va, orig.Perms)
+		return
+	}
+	if pte, ok := k.PT.Get(va); ok {
+		k.PT.MapAD(va, orig.PFN, pte.Perms, true, true, true)
+		k.CPU.TLB.Shootdown(va)
 	}
 }
 
@@ -109,7 +153,7 @@ func (t *PageFaultTracer) fixPage(k *hostos.Kernel, va mmu.VAddr) {
 // previous page, and report the fault handled so the kernel resumes
 // silently.
 func (t *PageFaultTracer) OnEnclaveFault(k *hostos.Kernel, p *hostos.Proc, f *mmu.Fault) bool {
-	if !t.armed || !t.isTarget(f.Addr) {
+	if !t.isTarget(f.Addr) {
 		return false
 	}
 	t.Log.Add(trace.Event{Cycle: k.Clock.Cycles(), Addr: f.Addr.PageBase(), Type: f.Type, Kind: trace.KindFault})
@@ -135,8 +179,6 @@ type ADBitMonitor struct {
 
 	// Log records observed accesses in scan order.
 	Log trace.Log
-
-	armed bool
 }
 
 // NewADBitMonitor builds a monitor for the target pages.
@@ -144,26 +186,23 @@ func NewADBitMonitor(targets []mmu.VAddr, watchDirty bool) *ADBitMonitor {
 	return &ADBitMonitor{Targets: targets, WatchDirty: watchDirty}
 }
 
-// Arm clears all target A/D bits so the first accesses are observable.
-// The victim machine's CPU.TimerInterval must be non-zero for the monitor
-// to receive scan opportunities.
+// Arm installs the monitor as k's adversary and clears all target A/D bits
+// so the first accesses are observable. The victim machine's
+// CPU.TimerInterval must be non-zero for the monitor to receive scan
+// opportunities.
 func (m *ADBitMonitor) Arm(k *hostos.Kernel) {
-	m.armed = true
+	k.Adversary = m
 	m.scan(k) // initial clear
 	m.Log.Reset()
 }
 
-// Disarm stops scanning.
-func (m *ADBitMonitor) Disarm() { m.armed = false }
+// Disarm uninstalls the monitor, which stops its timer scans.
+func (m *ADBitMonitor) Disarm(k *hostos.Kernel) { k.Adversary = hostos.NopAdversary{} }
 
 // ScanNow performs an immediate scan — attackers invoke it at request
 // boundaries (when the victim blocks on I/O) to delimit per-request
 // observations cleanly.
-func (m *ADBitMonitor) ScanNow(k *hostos.Kernel) {
-	if m.armed {
-		m.scan(k)
-	}
-}
+func (m *ADBitMonitor) ScanNow(k *hostos.Kernel) { m.scan(k) }
 
 func (m *ADBitMonitor) scan(k *hostos.Kernel) {
 	for _, va := range m.Targets {
@@ -186,8 +225,4 @@ func (m *ADBitMonitor) scan(k *hostos.Kernel) {
 func (m *ADBitMonitor) OnEnclaveFault(*hostos.Kernel, *hostos.Proc, *mmu.Fault) bool { return false }
 
 // OnTimer implements hostos.Adversary: one scan per tick.
-func (m *ADBitMonitor) OnTimer(k *hostos.Kernel, _ *hostos.Proc) {
-	if m.armed {
-		m.scan(k)
-	}
-}
+func (m *ADBitMonitor) OnTimer(k *hostos.Kernel, _ *hostos.Proc) { m.scan(k) }

@@ -85,7 +85,6 @@ func TestTracerCapturesAccessSequence(t *testing.T) {
 	p, rt := m.loadVictim(t, 8, false)
 	targets := []mmu.VAddr{base, base + mmu.PageSize, base + 2*mmu.PageSize}
 	tracer := NewPageFaultTracer(ModeUnmap, targets)
-	m.kernel.Adversary = tracer
 
 	sequence := []int{0, 1, 2, 1, 0, 2}
 	rt.app = func() {
@@ -115,7 +114,6 @@ func TestTracerIgnoresUntrackedPages(t *testing.T) {
 	m := newMachine()
 	p, rt := m.loadVictim(t, 8, false)
 	tracer := NewPageFaultTracer(ModeUnmap, []mmu.VAddr{base})
-	m.kernel.Adversary = tracer
 	rt.app = func() {
 		tracer.Arm(m.kernel)
 		_ = m.cpu.Touch(base+4*mmu.PageSize, mmu.AccessRead)
@@ -134,7 +132,6 @@ func TestTracerNoExecModeCapturesOnlyFetches(t *testing.T) {
 	m := newMachine()
 	p, rt := m.loadVictim(t, 4, false)
 	tracer := NewPageFaultTracer(ModeNoExec, []mmu.VAddr{base})
-	m.kernel.Adversary = tracer
 	rt.app = func() {
 		tracer.Arm(m.kernel)
 		_ = m.cpu.Touch(base, mmu.AccessRead) // data read: no trap
@@ -168,7 +165,6 @@ func TestTracerDetectedByAutarky(t *testing.T) {
 		t.Fatal(err)
 	}
 	tracer := NewPageFaultTracer(ModeUnmap, []mmu.VAddr{base})
-	m.kernel.Adversary = tracer
 	rt.app = func() {
 		tracer.Arm(m.kernel)
 		_ = m.cpu.Touch(base, mmu.AccessRead)
@@ -193,7 +189,6 @@ func TestADMonitorSeesAccessesWithoutFaults(t *testing.T) {
 	m.cpu.TimerInterval = 2
 	pages := []mmu.VAddr{base, base + mmu.PageSize, base + 2*mmu.PageSize}
 	mon := NewADBitMonitor(pages, true)
-	m.kernel.Adversary = mon
 	rt.app = func() {
 		mon.Arm(m.kernel)
 		for i := 0; i < 4; i++ {
@@ -201,7 +196,7 @@ func TestADMonitorSeesAccessesWithoutFaults(t *testing.T) {
 			_ = m.cpu.Touch(base+2*mmu.PageSize, mmu.AccessWrite)
 		}
 		mon.ScanNow(m.kernel)
-		mon.Disarm()
+		mon.Disarm(m.kernel)
 	}
 	if err := m.kernel.Run(p); err != nil {
 		t.Fatal(err)
@@ -243,7 +238,6 @@ func TestADMonitorDetectedByAutarky(t *testing.T) {
 	}
 	m.cpu.TimerInterval = 2
 	mon := NewADBitMonitor([]mmu.VAddr{base}, false)
-	m.kernel.Adversary = mon
 	rt.app = func() {
 		mon.Arm(m.kernel) // clears the A bit
 		for i := 0; i < 10; i++ {
@@ -296,13 +290,15 @@ func TestRecoveryRate(t *testing.T) {
 	}
 }
 
+// TestWrongMapperCapturesAccesses drives the tracer's wrong-map mode: each
+// target is mapped at the decoy's frame until it faults.
 func TestWrongMapperCapturesAccesses(t *testing.T) {
 	m := newMachine()
 	p, rt := m.loadVictim(t, 8, false)
 	targets := []mmu.VAddr{base, base + mmu.PageSize}
 	decoy := base + 6*mmu.PageSize
-	w := NewWrongMapper(m.kernel, targets, decoy)
-	m.kernel.Adversary = w
+	w := NewPageFaultTracer(ModeWrongMap, targets)
+	w.Decoy = decoy
 	sequence := []int{0, 1, 0}
 	rt.app = func() {
 		w.Arm(m.kernel)
@@ -352,8 +348,8 @@ func TestWrongMapperDetectedByAutarky(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewWrongMapper(m.kernel, []mmu.VAddr{base}, base+6*mmu.PageSize)
-	m.kernel.Adversary = w
+	w := NewPageFaultTracer(ModeWrongMap, []mmu.VAddr{base})
+	w.Decoy = base + 6*mmu.PageSize
 	rt.app = func() {
 		w.Arm(m.kernel)
 		_ = m.cpu.Touch(base, mmu.AccessRead)
@@ -363,5 +359,60 @@ func TestWrongMapperDetectedByAutarky(t *testing.T) {
 	var term *sgx.TerminationError
 	if !errors.As(runErr, &term) || term.Reason != sgx.TerminateAttackDetected {
 		t.Fatalf("wrong-map attack not detected: %v", runErr)
+	}
+}
+
+func TestPositionalRecovery(t *testing.T) {
+	if r := PositionalRecovery([]rune("cab"), []rune("cat!")); r != 0.5 {
+		t.Fatalf("rate = %v", r)
+	}
+	if r := PositionalRecovery([]bool{true, false, true}, []bool{true, true}); r != 0.5 {
+		t.Fatalf("rate = %v", r)
+	}
+	if r := PositionalRecovery([]bool{true}, nil); r != 0 {
+		t.Fatalf("rate = %v", r)
+	}
+}
+
+// TestArmMountsTheAttack: each attack installs itself as the kernel's
+// adversary on Arm and puts the benign one back on Disarm, so a disarmed
+// attack no longer blocks the kernel's in-place idle polls.
+func TestArmMountsTheAttack(t *testing.T) {
+	m := newMachine()
+	m.loadVictim(t, 8, false)
+	wrong := NewPageFaultTracer(ModeWrongMap, []mmu.VAddr{base})
+	wrong.Decoy = base + 6*mmu.PageSize
+	attacks := []interface {
+		hostos.Adversary
+		Arm(*hostos.Kernel)
+		Disarm(*hostos.Kernel)
+	}{
+		NewPageFaultTracer(ModeUnmap, []mmu.VAddr{base}),
+		NewPageFaultTracer(ModeNoExec, []mmu.VAddr{base}),
+		wrong,
+		NewADBitMonitor([]mmu.VAddr{base}, true),
+	}
+	for i, a := range attacks {
+		a.Arm(m.kernel)
+		if m.kernel.Adversary != a {
+			t.Fatalf("attack %d: Arm left %T installed", i, m.kernel.Adversary)
+		}
+		if a == wrong {
+			// The wrong mapping is the decoy's frame, still present.
+			pte, _ := m.pt.Get(base)
+			decoy, _ := m.pt.Get(wrong.Decoy)
+			if !pte.Present || pte.PFN != decoy.PFN {
+				t.Fatalf("wrong-map Arm left the target at %+v, want the decoy's frame %#x", pte, decoy.PFN)
+			}
+		}
+		a.Disarm(m.kernel)
+		if _, benign := m.kernel.Adversary.(hostos.NopAdversary); !benign {
+			t.Fatalf("attack %d: Disarm left %T installed", i, m.kernel.Adversary)
+		}
+	}
+	// Every mode's Disarm restored the page it broke.
+	pte, ok := m.pt.Get(base)
+	if !ok || !pte.Present || !pte.Perms.Allows(mmu.AccessExec) {
+		t.Fatalf("target PTE after the attacks: %+v", pte)
 	}
 }

@@ -86,3 +86,19 @@ func RecoveryRate(recovered []string, truth []string) float64 {
 	}
 	return float64(hit) / float64(len(truth))
 }
+
+// PositionalRecovery scores an attack that reconstructs a sequence (text,
+// an image's busy blocks): the fraction of want's positions that got
+// reproduces.
+func PositionalRecovery[T comparable](got, want []T) float64 {
+	if len(want) == 0 {
+		return 0
+	}
+	n := 0
+	for i := 0; i < len(want) && i < len(got); i++ {
+		if got[i] == want[i] {
+			n++
+		}
+	}
+	return float64(n) / float64(len(want))
+}

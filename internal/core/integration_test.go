@@ -9,6 +9,7 @@ import (
 	"errors"
 	"testing"
 
+	"autarky/internal/attack"
 	"autarky/internal/core"
 	"autarky/internal/hostos"
 	"autarky/internal/libos"
@@ -196,14 +197,22 @@ func TestSGX2BlobTamperTerminates(t *testing.T) {
 // violation (the refined ErrStaleVersion diagnosis is advisory and stays
 // below the termination boundary).
 func TestSGX2ReplayedBlobTerminates(t *testing.T) {
-	p, k := newStack(t, img(64), libos.Config{
+	k := hostos.NewHost(sim.NewClock(), sim.DefaultCosts(), hostos.DefaultGeometry(4096), []byte("core-int"))
+	rollback := attack.NewRollback(k.Backend())
+	if err := k.SetBackend(rollback); err != nil {
+		t.Fatal(err)
+	}
+	p, err := libos.Load(k, img(64), libos.Config{
 		SelfPaging:     true,
 		Policy:         libos.PolicyRateLimit,
 		RateLimitBurst: 1 << 30,
 		QuotaPages:     36,
 		Mech:           core.MechSGX2,
 	})
-	err := p.Run(func(ctx *core.Context) {
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = p.Run(func(ctx *core.Context) {
 		heap := p.Heap.PageVAs()
 		// Three sweeps so some page is evicted, re-fetched and evicted again,
 		// leaving two archived blob versions to replay between.
@@ -214,7 +223,7 @@ func TestSGX2ReplayedBlobTerminates(t *testing.T) {
 		}
 		for _, va := range heap {
 			if resident, _ := p.Runtime.PageResident(va); !resident {
-				if k.Store.Replay(p.Enclave().ID, va) {
+				if rollback.Replay(p.Enclave().ID, va) {
 					ctx.Load(va)
 					t.Error("access to replayed page completed")
 					return

@@ -79,7 +79,7 @@ func RunE13(p E13Params) E13Result {
 	}
 	cells, cm := runCells("E13", len(p.Scenarios), func(i int, rec *cellRecorder) cellOut {
 		sc := p.Scenarios[i]
-		res := orderly.Run(orderly.Config{Scenario: sc, MaxDepth: p.MaxDepth})
+		res := orderly.Run(orderly.Config{Scenario: sc, MaxDepth: p.MaxDepth, Budget: CellBudget()})
 		if res.HasSnapshot {
 			rec.record(sc.Name, res.LastSnapshot)
 		}

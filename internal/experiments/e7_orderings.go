@@ -67,7 +67,7 @@ func runE7Ordering(mrec *cellRecorder, o e7Ordering) E7Scenario {
 		if err != nil {
 			panic(err)
 		}
-		steps, cx, snap, seen := orderly.ExecuteTrace(sc, ops)
+		steps, cx, snap, seen := orderly.ExecuteTrace(sc, ops, CellBudget())
 		if cx != nil {
 			panic(fmt.Sprintf("E7 %s: ordering diverged from the orderliness spec: %s", o.name, cx))
 		}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"autarky/internal/attack"
 	"autarky/internal/core"
@@ -62,23 +63,35 @@ type E7Result struct {
 // RunE7 executes all scenarios, one independent cell per attack (each cell
 // runs its own vanilla and Autarky victim machines).
 func RunE7() E7Result {
-	scenarios := []func(*cellRecorder) E7Scenario{
-		runE7Hunspell,
-		runE7WrongMap,
-		runE7FreeType,
-		runE7JPEG,
-		runE7ADBits,
-	}
-	for _, o := range e7Orderings() {
-		o := o
-		scenarios = append(scenarios, func(rec *cellRecorder) E7Scenario {
-			return runE7Ordering(rec, o)
-		})
-	}
-	out, cm := runCells("E7", len(scenarios), func(i int, rec *cellRecorder) E7Scenario {
-		return scenarios[i](rec)
+	orderings := e7Orderings()
+	out, cm := runCells("E7", len(e7Attacks)+len(orderings), func(i int, rec *cellRecorder) E7Scenario {
+		if i < len(e7Attacks) {
+			return e7Pair(rec, e7Attacks[i])
+		}
+		return runE7Ordering(rec, orderings[i-len(e7Attacks)])
 	})
 	return E7Result{Scenarios: out, Metrics: cm}
+}
+
+// e7Attack is one of E7's attack rows: a victim and the adversary mounted
+// on it, named as cmd/aytrace's -victim and -adversary name them.
+type e7Attack struct {
+	name      string // the table's row
+	victim    string
+	adversary string
+	// setup returns the victim's image and the mount that attacks it.
+	setup func() (libos.AppImage, e7Mount)
+}
+
+// e7Attacks are E7's attack rows, in table order.
+var e7Attacks = []e7Attack{
+	{"hunspell/page-fault-trace", "hunspell", "fault", e7HunspellTrace(attack.ModeUnmap)},
+	// The remaining §2.2 induction variant: the OS maps a target at the
+	// wrong frame and the EPCM check faults (the Foreshadow precursor).
+	{"hunspell/wrong-mapping", "hunspell", "wrongmap", e7HunspellTrace(attack.ModeWrongMap)},
+	{"freetype/exec-trace", "freetype", "noexec", e7FreeType},
+	{"libjpeg/idct-fault-count", "jpeg", "fault", e7JPEG},
+	{"hunspell/a-d-bit-monitor", "hunspell", "adbits", e7HunspellADBits},
 }
 
 // e7Sub labels the two victim machines of an attack cell.
@@ -94,8 +107,10 @@ type e7Run struct {
 	clock      *sim.Clock
 	terminated bool
 	reason     sgx.TerminationReason
-	faults     int  // enclave faults the OS observed
-	masked     bool // every observed fault carried only the enclave base
+	seen       *trace.Log // the OS's record of the run
+	base       mmu.VAddr  // the enclave base
+	faults     int        // enclave faults the OS observed
+	masked     bool       // every observed fault carried only the enclave base
 }
 
 // runE7Victim builds img under rc on a fresh machine, attaches a fresh
@@ -112,7 +127,7 @@ func runE7Victim(img libos.AppImage, rc RunConfig, mount func(p *libos.Process, 
 	seen := &trace.Log{}
 	p.Kernel.Observed = seen
 	runErr := p.Run(mount(p, seen))
-	r := e7Run{clock: p.Kernel.Clock}
+	r := e7Run{clock: p.Kernel.Clock, seen: seen, base: p.Enclave().Base}
 	var term *sgx.TerminationError
 	if errors.As(runErr, &term) {
 		r.terminated, r.reason = true, term.Reason
@@ -120,38 +135,89 @@ func runE7Victim(img libos.AppImage, rc RunConfig, mount func(p *libos.Process, 
 		panic(fmt.Sprintf("E7 victim %s (%s): %v", img.Name, rc.label(), runErr))
 	}
 	faults := seen.Only(trace.KindFault)
-	r.faults, r.masked = faults.Len(), allMasked(faults, p.Enclave().Base)
+	r.faults, r.masked = faults.Len(), allMasked(faults, r.base)
 	return r
 }
 
-// e7Attack mounts one attack on a loaded victim, as runE7Victim's mount
-// does, and also returns recovery, which reports after the run the
-// fraction of the secret the body's captures reconstruct.
-type e7Attack func(p *libos.Process) (body func(*core.Context), recovery func() float64)
+// e7Mount mounts one attack on a loaded victim, as runE7Victim's mount
+// does. It also returns the log the adversary captures into, and recovery,
+// which reports after the run the fraction of the secret the captures
+// reconstruct.
+type e7Mount func(p *libos.Process) (body func(*core.Context), captured *trace.Log, recovery func() float64)
 
-// e7Pair mounts one attack on a pin-all vanilla victim and then on a
-// pin-all Autarky victim, and records both machines under e7Sub.
-func e7Pair(mrec *cellRecorder, name string, img libos.AppImage, mount e7Attack) E7Scenario {
-	s := E7Scenario{Name: name}
+// e7AttackRun is one attack row run on one model.
+type e7AttackRun struct {
+	e7Run
+	captured *trace.Log
+	recovery float64
+}
+
+// runE7Attack runs attack a on a pin-all victim, vanilla or Autarky.
+func runE7Attack(a e7Attack, selfPaging bool) e7AttackRun {
+	img, mount := a.setup()
+	var captured *trace.Log
+	var recovery func() float64
+	rc := RunConfig{Config: libos.Config{SelfPaging: selfPaging, Policy: libos.PolicyPinAll}}
+	r := runE7Victim(img, rc, func(p *libos.Process, _ *trace.Log) func(*core.Context) {
+		var body func(*core.Context)
+		body, captured, recovery = mount(p)
+		return body
+	})
+	return e7AttackRun{e7Run: r, captured: captured, recovery: recovery()}
+}
+
+// e7Pair runs attack a on a vanilla victim and then on an Autarky victim,
+// and records both machines under e7Sub.
+func e7Pair(mrec *cellRecorder, a e7Attack) E7Scenario {
+	s := E7Scenario{Name: a.name}
 	for _, selfPaging := range []bool{false, true} {
-		var recovery func() float64
-		rc := RunConfig{Config: libos.Config{SelfPaging: selfPaging, Policy: libos.PolicyPinAll}}
-		r := runE7Victim(img, rc, func(p *libos.Process, _ *trace.Log) func(*core.Context) {
-			body, score := mount(p)
-			recovery = score
-			return body
-		})
+		r := runE7Attack(a, selfPaging)
 		mrec.recordClock(e7Sub(selfPaging), r.clock)
 		if selfPaging {
-			s.AutarkyRecovery = recovery()
+			s.AutarkyRecovery = r.recovery
 			s.AutarkyTerminated, s.AutarkyReason = r.terminated, r.reason
 			s.AutarkyFaults, s.MaskedOnly = r.faults, r.masked
 		} else {
-			s.VanillaRecovery = recovery()
+			s.VanillaRecovery = r.recovery
 			s.VanillaDetected, s.VanillaFaults = r.terminated, r.faults
 		}
 	}
+	if a.adversary == "adbits" && s.VanillaFaults != 0 {
+		// The silent attack must induce no faults on vanilla SGX.
+		panic(fmt.Sprintf("E7 A/D monitor induced %d faults on vanilla SGX", s.VanillaFaults))
+	}
 	return s
+}
+
+// E7Trace is one E7 attack row run on one model: what the OS observed and
+// what the adversary captured.
+type E7Trace struct {
+	// Observed is the OS's record of the run: every enclave fault as
+	// delivered, and every page-in.
+	Observed *trace.Log
+	// Captured is the adversary's own record.
+	Captured *trace.Log
+	// Base is the enclave base, the one address a masked fault carries.
+	Base mmu.VAddr
+	// Terminated reports that the enclave was terminated, for Reason.
+	Terminated bool
+	Reason     sgx.TerminationReason
+}
+
+// TraceE7 runs E7's row that mounts adversary on victim, on a vanilla
+// victim or, with selfPaging, an Autarky one. When E7 runs no such pair the
+// error names the pairs it runs.
+func TraceE7(victim, adversary string, selfPaging bool) (E7Trace, error) {
+	pairs := make([]string, len(e7Attacks))
+	for i, a := range e7Attacks {
+		if a.victim == victim && a.adversary == adversary {
+			r := runE7Attack(a, selfPaging)
+			return E7Trace{Observed: r.seen, Captured: r.captured, Base: r.base, Terminated: r.terminated, Reason: r.reason}, nil
+		}
+		pairs[i] = a.victim + "/" + a.adversary
+	}
+	return E7Trace{}, fmt.Errorf("E7 mounts no %q adversary on a %q victim; its victim/adversary pairs are %s",
+		adversary, victim, strings.Join(pairs, ", "))
 }
 
 // e7HunspellEnv is the spell-checking victim the Hunspell attacks and E7b
@@ -224,51 +290,59 @@ func (env e7HunspellEnv) query(ctx *core.Context, h *workloads.Hunspell, log *tr
 	}
 }
 
-func runE7Hunspell(mrec *cellRecorder) E7Scenario {
+// e7HunspellTrace traces the dictionary's data pages with a tracer in mode
+// and matches each request's trace to a word.
+func e7HunspellTrace(mode attack.Mode) func() (libos.AppImage, e7Mount) {
+	return func() (libos.AppImage, e7Mount) {
+		env := e7HunspellSetup()
+		return env.image(), func(p *libos.Process) (func(*core.Context), *trace.Log, func() float64) {
+			tracer := attack.NewPageFaultTracer(mode, nil)
+			var recovered []string
+			return func(ctx *core.Context) {
+				h, matcher := env.build(p, ctx)
+				if mode == attack.ModeWrongMap {
+					// The decoy frame: the last heap page, never part of
+					// a lookup.
+					tracer.Decoy = p.Heap.Page(p.Heap.Pages - 1)
+					ctx.Store(tracer.Decoy)
+				}
+				tracer.Targets = h.Dicts["en_US"].Pages()
+				tracer.Arm(p.Kernel)
+				env.query(ctx, h, &tracer.Log, nil, matcher.MatchExact, &recovered)
+				tracer.Disarm(p.Kernel)
+			}, &tracer.Log, func() float64 { return attack.RecoveryRate(recovered, env.secrets) }
+		}
+	}
+}
+
+func e7HunspellADBits() (libos.AppImage, e7Mount) {
 	env := e7HunspellSetup()
-	return e7Pair(mrec, "hunspell/page-fault-trace", env.image(), func(p *libos.Process) (func(*core.Context), func() float64) {
+	return env.image(), func(p *libos.Process) (func(*core.Context), *trace.Log, func() float64) {
+		p.Kernel.CPU.TimerInterval = 2 // aggressive scan cadence
+		monitor := attack.NewADBitMonitor(nil, true)
 		var recovered []string
 		return func(ctx *core.Context) {
 			h, matcher := env.build(p, ctx)
-			// Attacker arms the tracer on the dictionary's data pages.
-			tracer := attack.NewPageFaultTracer(attack.ModeUnmap, h.Dicts["en_US"].Pages())
-			p.Kernel.Adversary = tracer
-			tracer.Arm(p.Kernel)
-			env.query(ctx, h, &tracer.Log, nil, matcher.MatchExact, &recovered)
-			tracer.Disarm(p.Kernel)
-		}, func() float64 { return attack.RecoveryRate(recovered, env.secrets) }
-	})
+			monitor.Targets = h.Dicts["en_US"].Pages()
+			monitor.Arm(p.Kernel)
+			// Request-boundary scan: the victim is blocked on the next
+			// recv, so the attacker sweeps the remaining A bits.
+			scan := func() { monitor.ScanNow(p.Kernel) }
+			env.query(ctx, h, &monitor.Log, scan, matcher.MatchPageSet, &recovered)
+			monitor.Disarm(p.Kernel)
+		}, &monitor.Log, func() float64 { return attack.RecoveryRate(recovered, env.secrets) }
+	}
 }
 
-// runE7WrongMap is the remaining §2.2 induction variant — the OS maps a
-// target VA at the wrong frame; the EPCM check faults (the Foreshadow
-// precursor). Same victim and recovery as the unmap tracer.
-func runE7WrongMap(mrec *cellRecorder) E7Scenario {
-	env := e7HunspellSetup()
-	return e7Pair(mrec, "hunspell/wrong-mapping", env.image(), func(p *libos.Process) (func(*core.Context), func() float64) {
-		var recovered []string
-		return func(ctx *core.Context) {
-			h, matcher := env.build(p, ctx)
-			// The decoy frame: the last heap page, never part of a lookup.
-			decoy := p.Heap.Page(p.Heap.Pages - 1)
-			ctx.Store(decoy)
-			w := attack.NewWrongMapper(p.Kernel, h.Dicts["en_US"].Pages(), decoy)
-			p.Kernel.Adversary = w
-			w.Arm(p.Kernel)
-			env.query(ctx, h, &w.Log, nil, matcher.MatchExact, &recovered)
-			w.Disarm(p.Kernel)
-		}, func() float64 { return attack.RecoveryRate(recovered, env.secrets) }
-	})
-}
-
-func runE7FreeType(mrec *cellRecorder) E7Scenario {
+func e7FreeType() (libos.AppImage, e7Mount) {
 	const secret = "SGX leaks control flow!"
 	img := libos.AppImage{
 		Name:      "freetype",
 		Libraries: []libos.Library{workloads.FreeTypeLibrary(2)},
 		HeapPages: 16,
 	}
-	return e7Pair(mrec, "freetype/exec-trace", img, func(p *libos.Process) (func(*core.Context), func() float64) {
+	return img, func(p *libos.Process) (func(*core.Context), *trace.Log, func() float64) {
+		tracer := attack.NewPageFaultTracer(attack.ModeNoExec, nil)
 		var recovered []rune
 		return func(ctx *core.Context) {
 			ft, err := workloads.BuildFreeType(p, 4)
@@ -281,10 +355,8 @@ func runE7FreeType(mrec *cellRecorder) E7Scenario {
 				va, _ := ft.GlyphPage(g)
 				pageToGlyph[va.VPN()] = g
 			}
-			tracer := attack.NewPageFaultTracer(attack.ModeNoExec, ft.GlyphPages())
-			p.Kernel.Adversary = tracer
+			tracer.Targets = ft.GlyphPages()
 			tracer.Arm(p.Kernel)
-
 			if err := ft.RenderText(ctx, secret); err != nil {
 				panic(err)
 			}
@@ -294,11 +366,11 @@ func runE7FreeType(mrec *cellRecorder) E7Scenario {
 					recovered = append(recovered, g)
 				}
 			}
-		}, func() float64 { return stringRecovery(string(recovered), secret) }
-	})
+		}, &tracer.Log, func() float64 { return attack.PositionalRecovery(recovered, []rune(secret)) }
+	}
 }
 
-func runE7JPEG(mrec *cellRecorder) E7Scenario {
+func e7JPEG() (libos.AppImage, e7Mount) {
 	jcfg := workloads.JPEGConfig{
 		BlocksW: 16, BlocksH: 12, BusyFraction: 0.35,
 		TmpPages: 8, OutPagesPerBlockRow: 1, Seed: 0xE73,
@@ -308,7 +380,8 @@ func runE7JPEG(mrec *cellRecorder) E7Scenario {
 		Libraries: []libos.Library{{Name: "libjpeg.so", Pages: 4}},
 		HeapPages: jcfg.OutPagesPerBlockRow*jcfg.BlocksH + jcfg.TmpPages + 8,
 	}
-	return e7Pair(mrec, "libjpeg/idct-fault-count", img, func(p *libos.Process) (func(*core.Context), func() float64) {
+	return img, func(p *libos.Process) (func(*core.Context), *trace.Log, func() float64) {
+		tracer := attack.NewPageFaultTracer(attack.ModeUnmap, nil)
 		var recovered, truth []bool
 		return func(ctx *core.Context) {
 			j, err := workloads.BuildJPEG(p, jcfg)
@@ -317,13 +390,10 @@ func runE7JPEG(mrec *cellRecorder) E7Scenario {
 			}
 			truth = j.Busy
 			tmp := j.TmpPages()
-			in := j.InPages()
 			// Trap the stream page, the always-touched tmp page and one
 			// deep-IDCT tmp page: the t1 -> t2 pattern identifies busy
 			// blocks exactly (Xu et al.'s image reconstruction).
-			targets := append([]mmu.VAddr{tmp[1], tmp[2]}, in...)
-			tracer := attack.NewPageFaultTracer(attack.ModeUnmap, targets)
-			p.Kernel.Adversary = tracer
+			tracer.Targets = append([]mmu.VAddr{tmp[1], tmp[2]}, j.InPages()...)
 			tracer.Arm(p.Kernel)
 			j.Decode(ctx)
 			tracer.Disarm(p.Kernel)
@@ -337,32 +407,8 @@ func runE7JPEG(mrec *cellRecorder) E7Scenario {
 				busy := i+1 < len(events) && events[i+1].Addr.VPN() == t2
 				recovered = append(recovered, busy)
 			}
-		}, func() float64 { return busyRecovery(recovered, truth) }
-	})
-}
-
-func runE7ADBits(mrec *cellRecorder) E7Scenario {
-	env := e7HunspellSetup()
-	s := e7Pair(mrec, "hunspell/a-d-bit-monitor", env.image(), func(p *libos.Process) (func(*core.Context), func() float64) {
-		p.Kernel.CPU.TimerInterval = 2 // aggressive scan cadence
-		var recovered []string
-		return func(ctx *core.Context) {
-			h, matcher := env.build(p, ctx)
-			monitor := attack.NewADBitMonitor(h.Dicts["en_US"].Pages(), true)
-			p.Kernel.Adversary = monitor
-			monitor.Arm(p.Kernel)
-			// Request-boundary scan: the victim is blocked on the next
-			// recv, so the attacker sweeps the remaining A bits.
-			scan := func() { monitor.ScanNow(p.Kernel) }
-			env.query(ctx, h, &monitor.Log, scan, matcher.MatchPageSet, &recovered)
-			monitor.Disarm()
-		}, func() float64 { return attack.RecoveryRate(recovered, env.secrets) }
-	})
-	if s.VanillaFaults != 0 {
-		// The silent attack must induce no faults on vanilla SGX.
-		panic(fmt.Sprintf("E7 A/D monitor induced %d faults on vanilla SGX", s.VanillaFaults))
+		}, &tracer.Log, func() float64 { return attack.PositionalRecovery(recovered, truth) }
 	}
-	return s
 }
 
 // allMasked checks the §5.1.2 guarantee on the faults an OS observed: every
@@ -375,32 +421,6 @@ func allMasked(faults *trace.Log, base mmu.VAddr) bool {
 		}
 	}
 	return true
-}
-
-func stringRecovery(got, want string) float64 {
-	if len(want) == 0 {
-		return 0
-	}
-	n := 0
-	for i := 0; i < len(want) && i < len(got); i++ {
-		if got[i] == want[i] {
-			n++
-		}
-	}
-	return float64(n) / float64(len(want))
-}
-
-func busyRecovery(got, want []bool) float64 {
-	if len(want) == 0 {
-		return 0
-	}
-	n := 0
-	for i := 0; i < len(want) && i < len(got); i++ {
-		if got[i] == want[i] {
-			n++
-		}
-	}
-	return float64(n) / float64(len(want))
 }
 
 // Table renders the result.

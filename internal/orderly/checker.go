@@ -14,6 +14,9 @@ type Config struct {
 	Spec *Spec
 	// MaxDepth bounds trace length.
 	MaxDepth int
+	// Budget caps the cycles of every machine the exploration builds (0 =
+	// unlimited); a machine that overruns panics with a *sim.LimitError.
+	Budget uint64
 }
 
 // Result summarises one exploration. All counters are deterministic
@@ -119,7 +122,7 @@ func Run(cfg Config) Result {
 	dfs = func(prefix []Op) {
 		for op := Op(0); op < NumOps; op++ {
 			trace := append(append([]Op(nil), prefix...), op)
-			w := newWorld(cfg.Scenario)
+			w := newWorld(cfg.Scenario, cfg.Budget)
 			steps, skippedAt := runTrace(spec, w, trace)
 			res.Transitions += len(steps)
 			if skippedAt >= 0 {

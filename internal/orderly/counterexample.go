@@ -76,7 +76,7 @@ func Replay(spec *Spec, sc Scenario, trace []Op) *Counterexample {
 	if spec == nil {
 		spec = DefaultSpec()
 	}
-	steps, skippedAt := runTrace(spec, newWorld(sc), trace)
+	steps, skippedAt := runTrace(spec, newWorld(sc, 0), trace)
 	return judge(sc, trace, steps, skippedAt)
 }
 

@@ -23,9 +23,10 @@ type StepOutcome struct {
 // e7 attack suite uses it to drive its ordering attacks from the same
 // traces the model checker explores, so an attack sequence reported there
 // is by construction one the checker has verified — and a counterexample
-// printed by the checker can be pasted straight into the suite.
-func ExecuteTrace(sc Scenario, ops []Op) ([]StepOutcome, *Counterexample, metrics.Snapshot, *trace.Log) {
-	w := newWorld(sc)
+// printed by the checker can be pasted straight into the suite. The machine
+// aborts with a *sim.LimitError past budget cycles (0 = unlimited).
+func ExecuteTrace(sc Scenario, ops []Op, budget uint64) ([]StepOutcome, *Counterexample, metrics.Snapshot, *trace.Log) {
+	w := newWorld(sc, budget)
 	seen := &trace.Log{}
 	w.kernel.Observed = seen
 	steps, skippedAt := runTrace(DefaultSpec(), w, ops)

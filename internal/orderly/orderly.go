@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"strings"
 
+	"autarky/internal/attack"
 	"autarky/internal/core"
 	"autarky/internal/fleet"
 	"autarky/internal/hostos"
@@ -202,7 +203,8 @@ type Scenario struct {
 	QuotaPages int
 	// HeapPages sizes the enclave heap the workload touches.
 	HeapPages int
-	// Replay makes OpTamper roll blobs back instead of corrupting them.
+	// Replay makes OpTamper roll blobs back instead of corrupting them: the
+	// world's paging backend records evicted blobs in an attack.Rollback.
 	Replay bool
 	// Migration enables the quiesce/adopt alphabet (the live-migration
 	// handshake and its misuse edges).
@@ -257,6 +259,9 @@ var errSkip = fmt.Errorf("orderly: operation not applicable")
 type world struct {
 	sc     Scenario
 	kernel *hostos.Kernel
+	// rollback is the host's record of evicted blobs in Replay scenarios
+	// (nil otherwise), installed as the kernel's backend.
+	rollback *attack.Rollback
 
 	// proc is the last process handle handed out. It deliberately goes
 	// stale after destroy — replaying API calls on stale handles is
@@ -292,9 +297,20 @@ type world struct {
 	missedBeats int
 }
 
-func newWorld(sc Scenario) *world {
-	k := hostos.NewHost(sim.NewClock(), sim.DefaultCosts(), hostos.DefaultGeometry(512), []byte("orderly-root"))
-	return &world{sc: sc, kernel: k, counters: sgx.NewCounterService()}
+// newWorld builds a fresh machine for sc whose clock aborts with a
+// *sim.LimitError past budget cycles (0 = unlimited).
+func newWorld(sc Scenario, budget uint64) *world {
+	clock := sim.NewClock()
+	clock.SetLimit(budget)
+	k := hostos.NewHost(clock, sim.DefaultCosts(), hostos.DefaultGeometry(512), []byte("orderly-root"))
+	w := &world{sc: sc, kernel: k, counters: sgx.NewCounterService()}
+	if sc.Replay {
+		w.rollback = attack.NewRollback(k.Backend())
+		if err := k.SetBackend(w.rollback); err != nil {
+			panic(err) // a fresh kernel hosts no enclave
+		}
+	}
+	return w
 }
 
 // image is the tiny enclave image every scenario loads: one code page,
@@ -520,7 +536,7 @@ func (w *world) apply(op Op) error {
 			}
 			hit := false
 			if w.sc.Replay {
-				hit = k.Store.Replay(id, va)
+				hit = w.rollback.Replay(id, va)
 			} else {
 				hit = k.Store.Corrupt(id, va)
 			}
@@ -549,10 +565,10 @@ func (w *world) apply(op Op) error {
 		return errSkip
 
 	case OpSwapBackend:
-		// Re-installing the terminal store is a semantic no-op, so the
+		// Re-installing the current stack is a semantic no-op, so the
 		// only observable is the ordering rule: refused with enclaves
 		// resident, accepted otherwise.
-		return k.SetBackend(k.Store)
+		return k.SetBackend(k.Backend())
 
 	case OpQuiesce:
 		if !w.sc.Migration || w.proc == nil {
@@ -632,9 +648,14 @@ func (w *world) apply(op Op) error {
 
 // applySafe runs apply under a recover: a panic is never a legal outcome,
 // so it surfaces as a distinguished error the spec can only ever violate.
+// A cycle-budget overrun is not the implementation's outcome but the
+// exploration's, so a *sim.LimitError propagates.
 func (w *world) applySafe(op Op) (err error, panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
+			if _, overrun := r.(*sim.LimitError); overrun {
+				panic(r)
+			}
 			panicked = true
 			err = fmt.Errorf("orderly: panic in %s: %v", op, r)
 		}

@@ -1,12 +1,14 @@
 package orderly
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	"autarky/internal/hostos"
 	"autarky/internal/libos"
+	"autarky/internal/sim"
 	"autarky/internal/trace"
 )
 
@@ -234,7 +236,7 @@ func TestExecuteTraceJudgesItsOwnRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		steps, cx, snap, seen := ExecuteTrace(sc, ops)
+		steps, cx, snap, seen := ExecuteTrace(sc, ops, 0)
 		want := Replay(nil, sc, ops)
 		if (cx == nil) != (want == nil) || (cx != nil && cx.String() != want.String()) {
 			t.Errorf("%s: ExecuteTrace judged %v, Replay %v", tr, cx, want)
@@ -253,7 +255,7 @@ func TestExecuteTraceJudgesItsOwnRun(t *testing.T) {
 	// The rollback ordering: the stale blob terminates the enclave, and
 	// every fault the OS saw on the way carries only the enclave base.
 	sc, ops, _ := ParseTrace("sp-sgx1-replay:load>run>tamper>run")
-	steps, _, _, seen := ExecuteTrace(sc, ops)
+	steps, _, _, seen := ExecuteTrace(sc, ops, 0)
 	if last := steps[len(steps)-1]; last.Class != "term" {
 		t.Fatalf("rollback ended %q, want term", last.Class)
 	}
@@ -265,5 +267,27 @@ func TestExecuteTraceJudgesItsOwnRun(t *testing.T) {
 		if ev.Addr != libos.DefaultBase {
 			t.Fatalf("OS saw a fault at %s, want the masked base %s", ev.Addr, libos.DefaultBase)
 		}
+	}
+}
+
+// TestBudgetAbortsTheExploration: a budget arms every machine Run and
+// ExecuteTrace build, and an overrun propagates as the *sim.LimitError it
+// is — never recovered into a spec violation.
+func TestBudgetAbortsTheExploration(t *testing.T) {
+	sc, _ := ScenarioByName("sp-sgx1")
+	overrun := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			var lim *sim.LimitError
+			if err, ok := recover().(error); !ok || !errors.As(err, &lim) || lim.Limit != 1000 {
+				t.Errorf("%s under a 1000-cycle budget panicked with %v, want a *sim.LimitError", name, err)
+			}
+		}()
+		f()
+	}
+	overrun("Run", func() { Run(Config{Scenario: sc, MaxDepth: 2, Budget: 1000}) })
+	overrun("ExecuteTrace", func() { ExecuteTrace(sc, []Op{OpLoad, OpRun}, 1000) })
+	if r := Run(Config{Scenario: sc, MaxDepth: 1}); len(r.Violations) != 0 || r.Interleavings == 0 {
+		t.Fatalf("unbudgeted exploration: %d interleavings, violations %v", r.Interleavings, r.Violations)
 	}
 }

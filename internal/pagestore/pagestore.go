@@ -225,31 +225,17 @@ func (s *Sealer) Open(va mmu.VAddr, expectVersion uint64, b Blob) ([]byte, error
 }
 
 // Store is the untrusted in-regular-memory repository of sealed pages, keyed
-// by (enclave, page). Being untrusted, it offers mutation hooks (Corrupt,
-// Replay) that attack tests use to verify the trusted side rejects bad blobs.
+// by (enclave, page). Being untrusted, it offers a mutation hook (Corrupt)
+// that attack tests use to verify the trusted side rejects bad blobs.
 //
 // The store owns the memory of every slot and reuses it: a Put over a slot
-// that owns its buffer overwrites it in place, and Delete returns an owned
-// buffer to a free list that later Puts draw from, so steady-state paging
-// allocates nothing here. The one exception is a page's first blob, which
-// the slot shares with the archive: that buffer belongs to the archive, is
-// never overwritten and never recycled.
+// overwrites its buffer in place, and Delete returns the buffer to a free
+// list that later Puts draw from, so steady-state paging allocates nothing
+// here.
 type Store struct {
-	blobs map[storeKey]storeSlot
-	// history is the attacker's copy of the traffic — the store is
-	// attacker-controlled memory — so replay attacks can be expressed even
-	// across deletes.
-	history Archive
+	blobs map[storeKey]Blob
 	// free holds retired slot buffers (length 0) for later Puts.
 	free [][]byte
-}
-
-// storeSlot is one page's current blob. archived marks a ciphertext buffer
-// shared with the archive's first blob for the page, which the slot must
-// neither overwrite nor recycle.
-type storeSlot struct {
-	blob     Blob
-	archived bool
 }
 
 type storeKey struct {
@@ -259,28 +245,26 @@ type storeKey struct {
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{blobs: make(map[storeKey]storeSlot)}
+	return &Store{blobs: make(map[storeKey]Blob)}
 }
 
 func key(enclaveID uint64, va mmu.VAddr) storeKey {
 	return storeKey{enclaveID: enclaveID, vpn: va.VPN()}
 }
 
-// Put stores the sealed blob for a page, recording it in the attacker's
-// archive. The ciphertext is copied into store-owned memory (per the
-// PagingBackend ownership contract the caller's buffer is only valid for
-// the duration of the call): over the slot's own buffer when it has one,
-// into a recycled or fresh buffer otherwise. The first blob of a page is
-// shared with the archive instead of copied twice.
+// Put stores the sealed blob for a page. The ciphertext is copied into
+// store-owned memory (per the PagingBackend ownership contract the caller's
+// buffer is only valid for the duration of the call): over the slot's own
+// buffer when the page has one, into a recycled or fresh buffer otherwise.
 func (st *Store) Put(enclaveID uint64, va mmu.VAddr, b Blob) {
 	k := key(enclaveID, va)
-	s, ok := st.blobs[k]
-	buf := s.blob.Ciphertext
-	if !ok || s.archived {
+	old, ok := st.blobs[k]
+	buf := old.Ciphertext
+	if !ok {
 		buf = st.takeBuf()
 	}
 	b.Ciphertext = append(buf[:0], b.Ciphertext...)
-	st.blobs[k] = storeSlot{blob: b, archived: st.history.record(k, b, false)}
+	st.blobs[k] = b
 }
 
 // takeBuf returns a recycled slot buffer, or nil when none is free.
@@ -295,69 +279,40 @@ func (st *Store) takeBuf() []byte {
 	return buf
 }
 
-// release returns a slot's buffer to the free list unless the archive owns
-// it.
-func (st *Store) release(s storeSlot) {
-	if !s.archived && cap(s.blob.Ciphertext) > 0 {
-		st.free = append(st.free, s.blob.Ciphertext[:0])
-	}
-}
-
 // Get returns the current blob for a page. The ciphertext is a view of
-// store memory, valid until the next Put, Delete, Corrupt or Replay.
+// store memory, valid until the next Put, Delete or Corrupt.
 func (st *Store) Get(enclaveID uint64, va mmu.VAddr) (Blob, error) {
-	s, ok := st.blobs[key(enclaveID, va)]
+	b, ok := st.blobs[key(enclaveID, va)]
 	if !ok {
 		return Blob{}, ErrNotFound
 	}
-	return s.blob, nil
+	return b, nil
 }
 
 // Delete removes the blob for a page (after a successful page-in),
 // recycling its buffer.
 func (st *Store) Delete(enclaveID uint64, va mmu.VAddr) {
 	k := key(enclaveID, va)
-	if s, ok := st.blobs[k]; ok {
+	if b, ok := st.blobs[k]; ok {
 		delete(st.blobs, k)
-		st.release(s)
+		if cap(b.Ciphertext) > 0 {
+			st.free = append(st.free, b.Ciphertext[:0])
+		}
 	}
 }
 
 // Len reports how many pages are currently swapped out across all enclaves.
 func (st *Store) Len() int { return len(st.blobs) }
 
-// Corrupt flips a byte of the stored ciphertext — an active attack on the
-// backing store. Reports whether a blob existed. A slot sharing the
-// archive's buffer is first given its own copy, so the archived blob stays
-// intact.
+// Corrupt flips a byte of the stored ciphertext in place — an active attack
+// on the backing store. Reports whether a blob existed.
 func (st *Store) Corrupt(enclaveID uint64, va mmu.VAddr) bool {
-	k := key(enclaveID, va)
-	s, ok := st.blobs[k]
-	if !ok || len(s.blob.Ciphertext) == 0 {
+	b, ok := st.blobs[key(enclaveID, va)]
+	if !ok || len(b.Ciphertext) == 0 {
 		return false
 	}
-	if s.archived {
-		s.blob.Ciphertext = append(st.takeBuf(), s.blob.Ciphertext...)
-		s.archived = false
-	}
-	s.blob.Ciphertext[0] ^= 0xff
-	st.blobs[k] = s
+	b.Ciphertext[0] ^= 0xff
 	return true
-}
-
-// Replay replaces the current blob with the oldest archived one — the
-// classic rollback attack. Reports whether an older archived blob existed.
-// The slot takes the archive's buffer back; its own buffer is recycled.
-func (st *Store) Replay(enclaveID uint64, va mmu.VAddr) bool {
-	k := key(enclaveID, va)
-	b, ok := st.history.Oldest(enclaveID, va)
-	if ok {
-		if s, had := st.blobs[k]; had {
-			st.release(s)
-		}
-		st.blobs[k] = storeSlot{blob: b, archived: true}
-	}
-	return ok
 }
 
 // Archive is an attacker's copy of evicted traffic, bounded to what a
@@ -367,10 +322,10 @@ func (st *Store) Replay(enclaveID uint64, va mmu.VAddr) bool {
 // one has arrived since. Retained bytes grow with distinct pages, not with
 // evictions. The zero value is an empty archive.
 type Archive struct {
-	pages map[storeKey]archived
+	pages map[storeKey]archiveEntry
 }
 
-type archived struct {
+type archiveEntry struct {
 	first      Blob
 	superseded bool
 }
@@ -379,29 +334,18 @@ type archived struct {
 // kept with its ciphertext copied (the caller's buffer is only valid for
 // the call); later ones only mark it superseded.
 func (a *Archive) Record(enclaveID uint64, va mmu.VAddr, b Blob) {
-	a.record(key(enclaveID, va), b, true)
-}
-
-// record is Record for callers that already own b's ciphertext (copyCT
-// false), so the archive can share it instead of copying again. It reports
-// whether b became the page's archived first blob.
-func (a *Archive) record(k storeKey, b Blob, copyCT bool) bool {
+	k := key(enclaveID, va)
 	if e, ok := a.pages[k]; ok {
 		if !e.superseded {
-			a.pages[k] = archived{first: e.first, superseded: true}
+			a.pages[k] = archiveEntry{first: e.first, superseded: true}
 		}
-		return false
+		return
 	}
 	if a.pages == nil {
-		a.pages = make(map[storeKey]archived)
+		a.pages = make(map[storeKey]archiveEntry)
 	}
-	if copyCT {
-		ct := make([]byte, len(b.Ciphertext))
-		copy(ct, b.Ciphertext)
-		b.Ciphertext = ct
-	}
-	a.pages[k] = archived{first: b}
-	return true
+	b.Ciphertext = append([]byte(nil), b.Ciphertext...)
+	a.pages[k] = archiveEntry{first: b}
 }
 
 // Oldest returns the first blob recorded for a page, once a newer one has

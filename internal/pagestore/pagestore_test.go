@@ -120,14 +120,29 @@ func TestStoreLen(t *testing.T) {
 	}
 }
 
+// TestStoreReplayAttackDetected rolls a page back the way the host does:
+// it keeps the page's first blob in an Archive and puts it back over a
+// newer one. The trusted side must refuse it.
 func TestStoreReplayAttackDetected(t *testing.T) {
 	s, _ := NewSealer(secret, 1)
 	st := NewStore()
+	var arc Archive
+	evict := func(b Blob) {
+		arc.Record(1, 0x1000, b)
+		st.Put(1, 0x1000, b)
+	}
+	replay := func() bool {
+		old, ok := arc.Oldest(1, 0x1000)
+		if ok {
+			st.Put(1, 0x1000, old)
+		}
+		return ok
+	}
 	v1, _ := s.Seal(0x1000, 1, page(1))
 	v2, _ := s.Seal(0x1000, 2, page(2))
-	st.Put(1, 0x1000, v1)
-	st.Put(1, 0x1000, v2)
-	if !st.Replay(1, 0x1000) {
+	evict(v1)
+	evict(v2)
+	if !replay() {
 		t.Fatal("replay found no history")
 	}
 	blob, _ := st.Get(1, 0x1000)
@@ -142,12 +157,12 @@ func TestStoreReplayAttackDetected(t *testing.T) {
 	const evictions = 10_000
 	for v := uint64(3); v <= evictions; v++ {
 		b, _ := s.Seal(0x1000, v, page(byte(v)))
-		st.Put(1, 0x1000, b)
+		evict(b)
 	}
-	if n := st.history.Len(); n != 1 {
+	if n := arc.Len(); n != 1 {
 		t.Fatalf("archive holds %d blobs after %d evictions of one page, want 1", n, evictions)
 	}
-	if !st.Replay(1, 0x1000) {
+	if !replay() {
 		t.Fatal("replay found no history after repeated evictions")
 	}
 	blob, _ = st.Get(1, 0x1000)
@@ -160,10 +175,10 @@ func TestStoreReplayAttackDetected(t *testing.T) {
 }
 
 func TestStoreReplayWithoutHistory(t *testing.T) {
-	st := NewStore()
-	st.Put(1, 0x1000, Blob{Ciphertext: []byte{1}})
-	if st.Replay(1, 0x1000) {
-		t.Fatal("replay succeeded with no archived blob")
+	var arc Archive
+	arc.Record(1, 0x1000, Blob{Ciphertext: []byte{1}})
+	if _, ok := arc.Oldest(1, 0x1000); ok {
+		t.Fatal("an archive with one blob for the page offered it as stale")
 	}
 }
 

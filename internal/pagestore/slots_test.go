@@ -36,20 +36,19 @@ func wantBlob(t *testing.T, st *Store, va mmu.VAddr, fill byte, version uint64) 
 }
 
 // TestStoreReusesSlotBuffers pins down who owns which store buffer: a slot
-// overwrites its own buffer in place, Delete recycles it for later Puts,
-// the archive's first blob is never overwritten, and a corrupted slot's
-// buffer is as reusable as any other.
+// overwrites its own buffer in place, Delete recycles it for later Puts, a
+// corrupted slot's buffer is as reusable as any other, and an Archive's
+// copy survives all of it.
 func TestStoreReusesSlotBuffers(t *testing.T) {
 	const a, b, c = mmu.VAddr(0x1000), mmu.VAddr(0x2000), mmu.VAddr(0x3000)
 
 	t.Run("overwrite in place", func(t *testing.T) {
 		st := NewStore()
-		st.Put(1, a, blobOf(1, 1)) // shared with the archive
-		st.Put(1, a, blobOf(2, 2)) // the slot's own buffer
+		st.Put(1, a, blobOf(1, 1))
 		own := bufOf(t, st, a)
 		st.Put(1, a, blobOf(3, 3))
 		if bufOf(t, st, a) != own {
-			t.Fatal("a Put over a slot that owns its buffer did not overwrite it in place")
+			t.Fatal("a Put over a stored page did not overwrite its buffer in place")
 		}
 		wantBlob(t, st, a, 3, 3)
 	})
@@ -57,7 +56,6 @@ func TestStoreReusesSlotBuffers(t *testing.T) {
 	t.Run("free list", func(t *testing.T) {
 		st := NewStore()
 		st.Put(1, a, blobOf(1, 1))
-		st.Put(1, a, blobOf(2, 2))
 		own := bufOf(t, st, a)
 		st.Delete(1, a)
 		st.Put(1, b, blobOf(5, 1))
@@ -69,53 +67,46 @@ func TestStoreReusesSlotBuffers(t *testing.T) {
 
 	t.Run("archive intact", func(t *testing.T) {
 		st := NewStore()
-		st.Put(1, a, blobOf(1, 1))
-		archived := bufOf(t, st, a)
-		for v := uint64(2); v <= 4; v++ {
+		var arc Archive
+		for v := uint64(1); v <= 4; v++ {
+			arc.Record(1, a, blobOf(byte(v), v))
 			st.Put(1, a, blobOf(byte(v), v))
 		}
-		if !st.Replay(1, a) {
-			t.Fatal("no archived blob to replay")
-		}
-		if bufOf(t, st, a) != archived {
-			t.Fatal("Replay did not hand the archive's buffer back to the slot")
-		}
-		wantBlob(t, st, a, 1, 1)
-		// The slot now shares the archive's buffer: neither a Put nor a
-		// Delete may touch it.
-		st.Put(1, a, blobOf(9, 5))
+		// Neither an in-place overwrite, a corruption nor a recycled
+		// buffer may reach the archive's copy.
+		st.Corrupt(1, a)
 		st.Delete(1, a)
 		st.Put(1, b, blobOf(8, 1))
-		st.Put(1, b, blobOf(7, 2))
-		if !st.Replay(1, a) {
-			t.Fatal("archive lost its blob")
+		old, ok := arc.Oldest(1, a)
+		if !ok || !bytes.Equal(old.Ciphertext, blobOf(1, 1).Ciphertext) || old.Version != 1 {
+			t.Fatalf("archive offers %x v%d (stale %v), want the v1 blob", old.Ciphertext[:4], old.Version, ok)
 		}
-		wantBlob(t, st, a, 1, 1)
 	})
 
 	t.Run("corrupted buffer reused", func(t *testing.T) {
 		st := NewStore()
 		st.Put(1, a, blobOf(1, 1))
-		// Corrupting the archive-shared slot copies first.
+		own := bufOf(t, st, a)
 		if !st.Corrupt(1, a) {
 			t.Fatal("nothing to corrupt")
 		}
-		corrupted := bufOf(t, st, a)
-		st.Replay(1, a) // no-op: nothing newer archived yet
+		if bufOf(t, st, a) != own {
+			t.Fatal("Corrupt did not flip the slot's buffer in place")
+		}
+		if got, _ := st.Get(1, a); got.Ciphertext[0] != 1^0xff {
+			t.Fatalf("corrupted slot starts %02x, want %02x", got.Ciphertext[0], 1^0xff)
+		}
 		st.Put(1, a, blobOf(2, 2))
-		if bufOf(t, st, a) != corrupted {
-			t.Fatal("the corrupted slot's own buffer was not overwritten in place")
+		if bufOf(t, st, a) != own {
+			t.Fatal("the corrupted slot's buffer was not overwritten in place")
 		}
-		st.Put(1, a, blobOf(3, 3))
-		st.Replay(1, a)
-		wantBlob(t, st, a, 1, 1) // archive untouched by the corruption
+		wantBlob(t, st, a, 2, 2)
 		if !st.Corrupt(1, a) {
 			t.Fatal("nothing to corrupt")
 		}
-		corrupted = bufOf(t, st, a)
 		st.Delete(1, a)
 		st.Put(1, c, blobOf(4, 1))
-		if bufOf(t, st, c) != corrupted {
+		if bufOf(t, st, c) != own {
 			t.Fatal("a deleted corrupted slot's buffer was not recycled")
 		}
 		wantBlob(t, st, c, 4, 1)

@@ -132,7 +132,9 @@ type Server struct {
 	// incarnations (Rebind keeps it), so Stats spans them all.
 	meter *metrics.Metrics
 	opts  Options
-	plan  fault.Plan
+	// plan is the channel's fault plan, nil when it can never fire: a
+	// zero plan only ever rolls fault.KindNone, so New decides once.
+	plan *fault.Plan
 
 	// Idle, when set, is invoked whenever the loop finds nothing due — the
 	// facade wires it to the machine scheduler's Yield so an idle server
@@ -200,15 +202,26 @@ func New(p *libos.Process, opts Options) (*Server, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	return &Server{
+	s := &Server{
 		proc:  p,
 		clock: p.Kernel.Clock,
 		costs: p.Kernel.Costs,
 		meter: metrics.Of(p.Kernel.Clock).Scope(),
 		opts:  opts,
-		plan:  opts.ChannelFaults,
 		hist:  metrics.NewHistogram(opts.HistMax),
-	}, nil
+	}
+	if !opts.ChannelFaults.Zero() {
+		s.plan = &s.opts.ChannelFaults
+	}
+	return s, nil
+}
+
+// roll decides which channel fault hits one frame on connection conn.
+func (s *Server) roll(dir, cycle, conn, corr uint64) fault.Kind {
+	if s.plan == nil {
+		return fault.KindNone
+	}
+	return s.plan.Roll(dir, cycle, conn, corr)
 }
 
 // Name returns the served application's image name.
@@ -431,7 +444,7 @@ func (s *Server) Preload(ol OpenLoop) error {
 		arrive := at
 		// A delay roll holds this frame (and, the channel being FIFO,
 		// everything behind it) in transit for the plan's spike.
-		if s.plan.Roll(dirDelay, at, uint64(c.id), corr) == fault.KindDelay {
+		if s.roll(dirDelay, at, uint64(c.id), corr) == fault.KindDelay {
 			arrive += s.plan.DelayCycles
 		}
 		s.schedule[i] = Frame{
@@ -697,7 +710,7 @@ func (s *Server) serve(ctx *core.Context, f Frame) {
 		return
 	}
 	var wf Frame
-	switch s.plan.Roll(dirRequest, now, uint64(c.id), f.Corr) {
+	switch s.roll(dirRequest, now, uint64(c.id), f.Corr) {
 	case fault.KindCorrupt, fault.KindTruncate:
 		f.EncodeTo(s.scratch[:])
 		s.scratch[corruptByte(&f, now)] ^= 0xff
@@ -753,7 +766,7 @@ func (s *Server) deliver(c *Conn, f Frame) {
 		return
 	}
 	var wf Frame
-	switch s.plan.Roll(dirReply, now, uint64(c.id), f.Corr) {
+	switch s.roll(dirReply, now, uint64(c.id), f.Corr) {
 	case fault.KindCorrupt, fault.KindTruncate:
 		f.EncodeTo(s.scratch[:])
 		s.scratch[corruptByte(&f, now)] ^= 0xff

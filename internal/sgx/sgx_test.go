@@ -610,11 +610,24 @@ func TestEWBELDURoundTripPreservesContent(t *testing.T) {
 	}
 }
 
+// keepBlob copies the blob the store holds for the rig page: the stale
+// version a replay puts back once a newer one is stored.
+func keepBlob(t *testing.T, r *testRig, e *Enclave) pagestore.Blob {
+	t.Helper()
+	b, err := r.store.Get(e.ID, rigBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Ciphertext = append([]byte(nil), b.Ciphertext...)
+	return b
+}
+
 func TestELDURejectsReplayedBlob(t *testing.T) {
 	r := newRig(t)
 	e, _ := r.buildEnclave(t, 0, 1)
 	// Evict, reload, evict again — then replay the first blob.
 	evictOne(t, r, e, rigBase)
+	stale := keepBlob(t, r, e)
 	pfn, err := r.cpu.ELDU(e, rigBase, r.store)
 	if err != nil {
 		t.Fatal(err)
@@ -622,9 +635,7 @@ func TestELDURejectsReplayedBlob(t *testing.T) {
 	r.pt.Map(rigBase, pfn, mmu.PermRW, true)
 	r.epc.Data(pfn)[0] = 0x77 // new content
 	evictOne(t, r, e, rigBase)
-	if !r.store.Replay(e.ID, rigBase) {
-		t.Fatal("no history to replay")
-	}
+	r.store.Put(e.ID, rigBase, stale)
 	if _, err := r.cpu.ELDU(e, rigBase, r.store); !errors.Is(err, pagestore.ErrIntegrity) {
 		t.Fatalf("replayed blob loaded: %v", err)
 	}
@@ -683,15 +694,14 @@ func TestELDUDistinguishesFailureModes(t *testing.T) {
 		r := newRig(t)
 		e, _ := r.buildEnclave(t, 0, 1)
 		evictOne(t, r, e, rigBase)
+		stale := keepBlob(t, r, e)
 		pfn, err := r.cpu.ELDU(e, rigBase, r.store)
 		if err != nil {
 			t.Fatal(err)
 		}
 		r.pt.Map(rigBase, pfn, mmu.PermRW, true)
 		evictOne(t, r, e, rigBase)
-		if !r.store.Replay(e.ID, rigBase) {
-			t.Fatal("no history to replay")
-		}
+		r.store.Put(e.ID, rigBase, stale)
 		_, err = r.cpu.ELDU(e, rigBase, r.store)
 		if !errors.Is(err, pagestore.ErrStaleVersion) || !errors.Is(err, pagestore.ErrIntegrity) {
 			t.Fatalf("replayed blob: %v, want ErrStaleVersion wrapping ErrIntegrity", err)
@@ -706,15 +716,16 @@ func TestELDUDistinguishesFailureModes(t *testing.T) {
 		// the page table, so the mapping slot is free for B).
 		b, _ := r.buildEnclave(t, 0, 1)
 		evictOne(t, r, b, rigBase)
-		// Swap the two enclaves' blobs in the untrusted store.
-		blobA, errA := r.store.Get(a.ID, rigBase)
-		blobB, errB := r.store.Get(b.ID, rigBase)
-		if errA != nil || errB != nil {
-			t.Fatalf("missing blobs: %v %v", errA, errB)
+		// Swap the two enclaves' blobs in the untrusted store. A's is
+		// copied first: a Put overwrites the view Get returned.
+		blobA := keepBlob(t, r, a)
+		blobB, err := r.store.Get(b.ID, rigBase)
+		if err != nil {
+			t.Fatal(err)
 		}
 		r.store.Put(a.ID, rigBase, blobB)
 		r.store.Put(b.ID, rigBase, blobA)
-		_, err := r.cpu.ELDU(b, rigBase, r.store)
+		_, err = r.cpu.ELDU(b, rigBase, r.store)
 		if !errors.Is(err, pagestore.ErrWrongEnclave) || !errors.Is(err, pagestore.ErrIntegrity) {
 			t.Fatalf("cross-enclave blob: %v, want ErrWrongEnclave wrapping ErrIntegrity", err)
 		}

@@ -1,24 +1,34 @@
 // Command benchpairs compares two builds of the benchmark on one workload
-// the way a host-performance claim must be checked: it runs binary a (the
-// parent) and binary b (the change) in alternating pairs and compares every
+// the way a host-performance claim must be checked: it runs the parent's
+// binaries (a) and the change's (b) in alternating pairs and compares every
 // end-to-end metric BENCHMARK.json declares.
 //
-//	go run ./tools/benchpairs -a /tmp/bench-parent -b /tmp/bench-change \
+//	go run ./tools/benchpairs -a /tmp/parent/bench-1 -a /tmp/parent/bench-2 \
+//		-b /tmp/change/bench-1 -b /tmp/change/bench-2 \
 //		-workload kv-mixed -seed 1 -pairs 10 -seconds 0
 //
-// Both binaries run with the same -workload, -seed and -seconds. Pair i runs
-// a first when i is even and b first when it is odd, so neither side always
-// meets the machine the other one warmed. For each metric it prints each
-// side's median and quartiles, how many pairs b won (ties count for
-// neither), and whether the gap between the medians exceeds a's
-// interquartile range. It also reports whether the simulated metrics —
-// every metric whose unit is not a host measure (s, req/s, MB) — were
-// identical in every run of both binaries, as they must be when a change
+// Code layout alone moves the host metrics by several percent, so each side
+// may give K binaries of one tree built at K code layouts (repeat -a and -b
+// K times; `make layouts` builds them). Pair i runs a_i and b_i, with i
+// taken modulo K, so -pairs must be a multiple of K. All binaries run with
+// the same -workload, -seed and -seconds. Pair i runs a first when i is even
+// and b first when it is odd, so neither side always meets the machine the
+// other one warmed.
+//
+// For each metric it prints each side's median and quartiles over all its
+// runs, each side's layout spread (the range of its per-layout medians),
+// the change between the medians, how many pairs b won (ties count for
+// neither) and a verdict. The verdict is "loss" when the gap between the
+// medians exceeds both a's interquartile range and a's layout spread in the
+// worse direction, "gain" when it does so in the better one and b won at
+// least nine tenths of the pairs, and "no gain" otherwise. It also reports whether the simulated
+// metrics — every metric whose unit is not a host measure (s, req/s, MB) —
+// were identical in every run of both sides, as they must be when a change
 // claims host time only.
 //
-// It builds nothing: build each side's binary from its own checkout first,
-// for example with `cd benchmark && go build -o /tmp/bench-change .`. It
-// exits 1 when a run fails or prints "correct":false, and 2 on bad usage.
+// It builds nothing: build each side's binaries from its own checkout
+// first. It exits 1 when a run fails or prints "correct":false, and 2 on
+// bad usage.
 package main
 
 import (
@@ -137,24 +147,52 @@ func spreadOf(xs []float64) spread {
 	return spread{q1: quantile(s, 0.25), median: quantile(s, 0.5), q3: quantile(s, 0.75)}
 }
 
-// comparison is one metric over all pairs.
-type comparison struct {
-	def       metricDef
-	a, b      spread
-	wins      int  // pairs whose b reading is better than its a reading
-	pairs     int  // pairs compared
-	gapBeyond bool // |median b - median a| > a's interquartile range
+// layoutSpread is the range of the per-layout medians of xs, where reading
+// i was taken with layout i mod k.
+func layoutSpread(xs []float64, k int) float64 {
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for j := 0; j < k; j++ {
+		var own []float64
+		for i := j; i < len(xs); i += k {
+			own = append(own, xs[i])
+		}
+		m := spreadOf(own).median
+		lo, hi = math.Min(lo, m), math.Max(hi, m)
+	}
+	return hi - lo
 }
 
-// compare judges metric d over pairs of readings a[i], b[i].
-func compare(d metricDef, a, b []float64) comparison {
-	c := comparison{def: d, a: spreadOf(a), b: spreadOf(b), pairs: len(a)}
+// comparison is one metric over all pairs.
+type comparison struct {
+	def        metricDef
+	a, b       spread
+	aLay, bLay float64 // each side's layout spread
+	wins       int     // pairs whose b reading is better than its a reading
+	pairs      int     // pairs compared
+	verdict    string  // "gain", "loss" or "no gain"
+}
+
+// compare judges metric d over pairs of readings a[i], b[i], pair i taken
+// with layout i mod k on both sides.
+func compare(d metricDef, a, b []float64, k int) comparison {
+	c := comparison{def: d, a: spreadOf(a), b: spreadOf(b), pairs: len(a),
+		aLay: layoutSpread(a, k), bLay: layoutSpread(b, k)}
 	for i := range a {
 		if d.Better == "higher" && b[i] > a[i] || d.Better == "lower" && b[i] < a[i] {
 			c.wins++
 		}
 	}
-	c.gapBeyond = math.Abs(c.b.median-c.a.median) > c.a.q3-c.a.q1
+	gap := c.b.median - c.a.median
+	switch {
+	case math.Abs(gap) <= c.a.q3-c.a.q1 || math.Abs(gap) <= c.aLay:
+		c.verdict = "no gain"
+	case (gap > 0) != (d.Better == "higher"):
+		c.verdict = "loss"
+	case 10*c.wins >= 9*c.pairs:
+		c.verdict = "gain"
+	default:
+		c.verdict = "no gain"
+	}
 	return c
 }
 
@@ -182,7 +220,7 @@ func execRun(bin string, args []string) ([]byte, error) {
 
 // config is one measurement's flags.
 type config struct {
-	a, b     string
+	a, b     []string // one binary per layout, the same count on each side
 	workload string
 	seed     uint64
 	pairs    int
@@ -198,17 +236,19 @@ var errIncorrect = errors.New(`a run printed "correct":false`)
 func measure(w io.Writer, cfg config, defs []metricDef, run runner) error {
 	args := []string{"-workload", cfg.workload, "-seed", strconv.FormatUint(cfg.seed, 10),
 		"-seconds", strconv.FormatFloat(cfg.seconds, 'g', -1, 64)}
+	k := len(cfg.a)
 	readings := map[string][2][]float64{}
 	var sims []string
 	incorrect := 0
 	for i := 0; i < cfg.pairs; i++ {
+		bins := [2]string{cfg.a[i%k], cfg.b[i%k]}
 		order := [2]int{0, 1}
 		if i%2 == 1 {
 			order = [2]int{1, 0}
 		}
 		var pair [2]result
 		for _, side := range order {
-			bin := [2]string{cfg.a, cfg.b}[side]
+			bin := bins[side]
 			out, err := run(bin, args)
 			if err != nil {
 				return fmt.Errorf("pair %d: %w", i+1, err)
@@ -228,7 +268,7 @@ func measure(w io.Writer, cfg config, defs []metricDef, run runner) error {
 			for side, r := range pair {
 				v, err := r.value(d.Name)
 				if err != nil {
-					return fmt.Errorf("pair %d, %s: %w", i+1, [2]string{cfg.a, cfg.b}[side], err)
+					return fmt.Errorf("pair %d, %s: %w", i+1, bins[side], err)
 				}
 				got[side] = append(got[side], v)
 			}
@@ -237,19 +277,15 @@ func measure(w io.Writer, cfg config, defs []metricDef, run runner) error {
 		fmt.Fprintf(w, "pair %d/%d done (%s first)\n", i+1, cfg.pairs, [2]string{"a", "b"}[order[0]])
 	}
 
-	fmt.Fprintf(w, "\n%s seed %d, %d pairs at -seconds %g\n  a = %s\n  b = %s\n\n",
-		cfg.workload, cfg.seed, cfg.pairs, cfg.seconds, cfg.a, cfg.b)
-	fmt.Fprintf(w, "%-20s %-6s %-36s %-36s %8s %6s %s\n", "metric", "better",
-		"a median [q1, q3]", "b median [q1, q3]", "change", "b won", "gap > a IQR")
+	fmt.Fprintf(w, "\n%s seed %d, %d pairs over %d layout(s) at -seconds %g\n  a = %s\n  b = %s\n\n",
+		cfg.workload, cfg.seed, cfg.pairs, k, cfg.seconds, strings.Join(cfg.a, " "), strings.Join(cfg.b, " "))
+	fmt.Fprintf(w, "%-20s %-6s %-36s %-36s %-8s %-8s %8s %6s %s\n", "metric", "better",
+		"a median [q1, q3]", "b median [q1, q3]", "a layout", "b layout", "change", "b won", "verdict")
 	for _, d := range defs {
 		r := readings[d.Name]
-		c := compare(d, r[0], r[1])
-		gap := "no"
-		if c.gapBeyond {
-			gap = "yes"
-		}
-		fmt.Fprintf(w, "%-20s %-6s %-36s %-36s %+7.1f%% %3d/%-2d %s\n", d.Name, d.Better,
-			formatSpread(c.a), formatSpread(c.b), c.change(), c.wins, c.pairs, gap)
+		c := compare(d, r[0], r[1], k)
+		fmt.Fprintf(w, "%-20s %-6s %-36s %-36s %-8s %-8s %+7.1f%% %3d/%-2d %s\n", d.Name, d.Better,
+			formatSpread(c.a), formatSpread(c.b), short(c.aLay), short(c.bLay), c.change(), c.wins, c.pairs, c.verdict)
 	}
 	identical := true
 	for _, s := range sims[1:] {
@@ -268,6 +304,16 @@ func measure(w io.Writer, cfg config, defs []metricDef, run runner) error {
 	return nil
 }
 
+// binaries is a repeatable flag collecting one binary per layout.
+type binaries []string
+
+func (b *binaries) String() string { return strings.Join(*b, " ") }
+
+func (b *binaries) Set(v string) error {
+	*b = append(*b, v)
+	return nil
+}
+
 func formatSpread(s spread) string {
 	return fmt.Sprintf("%s [%s, %s]", short(s.median), short(s.q1), short(s.q3))
 }
@@ -277,16 +323,18 @@ func short(v float64) string { return strconv.FormatFloat(v, 'g', 5, 64) }
 
 func main() {
 	var cfg config
-	flag.StringVar(&cfg.a, "a", "", "benchmark binary of the parent (required)")
-	flag.StringVar(&cfg.b, "b", "", "benchmark binary of the change (required)")
+	flag.Var((*binaries)(&cfg.a), "a", "benchmark binary of the parent, one per layout (repeat; required)")
+	flag.Var((*binaries)(&cfg.b), "b", "benchmark binary of the change, one per layout (repeat; as many as -a)")
 	flag.StringVar(&cfg.workload, "workload", "", "workload to run (required)")
 	flag.Uint64Var(&cfg.seed, "seed", 1, "benchmark seed")
 	flag.IntVar(&cfg.pairs, "pairs", 10, "alternating pairs of runs")
 	flag.Float64Var(&cfg.seconds, "seconds", 0, "the benchmark's -seconds, the same for both binaries")
 	spec := flag.String("bench", "BENCHMARK.json", "benchmark declaration naming the end-to-end metrics")
 	flag.Parse()
-	if cfg.a == "" || cfg.b == "" || cfg.workload == "" || cfg.pairs < 1 || flag.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "usage: benchpairs -a PARENT_BIN -b CHANGE_BIN -workload W [-seed N] [-pairs N] [-seconds S] [-bench BENCHMARK.json]")
+	if len(cfg.a) == 0 || len(cfg.a) != len(cfg.b) || cfg.workload == "" || cfg.pairs < 1 ||
+		cfg.pairs%len(cfg.a) != 0 || flag.NArg() != 0 {
+		fmt.Fprintln(os.Stderr, "usage: benchpairs -a PARENT_BIN [-a ...] -b CHANGE_BIN [-b ...] -workload W [-seed N] [-pairs N] [-seconds S] [-bench BENCHMARK.json]")
+		fmt.Fprintln(os.Stderr, "  give -a and -b the same number of times; -pairs must be a multiple of that number")
 		os.Exit(2)
 	}
 	defs, err := loadMetrics(*spec)

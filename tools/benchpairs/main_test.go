@@ -31,18 +31,77 @@ func TestQuantileInterpolatesBetweenRanks(t *testing.T) {
 func TestCompareCountsWinsByDirectionAndTiesForNeither(t *testing.T) {
 	a := []float64{100, 100, 100, 100}
 	b := []float64{110, 100, 90, 120}
-	hi := compare(metricDef{Name: "x", Better: "higher"}, a, b)
-	lo := compare(metricDef{Name: "x", Better: "lower"}, a, b)
+	hi := compare(metricDef{Name: "x", Better: "higher"}, a, b, 1)
+	lo := compare(metricDef{Name: "x", Better: "lower"}, a, b, 1)
 	if hi.wins != 2 || lo.wins != 1 || hi.pairs != 4 {
 		t.Fatalf("wins: %d higher-better, %d lower-better over %d pairs; want 2 and 1 over 4", hi.wins, lo.wins, hi.pairs)
 	}
-	// a's readings do not spread, so any gap between medians exceeds it.
-	if !hi.gapBeyond || hi.change() != 5 {
-		t.Fatalf("gap beyond a's IQR %v, change %+.1f%%; want true and +5%%", hi.gapBeyond, hi.change())
+	// a's readings do not spread, so any gap between medians exceeds it;
+	// but b won only half the pairs, too few to call a gain.
+	if hi.verdict != "no gain" || lo.verdict != "loss" || hi.change() != 5 {
+		t.Fatalf("verdicts %q higher-better, %q lower-better, change %+.1f%%; want no gain, loss and +5%%",
+			hi.verdict, lo.verdict, hi.change())
+	}
+	if c := compare(metricDef{Better: "higher"}, a, []float64{110, 101, 102, 120}, 1); c.verdict != "gain" {
+		t.Fatalf("b won every pair beyond a's spread, called %q", c.verdict)
 	}
 	spreadA := []float64{90, 100, 110, 120}
-	if c := compare(metricDef{Better: "higher"}, spreadA, []float64{100, 110, 120, 130}); c.gapBeyond {
-		t.Fatalf("a gap of 10 exceeds an IQR of 15: %+v", c)
+	if c := compare(metricDef{Better: "higher"}, spreadA, []float64{100, 110, 120, 130}, 1); c.verdict != "no gain" {
+		t.Fatalf("a gap of 10 within an IQR of 15 called %q: %+v", c.verdict, c)
+	}
+}
+
+// TestLayoutSpreadBoundsTheVerdict: with one of four layouts slow, a's
+// interquartile range is small but its layout spread is not, and a gap
+// between the two is no gain; read as one layout, the same gap is.
+func TestLayoutSpreadBoundsTheVerdict(t *testing.T) {
+	a := []float64{100, 101, 102, 110, 100, 101, 102, 110}
+	b := make([]float64, len(a))
+	for i := range a {
+		b[i] = a[i] + 5
+	}
+	if got := layoutSpread(a, 4); got != 10 {
+		t.Fatalf("layout spread %g, want 10 (medians 100, 101, 102, 110)", got)
+	}
+	if got := layoutSpread(a, 1); got != 0 {
+		t.Fatalf("one layout spreads %g, want 0", got)
+	}
+	d := metricDef{Name: "sim_req_per_s", Better: "higher"}
+	four, one := compare(d, a, b, 4), compare(d, a, b, 1)
+	if iqr := four.a.q3 - four.a.q1; iqr != 3.25 {
+		t.Fatalf("a's IQR %g, want 3.25", iqr)
+	}
+	if four.verdict != "no gain" || four.aLay != 10 || four.bLay != 10 {
+		t.Fatalf("a gap of 5 inside a layout spread of 10: %+v", four)
+	}
+	if one.verdict != "gain" {
+		t.Fatalf("a gap of 5 beyond an IQR of 3.25 with no layout spread called %q", one.verdict)
+	}
+}
+
+// TestMeasureRotatesLayouts: pair i runs the i-th binary of each side,
+// modulo their count, and the report carries each side's layout spread.
+func TestMeasureRotatesLayouts(t *testing.T) {
+	f := &fakeBench{reqs: map[string][]float64{
+		"A1": {100, 100}, "A2": {110, 110},
+		"B1": {100, 100}, "B2": {110, 110},
+	}}
+	var out strings.Builder
+	cfg := config{a: []string{"A1", "A2"}, b: []string{"B1", "B2"}, workload: "serve-resident", seed: 1, pairs: 4}
+	if err := measure(&out, cfg, fakeDefs, f.run); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(f.calls, " "); got != "A1 B1 B2 A2 A1 B1 B2 A2" {
+		t.Fatalf("run order %s", got)
+	}
+	for _, want := range []string{
+		"4 pairs over 2 layout(s)",
+		"a = A1 A2",
+		"105 [100, 110]                       105 [100, 110]                       10       10          +0.0%   0/4  no gain",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("report lacks %q:\n%s", want, out.String())
+		}
 	}
 }
 
@@ -78,7 +137,7 @@ var fakeDefs = []metricDef{
 func TestMeasureAlternatesOrderAndReports(t *testing.T) {
 	f := &fakeBench{reqs: map[string][]float64{"A": {100, 102, 98}, "B": {120, 99, 125}}}
 	var out strings.Builder
-	cfg := config{a: "A", b: "B", workload: "kv-mixed", seed: 2, pairs: 3}
+	cfg := config{a: []string{"A"}, b: []string{"B"}, workload: "kv-mixed", seed: 2, pairs: 3}
 	if err := measure(&out, cfg, fakeDefs, f.run); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +148,7 @@ func TestMeasureAlternatesOrderAndReports(t *testing.T) {
 	for _, want := range []string{
 		"sim_req_per_s        higher 100 [99, 101]",
 		"120 [109.5, 122.5]",
-		"+20.0%   2/3  yes",
+		"+20.0%   2/3  no gain",
 		"p50_cycles           lower  1000 [1000, 1000]",
 		"simulated metrics identical across all 6 runs: true",
 	} {
@@ -102,7 +161,7 @@ func TestMeasureAlternatesOrderAndReports(t *testing.T) {
 func TestMeasureFlagsDivergentAndIncorrectRuns(t *testing.T) {
 	reqs := func() map[string][]float64 { return map[string][]float64{"A": {1, 1}, "B": {1, 1}} }
 	var out strings.Builder
-	cfg := config{a: "A", b: "B", workload: "w", pairs: 2}
+	cfg := config{a: []string{"A"}, b: []string{"B"}, workload: "w", pairs: 2}
 	f := &fakeBench{reqs: reqs(), diverge: 3}
 	if err := measure(&out, cfg, fakeDefs, f.run); err != nil {
 		t.Fatal(err)
