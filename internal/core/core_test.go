@@ -162,8 +162,8 @@ func newTestRuntime(limit int) (*Runtime, *fakeDriver) {
 	d := newFakeDriver(limit)
 	r := NewRuntime(nil, d, clock, &costs)
 	// A minimal enclave identity for tracking (no CPU needed for these
-	// paths).
-	e := &sgx.Enclave{}
+	// paths): an ELRANGE of pages 0–15 sizes the runtime's page records.
+	e := &sgx.Enclave{Size: 16 * mmu.PageSize}
 	r.Attach(e)
 	return r, d
 }

@@ -24,7 +24,7 @@ import (
 func (r *Runtime) fetchSGX2(pages []mmu.VAddr) error {
 	perms := r.scratch.perms[:0]
 	for _, va := range pages {
-		perms = append(perms, r.pages[va.VPN()].perms)
+		perms = append(perms, r.page(va).perms)
 	}
 	r.scratch.perms = perms
 	pfns, err := r.Driver.AugPages(r.enclave, pages, perms)
@@ -39,7 +39,7 @@ func (r *Runtime) fetchSGX2(pages []mmu.VAddr) error {
 	// in one backend pass, into the runtime's reused blob views.
 	need := r.scratch.need[:0]
 	for _, va := range pages {
-		if r.pages[va.VPN()].version > 0 {
+		if r.page(va).version > 0 {
 			need = append(need, va)
 		}
 	}
@@ -58,7 +58,7 @@ func (r *Runtime) fetchSGX2(pages []mmu.VAddr) error {
 	sealer := r.enclave.Sealer()
 	j := 0
 	for i, va := range pages {
-		pi := r.pages[va.VPN()]
+		pi := r.page(va)
 		var plain []byte
 		if pi.version > 0 {
 			// Decrypt into the runtime's reused buffer; EACCEPTCOPY consumes
@@ -83,8 +83,9 @@ func (r *Runtime) fetchSGX2(pages []mmu.VAddr) error {
 
 // evictSGX2 writes pages out in three pipelined phases over the whole
 // victim set: freeze every page read-only (EMODPR+EACCEPT) so the contents
-// are stable, read and seal each in software and hand the blobs to the OS
-// as one batch, then trim and remove every page (EMODT+EACCEPT+EREMOVE).
+// are stable, seal each in software straight from its frozen frame and
+// hand the blobs to the OS as one batch, then trim and remove every page
+// (EMODT+EACCEPT+EREMOVE).
 func (r *Runtime) evictSGX2(pages []mmu.VAddr) error {
 	sealer := r.enclave.Sealer()
 
@@ -93,7 +94,7 @@ func (r *Runtime) evictSGX2(pages []mmu.VAddr) error {
 	}
 	pfns := r.scratch.pfns[:len(pages)]
 	for i, va := range pages {
-		pi := r.pages[va.VPN()]
+		pi := r.page(va)
 		roPerms := pi.perms &^ mmu.PermWrite
 		pfn, err := r.Driver.RestrictPerms(r.enclave, va, roPerms)
 		if err != nil {
@@ -118,13 +119,10 @@ func (r *Runtime) evictSGX2(pages []mmu.VAddr) error {
 		r.scratch.batch = make([]pagestore.PageBlob, len(pages))
 	}
 	batch := r.scratch.batch[:len(pages)]
-	if r.scratch.page == nil {
-		r.scratch.page = make([]byte, mmu.PageSize)
-	}
-	page := r.scratch.page
 	for i, va := range pages {
-		pi := r.pages[va.VPN()]
-		if err := r.CPU.ReadEnclavePageInto(page, va, pfns[i]); err != nil {
+		pi := r.page(va)
+		page, err := r.CPU.FrozenPage(va, pfns[i])
+		if err != nil {
 			return err
 		}
 		pi.version++

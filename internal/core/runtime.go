@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"autarky/internal/metrics"
 	"autarky/internal/mmu"
@@ -12,12 +11,13 @@ import (
 	"autarky/internal/sim"
 )
 
-// pageInfo is the runtime's tracking for one enclave-managed page
-// (paper §5.2.1: "the trusted runtime tracks the residence status of each
-// page and treats any unexpected fault on a purportedly-resident page as an
-// attack").
+// pageInfo is the runtime's tracking for one enclave page (paper §5.2.1:
+// "the trusted runtime tracks the residence status of each page and treats
+// any unexpected fault on a purportedly-resident page as an attack"). Only
+// a record with managed set is live: the page is enclave-managed.
 type pageInfo struct {
 	va       mmu.VAddr
+	managed  bool
 	resident bool
 	pinned   bool // never evicted (code, handler, metadata pages)
 	perms    mmu.Perms
@@ -52,7 +52,11 @@ type Runtime struct {
 	m *metrics.Metrics
 
 	enclave *sgx.Enclave
-	pages   map[uint64]*pageInfo
+	// pages holds one record per ELRANGE page, indexed by the page's offset
+	// from the enclave's base page, baseVPN (see pageAt). Attach sizes it
+	// once; it never grows, so pointers into it stay valid.
+	pages   []pageInfo
+	baseVPN uint64
 	// fifo orders resident non-pinned enclave-managed pages for the default
 	// eviction policies (A/D bits are architecturally unusable, §5.1.4).
 	fifo []uint64
@@ -72,7 +76,6 @@ type Runtime struct {
 		pfns    []mmu.PFN            // evictSGX2: frozen frames
 		batch   []pagestore.PageBlob // evictSGX2: EvictBatch input
 		arena   []byte               // evictSGX2: sealed-blob arena
-		page    []byte               // evictSGX2: plaintext page snapshot
 	}
 
 	progress uint64 // application-reported forward progress (§5.2.4)
@@ -89,7 +92,6 @@ func NewRuntime(cpu *sgx.CPU, driver Driver, clock *sim.Clock, costs *sim.Costs)
 		Policy:        NewPinAllPolicy(),
 		HandlerCycles: 1200,
 		m:             metrics.Of(clock).Scope(),
-		pages:         make(map[uint64]*pageInfo),
 	}
 }
 
@@ -99,8 +101,28 @@ func NewRuntime(cpu *sgx.CPU, driver Driver, clock *sim.Clock, costs *sim.Costs)
 // snapshot includes them too.
 func (r *Runtime) Metrics() metrics.Snapshot { return r.m.Snapshot() }
 
-// Attach binds the runtime to its enclave after loading.
-func (r *Runtime) Attach(e *sgx.Enclave) { r.enclave = e }
+// Attach binds the runtime to its enclave after loading and sizes its page
+// records to the enclave's ELRANGE.
+func (r *Runtime) Attach(e *sgx.Enclave) {
+	r.enclave = e
+	r.baseVPN = e.Base.VPN()
+	r.pages = make([]pageInfo, e.Size/mmu.PageSize)
+}
+
+// pageAt returns the record of enclave-managed page vpn, or nil when the
+// page is not enclave-managed or lies outside ELRANGE. A page below the
+// base wraps the unsigned offset past the end, so one comparison bounds
+// both sides.
+func (r *Runtime) pageAt(vpn uint64) *pageInfo {
+	i := vpn - r.baseVPN
+	if i >= uint64(len(r.pages)) || !r.pages[i].managed {
+		return nil
+	}
+	return &r.pages[i]
+}
+
+// page returns the record of the enclave-managed page holding va, or nil.
+func (r *Runtime) page(va mmu.VAddr) *pageInfo { return r.pageAt(va.VPN()) }
 
 // Enclave returns the attached enclave.
 func (r *Runtime) Enclave() *sgx.Enclave { return r.enclave }
@@ -127,10 +149,13 @@ func (r *Runtime) ManagePages(pages []mmu.VAddr, perms mmu.Perms, pinned bool) e
 	}
 	for _, st := range status {
 		vpn := st.VA.VPN()
-		pi := r.pages[vpn]
-		if pi == nil {
-			pi = &pageInfo{va: st.VA.PageBase()}
-			r.pages[vpn] = pi
+		i := vpn - r.baseVPN
+		if i >= uint64(len(r.pages)) {
+			return fmt.Errorf("core: driver managed page %s outside ELRANGE", st.VA)
+		}
+		pi := &r.pages[i]
+		if !pi.managed {
+			*pi = pageInfo{va: st.VA.PageBase(), managed: true}
 		}
 		pi.resident = st.Resident
 		pi.pinned = pinned
@@ -148,15 +173,11 @@ func (r *Runtime) ManagePages(pages []mmu.VAddr, perms mmu.Perms, pinned bool) e
 // attack.
 func (r *Runtime) EnsurePinnedResident() error {
 	var want []mmu.VAddr
-	for _, pi := range r.pages {
-		if pi.pinned && !pi.resident {
+	for i := range r.pages {
+		if pi := &r.pages[i]; pi.managed && pi.pinned && !pi.resident {
 			want = append(want, pi.va)
 		}
 	}
-	// Ascending address order: map iteration must not decide which page is
-	// fetched at which cycle, or cycle-keyed behavior (fault plans, backend
-	// charges) would vary run to run.
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 	return r.EnsureResident(want)
 }
 
@@ -187,7 +208,9 @@ func (r *Runtime) ReleasePages(pages []mmu.VAddr) error {
 		return err
 	}
 	for _, va := range pages {
-		delete(r.pages, va.VPN())
+		if pi := r.page(va); pi != nil {
+			*pi = pageInfo{}
+		}
 	}
 	return nil
 }
@@ -195,8 +218,8 @@ func (r *Runtime) ReleasePages(pages []mmu.VAddr) error {
 // PageResident reports the runtime's belief about a page's residence and
 // whether the page is enclave-managed at all.
 func (r *Runtime) PageResident(va mmu.VAddr) (resident, managed bool) {
-	pi, ok := r.pages[va.VPN()]
-	if !ok {
+	pi := r.page(va)
+	if pi == nil {
 		return false, false
 	}
 	return pi.resident, true
@@ -205,8 +228,8 @@ func (r *Runtime) PageResident(va mmu.VAddr) (resident, managed bool) {
 // ResidentManagedPages counts resident enclave-managed pages.
 func (r *Runtime) ResidentManagedPages() int {
 	n := 0
-	for _, pi := range r.pages {
-		if pi.resident {
+	for i := range r.pages {
+		if pi := &r.pages[i]; pi.managed && pi.resident {
 			n++
 		}
 	}
@@ -253,7 +276,7 @@ func (r *Runtime) handleFault(f mmu.Fault) {
 		return
 	}
 
-	pi := r.pages[va.VPN()]
+	pi := r.page(va)
 	if pi == nil {
 		// OS-managed page: forward, subject to policy (rate limiting).
 		r.m.Inc(metrics.CntForwardedFaults)
@@ -322,7 +345,7 @@ func (r *Runtime) fetchPages(pages []mmu.VAddr) error {
 	defer r.Clock.SetCategory(r.Clock.SetCategory(sim.CatPaging))
 	want := r.scratch.want[:0]
 	for _, va := range pages {
-		pi := r.pages[va.VPN()]
+		pi := r.page(va)
 		if pi == nil {
 			return fmt.Errorf("core: fetch plan includes unmanaged page %s", va)
 		}
@@ -373,7 +396,7 @@ func (r *Runtime) fetchPages(pages []mmu.VAddr) error {
 		return err
 	}
 	for _, va := range want {
-		pi := r.pages[va.VPN()]
+		pi := r.page(va)
 		pi.resident = true
 		if !pi.pinned {
 			r.fifo = append(r.fifo, va.VPN())
@@ -390,7 +413,7 @@ func (r *Runtime) evictPages(pages []mmu.VAddr) error {
 	defer r.Clock.SetCategory(r.Clock.SetCategory(sim.CatPaging))
 	out := r.scratch.evict[:0]
 	for _, va := range pages {
-		pi := r.pages[va.VPN()]
+		pi := r.page(va)
 		if pi == nil || !pi.resident || pi.pinned {
 			continue
 		}
@@ -411,7 +434,7 @@ func (r *Runtime) evictPages(pages []mmu.VAddr) error {
 		return err
 	}
 	for _, va := range out {
-		r.pages[va.VPN()].resident = false
+		r.page(va).resident = false
 		r.m.Inc(metrics.CntPagesEvicted)
 	}
 	r.Policy.OnEvicted(r, out)
@@ -427,7 +450,7 @@ func (r *Runtime) nextFIFOVictims(n int) []mmu.VAddr {
 	defer func() { r.scratch.victims = out }()
 	keep := r.fifo[:0]
 	for i, vpn := range r.fifo {
-		pi := r.pages[vpn]
+		pi := r.pageAt(vpn)
 		if pi == nil || !pi.resident || pi.pinned {
 			continue // stale entry
 		}

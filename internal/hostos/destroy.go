@@ -47,8 +47,11 @@ func (k *Kernel) DestroyEnclave(p *Proc) error {
 // sealed blobs and removes the process from the kernel's tables. The
 // enclave must be dead, or not yet initialized.
 func (k *Kernel) teardown(p *Proc) error {
-	for _, va := range p.PageVAs() {
-		ps := p.pages[va.VPN()]
+	for i := range p.pages {
+		ps := &p.pages[i]
+		if !ps.present {
+			continue
+		}
 		if ps.resident {
 			if err := k.CPU.EREMOVE(p.E, ps.va, ps.pfn); err != nil {
 				return fmt.Errorf("hostos: destroying %s: %w", ps.va, err)

@@ -33,8 +33,8 @@ func (k *Kernel) chargeCall() {
 }
 
 func (k *Kernel) page(p *Proc, va mmu.VAddr) (*pageState, error) {
-	ps, ok := p.pages[va.VPN()]
-	if !ok {
+	ps := p.page(va)
+	if ps == nil {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownPage, va)
 	}
 	return ps, nil
@@ -183,10 +183,10 @@ func (k *Kernel) AugPages(e *sgx.Enclave, pages []mmu.VAddr, perms []mmu.Perms) 
 			if i < len(perms) {
 				pr = perms[i]
 			}
-			ps, ok := p.pages[va.VPN()]
-			if !ok {
-				ps = &pageState{va: va}
-				p.pages[va.VPN()] = ps
+			// EAUG refuses a page outside ELRANGE, so the offset is in range.
+			ps := &p.pages[va.VPN()-e.Base.VPN()]
+			if !ps.present {
+				*ps = pageState{va: va, present: true}
 			}
 			ps.perms = pr
 			ps.pfn = pfn

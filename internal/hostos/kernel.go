@@ -111,11 +111,14 @@ type IdleProbe interface {
 	Poll(n uint64)
 }
 
-// pageState is the kernel's bookkeeping for one enclave page.
+// pageState is the kernel's bookkeeping for one enclave page. Only a
+// record with present set is live: the page was added to the enclave (by
+// EADD at load or EAUG at run time).
 type pageState struct {
 	va             mmu.VAddr
 	pfn            mmu.PFN // valid only while resident
 	perms          mmu.Perms
+	present        bool
 	resident       bool
 	enclaveManaged bool
 	everEvicted    bool
@@ -129,7 +132,10 @@ type Proc struct {
 	// this enclave (0 = unlimited). It is the experiments' "EPC size" knob.
 	Quota int
 
-	pages    map[uint64]*pageState
+	// pages holds one record per ELRANGE page, indexed by the page's offset
+	// from E.Base (see pageAt). LoadEnclave sizes it once; it never grows,
+	// so pointers into it stay valid.
+	pages    []pageState
 	resident int
 	// order is the residency queue for victim selection: CLOCK for legacy
 	// enclaves, FIFO for self-paging ones (A/D bits unusable, §5.1.4).
@@ -150,12 +156,26 @@ func (p *Proc) ResidentPages() int { return p.resident }
 
 // Page returns the kernel's view of one page (for tests and adversaries).
 func (p *Proc) Page(va mmu.VAddr) (resident, enclaveManaged bool, ok bool) {
-	ps, exists := p.pages[va.VPN()]
-	if !exists {
+	ps := p.page(va)
+	if ps == nil {
 		return false, false, false
 	}
 	return ps.resident, ps.enclaveManaged, true
 }
+
+// pageAt returns the record of enclave page vpn, or nil when the page was
+// never added or lies outside ELRANGE. A page below the base wraps the
+// unsigned offset past the end, so one comparison bounds both sides.
+func (p *Proc) pageAt(vpn uint64) *pageState {
+	i := vpn - p.E.Base.VPN()
+	if i >= uint64(len(p.pages)) || !p.pages[i].present {
+		return nil
+	}
+	return &p.pages[i]
+}
+
+// page returns the record of the enclave page holding va, or nil.
+func (p *Proc) page(va mmu.VAddr) *pageState { return p.pageAt(va.VPN()) }
 
 // ResidencyFingerprint folds the kernel's entire paging state for the
 // process into one FNV-1a hash: per-page residency/management bits in
@@ -172,8 +192,11 @@ func (p *Proc) ResidencyFingerprint() uint64 {
 		binary.LittleEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
 	}
-	for _, va := range p.PageVAs() {
-		ps := p.pages[va.VPN()]
+	for i := range p.pages {
+		ps := &p.pages[i]
+		if !ps.present {
+			continue
+		}
 		var bits uint64
 		if ps.resident {
 			bits |= 1
@@ -184,7 +207,7 @@ func (p *Proc) ResidencyFingerprint() uint64 {
 		if ps.everEvicted {
 			bits |= 4
 		}
-		word(uint64(va))
+		word(uint64(ps.va))
 		word(bits)
 	}
 	word(^uint64(0)) // separator: page list from victim queue
@@ -200,15 +223,13 @@ func (p *Proc) ResidencyFingerprint() uint64 {
 	return h.Sum64()
 }
 
-// PageVAs returns all page addresses of the enclave in ascending order of
-// first registration.
+// PageVAs returns all page addresses of the enclave in ascending address
+// order.
 func (p *Proc) PageVAs() []mmu.VAddr {
-	out := make([]mmu.VAddr, 0, len(p.pages))
-	n := p.E.Size / mmu.PageSize
-	for i := uint64(0); i < n; i++ {
-		va := p.E.Base + mmu.VAddr(i*mmu.PageSize)
-		if _, ok := p.pages[va.VPN()]; ok {
-			out = append(out, va)
+	var out []mmu.VAddr
+	for i := range p.pages {
+		if p.pages[i].present {
+			out = append(out, p.pages[i].va)
 		}
 	}
 	return out
@@ -401,7 +422,9 @@ func (k *Kernel) LoadEnclave(spec EnclaveSpec) (_ *Proc, err error) {
 	}
 	e.Runtime = spec.Runtime
 	if spec.SeedVersions != nil {
-		e.SeedVersions(spec.SeedVersions)
+		if err := e.SeedVersions(spec.SeedVersions); err != nil {
+			return nil, err
+		}
 	}
 	if spec.SeedMigrationEpoch != 0 {
 		e.SeedMigrationEpoch(spec.SeedMigrationEpoch)
@@ -409,7 +432,7 @@ func (k *Kernel) LoadEnclave(spec EnclaveSpec) (_ *Proc, err error) {
 	p := &Proc{
 		E:     e,
 		Quota: spec.Quota,
-		pages: make(map[uint64]*pageState),
+		pages: make([]pageState, spec.Size/mmu.PageSize),
 	}
 	k.procs[e.ID] = p
 	k.procList = append(k.procList, p)
@@ -447,8 +470,9 @@ func (k *Kernel) LoadEnclave(spec EnclaveSpec) (_ *Proc, err error) {
 			if err != nil {
 				return nil, err
 			}
-			ps := &pageState{va: va, pfn: pfn, perms: seg.Perms, resident: true}
-			p.pages[va.VPN()] = ps
+			// EADD refuses a page outside ELRANGE, so the offset is in range.
+			ps := &p.pages[va.VPN()-e.Base.VPN()]
+			*ps = pageState{va: va, pfn: pfn, perms: seg.Perms, present: true, resident: true}
 			p.resident++
 			p.order = append(p.order, va.VPN())
 			k.mapPage(p, ps)
@@ -640,8 +664,8 @@ func (k *Kernel) PollInPlace(p *Proc, saved sgx.ExecContext, n, at uint64) (sgx.
 // serviceLegacyFault implements vanilla demand paging for a legacy enclave:
 // page in evicted pages, re-map unmapped ones, restore reduced permissions.
 func (k *Kernel) serviceLegacyFault(p *Proc, f *mmu.Fault) error {
-	ps, ok := p.pages[f.Addr.VPN()]
-	if !ok {
+	ps := p.page(f.Addr)
+	if ps == nil {
 		return fmt.Errorf("%w: fault at %s", ErrUnknownPage, f.Addr)
 	}
 	if !ps.resident {
@@ -739,7 +763,7 @@ func (k *Kernel) ensurePhysicalFrames(p *Proc, need int) error {
 func (k *Kernel) pickVictim(p *Proc) *pageState {
 	compact := p.order[:0]
 	for _, vpn := range p.order {
-		if ps := p.pages[vpn]; ps != nil && ps.resident {
+		if ps := p.pageAt(vpn); ps != nil && ps.resident {
 			compact = append(compact, vpn)
 		}
 	}
@@ -753,8 +777,7 @@ func (k *Kernel) pickVictim(p *Proc) *pageState {
 		if p.hand >= len(p.order) {
 			p.hand = 0
 		}
-		vpn := p.order[p.hand]
-		ps := p.pages[vpn]
+		ps := p.pageAt(p.order[p.hand])
 		if ps == nil || !ps.resident || ps.enclaveManaged {
 			p.hand++
 			scanned++

@@ -2,10 +2,8 @@ package hostos
 
 import (
 	"fmt"
-	"sort"
 
 	"autarky/internal/metrics"
-	"autarky/internal/mmu"
 	"autarky/internal/sgx"
 )
 
@@ -35,7 +33,7 @@ func (k *Kernel) SuspendEnclave(p *Proc) (int, error) {
 	p.suspended = true
 	n := 0
 	for _, vpn := range append([]uint64(nil), p.order...) {
-		ps := p.pages[vpn]
+		ps := p.pageAt(vpn)
 		if ps == nil || !ps.resident {
 			continue
 		}
@@ -58,19 +56,15 @@ func (k *Kernel) ResumeEnclave(p *Proc) error {
 	if !p.suspended {
 		return fmt.Errorf("%w: enclave %d", ErrNotSuspended, p.E.ID)
 	}
-	var managed []mmu.VAddr
-	for _, ps := range p.pages {
-		if ps.enclaveManaged && !ps.resident {
-			managed = append(managed, ps.va)
+	// Ascending address order. Paging in evicts only OS-managed pages, so
+	// it never changes which enclave-managed pages the walk still finds.
+	for i := range p.pages {
+		ps := &p.pages[i]
+		if !ps.present || !ps.enclaveManaged || ps.resident {
+			continue
 		}
-	}
-	// Ascending address order: page-in order decides the cycle each fetch
-	// lands on, and map iteration must never influence that.
-	sort.Slice(managed, func(i, j int) bool { return managed[i] < managed[j] })
-	for _, va := range managed {
-		ps := p.pages[va.VPN()]
 		if err := k.pageIn(p, ps); err != nil {
-			return fmt.Errorf("hostos: restoring %s on resume: %w", va, err)
+			return fmt.Errorf("hostos: restoring %s on resume: %w", ps.va, err)
 		}
 		k.m.Inc(metrics.CntOSPageIns)
 	}

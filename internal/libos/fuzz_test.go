@@ -7,6 +7,7 @@ import (
 
 	"autarky/internal/core"
 	"autarky/internal/hostos"
+	"autarky/internal/mmu"
 	"autarky/internal/sgx"
 )
 
@@ -86,6 +87,11 @@ func FuzzRestore(f *testing.F) {
 	src.Image.HeapPages = -4
 	f.Add(sealHostile(meas, src.encodeState(nil)))
 	src.Image.HeapPages = heap
+	// Authentic seal, well-formed payload, a version table naming a page
+	// far outside the image's ELRANGE, and one holding a zero version.
+	end := DefaultBase.VPN() + src.Proc.E.Size/mmu.PageSize
+	f.Add(sealHostile(meas, withVersions(f, src.encodeState(nil), len(src.stateVAs), end+1<<30, 1)))
+	f.Add(sealHostile(meas, withVersions(f, src.encodeState(nil), len(src.stateVAs), DefaultBase.VPN(), 0)))
 	// Authentic seal, valid payload, wrong measurement in the header: the
 	// restored enclave can never match.
 	f.Add(sealHostile([32]byte{0xBA, 0xD0}, src.encodeState(nil)))

@@ -132,6 +132,15 @@ func (p *Process) Run(app func(*core.Context)) error {
 // DefaultBase is where images are loaded (any page-aligned address works).
 const DefaultBase = mmu.VAddr(0x10_0000_0000)
 
+// loadBase is the address the image loads at: Base, or DefaultBase when
+// Base is 0.
+func (c Config) loadBase() mmu.VAddr {
+	if c.Base == 0 {
+		return DefaultBase
+	}
+	return c.Base
+}
+
 // Load builds the enclave for an image under the given configuration:
 // layout, measurement, page-management transfer, automatic clustering and
 // policy wiring.
@@ -140,10 +149,7 @@ func Load(k *hostos.Kernel, img AppImage, cfg Config) (*Process, error) {
 		return nil, err
 	}
 	// --- layout ---
-	base := cfg.Base
-	if base == 0 {
-		base = DefaultBase
-	}
+	base := cfg.loadBase()
 	cursor := base
 	codeRegions := make(map[string]Region, len(img.Libraries))
 	var segs []hostos.Segment

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 
 	"autarky/internal/core"
 	"autarky/internal/hostos"
@@ -159,8 +158,8 @@ func appendBool(b []byte, v bool) []byte {
 // deterministic binary layout decodeState reverses. Field order is the
 // struct order of statePayload (image, config, progress, versions, pages);
 // the epoch and measurement travel in the envelope header, not here. The
-// version table is emitted in ascending VPN order so identical state always
-// encodes to identical bytes.
+// version table is emitted in ascending VPN order, the order VersionVPNs
+// yields, so identical state always encodes to identical bytes.
 func (p *Process) encodeState(dst []byte) []byte {
 	dst = appendU64(dst, stateFormatVersion)
 
@@ -204,7 +203,6 @@ func (p *Process) encodeState(dst []byte) []byte {
 
 	e := p.Proc.E
 	p.stateVPNs = e.VersionVPNs(p.stateVPNs[:0])
-	slices.Sort(p.stateVPNs)
 	dst = appendU64(dst, uint64(len(p.stateVPNs)))
 	for _, vpn := range p.stateVPNs {
 		dst = appendU64(dst, vpn)
@@ -412,6 +410,28 @@ func validatePayload(p *statePayload) error {
 	if total <= 0 || total > maxImagePages {
 		return bad("implausible image size %d pages", total)
 	}
+	// Every version must belong to a page of the ELRANGE the image spans
+	// when loaded at the payload's base, and be one an eviction could have
+	// produced: the enclave keeps a counter only for its own pages, and a
+	// zero version is no version.
+	base := p.Config.loadBase()
+	first, pages := base.VPN(), uint64(img.LoadedPages()+img.ReservePages)
+	outside, zero := 0, 0
+	for vpn, v := range p.Versions {
+		if vpn-first >= pages {
+			outside++
+		}
+		if v == 0 {
+			zero++
+		}
+	}
+	if outside > 0 {
+		return bad("version table names %d page(s) outside the image's ELRANGE [%s, %s)",
+			outside, base, mmu.PageOf(first+pages))
+	}
+	if zero > 0 {
+		return bad("version table holds %d zero version(s)", zero)
+	}
 	for i := range p.Pages {
 		pg := &p.Pages[i]
 		if pg.VA%mmu.PageSize != 0 {
@@ -465,11 +485,7 @@ func openState(k *hostos.Kernel, sealed []byte, use sgx.SealUse, counters *sgx.C
 // after the load unwinds the new enclave, so a refused restore or adopt
 // leaves nothing registered.
 func rebuild(k *hostos.Kernel, payload *statePayload) (*Process, error) {
-	base := payload.Config.Base
-	if base == 0 {
-		base = DefaultBase
-	}
-	if old := k.ProcAt(base); old != nil {
+	if old := k.ProcAt(payload.Config.loadBase()); old != nil {
 		if err := k.DestroyEnclave(old); err != nil {
 			return nil, err
 		}

@@ -2,11 +2,15 @@ package libos
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"slices"
 	"testing"
 
 	"autarky/internal/core"
 	"autarky/internal/hostos"
 	"autarky/internal/metrics"
+	"autarky/internal/mmu"
 	"autarky/internal/sgx"
 )
 
@@ -147,5 +151,169 @@ func TestParkedCheckpointSealsNoStalePages(t *testing.T) {
 	}
 	if got := m.Count(metrics.CntCheckpointPages); got != captured {
 		t.Errorf("CntCheckpointPages %d after the parked checkpoint, want %d", got, captured)
+	}
+}
+
+// versionedProcess loads the fuzz image, dirties its heap and has the
+// kernel suspend and resume it twice, touching half the heap in between:
+// every suspend writes the resident pages out through EWB, so the version
+// table ends non-empty with versions 1 and 2, in the order the kernel's
+// residency queue chose. Its writable pages are then captured, ready for
+// encodeState.
+func versionedProcess(tb testing.TB) *Process {
+	tb.Helper()
+	k := newKernel(2048)
+	img, cfg := fuzzImage()
+	p, err := Load(k, img, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	dirty := func(pages int) {
+		err := p.Run(func(ctx *core.Context) {
+			for i := 0; i < pages; i++ {
+				ctx.Write(p.Heap.Page(i), []byte{byte(i + 1)})
+			}
+			ctx.Progress(1)
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for _, pages := range []int{p.Heap.Pages, p.Heap.Pages / 2} {
+		dirty(pages)
+		if _, err := k.SuspendEnclave(p.Proc); err != nil {
+			tb.Fatal(err)
+		}
+		if err := k.ResumeEnclave(p.Proc); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := p.Run(p.capture); err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
+// TestSealedStateRoundTrip: a process whose version table is non-empty
+// encodes its versions in ascending page order, and restoring that
+// encoding and encoding the restored process again gives the same bytes.
+func TestSealedStateRoundTrip(t *testing.T) {
+	p := versionedProcess(t)
+	plain := p.encodeState(nil)
+	e := p.Proc.E
+	if len(p.stateVPNs) == 0 {
+		t.Fatal("version table is empty; the round trip would not cover it")
+	}
+	twice := false
+	for i, vpn := range p.stateVPNs {
+		if i > 0 && vpn <= p.stateVPNs[i-1] {
+			t.Fatalf("version table not in ascending page order: %#x after %#x", vpn, p.stateVPNs[i-1])
+		}
+		twice = twice || e.Version(mmu.PageOf(vpn)) == 2
+	}
+	if !twice {
+		t.Fatal("no page was evicted twice; the table holds only one version")
+	}
+	payload, err := decodeState(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(payload.Versions) != len(p.stateVPNs) {
+		t.Fatalf("decoded %d versions, encoded %d", len(payload.Versions), len(p.stateVPNs))
+	}
+
+	cp, err := p.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := Restore(newKernel(2048), cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Run(q.capture); err != nil {
+		t.Fatal(err)
+	}
+	if again := q.encodeState(nil); !bytes.Equal(again, plain) {
+		t.Fatalf("restored state encodes to %d bytes that differ from the %d sealed", len(again), len(plain))
+	}
+}
+
+// withVersions splices a version table of (vpn, version) pairs into plain,
+// an encoding whose version table is empty and which carries pages
+// captured pages.
+func withVersions(tb testing.TB, plain []byte, pages int, pairs ...uint64) []byte {
+	tb.Helper()
+	at := len(plain) - (8 + pages*(16+mmu.PageSize)) - 8
+	if n := binary.LittleEndian.Uint64(plain[at:]); n != 0 {
+		tb.Fatalf("encoding already holds %d versions", n)
+	}
+	out := appendU64(append([]byte(nil), plain[:at]...), uint64(len(pairs)/2))
+	for _, v := range pairs {
+		out = appendU64(out, v)
+	}
+	return append(out, plain[at+8:]...)
+}
+
+// TestRestoreRefusesForeignVersions: an authentic payload whose version
+// table names a page outside the ELRANGE its image spans, or holds a zero
+// version, is refused with ErrBadCheckpoint and leaves nothing behind. No
+// enclave keeps a counter for such a page, so accepting the entry would
+// only carry it into every later checkpoint and migration envelope.
+func TestRestoreRefusesForeignVersions(t *testing.T) {
+	src, _ := fuzzCheckpoint(t)
+	meas := src.Proc.E.Measurement()
+	plain := src.encodeState(nil)
+	first := DefaultBase.VPN()
+	end := first + uint64(src.Proc.E.Size/mmu.PageSize)
+	seal := func(pairs ...uint64) *Checkpoint {
+		sealed, err := src.Kernel.CPU.SealEnvelope(nil, sgx.UseCheckpoint, 0, meas,
+			withVersions(t, plain, len(src.stateVAs), pairs...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &Checkpoint{Sealed: sealed}
+	}
+	for _, tc := range []struct {
+		name  string
+		pairs []uint64
+	}{
+		{"below base", []uint64{first - 1, 1}},
+		{"past end", []uint64{end, 1}},
+		{"far past end", []uint64{end + 1<<30, 1}},
+		{"zero version", []uint64{first, 0}},
+		{"one bad among good", []uint64{first, 3, first + 1, 3, end + 7, 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := newKernel(2048)
+			if _, err := Restore(k, seal(tc.pairs...)); !errors.Is(err, sgx.ErrBadCheckpoint) {
+				t.Fatalf("Restore: %v, want ErrBadCheckpoint", err)
+			}
+			if k.ProcAt(DefaultBase) != nil || k.CPU.EPC.FreeFrames() != 2048 {
+				t.Fatal("refused restore left an enclave behind")
+			}
+		})
+	}
+	// The splice itself is sound: versions for the first and last page of
+	// the ELRANGE restore, and the next encoding carries them.
+	p, err := Restore(newKernel(2048), seal(first, 5, end-1, 9))
+	if err != nil {
+		t.Fatalf("in-range versions: %v", err)
+	}
+	if got := p.Proc.E.VersionVPNs(nil); !slices.Equal(got, []uint64{first, end - 1}) {
+		t.Fatalf("restored version table %#x, want [%#x %#x]", got, first, end-1)
+	}
+}
+
+// BenchmarkSealVersionTable measures encode+seal of a process whose
+// version table is non-empty (versionedProcess) into warm scratch: the
+// checkpoint path that walks the version table. allocs/op must read 0.
+func BenchmarkSealVersionTable(b *testing.B) {
+	p := versionedProcess(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.seal(sgx.UseCheckpoint, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -336,26 +336,28 @@ func (c *CPU) AsHost(fn func() error) error {
 	return fn()
 }
 
-// ReadEnclavePageInto copies the contents of one of the current enclave's
-// own resident pages into dst, a caller-provided buffer of at least PageSize
-// bytes, so eviction loops snapshot many pages through one reused buffer.
-// Only trusted in-enclave code may use it (the SGXv2 software-eviction path
-// reads the page before sealing it); it bypasses the TLB because the
-// runtime's accesses to its own pinned structures are charged as flat
-// handler overhead.
-func (c *CPU) ReadEnclavePageInto(dst []byte, va mmu.VAddr, pfn mmu.PFN) error {
+// FrozenPage returns a read-only view of one of the current enclave's own
+// pages that EMODPR and EACCEPT have frozen: its EPCM entry is a regular
+// page that grants no write and has no change pending, so nothing writes
+// the frame until the OS trims it. The view aliases the EPC frame, so the
+// caller must not write it, and may read it only until the page is
+// trimmed. Only trusted in-enclave code may use it (the SGXv2
+// software-eviction path seals each victim straight from its frame); it
+// bypasses the TLB because the runtime's accesses to its own structures
+// are charged as flat handler overhead.
+func (c *CPU) FrozenPage(va mmu.VAddr, pfn mmu.PFN) ([]byte, error) {
 	e, ok := c.InEnclave()
 	if !ok {
-		return fmt.Errorf("%w: ReadEnclavePageInto outside enclave mode", ErrOutsideEnclave)
+		return nil, fmt.Errorf("%w: FrozenPage outside enclave mode", ErrOutsideEnclave)
 	}
-	if _, err := c.epcmFor(e, va.PageBase(), pfn); err != nil {
-		return err
+	ent, err := c.epcmFor(e, va.PageBase(), pfn)
+	if err != nil {
+		return nil, err
 	}
-	if len(dst) < mmu.PageSize {
-		return fmt.Errorf("sgx: ReadEnclavePageInto buffer %d bytes, want %d", len(dst), mmu.PageSize)
+	if ent.Type != PTReg || ent.Perms&mmu.PermWrite != 0 || ent.Pending || ent.PR || ent.Modified {
+		return nil, fmt.Errorf("%w: FrozenPage of %s, which is not frozen read-only", ErrEPCMConflict, va)
 	}
-	copy(dst[:mmu.PageSize], c.EPC.Data(pfn))
-	return nil
+	return c.EPC.Data(pfn), nil
 }
 
 // translate resolves va for access type t, applying TLB, page-table walk,

@@ -21,6 +21,17 @@ type Runtime interface {
 	OnEntry(tcs *TCS)
 }
 
+// pageSlot is the hardware's paging record of one enclave page. version is
+// the page's eviction version counter, modelling the trusted VA-page chain
+// that gives EWB/ELDU replay protection; 0 means the page carries none.
+// While swapped is set the page is evicted, and perms holds the EPCM
+// permissions ELDU restores (modelling the sealed PCMD metadata).
+type pageSlot struct {
+	version uint64
+	perms   mmu.Perms
+	swapped bool
+}
+
 // Enclave is the trusted per-enclave state: the SECS fields the model
 // needs, the measurement, the sealing identity and the paging version
 // counters (modelling SGX's version-array pages).
@@ -63,13 +74,10 @@ type Enclave struct {
 	elduVA   [1]mmu.VAddr
 	elduBlob [1]pagestore.Blob
 
-	// versions holds the per-page eviction version counters, modelling the
-	// trusted VA-page chain that gives EWB/ELDU replay protection.
-	versions map[uint64]uint64 // vpn -> version
-
-	// swappedPerms records the EPCM permissions of evicted pages so ELDU
-	// restores them exactly (modelling the sealed PCMD metadata).
-	swappedPerms map[uint64]mmu.Perms // vpn -> perms
+	// slots holds the hardware's paging record of every ELRANGE page,
+	// indexed by the page's offset from Base (see slot). ECREATE sizes it
+	// once; it never grows.
+	slots []pageSlot
 
 	// trackEpoch advances on ETRACK; shootdownEpoch records the last epoch
 	// for which the OS completed a TLB shootdown round.
@@ -105,22 +113,51 @@ func (e *Enclave) Measurement() [32]byte { return e.measurement }
 // TCS returns the thread control structure with the given ID.
 func (e *Enclave) TCS(id uint64) *TCS { return e.tcss[id] }
 
-// Version returns the current anti-replay version for a page.
-func (e *Enclave) Version(va mmu.VAddr) uint64 { return e.versions[va.VPN()] }
+// slot returns the paging record of the page holding va, or nil when va
+// lies outside ELRANGE.
+func (e *Enclave) slot(va mmu.VAddr) *pageSlot { return e.slotOf(va.VPN()) }
 
-// SeedVersions pre-loads the per-page anti-replay counters from a trusted
-// checkpoint, so a restored enclave continues the version chain of its
-// previous incarnation instead of restarting at zero. Only permitted before
-// any page of the new incarnation has been evicted — seeding after that
-// would break the monotonicity that gives the counters their anti-replay
-// power.
-func (e *Enclave) SeedVersions(versions map[uint64]uint64) {
-	if len(e.versions) != 0 {
-		panic("sgx: SeedVersions after eviction activity")
+// slotOf returns the paging record of page vpn, or nil outside ELRANGE. A
+// page below Base wraps the unsigned offset past the end, so one comparison
+// bounds both sides.
+func (e *Enclave) slotOf(vpn uint64) *pageSlot {
+	i := vpn - e.Base.VPN()
+	if i >= uint64(len(e.slots)) {
+		return nil
+	}
+	return &e.slots[i]
+}
+
+// Version returns the current anti-replay version for a page, 0 for a page
+// never evicted or outside ELRANGE.
+func (e *Enclave) Version(va mmu.VAddr) uint64 {
+	if s := e.slot(va); s != nil {
+		return s.version
+	}
+	return 0
+}
+
+// SeedVersions pre-loads the per-page anti-replay counters (vpn -> version)
+// from a trusted checkpoint, so a restored enclave continues the version
+// chain of its previous incarnation instead of restarting at zero. A page
+// outside ELRANGE has no counter to seed and fails the call with
+// ErrBadAddress. Only permitted before any page of the new incarnation has
+// been evicted — seeding after that would break the monotonicity that
+// gives the counters their anti-replay power.
+func (e *Enclave) SeedVersions(versions map[uint64]uint64) error {
+	for i := range e.slots {
+		if e.slots[i].version != 0 {
+			panic("sgx: SeedVersions after eviction activity")
+		}
 	}
 	for vpn, v := range versions {
-		e.versions[vpn] = v
+		s := e.slotOf(vpn)
+		if s == nil {
+			return fmt.Errorf("%w: version seed for page number %#x outside ELRANGE", ErrBadAddress, vpn)
+		}
+		s.version = v
 	}
+	return nil
 }
 
 // MigrationEpoch returns the freshness counter this incarnation was adopted
@@ -139,12 +176,14 @@ func (e *Enclave) SeedMigrationEpoch(epoch uint64) {
 }
 
 // VersionVPNs appends the VPNs that currently carry an anti-replay version
-// to dst and returns it, letting a caller snapshot the version set without
-// allocating a map copy. Order is map order; callers needing determinism
-// sort the result.
+// to dst, in ascending order, and returns it, letting a caller snapshot the
+// version set into a reused buffer.
 func (e *Enclave) VersionVPNs(dst []uint64) []uint64 {
-	for vpn := range e.versions {
-		dst = append(dst, vpn)
+	base := e.Base.VPN()
+	for i := range e.slots {
+		if e.slots[i].version != 0 {
+			dst = append(dst, base+uint64(i))
+		}
 	}
 	return dst
 }
@@ -187,12 +226,12 @@ func (c *CPU) ECREATE(base mmu.VAddr, size uint64, attrs Attributes) (*Enclave, 
 	}
 	c.nextEnclaveID++
 	e := &Enclave{
-		ID:       c.nextEnclaveID,
-		Base:     base,
-		Size:     size,
-		Attrs:    attrs,
-		versions: make(map[uint64]uint64),
-		tcss:     make(map[uint64]*TCS),
+		ID:    c.nextEnclaveID,
+		Base:  base,
+		Size:  size,
+		Attrs: attrs,
+		slots: make([]pageSlot, size/mmu.PageSize),
+		tcss:  make(map[uint64]*TCS),
 	}
 	var hdr [24]byte
 	binary.LittleEndian.PutUint64(hdr[0:8], uint64(base))

@@ -98,8 +98,10 @@ func (c *CPU) EWB(e *Enclave, va mmu.VAddr, pfn mmu.PFN, store pagestore.PagingB
 	if e.trackEpoch <= ent.blockEpoch || e.shootdownEpoch < e.trackEpoch {
 		return ErrNotTracked
 	}
-	vpn := va.VPN()
-	version := e.versions[vpn] + 1
+	// epcmFor placed the frame at va, and EADD, EAUG and ELDU only place
+	// frames inside ELRANGE, so the page has a slot.
+	slot := e.slot(va)
+	version := slot.version + 1
 	// Seal into the enclave's reusable buffer: the backend copies whatever
 	// it retains (ownership contract), so the buffer is free again as soon
 	// as EvictBatch returns.
@@ -108,11 +110,7 @@ func (c *CPU) EWB(e *Enclave, va mmu.VAddr, pfn mmu.PFN, store pagestore.PagingB
 		return err
 	}
 	e.sealBuf = ct[:0]
-	e.versions[vpn] = version
-	if e.swappedPerms == nil {
-		e.swappedPerms = make(map[uint64]mmu.Perms)
-	}
-	e.swappedPerms[vpn] = ent.Perms
+	*slot = pageSlot{version: version, perms: ent.Perms, swapped: true}
 	e.ewbBatch[0] = pagestore.PageBlob{
 		VA:   va.PageBase(),
 		Blob: pagestore.Blob{Ciphertext: ct, Version: version, EnclaveID: e.ID},
@@ -137,9 +135,8 @@ func (c *CPU) ELDU(e *Enclave, va mmu.VAddr, store pagestore.PagingBackend) (mmu
 		return mmu.NoPFN, err
 	}
 	va = va.PageBase()
-	vpn := va.VPN()
-	perms, swapped := e.swappedPerms[vpn]
-	if !swapped {
+	slot := e.slot(va)
+	if slot == nil || !slot.swapped {
 		return mmu.NoPFN, fmt.Errorf("%w: ELDU of page %s that was never evicted", ErrEPCMConflict, va)
 	}
 	e.elduVA[0] = va
@@ -150,7 +147,7 @@ func (c *CPU) ELDU(e *Enclave, va mmu.VAddr, store pagestore.PagingBackend) (mmu
 	// into the fresh frame below, before anything else touches the buffer.
 	// The fetched blob is the backend's, so let go of it at once: a buffer
 	// the store drops must not stay reachable from the enclave.
-	plain, err := e.sealer.OpenAppend(e.openBuf[:0], va, e.versions[vpn], e.elduBlob[0])
+	plain, err := e.sealer.OpenAppend(e.openBuf[:0], va, slot.version, e.elduBlob[0])
 	e.elduBlob[0] = pagestore.Blob{}
 	if err != nil {
 		return mmu.NoPFN, err
@@ -167,9 +164,9 @@ func (c *CPU) ELDU(e *Enclave, va mmu.VAddr, store pagestore.PagingBackend) (mmu
 		Type:      PTReg,
 		EnclaveID: e.ID,
 		LinAddr:   va,
-		Perms:     perms,
+		Perms:     slot.perms,
 	}
-	delete(e.swappedPerms, vpn)
+	slot.swapped = false
 	if err := store.Drop(e.ID, va); err != nil {
 		return mmu.NoPFN, err
 	}

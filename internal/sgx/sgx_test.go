@@ -1125,27 +1125,51 @@ func TestResumeInEnclaveRequiresAttribute(t *testing.T) {
 	}
 }
 
-func TestReadEnclavePageInto(t *testing.T) {
+// TestFrozenPageView: the in-enclave view of a page is granted only once
+// EMODPR and EACCEPT have frozen it read-only, aliases the EPC frame
+// rather than copying it, and is refused outside enclave mode.
+func TestFrozenPageView(t *testing.T) {
 	r := newRig(t)
-	e, tcs := r.buildEnclave(t, AttrSelfPaging|AttrSGX2, 1)
+	e, tcs := r.buildEnclave(t, AttrSelfPaging|AttrSGX2, 2)
 	pte, _ := r.pt.Get(rigBase)
-	data := make([]byte, mmu.PageSize)
 	r.onEntry = func(*TCS) {
-		data[0] = 0xff
-		if err := r.cpu.ReadEnclavePageInto(data, rigBase, pte.PFN); err != nil {
-			t.Errorf("ReadEnclavePageInto: %v", err)
+		if _, err := r.cpu.FrozenPage(rigBase, pte.PFN); !errors.Is(err, ErrEPCMConflict) {
+			t.Errorf("writable page: %v, want ErrEPCMConflict", err)
+		}
+		if err := r.cpu.AsHost(func() error { return r.cpu.EMODPR(e, rigBase, pte.PFN, mmu.PermRead) }); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.cpu.FrozenPage(rigBase, pte.PFN); !errors.Is(err, ErrEPCMConflict) {
+			t.Errorf("restriction not yet accepted: %v, want ErrEPCMConflict", err)
+		}
+		if err := r.cpu.EACCEPT(rigBase, pte.PFN); err != nil {
+			t.Fatal(err)
+		}
+		other, _ := r.pt.Get(rigBase + mmu.PageSize)
+		if _, err := r.cpu.FrozenPage(rigBase+mmu.PageSize, pte.PFN); !errors.Is(err, ErrEPCMConflict) {
+			t.Errorf("frame of another page: %v, want ErrEPCMConflict", err)
+		}
+		if _, err := r.cpu.FrozenPage(rigBase+mmu.PageSize, other.PFN); !errors.Is(err, ErrEPCMConflict) {
+			t.Errorf("unfrozen second page: %v, want ErrEPCMConflict", err)
+		}
+		view, err := r.cpu.FrozenPage(rigBase, pte.PFN)
+		if err != nil {
+			t.Errorf("FrozenPage: %v", err)
 			return
 		}
-		if data[0] != 0 { // EADDed with content byte(i) where i=0
-			t.Errorf("content %x", data[0])
+		if len(view) != mmu.PageSize || view[0] != 0 { // EADDed with content byte(i) where i=0
+			t.Errorf("view %d bytes, first %x", len(view), view[0])
+		}
+		if &view[0] != &r.epc.Data(pte.PFN)[0] {
+			t.Error("view is a copy, not the frame")
 		}
 	}
 	if err := r.cpu.EEnter(e, tcs); err != nil {
 		t.Fatal(err)
 	}
 	// Outside enclave mode: rejected.
-	if err := r.cpu.ReadEnclavePageInto(data, rigBase, pte.PFN); !errors.Is(err, ErrOutsideEnclave) {
-		t.Fatalf("host ReadEnclavePageInto: %v", err)
+	if _, err := r.cpu.FrozenPage(rigBase, pte.PFN); !errors.Is(err, ErrOutsideEnclave) {
+		t.Fatalf("host FrozenPage: %v", err)
 	}
 }
 
@@ -1168,6 +1192,33 @@ func TestTerminationErrorMessage(t *testing.T) {
 	e := &TerminationError{Reason: TerminateRateLimit, Detail: "too many"}
 	if e.Error() == "" {
 		t.Fatal("empty message")
+	}
+}
+
+// TestSeedVersionsStaysInELRANGE: the version chain has a counter only for
+// the enclave's own pages, so a seed naming any other page — just below
+// Base, just past the end, or one whose address would wrap onto Base — is
+// refused, while a seed inside the range lands on its page.
+func TestSeedVersionsStaysInELRANGE(t *testing.T) {
+	r := newRig(t)
+	e, err := r.cpu.ECREATE(rigBase, 2*mmu.PageSize, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := rigBase.VPN()
+	for _, vpn := range []uint64{first - 1, first + 2, first + 1<<52} {
+		if err := e.SeedVersions(map[uint64]uint64{vpn: 1}); !errors.Is(err, ErrBadAddress) {
+			t.Errorf("seed for page number %#x: %v, want ErrBadAddress", vpn, err)
+		}
+	}
+	if err := e.SeedVersions(map[uint64]uint64{first + 1: 7}); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Version(rigBase + mmu.PageSize); got != 7 {
+		t.Fatalf("seeded version %d, want 7", got)
+	}
+	if got := e.VersionVPNs(nil); len(got) != 1 || got[0] != first+1 {
+		t.Fatalf("VersionVPNs = %#x, want [%#x]", got, first+1)
 	}
 }
 
