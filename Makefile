@@ -51,11 +51,11 @@ benchdiff: build
 # gobench runs the Go micro-benchmarks (the old `make bench`): the
 # simulator hot-path micro-benchmarks (facade touch and fault paths,
 # sealing, the slot store, ORAM accesses, cluster closures, TLB-hit
-# translation, cycle charging, latency recording). The hot paths must
-# report 0 allocs/op; the matching *ZeroAlloc tests gate that in `make
-# test`, so a regression fails CI rather than a bench diff.
+# translation, cycle charging, latency recording, open-loop arrivals). The
+# hot paths must report 0 allocs/op; the matching *ZeroAlloc tests gate
+# that in `make test`, so a regression fails CI rather than a bench diff.
 gobench:
-	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/cluster ./internal/libos ./internal/metrics ./internal/oram ./internal/pagestore ./internal/sched ./internal/sgx ./internal/sim
+	$(GO) test -bench=. -benchmem -run=^$$ . ./internal/cluster ./internal/libos ./internal/metrics ./internal/oram ./internal/pagestore ./internal/sched ./internal/service ./internal/sgx ./internal/sim
 
 # layouts builds this tree's benchmark binary once per code layout, with
 # `go build -ldflags=-randlayout=k` for each k in LAYOUT_SEEDS, into

@@ -92,6 +92,10 @@ func FuzzRestore(f *testing.F) {
 	end := DefaultBase.VPN() + src.Proc.E.Size/mmu.PageSize
 	f.Add(sealHostile(meas, withVersions(f, src.encodeState(nil), len(src.stateVAs), end+1<<30, 1)))
 	f.Add(sealHostile(meas, withVersions(f, src.encodeState(nil), len(src.stateVAs), DefaultBase.VPN(), 0)))
+	// Authentic seal, well-formed payload, a configuration Load refuses.
+	for _, tc := range hostileConfigs {
+		f.Add(sealHostile(meas, withConfig(src, tc.mutate)))
+	}
 	// Authentic seal, valid payload, wrong measurement in the header: the
 	// restored enclave can never match.
 	f.Add(sealHostile([32]byte{0xBA, 0xD0}, src.encodeState(nil)))

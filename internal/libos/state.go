@@ -389,6 +389,11 @@ func validatePayload(p *statePayload) error {
 		return fmt.Errorf("libos: state payload: "+format+": %w",
 			append(args, sgx.ErrBadCheckpoint)...)
 	}
+	// The configuration is one Load would refuse with a bare *ConfigError,
+	// but only after rebuild tore down the incarnation at the base.
+	if err := p.Config.Validate(); err != nil {
+		return bad("%w", err)
+	}
 	img := &p.Image
 	total := img.DataPages + img.HeapPages + img.StackPages + img.ReservePages
 	if img.DataPages < 0 || img.HeapPages < 0 || img.StackPages < 0 || img.ReservePages < 0 {
@@ -416,6 +421,9 @@ func validatePayload(p *statePayload) error {
 	// zero version is no version.
 	base := p.Config.loadBase()
 	first, pages := base.VPN(), uint64(img.LoadedPages()+img.ReservePages)
+	if end := uint64(base) + pages*mmu.PageSize; end <= uint64(base) {
+		return bad("image of %d pages at %s wraps the address space", pages, base)
+	}
 	outside, zero := 0, 0
 	for vpn, v := range p.Versions {
 		if vpn-first >= pages {

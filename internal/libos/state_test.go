@@ -304,6 +304,51 @@ func TestRestoreRefusesForeignVersions(t *testing.T) {
 	}
 }
 
+// hostileConfigs are sealed configurations Load would refuse, among them a
+// base from which the image's ELRANGE wraps the address space.
+var hostileConfigs = []struct {
+	name   string
+	mutate func(*Config)
+}{
+	{"unaligned base", func(c *Config) { c.Base = DefaultBase + 0x10 }},
+	{"unknown policy", func(c *Config) { c.Policy = PolicyORAM + 1 }},
+	{"negative quota", func(c *Config) { c.QuotaPages = -1 }},
+	{"wrapping base", func(c *Config) { c.Base = 0xffff_ffff_ffff_f000 }},
+}
+
+// withConfig encodes p's state as if it ran under its configuration
+// changed by mutate.
+func withConfig(p *Process, mutate func(*Config)) []byte {
+	saved := p.cfg
+	defer func() { p.cfg = saved }()
+	mutate(&p.cfg)
+	return p.encodeState(nil)
+}
+
+// TestRestoreRefusesHostileConfig: an authentic payload whose configuration
+// Load would refuse is refused with ErrBadCheckpoint before the incarnation
+// at its base is torn down.
+func TestRestoreRefusesHostileConfig(t *testing.T) {
+	src, _ := fuzzCheckpoint(t)
+	meas := src.Proc.E.Measurement()
+	k := src.Kernel
+	free := k.CPU.EPC.FreeFrames()
+	for _, tc := range hostileConfigs {
+		t.Run(tc.name, func(t *testing.T) {
+			sealed, err := k.CPU.SealEnvelope(nil, sgx.UseCheckpoint, 0, meas, withConfig(src, tc.mutate))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Restore(k, &Checkpoint{Sealed: sealed}); !errors.Is(err, sgx.ErrBadCheckpoint) {
+				t.Fatalf("Restore: %v, want ErrBadCheckpoint", err)
+			}
+			if k.ProcAt(DefaultBase) != src.Proc || k.CPU.EPC.FreeFrames() != free {
+				t.Fatal("refused restore tore down the incarnation at the base")
+			}
+		})
+	}
+}
+
 // BenchmarkSealVersionTable measures encode+seal of a process whose
 // version table is non-empty (versionedProcess) into warm scratch: the
 // checkpoint path that walks the version table. allocs/op must read 0.

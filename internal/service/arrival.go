@@ -69,14 +69,26 @@ func (b *Bursty) NextGap(r *sim.Rand) uint64 {
 	return uint64(-b.MeanGap * float64(burst) * math.Log(1-u))
 }
 
-// OpenLoop describes a precomputed open-loop request schedule for one
-// server: Requests arrivals spread over the dialed connections, with ops
-// and arguments drawn by NextReq.
+// OpenLoop describes one server's open-loop request schedule: Requests
+// arrivals spread over the connections dialed before Server.Preload, with
+// gaps drawn from Arrivals and ops and arguments chosen by NextReq, all
+// from one source seeded by Seed. The server draws the schedule as it runs,
+// up to 64 arrivals ahead of the clock, in index order, so the schedule
+// is the same however the run interleaves with other servers; Arrivals and
+// NextReq must therefore belong to this schedule alone.
+//
+// Each connection numbers its open-loop arrivals' correlation ids from 0;
+// its keep-alives and calls (Conn.Send, Conn.Submit) take theirs from 2^63
+// up, so no two frames of a connection share an id.
 type OpenLoop struct {
 	Arrivals ArrivalProcess
 	Requests int
 	Seed     uint64
 	// NextReq chooses the i-th request's operation and argument; nil sends
-	// the first registered operation with a uniform random argument.
+	// the first registered operation with a uniform random argument. It is
+	// called once per arrival, in index order, ahead of that arrival during
+	// the run, so it may depend only on (i, r) and on state it owns. An
+	// operation no handler serves fails Preload when it is among the first
+	// draws and is answered with an ErrUnknownOp reply later.
 	NextReq func(i int, r *sim.Rand) (op string, arg uint64)
 }

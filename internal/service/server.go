@@ -153,13 +153,11 @@ type Server struct {
 	fifoHead int
 	fifoLen  int
 
-	schedule []Frame // precomputed open-loop arrivals
-	pos      int
-	openLoop bool
+	// stream draws the open-loop schedule Preload set up; nil without one.
+	stream *stream
 
 	opNames  []string
 	handlers []libos.Handler
-	opIndex  map[string]uint8
 	frozen   bool
 
 	kaCursor int
@@ -185,7 +183,7 @@ type Conn struct {
 	gen uint32 // incarnation; bumped on every reset
 
 	n        int    // frames of the current incarnation queued
-	nextCorr uint64 // next correlation id
+	nextCorr uint64 // next keep-alive or call correlation id, from callCorr
 	lastAct  uint64 // cycle of the last completed exchange
 
 	await    uint64 // correlation id a blocking call waits on
@@ -284,10 +282,15 @@ func (s *Server) Partition(until uint64) { s.partUntil = until }
 // Partitioned reports whether the channel is severed at the given cycle.
 func (s *Server) Partitioned(now uint64) bool { return now < s.partUntil }
 
-// PendingSchedule reports how many preloaded open-loop arrivals have not yet
-// been admitted — the traffic a tenant that never recovers from a crash
-// would lose outright.
-func (s *Server) PendingSchedule() int { return len(s.schedule) - s.pos }
+// PendingSchedule reports how many open-loop arrivals have not yet been
+// admitted, drawn or not — the traffic a tenant that never recovers from a
+// crash would lose outright.
+func (s *Server) PendingSchedule() int {
+	if g := s.stream; g != nil {
+		return g.n + g.ol.Requests - g.next
+	}
+	return 0
+}
 
 // Crash models the host machine dying mid-run: every admitted-but-unserved
 // request — queued on a connection, or already popped for dispatch inside
@@ -323,13 +326,13 @@ func (s *Server) Crash() uint64 {
 
 // Rebind attaches the server's host-side state to a new process incarnation
 // (the adopted enclave on the destination machine) and resumes admission.
-// The operation table was frozen into every queued and scheduled frame as
-// indexes, so the new incarnation must register the same handler names in
-// the same order; anything else is a protocol error. The destination
-// machine must share the source's clock (in a fleet, all machines run under
-// one sim.Clock): absolute arrival cycles keep their meaning only on that
-// timeline, and the server's metrics scope belongs to that clock's
-// registry.
+// Queued frames carry the frozen operation table's indexes, and open-loop
+// arrivals still to be drawn resolve their names against it, so the new
+// incarnation must register the same handler names in the same order;
+// anything else is a protocol error. The destination machine must share the
+// source's clock (in a fleet, all machines run under one sim.Clock):
+// absolute arrival cycles keep their meaning only on that timeline, and the
+// server's metrics scope belongs to that clock's registry.
 func (s *Server) Rebind(p *libos.Process) error {
 	if !s.draining {
 		return fmt.Errorf("service: %s rebind without drain", s.Name())
@@ -366,7 +369,7 @@ func (s *Server) Dial() (*Conn, error) {
 	if s.closed {
 		return nil, &Error{Server: s.Name(), Err: ErrClosed}
 	}
-	c := &Conn{s: s, id: uint32(len(s.conns))}
+	c := &Conn{s: s, id: uint32(len(s.conns)), nextCorr: callCorr}
 	s.conns = append(s.conns, c)
 	return c, nil
 }
@@ -378,36 +381,75 @@ func (s *Server) freezeOps() error {
 		return nil
 	}
 	names := s.proc.HandlerNames()
-	if len(names) > 256 {
-		return fmt.Errorf("service: %d handlers registered, wire op is one byte", len(names))
+	if len(names) > int(opUnknown) {
+		return fmt.Errorf("service: %d handlers registered, wire op is one byte and %#x is reserved",
+			len(names), opUnknown)
 	}
 	s.opNames = names
 	s.handlers = make([]libos.Handler, len(names))
-	s.opIndex = make(map[string]uint8, len(names))
 	for i, name := range names {
 		h, _ := s.proc.Handler(name)
 		s.handlers[i] = h
-		s.opIndex[name] = uint8(i)
 	}
 	s.frozen = true
 	return nil
 }
 
-// opName labels an operation index for error envelopes.
-func (s *Server) opName(op uint8) string {
-	if int(op) < len(s.opNames) {
-		return s.opNames[op]
+// opUnknown is the wire op of an open-loop arrival whose operation the frozen
+// table lacks; no handler has the index, so the server answers it with an
+// unknown-operation error reply.
+const opUnknown uint8 = 0xff
+
+// opIndex resolves an operation name against the frozen table. The table
+// holds a handful of names, so a scan costs less than hashing the name.
+func (s *Server) opIndex(op string) (uint8, bool) {
+	for i, name := range s.opNames {
+		if name == op {
+			return uint8(i), true
+		}
 	}
-	return fmt.Sprintf("op(%d)", op)
+	return 0, false
 }
 
-// Preload builds the open-loop arrival schedule: ol.Requests requests
-// spread over the dialed connections, inter-arrival gaps drawn from
-// ol.Arrivals, starting at the current cycle. The loop then auto-closes
-// once the schedule is drained. Preload can be called once, before the
-// loop runs.
+// callCorr is the first correlation id of every connection's keep-alives and
+// calls. Open-loop arrivals number each connection's frames from 0 as they
+// are drawn, so the two ranges never meet.
+const callCorr uint64 = 1 << 63
+
+// ringFrames is how many open-loop arrivals one refill draws: enough that
+// the refill loop's set-up is spread thin, few enough that a schedule of any
+// length holds 2.5 KiB of frames.
+const ringFrames = 64
+
+// stream is an open-loop schedule drawn ringFrames arrivals at a time, in
+// index order, from the state Preload fixed: the seeded random source, the
+// arrival process, NextReq and the connections dialed so far. Every draw
+// happens in the order an eager draw of the whole schedule would make it,
+// so every frame is the frame that draw would have stored.
+type stream struct {
+	ring [ringFrames]Frame
+	head int    // ring index of the next pending arrival
+	n    int    // drawn arrivals not yet admitted, from head
+	next int    // index of the next arrival to draw
+	at   uint64 // scheduled cycle of the last draw
+	// corr is each Preload connection's next open-loop correlation id; a
+	// connection dialed later gets no open-loop arrival.
+	corr []uint64
+	r    sim.Rand
+	ol   OpenLoop
+}
+
+// Preload sets up the open-loop arrival schedule: ol.Requests requests
+// spread over the connections dialed so far, inter-arrival gaps drawn from
+// ol.Arrivals, starting at the current cycle. It draws the first ringFrames
+// arrivals at once and the rest during the run, ringFrames at a time
+// whenever the drawn ones are all admitted, so its memory does not grow
+// with ol.Requests. It refuses an operation the first draws name with
+// ErrUnknownOp; a later arrival naming one is answered with an
+// unknown-operation error reply. The loop then auto-closes once the
+// schedule is drained. Preload can be called once, before the loop runs.
 func (s *Server) Preload(ol OpenLoop) error {
-	if s.openLoop {
+	if s.stream != nil {
 		return fmt.Errorf("service: %s already preloaded", s.Name())
 	}
 	if len(s.conns) == 0 {
@@ -422,54 +464,72 @@ func (s *Server) Preload(ol OpenLoop) error {
 	if len(s.handlers) == 0 {
 		return fmt.Errorf("service: preload with no registered handlers")
 	}
-	r := sim.NewRand(ol.Seed)
-	s.schedule = make([]Frame, ol.Requests)
-	at := s.clock.Cycles()
-	for i := 0; i < ol.Requests; i++ {
-		at += ol.Arrivals.NextGap(r)
-		var op string
-		var arg uint64
-		if ol.NextReq != nil {
-			op, arg = ol.NextReq(i, r)
+	s.stream = &stream{at: s.clock.Cycles(), corr: make([]uint64, len(s.conns)), r: *sim.NewRand(ol.Seed), ol: ol}
+	if op := s.refill(); op != "" {
+		s.stream = nil
+		return &Error{Server: s.Name(), Op: op, Err: ErrUnknownOp}
+	}
+	return nil
+}
+
+// refill draws the next arrivals into the spent ring and returns the first
+// operation name the frozen table lacked ("" when every name resolved).
+func (s *Server) refill() (unknown string) {
+	g := s.stream
+	n := min(ringFrames, g.ol.Requests-g.next)
+	for k := 0; k < n; k++ {
+		g.at += g.ol.Arrivals.NextGap(&g.r)
+		op, arg := uint8(0), uint64(0)
+		if g.ol.NextReq != nil {
+			name, a := g.ol.NextReq(g.next+k, &g.r)
+			idx, ok := s.opIndex(name)
+			if !ok {
+				idx = opUnknown
+				if unknown == "" {
+					unknown = name
+				}
+			}
+			op, arg = idx, a
 		} else {
-			op, arg = s.opNames[0], r.Uint64()
+			arg = g.r.Uint64()
 		}
-		idx, ok := s.opIndex[op]
-		if !ok {
-			return &Error{Server: s.Name(), Op: op, Err: ErrUnknownOp}
-		}
-		c := s.conns[r.Uint64n(uint64(len(s.conns)))]
-		corr := c.nextCorr
-		c.nextCorr++
-		arrive := at
+		// A connection's id is its index in s.conns.
+		conn := g.r.Uint64n(uint64(len(g.corr)))
+		corr := g.corr[conn]
+		g.corr[conn]++
+		arrive := g.at
 		// A delay roll holds this frame (and, the channel being FIFO,
 		// everything behind it) in transit for the plan's spike.
-		if s.roll(dirDelay, at, uint64(c.id), corr) == fault.KindDelay {
+		if s.roll(dirDelay, g.at, conn, corr) == fault.KindDelay {
 			arrive += s.plan.DelayCycles
 		}
-		s.schedule[i] = Frame{
-			Kind: FrameRequest, Op: idx, Conn: c.id, Corr: corr,
-			Arg: arg, Arrive: arrive,
-		}
+		// Field by field: a composite literal is built on the stack and
+		// copied, and the copy's wide loads stall on its narrow stores.
+		f := &g.ring[k]
+		f.Kind, f.Op, f.ErrCode, f.Conn, f.Gen = FrameRequest, op, 0, uint32(conn), 0
+		f.Corr, f.Arg, f.Arrive = corr, arg, arrive
 	}
-	s.openLoop = true
-	return nil
+	g.head, g.n = 0, n
+	g.next += n
+	return unknown
 }
 
 // charge attributes service bookkeeping cycles.
 func (s *Server) charge(n uint64) { s.clock.ChargeAs(sim.CatCompute, n) }
 
-// push appends a frame to the dispatch ring, growing it when full.
+// push appends a frame to the dispatch ring, growing it when full. The
+// ring's length is a power of two (16, doubled on each growth), so an index
+// wraps with a mask rather than a division.
 func (s *Server) push(f Frame) {
 	if s.fifoLen == len(s.fifo) {
 		grown := make([]Frame, max(16, 2*len(s.fifo)))
 		for i := 0; i < s.fifoLen; i++ {
-			grown[i] = s.fifo[(s.fifoHead+i)%len(s.fifo)]
+			grown[i] = s.fifo[(s.fifoHead+i)&(len(s.fifo)-1)]
 		}
 		s.fifo = grown
 		s.fifoHead = 0
 	}
-	s.fifo[(s.fifoHead+s.fifoLen)%len(s.fifo)] = f
+	s.fifo[(s.fifoHead+s.fifoLen)&(len(s.fifo)-1)] = f
 	s.fifoLen++
 }
 
@@ -478,7 +538,7 @@ func (s *Server) push(f Frame) {
 func (s *Server) pop() (Frame, bool) {
 	for s.fifoLen > 0 {
 		f := s.fifo[s.fifoHead]
-		s.fifoHead = (s.fifoHead + 1) % len(s.fifo)
+		s.fifoHead = (s.fifoHead + 1) & (len(s.fifo) - 1)
 		s.fifoLen--
 		c := s.conns[f.Conn]
 		if f.Gen != c.gen {
@@ -490,20 +550,22 @@ func (s *Server) pop() (Frame, bool) {
 	return Frame{}, false
 }
 
-// admit applies backpressure and queues one frame. Keep-alive frames skip
+// admit applies backpressure and queues one frame, returning ErrClosed or
+// ErrBackpressure unwrapped when it refuses: enqueue wraps them for the
+// client, and pump only counts an open-loop refusal. Keep-alive frames skip
 // silently when the queue is full (a probe that cannot even be queued says
 // nothing the full queue does not).
 func (s *Server) admit(f Frame) error {
 	c := s.conns[f.Conn]
 	if s.closed {
-		return &Error{Server: s.Name(), Conn: c.id, Err: ErrClosed}
+		return ErrClosed
 	}
 	if c.n >= s.opts.QueueCap {
 		if f.Kind == FrameKeepAlive {
 			return nil
 		}
 		s.meter.Inc(metrics.CntServBackpressure)
-		return &Error{Server: s.Name(), Conn: c.id, Corr: f.Corr, Op: s.opName(f.Op), Err: ErrBackpressure}
+		return ErrBackpressure
 	}
 	f.Gen = c.gen
 	c.n++
@@ -522,10 +584,16 @@ func (s *Server) pump() {
 		return // migration drain: nothing new is admitted, nothing probed
 	}
 	now := s.clock.Cycles()
-	for s.pos < len(s.schedule) && s.schedule[s.pos].Arrive <= now {
-		f := s.schedule[s.pos]
-		s.pos++
-		_ = s.admit(f) // backpressure on an open-loop arrival = counted drop
+	if g := s.stream; g != nil {
+		for g.n > 0 && g.ring[g.head].Arrive <= now {
+			f := g.ring[g.head]
+			g.head++
+			g.n--
+			_ = s.admit(f) // backpressure on an open-loop arrival = counted drop
+			if g.n == 0 && g.next < g.ol.Requests {
+				s.refill()
+			}
+		}
 	}
 	if !s.sweepsKeepAlives() {
 		return
@@ -575,18 +643,20 @@ func (s *Server) quietAt(now uint64) bool {
 // quietBefore is the cycle from which a pass of the loop admits the next
 // scheduled arrival, math.MaxUint64 when none is scheduled, and 0 when no
 // pass is quiet whatever the cycle: the server is draining or closed, its
-// ring holds frames, or its open-loop schedule is spent and the loop
-// returns.
+// dispatch ring holds frames, or its open-loop schedule is spent and the
+// loop returns. The next arrival is always drawn: pump refills the schedule
+// as it admits the last drawn one.
 func (s *Server) quietBefore() uint64 {
+	g := s.stream
 	switch {
 	case s.draining || s.closed || s.fifoLen > 0:
 		return 0
-	case s.pos < len(s.schedule):
-		return s.schedule[s.pos].Arrive
-	case s.openLoop:
-		return 0
+	case g == nil:
+		return math.MaxUint64
+	case g.n > 0:
+		return g.ring[g.head].Arrive
 	}
-	return math.MaxUint64
+	return 0
 }
 
 // idlePoll is the loop's idle branch, n times: count the polls and charge
@@ -646,10 +716,10 @@ func (s *Server) drained() bool {
 	if s.draining {
 		return s.fifoLen == 0 // backlog served; pending schedule survives
 	}
-	if s.fifoLen > 0 || s.pos < len(s.schedule) {
+	if s.fifoLen > 0 || s.PendingSchedule() > 0 {
 		return false
 	}
-	return s.closed || s.openLoop
+	return s.closed || s.stream != nil
 }
 
 // Loop is the dispatch loop, run as the enclave application body. It
@@ -880,7 +950,7 @@ func (c *Conn) enqueue(op string, arg uint64) (uint64, uint32, error) {
 	if err := s.freezeOps(); err != nil {
 		return 0, c.gen, err
 	}
-	idx, ok := s.opIndex[op]
+	idx, ok := s.opIndex(op)
 	if !ok {
 		return 0, c.gen, &Error{Server: s.Name(), Conn: c.id, Op: op, Err: ErrUnknownOp}
 	}
@@ -889,7 +959,7 @@ func (c *Conn) enqueue(op string, arg uint64) (uint64, uint32, error) {
 	c.nextCorr++
 	f := Frame{Kind: FrameRequest, Op: idx, Conn: c.id, Corr: corr, Arg: arg, Arrive: s.clock.Cycles()}
 	if err := s.admit(f); err != nil {
-		return corr, c.gen, err
+		return corr, c.gen, &Error{Server: s.Name(), Conn: c.id, Corr: corr, Op: op, Err: err}
 	}
 	return corr, c.gen, nil
 }

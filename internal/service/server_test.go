@@ -14,10 +14,10 @@ import (
 
 // newTestProc wires a minimal machine and loads a pin-all enclave for
 // channel-level tests (paging pressure is the experiments' business).
-func newTestProc(t *testing.T) (*libos.Process, *sim.Clock) {
-	t.Helper()
+func newTestProc(tb testing.TB) (*libos.Process, *sim.Clock) {
+	tb.Helper()
 	kernel := hostos.NewHost(sim.NewClock(), sim.DefaultCosts(), hostos.DefaultGeometry(1<<12), []byte("service-test-root"))
-	return loadTestProc(t, kernel, libos.DefaultBase), kernel.Clock
+	return loadTestProc(tb, kernel, libos.DefaultBase), kernel.Clock
 }
 
 // nextIncarnation loads the test image onto p's host again, n GiB above
@@ -28,8 +28,8 @@ func nextIncarnation(t *testing.T, p *libos.Process, n int) *libos.Process {
 	return loadTestProc(t, p.Kernel, libos.DefaultBase+mmu.VAddr(n)<<30)
 }
 
-func loadTestProc(t *testing.T, kernel *hostos.Kernel, base mmu.VAddr) *libos.Process {
-	t.Helper()
+func loadTestProc(tb testing.TB, kernel *hostos.Kernel, base mmu.VAddr) *libos.Process {
+	tb.Helper()
 	img := libos.AppImage{
 		Name:      "svc",
 		Libraries: []libos.Library{{Name: "libsvc.so", Pages: 2}},
@@ -39,7 +39,7 @@ func loadTestProc(t *testing.T, kernel *hostos.Kernel, base mmu.VAddr) *libos.Pr
 		Base: base, SelfPaging: true, Policy: libos.PolicyPinAll,
 	})
 	if err != nil {
-		t.Fatalf("load: %v", err)
+		tb.Fatalf("load: %v", err)
 	}
 	return p
 }

@@ -224,6 +224,9 @@ func (c *CPU) ECREATE(base mmu.VAddr, size uint64, attrs Attributes) (*Enclave, 
 	if base.Offset() != 0 || size == 0 || size%mmu.PageSize != 0 {
 		return nil, fmt.Errorf("%w: ELRANGE %s+%d not page aligned", ErrBadAddress, base, size)
 	}
+	if uint64(base)+size <= uint64(base) {
+		return nil, fmt.Errorf("%w: ELRANGE %s+%d wraps the address space", ErrBadAddress, base, size)
+	}
 	c.nextEnclaveID++
 	e := &Enclave{
 		ID:    c.nextEnclaveID,

@@ -154,6 +154,22 @@ func TestECREATEValidation(t *testing.T) {
 	if _, err := r.cpu.ECREATE(0x1000, 100, 0); err == nil {
 		t.Fatal("unaligned size accepted")
 	}
+	// At the top of the address space, an ELRANGE whose end wraps (to 0 or
+	// past it) is refused before it takes an enclave ID; one ending a page
+	// below the top is not.
+	top := mmu.VAddr(0xffff_ffff_ffff_f000) // the last page
+	for _, size := range []uint64{mmu.PageSize, 1 << 40} {
+		if _, err := r.cpu.ECREATE(top, size, 0); !errors.Is(err, ErrBadAddress) {
+			t.Fatalf("ELRANGE of %d bytes at %s: %v, want ErrBadAddress", size, top, err)
+		}
+	}
+	if r.cpu.nextEnclaveID != 0 {
+		t.Fatalf("refused ECREATEs took %d enclave IDs", r.cpu.nextEnclaveID)
+	}
+	below := top - mmu.PageSize
+	if e, err := r.cpu.ECREATE(below, mmu.PageSize, 0); err != nil || !e.Contains(below) || e.Contains(top) {
+		t.Fatalf("ELRANGE of the page below the top: %v", err)
+	}
 }
 
 func TestMeasurementDeterministicAndSensitive(t *testing.T) {

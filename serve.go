@@ -29,8 +29,11 @@ type (
 	// Bursty is the on/off arrival process: fixed-size back-to-back bursts
 	// with exponential silences, same mean load as Poisson, worse tails.
 	Bursty = service.Bursty
-	// OpenLoop describes a precomputed open-loop request schedule for
-	// Server.OpenLoop.
+	// OpenLoop describes an open-loop request schedule for Server.OpenLoop.
+	// The server draws it as it runs, in index order, so NextReq is called
+	// once per arrival, ahead of it, and may depend only on (i, r) and on
+	// state it owns. A connection's open-loop arrivals take correlation ids
+	// from 0 and its calls and keep-alives from 2^63 up.
 	OpenLoop = service.OpenLoop
 	// Rand is the simulation's deterministic random stream (the type
 	// OpenLoop.NextReq receives).
@@ -177,10 +180,12 @@ func (s *Server) Dial() (*Conn, error) {
 	return &Conn{s: s, c: c}, nil
 }
 
-// OpenLoop preloads an open-loop arrival schedule: ol.Requests requests
-// spread across the dialed connections with gaps drawn from ol.Arrivals,
-// seeded by ol.Seed. Drain then runs the server until the schedule is
-// served.
+// OpenLoop sets up an open-loop arrival schedule: ol.Requests requests
+// spread across the connections dialed so far, with gaps drawn from
+// ol.Arrivals, seeded by ol.Seed. The server draws the arrivals as it runs,
+// up to 64 ahead of the clock, so its memory does not grow with
+// ol.Requests and ol.NextReq is called while the machine runs (see
+// OpenLoop). Drain then runs the server until the schedule is served.
 func (s *Server) OpenLoop(ol OpenLoop) error { return s.svc.Preload(ol) }
 
 // Drain drives the machine until the server's dispatch loop returns — an

@@ -26,6 +26,12 @@
 // were identical in every run of both sides, as they must be when a change
 // claims host time only.
 //
+// When the declaration has setup_s and sim_req_per_s, one more row, judged
+// the same way, reads setup+run_s: a run's set-up time plus its run time
+// per rep, (attempted − failed) / sim_req_per_s. It is derived here and is
+// not a BENCHMARK.json metric; it shows the net of a change that moves host
+// time between set-up and run.
+//
 // It builds nothing: build each side's binaries from its own checkout
 // first. It exits 1 when a run fails or prints "correct":false, and 2 on
 // bad usage.
@@ -102,8 +108,23 @@ func parseResult(out []byte) (result, error) {
 	return r, nil
 }
 
-// value returns a run's reading of metric name.
+// setupPlusRun is the derived row's metric (see the package comment).
+var setupPlusRun = metricDef{Name: "setup+run_s", Unit: "s", Better: "lower"}
+
+// value returns a run's reading of metric name, deriving setup+run_s from
+// setup_s and sim_req_per_s.
 func (r result) value(name string) (float64, error) {
+	if name == setupPlusRun.Name {
+		setup, err := r.value("setup_s")
+		if err != nil {
+			return 0, err
+		}
+		rate, err := r.value("sim_req_per_s")
+		if err != nil || rate <= 0 {
+			return math.Inf(1), err
+		}
+		return setup + float64(r.Attempted-r.Failed)/rate, nil
+	}
 	m, ok := r.Metrics[name]
 	if !ok {
 		return 0, fmt.Errorf("result has no metric %s", name)
@@ -237,6 +258,10 @@ func measure(w io.Writer, cfg config, defs []metricDef, run runner) error {
 	args := []string{"-workload", cfg.workload, "-seed", strconv.FormatUint(cfg.seed, 10),
 		"-seconds", strconv.FormatFloat(cfg.seconds, 'g', -1, 64)}
 	k := len(cfg.a)
+	rows := defs
+	if declares(defs, "setup_s") && declares(defs, "sim_req_per_s") {
+		rows = append(defs[:len(defs):len(defs)], setupPlusRun)
+	}
 	readings := map[string][2][]float64{}
 	var sims []string
 	incorrect := 0
@@ -263,7 +288,7 @@ func measure(w io.Writer, cfg config, defs []metricDef, run runner) error {
 			pair[side] = r
 			sims = append(sims, simulated(r, defs))
 		}
-		for _, d := range defs {
+		for _, d := range rows {
 			got := readings[d.Name]
 			for side, r := range pair {
 				v, err := r.value(d.Name)
@@ -281,11 +306,15 @@ func measure(w io.Writer, cfg config, defs []metricDef, run runner) error {
 		cfg.workload, cfg.seed, cfg.pairs, k, cfg.seconds, strings.Join(cfg.a, " "), strings.Join(cfg.b, " "))
 	fmt.Fprintf(w, "%-20s %-6s %-36s %-36s %-8s %-8s %8s %6s %s\n", "metric", "better",
 		"a median [q1, q3]", "b median [q1, q3]", "a layout", "b layout", "change", "b won", "verdict")
-	for _, d := range defs {
+	for _, d := range rows {
 		r := readings[d.Name]
 		c := compare(d, r[0], r[1], k)
-		fmt.Fprintf(w, "%-20s %-6s %-36s %-36s %-8s %-8s %+7.1f%% %3d/%-2d %s\n", d.Name, d.Better,
-			formatSpread(c.a), formatSpread(c.b), short(c.aLay), short(c.bLay), c.change(), c.wins, c.pairs, c.verdict)
+		note := ""
+		if d == setupPlusRun {
+			note = " (derived, not a BENCHMARK.json metric)"
+		}
+		fmt.Fprintf(w, "%-20s %-6s %-36s %-36s %-8s %-8s %+7.1f%% %3d/%-2d %s%s\n", d.Name, d.Better,
+			formatSpread(c.a), formatSpread(c.b), short(c.aLay), short(c.bLay), c.change(), c.wins, c.pairs, c.verdict, note)
 	}
 	identical := true
 	for _, s := range sims[1:] {
@@ -302,6 +331,16 @@ func measure(w io.Writer, cfg config, defs []metricDef, run runner) error {
 		return errIncorrect
 	}
 	return nil
+}
+
+// declares reports whether defs has a metric called name.
+func declares(defs []metricDef, name string) bool {
+	for _, d := range defs {
+		if d.Name == name {
+			return true
+		}
+	}
+	return false
 }
 
 // binaries is a repeatable flag collecting one binary per layout.

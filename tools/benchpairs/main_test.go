@@ -110,6 +110,7 @@ func TestMeasureRotatesLayouts(t *testing.T) {
 type fakeBench struct {
 	calls   []string
 	reqs    map[string][]float64 // successive readings per binary
+	setup   map[string]float64   // setup_s per binary, 0 when absent
 	diverge int                  // 1-based run whose simulated cycles differ
 	wrong   int                  // 1-based run that prints "correct":false
 }
@@ -123,9 +124,10 @@ func (f *fakeBench) run(bin string, args []string) ([]byte, error) {
 	if n == f.diverge {
 		cycles = 1001
 	}
-	out := fmt.Sprintf("warming up %s\n{\"correct\":%v,\"attempted\":10,\"failed\":0,\"metrics\":{"+
+	out := fmt.Sprintf("warming up %s\n{\"correct\":%v,\"attempted\":12,\"failed\":2,\"metrics\":{"+
+		"\"setup_s\":{\"value\":%g,\"unit\":\"s\"},"+
 		"\"sim_req_per_s\":{\"value\":%g,\"unit\":\"req/s\"},\"p50_cycles\":{\"value\":%d,\"unit\":\"cycles\"}}}\n",
-		strings.Join(args, " "), n != f.wrong, v, cycles)
+		strings.Join(args, " "), n != f.wrong, f.setup[bin], v, cycles)
 	return []byte(out), nil
 }
 
@@ -173,6 +175,45 @@ func TestMeasureFlagsDivergentAndIncorrectRuns(t *testing.T) {
 	f = &fakeBench{reqs: reqs(), wrong: 2}
 	if err := measure(&out, cfg, fakeDefs, f.run); !errors.Is(err, errIncorrect) {
 		t.Fatalf("incorrect run gave %v, want errIncorrect", err)
+	}
+}
+
+// TestMeasureDerivesSetupPlusRun: with setup_s and sim_req_per_s declared,
+// the report adds a setup+run_s row, judged like the others, so a change
+// that moves host time from set-up into the run shows its net. Each run
+// here serves 10 requests: A sets up in 0.5 s and runs them in 0.1 s, B in
+// 0.1 s and 0.25 s.
+func TestMeasureDerivesSetupPlusRun(t *testing.T) {
+	f := &fakeBench{
+		reqs:  map[string][]float64{"A": {100, 100, 100, 100}, "B": {40, 40, 40, 40}},
+		setup: map[string]float64{"A": 0.5, "B": 0.1},
+	}
+	defs := append([]metricDef{{Name: "setup_s", Unit: "s", Better: "lower"}}, fakeDefs...)
+	var out strings.Builder
+	cfg := config{a: []string{"A"}, b: []string{"B"}, workload: "serve-resident", seed: 1, pairs: 4}
+	if err := measure(&out, cfg, defs, f.run); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"setup_s              lower  0.5 [0.5, 0.5]",
+		"-80.0%   4/4  gain\n",
+		"sim_req_per_s        higher 100 [100, 100]",
+		"-60.0%   0/4  loss\n",
+		"setup+run_s          lower  0.6 [0.6, 0.6]                       0.35 [0.35, 0.35]",
+		"-41.7%   4/4  gain (derived, not a BENCHMARK.json metric)\n",
+		"simulated metrics identical across all 8 runs: true",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("report lacks %q:\n%s", want, out.String())
+		}
+	}
+	out.Reset()
+	f = &fakeBench{reqs: map[string][]float64{"A": {1}, "B": {1}}}
+	if err := measure(&out, config{a: []string{"A"}, b: []string{"B"}, workload: "w", pairs: 1}, fakeDefs, f.run); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out.String(), "setup+run_s") {
+		t.Errorf("derived a row without setup_s declared:\n%s", out.String())
 	}
 }
 
