@@ -181,6 +181,7 @@ cover:
 # check is the CI gate: formatting, static analysis, determinism lint,
 # API-surface freshness, build, the benchmark module, the full test suite
 # under the race detector, the chaos, orderliness, serving and migration
-# determinism goldens, the coverage floors, and a short fuzz pass.
-check: fmt vet metriclint apicheck build benchcheck race chaos orderly serving migrate cover fuzz
+# determinism goldens, benchdiff's simulated-cycle gate against the newest
+# committed baseline, the coverage floors, and a short fuzz pass.
+check: fmt vet metriclint apicheck build benchcheck race chaos orderly serving migrate benchdiff cover fuzz
 	@echo "all checks passed"

@@ -42,11 +42,6 @@ type Runtime struct {
 	// App is the application entry point, run on a CSSA-0 entry.
 	App func(ctx *Context)
 
-	// HandlerCycles is the flat cost of one trusted fault-handler
-	// invocation (SSA decode, bookkeeping) — the "Autarky PF handler
-	// overhead" component of Fig. 5.
-	HandlerCycles uint64
-
 	// m is the runtime's scope of the machine registry: every runtime and
 	// policy event of this incarnation is counted there (see Metrics).
 	m *metrics.Metrics
@@ -85,13 +80,12 @@ type Runtime struct {
 // the enclave runs.
 func NewRuntime(cpu *sgx.CPU, driver Driver, clock *sim.Clock, costs *sim.Costs) *Runtime {
 	return &Runtime{
-		CPU:           cpu,
-		Driver:        driver,
-		Clock:         clock,
-		Costs:         costs,
-		Policy:        NewPinAllPolicy(),
-		HandlerCycles: 1200,
-		m:             metrics.Of(clock).Scope(),
+		CPU:    cpu,
+		Driver: driver,
+		Clock:  clock,
+		Costs:  costs,
+		Policy: NewPinAllPolicy(),
+		m:      metrics.Of(clock).Scope(),
 	}
 }
 
@@ -148,8 +142,7 @@ func (r *Runtime) ManagePages(pages []mmu.VAddr, perms mmu.Perms, pinned bool) e
 		return fmt.Errorf("core: driver returned %d statuses for %d pages", len(status), len(pages))
 	}
 	for _, st := range status {
-		vpn := st.VA.VPN()
-		i := vpn - r.baseVPN
+		i := st.VA.VPN() - r.baseVPN
 		if i >= uint64(len(r.pages)) {
 			return fmt.Errorf("core: driver managed page %s outside ELRANGE", st.VA)
 		}
@@ -157,14 +150,23 @@ func (r *Runtime) ManagePages(pages []mmu.VAddr, perms mmu.Perms, pinned bool) e
 		if !pi.managed {
 			*pi = pageInfo{va: st.VA.PageBase(), managed: true}
 		}
-		pi.resident = st.Resident
+		pi.resident = false
 		pi.pinned = pinned
 		pi.perms = perms
-		if st.Resident && !pinned {
-			r.fifo = append(r.fifo, vpn)
+		if st.Resident {
+			r.setResident(pi)
 		}
 	}
 	return nil
+}
+
+// setResident marks page pi resident and, unless it is pinned, queues it
+// for FIFO victim selection: the one place a page becomes resident.
+func (r *Runtime) setResident(pi *pageInfo) {
+	pi.resident = true
+	if !pi.pinned {
+		r.fifo = append(r.fifo, pi.va.VPN())
+	}
 }
 
 // EnsurePinnedResident fetches every pinned enclave-managed page that is
@@ -265,7 +267,7 @@ func (r *Runtime) OnEntry(tcs *sgx.TCS) {
 // either terminates (attack), self-pages (legitimate enclave-managed
 // fault), or forwards to the OS (OS-managed page).
 func (r *Runtime) handleFault(f mmu.Fault) {
-	r.Clock.ChargeAs(sim.CatFault, r.HandlerCycles)
+	r.Clock.ChargeAs(sim.CatFault, r.Costs.TrustedHandler)
 	r.m.Inc(metrics.CntHandlerRuns)
 
 	va := f.Addr.PageBase()
@@ -396,11 +398,7 @@ func (r *Runtime) fetchPages(pages []mmu.VAddr) error {
 		return err
 	}
 	for _, va := range want {
-		pi := r.page(va)
-		pi.resident = true
-		if !pi.pinned {
-			r.fifo = append(r.fifo, va.VPN())
-		}
+		r.setResident(r.page(va))
 		r.m.Inc(metrics.CntPagesFetched)
 	}
 	r.Policy.OnFetched(r, want)

@@ -99,27 +99,13 @@ func e12Plan(p E12Params, rate float64, seed uint64) fault.Plan {
 	}
 }
 
-// e12mix is the workload's stateless round function: SplitMix64-style, so a
-// restored run recomputes exactly the values the interrupted run would have.
-func e12mix(words ...uint64) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	for _, w := range words {
-		h ^= w
-		h *= 0xbf58476d1ce4e5b9
-		h ^= h >> 29
-		h *= 0x94d049bb133111eb
-		h ^= h >> 32
-	}
-	return h
-}
-
 // e12Reference computes the checksum a fault-free run produces — the value
 // every surviving repetition must reproduce, restores included.
 func e12Reference(p E12Params) uint64 {
 	var sum uint64
 	for r := uint64(0); r < uint64(p.Rounds); r++ {
-		idx := 1 + e12mix(p.Seed, r)%uint64(p.HeapPages-1)
-		sum ^= e12mix(p.Seed, r, idx)
+		idx := 1 + sim.Mix(p.Seed, r)%uint64(p.HeapPages-1)
+		sum ^= sim.Mix(p.Seed, r, idx)
 	}
 	return sum
 }
@@ -160,7 +146,7 @@ func runE12Cell(rec *cellRecorder, p E12Params, rate float64, mode e12Mode, ref 
 	row := E12Row{Rate: rate, Mode: mode.name, Reps: p.Reps}
 	var totalCycles uint64
 	for rep := 0; rep < p.Reps; rep++ {
-		seed := e12mix(p.Seed, uint64(rep), 0xFA)
+		seed := sim.Mix(p.Seed, uint64(rep), 0xFA)
 		res := runE12Rep(p, rate, mode, seed)
 		rec.record(fmt.Sprintf("p%g/%s/rep%d", rate, mode.name, rep), res.snap)
 		if res.survived {
@@ -241,8 +227,8 @@ func runE12Rep(p E12Params, rate float64, mode e12Mode, seed uint64) e12RepResul
 		sum := binary.LittleEndian.Uint64(buf[8:16])
 		var tok [8]byte
 		for n := 0; n < p.CheckpointEvery && cursor < uint64(p.Rounds); n++ {
-			idx := 1 + e12mix(p.Seed, cursor)%uint64(len(heap)-1)
-			token := e12mix(p.Seed, cursor, idx)
+			idx := 1 + sim.Mix(p.Seed, cursor)%uint64(len(heap)-1)
+			token := sim.Mix(p.Seed, cursor, idx)
 			binary.LittleEndian.PutUint64(tok[:], token)
 			ctx.Write(heap[idx], tok[:])
 			sum ^= token

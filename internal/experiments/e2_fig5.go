@@ -94,7 +94,7 @@ func analyticFaultStack(c *sim.Costs, mech core.Mech) E2Stack {
 	s := E2Stack{Mech: mech.String(), Op: "page-fault"}
 	s.Preempt = c.AEX + c.ERESUME + 2*c.TLBFlushLocal
 	s.Invoc = c.EENTER + c.EEXIT + 2*c.TLBFlushLocal
-	s.Handler = 1200 /* runtime HandlerCycles */ + c.OSFaultEntry + c.OSFaultWork + c.ExitlessCall
+	s.Handler = c.TrustedHandler + c.OSFaultEntry + c.OSFaultWork + c.ExitlessCall
 	switch mech {
 	case core.MechSGX1:
 		s.Paging = c.ELDU

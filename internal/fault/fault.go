@@ -130,21 +130,6 @@ const (
 	opFetch uint64 = 2
 )
 
-// mix is a SplitMix64-style finalizer over the decision inputs. It is the
-// plan's whole source of randomness: stateless, so injection depends only
-// on the visible operation, never on how many faults fired before it.
-func mix(words ...uint64) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	for _, w := range words {
-		h ^= w
-		h *= 0xbf58476d1ce4e5b9
-		h ^= h >> 29
-		h *= 0x94d049bb133111eb
-		h ^= h >> 32
-	}
-	return h
-}
-
 // Roll decides which fault (if any) hits one operation outside the paging
 // stack. The service layer's frame channel reuses the plan's stateless
 // decision function for its own traffic, keyed on (direction code, cycle,
@@ -160,7 +145,7 @@ func (p Plan) roll(op, cycle, enclaveID, vpn uint64) Kind {
 	if p.Zero() {
 		return KindNone
 	}
-	u := float64(mix(p.Seed, op, cycle, enclaveID, vpn)>>11) / (1 << 53)
+	u := float64(sim.Mix(p.Seed, op, cycle, enclaveID, vpn)>>11) / (1 << 53)
 	// Cumulative bands in declaration order, unrolled: this runs on every
 	// paging operation (and every service frame), so it must not build a
 	// case table per call. Subtraction order matches the probabilities'
@@ -324,7 +309,7 @@ func (f *Backend) mangle(kind Kind, enclaveID uint64, va mmu.VAddr, b pagestore.
 		f.count(KindCorrupt)
 		ct := make([]byte, len(b.Ciphertext))
 		copy(ct, b.Ciphertext)
-		i := mix(f.plan.Seed, 0xc0, f.clock.Cycles(), enclaveID, va.VPN()) % uint64(len(ct))
+		i := sim.Mix(f.plan.Seed, 0xc0, f.clock.Cycles(), enclaveID, va.VPN()) % uint64(len(ct))
 		ct[i] ^= 0xff
 		return pagestore.Blob{Ciphertext: ct, Version: b.Version, EnclaveID: b.EnclaveID}
 	case KindTruncate:
@@ -332,7 +317,7 @@ func (f *Backend) mangle(kind Kind, enclaveID uint64, va mmu.VAddr, b pagestore.
 			return b
 		}
 		f.count(KindTruncate)
-		cut := 1 + mix(f.plan.Seed, 0x7c, f.clock.Cycles(), enclaveID, va.VPN())%uint64(len(b.Ciphertext))
+		cut := 1 + sim.Mix(f.plan.Seed, 0x7c, f.clock.Cycles(), enclaveID, va.VPN())%uint64(len(b.Ciphertext))
 		return pagestore.Blob{Ciphertext: b.Ciphertext[:uint64(len(b.Ciphertext))-cut], Version: b.Version, EnclaveID: b.EnclaveID}
 	case KindReplay:
 		old, ok := f.history.Oldest(enclaveID, va)

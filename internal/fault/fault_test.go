@@ -46,6 +46,11 @@ func TestRollIsPureAndSeedSensitive(t *testing.T) {
 	q := Plan{Seed: 2, PCorrupt: 0.2, PUnavail: 0.3}
 	diffSeed, diffOp := false, false
 	for cycle := uint64(0); cycle < 1000; cycle++ {
+		// Roll, the service channel's entry, never fires on a zero plan,
+		// whatever its seed: the channel skips rolling one altogether.
+		if k := (Plan{Seed: 1}).Roll(opFetch, cycle, 7, 42); k != KindNone {
+			t.Fatalf("zero plan rolled %v", k)
+		}
 		if p.roll(opFetch, cycle, 7, 42) != q.roll(opFetch, cycle, 7, 42) {
 			diffSeed = true
 		}
@@ -129,6 +134,24 @@ func TestUnavailabilityCarriesBlobKey(t *testing.T) {
 	var be *pagestore.BlobError
 	if !errors.As(err, &be) || be.VA != va || be.EnclaveID != 9 || be.Op != "fetch" {
 		t.Fatalf("unavailability lost its blob key: %v", err)
+	}
+	// Drops pass through unfaulted, even under a certain outage.
+	if err := f.Drop(9, va); err != nil {
+		t.Fatalf("drop under a certain outage: %v", err)
+	}
+	if got := f.Name(); got != "fault+store" {
+		t.Fatalf("name = %q, want fault+store", got)
+	}
+}
+
+func TestKindNames(t *testing.T) {
+	for k, want := range map[Kind]string{
+		KindNone: "none", KindCorrupt: "corrupt", KindTruncate: "truncate", KindReplay: "replay",
+		KindUnavail: "unavailable", KindDelay: "delay", Kind(99): "kind(99)",
+	} {
+		if got := k.String(); got != want {
+			t.Errorf("Kind(%d).String() = %q, want %q", int(k), got, want)
+		}
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 // uses it to find the dead incarnation occupying the address range it is
 // about to reuse.
 func (k *Kernel) ProcAt(base mmu.VAddr) *Proc {
-	for _, p := range k.procList {
-		if p.E.Base == base {
-			return p
+	for _, s := range k.procs {
+		if s.p != nil && s.p.E.Base == base {
+			return s.p
 		}
 	}
 	return nil
@@ -23,8 +23,8 @@ func (k *Kernel) ProcAt(base mmu.VAddr) *Proc {
 // unconditionally for a dead enclave) and unmapped, outstanding sealed
 // blobs are dropped from the backing stack (best-effort — an unavailable
 // backend must not block a restore), and the process leaves the kernel's
-// tables. Page teardown follows ascending address order so the cycle charge
-// sequence is deterministic.
+// process table. Page teardown follows ascending address order so the
+// cycle charge sequence is deterministic.
 func (k *Kernel) DestroyEnclave(p *Proc) error {
 	if _, in := k.CPU.InEnclave(); in {
 		return fmt.Errorf("hostos: cannot destroy an enclave while one is running")
@@ -44,7 +44,7 @@ func (k *Kernel) DestroyEnclave(p *Proc) error {
 }
 
 // teardown EREMOVEs and unmaps every resident frame, drops the outstanding
-// sealed blobs and removes the process from the kernel's tables. The
+// sealed blobs and removes the process from the kernel's process table. The
 // enclave must be dead, or not yet initialized.
 func (k *Kernel) teardown(p *Proc) error {
 	for i := range p.pages {
@@ -68,12 +68,6 @@ func (k *Kernel) teardown(p *Proc) error {
 			_ = k.backend.Drop(p.E.ID, ps.va)
 		}
 	}
-	delete(k.procs, p.E.ID)
-	for i, q := range k.procList {
-		if q == p {
-			k.procList = append(k.procList[:i], k.procList[i+1:]...)
-			break
-		}
-	}
+	k.procs[p.E.ID].p = nil
 	return nil
 }

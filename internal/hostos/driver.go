@@ -13,9 +13,9 @@ import (
 // This file implements the Autarky driver: the system-call surface the
 // trusted runtime uses for self-paging (paper §5.2.1), plus the SGXv2
 // service calls of the software paging path (§6). Every call is reached
-// through an exitless host call, so each public method charges
-// Costs.ExitlessCall and runs the privileged work on a host hart
-// (CPU.AsHost).
+// through an exitless host call, so each entry point takes one path, call:
+// it charges Costs.ExitlessCall, resolves the enclave and runs the
+// privileged work on a host hart (CPU.AsHost).
 
 // chargeCall charges one runtime->driver call: an exitless host call by
 // default (paper §6), or a classic OCALL round trip (EEXIT + re-EENTER with
@@ -32,6 +32,41 @@ func (k *Kernel) chargeCall() {
 	k.Clock.ChargeAmbient(k.Costs.ExitlessCall)
 }
 
+// call is the one path of every driver entry point: it charges the call
+// before the enclave is resolved (a stale or nil enclave pays for the
+// request it sent), resolves the enclave, and runs fn on a host hart.
+func (k *Kernel) call(e *sgx.Enclave, fn func(p *Proc) error) error {
+	k.chargeCall()
+	p, err := k.procFor(e)
+	if err != nil {
+		return err
+	}
+	return k.CPU.AsHost(func() error { return fn(p) })
+}
+
+// pageCall is the path of the SGXv2 calls on one resident page
+// (RestrictPerms, TrimPage, RemovePage; op names the call): call, then
+// resolve the page at va, which must be resident, and run fn on it. It
+// returns the page's frame once fn succeeds, mmu.NoPFN on any failure.
+func (k *Kernel) pageCall(e *sgx.Enclave, va mmu.VAddr, op string, fn func(p *Proc, ps *pageState) error) (mmu.PFN, error) {
+	pfn := mmu.NoPFN
+	err := k.call(e, func(p *Proc) error {
+		ps, err := k.page(p, va)
+		if err != nil {
+			return err
+		}
+		if !ps.resident {
+			return fmt.Errorf("hostos: %s on non-resident %s", op, va)
+		}
+		if err := fn(p, ps); err != nil {
+			return err
+		}
+		pfn = ps.pfn
+		return nil
+	})
+	return pfn, err
+}
+
 func (k *Kernel) page(p *Proc, va mmu.VAddr) (*pageState, error) {
 	ps := p.page(va)
 	if ps == nil {
@@ -43,12 +78,7 @@ func (k *Kernel) page(p *Proc, va mmu.VAddr) (*pageState, error) {
 // SetOSManaged yields management of the pages to the OS: they become
 // evictable at the kernel's discretion (ay_set_os_managed).
 func (k *Kernel) SetOSManaged(e *sgx.Enclave, pages []mmu.VAddr) error {
-	k.chargeCall()
-	p, err := k.procFor(e)
-	if err != nil {
-		return err
-	}
-	return k.CPU.AsHost(func() error {
+	return k.call(e, func(p *Proc) error {
 		for _, va := range pages {
 			ps, err := k.page(p, va)
 			if err != nil {
@@ -64,13 +94,9 @@ func (k *Kernel) SetOSManaged(e *sgx.Enclave, pages []mmu.VAddr) error {
 // pinned, and the current residence status of each is returned
 // (ay_set_enclave_managed).
 func (k *Kernel) SetEnclaveManaged(e *sgx.Enclave, pages []mmu.VAddr) ([]core.PageStatus, error) {
-	k.chargeCall()
-	p, perr := k.procFor(e)
-	if perr != nil {
-		return nil, perr
-	}
-	out := make([]core.PageStatus, 0, len(pages))
-	err := k.CPU.AsHost(func() error {
+	var out []core.PageStatus
+	err := k.call(e, func(p *Proc) error {
+		out = make([]core.PageStatus, 0, len(pages))
 		for _, va := range pages {
 			ps, err := k.page(p, va)
 			if err != nil {
@@ -102,12 +128,7 @@ func (k *Kernel) Quota(e *sgx.Enclave) (limit, resident int) {
 // cannot be met by evicting OS-managed pages, ErrEPCPressure is returned
 // and the runtime must ay_evict_pages first.
 func (k *Kernel) FetchPages(e *sgx.Enclave, pages []mmu.VAddr) error {
-	k.chargeCall()
-	p, err := k.procFor(e)
-	if err != nil {
-		return err
-	}
-	return k.CPU.AsHost(func() error {
+	return k.call(e, func(p *Proc) error {
 		for _, va := range pages {
 			ps, err := k.page(p, va)
 			if err != nil {
@@ -133,12 +154,7 @@ func (k *Kernel) FetchPages(e *sgx.Enclave, pages []mmu.VAddr) error {
 // store using the SGXv1 path (ay_evict_pages), in one batched dance. An
 // unknown page fails the call before any page is blocked.
 func (k *Kernel) EvictPages(e *sgx.Enclave, pages []mmu.VAddr) error {
-	k.chargeCall()
-	p, err := k.procFor(e)
-	if err != nil {
-		return err
-	}
-	return k.CPU.AsHost(func() error {
+	return k.call(e, func(p *Proc) error {
 		victims := k.evictVictims[:0]
 		defer func() {
 			clear(victims)
@@ -164,13 +180,8 @@ func (k *Kernel) EvictPages(e *sgx.Enclave, pages []mmu.VAddr) error {
 // EACCEPTCOPY each before use. Quota applies. The returned frames are
 // kernel scratch, valid until the next AugPages call.
 func (k *Kernel) AugPages(e *sgx.Enclave, pages []mmu.VAddr, perms []mmu.Perms) ([]mmu.PFN, error) {
-	k.chargeCall()
-	p, err := k.procFor(e)
-	if err != nil {
-		return nil, err
-	}
 	pfns := k.augPFNs[:0]
-	err = k.CPU.AsHost(func() error {
+	err := k.call(e, func(p *Proc) error {
 		for i, va := range pages {
 			if err := k.ensureQuota(p, 1); err != nil {
 				return err
@@ -189,11 +200,8 @@ func (k *Kernel) AugPages(e *sgx.Enclave, pages []mmu.VAddr, perms []mmu.Perms) 
 				*ps = pageState{va: va, present: true}
 			}
 			ps.perms = pr
-			ps.pfn = pfn
-			ps.resident = true
 			ps.enclaveManaged = true
-			p.resident++
-			p.order = append(p.order, va.VPN())
+			p.setResident(ps, pfn)
 			k.PT.MapAD(va, pfn, pr, true, true, true)
 			pfns = append(pfns, pfn)
 			k.m.Inc(metrics.CntDriverFetches)
@@ -262,89 +270,36 @@ func (d driverBackend) FetchBatch(enclaveID uint64, pages []mmu.VAddr, out []pag
 // shootdown the architecture requires) and returns its frame so the runtime
 // can EACCEPT. First step of SGXv2 software eviction.
 func (k *Kernel) RestrictPerms(e *sgx.Enclave, va mmu.VAddr, perms mmu.Perms) (mmu.PFN, error) {
-	k.chargeCall()
-	p, err := k.procFor(e)
-	if err != nil {
-		return mmu.NoPFN, err
-	}
-	var pfn mmu.PFN
-	err = k.CPU.AsHost(func() error {
-		ps, err := k.page(p, va)
-		if err != nil {
-			return err
-		}
-		if !ps.resident {
-			return fmt.Errorf("hostos: RestrictPerms on non-resident %s", va)
-		}
+	return k.pageCall(e, va, "RestrictPerms", func(_ *Proc, ps *pageState) error {
 		if err := k.CPU.EMODPR(e, ps.va, ps.pfn, perms); err != nil {
 			return err
 		}
 		k.PT.SetPerms(ps.va, perms)
 		k.CPU.TLB.Shootdown(ps.va)
-		pfn = ps.pfn
 		return nil
 	})
-	if err != nil {
-		return mmu.NoPFN, err
-	}
-	return pfn, nil
 }
 
 // TrimPage EMODTs the page to TRIM and returns its frame so the runtime can
 // EACCEPT; the runtime then calls RemovePage.
 func (k *Kernel) TrimPage(e *sgx.Enclave, va mmu.VAddr) (mmu.PFN, error) {
-	k.chargeCall()
-	p, err := k.procFor(e)
-	if err != nil {
-		return mmu.NoPFN, err
-	}
-	var pfn mmu.PFN
-	err = k.CPU.AsHost(func() error {
-		ps, err := k.page(p, va)
-		if err != nil {
-			return err
-		}
-		if !ps.resident {
-			return fmt.Errorf("hostos: TrimPage on non-resident %s", va)
-		}
-		if err := k.CPU.EMODT(e, ps.va, ps.pfn, sgx.PTTrim); err != nil {
-			return err
-		}
-		pfn = ps.pfn
-		return nil
+	return k.pageCall(e, va, "TrimPage", func(_ *Proc, ps *pageState) error {
+		return k.CPU.EMODT(e, ps.va, ps.pfn, sgx.PTTrim)
 	})
-	if err != nil {
-		return mmu.NoPFN, err
-	}
-	return pfn, nil
 }
 
 // RemovePage EREMOVEs a trimmed-and-accepted page, unmaps it and frees the
 // quota slot. Final step of SGXv2 software eviction.
 func (k *Kernel) RemovePage(e *sgx.Enclave, va mmu.VAddr) error {
-	k.chargeCall()
-	p, err := k.procFor(e)
-	if err != nil {
-		return err
-	}
-	return k.CPU.AsHost(func() error {
-		ps, err := k.page(p, va)
-		if err != nil {
-			return err
-		}
-		if !ps.resident {
-			return fmt.Errorf("hostos: RemovePage on non-resident %s", va)
-		}
+	_, err := k.pageCall(e, va, "RemovePage", func(p *Proc, ps *pageState) error {
 		if err := k.CPU.EREMOVE(e, ps.va, ps.pfn); err != nil {
 			return err
 		}
 		k.PT.Unmap(ps.va)
 		k.CPU.TLB.Shootdown(ps.va)
-		ps.resident = false
-		ps.everEvicted = true
-		ps.pfn = mmu.NoPFN
-		p.resident--
+		p.setEvicted(ps)
 		k.m.Inc(metrics.CntDriverEvicts)
 		return nil
 	})
+	return err
 }

@@ -630,8 +630,8 @@ func TestTrimAndRemovePageFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.kernel.Proc(p.E) != p {
-		t.Fatal("Proc lookup wrong")
+	if got, err := m.kernel.procFor(p.E); err != nil || got != p {
+		t.Fatalf("procFor = %p, %v; want the loaded proc", got, err)
 	}
 	pfn, err := m.kernel.TrimPage(p.E, base)
 	if err != nil {

@@ -38,8 +38,8 @@ var (
 	// ErrUnknownPage is returned for pages never added to the enclave.
 	ErrUnknownPage = errors.New("hostos: page not part of enclave")
 	// ErrNotLoaded is returned when a kernel service is invoked for an
-	// enclave that is not in the kernel's tables: a Proc that was never
-	// produced by LoadEnclave, or one whose enclave has been destroyed.
+	// enclave that is not in the kernel's process table: a Proc that was
+	// never produced by LoadEnclave, or one whose enclave has been destroyed.
 	// Every lifecycle entry point checks it, so a stale handle surfaces a
 	// sentinel instead of dereferencing freed bookkeeping.
 	ErrNotLoaded = errors.New("hostos: enclave not loaded")
@@ -263,15 +263,11 @@ type Kernel struct {
 	// counts nothing.
 	Observed *trace.Log
 
-	procs map[uint64]*Proc
-	// procList holds the same processes in enclave-creation order, so the
-	// cross-enclave victim scan is deterministic (map iteration is not).
-	procList []*Proc
-	// migrated tombstones enclave IDs retired by RetireEnclave, so a stale
-	// handle to a migrated-away enclave surfaces ErrMigrated (still an
-	// ErrNotLoaded in the errors.Is sense) instead of the generic sentinel.
-	migrated map[uint64]bool
-	m        *metrics.Metrics
+	// procs is the process table, indexed by enclave ID. The CPU numbers
+	// enclaves from 1 in creation order, so a walk of the table visits them
+	// in that order and the cross-enclave victim scan is deterministic.
+	procs []procSlot
+	m     *metrics.Metrics
 
 	// backend is the storage hierarchy every paging path writes sealed
 	// blobs to and reads them from. It defaults to the plain Store; the
@@ -284,6 +280,16 @@ type Kernel struct {
 	// (valid until the next AugPages call), evictVictims EvictPages' batch.
 	augPFNs      []mmu.PFN
 	evictVictims []*pageState
+}
+
+// procSlot is one enclave ID's entry in the kernel's process table. Its
+// process is nil before the enclave is loaded and after it is torn down; a
+// torn-down slot remembers whether RetireEnclave retired it, so a stale
+// handle to a migrated-away enclave surfaces ErrMigrated (still an
+// ErrNotLoaded in the errors.Is sense) instead of the generic sentinel.
+type procSlot struct {
+	p       *Proc
+	retired bool
 }
 
 // Geometry is a host's physical shape: the first frame and size of its EPC,
@@ -323,8 +329,6 @@ func NewHost(clock *sim.Clock, costs sim.Costs, g Geometry, rootSecret []byte) *
 		Clock:     clock,
 		Costs:     c,
 		Adversary: NopAdversary{},
-		procs:     make(map[uint64]*Proc),
-		migrated:  make(map[uint64]bool),
 		m:         metrics.Of(clock),
 		backend:   store,
 	}
@@ -337,8 +341,14 @@ func NewHost(clock *sim.Clock, costs sim.Costs, g Geometry, rootSecret []byte) *
 // backends with blobs outstanding would strand them in the old stack, so
 // the call fails with ErrEnclavesLoaded once the kernel hosts a process.
 func (k *Kernel) SetBackend(b pagestore.PagingBackend) error {
-	if len(k.procList) > 0 {
-		return fmt.Errorf("%w: %d enclave(s) resident", ErrEnclavesLoaded, len(k.procList))
+	loaded := 0
+	for _, s := range k.procs {
+		if s.p != nil {
+			loaded++
+		}
+	}
+	if loaded > 0 {
+		return fmt.Errorf("%w: %d enclave(s) resident", ErrEnclavesLoaded, loaded)
 	}
 	k.backend = b
 	return nil
@@ -347,9 +357,6 @@ func (k *Kernel) SetBackend(b pagestore.PagingBackend) error {
 // Backend returns the installed paging-backend stack.
 func (k *Kernel) Backend() pagestore.PagingBackend { return k.backend }
 
-// Proc returns the process state for an enclave.
-func (k *Kernel) Proc(e *sgx.Enclave) *Proc { return k.procs[e.ID] }
-
 // proc resolves the kernel's registration for a Proc handle. A handle that
 // was never registered — or whose enclave has been destroyed — yields
 // ErrNotLoaded instead of a nil dereference deeper in the service.
@@ -357,13 +364,10 @@ func (k *Kernel) proc(p *Proc) (*Proc, error) {
 	if p == nil || p.E == nil {
 		return nil, fmt.Errorf("%w: nil process handle", ErrNotLoaded)
 	}
-	if got := k.procs[p.E.ID]; got != p {
-		if k.migrated[p.E.ID] {
-			return nil, fmt.Errorf("%w: enclave %d", ErrMigrated, p.E.ID)
-		}
-		return nil, fmt.Errorf("%w: enclave %d", ErrNotLoaded, p.E.ID)
+	if got, err := k.procFor(p.E); err != nil || got == p {
+		return got, err
 	}
-	return p, nil
+	return nil, fmt.Errorf("%w: enclave %d", ErrNotLoaded, p.E.ID)
 }
 
 // procFor resolves the kernel's registration for an enclave (the driver
@@ -372,14 +376,16 @@ func (k *Kernel) procFor(e *sgx.Enclave) (*Proc, error) {
 	if e == nil {
 		return nil, fmt.Errorf("%w: nil enclave", ErrNotLoaded)
 	}
-	p := k.procs[e.ID]
-	if p == nil {
-		if k.migrated[e.ID] {
+	if e.ID < uint64(len(k.procs)) {
+		s := k.procs[e.ID]
+		if s.p != nil {
+			return s.p, nil
+		}
+		if s.retired {
 			return nil, fmt.Errorf("%w: enclave %d", ErrMigrated, e.ID)
 		}
-		return nil, fmt.Errorf("%w: enclave %d", ErrNotLoaded, e.ID)
 	}
-	return p, nil
+	return nil, fmt.Errorf("%w: enclave %d", ErrNotLoaded, e.ID)
 }
 
 // Segment is one loadable region of an enclave image.
@@ -434,8 +440,10 @@ func (k *Kernel) LoadEnclave(spec EnclaveSpec) (_ *Proc, err error) {
 		Quota: spec.Quota,
 		pages: make([]pageState, spec.Size/mmu.PageSize),
 	}
-	k.procs[e.ID] = p
-	k.procList = append(k.procList, p)
+	for uint64(len(k.procs)) <= e.ID {
+		k.procs = append(k.procs, procSlot{})
+	}
+	k.procs[e.ID].p = p
 	defer func() {
 		if err != nil {
 			if terr := k.teardown(p); terr != nil {
@@ -472,9 +480,8 @@ func (k *Kernel) LoadEnclave(spec EnclaveSpec) (_ *Proc, err error) {
 			}
 			// EADD refuses a page outside ELRANGE, so the offset is in range.
 			ps := &p.pages[va.VPN()-e.Base.VPN()]
-			*ps = pageState{va: va, pfn: pfn, perms: seg.Perms, present: true, resident: true}
-			p.resident++
-			p.order = append(p.order, va.VPN())
+			*ps = pageState{va: va, perms: seg.Perms, present: true}
+			p.setResident(ps, pfn)
 			k.mapPage(p, ps)
 		}
 	}
@@ -609,7 +616,10 @@ func (k *Kernel) chargeTimer(n uint64) {
 // parked on the fault path, as every interrupt AEX parks it, whether it ran
 // or was accounted in place.
 func (k *Kernel) IdleLoop(p *Proc, saved sgx.ExecContext) IdleProbe {
-	if p == nil || p.Idle == nil || k.procs[p.E.ID] != p {
+	if p == nil || p.Idle == nil {
+		return nil
+	}
+	if _, err := k.proc(p); err != nil {
 		return nil
 	}
 	if _, benign := k.Adversary.(NopAdversary); !benign {
@@ -694,12 +704,27 @@ func (k *Kernel) pageIn(p *Proc, ps *pageState) error {
 	if err != nil {
 		return err
 	}
+	p.setResident(ps, pfn)
+	k.mapPage(p, ps)
+	return nil
+}
+
+// setResident records that page ps now occupies frame pfn and queues it for
+// victim selection: the one place a page becomes resident.
+func (p *Proc) setResident(ps *pageState, pfn mmu.PFN) {
 	ps.pfn = pfn
 	ps.resident = true
 	p.resident++
 	p.order = append(p.order, ps.va.VPN())
-	k.mapPage(p, ps)
-	return nil
+}
+
+// setEvicted records that page ps left the EPC with its contents saved, so
+// teardown must drop its sealed blob: the one place a page is evicted.
+func (p *Proc) setEvicted(ps *pageState) {
+	ps.resident = false
+	ps.everEvicted = true
+	ps.pfn = mmu.NoPFN
+	p.resident--
 }
 
 // ensureQuota makes room for need more resident pages by evicting
@@ -730,8 +755,9 @@ func (k *Kernel) ensurePhysicalFrames(p *Proc, need int) error {
 	for k.CPU.EPC.FreeFrames() < need {
 		reclaimed := false
 		// Prefer victims from other enclaves (balance pressure), then self.
-		for _, other := range k.procList {
-			if other == p || other.resident == 0 {
+		for _, s := range k.procs {
+			other := s.p
+			if other == nil || other == p || other.resident == 0 {
 				continue
 			}
 			if victim := k.pickVictim(other); victim != nil {
@@ -831,10 +857,7 @@ func (k *Kernel) evict(p *Proc, victims []*pageState, cnt metrics.Counter) error
 		if err := k.CPU.EWB(p.E, ps.va, ps.pfn, k.backend); err != nil {
 			return err
 		}
-		ps.resident = false
-		ps.everEvicted = true
-		ps.pfn = mmu.NoPFN
-		p.resident--
+		p.setEvicted(ps)
 		k.m.Inc(cnt)
 	}
 	return nil

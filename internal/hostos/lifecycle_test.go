@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"autarky/internal/metrics"
 	"autarky/internal/mmu"
 	"autarky/internal/pagestore"
 	"autarky/internal/sgx"
@@ -146,5 +147,113 @@ func TestSwapBackendAfterTeardown(t *testing.T) {
 	destroyed(t, m)
 	if err := m.kernel.SetBackend(pagestore.NewStore()); err != nil {
 		t.Fatalf("swap after teardown: %v", err)
+	}
+}
+
+// retired loads an enclave and retires it as a migration handoff does,
+// returning the stale proc handle the source machine is left with.
+func retired(t *testing.T, m *testMachine) *Proc {
+	t.Helper()
+	p := loadLive(t, m)
+	if err := m.kernel.RetireEnclave(p); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestDriverCallsOnStaleEnclaves calls every driver entry point for an
+// enclave the kernel no longer hosts (destroyed, or retired by a migration)
+// and for no enclave at all, while a live enclave occupies the same
+// addresses. Each call fails with the stale-handle sentinel, still pays for
+// exactly one driver call (the request crossed before the host looked at
+// it), and changes no page state. Quota charges nothing and reports an
+// empty enclave.
+func TestDriverCallsOnStaleEnclaves(t *testing.T) {
+	pages := []mmu.VAddr{base}
+	calls := []struct {
+		name string
+		call func(k *Kernel, e *sgx.Enclave) error
+	}{
+		{"SetOSManaged", func(k *Kernel, e *sgx.Enclave) error { return k.SetOSManaged(e, pages) }},
+		{"SetEnclaveManaged", func(k *Kernel, e *sgx.Enclave) error {
+			_, err := k.SetEnclaveManaged(e, pages)
+			return err
+		}},
+		{"FetchPages", func(k *Kernel, e *sgx.Enclave) error { return k.FetchPages(e, pages) }},
+		{"EvictPages", func(k *Kernel, e *sgx.Enclave) error { return k.EvictPages(e, pages) }},
+		{"AugPages", func(k *Kernel, e *sgx.Enclave) error {
+			_, err := k.AugPages(e, pages, nil)
+			return err
+		}},
+		{"RestrictPerms", func(k *Kernel, e *sgx.Enclave) error {
+			_, err := k.RestrictPerms(e, base, mmu.PermRead|mmu.PermUser)
+			return err
+		}},
+		{"TrimPage", func(k *Kernel, e *sgx.Enclave) error {
+			_, err := k.TrimPage(e, base)
+			return err
+		}},
+		{"RemovePage", func(k *Kernel, e *sgx.Enclave) error { return k.RemovePage(e, base) }},
+	}
+	handles := []struct {
+		name  string
+		want  error
+		stale func(t *testing.T, m *testMachine) *Proc // nil: no enclave
+	}{
+		{"destroyed", ErrNotLoaded, destroyed},
+		{"retired", ErrMigrated, retired},
+		{"nil", ErrNotLoaded, nil},
+	}
+	// state is everything a driver call could change: the stale and live
+	// processes' paging state, the EPC, the store and the shared PTE.
+	type state struct {
+		stale, live uint64
+		free, blobs int
+		pte         mmu.PTE
+	}
+	for _, h := range handles {
+		for _, c := range calls {
+			t.Run(h.name+"/"+c.name, func(t *testing.T) {
+				m := newMachine()
+				var stale *Proc
+				var e *sgx.Enclave
+				if h.stale != nil {
+					stale = h.stale(t, m)
+					e = stale.E
+				}
+				live := loadLive(t, m)
+				snap := func() state {
+					s := state{live: live.ResidencyFingerprint(), free: m.cpu.EPC.FreeFrames(), blobs: m.kernel.Store.Len()}
+					if stale != nil {
+						s.stale = stale.ResidencyFingerprint()
+					}
+					s.pte, _ = m.pt.Get(base)
+					return s
+				}
+				before, calls, cycles := snap(), m.count(metrics.CntDriverCalls), m.clock.Cycles()
+
+				err := c.call(m.kernel, e)
+				if !errors.Is(err, h.want) || !errors.Is(err, ErrNotLoaded) {
+					t.Fatalf("got %v, want %v (an ErrNotLoaded)", err, h.want)
+				}
+				if got := m.count(metrics.CntDriverCalls) - calls; got != 1 {
+					t.Fatalf("charged %d driver calls, want 1", got)
+				}
+				if got := m.clock.Cycles() - cycles; got != m.kernel.Costs.ExitlessCall {
+					t.Fatalf("charged %d cycles, want one exitless call (%d)", got, m.kernel.Costs.ExitlessCall)
+				}
+				if after := snap(); after != before {
+					t.Fatalf("page state changed: %+v -> %+v", before, after)
+				}
+
+				calls = m.count(metrics.CntDriverCalls)
+				if limit, resident := m.kernel.Quota(e); limit != 0 || resident != 0 {
+					t.Fatalf("Quota = %d, %d; want 0, 0", limit, resident)
+				}
+				if got := m.count(metrics.CntDriverCalls) - calls; got != 0 {
+					t.Fatalf("Quota charged %d driver calls, want 0", got)
+				}
+			})
+		}
 	}
 }

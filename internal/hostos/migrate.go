@@ -7,18 +7,18 @@ import (
 // ErrMigrated is returned for a handle to an enclave that was retired by a
 // migration handoff: its sealed state now lives on another machine and this
 // incarnation must never run again. It wraps ErrNotLoaded — migrated-away is
-// a specific way of not being in the kernel's tables — so callers matching
-// the generic sentinel keep working while migration-aware callers can tell
-// the two apart.
+// a specific way of not being in the kernel's process table — so callers
+// matching the generic sentinel keep working while migration-aware callers
+// can tell the two apart.
 var ErrMigrated = fmt.Errorf("hostos: enclave migrated away: %w", ErrNotLoaded)
 
 // RetireEnclave completes the source side of a migration handoff: after the
 // enclave's state has been captured and sealed, the kernel marks the
 // incarnation dead with the migration reason, tears it down like any other
-// dead enclave, and tombstones the ID so stale handles report ErrMigrated.
-// The order matters — retire before teardown — because DestroyEnclave
-// refuses live enclaves, and the refusal is exactly the adopt-while-running
-// protection the migration protocol needs elsewhere.
+// dead enclave, and marks its table slot retired so stale handles report
+// ErrMigrated. The order matters — retire before teardown — because
+// DestroyEnclave refuses live enclaves, and the refusal is exactly the
+// adopt-while-running protection the migration protocol needs elsewhere.
 func (k *Kernel) RetireEnclave(p *Proc) error {
 	if _, in := k.CPU.InEnclave(); in {
 		return fmt.Errorf("hostos: cannot retire an enclave while one is running")
@@ -38,6 +38,6 @@ func (k *Kernel) RetireEnclave(p *Proc) error {
 	if err := k.DestroyEnclave(p); err != nil {
 		return err
 	}
-	k.migrated[p.E.ID] = true
+	k.procs[p.E.ID].retired = true
 	return nil
 }

@@ -78,15 +78,6 @@ func DecodeFrame(buf []byte) (Frame, error) {
 	}, nil
 }
 
-// wire returns the frame as the receiver sees it after a fault-free
-// channel crossing: exactly EncodeTo followed by DecodeFrame, minus the
-// bytes. Channel metadata (Gen, Arrive) does not cross the wire. The server
-// uses this to skip the serialization round-trip when the fault roll leaves
-// the frame pristine — the checksum can neither fail nor matter then.
-func (f *Frame) wire() Frame {
-	return Frame{Kind: f.Kind, Op: f.Op, ErrCode: f.ErrCode, Conn: f.Conn, Corr: f.Corr, Arg: f.Arg}
-}
-
 // frameSum is a SplitMix64-style mixing checksum: not cryptographic (the
 // channel adversary is modelled by the fault plan, not defeated by the
 // frame format), but any single corruption flips it.

@@ -12,7 +12,8 @@
 // — never by ordering — so the protocol survives sheds and losses without
 // ambiguity. The channel itself is untrusted: a fault.Plan rolls each
 // delivery for corruption, truncation, loss or delay, exactly as the paging
-// backends' plan does for blobs. A frame that fails its checksum, or a
+// backends' plan does for blobs. Requests and replies cross it in one place
+// (Server.cross). A frame that fails its checksum, on either leg, or a
 // reply lost in transit, resets the whole connection: the incarnation
 // counter bumps, queued frames of the old incarnation are discarded, and
 // in-flight calls surface ErrConnReset. Replay rolls fizzle at this layer —
@@ -254,8 +255,9 @@ func (s *Server) Hist() *metrics.Histogram { return s.hist }
 // Closed reports whether the server has stopped admitting traffic.
 func (s *Server) Closed() bool { return s.closed }
 
-// Close stops admission; the dispatch loop drains what is queued and
-// returns.
+// Close stops admission; the dispatch loop serves what is already queued
+// and returns. Scheduled open-loop arrivals not yet admitted never are: the
+// loop does not wait for them to come due.
 func (s *Server) Close() { s.closed = true }
 
 // Drain pauses the server for migration: no new arrival is admitted (due
@@ -710,16 +712,14 @@ func (p *idleProbe) Poll(n uint64) {
 }
 
 // drained reports whether the loop has nothing left to do and never will:
-// the ring is empty, no scheduled arrival remains, and either the server
-// was closed or it is a pure open-loop server whose schedule is spent.
+// the ring is empty, and the server is draining (its pending schedule
+// survives for a Rebind), closed (its pending schedule is never admitted),
+// or a pure open-loop server whose schedule is spent.
 func (s *Server) drained() bool {
-	if s.draining {
-		return s.fifoLen == 0 // backlog served; pending schedule survives
-	}
-	if s.fifoLen > 0 || s.PendingSchedule() > 0 {
+	if s.fifoLen > 0 {
 		return false
 	}
-	return s.closed || s.stream != nil
+	return s.draining || s.closed || s.stream != nil && s.PendingSchedule() == 0
 }
 
 // Loop is the dispatch loop, run as the enclave application body. It
@@ -763,114 +763,102 @@ func corruptByte(f *Frame, cycle uint64) int {
 	return int((f.Corr ^ cycle) % FrameBytes)
 }
 
+// cross carries frame f of connection c over the untrusted channel in
+// direction dir (dirRequest or dirReply) and returns the cycle it crossed
+// at; ok is false when nothing arrives. On arrival f holds the wire fields
+// the far side decoded, its channel metadata (Gen, Arrive) kept. A frame
+// that fails its checksum resets the connection. A frame lost in transit,
+// to a partition or a KindUnavail roll, is dropped; a lost reply also
+// resets the connection, since the client cannot tell it from a dead server
+// and its correlation state is no longer trustworthy either way. The plan
+// is not rolled while the channel is severed. Only a roll that mangles
+// bytes pays for the encode/checksum/decode round trip: a pristine frame
+// decodes to exactly the wire fields it left with.
+func (s *Server) cross(dir uint64, c *Conn, f *Frame) (now uint64, ok bool) {
+	s.charge(s.costs.ServFrame)
+	now = s.clock.Cycles()
+	kind := fault.KindUnavail
+	if now >= s.partUntil {
+		kind = s.roll(dir, now, uint64(c.id), f.Corr)
+	}
+	switch kind {
+	case fault.KindCorrupt, fault.KindTruncate:
+		f.EncodeTo(s.scratch[:])
+		s.scratch[corruptByte(f, now)] ^= 0xff
+		wf, err := DecodeFrame(s.scratch[:])
+		if err != nil {
+			s.meter.Inc(metrics.CntServCorrupt)
+			s.reset(c)
+			return now, false
+		}
+		wf.Gen, wf.Arrive = f.Gen, f.Arrive
+		*f = wf
+	case fault.KindUnavail:
+		s.meter.Inc(metrics.CntServDrops)
+		if dir == dirReply {
+			s.reset(c)
+		}
+		return now, false
+	}
+	return now, true
+}
+
 // serve carries one frame across the untrusted channel, runs its handler,
 // and delivers the reply.
 func (s *Server) serve(ctx *core.Context, f Frame) {
 	c := s.conns[f.Conn]
 	s.charge(s.costs.ServDispatch)
-
-	// The request crosses the wire here: roll the channel fault, and only
-	// when it mangles bytes pay for the encode/checksum/decode round-trip —
-	// a pristine frame decodes to exactly its wire view.
-	s.charge(s.costs.ServFrame)
-	now := s.clock.Cycles()
-	if now < s.partUntil {
-		// Severed channel: the request vanishes in transit.
-		s.meter.Inc(metrics.CntServDrops)
+	now, ok := s.cross(dirRequest, c, &f)
+	if !ok {
 		return
 	}
-	var wf Frame
-	switch s.roll(dirRequest, now, uint64(c.id), f.Corr) {
-	case fault.KindCorrupt, fault.KindTruncate:
-		f.EncodeTo(s.scratch[:])
-		s.scratch[corruptByte(&f, now)] ^= 0xff
-		var err error
-		wf, err = DecodeFrame(s.scratch[:])
-		if err != nil {
-			s.meter.Inc(metrics.CntServCorrupt)
-			s.reset(c)
-			return
-		}
-	case fault.KindUnavail:
-		// Lost in transit: the request simply never arrives.
-		s.meter.Inc(metrics.CntServDrops)
-		return
-	default:
-		wf = f.wire()
-	}
 
-	if wf.Kind == FrameKeepAlive {
-		s.deliver(c, Frame{Kind: FrameKeepAlive, Conn: c.id, Gen: f.Gen, Corr: wf.Corr, Arrive: f.Arrive})
+	if f.Kind == FrameKeepAlive {
+		s.deliver(c, Frame{Kind: FrameKeepAlive, Conn: c.id, Gen: f.Gen, Corr: f.Corr, Arrive: f.Arrive})
 		return
 	}
 
 	if s.opts.Deadline > 0 && now-f.Arrive > s.opts.Deadline {
 		s.meter.Inc(metrics.CntServTimeouts)
-		s.deliver(c, Frame{Kind: FrameReply, ErrCode: wireTimeout, Conn: c.id, Gen: f.Gen, Corr: wf.Corr, Arrive: f.Arrive})
+		s.deliver(c, Frame{Kind: FrameReply, ErrCode: wireTimeout, Conn: c.id, Gen: f.Gen, Corr: f.Corr, Arrive: f.Arrive})
 		return
 	}
 
 	var reply Frame
-	if int(wf.Op) >= len(s.handlers) {
+	if int(f.Op) >= len(s.handlers) {
 		reply = Frame{Kind: FrameReply, ErrCode: wireUnknownOp}
 	} else {
-		ret, herr := s.handlers[wf.Op](ctx, wf.Arg)
+		ret, herr := s.handlers[f.Op](ctx, f.Arg)
 		reply = Frame{Kind: FrameReply, ErrCode: encodeErr(herr), Arg: ret}
 	}
-	reply.Conn, reply.Gen, reply.Corr, reply.Arrive = c.id, f.Gen, wf.Corr, f.Arrive
+	reply.Conn, reply.Gen, reply.Corr, reply.Arrive = c.id, f.Gen, f.Corr, f.Arrive
 	s.deliver(c, reply)
 }
 
-// deliver carries a reply (or keep-alive echo) back across the channel. A
-// corrupted or lost reply resets the connection: the client cannot tell a
-// lost reply from a dead server, and its correlation state is no longer
-// trustworthy either way.
+// deliver carries a reply (or keep-alive echo) back across the channel and
+// hands it to the client.
 func (s *Server) deliver(c *Conn, f Frame) {
-	s.charge(s.costs.ServFrame)
-	now := s.clock.Cycles()
-	if now < s.partUntil {
-		// Severed channel: the reply is lost, and the client — unable to
-		// tell a lost reply from a dead server — tears the connection down.
-		s.meter.Inc(metrics.CntServDrops)
-		s.reset(c)
+	now, ok := s.cross(dirReply, c, &f)
+	if !ok {
 		return
-	}
-	var wf Frame
-	switch s.roll(dirReply, now, uint64(c.id), f.Corr) {
-	case fault.KindCorrupt, fault.KindTruncate:
-		f.EncodeTo(s.scratch[:])
-		s.scratch[corruptByte(&f, now)] ^= 0xff
-		var err error
-		wf, err = DecodeFrame(s.scratch[:])
-		if err != nil {
-			s.meter.Inc(metrics.CntServCorrupt)
-			s.reset(c)
-			return
-		}
-	case fault.KindUnavail:
-		s.meter.Inc(metrics.CntServDrops)
-		s.reset(c)
-		return
-	default:
-		wf = f.wire()
 	}
 	if f.Gen != c.gen {
 		return // connection reset while the reply was in flight
 	}
 	c.lastAct = now
-	switch wf.Kind {
+	switch f.Kind {
 	case FrameKeepAlive:
 		s.meter.Inc(metrics.CntServKeepAlives)
 		return
 	case FrameReply:
-		if wf.ErrCode == wireOK {
+		if f.ErrCode == wireOK {
 			s.hist.Record(now - f.Arrive)
 			s.meter.Inc(metrics.CntServReplies)
 		} else {
 			s.meter.Inc(metrics.CntServErrors)
 		}
-		if c.awaiting && c.await == wf.Corr {
-			c.reply = wf
+		if c.awaiting && c.await == f.Corr {
+			c.reply = f
 			c.hasReply = true
 			c.awaiting = false
 		}

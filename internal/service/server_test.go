@@ -150,6 +150,40 @@ func TestClosedServerRefusalIsNotOffered(t *testing.T) {
 	}
 }
 
+// TestCloseAbandonsTheSchedule: a server closed mid-schedule serves what it
+// has queued and returns at once. The arrivals still scheduled are never
+// admitted, and the loop does not poll on until they have all come due.
+func TestCloseAbandonsTheSchedule(t *testing.T) {
+	p, clock := newTestProc(t)
+	register(p)
+	s, _ := New(p, Options{})
+	c, err := s.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const gap, requests = 1_000_000, 100
+	if err := s.Preload(OpenLoop{Arrivals: fixedGap(gap), Requests: requests, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Send("echo", 1); err != nil {
+		t.Fatal(err)
+	}
+	start := clock.Cycles()
+	s.Close()
+	if err := p.Run(s.Loop); err != nil {
+		t.Fatal(err)
+	}
+	if ran := clock.Cycles() - start; ran >= gap {
+		t.Fatalf("closed loop ran %d cycles, past the first scheduled arrival at +%d", ran, gap)
+	}
+	if st := s.Stats(); st.Admitted != 1 || st.Served != 1 || st.IdlePolls != 0 {
+		t.Fatalf("stats = %+v, want the queued request served and no idle poll", st)
+	}
+	if n := s.PendingSchedule(); n != requests {
+		t.Fatalf("pending schedule = %d, want all %d arrivals unadmitted", n, requests)
+	}
+}
+
 func TestOpenLoopPoissonServesSchedule(t *testing.T) {
 	p, _ := newTestProc(t)
 	register(p)

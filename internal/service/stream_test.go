@@ -326,6 +326,11 @@ func TestPreloadMemoryIsIndependentOfRequests(t *testing.T) {
 		if err := s.freezeOps(); err != nil { // its tables are not the schedule's
 			t.Fatal(err)
 		}
+		// The counters are process-wide, so measure on one P after letting
+		// every other runnable goroutine run, as testing.AllocsPerRun does:
+		// the tail of an earlier test's goroutine must not land in the window.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		runtime.Gosched()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		err := s.Preload(OpenLoop{Arrivals: Poisson{MeanGap: 1000}, Requests: requests, Seed: 1})

@@ -34,6 +34,11 @@ type Costs struct {
 	ExitlessCall  uint64 // exitless host call (shared-memory request; paper §6)
 	UpcallDeliver uint64 // delivering the fault into the enclave handler stack
 
+	// Trusted runtime (internal/core): one invocation of the enclave's own
+	// fault handler (SSA decode, bookkeeping), the "Autarky PF handler
+	// overhead" component of Fig. 5.
+	TrustedHandler uint64
+
 	// SGX paging instructions (per 4 KiB page).
 	EWB    uint64 // evict: encrypt+MAC+version, write to untrusted memory
 	ELDU   uint64 // load: fetch, decrypt, verify, install in EPC
@@ -109,6 +114,8 @@ func DefaultCosts() Costs {
 		// state save still happens in microcode; only the exit, the OS
 		// round trip and the re-entry are skipped.
 		UpcallDeliver: 2600,
+
+		TrustedHandler: 1200,
 
 		EWB:    7200,
 		ELDU:   6800,

@@ -85,3 +85,19 @@ func (r *Rand) Bytes(b []byte) {
 		}
 	}
 }
+
+// Mix is a SplitMix64-style finalizer folding words into one hash. It is
+// stateless, so a decision drawn from it depends only on its inputs, never
+// on how many draws came before: the fault plans and the chaos workload's
+// round function use it for exactly that.
+func Mix(words ...uint64) uint64 {
+	h := uint64(0x9e3779b97f4a7c15)
+	for _, w := range words {
+		h ^= w
+		h *= 0xbf58476d1ce4e5b9
+		h ^= h >> 29
+		h *= 0x94d049bb133111eb
+		h ^= h >> 32
+	}
+	return h
+}

@@ -195,7 +195,8 @@ func (s *Server) OpenLoop(ol OpenLoop) error { return s.svc.Preload(ol) }
 func (s *Server) Drain() error { return s.p.Wait() }
 
 // Close stops admission, lets the loop serve what is already queued, and
-// waits for it to exit.
+// waits for it to exit. Open-loop arrivals not yet admitted never are: the
+// loop does not wait for them to come due.
 func (s *Server) Close() error {
 	s.svc.Close()
 	return s.p.Wait()
