@@ -33,17 +33,19 @@ bench: build
 	@echo "wrote BENCH_$$(date +%Y-%m-%d).json"
 
 # benchdiff regenerates the report and compares each experiment's total
-# simulated cycles against the newest committed BENCH_*.json baseline; any
-# experiment growing past 10% fails. It also prints the host wall-clock
-# delta when both reports carry a wall_nanos stamp — informational only,
-# never a failure (wall time measures the simulator, not the model).
+# simulated cycles against the newest committed BENCH_*.json baseline,
+# exactly: any difference, growth or shrink, fails and is printed as an
+# absolute cycle delta, as does an experiment missing from the new report.
+# It also prints the host wall-clock delta when both reports carry a
+# wall_nanos stamp — informational only, never a failure (wall time
+# measures the simulator, not the model).
 #
 # Baseline refresh workflow: after an INTENTIONAL model change (new costs,
-# new experiment, changed workload), run `make bench` and commit the new
-# date-stamped BENCH_*.json alongside the change; benchdiff always picks
-# the lexicographically newest file. Never refresh to paper over an
-# unexplained cycle regression — deterministic cycles only move when the
-# model does.
+# new experiment, changed workload), run `make bench`, delete the old
+# baseline and commit the new date-stamped BENCH_*.json alongside the
+# change; benchdiff always picks the lexicographically newest file. Never
+# refresh to paper over an unexplained cycle change — deterministic cycles
+# only move when the model does.
 benchdiff: build
 	$(GO) run ./cmd/autarky-bench -format json -wall > /tmp/bench_current.json
 	$(GO) run ./tools/benchdiff /tmp/bench_current.json
@@ -181,7 +183,7 @@ cover:
 # check is the CI gate: formatting, static analysis, determinism lint,
 # API-surface freshness, build, the benchmark module, the full test suite
 # under the race detector, the chaos, orderliness, serving and migration
-# determinism goldens, benchdiff's simulated-cycle gate against the newest
-# committed baseline, the coverage floors, and a short fuzz pass.
+# determinism goldens, benchdiff's exact simulated-cycle gate against the
+# newest committed baseline, the coverage floors, and a short fuzz pass.
 check: fmt vet metriclint apicheck build benchcheck race chaos orderly serving migrate benchdiff cover fuzz
 	@echo "all checks passed"

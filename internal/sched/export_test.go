@@ -47,3 +47,32 @@ func CountIdleRounds() (count func() IdleRounds, restore func()) {
 
 // WaitStep runs one dispatch as Wait runs it, whole idle rounds included.
 func (s *Scheduler) WaitStep() bool { return s.step(true) }
+
+// Exited reports whether t's goroutine has returned.
+func (t *Task) Exited() bool {
+	select {
+	case <-t.exited:
+		return true
+	default:
+		return false
+	}
+}
+
+// Handoffs is what CountHandoffs saw: the goroutine switches that handed the
+// CPU to a task, and those that woke an entry point's caller.
+type Handoffs struct{ ToTask, ToCaller uint64 }
+
+// CountHandoffs counts the handoffs every scheduler makes from now on, until
+// restore.
+func CountHandoffs() (count func() Handoffs, restore func()) {
+	var seen Handoffs
+	prev := onHandoff
+	onHandoff = func(to *Task) {
+		if to == nil {
+			seen.ToCaller++
+		} else {
+			seen.ToTask++
+		}
+	}
+	return func() Handoffs { return seen }, func() { onHandoff = prev }
+}

@@ -7,16 +7,26 @@
 //
 // Each spawned task runs its body on a dedicated goroutine, but the package
 // enforces a strict coroutine handoff: at any moment exactly one goroutine —
-// the scheduler's caller or one task — is running; everyone else is blocked
-// on an unbuffered channel. Control transfers only at dispatch (scheduler →
-// task) and at yield (task → scheduler), so the simulation stays
-// single-threaded in effect, race-detector clean, and byte-deterministic: the
-// interleaving is a pure function of the policy, the quantum, and the cycle
-// costs — never of goroutine timing. One dispatch transfers nothing: a
+// an entry point's caller or one task — holds the CPU; every other one is
+// blocked on an unbuffered channel. The dispatch loop (pick, charge, arm the
+// quantum, account idle polls in place) is one function, dispatch, that runs
+// on whichever goroutine holds the CPU. An entry point (Wait, Drive, Drain,
+// Step) runs it on its caller's goroutine up to the first real dispatch,
+// hands that task the CPU and sleeps. From then on a task whose slice ends —
+// preempted, idle in Yield, or finished — accounts the slice and runs the
+// loop itself, on its own goroutine: when the loop picks it again it returns
+// into the task with no goroutine switch, and otherwise it resumes the next
+// task directly, one switch per dispatch. The caller is woken only when its
+// stop condition holds, nothing is runnable, or the loop panics; a panic the
+// loop raises on a task's goroutine is carried to the caller and re-raised
+// there. So the simulation stays single-threaded in effect, race-detector
+// clean, and byte-deterministic: the interleaving is a pure function of the
+// policy, the quantum, and the cycle costs — never of goroutine timing, nor
+// of which goroutine runs the loop. A dispatch may also transfer nothing: a
 // server loop parked in its idle yield whose next pass would only poll and
 // yield again has that pass accounted in place, and under Wait a whole run
-// of such passes, round after round of idle tasks, costs one step (see
-// step).
+// of such passes, round after round of idle tasks, costs one dispatch (see
+// pollIdle).
 //
 // # Preemption
 //
@@ -25,7 +35,7 @@
 // preemption-timer AEX; the host kernel's timer handler upcalls the scheduler
 // (hostos.Preemptor), which parks the task's entire execution stream — its
 // enclave call stack, EENTER nesting depth and ambient attribution category
-// (sgx.ExecContext) — and hands control back to the dispatch loop. When the
+// (sgx.ExecContext) — and runs the dispatch loop on from there. When the
 // task is next picked, the parked stream resumes exactly where it stopped and
 // the kernel completes the context switch with ERESUME. Preemption is thus
 // visible to adversaries and defenses alike through the same architectural
@@ -68,22 +78,6 @@ var ErrAborted = errors.New("sched: task aborted")
 // stop predicate is still false: no future dispatch can change the machine,
 // so the condition being waited for can never become true.
 var ErrStalled = errors.New("sched: drive stalled with no runnable task")
-
-// yieldKind says why a task handed control back to the dispatch loop.
-type yieldKind int
-
-const (
-	yieldPreempted yieldKind = iota // quantum expired (timer AEX parked it)
-	yieldVoluntary                  // task called Yield (idle, nothing to serve)
-	yieldFinished                   // run function returned
-	yieldPanicked                   // run function panicked; val carries it
-)
-
-type yieldMsg struct {
-	task *Task
-	kind yieldKind
-	val  any
-}
 
 // resumeMsg wakes a parked task: either to run (abort=false) or to unwind
 // its goroutine during an abort (abort=true).
@@ -194,23 +188,42 @@ type Scheduler struct {
 
 	tasks []*Task
 
-	current *Task // task holding the CPU between dispatch and yield
-	last    *Task // previously dispatched task (switch detection, policy)
-	yield   chan yieldMsg
+	current *Task  // task holding the CPU between dispatch and yield
+	mark    uint64 // the cycle current's slice began at
+	last    *Task  // previously dispatched task (switch detection, policy)
+
+	// until is the stop condition of the entry point running the loop;
+	// dispatched and stalled are what the loop found, for the entry point.
+	until      until
+	dispatched bool // a dispatch was made (Step's stop condition)
+	stalled    bool // the loop ended with nothing runnable
+	// wake hands the CPU back to the entry point's caller when the loop
+	// ends on a task's goroutine: nil, or the panic to re-raise there.
+	wake chan any
 
 	waiting   bool
 	voluntary bool // the in-flight AEX is a cooperative Yield, not a preemption
-	// draining, when non-nil, restricts dispatch to that one task: the
-	// machine is quiescing it for migration, and granting slices to anyone
-	// else would let new work slip in behind the drain (see Drain).
-	draining *Task
-	overhead uint64
+	overhead  uint64
 
-	// runnable is step's reused dispatch scratch: one dispatch happens per
+	// runnable is dispatch's reused scratch: one dispatch happens per
 	// quantum, so rebuilding the slice dominated the scheduler's allocations.
 	runnable []*Task
 	// round is pollIdle's reused scratch: the tasks of a round of idle polls.
 	round []idler
+}
+
+// until is what ends an entry point's run of the dispatch loop, and how the
+// loop runs meanwhile. With neither task nor stop set, the loop stops after
+// one dispatch (Step).
+type until struct {
+	task *Task       // Wait and Drain: stop once task is done
+	stop func() bool // Drive: stop once stop reports true
+	// rounds lets one dispatch account whole rounds of idle polls (Wait).
+	rounds bool
+	// drain restricts dispatch to task: the machine is quiescing it for
+	// migration, and granting slices to anyone else would let new work slip
+	// in behind the drain (see Drain).
+	drain bool
 }
 
 // idler is one task of a round of in-place idle polls (see idleRound): at is
@@ -238,7 +251,7 @@ func New(k *hostos.Kernel, policy Policy, quantum uint64) *Scheduler {
 		m:       metrics.Of(k.Clock),
 		policy:  policy,
 		quantum: quantum,
-		yield:   make(chan yieldMsg),
+		wake:    make(chan any),
 	}
 	k.Preemptor = s
 	return s
@@ -283,31 +296,39 @@ func (s *Scheduler) Wait(t *Task) error {
 	if t.s != s {
 		panic("sched: Wait for a task of a different scheduler")
 	}
-	s.enter("Wait")
-	defer s.leave()
-	for !t.done {
-		// Only t's end stops the loop, and no quiet poll can bring it about,
-		// so Wait may account whole rounds of idle polls in one step.
-		s.mustStep(true)
-	}
+	// Only t's end stops the loop, and no quiet poll can bring it about, so
+	// Wait may account whole rounds of idle polls in one dispatch.
+	s.run("Wait", until{task: t, rounds: true})
 	s.cpu.PreemptAt = 0
 	return t.err
 }
 
-// enter opens a dispatch-loop entry point. The loop must not be re-entered
-// from inside a task, whose goroutine would then wait on its own handoff, so
-// a nested entry panics. Every enter is paired with a deferred leave.
-func (s *Scheduler) enter(entry string) {
+// run drives the dispatch loop for an entry point until u says stop. The
+// loop must not be re-entered from inside a task, whose goroutine would then
+// wait on its own handoff, so a nested entry panics. run starts the loop on
+// its caller's goroutine, hands the first real dispatch its task, and
+// sleeps until the loop, carried on from task to task, wakes it.
+func (s *Scheduler) run(entry string, u until) {
 	if s.waiting {
 		panic("sched: " + entry + " re-entered (called from inside a scheduled task?)")
 	}
 	s.waiting = true
+	s.until, s.dispatched, s.stalled = u, false, false
+	defer s.leave()
+	if t := s.dispatch(); t != nil {
+		s.resume(t)
+		if r := <-s.wake; r != nil {
+			panic(r)
+		}
+	}
 }
 
 // leave closes an entry point. A panic escaping the dispatch loop (a budget
-// abort or a bug) first unwinds every unfinished task, so no task goroutine
-// outlives the loop, and then propagates.
+// abort or a bug), on the caller's goroutine or carried there from a task's,
+// first unwinds every unfinished task, so no task goroutine outlives the
+// loop, and then propagates.
 func (s *Scheduler) leave() {
+	s.until = until{}
 	if r := recover(); r != nil {
 		s.abortAll()
 		s.waiting = false
@@ -346,80 +367,151 @@ func (s *Scheduler) Accounting() Accounting {
 // forceRealPolls disables in-place idle polls, so every dispatch hands off
 // to the task; singlePolls disables whole idle rounds, so every in-place
 // poll is accounted on its own dispatch; onIdleRounds, when set, is told
-// the size of each batch of rounds accounted. All three are test seams: the
-// equivalence tests run each scenario every way, compare the results byte
-// for byte, and check that batches ran where they should and nowhere else.
+// the size of each batch of rounds accounted; onHandoff, when set, is told
+// of each goroutine switch of the handoff: the task handed the CPU, or nil
+// when the caller is woken. All four are test seams: the equivalence tests
+// run each scenario every way, compare the results byte for byte, and check
+// that batches and switches happened where they should and nowhere else.
 var (
 	forceRealPolls bool
 	singlePolls    bool
 	onIdleRounds   func(rounds uint64, tasks int)
+	onHandoff      func(to *Task)
 )
 
-// step runs one dispatch: pick, charge, arm the quantum, hand off, collect
-// the yield, attribute the slice. It reports false, doing nothing, when no
-// task is runnable. While a drain is in progress only the draining task is
-// eligible — new dispatch of co-tenants is rejected until the quiesce
+// dispatch is the dispatch loop. It runs on whichever goroutine holds the
+// CPU while no task does: an entry point's caller before the first real
+// dispatch, afterwards the task whose slice has just been accounted. Until
+// the entry point's stop condition holds it picks a task, charges the
+// dispatch and arms the quantum. It returns the task that dispatch hands
+// the CPU to, or nil once the condition holds or, with stalled set,
+// nothing is runnable. While a drain is in progress only the draining task
+// is eligible — new dispatch of co-tenants is rejected until the quiesce
 // completes.
 //
 // A task parked in its server loop's idle yield is not resumed when the
 // kernel can account the loop's next poll in place (hostos.Kernel.
 // PollInPlace): that poll would find nothing due and yield again, so the
-// slice charges and counts exactly what the handoff would, and the task
-// stays parked. With rounds set, which only Wait does, one step may account
-// whole rounds of such polls at once (see idleRound); Step, Drive and Drain
-// account at most one, because the fleet interleaves its machines one
-// dispatch at a time, a Drive predicate reads the clock between dispatches,
-// and a draining loop is never quiet.
-func (s *Scheduler) step(rounds bool) bool {
-	runnable := s.runnable[:0]
-	for _, t := range s.tasks {
-		if !t.done && (s.draining == nil || t == s.draining) {
-			runnable = append(runnable, t)
+// dispatch charges and counts exactly what the handoff would, the task
+// stays parked, and the loop goes on. With until.rounds set, which only
+// Wait does, one dispatch may account whole rounds of such polls at once
+// (see idleRound); Step, Drive and Drain account at most one, because the
+// fleet interleaves its machines one dispatch at a time, a Drive predicate
+// reads the clock between dispatches, and a draining loop is never quiet.
+func (s *Scheduler) dispatch() *Task {
+	for !s.stopped() {
+		runnable := s.runnable[:0]
+		for _, t := range s.tasks {
+			if !t.done && (!s.until.drain || t == s.until.task) {
+				runnable = append(runnable, t)
+			}
+		}
+		s.runnable = runnable
+		if len(runnable) == 0 {
+			s.stalled = true
+			return nil
+		}
+		t := s.policy.Pick(runnable, s.last)
+		if t == nil || t.done {
+			panic("sched: policy picked no runnable task")
+		}
+
+		s.clock.ChargeAs(sim.CatFault, s.costs.SchedDispatch)
+		s.overhead += s.costs.SchedDispatch
+		t.m.Inc(metrics.CntSchedDispatches)
+		if s.last != nil && s.last != t {
+			s.m.Inc(metrics.CntSchedSwitches)
+		}
+		s.last = t
+		s.dispatched = true
+		s.arm(s.clock.Cycles())
+
+		if !t.idle || forceRealPolls || !s.pollIdle(t, s.until.rounds) {
+			return t
 		}
 	}
-	s.runnable = runnable
-	if len(runnable) == 0 {
-		return false
-	}
-	t := s.policy.Pick(runnable, s.last)
-	if t == nil || t.done {
-		panic("sched: policy picked no runnable task")
-	}
+	return nil
+}
 
-	s.clock.ChargeAs(sim.CatFault, s.costs.SchedDispatch)
-	s.overhead += s.costs.SchedDispatch
-	t.m.Inc(metrics.CntSchedDispatches)
-	if s.last != nil && s.last != t {
-		s.m.Inc(metrics.CntSchedSwitches)
+// stopped reports whether the stop condition of the entry point running
+// the loop holds.
+func (s *Scheduler) stopped() bool {
+	switch {
+	case s.until.task != nil:
+		return s.until.task.done
+	case s.until.stop != nil:
+		return s.until.stop()
 	}
-	s.last = t
-	s.arm(s.clock.Cycles())
+	return s.dispatched
+}
 
-	if t.idle && !forceRealPolls && s.pollIdle(t, rounds) {
-		return true
+// resume hands the CPU to t, parked, for a slice that begins now.
+func (s *Scheduler) resume(t *Task) {
+	s.current, s.mark = t, s.clock.Cycles()
+	if onHandoff != nil {
+		onHandoff(t)
 	}
-	mark := s.clock.Cycles()
-	s.current = t
 	t.resume <- resumeMsg{}
-	msg := <-s.yield
-	s.current = nil
-	msg.task.cycles += s.clock.Cycles() - mark
+}
 
-	switch msg.kind {
-	case yieldPreempted:
-		msg.task.m.Inc(metrics.CntSchedPreemptions)
-	case yieldVoluntary:
-		// A cooperative handoff, not a quantum expiration: the slice ends
-		// but no preemption is counted.
-	case yieldFinished:
-		// Task marked itself done before yielding.
-	case yieldPanicked:
-		// Re-raise on the scheduler's caller; Wait's deferred recover unwinds
-		// the parked siblings first, then propagates the original value (the
-		// sim.LimitError contract with the experiment runner).
-		panic(msg.val)
+// handOff gives the CPU away from a task whose slice has ended and been
+// accounted: to next, or, when the loop is over, back to the entry point's
+// caller with wake, the panic to re-raise there or nil.
+func (s *Scheduler) handOff(next *Task, wake any) {
+	if next != nil {
+		s.resume(next)
+		return
 	}
-	return true
+	if onHandoff != nil {
+		onHandoff(nil)
+	}
+	s.wake <- wake
+}
+
+// account ends the slice of t, the task holding the CPU: the cycles since
+// its dispatch are t's, and a quantum expiry counts as a preemption.
+func (s *Scheduler) account(t *Task, preempted bool) {
+	s.current = nil
+	t.cycles += s.clock.Cycles() - s.mark
+	if preempted {
+		t.m.Inc(metrics.CntSchedPreemptions)
+	}
+}
+
+// next runs the dispatch loop on from a task whose slice has just been
+// accounted, on that task's goroutine. A panic the loop raises there — a
+// budget abort in the dispatch charge or in an idle poll, or a bug — is
+// recovered and returned as wake, so it is re-raised on the entry point's
+// caller as if the caller had run the loop, and the task stays parked until
+// abortAll unwinds it in spawn order.
+func (s *Scheduler) next() (t *Task, wake any) {
+	defer func() {
+		if r := recover(); r != nil {
+			t, wake = nil, r
+		}
+	}()
+	return s.dispatch(), nil
+}
+
+// park ends the slice of t, the task holding the CPU, on t's own goroutine:
+// it parks t's execution stream, accounts the slice and runs the loop on. It
+// returns when t is dispatched again — at once, with no goroutine switch,
+// when the loop picks t next — with the stream restored, and unwinds t when
+// it is aborted instead. idle marks a voluntary AEX of t's own enclave.
+func (s *Scheduler) park(t *Task, idle, preempted bool) {
+	t.idle = idle
+	t.saved = s.cpu.SwapContext(sgx.ExecContext{})
+	s.account(t, preempted)
+	next, wake := s.next()
+	if next == t {
+		s.current, s.mark = t, s.clock.Cycles()
+	} else {
+		s.handOff(next, wake)
+		if msg := <-t.resume; msg.abort {
+			panic(abortUnwind{})
+		}
+	}
+	s.cpu.SwapContext(t.saved)
 }
 
 // arm sets the one-shot quantum deadline of a dispatch handing over at
@@ -559,13 +651,6 @@ func (s *Scheduler) idleRound(t *Task, at uint64) (round []idler, k, d uint64) {
 	return round, k, d
 }
 
-// mustStep runs one dispatch for a caller that knows a task is runnable.
-func (s *Scheduler) mustStep(rounds bool) {
-	if !s.step(rounds) {
-		panic("sched: step with nothing runnable")
-	}
-}
-
 // Yield parks the calling task voluntarily and hands the CPU back to the
 // dispatch loop — the cooperative analogue of a quantum expiration, used by
 // server loops that find their queues empty: instead of burning the rest of
@@ -591,31 +676,26 @@ func (s *Scheduler) Yield() {
 		return
 	}
 	// A host-side task (no enclave entered): park the stream directly.
-	t.idle = false
-	t.saved = s.cpu.SwapContext(sgx.ExecContext{})
-	s.yield <- yieldMsg{task: t, kind: yieldVoluntary}
-	if msg := <-t.resume; msg.abort {
-		panic(abortUnwind{})
-	}
-	s.cpu.SwapContext(t.saved)
+	s.park(t, false, false)
 }
 
 // Drive runs the dispatch loop until stop reports true, granting slices to
 // every runnable task — the engine under a blocking client call: submit a
 // request, then Drive until the correlated reply (or a connection reset)
-// shows up. stop is evaluated between dispatches, on the scheduler's
-// goroutine. Drive returns ErrStalled if every task finishes while stop is
-// still false; like Wait, it must not be called from inside a task.
+// shows up. stop is evaluated before the first dispatch and after each
+// one, on whichever goroutine holds the CPU: the caller's before the first
+// real dispatch, afterwards that of the task whose slice has just ended.
+// So it must not block, call back into the scheduler or depend on the
+// goroutine it runs on; it may read the machine and record what it saw for
+// the caller, which reads it after Drive returns. Drive returns ErrStalled
+// if every task finishes while stop is still false; like Wait, it must not
+// be called from inside a task.
 func (s *Scheduler) Drive(stop func() bool) error {
-	s.enter("Drive")
-	defer s.leave()
-	for !stop() {
-		if !s.step(false) {
-			s.cpu.PreemptAt = 0
-			return ErrStalled
-		}
-	}
+	s.run("Drive", until{stop: stop})
 	s.cpu.PreemptAt = 0
+	if s.stalled {
+		return ErrStalled
+	}
 	return nil
 }
 
@@ -632,13 +712,7 @@ func (s *Scheduler) Drain(t *Task) error {
 	if t.s != s {
 		panic("sched: Drain for a task of a different scheduler")
 	}
-	s.enter("Drain")
-	defer s.leave()
-	defer func() { s.draining = nil }()
-	s.draining = t
-	for !t.done {
-		s.mustStep(false)
-	}
+	s.run("Drain", until{task: t, drain: true})
 	s.cpu.PreemptAt = 0
 	return t.err
 }
@@ -648,10 +722,13 @@ func (s *Scheduler) Drain(t *Task) error {
 // round-robin Step calls interleave their dispatch loops deterministically
 // without any machine monopolizing the timeline. Like Wait, it must not be
 // called from inside a scheduled task.
-func (s *Scheduler) Step() bool {
-	s.enter("Step")
-	defer s.leave()
-	if !s.step(false) {
+func (s *Scheduler) Step() bool { return s.step(false) }
+
+// step is Step; with rounds set, its one dispatch may account whole rounds
+// of idle polls, as a dispatch under Wait does.
+func (s *Scheduler) step(rounds bool) bool {
+	s.run("Step", until{rounds: rounds})
+	if !s.dispatched {
 		s.cpu.PreemptAt = 0
 		return false
 	}
@@ -660,8 +737,9 @@ func (s *Scheduler) Step() bool {
 
 // OnPreempt implements hostos.Preemptor. It runs on the preempted task's
 // goroutine, underneath the kernel's timer handler: it parks the execution
-// stream and returns only when the task is dispatched again, so the ERESUME
-// the kernel issues next is the context-switch-in.
+// stream, runs the dispatch loop on (see park), and returns only when the
+// task is dispatched again, so the ERESUME the kernel issues next is the
+// context-switch-in.
 func (s *Scheduler) OnPreempt(k *hostos.Kernel, p *hostos.Proc) {
 	voluntary := s.voluntary
 	s.voluntary = false
@@ -674,17 +752,8 @@ func (s *Scheduler) OnPreempt(k *hostos.Kernel, p *hostos.Proc) {
 	if t.proc != nil && p != nil && t.proc != p {
 		return
 	}
-	kind := yieldPreempted
-	if voluntary {
-		kind = yieldVoluntary
-	}
-	t.idle = voluntary && p != nil && p == t.proc
-	t.saved = s.cpu.SwapContext(sgx.ExecContext{})
-	s.yield <- yieldMsg{task: t, kind: kind}
-	if msg := <-t.resume; msg.abort {
-		panic(abortUnwind{})
-	}
-	s.cpu.SwapContext(t.saved)
+	// A cooperative Yield ends the slice without counting a preemption.
+	s.park(t, voluntary && p != nil && p == t.proc, !voluntary)
 }
 
 // Kill crash-stops one task: the parked goroutine is unwound (abandoning
@@ -710,10 +779,10 @@ func (s *Scheduler) Kill(t *Task, err error) {
 	<-t.exited
 }
 
-// abortAll unwinds every parked task, one at a time, so their deferred
-// cleanups (clock category scopes, enclave-entry recovers) never run
-// concurrently. Called only from Wait's recover path; afterwards the machine
-// is abandoned to the caller's panic.
+// abortAll unwinds every parked task in spawn order, one at a time, so
+// their deferred cleanups (clock category scopes, enclave-entry recovers)
+// never run concurrently. Called only from an entry point's recover path;
+// afterwards the machine is abandoned to the caller's panic.
 func (s *Scheduler) abortAll() {
 	for _, t := range s.tasks {
 		if t.done {
@@ -727,10 +796,12 @@ func (s *Scheduler) abortAll() {
 }
 
 // main is the task goroutine: wait for the first dispatch, run the body,
-// yield the outcome. All panics from the body — enclave terminations escape
-// as error returns before this point, so what reaches here is budget aborts
-// and genuine bugs — are shipped to the scheduler goroutine to re-raise.
+// then account the final slice and run the dispatch loop on, as any task
+// whose slice ends does. All panics from the body — enclave terminations
+// escape as error returns before this point, so what reaches here is budget
+// aborts and genuine bugs — wake the entry point's caller to re-raise them.
 func (t *Task) main() {
+	s := t.s
 	defer close(t.exited)
 	defer func() {
 		r := recover()
@@ -741,12 +812,14 @@ func (t *Task) main() {
 			return
 		}
 		t.done = true
-		t.s.yield <- yieldMsg{task: t, kind: yieldPanicked, val: r}
+		s.account(t, false)
+		s.handOff(nil, r)
 	}()
 	if msg := <-t.resume; msg.abort {
 		return
 	}
 	t.err = t.run()
 	t.done = true
-	t.s.yield <- yieldMsg{task: t, kind: yieldFinished}
+	s.account(t, false)
+	s.handOff(s.next())
 }

@@ -267,6 +267,11 @@ func (c *Conn) Call(op string, arg uint64) (uint64, error) {
 	}
 	deadline := m.Clock.Cycles() + c.s.svc.Options().CallTimeout
 	timedOut := false
+	// The predicate runs on whichever goroutine holds the CPU when a slice
+	// ends, a task's as often as this one (see sched.Scheduler.Drive): it
+	// only reads the connection, the server and the clock, and records a
+	// timeout in timedOut, which Drive's return orders before the reads
+	// below.
 	driveErr := m.sched.Drive(func() bool {
 		if c.c.Ready(corr) || c.c.Gen() != gen || c.s.p.Done() {
 			return true
