@@ -32,28 +32,31 @@ bench: build
 	$(GO) run ./cmd/autarky-bench -format json -wall > BENCH_$$(date +%Y-%m-%d).json
 	@echo "wrote BENCH_$$(date +%Y-%m-%d).json"
 
-# benchdiff regenerates the report and compares each experiment's total
-# simulated cycles against the newest committed BENCH_*.json baseline,
-# exactly: any difference, growth or shrink, fails and is printed as an
-# absolute cycle delta, as does an experiment missing from the new report.
-# It also prints the host wall-clock delta when both reports carry a
-# wall_nanos stamp — informational only, never a failure (wall time
+# benchdiff regenerates the report and compares every experiment's
+# simulated output against the newest committed BENCH_*.json baseline,
+# exactly: its note, header and rows, and each cell's cycles, attribution
+# and counters. Any difference fails, even one that leaves the total cycles
+# unchanged, and is printed beside the experiment's cycle delta as the first
+# row or cell value that differs; an experiment missing from the new report
+# fails too. It also prints the host wall-clock delta when both reports
+# carry a wall_nanos stamp — informational only, never a failure (wall time
 # measures the simulator, not the model).
 #
 # Baseline refresh workflow: after an INTENTIONAL model change (new costs,
 # new experiment, changed workload), run `make bench`, delete the old
 # baseline and commit the new date-stamped BENCH_*.json alongside the
 # change; benchdiff always picks the lexicographically newest file. Never
-# refresh to paper over an unexplained cycle change — deterministic cycles
-# only move when the model does.
+# refresh to paper over an unexplained change — deterministic output only
+# moves when the model does.
 benchdiff: build
 	$(GO) run ./cmd/autarky-bench -format json -wall > /tmp/bench_current.json
 	$(GO) run ./tools/benchdiff /tmp/bench_current.json
 
 # gobench runs the Go micro-benchmarks (the old `make bench`): the
 # simulator hot-path micro-benchmarks (facade touch and fault paths,
-# sealing, the slot store, ORAM accesses, cluster closures, TLB-hit
-# translation, cycle charging, latency recording, open-loop arrivals). The
+# sealing, the slot store, ORAM accesses, cluster closures, TLB-hit and
+# TLB-miss translation, cycle charging, latency recording, open-loop
+# arrivals). The
 # hot paths must report 0 allocs/op; the matching *ZeroAlloc tests gate
 # that in `make test`, so a regression fails CI rather than a bench diff.
 gobench:
@@ -183,7 +186,8 @@ cover:
 # check is the CI gate: formatting, static analysis, determinism lint,
 # API-surface freshness, build, the benchmark module, the full test suite
 # under the race detector, the chaos, orderliness, serving and migration
-# determinism goldens, benchdiff's exact simulated-cycle gate against the
-# newest committed baseline, the coverage floors, and a short fuzz pass.
+# determinism goldens, benchdiff's exact gate on every simulated output
+# against the newest committed baseline, the coverage floors, and a short
+# fuzz pass.
 check: fmt vet metriclint apicheck build benchcheck race chaos orderly serving migrate benchdiff cover fuzz
 	@echo "all checks passed"

@@ -61,12 +61,12 @@ func TestMapWalkRoundTrip(t *testing.T) {
 	pt, _ := newPT()
 	va := VAddr(0x4000_0000)
 	pt.Map(va, 42, PermRW, false)
-	wr, fault := pt.Walk(va, AccessRead)
+	pte, fault := pt.Walk(va, AccessRead)
 	if fault != nil {
 		t.Fatalf("walk faulted: %v", fault)
 	}
-	if wr.PTE.PFN != 42 || wr.PTE.EPC {
-		t.Fatalf("wrong PTE: %+v", wr.PTE)
+	if pte.PFN != 42 || pte.EPC {
+		t.Fatalf("wrong PTE: %+v", pte)
 	}
 }
 
@@ -197,8 +197,8 @@ func TestPageTablePropertyRoundTrip(t *testing.T) {
 		va := PageOf(vpn)
 		pfn := PFN(pfnRaw) + 1
 		pt.Map(va, pfn, PermRW, false)
-		wr, fault := pt.Walk(va, AccessRead)
-		return fault == nil && wr.PTE.PFN == pfn
+		pte, fault := pt.Walk(va, AccessRead)
+		return fault == nil && pte.PFN == pfn
 	}, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
@@ -212,16 +212,30 @@ func newTLB() (*TLB, *sim.Clock) {
 	return NewTLB(16, 2, clock, &costs), clock
 }
 
+// fill installs a translation for va the way the CPU does after a miss:
+// a lookup chooses the way, Fill takes it.
+func fill(tlb *TLB, va VAddr, pte PTE, writable bool) {
+	_, way := tlb.Lookup(va, AccessRead)
+	tlb.Fill(va, way, pte.PFN, pte.Perms, writable)
+}
+
+// hits reports whether a lookup of va for at hits.
+func hits(tlb *TLB, va VAddr, at AccessType) bool {
+	e, _ := tlb.Lookup(va, at)
+	return e != nil
+}
+
 func TestTLBMissThenHit(t *testing.T) {
 	tlb, clock := newTLB()
 	va := VAddr(0x1000)
-	if _, ok := tlb.Lookup(va, AccessRead); ok {
+	e, way := tlb.Lookup(va, AccessRead)
+	if e != nil {
 		t.Fatal("empty TLB hit")
 	}
-	tlb.Fill(va, PTE{Present: true, Perms: PermRW, PFN: 8}, true)
-	e, ok := tlb.Lookup(va, AccessRead)
-	if !ok || e.PFN() != 8 {
-		t.Fatalf("hit failed: %v %v", e, ok)
+	tlb.Fill(va, way, 8, PermRW, true)
+	e, _ = tlb.Lookup(va, AccessRead)
+	if e == nil || e.PFN() != 8 {
+		t.Fatalf("hit failed: %v", e)
 	}
 	m := metrics.Of(clock)
 	if hits, misses := m.Count(metrics.CntTLBHits), m.Count(metrics.CntTLBMisses); hits != 1 || misses != 1 {
@@ -233,11 +247,11 @@ func TestTLBWriteRequiresWritableEntry(t *testing.T) {
 	tlb, _ := newTLB()
 	va := VAddr(0x2000)
 	// Filled from a read with D clear: not writable.
-	tlb.Fill(va, PTE{Present: true, Perms: PermRW, PFN: 1}, false)
-	if _, ok := tlb.Lookup(va, AccessWrite); ok {
+	fill(tlb, va, PTE{Present: true, Perms: PermRW, PFN: 1}, false)
+	if hits(tlb, va, AccessWrite) {
 		t.Fatal("store must miss on a non-writable entry (D-bit discipline)")
 	}
-	if _, ok := tlb.Lookup(va, AccessRead); !ok {
+	if !hits(tlb, va, AccessRead) {
 		t.Fatal("read should hit")
 	}
 }
@@ -245,34 +259,34 @@ func TestTLBWriteRequiresWritableEntry(t *testing.T) {
 func TestTLBPermissionCheck(t *testing.T) {
 	tlb, _ := newTLB()
 	va := VAddr(0x3000)
-	tlb.Fill(va, PTE{Present: true, Perms: PermRead | PermUser, PFN: 1}, true)
-	if _, ok := tlb.Lookup(va, AccessExec); ok {
+	fill(tlb, va, PTE{Present: true, Perms: PermRead | PermUser, PFN: 1}, true)
+	if hits(tlb, va, AccessExec) {
 		t.Fatal("exec hit on non-exec entry")
 	}
 }
 
 func TestTLBFlushAll(t *testing.T) {
 	tlb, clock := newTLB()
-	tlb.Fill(0x1000, PTE{Present: true, Perms: PermRW, PFN: 1}, true)
+	fill(tlb, 0x1000, PTE{Present: true, Perms: PermRW, PFN: 1}, true)
 	before := clock.Cycles()
 	tlb.FlushAll(1)
 	if clock.Cycles() == before {
 		t.Fatal("flush must charge cycles")
 	}
-	if _, ok := tlb.Lookup(0x1000, AccessRead); ok {
+	if hits(tlb, 0x1000, AccessRead) {
 		t.Fatal("entry survived flush")
 	}
 }
 
 func TestTLBInvalidateSinglePage(t *testing.T) {
 	tlb, _ := newTLB()
-	tlb.Fill(0x1000, PTE{Present: true, Perms: PermRW, PFN: 1}, true)
-	tlb.Fill(0x2000, PTE{Present: true, Perms: PermRW, PFN: 2}, true)
+	fill(tlb, 0x1000, PTE{Present: true, Perms: PermRW, PFN: 1}, true)
+	fill(tlb, 0x2000, PTE{Present: true, Perms: PermRW, PFN: 2}, true)
 	tlb.Invalidate(0x1000)
-	if _, ok := tlb.Lookup(0x1000, AccessRead); ok {
+	if hits(tlb, 0x1000, AccessRead) {
 		t.Fatal("invalidated entry hit")
 	}
-	if _, ok := tlb.Lookup(0x2000, AccessRead); !ok {
+	if !hits(tlb, 0x2000, AccessRead) {
 		t.Fatal("unrelated entry lost")
 	}
 }
@@ -280,7 +294,7 @@ func TestTLBInvalidateSinglePage(t *testing.T) {
 func TestTLBShootdownChargesIPI(t *testing.T) {
 	tlb, clock := newTLB()
 	costs := sim.DefaultCosts()
-	tlb.Fill(0x1000, PTE{Present: true, Perms: PermRW, PFN: 1}, true)
+	fill(tlb, 0x1000, PTE{Present: true, Perms: PermRW, PFN: 1}, true)
 	before := clock.Cycles()
 	tlb.Shootdown(0x1000)
 	if got := clock.Cycles() - before; got < costs.TLBShootdown {
@@ -292,17 +306,17 @@ func TestTLBLRUEviction(t *testing.T) {
 	clock := sim.NewClock()
 	costs := sim.DefaultCosts()
 	tlb := NewTLB(1, 2, clock, &costs) // one set, two ways
-	fill := func(vpn uint64) {
-		tlb.Fill(PageOf(vpn), PTE{Present: true, Perms: PermRW, PFN: PFN(vpn)}, true)
+	fillVPN := func(vpn uint64) {
+		fill(tlb, PageOf(vpn), PTE{Present: true, Perms: PermRW, PFN: PFN(vpn)}, true)
 	}
-	fill(1)
-	fill(2)
+	fillVPN(1)
+	fillVPN(2)
 	tlb.Lookup(PageOf(1), AccessRead) // make 1 MRU
-	fill(3)                           // must evict 2
-	if _, ok := tlb.Lookup(PageOf(1), AccessRead); !ok {
+	fillVPN(3)                        // must evict 2
+	if !hits(tlb, PageOf(1), AccessRead) {
 		t.Fatal("MRU entry evicted")
 	}
-	if _, ok := tlb.Lookup(PageOf(2), AccessRead); ok {
+	if hits(tlb, PageOf(2), AccessRead) {
 		t.Fatal("LRU entry survived")
 	}
 }

@@ -57,6 +57,26 @@ type ptNode struct {
 	leaves  [ptFanout]*PTE    // last level only
 }
 
+// ptNodeCacheSlots is the number of slots in a page table's cache of
+// last-level nodes (a power of two). One slot holds the node of one 2 MiB
+// region.
+const ptNodeCacheSlots = 64
+
+// ptNodeCacheSlot holds the last-level node of one 2 MiB region, keyed by
+// the region's number (vpn >> ptIdxBits). A nil node marks an empty slot.
+type ptNodeCacheSlot struct {
+	region uint64
+	node   *ptNode
+}
+
+// nodeCacheIndex is region's slot in the node cache. Enclaves sit in 1 GiB
+// ELRANGE slots, 512 regions apart, so the low bits of the region number
+// alone would put every enclave's first region in one slot; folding in the
+// region's 1 GiB number keeps them apart.
+func nodeCacheIndex(region uint64) int {
+	return int((region ^ region>>ptIdxBits) & (ptNodeCacheSlots - 1))
+}
+
 // PageTable is a 4-level radix page table. One PageTable backs one process
 // address space; the enclave shares its host process's table (paper §2.1:
 // "their address space is managed by the OS via the same page table").
@@ -68,9 +88,17 @@ type PageTable struct {
 	clock *sim.Clock
 	costs *sim.Costs
 
+	// nodes caches the last-level nodes of recent successful walks, so a
+	// walk through a cached region reads one node instead of four. Nodes
+	// are never freed, so a cached node is the one a walk from the root
+	// would reach, and it sees every PTE write made since it was cached.
+	nodes [ptNodeCacheSlots]ptNodeCacheSlot
+
 	// mapped counts present leaf PTEs, for accounting and tests.
 	mapped int
-	// walkFault is the fault the last faulting Walk returned.
+	// walked is the PTE the last successful Walk returned, and walkFault
+	// the fault the last faulting Walk returned.
+	walked    PTE
 	walkFault Fault
 }
 
@@ -221,42 +249,58 @@ func (pt *PageTable) SetAD(va VAddr, dirty bool) {
 // Mapped reports the number of present leaf entries.
 func (pt *PageTable) Mapped() int { return pt.mapped }
 
-// WalkResult carries the outcome of a hardware page-table walk before any
-// SGX-specific checks and before A/D writeback.
-type WalkResult struct {
-	PTE PTE // snapshot at walk time (pre-writeback A/D state)
-}
-
 // Walk performs the hardware walk for va with the given access type,
-// charging walk cycles. It returns a fault for a non-present translation or
-// insufficient permissions. It does NOT update A/D bits; the CPU layer
-// decides that after SGX checks (paper §5.1.4 requires the checks to see the
-// pre-update state).
+// charging walk cycles. It returns a snapshot of the leaf PTE, taken before
+// any SGX-specific check and before A/D writeback, or a fault for a
+// non-present translation or insufficient permissions. It does NOT update
+// A/D bits; the CPU layer decides that after SGX checks (paper §5.1.4
+// requires the checks to see the pre-update state).
 //
-// The fault lives in the page table and is valid until the next Walk;
-// callers that keep it copy it. A faulting walk thus allocates nothing, and
-// the results still travel in registers.
-func (pt *PageTable) Walk(va VAddr, t AccessType) (WalkResult, *Fault) {
-	n := &pt.root
+// The snapshot and the fault live in the page table and are valid until the
+// next Walk; callers that keep them copy them. A walk thus allocates
+// nothing, and its caller reads the snapshot's fields where they lie: a
+// struct returned by value is spilled with narrow stores and then copied
+// with wide loads, which stall on them.
+//
+// A walk through a region whose last-level node is cached goes straight to
+// the leaf, but charges the four levels one at a time, as the walk from the
+// root does, so a cycle limit trips at the same cycle. Only a successful
+// walk fills the cache.
+func (pt *PageTable) Walk(va VAddr, t AccessType) (*PTE, *Fault) {
 	vpn := va.VPN()
-	for level := 0; level < ptLevels-1; level++ {
-		// Walk latency is pipeline work: it inherits the ambient category.
-		pt.clock.ChargeAmbient(pt.costs.PTWalkLevel)
-		next := n.entries[idxAt(vpn, level)]
-		if next == nil {
-			return WalkResult{}, pt.fault(Fault{Addr: va, Type: t, NotPresent: true})
+	region := vpn >> ptIdxBits
+	slot := &pt.nodes[nodeCacheIndex(region)]
+	n := slot.node
+	cached := n != nil && slot.region == region
+	// Walk latency is pipeline work: it inherits the ambient category.
+	if cached {
+		for level := 0; level < ptLevels-1; level++ {
+			pt.clock.ChargeAmbient(pt.costs.PTWalkLevel)
 		}
-		n = next
+	} else {
+		n = &pt.root
+		for level := 0; level < ptLevels-1; level++ {
+			pt.clock.ChargeAmbient(pt.costs.PTWalkLevel)
+			next := n.entries[idxAt(vpn, level)]
+			if next == nil {
+				return nil, pt.fault(Fault{Addr: va, Type: t, NotPresent: true})
+			}
+			n = next
+		}
 	}
 	pt.clock.ChargeAmbient(pt.costs.PTWalkLevel)
 	leaf := n.leaves[idxAt(vpn, ptLevels-1)]
 	if leaf == nil || !leaf.Present {
-		return WalkResult{}, pt.fault(Fault{Addr: va, Type: t, NotPresent: true})
+		return nil, pt.fault(Fault{Addr: va, Type: t, NotPresent: true})
 	}
 	if !leaf.Perms.Allows(t) {
-		return WalkResult{}, pt.fault(Fault{Addr: va, Type: t, Protection: true})
+		return nil, pt.fault(Fault{Addr: va, Type: t, Protection: true})
 	}
-	return WalkResult{PTE: *leaf}, nil
+	if !cached {
+		*slot = ptNodeCacheSlot{region: region, node: n}
+	}
+	pt.walked = *leaf
+	return &pt.walked, nil
 }
 
 // fault parks f in the page table's fault slot and returns it.

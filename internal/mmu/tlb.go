@@ -71,52 +71,60 @@ func (t *TLB) live(e *TLBEntry) bool {
 // through an entry whose D bit was clear at fill time misses (hardware must
 // re-walk to set D), matching x86 behaviour and preserving the dirty-bit
 // side channel for the vanilla model.
-func (t *TLB) Lookup(va VAddr, at AccessType) (*TLBEntry, bool) {
+//
+// On a miss the entry is nil and way is the way a fill of va takes: the
+// first way that is not live, or else the first least-recently-used one.
+// The same scan finds both, so a miss reads the set once.
+func (t *TLB) Lookup(va VAddr, at AccessType) (e *TLBEntry, way int) {
 	// Lookup latency is part of the access pipeline; it inherits the
 	// ambient category (compute for workload accesses).
 	t.clock.ChargeAmbient(t.costs.TLBHit)
 	vpn := va.VPN()
 	set := t.set(vpn)
+	stale, probing := false, true
 	for i := range set {
-		e := &set[i]
-		if t.live(e) && e.vpn == vpn && e.perms.Allows(at) {
-			if at == AccessWrite && !e.writable {
-				break // must re-walk to set the dirty bit
+		ent := &set[i]
+		if !t.live(ent) {
+			if !stale {
+				way, stale = i, true
 			}
-			t.useTick++
-			e.lastUse = t.useTick
-			t.m.Inc(metrics.CntTLBHits)
-			return e, true
+			continue
+		}
+		if probing && ent.vpn == vpn && ent.perms.Allows(at) {
+			if at != AccessWrite || ent.writable {
+				t.useTick++
+				ent.lastUse = t.useTick
+				t.m.Inc(metrics.CntTLBHits)
+				return ent, i
+			}
+			probing = false // must re-walk to set the dirty bit
+		}
+		if !stale && ent.lastUse < set[way].lastUse {
+			way = i
 		}
 	}
 	t.m.Inc(metrics.CntTLBMisses)
-	return nil, false
+	return nil, way
 }
 
-// Fill installs a translation, evicting the LRU way of the set.
-func (t *TLB) Fill(va VAddr, pte PTE, writable bool) {
+// Fill installs the translation of va to pfn with perms in the way that
+// the Lookup of va which missed chose. Nothing may change the TLB between
+// the two calls.
+//
+// It takes the PTE's fields and writes the entry field by field, because a
+// struct copied whole is copied with wide loads, which stall on the narrow
+// stores that just wrote its fields.
+func (t *TLB) Fill(va VAddr, way int, pfn PFN, perms Perms, writable bool) {
 	vpn := va.VPN()
-	set := t.set(vpn)
-	victim := 0
-	for i := range set {
-		if !t.live(&set[i]) {
-			victim = i
-			break
-		}
-		if set[i].lastUse < set[victim].lastUse {
-			victim = i
-		}
-	}
 	t.useTick++
-	set[victim] = TLBEntry{
-		valid:    true,
-		vpn:      vpn,
-		pfn:      pte.PFN,
-		perms:    pte.Perms,
-		writable: writable,
-		lastUse:  t.useTick,
-		epoch:    t.epoch,
-	}
+	e := &t.set(vpn)[way]
+	e.valid = true
+	e.vpn = vpn
+	e.pfn = pfn
+	e.perms = perms
+	e.writable = writable
+	e.lastUse = t.useTick
+	e.epoch = t.epoch
 	t.m.Inc(metrics.CntTLBFills)
 }
 

@@ -362,17 +362,18 @@ func (c *CPU) FrozenPage(va mmu.VAddr, pfn mmu.PFN) ([]byte, error) {
 
 // translate resolves va for access type t, applying TLB, page-table walk,
 // SGX EPCM checks and Autarky's A/D rule. On success the translation is in
-// the TLB and the frame is returned. A fault lives in the CPU or the page
-// table and is valid until the next translate.
+// the TLB, in the way the missing lookup chose, and the frame is returned. A
+// fault lives in the CPU or the page table and is valid until the next
+// translate.
 func (c *CPU) translate(va mmu.VAddr, t mmu.AccessType) (mmu.PFN, *mmu.Fault) {
-	if entry, ok := c.TLB.Lookup(va, t); ok {
+	entry, way := c.TLB.Lookup(va, t)
+	if entry != nil {
 		return entry.PFN(), nil
 	}
-	wr, fault := c.PT.Walk(va, t)
+	pte, fault := c.PT.Walk(va, t)
 	if fault != nil {
 		return mmu.NoPFN, fault
 	}
-	pte := wr.PTE
 
 	if c.cur != nil && c.cur.Contains(va) {
 		// Enclave-region access: the SGX-specific checks (paper §2.1
@@ -380,7 +381,7 @@ func (c *CPU) translate(va mmu.VAddr, t mmu.AccessType) (mmu.PFN, *mmu.Fault) {
 		if !pte.EPC || !c.EPC.Contains(pte.PFN) {
 			return mmu.NoPFN, c.sgxFault(mmu.Fault{Addr: va, Type: t, SGX: true, NotPresent: true})
 		}
-		ent := c.EPC.Entry(pte.PFN).EPCM
+		ent := &c.EPC.Entry(pte.PFN).EPCM
 		switch {
 		case !ent.Valid,
 			ent.EnclaveID != c.cur.ID,
@@ -404,11 +405,11 @@ func (c *CPU) translate(va mmu.VAddr, t mmu.AccessType) (mmu.PFN, *mmu.Fault) {
 			if !pte.Accessed || !pte.Dirty {
 				return mmu.NoPFN, c.sgxFault(mmu.Fault{Addr: va, Type: t, SGX: true, NotPresent: true})
 			}
-			c.TLB.Fill(va, pte, true)
+			c.TLB.Fill(va, way, pte.PFN, pte.Perms, true)
 		} else {
 			c.PT.SetAD(va, t == mmu.AccessWrite)
 			c.Clock.ChargeAmbient(c.Costs.ADWriteback)
-			c.TLB.Fill(va, pte, pte.Dirty || t == mmu.AccessWrite)
+			c.TLB.Fill(va, way, pte.PFN, pte.Perms, pte.Dirty || t == mmu.AccessWrite)
 		}
 		return pte.PFN, nil
 	}
@@ -422,7 +423,7 @@ func (c *CPU) translate(va mmu.VAddr, t mmu.AccessType) (mmu.PFN, *mmu.Fault) {
 	}
 	c.PT.SetAD(va, t == mmu.AccessWrite)
 	c.Clock.ChargeAmbient(c.Costs.ADWriteback)
-	c.TLB.Fill(va, pte, pte.Dirty || t == mmu.AccessWrite)
+	c.TLB.Fill(va, way, pte.PFN, pte.Perms, pte.Dirty || t == mmu.AccessWrite)
 	return pte.PFN, nil
 }
 

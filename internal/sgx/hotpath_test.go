@@ -44,6 +44,86 @@ func TestTranslateTLBHitZeroAlloc(t *testing.T) {
 	}
 }
 
+// missRig is a serving machine's translation path in miniature: two
+// self-paging enclaves in ELRANGE slots 1 GiB apart, each a heap of
+// missObjects objects of four pages, all resident and mapped with A and D
+// set. Each request enters one enclave, which flushes the TLB, and loads
+// one object's four pages, so every load misses the TLB and walks.
+type missRig struct {
+	c    *CPU
+	encl [2]*Enclave
+	tcs  [2]*TCS
+}
+
+const (
+	missObjects  = 24
+	missObjPages = 4
+)
+
+func newMissRig(tb testing.TB) *missRig {
+	tb.Helper()
+	clock := sim.NewClock()
+	costs := sim.DefaultCosts()
+	pt := mmu.NewPageTable(clock, &costs)
+	tlb := mmu.NewTLB(64, 4, clock, &costs)
+	epc := NewEPC(0x1000, 256)
+	m := &missRig{c: NewCPU(clock, &costs, tlb, pt, epc, NewRegularMemory(1<<20), []byte("hotpath"))}
+	const pages = missObjects * missObjPages
+	for i := range m.encl {
+		base := mmu.VAddr(i+1) << 30
+		e, err := m.c.ECREATE(base, pages*mmu.PageSize, AttrSelfPaging)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		e.Runtime = rigRuntime{}
+		for p := 0; p < pages; p++ {
+			va := base + mmu.VAddr(p*mmu.PageSize)
+			pfn, err := m.c.EADD(e, va, nil, mmu.PermRW, PTReg)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			pt.MapAD(va, pfn, mmu.PermRW, true, true, true)
+		}
+		if m.tcs[i], err = m.c.AddTCS(e, 2); err != nil {
+			tb.Fatal(err)
+		}
+		if err := m.c.EINIT(e); err != nil {
+			tb.Fatal(err)
+		}
+		m.encl[i] = e
+	}
+	m.request(tb, 0) // fill the page table's node cache
+	return m
+}
+
+// request is request i: enclave i%2 is entered and object i%missObjects of
+// its heap read.
+func (m *missRig) request(tb testing.TB, i int) {
+	e := m.encl[i%2]
+	m.c.setMode(e, m.tcs[i%2])
+	m.c.TLB.FlushAll(1)
+	obj := e.Base + mmu.VAddr(i%missObjects*missObjPages*mmu.PageSize)
+	for p := 0; p < missObjPages; p++ {
+		if _, fault := m.c.translate(obj+mmu.VAddr(p*mmu.PageSize), mmu.AccessRead); fault != nil {
+			tb.Fatalf("translate faulted: %v", fault)
+		}
+	}
+	m.c.clearMode()
+}
+
+// TestTranslateTLBMissZeroAlloc: a translation that misses the TLB — the
+// walk, the EPCM and A/D checks and the fill — allocates nothing.
+func TestTranslateTLBMissZeroAlloc(t *testing.T) {
+	m := newMissRig(t)
+	i := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		i++
+		m.request(t, i)
+	}); allocs != 0 {
+		t.Errorf("TLB-miss translate allocates %.1f per request, want 0", allocs)
+	}
+}
+
 // slotBackend keeps one sealed page in a buffer allocated up front, the
 // way a warm store slot would, so a test can measure the EWB/ELDU hand-off
 // alone.
@@ -117,6 +197,17 @@ func BenchmarkTranslateTLBHit(b *testing.B) {
 		if _, fault := c.translate(va, mmu.AccessRead); fault != nil {
 			b.Fatalf("translate faulted: %v", fault)
 		}
+	}
+}
+
+// BenchmarkTranslateTLBMiss measures one request of missRig: a TLB flush
+// and four translations that miss.
+func BenchmarkTranslateTLBMiss(b *testing.B) {
+	m := newMissRig(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.request(b, i)
 	}
 }
 

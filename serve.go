@@ -133,6 +133,22 @@ func WithLatencyRange(max uint64) ServeOption {
 type Server struct {
 	p   *Proc
 	svc *service.Server
+
+	// call is the blocking Call in flight on one of the server's
+	// connections; a machine runs one Call at a time. stopCall is callOver
+	// bound once in Serve, so that a Call hands the scheduler a predicate
+	// already on the heap and allocates nothing.
+	call     pendingCall
+	stopCall func() bool
+}
+
+// pendingCall is what a blocking Call waits for, and whether it timed out.
+type pendingCall struct {
+	conn     *service.Conn
+	corr     uint64
+	gen      uint32
+	deadline uint64
+	timedOut bool
 }
 
 // Serve loads an application image as an enclave, registers its request
@@ -161,7 +177,9 @@ func (m *Machine) Serve(img AppImage, cfg Config, opts ...ServeOption) (*Server,
 	}
 	svc.Idle = m.sched.Yield
 	p.Start(svc.Loop)
-	return &Server{p: p, svc: svc}, nil
+	s := &Server{p: p, svc: svc}
+	s.stopCall = s.callOver
+	return s, nil
 }
 
 // Proc returns the scheduled enclave process behind the server.
@@ -258,30 +276,17 @@ func (c *Conn) Send(op string, arg uint64) error { return c.c.Send(op, arg) }
 // (see WithCallTimeout). Co-resident processes run normally while the call
 // blocks. Remote handler errors come back through the wire taxonomy:
 // errors.Is recognizes ErrQuotaExceeded, ErrRateLimited, ErrRequestTimeout,
-// ErrUnknownOp; anything else folds to ErrRemoteFault.
+// ErrUnknownOp; anything else folds to ErrRemoteFault. A call that blocks
+// allocates nothing: its state lives in the Server.
 func (c *Conn) Call(op string, arg uint64) (uint64, error) {
-	m := c.s.p.m
+	s := c.s
+	m := s.p.m
 	corr, gen, err := c.c.Submit(op, arg)
 	if err != nil {
 		return 0, err
 	}
-	deadline := m.Clock.Cycles() + c.s.svc.Options().CallTimeout
-	timedOut := false
-	// The predicate runs on whichever goroutine holds the CPU when a slice
-	// ends, a task's as often as this one (see sched.Scheduler.Drive): it
-	// only reads the connection, the server and the clock, and records a
-	// timeout in timedOut, which Drive's return orders before the reads
-	// below.
-	driveErr := m.sched.Drive(func() bool {
-		if c.c.Ready(corr) || c.c.Gen() != gen || c.s.p.Done() {
-			return true
-		}
-		if m.Clock.Cycles() >= deadline {
-			timedOut = true
-			return true
-		}
-		return false
-	})
+	s.call = pendingCall{conn: c.c, corr: corr, gen: gen, deadline: m.Clock.Cycles() + s.svc.Options().CallTimeout}
+	driveErr := m.sched.Drive(s.stopCall)
 	if f, ok := c.c.TakeReply(corr); ok {
 		if rerr := f.Err(); rerr != nil {
 			return 0, c.envelope(op, corr, rerr)
@@ -291,15 +296,15 @@ func (c *Conn) Call(op string, arg uint64) (uint64, error) {
 	if c.c.Gen() != gen {
 		return 0, c.envelope(op, corr, ErrConnReset)
 	}
-	if c.s.p.Done() {
+	if s.p.Done() {
 		// The server exited under the call: its termination error (already
 		// in the taxonomy) is the reason; a clean exit is a reset.
-		if werr := c.s.p.Wait(); werr != nil {
+		if werr := s.p.Wait(); werr != nil {
 			return 0, werr
 		}
 		return 0, c.envelope(op, corr, ErrConnReset)
 	}
-	if timedOut {
+	if s.call.timedOut {
 		// Give up on the reply: tear the connection down so a late reply
 		// cannot be mistaken for a fresh one.
 		c.c.Abort()
@@ -309,6 +314,24 @@ func (c *Conn) Call(op string, arg uint64) (uint64, error) {
 		return 0, driveErr
 	}
 	return 0, c.envelope(op, corr, ErrConnReset)
+}
+
+// callOver is Call's stop predicate: the reply arrived, the connection
+// reset, the server exited, or the deadline passed. It runs on whichever
+// goroutine holds the CPU when a slice ends, a task's as often as the
+// caller's (see sched.Scheduler.Drive): it only reads the connection, the
+// server and the clock, and records a timeout in s.call, which Drive's
+// return orders before Call reads it.
+func (s *Server) callOver() bool {
+	c := &s.call
+	if c.conn.Ready(c.corr) || c.conn.Gen() != c.gen || s.p.Done() {
+		return true
+	}
+	if s.p.m.Clock.Cycles() >= c.deadline {
+		c.timedOut = true
+		return true
+	}
+	return false
 }
 
 // envelope wraps a call failure with its connection coordinates.

@@ -130,6 +130,34 @@ func TestServeCallTimeoutResetsConnection(t *testing.T) {
 	}
 }
 
+// TestConnCallZeroAlloc: a warm blocking Call allocates nothing. The call
+// hands the scheduler a stop predicate that outlives the call's stack, so a
+// closure over the call's locals would escape to the heap on every call.
+func TestConnCallZeroAlloc(t *testing.T) {
+	m := NewMachine(WithEPCFrames(512))
+	srv, err := m.Serve(serveImage("kv"), Config{SelfPaging: true, Policy: PolicyPinAll},
+		WithHandler("get", func(ctx *Context, arg uint64) (uint64, error) { return arg + 1, nil }))
+	if err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	c, err := srv.Dial()
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	call := func() {
+		if v, err := c.Call("get", 41); err != nil || v != 42 {
+			t.Fatalf("call = %d, %v; want 42", v, err)
+		}
+	}
+	call()
+	if allocs := testing.AllocsPerRun(100, call); allocs != 0 {
+		t.Errorf("blocking Call allocates %.2f/op, want 0", allocs)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestServeOpenLoopDrain drives the facade's open-loop path end to end.
 func TestServeOpenLoopDrain(t *testing.T) {
 	m := NewMachine(WithEPCFrames(512))
