@@ -70,7 +70,7 @@ func TestDiffIsExact(t *testing.T) {
 		status int
 		line   string // a line of stdout must contain it
 	}{
-		{"equal", func(map[string]*table) {}, 0, "ok       E1"},
+		{"equal totals", func(map[string]*table) {}, 0, "ok       E1"},
 		{"one cycle more", func(cur map[string]*table) { cur["E1"] = tab("E1", 1001) }, 1, "1000 -> 1001 cycles (+1); cell E1[0] cycles 1000 -> 1001"},
 		{"one cycle less", func(cur map[string]*table) { cur["E1"] = tab("E1", 999) }, 1, "1000 -> 999 cycles (-1)"},
 		{"missing experiment", func(cur map[string]*table) { delete(cur, "E1") }, 1, "MISSING  E1"},
