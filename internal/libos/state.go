@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"autarky/internal/core"
 	"autarky/internal/hostos"
@@ -114,7 +115,16 @@ var zeroPage [mmu.PageSize]byte
 // capture buffers, running inside the enclave so evicted pages are faulted
 // back through the ordinary (policy-visible) path.
 func (p *Process) captureWritable(ctx *core.Context) {
-	for _, r := range p.writableRegions() {
+	regions := p.writableRegions()
+	n := 0
+	for _, r := range regions {
+		n += r.Pages
+	}
+	// Grow once: appended page by page, a fresh process's first capture
+	// would allocate several times its final size.
+	p.statePages = slices.Grow(p.statePages, n*mmu.PageSize)
+	p.stateVAs = slices.Grow(p.stateVAs, n)
+	for _, r := range regions {
 		for i := 0; i < r.Pages; i++ {
 			va := r.Page(i)
 			start := len(p.statePages)
@@ -203,6 +213,9 @@ func (p *Process) encodeState(dst []byte) []byte {
 
 	e := p.Proc.E
 	p.stateVPNs = e.VersionVPNs(p.stateVPNs[:0])
+	// The version table and the pages are nearly all of the payload: grow
+	// dst for them once, to the final size, rather than as they are appended.
+	dst = slices.Grow(dst, 8+16*len(p.stateVPNs)+8+len(p.stateVAs)*(16+mmu.PageSize))
 	dst = appendU64(dst, uint64(len(p.stateVPNs)))
 	for _, vpn := range p.stateVPNs {
 		dst = appendU64(dst, vpn)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -360,5 +362,36 @@ func BenchmarkSealVersionTable(b *testing.B) {
 		if _, err := p.seal(sgx.UseCheckpoint, 0); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestFirstCheckpointAllocsIndependentOfSize: a fresh process's first
+// checkpoint grows each of its buffers (the captured pages and their
+// addresses, the payload, the envelope) once, to its final size, so the
+// number of allocations it makes does not grow with the image's page count.
+func TestFirstCheckpointAllocsIndependentOfSize(t *testing.T) {
+	firstCheckpoint := func(heapPages int) uint64 {
+		img := AppImage{
+			Name:      "sized",
+			Libraries: []Library{{Name: "libsized.so", Pages: 2}},
+			DataPages: 4,
+			HeapPages: heapPages,
+		}
+		p := load(t, img, Config{})
+		// A collection mid-measurement would empty the runtime's pools.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		runtime.Gosched()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, _, err := p.sealState(sgx.UseCheckpoint, p.Proc.E.MigrationEpoch()); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	small, large := firstCheckpoint(16), firstCheckpoint(64)
+	if large > small {
+		t.Errorf("first checkpoint allocates %d times at 16 heap pages, %d at 64; want no growth", small, large)
 	}
 }

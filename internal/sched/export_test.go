@@ -1,6 +1,6 @@
 package sched
 
-// ForceRealPolls makes every dispatch hand off to its task, so a test can
+// ForceRealPolls makes every dispatch resume its task, so a test can
 // run a scenario with and without in-place idle polls and compare the two.
 // It returns a function restoring the previous setting.
 func ForceRealPolls(on bool) (restore func()) {
@@ -48,31 +48,28 @@ func CountIdleRounds() (count func() IdleRounds, restore func()) {
 // WaitStep runs one dispatch as Wait runs it, whole idle rounds included.
 func (s *Scheduler) WaitStep() bool { return s.step(true) }
 
-// Exited reports whether t's goroutine has returned.
-func (t *Task) Exited() bool {
-	select {
-	case <-t.exited:
-		return true
-	default:
-		return false
-	}
+// Exited reports whether t's coroutine has finished: t is done, and its body
+// has returned or never started.
+func (t *Task) Exited() bool { return t.done && t.yield == nil }
+
+// Handoffs is what CountHandoffs saw: the coroutine resumes that handed the
+// CPU to a task, in all and by task ID.
+type Handoffs struct {
+	ToTask uint64
+	ByTask []uint64
 }
 
-// Handoffs is what CountHandoffs saw: the goroutine switches that handed the
-// CPU to a task, and those that woke an entry point's caller.
-type Handoffs struct{ ToTask, ToCaller uint64 }
-
-// CountHandoffs counts the handoffs every scheduler makes from now on, until
-// restore.
+// CountHandoffs counts the coroutine resumes every scheduler makes from now
+// on, until restore.
 func CountHandoffs() (count func() Handoffs, restore func()) {
 	var seen Handoffs
-	prev := onHandoff
-	onHandoff = func(to *Task) {
-		if to == nil {
-			seen.ToCaller++
-		} else {
-			seen.ToTask++
+	prev := onResume
+	onResume = func(t *Task) {
+		for len(seen.ByTask) <= t.id {
+			seen.ByTask = append(seen.ByTask, 0)
 		}
+		seen.ByTask[t.id]++
+		seen.ToTask++
 	}
-	return func() Handoffs { return seen }, func() { onHandoff = prev }
+	return func() Handoffs { return seen }, func() { onResume = prev }
 }

@@ -3,6 +3,7 @@ package sched_test
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -12,15 +13,15 @@ import (
 	"autarky/internal/sim"
 )
 
-// The handoff protocol: a task whose slice ends runs the dispatch loop on
-// its own goroutine, so a real dispatch is one goroutine switch, re-picking
-// the task that yielded is none, and an entry point's caller is woken once,
-// when its stop condition holds.
+// The handoff protocol: each task is a coroutine, and the dispatch loop runs
+// on the entry point's caller, so every real dispatch is one resume of the
+// picked task's coroutine, which yields back when its slice ends, and an
+// in-place idle poll resumes nothing.
 
-// TestDrainHandsOffOnce: a busy task drained beside a frozen-out co-tenant
-// is re-picked at every quantum expiry without a goroutine switch, so the
-// whole drain hands the CPU to it once and back to the caller once.
-func TestDrainHandsOffOnce(t *testing.T) {
+// TestDrainResumesOnlyTheDrainingTask: a busy task drained beside a
+// frozen-out co-tenant is resumed once per slice, every one a real dispatch,
+// and the co-tenant never.
+func TestDrainResumesOnlyTheDrainingTask(t *testing.T) {
 	k := newKernel()
 	a := loadProcAt(t, k, "a", 4, 0)
 	b := loadProcAt(t, k, "b", 4, 1)
@@ -38,15 +39,14 @@ func TestDrainHandsOffOnce(t *testing.T) {
 		t.Fatalf("drained task: %+v, co-tenant %+v; want many preempted slices, and none for the co-tenant",
 			m, tb.Metrics())
 	}
-	if got, want := count(), (sched.Handoffs{ToTask: 1, ToCaller: 1}); got != want {
-		t.Fatalf("drain of %d slices made %+v, want %+v", m.Slices, got, want)
+	if got := count(); got.ToTask != m.Slices || len(got.ByTask) != 1 || got.ByTask[0] != m.Slices {
+		t.Fatalf("drain of %d slices made %+v, want one resume of the drained task per slice", m.Slices, got)
 	}
 }
 
 // TestBusyTasksHandOffOncePerSlice: two busy tasks under Wait take turns,
-// every slice a real dispatch. Each hands the CPU straight to the next task
-// — one switch per slice, where a round trip through the caller takes two —
-// and the caller is woken once, when the awaited task is done.
+// every slice a real dispatch, and each task is resumed exactly once per
+// slice it is granted.
 func TestBusyTasksHandOffOncePerSlice(t *testing.T) {
 	k := newKernel()
 	a := loadProcAt(t, k, "a", 4, 0)
@@ -60,12 +60,35 @@ func TestBusyTasksHandOffOncePerSlice(t *testing.T) {
 	if err := s.Wait(ta); err != nil {
 		t.Fatal(err)
 	}
-	n := ta.Metrics().Slices + tb.Metrics().Slices
-	if ta.Metrics().Slices < 10 || tb.Done() {
+	na, nb := ta.Metrics().Slices, tb.Metrics().Slices
+	if na < 10 || tb.Done() {
 		t.Fatalf("a %+v, b %+v: want many slices, with b still busy", ta.Metrics(), tb.Metrics())
 	}
-	if got, want := count(), (sched.Handoffs{ToTask: n, ToCaller: 1}); got != want {
-		t.Fatalf("Wait over %d slices made %+v, want %+v", n, got, want)
+	want := sched.Handoffs{ToTask: na + nb, ByTask: []uint64{na, nb}}
+	if got := count(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Wait over %d+%d slices made %+v, want %+v", na, nb, got, want)
+	}
+}
+
+// TestIdlePollsResumeNothing: a dispatch whose idle poll is accounted in
+// place, alone under Step or with whole idle rounds under Wait, resumes no
+// task.
+func TestIdlePollsResumeNothing(t *testing.T) {
+	s, servers, k, upcalls := idleServers(t, nil, 2, farArrival)
+	polls := func() uint64 { return servers[0].Stats().IdlePolls + servers[1].Stats().IdlePolls }
+	before := polls()
+	rounds, restoreRounds := sched.CountIdleRounds()
+	defer restoreRounds()
+	count, restore := sched.CountHandoffs()
+	defer restore()
+	s.Step()
+	waitRounds(s, k.Clock)
+	if got := count(); got.ToTask != 0 {
+		t.Fatalf("in-place idle dispatches made %+v, want no resume", got)
+	}
+	if polls() <= before+2 || rounds().Batches != 1 || *upcalls != 0 {
+		t.Fatalf("%d idle polls, %+v, %d upcalls: want one in-place poll and a batch of rounds",
+			polls()-before, rounds(), *upcalls)
 	}
 }
 
@@ -86,9 +109,9 @@ func (u upcallCycles) OnPreempt(k *hostos.Kernel, p *hostos.Proc) {
 
 // TestBudgetAbortInDispatchAfterPreemption: a cycle limit that runs out
 // inside the SchedDispatch charge following a quantum expiry — a charge the
-// loop makes on the preempted task's goroutine — aborts Wait with that
+// loop makes once the preempted task has yielded — aborts Wait with that
 // charge's LimitError, marks every task aborted and leaves no task
-// goroutine behind, exactly as when the caller ran every dispatch.
+// coroutine behind.
 func TestBudgetAbortInDispatchAfterPreemption(t *testing.T) {
 	const expiry = 5 // the quantum expiry whose dispatch charge crosses the limit
 	run := func(limit uint64) (upcalls []uint64, tasks []*sched.Task, recovered any) {
@@ -205,8 +228,9 @@ func TestTaskSwitchZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkTaskSwitch measures one slice of two enclave tasks preempting
-// each other under Wait: the dispatch, the handoff to the other task's
-// goroutine, and its one access with the timer AEX and ERESUME around it.
+// each other under Wait: the dispatch, the resume of the other task's
+// coroutine and its yield back, and its one access with the timer AEX and
+// ERESUME around it.
 func BenchmarkTaskSwitch(b *testing.B) {
 	s, tasks := preempting(b, b.N/2, -1)
 	s.Step() // start both tasks

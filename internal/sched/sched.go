@@ -1,3 +1,11 @@
+// iter.Pull needs go1.23, and this is the one file of the module that
+// imports iter. The constraint raises this file's language version alone:
+// both go.mod files stay at go 1.22, because benchmark/go.mod must match the
+// root go line under -mod=readonly and changes only with the benchmark.
+// Once both go lines are raised to 1.23, delete the constraint.
+
+//go:build go1.23
+
 // Package sched is the deterministic multi-enclave scheduler: it time-slices
 // N enclave processes on the one logical hart of a simulated machine, with
 // quanta measured in logical cycles and preemption delivered through the real
@@ -5,28 +13,23 @@
 //
 // # Execution model
 //
-// Each spawned task runs its body on a dedicated goroutine, but the package
-// enforces a strict coroutine handoff: at any moment exactly one goroutine —
-// an entry point's caller or one task — holds the CPU; every other one is
-// blocked on an unbuffered channel. The dispatch loop (pick, charge, arm the
-// quantum, account idle polls in place) is one function, dispatch, that runs
-// on whichever goroutine holds the CPU. An entry point (Wait, Drive, Drain,
-// Step) runs it on its caller's goroutine up to the first real dispatch,
-// hands that task the CPU and sleeps. From then on a task whose slice ends —
-// preempted, idle in Yield, or finished — accounts the slice and runs the
-// loop itself, on its own goroutine: when the loop picks it again it returns
-// into the task with no goroutine switch, and otherwise it resumes the next
-// task directly, one switch per dispatch. The caller is woken only when its
-// stop condition holds, nothing is runnable, or the loop panics; a panic the
-// loop raises on a task's goroutine is carried to the caller and re-raised
-// there. So the simulation stays single-threaded in effect, race-detector
-// clean, and byte-deterministic: the interleaving is a pure function of the
-// policy, the quantum, and the cycle costs — never of goroutine timing, nor
-// of which goroutine runs the loop. A dispatch may also transfer nothing: a
-// server loop parked in its idle yield whose next pass would only poll and
-// yield again has that pass accounted in place, and under Wait a whole run
-// of such passes, round after round of idle tasks, costs one dispatch (see
-// pollIdle).
+// Each spawned task runs its body as a coroutine (iter.Pull), and the
+// dispatch loop (pick, charge, arm the quantum, account idle polls in place)
+// runs only on the goroutine of an entry point's caller (Wait, Drive, Drain,
+// Step). A real dispatch resumes the picked task's coroutine; the task runs
+// until its slice ends — preempted, idle in Yield, or finished — accounts
+// the slice and yields back into the loop. A coroutine switch hands control
+// over directly, without the Go scheduler's run queue, so exactly one of the
+// caller and its tasks runs at any moment. A panic in a task's body comes
+// out of the resume, on the caller; an abort stops each parked coroutine,
+// whose yield then returns false and unwinds it. So the simulation stays
+// single-threaded in effect, race-detector clean, and byte-deterministic:
+// the interleaving is a pure function of the policy, the quantum, and the
+// cycle costs — never of goroutine timing. A dispatch may also transfer
+// nothing: a server loop parked in its idle yield whose next pass would only
+// poll and yield again has that pass accounted in place, and under Wait a
+// whole run of such passes, round after round of idle tasks, costs one
+// dispatch (see pollIdle).
 //
 // # Preemption
 //
@@ -35,8 +38,8 @@
 // preemption-timer AEX; the host kernel's timer handler upcalls the scheduler
 // (hostos.Preemptor), which parks the task's entire execution stream — its
 // enclave call stack, EENTER nesting depth and ambient attribution category
-// (sgx.ExecContext) — and runs the dispatch loop on from there. When the
-// task is next picked, the parked stream resumes exactly where it stopped and
+// (sgx.ExecContext) — and yields to the dispatch loop. When the task is
+// next picked, the parked stream resumes exactly where it stopped and
 // the kernel completes the context switch with ERESUME. Preemption is thus
 // visible to adversaries and defenses alike through the same architectural
 // events (AEX counts, TLB flushes, fault masking) as any other exit — which
@@ -53,6 +56,7 @@ package sched
 
 import (
 	"errors"
+	"iter"
 	"math"
 
 	"autarky/internal/hostos"
@@ -79,12 +83,8 @@ var ErrAborted = errors.New("sched: task aborted")
 // so the condition being waited for can never become true.
 var ErrStalled = errors.New("sched: drive stalled with no runnable task")
 
-// resumeMsg wakes a parked task: either to run (abort=false) or to unwind
-// its goroutine during an abort (abort=true).
-type resumeMsg struct{ abort bool }
-
 // abortUnwind is the panic value that unwinds a parked task's enclave stack
-// during an abort. Task.main recovers it and exits quietly.
+// during an abort. Task.body recovers it and returns quietly.
 type abortUnwind struct{}
 
 // Task is one schedulable enclave process under the scheduler.
@@ -96,8 +96,11 @@ type Task struct {
 	proc     *hostos.Proc
 	run      func() error
 
-	resume chan resumeMsg
-	exited chan struct{}
+	// next resumes the task's coroutine and stop aborts it (iter.Pull);
+	// yield is the coroutine's yield while its body runs, nil otherwise.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 
 	// saved is the task's execution context while parked mid-run.
 	saved sgx.ExecContext
@@ -197,9 +200,6 @@ type Scheduler struct {
 	until      until
 	dispatched bool // a dispatch was made (Step's stop condition)
 	stalled    bool // the loop ended with nothing runnable
-	// wake hands the CPU back to the entry point's caller when the loop
-	// ends on a task's goroutine: nil, or the panic to re-raise there.
-	wake chan any
 
 	waiting   bool
 	voluntary bool // the in-flight AEX is a cooperative Yield, not a preemption
@@ -251,7 +251,6 @@ func New(k *hostos.Kernel, policy Policy, quantum uint64) *Scheduler {
 		m:       metrics.Of(k.Clock),
 		policy:  policy,
 		quantum: quantum,
-		wake:    make(chan any),
 	}
 	k.Preemptor = s
 	return s
@@ -271,12 +270,10 @@ func (s *Scheduler) Spawn(name string, priority int, proc *hostos.Proc, run func
 		priority: priority,
 		proc:     proc,
 		run:      run,
-		resume:   make(chan resumeMsg),
-		exited:   make(chan struct{}),
 		m:        s.m.Scope(),
 	}
+	t.next, t.stop = iter.Pull(t.body)
 	s.tasks = append(s.tasks, t)
-	go t.main()
 	return t
 }
 
@@ -290,8 +287,8 @@ func (s *Scheduler) Tasks() []*Task {
 // Wait drives the dispatch loop until t is done and returns its error.
 // Other runnable tasks receive slices too — Wait advances the whole machine,
 // not just t. Calling Wait again for an already-finished task returns
-// immediately; calling it from inside a running task deadlocks the handoff,
-// so it panics instead.
+// immediately; calling it from inside a running task would re-enter the
+// dispatch loop, so it panics instead.
 func (s *Scheduler) Wait(t *Task) error {
 	if t.s != s {
 		panic("sched: Wait for a task of a different scheduler")
@@ -303,11 +300,10 @@ func (s *Scheduler) Wait(t *Task) error {
 	return t.err
 }
 
-// run drives the dispatch loop for an entry point until u says stop. The
-// loop must not be re-entered from inside a task, whose goroutine would then
-// wait on its own handoff, so a nested entry panics. run starts the loop on
-// its caller's goroutine, hands the first real dispatch its task, and
-// sleeps until the loop, carried on from task to task, wakes it.
+// run drives the dispatch loop for an entry point until u says stop,
+// resuming each task a real dispatch hands the CPU to until its slice ends.
+// The loop must not be re-entered from inside a task, which would then
+// resume a task from within a coroutine, so a nested entry panics.
 func (s *Scheduler) run(entry string, u until) {
 	if s.waiting {
 		panic("sched: " + entry + " re-entered (called from inside a scheduled task?)")
@@ -315,18 +311,18 @@ func (s *Scheduler) run(entry string, u until) {
 	s.waiting = true
 	s.until, s.dispatched, s.stalled = u, false, false
 	defer s.leave()
-	if t := s.dispatch(); t != nil {
-		s.resume(t)
-		if r := <-s.wake; r != nil {
-			panic(r)
+	for t := s.dispatch(); t != nil; t = s.dispatch() {
+		s.current, s.mark = t, s.clock.Cycles()
+		if onResume != nil {
+			onResume(t)
 		}
+		t.next()
 	}
 }
 
-// leave closes an entry point. A panic escaping the dispatch loop (a budget
-// abort or a bug), on the caller's goroutine or carried there from a task's,
-// first unwinds every unfinished task, so no task goroutine outlives the
-// loop, and then propagates.
+// leave closes an entry point. A panic escaping the dispatch loop or a
+// task's body (a budget abort or a bug) first unwinds every unfinished task,
+// so no coroutine outlives the loop, and then propagates.
 func (s *Scheduler) leave() {
 	s.until = until{}
 	if r := recover(); r != nil {
@@ -364,35 +360,33 @@ func (s *Scheduler) Accounting() Accounting {
 	return a
 }
 
-// forceRealPolls disables in-place idle polls, so every dispatch hands off
-// to the task; singlePolls disables whole idle rounds, so every in-place
-// poll is accounted on its own dispatch; onIdleRounds, when set, is told
-// the size of each batch of rounds accounted; onHandoff, when set, is told
-// of each goroutine switch of the handoff: the task handed the CPU, or nil
-// when the caller is woken. All four are test seams: the equivalence tests
-// run each scenario every way, compare the results byte for byte, and check
-// that batches and switches happened where they should and nowhere else.
+// forceRealPolls disables in-place idle polls, so every dispatch resumes
+// its task; singlePolls disables whole idle rounds, so every in-place poll
+// is accounted on its own dispatch; onIdleRounds, when set, is told the
+// size of each batch of rounds accounted; onResume, when set, is told of
+// each coroutine resume, with the task resumed. All four are test seams:
+// the equivalence tests run each scenario every way, compare the results
+// byte for byte, and check that batches and resumes happened where they
+// should and nowhere else.
 var (
 	forceRealPolls bool
 	singlePolls    bool
 	onIdleRounds   func(rounds uint64, tasks int)
-	onHandoff      func(to *Task)
+	onResume       func(t *Task)
 )
 
-// dispatch is the dispatch loop. It runs on whichever goroutine holds the
-// CPU while no task does: an entry point's caller before the first real
-// dispatch, afterwards the task whose slice has just been accounted. Until
-// the entry point's stop condition holds it picks a task, charges the
-// dispatch and arms the quantum. It returns the task that dispatch hands
-// the CPU to, or nil once the condition holds or, with stalled set,
-// nothing is runnable. While a drain is in progress only the draining task
-// is eligible — new dispatch of co-tenants is rejected until the quiesce
-// completes.
+// dispatch is one turn of the dispatch loop, on the entry point's caller
+// while no task holds the CPU. Until the entry point's stop condition holds
+// it picks a task, charges the dispatch and arms the quantum. It returns
+// the task that dispatch hands the CPU to, or nil once the condition holds
+// or, with stalled set, nothing is runnable. While a drain is in progress
+// only the draining task is eligible — new dispatch of co-tenants is
+// rejected until the quiesce completes.
 //
 // A task parked in its server loop's idle yield is not resumed when the
 // kernel can account the loop's next poll in place (hostos.Kernel.
 // PollInPlace): that poll would find nothing due and yield again, so the
-// dispatch charges and counts exactly what the handoff would, the task
+// dispatch charges and counts exactly what the resume would, the task
 // stays parked, and the loop goes on. With until.rounds set, which only
 // Wait does, one dispatch may account whole rounds of such polls at once
 // (see idleRound); Step, Drive and Drain account at most one, because the
@@ -445,29 +439,6 @@ func (s *Scheduler) stopped() bool {
 	return s.dispatched
 }
 
-// resume hands the CPU to t, parked, for a slice that begins now.
-func (s *Scheduler) resume(t *Task) {
-	s.current, s.mark = t, s.clock.Cycles()
-	if onHandoff != nil {
-		onHandoff(t)
-	}
-	t.resume <- resumeMsg{}
-}
-
-// handOff gives the CPU away from a task whose slice has ended and been
-// accounted: to next, or, when the loop is over, back to the entry point's
-// caller with wake, the panic to re-raise there or nil.
-func (s *Scheduler) handOff(next *Task, wake any) {
-	if next != nil {
-		s.resume(next)
-		return
-	}
-	if onHandoff != nil {
-		onHandoff(nil)
-	}
-	s.wake <- wake
-}
-
 // account ends the slice of t, the task holding the CPU: the cycles since
 // its dispatch are t's, and a quantum expiry counts as a preemption.
 func (s *Scheduler) account(t *Task, preempted bool) {
@@ -478,38 +449,17 @@ func (s *Scheduler) account(t *Task, preempted bool) {
 	}
 }
 
-// next runs the dispatch loop on from a task whose slice has just been
-// accounted, on that task's goroutine. A panic the loop raises there — a
-// budget abort in the dispatch charge or in an idle poll, or a bug — is
-// recovered and returned as wake, so it is re-raised on the entry point's
-// caller as if the caller had run the loop, and the task stays parked until
-// abortAll unwinds it in spawn order.
-func (s *Scheduler) next() (t *Task, wake any) {
-	defer func() {
-		if r := recover(); r != nil {
-			t, wake = nil, r
-		}
-	}()
-	return s.dispatch(), nil
-}
-
-// park ends the slice of t, the task holding the CPU, on t's own goroutine:
-// it parks t's execution stream, accounts the slice and runs the loop on. It
-// returns when t is dispatched again — at once, with no goroutine switch,
-// when the loop picks t next — with the stream restored, and unwinds t when
-// it is aborted instead. idle marks a voluntary AEX of t's own enclave.
+// park ends the slice of t, the task holding the CPU: it parks t's
+// execution stream, accounts the slice and yields to the dispatch loop. It
+// returns when t is dispatched again, with the stream restored, and unwinds
+// t when it is aborted instead. idle marks a voluntary AEX of t's own
+// enclave.
 func (s *Scheduler) park(t *Task, idle, preempted bool) {
 	t.idle = idle
 	t.saved = s.cpu.SwapContext(sgx.ExecContext{})
 	s.account(t, preempted)
-	next, wake := s.next()
-	if next == t {
-		s.current, s.mark = t, s.clock.Cycles()
-	} else {
-		s.handOff(next, wake)
-		if msg := <-t.resume; msg.abort {
-			panic(abortUnwind{})
-		}
+	if !t.yield(struct{}{}) {
+		panic(abortUnwind{})
 	}
 	s.cpu.SwapContext(t.saved)
 }
@@ -682,14 +632,11 @@ func (s *Scheduler) Yield() {
 // Drive runs the dispatch loop until stop reports true, granting slices to
 // every runnable task — the engine under a blocking client call: submit a
 // request, then Drive until the correlated reply (or a connection reset)
-// shows up. stop is evaluated before the first dispatch and after each
-// one, on whichever goroutine holds the CPU: the caller's before the first
-// real dispatch, afterwards that of the task whose slice has just ended.
-// So it must not block, call back into the scheduler or depend on the
-// goroutine it runs on; it may read the machine and record what it saw for
-// the caller, which reads it after Drive returns. Drive returns ErrStalled
-// if every task finishes while stop is still false; like Wait, it must not
-// be called from inside a task.
+// shows up. stop is evaluated on the caller's goroutine, before the first
+// dispatch and after each one, while no task holds the CPU; it must not call
+// back into the scheduler. Drive returns ErrStalled if every task finishes
+// while stop is still false; like Wait, it must not be called from inside a
+// task.
 func (s *Scheduler) Drive(stop func() bool) error {
 	s.run("Drive", until{stop: stop})
 	s.cpu.PreemptAt = 0
@@ -735,9 +682,9 @@ func (s *Scheduler) step(rounds bool) bool {
 	return true
 }
 
-// OnPreempt implements hostos.Preemptor. It runs on the preempted task's
-// goroutine, underneath the kernel's timer handler: it parks the execution
-// stream, runs the dispatch loop on (see park), and returns only when the
+// OnPreempt implements hostos.Preemptor. It runs in the preempted task's
+// coroutine, underneath the kernel's timer handler: it parks the execution
+// stream, yields to the dispatch loop (see park), and returns only when the
 // task is dispatched again, so the ERESUME the kernel issues next is the
 // context-switch-in.
 func (s *Scheduler) OnPreempt(k *hostos.Kernel, p *hostos.Proc) {
@@ -756,13 +703,14 @@ func (s *Scheduler) OnPreempt(k *hostos.Kernel, p *hostos.Proc) {
 	s.park(t, voluntary && p != nil && p == t.proc, !voluntary)
 }
 
-// Kill crash-stops one task: the parked goroutine is unwound (abandoning
-// whatever enclave work was in flight) and the task is marked done with err,
-// so no further slice is ever granted. It models a whole-machine crash taking
-// the task down between quanta — the enclave's EPC state is left behind for
-// the kernel to tear down (or leak, if the machine is gone for good), exactly
-// as a power failure would. Killing an already-finished task is a no-op;
-// like Wait, Kill must not be called from inside a scheduled task.
+// Kill crash-stops one task: its parked coroutine is stopped and unwound
+// (abandoning whatever enclave work was in flight) and the task is marked
+// done with err, so no further slice is ever granted. It models a
+// whole-machine crash taking the task down between quanta — the enclave's
+// EPC state is left behind for the kernel to tear down (or leak, if the
+// machine is gone for good), exactly as a power failure would. Killing an
+// already-finished task is a no-op; like Wait, Kill must not be called from
+// inside a scheduled task.
 func (s *Scheduler) Kill(t *Task, err error) {
 	if t.s != s {
 		panic("sched: Kill for a task of a different scheduler")
@@ -775,14 +723,14 @@ func (s *Scheduler) Kill(t *Task, err error) {
 	}
 	t.done = true
 	t.err = err
-	t.resume <- resumeMsg{abort: true}
-	<-t.exited
+	t.stop()
 }
 
-// abortAll unwinds every parked task in spawn order, one at a time, so
-// their deferred cleanups (clock category scopes, enclave-entry recovers)
-// never run concurrently. Called only from an entry point's recover path;
-// afterwards the machine is abandoned to the caller's panic.
+// abortAll stops every unfinished task's coroutine in spawn order, one at a
+// time, so the parked ones' deferred cleanups (clock category scopes,
+// enclave-entry recovers) never run concurrently. Called only from an entry
+// point's recover path; afterwards the machine is abandoned to the caller's
+// panic.
 func (s *Scheduler) abortAll() {
 	for _, t := range s.tasks {
 		if t.done {
@@ -790,36 +738,31 @@ func (s *Scheduler) abortAll() {
 		}
 		t.done = true
 		t.err = ErrAborted
-		t.resume <- resumeMsg{abort: true}
-		<-t.exited
+		t.stop()
 	}
 }
 
-// main is the task goroutine: wait for the first dispatch, run the body,
-// then account the final slice and run the dispatch loop on, as any task
-// whose slice ends does. All panics from the body — enclave terminations
-// escape as error returns before this point, so what reaches here is budget
-// aborts and genuine bugs — wake the entry point's caller to re-raise them.
-func (t *Task) main() {
+// body is the task's coroutine: from its first dispatch it runs the run
+// function, then accounts the final slice and returns into the dispatch
+// loop. A panic from the run function — enclave terminations escape as
+// error returns before this point, so what reaches here is budget aborts
+// and genuine bugs — marks the task done and accounts its slice, then comes
+// out of the resume on the entry point's caller. The abortUnwind of a
+// stopped coroutine ends it quietly.
+func (t *Task) body(yield func(struct{}) bool) {
 	s := t.s
-	defer close(t.exited)
+	t.yield = yield
 	defer func() {
+		t.yield = nil
 		r := recover()
-		if r == nil {
-			return
-		}
-		if _, ok := r.(abortUnwind); ok {
+		if _, ok := r.(abortUnwind); ok || r == nil {
 			return
 		}
 		t.done = true
 		s.account(t, false)
-		s.handOff(nil, r)
+		panic(r)
 	}()
-	if msg := <-t.resume; msg.abort {
-		return
-	}
 	t.err = t.run()
 	t.done = true
 	s.account(t, false)
-	s.handOff(s.next())
 }

@@ -311,8 +311,8 @@ func TestKillCrashStopsParkedTask(t *testing.T) {
 		s2.Kill(victim, crash)
 	}()
 
-	// Kill from inside a scheduled task panics rather than deadlocking the
-	// dispatch handoff.
+	// Kill from inside a scheduled task panics rather than stopping a task's
+	// coroutine from inside another's.
 	reentry := make(chan any, 1)
 	target := s2.Spawn("target", 0, nil, func() error {
 		s2.Yield()

@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"autarky/internal/mmu"
 	"autarky/internal/sim"
@@ -119,13 +120,14 @@ func (c *CPU) envelopeAAD(use SealUse, epoch uint64, meas [32]byte) []byte {
 // epoch is the envelope's freshness counter and meas the source
 // measurement; both are carried in the clear but authenticated. The
 // append-style contract and the cached AEAD keep the seal allocation-free
-// when dst has capacity.
+// when dst has capacity; otherwise dst grows once, to the envelope's size.
 func (c *CPU) SealEnvelope(dst []byte, use SealUse, epoch uint64, meas [32]byte, payload []byte) ([]byte, error) {
 	aead, err := c.sealingAEAD(use)
 	if err != nil {
 		return nil, err
 	}
 	c.sealSeq++
+	dst = slices.Grow(dst, envelopeHeaderLen+len(payload)+aead.Overhead())
 	// Each key is shared by every machine derived from the same root
 	// secret, so the nonce mixes this platform's boot salt with its local
 	// sequence: two machines sealing concurrently never collide.

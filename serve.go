@@ -317,11 +317,10 @@ func (c *Conn) Call(op string, arg uint64) (uint64, error) {
 }
 
 // callOver is Call's stop predicate: the reply arrived, the connection
-// reset, the server exited, or the deadline passed. It runs on whichever
-// goroutine holds the CPU when a slice ends, a task's as often as the
-// caller's (see sched.Scheduler.Drive): it only reads the connection, the
-// server and the clock, and records a timeout in s.call, which Drive's
-// return orders before Call reads it.
+// reset, the server exited, or the deadline passed. Drive runs it on Call's
+// own goroutine between dispatches (see sched.Scheduler.Drive): it only
+// reads the connection, the server and the clock, and records a timeout in
+// s.call for Call to read once Drive returns.
 func (s *Server) callOver() bool {
 	c := &s.call
 	if c.conn.Ready(c.corr) || c.conn.Gen() != c.gen || s.p.Done() {

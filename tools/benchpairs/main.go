@@ -18,7 +18,9 @@
 // For each metric it prints each side's median and quartiles over all its
 // runs, each side's layout spread (the range of its per-layout medians),
 // the change between the medians, how many pairs b won (ties count for
-// neither) and a verdict. The verdict is "loss" when the gap between the
+// neither) and a verdict. With more than one layout it then prints each
+// side's per-layout medians of every host metric, so a spread can be traced
+// to the layout that made it. The verdict is "loss" when the gap between the
 // medians exceeds both a's interquartile range and a's layout spread in the
 // worse direction, "gain" when it does so in the better one and b won at
 // least nine tenths of the pairs, and "no gain" otherwise. It also reports whether the simulated
@@ -47,6 +49,7 @@ import (
 	"math"
 	"os"
 	"os/exec"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -168,19 +171,24 @@ func spreadOf(xs []float64) spread {
 	return spread{q1: quantile(s, 0.25), median: quantile(s, 0.5), q3: quantile(s, 0.75)}
 }
 
-// layoutSpread is the range of the per-layout medians of xs, where reading
-// i was taken with layout i mod k.
-func layoutSpread(xs []float64, k int) float64 {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for j := 0; j < k; j++ {
+// layoutMedians is the median of each layout's readings in xs, where
+// reading i was taken with layout i mod k.
+func layoutMedians(xs []float64, k int) []float64 {
+	meds := make([]float64, k)
+	for j := range meds {
 		var own []float64
 		for i := j; i < len(xs); i += k {
 			own = append(own, xs[i])
 		}
-		m := spreadOf(own).median
-		lo, hi = math.Min(lo, m), math.Max(hi, m)
+		meds[j] = spreadOf(own).median
 	}
-	return hi - lo
+	return meds
+}
+
+// layoutSpread is the range of the per-layout medians of xs.
+func layoutSpread(xs []float64, k int) float64 {
+	meds := layoutMedians(xs, k)
+	return slices.Max(meds) - slices.Min(meds)
 }
 
 // comparison is one metric over all pairs.
@@ -315,6 +323,23 @@ func measure(w io.Writer, cfg config, defs []metricDef, run runner) error {
 		}
 		fmt.Fprintf(w, "%-20s %-6s %-36s %-36s %-8s %-8s %+7.1f%% %3d/%-2d %s%s\n", d.Name, d.Better,
 			formatSpread(c.a), formatSpread(c.b), short(c.aLay), short(c.bLay), c.change(), c.wins, c.pairs, c.verdict, note)
+	}
+	if k > 1 {
+		fmt.Fprintf(w, "\nper-layout medians of the host metrics, layouts 1 to %d:\n", k)
+		for _, d := range rows {
+			if !hostUnits[d.Unit] {
+				continue
+			}
+			name := d.Name
+			for side, xs := range readings[d.Name] {
+				fmt.Fprintf(w, "  %-20s %s", name, [2]string{"a", "b"}[side])
+				for _, m := range layoutMedians(xs, k) {
+					fmt.Fprintf(w, " %10s", short(m))
+				}
+				fmt.Fprintln(w)
+				name = ""
+			}
+		}
 	}
 	identical := true
 	for _, s := range sims[1:] {

@@ -98,10 +98,27 @@ func TestMeasureRotatesLayouts(t *testing.T) {
 		"4 pairs over 2 layout(s)",
 		"a = A1 A2",
 		"105 [100, 110]                       105 [100, 110]                       10       10          +0.0%   0/4  no gain",
+		"per-layout medians of the host metrics, layouts 1 to 2:\n" +
+			"  sim_req_per_s        a        100        110\n" +
+			"                       b        100        110\n" +
+			"\nsimulated metrics",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("report lacks %q:\n%s", want, out.String())
 		}
+	}
+	// Each side's line reads its own binaries, layout by layout.
+	f = &fakeBench{reqs: map[string][]float64{
+		"A1": {100, 102}, "A2": {110, 110},
+		"B1": {120, 130}, "B2": {90, 94},
+	}}
+	out.Reset()
+	if err := measure(&out, cfg, fakeDefs, f.run); err != nil {
+		t.Fatal(err)
+	}
+	if want := "  sim_req_per_s        a        101        110\n" +
+		"                       b        125         92\n"; !strings.Contains(out.String(), want) {
+		t.Errorf("report lacks %q:\n%s", want, out.String())
 	}
 }
 
@@ -157,6 +174,9 @@ func TestMeasureAlternatesOrderAndReports(t *testing.T) {
 		if !strings.Contains(report, want) {
 			t.Errorf("report lacks %q:\n%s", want, report)
 		}
+	}
+	if strings.Contains(report, "per-layout") {
+		t.Errorf("one layout reported per-layout medians:\n%s", report)
 	}
 }
 
