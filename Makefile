@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt metriclint apicheck benchcheck chaos orderly serving migrate fuzz cover check bench gobench benchdiff layouts
+.PHONY: all build test race vet fmt metriclint apicheck benchcheck crossbuild chaos orderly serving migrate fuzz cover check bench gobench benchdiff layouts
 
 all: build
 
@@ -100,6 +100,13 @@ apicheck:
 benchcheck:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
+# crossbuild builds the tree for arm64 and vets the packages with
+# architecture-specific files, so the portable stand-in for the amd64 page
+# kernel (internal/pagestore/kernel_other.go) keeps compiling.
+crossbuild:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/pagestore ./internal/sgx
+
 # chaos runs the E12 fault-injection sweep and the E16 fleet-chaos sweep at
 # two worker counts each and diffs all four against the committed golden
 # tables (testdata/e12_chaos.golden, testdata/e16_chaosfleet.golden) — the
@@ -159,11 +166,13 @@ migrate: build
 	@echo "migration table matches golden at jobs=1 and jobs=8"
 
 # fuzz gives the adversarial decode paths a quick shake: sealed-blob
-# authentication (pagestore), checkpoint restore and migration adoption
-# (libos), and the service channel's wire-frame decoder (service). Run with
-# a longer -fuzztime locally when touching any of them.
+# authentication and the page kernel against crypto/cipher (pagestore),
+# checkpoint restore and migration adoption (libos), and the service
+# channel's wire-frame decoder (service). Run with a longer -fuzztime
+# locally when touching any of them.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzUnseal -fuzztime=10s ./internal/pagestore
+	$(GO) test -run='^$$' -fuzz=FuzzSealKernel -fuzztime=10s ./internal/pagestore
 	$(GO) test -run='^$$' -fuzz=FuzzRestore -fuzztime=10s ./internal/libos
 	$(GO) test -run='^$$' -fuzz=FuzzMigrate -fuzztime=10s ./internal/libos
 	$(GO) test -run='^$$' -fuzz=FuzzFrame -fuzztime=10s ./internal/service
@@ -184,10 +193,10 @@ cover:
 	done < testdata/coverage_floors.txt; exit $$fail
 
 # check is the CI gate: formatting, static analysis, determinism lint,
-# API-surface freshness, build, the benchmark module, the full test suite
-# under the race detector, the chaos, orderliness, serving and migration
-# determinism goldens, benchdiff's exact gate on every simulated output
+# API-surface freshness, build, the arm64 build, the benchmark module, the
+# full test suite under the race detector, the chaos, orderliness, serving
+# and migration determinism goldens, benchdiff's exact gate on every simulated output
 # against the newest committed baseline, the coverage floors, and a short
 # fuzz pass.
-check: fmt vet metriclint apicheck build benchcheck race chaos orderly serving migrate benchdiff cover fuzz
+check: fmt vet metriclint apicheck build crossbuild benchcheck race chaos orderly serving migrate benchdiff cover fuzz
 	@echo "all checks passed"

@@ -11,8 +11,9 @@ import (
 // FuzzUnseal drives Sealer.Open with attacker-shaped blobs. The security
 // property under fuzz: Open never panics, never returns a non-integrity
 // error, and only succeeds on the genuine (ciphertext, version, enclave)
-// triple — in which case the plaintext must round-trip exactly. Run
-// continuously via `make fuzz` (and for 10s in `make check`).
+// triple — in which case the plaintext must round-trip exactly — and the
+// page kernel, where this CPU has it, answers exactly as crypto/cipher
+// does. Run continuously via `make fuzz` (and for 10s in `make check`).
 func FuzzUnseal(f *testing.F) {
 	const (
 		enclaveID = 42
@@ -56,6 +57,14 @@ func FuzzUnseal(f *testing.F) {
 		}
 		if err == nil && !bytes.Equal(out, reused) {
 			t.Fatal("dst-reusing OpenAppend produced different plaintext")
+		}
+		// The page kernel and crypto/cipher reach the same verdict, the
+		// same sentinel, on every blob.
+		var std []byte
+		var stdErr error
+		stdlibOnly(func() { std, stdErr = sealer.Open(va, version, b) })
+		if err != stdErr || !bytes.Equal(out, std) {
+			t.Fatalf("sealing paths disagree: %v vs crypto/cipher's %v", err, stdErr)
 		}
 		if err != nil {
 			if !errors.Is(err, ErrIntegrity) {

@@ -153,43 +153,60 @@ func TestFetchBatchNoCrossEnclaveLeak(t *testing.T) {
 	check(sa, 1, 0xAA)
 }
 
+// BenchmarkSealAppend and BenchmarkOpenAppend time one page on each path:
+// kernel (where this CPU runs it) and stdlib (crypto/cipher).
 func BenchmarkSealAppend(b *testing.B) {
-	s, err := NewSealer(secret, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	plain := page(0xAB)
-	buf := make([]byte, 0, s.SealedLen())
-	b.ReportAllocs()
-	b.SetBytes(mmu.PageSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ct, err := s.SealAppend(buf[:0], 0x1000, 7, plain)
+	benchPaths(b, func(b *testing.B) {
+		s, err := NewSealer(secret, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		buf = ct[:0]
-	}
+		plain := page(0xAB)
+		buf := make([]byte, 0, s.SealedLen())
+		b.ReportAllocs()
+		b.SetBytes(mmu.PageSize)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ct, err := s.SealAppend(buf[:0], 0x1000, 7, plain)
+			if err != nil {
+				b.Fatal(err)
+			}
+			buf = ct[:0]
+		}
+	})
 }
 
 func BenchmarkOpenAppend(b *testing.B) {
-	s, err := NewSealer(secret, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	blob, err := s.Seal(0x1000, 7, page(0xAB))
-	if err != nil {
-		b.Fatal(err)
-	}
-	buf := make([]byte, 0, mmu.PageSize)
-	b.ReportAllocs()
-	b.SetBytes(mmu.PageSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p, err := s.OpenAppend(buf[:0], 0x1000, 7, blob)
+	benchPaths(b, func(b *testing.B) {
+		s, err := NewSealer(secret, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		buf = p[:0]
-	}
+		blob, err := s.Seal(0x1000, 7, page(0xAB))
+		if err != nil {
+			b.Fatal(err)
+		}
+		buf := make([]byte, 0, mmu.PageSize)
+		b.ReportAllocs()
+		b.SetBytes(mmu.PageSize)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p, err := s.OpenAppend(buf[:0], 0x1000, 7, blob)
+			if err != nil {
+				b.Fatal(err)
+			}
+			buf = p[:0]
+		}
+	})
+}
+
+// benchPaths runs bench as a kernel and a stdlib sub-benchmark.
+func benchPaths(b *testing.B, bench func(b *testing.B)) {
+	b.Run("kernel", func(b *testing.B) {
+		if !useKernel {
+			b.Skip("no page kernel on this CPU")
+		}
+		bench(b)
+	})
+	b.Run("stdlib", func(b *testing.B) { stdlibOnly(func() { bench(b) }) })
 }

@@ -115,13 +115,15 @@ type Blob struct {
 // single-threaded per machine, so this costs nothing in practice.
 type Sealer struct {
 	aead      cipher.AEAD
+	kern      *pageKey // nil unless the page kernel runs on this CPU
 	enclaveID uint64
 
 	// Reusable header scratch. The AEAD reads nonce and additional data
 	// during the call and never retains them, so handing out views of these
-	// arrays is safe.
-	nonceBuf [12]byte
-	aadBuf   [24]byte
+	// arrays is safe. j0 is GCM's first counter block: the nonce, then a
+	// big-endian 1 that NewSealer sets once.
+	j0     [16]byte
+	aadBuf [aadLen]byte
 }
 
 // NewSealer derives a sealing key for the enclave from a root secret.
@@ -133,7 +135,11 @@ func NewSealer(rootSecret []byte, enclaveID uint64) (*Sealer, error) {
 	var idb [8]byte
 	binary.LittleEndian.PutUint64(idb[:], enclaveID)
 	h.Write(idb[:])
-	key := h.Sum(nil)[:16]
+	return newSealer(h.Sum(nil)[:16], enclaveID)
+}
+
+// newSealer builds the Sealer for a 16-byte AES key.
+func newSealer(key []byte, enclaveID uint64) (*Sealer, error) {
 	block, err := aes.NewCipher(key)
 	if err != nil {
 		return nil, fmt.Errorf("pagestore: deriving sealing key: %w", err)
@@ -142,11 +148,17 @@ func NewSealer(rootSecret []byte, enclaveID uint64) (*Sealer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pagestore: building AEAD: %w", err)
 	}
-	return &Sealer{aead: aead, enclaveID: enclaveID}, nil
+	s := &Sealer{aead: aead, enclaveID: enclaveID}
+	s.j0[15] = 1
+	if useKernel {
+		s.kern = new(pageKey)
+		expandPageKey(s.kern, (*[16]byte)(key))
+	}
+	return s, nil
 }
 
 func (s *Sealer) nonce(va mmu.VAddr, version uint64) []byte {
-	n := s.nonceBuf[:]
+	n := s.j0[:12]
 	binary.LittleEndian.PutUint32(n[0:4], uint32(va.VPN()))
 	binary.LittleEndian.PutUint64(n[4:12], version)
 	return n
@@ -174,7 +186,12 @@ func (s *Sealer) SealAppend(dst []byte, va mmu.VAddr, version uint64, plain []by
 	if len(plain) != mmu.PageSize {
 		return nil, fmt.Errorf("pagestore: sealing %d bytes, want %d", len(plain), mmu.PageSize)
 	}
-	return s.aead.Seal(dst, s.nonce(va, version), plain, s.aad(va, version)), nil
+	nonce, aad := s.nonce(va, version), s.aad(va, version)
+	if s.kern != nil && useKernel {
+		// The kernel reads the nonce and AAD from s.j0 and s.aadBuf.
+		return s.sealKernel(dst, plain), nil
+	}
+	return s.aead.Seal(dst, nonce, plain, aad), nil
 }
 
 // Seal encrypts one page for (va, version) into a freshly allocated blob.
@@ -204,7 +221,14 @@ func (s *Sealer) OpenAppend(dst []byte, va mmu.VAddr, expectVersion uint64, b Bl
 	if len(b.Ciphertext) < mmu.PageSize+s.aead.Overhead() {
 		return nil, ErrTruncated
 	}
-	plain, err := s.aead.Open(dst, s.nonce(va, expectVersion), b.Ciphertext, s.aad(va, expectVersion))
+	nonce, aad := s.nonce(va, expectVersion), s.aad(va, expectVersion)
+	var plain []byte
+	var err error
+	if s.kern != nil && useKernel && len(b.Ciphertext) == mmu.PageSize+tagLen {
+		plain, err = s.openKernel(dst, b.Ciphertext)
+	} else {
+		plain, err = s.aead.Open(dst, nonce, b.Ciphertext, aad)
+	}
 	if err != nil {
 		switch {
 		case b.EnclaveID != s.enclaveID:

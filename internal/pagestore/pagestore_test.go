@@ -199,10 +199,10 @@ func TestStoreCorrupt(t *testing.T) {
 	}
 }
 
-// TestOpenDistinguishesFailureModes locks the refined unseal taxonomy: each
-// attack class yields its own sentinel, every sentinel wraps ErrIntegrity
-// (so security decisions never depend on the refinement), and the
-// refinements never match each other.
+// TestOpenDistinguishesFailureModes locks the refined unseal taxonomy on
+// both sealing paths: each attack class yields its own sentinel, every
+// sentinel wraps ErrIntegrity (so security decisions never depend on the
+// refinement), and the refinements never match each other.
 func TestOpenDistinguishesFailureModes(t *testing.T) {
 	s, _ := NewSealer(secret, 1)
 	other, _ := NewSealer(secret, 2)
@@ -215,6 +215,11 @@ func TestOpenDistinguishesFailureModes(t *testing.T) {
 	flipped.Ciphertext = append([]byte(nil), good.Ciphertext...)
 	flipped.Ciphertext[0] ^= 0xff
 
+	// Longer than SealedLen: not page-shaped, so both paths hand it to
+	// crypto/cipher, which reads its last 16 bytes as the tag.
+	extended := good
+	extended.Ciphertext = append(good.Ciphertext[:len(good.Ciphertext):len(good.Ciphertext)], 0)
+
 	stale, _ := s.Seal(0x1000, 1, page(0xaa)) // opened expecting version 2
 
 	foreign, _ := other.Seal(0x1000, 2, page(0xaa))
@@ -226,28 +231,31 @@ func TestOpenDistinguishesFailureModes(t *testing.T) {
 	}{
 		{"truncated", truncated, ErrTruncated},
 		{"bit-flipped", flipped, ErrIntegrity},
+		{"extended", extended, ErrIntegrity},
 		{"replayed stale version", stale, ErrStaleVersion},
 		{"wrong enclave", foreign, ErrWrongEnclave},
 	}
 	refinements := []error{ErrTruncated, ErrStaleVersion, ErrWrongEnclave}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := s.Open(0x1000, 2, tc.blob)
-			if err == nil {
-				t.Fatal("attacked blob unsealed")
-			}
-			if !errors.Is(err, tc.want) {
-				t.Fatalf("error %v, want %v", err, tc.want)
-			}
-			if !errors.Is(err, ErrIntegrity) {
-				t.Fatalf("error %v does not wrap ErrIntegrity", err)
-			}
-			// No refinement may claim an attack it did not diagnose.
-			for _, ref := range refinements {
-				if ref != tc.want && errors.Is(err, ref) {
-					t.Fatalf("error %v also matches unrelated %v", err, ref)
+			eachPath(t, func(path string) {
+				_, err := s.Open(0x1000, 2, tc.blob)
+				if err == nil {
+					t.Fatalf("%s: attacked blob unsealed", path)
 				}
-			}
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("%s: error %v, want %v", path, err, tc.want)
+				}
+				if !errors.Is(err, ErrIntegrity) {
+					t.Fatalf("%s: error %v does not wrap ErrIntegrity", path, err)
+				}
+				// No refinement may claim an attack it did not diagnose.
+				for _, ref := range refinements {
+					if ref != tc.want && errors.Is(err, ref) {
+						t.Fatalf("%s: error %v also matches unrelated %v", path, err, ref)
+					}
+				}
+			})
 		})
 	}
 }

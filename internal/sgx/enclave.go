@@ -241,13 +241,24 @@ func (c *CPU) ECREATE(base mmu.VAddr, size uint64, attrs Attributes) (*Enclave, 
 	binary.LittleEndian.PutUint64(hdr[8:16], size)
 	binary.LittleEndian.PutUint64(hdr[16:24], uint64(attrs))
 	e.extendMeasurement("ECREATE", hdr[:])
-	sealer, err := pagestore.NewSealer(c.rootSecret, e.ID)
+	sealer, err := pagestore.NewSealer(c.pageSealingRoot(), e.ID)
 	if err != nil {
 		return nil, err
 	}
 	e.sealer = sealer
 	c.enclaves[e.ID] = e
 	return e, nil
+}
+
+// pageSealingRoot is the secret enclave page keys derive from: the root
+// secret bound to this platform instance. Enclave IDs restart at 1 on every
+// CPU, so without the binding two machines sharing a root secret (a fleet,
+// two facade machines) would give their first enclaves one page key, and a
+// host holding both stores could feed one tenant the other's pages. The
+// binding names an instance the way Quote does, by (Platform, EnclaveID).
+func (c *CPU) pageSealingRoot() []byte {
+	root := append(make([]byte, 0, len(c.rootSecret)+8), c.rootSecret...)
+	return binary.LittleEndian.AppendUint64(root, c.instanceSalt)
 }
 
 // EADD populates one initial enclave page before EINIT: it allocates an EPC

@@ -1197,6 +1197,31 @@ func TestEnclaveSealerExposed(t *testing.T) {
 	}
 }
 
+// TestPageKeysDifferAcrossPlatforms: two machines on one root secret give
+// their first enclaves the same ID, yet neither may open the other's page
+// blobs. A host holding both backing stores could otherwise feed one
+// tenant the other's pages, and two tenants evicting the same page at the
+// same version would seal under one (key, nonce).
+func TestPageKeysDifferAcrossPlatforms(t *testing.T) {
+	a, b := newRig(t), newRig(t)
+	ea, _ := a.buildEnclave(t, AttrSelfPaging, 1)
+	eb, _ := b.buildEnclave(t, AttrSelfPaging, 1)
+	if ea.ID != eb.ID {
+		t.Fatalf("enclave IDs %d and %d: the test needs equal IDs on both platforms", ea.ID, eb.ID)
+	}
+	plain := bytes.Repeat([]byte{0x6B}, mmu.PageSize)
+	blob, err := ea.Sealer().Seal(rigBase, 1, plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ea.Sealer().Open(rigBase, 1, blob); err != nil || !bytes.Equal(got, plain) {
+		t.Fatalf("the sealing platform cannot open its own blob: %v", err)
+	}
+	if _, err := eb.Sealer().Open(rigBase, 1, blob); !errors.Is(err, pagestore.ErrIntegrity) {
+		t.Fatalf("another platform's enclave %d opened the blob: %v", eb.ID, err)
+	}
+}
+
 func TestEPCNumFrames(t *testing.T) {
 	epc := NewEPC(0x100, 7)
 	if epc.NumFrames() != 7 {
